@@ -1,7 +1,7 @@
 // Shared helpers for the figure-reproduction benches.
 //
 // Each fig*_ binary prints the series of one paper figure as an aligned
-// text table (sap::Table); EXPERIMENTS.md quotes these outputs verbatim.
+// text table (sap::Table).
 // emit_table() additionally writes the same series as BENCH_<name>.json so
 // the perf/accuracy trajectory can be tracked across PRs by machines.
 #pragma once

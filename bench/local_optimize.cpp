@@ -19,7 +19,7 @@
 //   * fused 8-thread  >= 3.0x over the pre-PR baseline,
 //   * fused serial    >= 1.5x over the pre-PR baseline,
 //   * optimize_perturbation bit-identical across {0, 2, 8} threads,
-//   * a full SapSession bit-identical across kSimulated / kThreaded / kTcp
+//   * a full SapSession bit-identical across kSimulated / kThreadedLocal
 //     with DIFFERENT per-run optimizer thread counts (both axes at once).
 //
 // Also reported (not gated): fused vs unfused apply, scratch-reuse vs
@@ -40,7 +40,6 @@
 #include "linalg/orthogonal.hpp"
 #include "linalg/stats.hpp"
 #include "net/remote.hpp"
-#include "net/tcp_transport.hpp"
 #include "optimize/optimizer.hpp"
 #include "privacy/evaluator.hpp"
 #include "privacy/metric.hpp"
@@ -331,24 +330,9 @@ SessionFingerprint run_session(sap::proto::TransportKind kind, std::size_t threa
   data::PartitionOptions popts;
   auto shards = data::partition(pool, 3, popts, eng);
 
-  SessionFingerprint fp;
-  if (kind == proto::TransportKind::kTcp) {
-    net::TcpOptions tcp;
-    tcp.connect_timeout_ms = 10000;
-    tcp.receive_timeout_ms = 30000;
-    auto hub = net::TcpTransport::listen({"127.0.0.1", 0}, 0, tcp);
-    proto::SapSession session(std::move(shards), session_opts(kind, threads),
-                              net::tcp_transport_factory(hub->local_addr(), tcp));
-    const auto result = session.run();
-    fp.pool_digest = net::dataset_digest(result.unified);
-    fp.parties = result.parties;
-  } else {
-    proto::SapSession session(std::move(shards), session_opts(kind, threads));
-    const auto result = session.run();
-    fp.pool_digest = net::dataset_digest(result.unified);
-    fp.parties = result.parties;
-  }
-  return fp;
+  proto::SapSession session(std::move(shards), session_opts(kind, threads));
+  const auto result = session.run();
+  return {net::dataset_digest(result.unified), result.parties};
 }
 
 bool same_fingerprint(const SessionFingerprint& a, const SessionFingerprint& b) {
@@ -472,9 +456,7 @@ int main(int argc, char** argv) {
   // ---- bit-identity: transports (with different thread counts each) ------
   const auto fp_sim = run_session(proto::TransportKind::kSimulated, 8);
   const auto fp_threaded = run_session(proto::TransportKind::kThreadedLocal, 0);
-  const auto fp_tcp = run_session(proto::TransportKind::kTcp, 2);
-  const bool transports_identical =
-      same_fingerprint(fp_sim, fp_threaded) && same_fingerprint(fp_sim, fp_tcp);
+  const bool transports_identical = same_fingerprint(fp_sim, fp_threaded);
 
   // ---- report -------------------------------------------------------------
   Table table({"measure", "config", "ms", "speedup", "bar", "status"});
@@ -497,11 +479,11 @@ int main(int argc, char** argv) {
                  Table::num(eval_percall_ms / eval_scratch_ms, 2), "-", "info"});
   table.add_row({"bit-identity", "threads {0,2,8}", "-", "-", "exact",
                  threads_identical ? "pass" : "FAIL"});
-  table.add_row({"bit-identity", "sim/threaded/tcp x {8,0,2} threads", "-", "-",
+  table.add_row({"bit-identity", "sim/threaded x {8,0} threads", "-", "-",
                  "exact", transports_identical ? "pass" : "FAIL"});
 
   bench::BenchMeta meta;
-  meta.transport = "in-process+tcp";
+  meta.transport = "in-process";
   bench::emit_table("local_optimize", table, meta);
 
   const bool ok =

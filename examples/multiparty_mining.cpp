@@ -66,13 +66,10 @@ int main() {
 
   // One exchange serves many mining jobs: train the SVM, then re-mine the
   // pooled unified space with a second named job at zero exchange cost.
-  double miner_train_acc = 0.0;
-  const proto::SapResult result = session.mine([&](const data::Dataset& unified) {
-    ml::Svm svm;
-    svm.fit(unified);
-    miner_train_acc = ml::accuracy(svm, unified);
-    return std::vector<double>{miner_train_acc};
-  });
+  const proto::SapResult result = session.mine_named("svm-train-accuracy");
+  // The engine cached the fitted SVM, so reading its report back is free.
+  const double miner_train_acc =
+      session.engine().run({"svm-train-accuracy", {}}).values.front();
   const proto::SapResult knn_result = session.mine_named("knn-train-accuracy");
 
   std::printf("\nminer unified %zu records in the target space (SVM train acc %.1f%%)\n",

@@ -1,7 +1,7 @@
 // Aligned text-table printer.
 //
 // Every figure-reproduction bench prints its series through this so the
-// output is uniform and diffable (EXPERIMENTS.md quotes these tables).
+// output is uniform and diffable.
 #pragma once
 
 #include <string>

@@ -8,7 +8,7 @@
 // commonly reported figures for that dataset. Geometric perturbation and SAP
 // only interact with the data through (a) its column variance structure and
 // (b) its class geometry, both of which the generators exercise.
-// See DESIGN.md §2 (substitutions) and EXPERIMENTS.md.
+// See DESIGN.md §2 (substitutions).
 #pragma once
 
 #include <cstdint>

@@ -18,7 +18,7 @@
 //
 // kData bodies carry an EncryptedEnvelope byte-exactly: the 8-byte
 // integrity word followed by the ciphertext words (little-endian u64s) —
-// the relay/hub routes ciphertext it cannot open, exactly like the
+// the hub routes ciphertext it cannot open, exactly like the
 // in-process transports' metadata trace. Control frames (Hello/Welcome/
 // Error/Bye) use small fixed bodies described at their helpers.
 //

@@ -1,12 +1,12 @@
-// C10k serving front door — an edge-triggered epoll reactor for sap::net.
+// C10k serving door — an edge-triggered epoll reactor for sap::net.
 //
 // The hub transport (tcp_transport.hpp) is built for the exchange: k party
-// connections, blocking-echo relay semantics, one poll() pass over every fd
-// per tick. That shape is exactly wrong for the serving phase, where the
-// miner is a request/response server for an open-ended client population
-// ("millions of users", ROADMAP): poll() scans all C connections to find
-// the few ready ones, every frame crosses two thread hand-offs, and every
-// response is its own write() syscall. The reactor replaces that path:
+// connections, id-routed frames, one poll() pass over every fd per tick.
+// That shape is exactly wrong for the serving phase, where the miner is a
+// request/response server for an open-ended client population ("millions
+// of users", ROADMAP): poll() scans all C connections to find the few ready
+// ones, every frame crosses two thread hand-offs, and every response is its
+// own write() syscall. So the hub does not serve; the reactor does:
 //
 //   * ONE acceptor thread drains accept() until EAGAIN and deals fds
 //     round-robin to N sharded event loops.
@@ -66,8 +66,7 @@ struct ReactorOptions {
   std::size_t max_outq_bytes = 64u << 20;  ///< per-connection outbound cap
   std::size_t compute_queue_cap = 4096;  ///< pending requests before shedding
   /// First auto-assigned client id. High base so reactor clients can never
-  /// collide with hub party ids (providers 0..k-1, miner k, hub serving
-  /// clients k+1...).
+  /// collide with party ids (providers 0..k-1, miner k).
   std::uint32_t first_client_id = 1u << 20;
   /// Optional metrics sink (non-owning; must outlive the reactor). When
   /// set, the reactor records latency histograms on its hot path:

@@ -64,6 +64,7 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
                .owned = opts_.owned_shards}),
       minter_(opts_.seed) {
   SAP_REQUIRE(opts_.parties >= 3, "MinerDaemon: need at least 3 parties");
+  SAP_REQUIRE(opts_.reactor_loops >= 1, "MinerDaemon: the serving door needs >= 1 loop");
   const auto seeds = proto::logic::derive_session_seeds(opts_.seed, opts_.parties);
   secret_ = seeds.session_secret;
   hub_ = TcpTransport::listen(opts_.listen, secret_, opts_.tcp);
@@ -78,25 +79,18 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
   ctr_refused_owner_ = &obs_.counter("serve.refused.not_owner");
   ctr_refused_unavail_ = &obs_.counter("serve.refused.unavailable");
   g_ingest_epoch_ = &obs_.gauge("ingest.epoch");
-  if (opts_.reactor_loops > 0) {
-    ReactorOptions ropts;
-    ropts.listen = opts_.reactor_listen;
-    ropts.loops = opts_.reactor_loops;
-    ropts.compute_threads = opts_.reactor_compute_threads;
-    ropts.idle_timeout_ms = opts_.reactor_idle_timeout_ms;
-    ropts.max_frame_body = opts_.tcp.max_frame_body;
-    ropts.metrics = &obs_;  // reactor.queue_wait_ms / handler_ms / writev_batch
-    // The front door binds (and accepts) immediately so its address can be
-    // advertised next to the hub's; serve_frame refuses every request until
-    // the exchange installs the pool (serving_ flips in run()).
-    reactor_ = std::make_unique<Reactor>(
-        ropts, [this](const Frame& frame) { return serve_frame(frame); });
-  }
-}
-
-SocketAddr MinerDaemon::reactor_addr() const {
-  SAP_REQUIRE(reactor_ != nullptr, "MinerDaemon: reactor front door is disabled");
-  return reactor_->local_addr();
+  ReactorOptions ropts;
+  ropts.listen = opts_.reactor_listen;
+  ropts.loops = opts_.reactor_loops;
+  ropts.compute_threads = opts_.reactor_compute_threads;
+  ropts.idle_timeout_ms = opts_.reactor_idle_timeout_ms;
+  ropts.max_frame_body = opts_.tcp.max_frame_body;
+  ropts.metrics = &obs_;  // reactor.queue_wait_ms / handler_ms / writev_batch
+  // The serving door binds (and accepts) immediately so its address can be
+  // advertised next to the hub's; serve_frame refuses every request until
+  // the exchange installs the pool (serving_ flips in run()).
+  reactor_ = std::make_unique<Reactor>(
+      ropts, [this](const Frame& frame) { return serve_frame(frame); });
 }
 
 void MinerDaemon::note(const std::string& line) const {
@@ -116,6 +110,28 @@ void MinerDaemon::serve_error(proto::ServeErrorCode code, const std::string& mes
   note("refused (" + proto::to_string(code) + "): " + message);
   out_kind = proto::PayloadKind::kServeError;
   out_wire = proto::encode_serve_error(code, message);
+}
+
+bool MinerDaemon::refuse_on_hub(const TcpTransport::Delivery& msg) {
+  switch (msg.kind) {
+    case proto::PayloadKind::kContribution:
+    case proto::PayloadKind::kMiningRequest:
+    case proto::PayloadKind::kPartialRequest:
+    case proto::PayloadKind::kPoolSliceRequest:
+    case proto::PayloadKind::kShardSnapshotRequest:
+    case proto::PayloadKind::kStatsRequest:
+      break;
+    default:
+      return false;
+  }
+  proto::PayloadKind out_kind{};
+  std::vector<double> out_wire;
+  serve_error(proto::ServeErrorCode::kBadRequest,
+              "the exchange hub does not serve " + proto::to_string(msg.kind) +
+                  "; use the serving door at " + reactor_addr().to_string(),
+              out_kind, out_wire);
+  hub_->send(miner_id_, msg.from, out_kind, out_wire);
+  return true;
 }
 
 bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double> payload,
@@ -275,8 +291,7 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
       return true;
     }
     case proto::PayloadKind::kStatsRequest: {
-      // The stats door rides the SAME dispatch as serving traffic, so hub-
-      // and reactor-fetched snapshots are assembled identically. It does
+      // The stats door rides the SAME dispatch as serving traffic. It does
       // not count toward requests_served_ (pure measurement must not move
       // the serving counters it reports).
       proto::decode_stats_request(payload);
@@ -331,7 +346,7 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
     snap.set_gauge("pool.snapshot_refs", static_cast<double>(refs));
     snap.set_gauge("ingest.watermark_lag", static_cast<double>(max_epoch - watermark));
   }
-  if (reactor_) {
+  {
     const auto rs = reactor_->stats();
     snap.set_counter("reactor.accepted", rs.accepted);
     snap.set_counter("reactor.refused", rs.refused);
@@ -390,8 +405,8 @@ std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
     proto::PayloadKind out_kind{};
     std::vector<double> out_wire;
     SAP_REQUIRE(serve_payload(kind, payload, out_kind, out_wire),
-                "MinerDaemon: the front door serves only contributions, mining "
-                "requests, partials, pool slices, and stats");
+                "MinerDaemon: the serving door serves only contributions, mining "
+                "requests, partials, pool slices, shard snapshots, and stats");
     const std::uint64_t t_served = steady_now_ns();
     rec.stage_ms[static_cast<std::size_t>(obs::Stage::kServe)] =
         static_cast<double>(t_served - t_decoded) / 1e6;
@@ -408,9 +423,9 @@ std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
         static_cast<double>(steady_now_ns() - t_served) / 1e6;
     if (traced) traces_.push(std::move(rec));
   } catch (const Error& e) {
-    // Per-request containment, same policy as the hub loop — answer kError
-    // so the client fails fast instead of timing out.
-    note(std::string("reactor rejected request: ") + e.what());
+    // Per-request containment — answer kError so the client fails fast
+    // instead of timing out.
+    note(std::string("serving door rejected request: ") + e.what());
     Frame err;
     err.type = FrameType::kError;
     err.from = miner_id_;
@@ -428,17 +443,12 @@ MinerDaemon::Summary MinerDaemon::run() {
   Summary summary;
 
   // ---- exchange: collect k forwarded shards + k aligned adaptors --------
-  // There are no global phase barriers across processes: a fast party's
-  // contribution or mining request can arrive while slower shards are still
-  // in flight, so serving traffic is parked and replayed after the pool is
-  // installed.
   // Shards and adaptors are keyed by nonce, and the exchange completes
   // when k nonces have BOTH — a duplicate or an unmatched surplus entry
   // (a re-sent shard, a confused or hostile client) is rejected or simply
   // never pairs up, instead of corrupting the completion count.
   std::map<std::uint64_t, proto::logic::MinerShard> shards;
   std::map<std::uint64_t, perturb::SpaceAdaptor> adaptors;
-  std::vector<proto::Transport::Delivery> parked;
   const auto matched = [&] {
     std::size_t n = 0;
     for (const auto& [nonce, shard] : shards) n += adaptors.count(nonce);
@@ -459,7 +469,7 @@ MinerDaemon::Summary MinerDaemon::run() {
     SAP_REQUIRE(remaining.count() > 0,
                 "MinerDaemon: exchange timed out waiting for shards/adaptors "
                 "(missing party?)");
-    proto::Transport::Delivery msg;
+    TcpTransport::Delivery msg;
     bool got = false;
     try {
       got = hub_->try_receive(miner_id_, msg, static_cast<int>(remaining.count()));
@@ -468,12 +478,8 @@ MinerDaemon::Summary MinerDaemon::run() {
       continue;
     }
     if (!got) continue;  // loop re-checks the deadline
-    if (msg.kind == proto::PayloadKind::kContribution ||
-        msg.kind == proto::PayloadKind::kMiningRequest) {
-      parked.push_back(std::move(msg));  // a fast party got ahead — serve later
-      continue;
-    }
     try {
+      if (refuse_on_hub(msg)) continue;
       const std::span<const double> payload(msg.payload);
       SAP_REQUIRE(!payload.empty(), "empty payload during the exchange");
       // Wire payloads are adversarial input: the cast below is UB for
@@ -567,57 +573,32 @@ MinerDaemon::Summary MinerDaemon::run() {
   // was dead live only on surviving replicas — pull them before serving so
   // the router's epoch floors accept this miner again.
   if (!opts_.resync_peers.empty()) resync_owned_shards();
-  // adaptors_/dims_/engine_ pool are frozen now — the reactor compute lanes
+  // adaptors_/dims_/engine_ pool are frozen now — the door's compute lanes
   // may start dispatching the moment this store is visible.
   serving_.store(true, std::memory_order_release);
+  // Tell every party where to serve; the notice doubles as "serving has
+  // started". A party that already left simply never reads it.
+  const auto door_notice = proto::encode_serving_door(reactor_addr().port);
+  for (std::size_t i = 0; i < k; ++i)
+    hub_->send(miner_id_, static_cast<proto::PartyId>(i), proto::PayloadKind::kServingDoor,
+               door_notice);
 
-  // ---- serve until every party has said goodbye -------------------------
-  std::size_t parked_pos = 0;
-  while (parked_pos < parked.size() || hub_->live_connections() > 0 ||
-         hub_->has_mail(miner_id_)) {
-    proto::Transport::Delivery msg;
-    if (parked_pos < parked.size()) {
-      msg = std::move(parked[parked_pos++]);
-    } else {
-      // try_receive decrypts — a corrupt envelope (wrong link key, flipped
-      // ciphertext) throws HERE and must be contained per-message too.
-      try {
-        if (!hub_->try_receive(miner_id_, msg, /*timeout_ms=*/50)) continue;
-      } catch (const Error& e) {
-        note(std::string("rejected message: ") + e.what());
-        continue;
-      }
-    }
+  // ---- drain the hub until every party has said goodbye -----------------
+  while (hub_->live_connections() > 0) {
+    TcpTransport::Delivery msg;
+    // try_receive decrypts — a corrupt envelope (wrong link key, flipped
+    // ciphertext) throws HERE and must be contained per-message too.
     try {
-      proto::PayloadKind out_kind{};
-      std::vector<double> out_wire;
-      // The hub transport decrypts inside try_receive, so the hub door
-      // sees only decoded payloads: its traces carry serve + write stages
-      // and always mint (Delivery has no frame-level trace field).
-      const std::uint64_t t0 = steady_now_ns();
-      if (serve_payload(msg.kind, msg.payload, out_kind, out_wire)) {
-        const std::uint64_t t1 = steady_now_ns();
-        hub_->send(miner_id_, msg.from, out_kind, out_wire);
-        if (obs::enabled() && msg.kind != proto::PayloadKind::kStatsRequest) {
-          obs::TraceRecord rec;
-          rec.id = minter_.mint();
-          rec.op = proto::to_string(msg.kind);
-          rec.stage_ms[static_cast<std::size_t>(obs::Stage::kServe)] =
-              static_cast<double>(t1 - t0) / 1e6;
-          rec.stage_ms[static_cast<std::size_t>(obs::Stage::kWrite)] =
-              static_cast<double>(steady_now_ns() - t1) / 1e6;
-          traces_.push(std::move(rec));
-        }
-      }
+      if (!hub_->try_receive(miner_id_, msg, /*timeout_ms=*/50)) continue;
+      if (!refuse_on_hub(msg)) note("ignored late " + proto::to_string(msg.kind) + " on the hub");
     } catch (const Error& e) {
-      // One malformed message must not take the daemon down.
       note(std::string("rejected message: ") + e.what());
     }
   }
 
-  // The parties are gone: close the front door too (joins its threads), so
-  // the counters below are final and destruction order never matters.
-  if (reactor_) reactor_->stop();
+  // The parties are gone: close the serving door too (joins its threads),
+  // so the counters below are final and destruction order never matters.
+  reactor_->stop();
 
   if (engine_.total_shards() == 1) {
     const auto view = engine_.pool_view();
@@ -714,6 +695,7 @@ void ServeClient::handshake() {
   SAP_REQUIRE(welcome.type == FrameType::kWelcome,
               "ServeClient: expected kWelcome during the handshake");
   id_ = body_u32(welcome.body);
+  last_io_ = std::chrono::steady_clock::now();
 }
 
 void ServeClient::reconnect() {
@@ -745,6 +727,14 @@ Frame ServeClient::read_frame() {
 std::vector<double> ServeClient::transact(proto::PayloadKind kind,
                                           std::span<const double> payload,
                                           proto::PayloadKind expect_kind) {
+  // Busy clients skip the probe; door idle timeouts are far longer.
+  if (sock_.valid() &&
+      std::chrono::steady_clock::now() - last_io_ > std::chrono::milliseconds(100)) {
+    bool closed = false;
+    std::uint8_t byte = 0;
+    if (sock_.read_some(&byte, 1, /*timeout_ms=*/0, closed) > 0) reader_.feed(&byte, 1);
+    if (closed) reconnect();
+  }
   Frame req;
   req.type = FrameType::kData;
   req.payload_kind = static_cast<std::uint8_t>(kind);
@@ -769,6 +759,7 @@ std::vector<double> ServeClient::transact(proto::PayloadKind kind,
                 "ServeClient: unexpected reply payload kind");
     auto plain = body_envelope(resp.body)
                      .open(proto::detail::derive_link_key(secret_, miner_, id_));
+    last_io_ = std::chrono::steady_clock::now();
     if (typed_error) {
       const auto err = proto::decode_serve_error(plain);
       throw ServeError(err.code, err.message);
@@ -899,7 +890,7 @@ PartyClient::PartyClient(data::Dataset shard, PartyClientOptions opts)
   SAP_REQUIRE(id_ == opts_.index, "PartyClient: hub assigned an unexpected party id");
 }
 
-proto::Transport::Delivery PartyClient::expect(
+TcpTransport::Delivery PartyClient::expect(
     std::initializer_list<proto::PayloadKind> kinds) {
   const auto wanted = [&](proto::PayloadKind kind) {
     return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
@@ -1001,42 +992,37 @@ proto::PartyReport PartyClient::run_exchange() {
   return report;
 }
 
+ServeClient& PartyClient::door() {
+  if (!door_) {
+    const auto notice = expect({proto::PayloadKind::kServingDoor});
+    ServeClient::Options copts;
+    copts.timeout_ms = opts_.tcp.receive_timeout_ms;
+    copts.max_frame_body = opts_.tcp.max_frame_body;
+    door_ = std::make_unique<ServeClient>(
+        SocketAddr{opts_.connect.host, proto::decode_serving_door(notice.payload)},
+        opts_.sap.seed, k_, copts);
+  }
+  return *door_;
+}
+
 proto::SapSession::ContributionReceipt PartyClient::contribute(const data::Dataset& batch) {
   SAP_REQUIRE(exchange_done_, "PartyClient::contribute: run the exchange first");
   SAP_REQUIRE(batch.size() >= 1, "PartyClient::contribute: empty batch");
   SAP_REQUIRE(batch.dims() == dims_, "PartyClient::contribute: dimension mismatch");
   const linalg::Matrix y = local_.g.apply(batch.features_T(), eng_);
-  transport_->send(id_, miner_, proto::PayloadKind::kContribution,
-                   proto::encode_contribution(local_.nonce, y, batch.labels()));
-  const auto ack = expect({proto::PayloadKind::kContributionAck,
-                           proto::PayloadKind::kServeError});
-  if (ack.kind == proto::PayloadKind::kServeError) {
-    const auto err = proto::decode_serve_error(ack.payload);
-    throw ServeError(err.code, err.message);
-  }
-  const auto receipt = proto::decode_receipt(ack.payload);
-  // Epoch 0 is the negative receipt (an accepted append is always >= 2:
-  // set_pool is epoch 1). Fail with the real diagnosis, not a timeout.
-  SAP_REQUIRE(receipt.pool_epoch != 0,
-              "PartyClient::contribute: the miner rejected this contribution");
+  const auto receipt =
+      door().contribute_wire(proto::encode_contribution(local_.nonce, y, batch.labels()));
   return {receipt.pool_epoch, receipt.pool_records};
 }
 
 proto::WireMiningResponse PartyClient::mine_named(const std::string& job,
                                                   const proto::JobParams& params) {
   SAP_REQUIRE(exchange_done_, "PartyClient::mine_named: run the exchange first");
-  transport_->send(id_, miner_, proto::PayloadKind::kMiningRequest,
-                   proto::encode_mining_request(job, params));
-  const auto msg = expect({proto::PayloadKind::kMiningResponse,
-                           proto::PayloadKind::kServeError});
-  if (msg.kind == proto::PayloadKind::kServeError) {
-    const auto err = proto::decode_serve_error(msg.payload);
-    throw ServeError(err.code, err.message);
-  }
-  return proto::decode_mining_response(msg.payload);
+  return door().mine_named(job, params);
 }
 
 void PartyClient::finish() {
+  if (door_) door_->bye();
   if (transport_) transport_->send_bye();
 }
 

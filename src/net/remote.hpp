@@ -16,27 +16,25 @@
 // exchange the paper assumes — see DESIGN.md §7 for the threat model of
 // this choice over real sockets.
 //
-// After the exchange the daemon keeps serving:
-//   * kContribution  -> adapted + appended to the live pool, answered with
-//                       a kContributionAck receipt;
-//   * kMiningRequest -> served by the MiningEngine (cached/incremental
-//                       exactly like in-process), answered with
-//                       kMiningResponse (empty values = request refused).
-// The daemon exits when every party connection has closed.
-//
-// Serving traffic has two front doors sharing ONE dispatch path
-// (serve_payload), so their responses are bit-identical by construction:
-//   * the hub itself (the k exchange connections double as serving links —
-//     unchanged legacy behavior), and
-//   * an optional epoll reactor (net/reactor.hpp, reactor_loops > 0) for
-//     the open client population beyond the k parties — tens of thousands
-//     of concurrent contribution/mining connections. The reactor endpoint
-//     is a second listen address (reactor_addr()) speaking the same wire
-//     protocol; it refuses traffic until the exchange installed the pool,
-//     and it never participates in the exchange itself (DESIGN.md §10).
+// The miner has two jobs and one door for each:
+//   * the exchange hub (net/tcp_transport.hpp) carries the one-off k-party
+//     exchange and nothing else — serving kinds that arrive there are
+//     refused at once with kServeError{kBadRequest} naming the serving door;
+//   * the serving door, an epoll reactor (net/reactor.hpp, DESIGN.md §10),
+//     answers contributions (adapted + appended, answered with a
+//     kContributionAck receipt), mining requests (served by the
+//     MiningEngine, cached/incremental exactly like in-process), cluster
+//     partials/slices/snapshots and stats, through ONE dispatch
+//     (serve_payload). It refuses traffic until the exchange installed the
+//     pool.
+// Once the pool is installed the daemon tells each party the door's port
+// over its hub link; PartyClient contributes and mines through a
+// ServeClient to that door. The daemon exits when every hub connection has
+// closed.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -49,6 +47,7 @@
 #include "obs/trace.hpp"
 #include "protocol/mining_engine.hpp"
 #include "protocol/party_logic.hpp"
+#include "protocol/session.hpp"
 
 namespace sap::net {
 
@@ -97,9 +96,10 @@ struct MinerDaemonOptions {
   TcpOptions tcp{};
   /// Optional progress sink (the CLI prints these lines).
   std::function<void(const std::string&)> log;
-  /// Reactor front door: 0 disables it (hub-only legacy serving); N > 0
-  /// binds reactor_listen with N sharded event loops (see reactor_addr()).
-  std::size_t reactor_loops = 0;
+  /// The serving door: reactor_listen bound with reactor_loops (>= 1)
+  /// sharded event loops (see reactor_addr()). Parties dial its port on
+  /// the host they reached the hub at, so bind both on the same host.
+  std::size_t reactor_loops = 1;
   std::size_t reactor_compute_threads = 2;
   SocketAddr reactor_listen{"127.0.0.1", 0};
   int reactor_idle_timeout_ms = 60'000;
@@ -133,18 +133,18 @@ class MinerDaemon {
   /// know where to connect.
   [[nodiscard]] SocketAddr local_addr() const { return hub_->local_addr(); }
 
-  /// The reactor front door address (only with reactor_loops > 0).
-  [[nodiscard]] SocketAddr reactor_addr() const;
+  /// The serving door's bound address.
+  [[nodiscard]] SocketAddr reactor_addr() const { return reactor_->local_addr(); }
 
-  /// The live reactor (nullptr when reactor_loops == 0) — stats for the
-  /// CLI summary and the connection-scaling bench.
+  /// The serving door (never null) — stats for the CLI summary and the
+  /// connection-scaling bench.
   [[nodiscard]] const Reactor* reactor() const noexcept { return reactor_.get(); }
 
-  /// True once run() has installed the pool and both front doors answer
-  /// serving traffic. Before this, front-door requests are refused with a
-  /// kError frame ("not serving yet") — a TRANSIENT refusal by the DESIGN.md
-  /// §13 taxonomy, so retrying clients absorb it like any transport fault.
-  /// Callers without a retry budget (tests, probes) poll here instead.
+  /// True once run() has installed the pool and the serving door answers.
+  /// Before this, door requests are refused with a kError frame ("not
+  /// serving yet") — a TRANSIENT refusal by the DESIGN.md §13 taxonomy, so
+  /// retrying clients absorb it like any transport fault. Callers without
+  /// a retry budget (tests, probes) poll here instead.
   [[nodiscard]] bool serving() const noexcept {
     return serving_.load(std::memory_order_acquire);
   }
@@ -153,21 +153,21 @@ class MinerDaemon {
     std::size_t pool_records = 0;
     std::uint64_t pool_epoch = 0;
     std::uint64_t pool_digest = 0;
-    std::size_t contributions = 0;     ///< both front doors combined
-    std::size_t requests_served = 0;   ///< both front doors combined
+    std::size_t contributions = 0;
+    std::size_t requests_served = 0;
   };
 
-  /// Serve one full session: collect the exchange, install the pool, serve
-  /// contributions + mining requests, return when every party disconnected.
-  /// Throws sap::Error if the exchange cannot complete (missing party,
-  /// malformed shard, deadline). The reactor (if any) serves concurrently
-  /// from pool installation until return.
+  /// Serve one full session: collect the exchange, install the pool, tell
+  /// the parties where the serving door is, then drain the hub until every
+  /// party disconnected. Throws sap::Error if the exchange cannot complete
+  /// (missing party, malformed shard, deadline). The door serves from pool
+  /// installation until return.
   Summary run();
 
   /// The serving engine (valid pool only after run() installed it).
   [[nodiscard]] proto::MiningEngine& engine() noexcept { return engine_; }
 
-  /// Live metrics registry — both front doors record into it; the reactor
+  /// Live metrics registry — the serving path records into it; the reactor
   /// shares it via ReactorOptions::metrics (DESIGN.md §12).
   [[nodiscard]] obs::Registry& metrics() noexcept { return obs_; }
 
@@ -184,14 +184,18 @@ class MinerDaemon {
  private:
   void note(const std::string& line) const;
 
-  /// The ONE serving dispatch both front doors call — the reason hub-served
-  /// and reactor-served responses are bit-identical. Returns false for
-  /// non-serving kinds (late exchange traffic, reports). Contribution
-  /// failures answer inside (negative receipt); a malformed mining request
-  /// throws for the caller's per-message containment. Thread-safe: the
-  /// engine locks internally, adaptors_/dims_ are frozen before serving_.
+  /// The ONE serving dispatch. Returns false for non-serving kinds (late
+  /// exchange traffic, reports). Contribution failures answer inside
+  /// (negative receipt); a malformed mining request throws for the
+  /// caller's per-message containment. Thread-safe: the engine locks
+  /// internally, adaptors_/dims_ are frozen before serving_.
   bool serve_payload(proto::PayloadKind kind, std::span<const double> payload,
                      proto::PayloadKind& out_kind, std::vector<double>& out_wire);
+
+  /// Hub side of the one-door rule: a serving kind on the exchange link is
+  /// answered at once with kServeError{kBadRequest} naming the serving
+  /// door. Returns false (nothing sent) for every other kind.
+  bool refuse_on_hub(const TcpTransport::Delivery& msg);
 
   /// Fill (out_kind, out_wire) with a typed kServeError refusal + log it.
   void serve_error(proto::ServeErrorCode code, const std::string& message,
@@ -214,7 +218,7 @@ class MinerDaemon {
   std::size_t dims_ = 0;
   std::vector<std::pair<std::uint64_t, perturb::SpaceAdaptor>> adaptors_;
   proto::MiningEngine engine_;
-  std::atomic<bool> serving_{false};  ///< pool installed; reactor may serve
+  std::atomic<bool> serving_{false};  ///< pool installed; the door may serve
   std::atomic<std::size_t> contributions_{0};
   std::atomic<std::size_t> requests_served_{0};
   mutable Mutex log_mutex_;  ///< note() is called from compute lanes too
@@ -241,9 +245,8 @@ class MinerDaemon {
 
 /// Minimal synchronous client for the SERVING traffic only (contributions +
 /// mining requests) — no exchange duties, no io thread, one socket and an
-/// incremental FrameReader. Works identically against both front doors
-/// (legacy hub or reactor) because they speak the same wire protocol; the
-/// bench drives both with it and compares served values bit-for-bit.
+/// incremental FrameReader. Talks to a miner's serving door or a router's
+/// front door; an exchange hub refuses it with kBadRequest.
 class ServeClient {
  public:
   struct Options {
@@ -326,7 +329,10 @@ class ServeClient {
 
  private:
   /// Send `payload` as `kind`, await a kData reply of `expect_kind`
-  /// (kError frames raise sap::Error with the daemon's message).
+  /// (kError frames raise sap::Error with the daemon's message). A
+  /// connection idle for a while is first checked for a close by the
+  /// serving door (idle eviction) and redialed: nothing of the request is
+  /// on the wire yet, so this is safe even for a contribution.
   std::vector<double> transact(proto::PayloadKind kind, std::span<const double> payload,
                                proto::PayloadKind expect_kind);
   /// transact() with the Options retry budget applied — idempotent request
@@ -356,6 +362,8 @@ class ServeClient {
   rng::Engine retry_eng_{0};      ///< deterministic backoff jitter stream
   std::size_t retries_ = 0;
   bool said_bye_ = false;
+  /// Last completed handshake or reply — how long the connection sat idle.
+  std::chrono::steady_clock::time_point last_io_{};
 };
 
 // ---- party client --------------------------------------------------------
@@ -382,19 +390,20 @@ class PartyClient {
   proto::PartyReport run_exchange();
 
   /// Post-exchange streaming: perturb `batch` (records in this party's
-  /// original space) with the negotiated G_i and ship it to the miner.
-  /// Blocks for the receipt; throws sap::Error when the miner rejects or
-  /// the deadline expires.
+  /// original space) with the negotiated G_i and ship it to the miner's
+  /// serving door. Blocks for the receipt; throws sap::Error when the miner
+  /// rejects or the deadline expires.
   proto::SapSession::ContributionReceipt contribute(const data::Dataset& batch);
 
-  /// Serve a named job remotely on the miner's pool. A daemon-side refusal
-  /// (unknown job / bad params / unavailable shard) raises ServeError with
-  /// the typed code.
+  /// Serve a named job remotely on the miner's pool, through the serving
+  /// door. A daemon-side refusal (unknown job / bad params / unavailable
+  /// shard) raises ServeError with the typed code.
   proto::WireMiningResponse mine_named(const std::string& job,
                                        const proto::JobParams& params = {});
 
-  /// Polite goodbye (the daemon exits once every party said it). Safe to
-  /// call multiple times; the destructor also sends it.
+  /// Polite goodbye on the serving door and the hub (the daemon exits once
+  /// every party left the hub). Safe to call multiple times; the
+  /// destructor also sends it.
   void finish();
 
   /// This party's protocol nonce (valid after run_exchange()).
@@ -404,7 +413,12 @@ class PartyClient {
   /// Next delivery of one of `kinds`, stashing out-of-phase messages (a
   /// fast peer's data can arrive before the coordinator's setup lines —
   /// there are no global phase barriers across processes).
-  proto::Transport::Delivery expect(std::initializer_list<proto::PayloadKind> kinds);
+  TcpTransport::Delivery expect(std::initializer_list<proto::PayloadKind> kinds);
+
+  /// The serving-door client, opened on first use: waits for the daemon's
+  /// kServingDoor notice, then dials that port on the hub's host with the
+  /// deadlines of opts_.tcp.
+  ServeClient& door();
 
   PartyClientOptions opts_;
   data::Dataset shard_;
@@ -420,7 +434,8 @@ class PartyClient {
   proto::logic::LocalPerturbation local_;
   perturb::GeometricPerturbation target_;
   perturb::SpaceAdaptor adaptor_;
-  std::deque<proto::Transport::Delivery> stash_;
+  std::deque<TcpTransport::Delivery> stash_;
+  std::unique_ptr<ServeClient> door_;
   bool exchange_done_ = false;
 };
 

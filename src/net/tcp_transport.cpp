@@ -15,16 +15,12 @@ constexpr int kIoTickMs = 20;
 /// Frames parked for party ids nobody has claimed yet (clients that are
 /// still connecting). Bounded by COUNT per id and by total BYTES across all
 /// ids — parking is for setup races, not storage; beyond either cap frames
-/// are dropped and counted.
+/// are dropped.
 constexpr std::size_t kMaxPendingPerParty = 4096;
 constexpr std::size_t kMaxPendingBytes = 64u << 20;
 /// Per-connection outbound queue cap: a peer that stops draining costs at
 /// most this much memory before it is disconnected.
 constexpr std::size_t kMaxOutqBytes = 64u << 20;
-/// Hub trace retention cap (metadata only): the hub is the first
-/// unbounded-lifetime Transport user, so its trace must not grow with
-/// traffic. Counters (total_bytes, dropped) keep counting past the cap.
-constexpr std::size_t kMaxHubTraceEntries = 65536;
 
 std::vector<std::uint8_t> frame_bytes(const Frame& frame) {
   std::vector<std::uint8_t> bytes;
@@ -78,8 +74,6 @@ std::uint64_t TcpTransport::link_key(proto::PartyId from, proto::PartyId to) con
 
 // ---- party registration --------------------------------------------------
 
-proto::PartyId TcpTransport::add_party() { return claim_party(kClaimAnyParty); }
-
 TcpTransport::ClaimOutcome TcpTransport::register_claim_locked(std::uint32_t desired,
                                                                std::size_t owner) {
   ClaimOutcome outcome;
@@ -108,18 +102,15 @@ proto::PartyId TcpTransport::claim_party(std::uint32_t desired) {
     SAP_REQUIRE(!claim.conflict,
                 "TcpTransport: party id " + std::to_string(claim.id) + " already claimed");
     const std::uint32_t id = claim.id;
-    const std::vector<Frame>& parked = claim.parked;
     MutexLock lock(mutex_);
-    local_ids_.push_back(id);
     inbox_.try_emplace(id);
-    for (const Frame& f : parked) {
+    for (const Frame& f : claim.parked) {
       try {
         deliver_locked(f);
       } catch (const Error&) {
         // Parked frames are adversarial input like any inbound traffic: a
         // malformed body is dropped per-message, it must not throw out of
         // the daemon's startup path.
-        ++dropped_;
       }
     }
     cv_.notify_all();
@@ -151,97 +142,35 @@ proto::PartyId TcpTransport::claim_party(std::uint32_t desired) {
               "TcpTransport: claim handshake timed out or connection closed");
   const proto::PartyId id = *welcome_;
   welcome_.reset();
-  local_ids_.push_back(id);
   inbox_.try_emplace(id);
   return id;
 }
 
-std::size_t TcpTransport::party_count() const {
-  MutexLock lock(mutex_);
-  return local_ids_.size();
-}
-
 // ---- send path -----------------------------------------------------------
-
-bool TcpTransport::record_send(proto::PartyId from, proto::PartyId to,
-                               proto::PayloadKind kind, proto::EncryptedEnvelope envelope) {
-  MutexLock lock(mutex_);
-  proto::Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.kind = kind;
-  msg.wire_bytes = envelope.size_doubles() * sizeof(double);
-  // Hub role: the daemon serves unbounded traffic, so retain metadata only
-  // (no ciphertext) and stop appending past the cap — clients live for one
-  // bounded session and keep the full envelope trace.
-  if (role_ != Role::kHub) msg.envelope = std::move(envelope);
-  total_bytes_ += msg.wire_bytes;
-  const bool dropped = drop_filter_ && drop_filter_(from, to, kind);
-  if (role_ != Role::kHub || trace_.size() < kMaxHubTraceEntries)
-    trace_.push_back(std::move(msg));
-  if (dropped) ++dropped_;
-  return !dropped;
-}
 
 void TcpTransport::send(proto::PartyId from, proto::PartyId to, proto::PayloadKind kind,
                         std::span<const double> payload) {
   SAP_REQUIRE(from != to, "TcpTransport::send: self-send is not a protocol step");
-  proto::EncryptedEnvelope envelope(payload, link_key(from, to));
-
   Frame frame;
   frame.type = FrameType::kData;
   frame.payload_kind = static_cast<std::uint8_t>(kind);
   frame.from = from;
   frame.to = to;
-  frame.body = envelope_body(envelope);
+  frame.body = envelope_body(proto::EncryptedEnvelope(payload, link_key(from, to)));
   SAP_REQUIRE(frame.body.size() <= opts_.max_frame_body,
               "TcpTransport::send: payload exceeds the frame size cap");
-
-  if (!record_send(from, to, kind, std::move(envelope))) return;  // dropped
-
   if (role_ == Role::kHub) {
     hub_dispatch(std::move(frame));
     return;
   }
-
-  // Client: when the destination lives on THIS transport the frame is a
-  // relay round trip — note the target delivery count before writing, then
-  // block until the hub echoes it back, so has_mail() is truthful for the
-  // next batch.
-  bool to_local = false;
-  std::size_t target = 0;
-  {
-    MutexLock lock(mutex_);
-    to_local = inbox_.count(to) > 0;
-    if (to_local) target = ++link_sent_[{from, to}];
-  }
   const auto bytes = frame_bytes(frame);
-  {
-    MutexLock wlock(write_mutex_);
-    socket_.write_all(bytes.data(), bytes.size(), opts_.write_timeout_ms);
-  }
-  if (to_local) {
-    MutexLock lock(mutex_);
-    const auto deadline = deadline_after_ms(opts_.receive_timeout_ms);
-    bool awake = true;
-    while (awake && link_delivered_[{from, to}] < target && !closed_ && error_.empty())
-      awake = cv_.wait_until(lock, deadline);
-    SAP_REQUIRE(error_.empty(), "TcpTransport::send: " + error_);
-    SAP_REQUIRE((link_delivered_[{from, to}] >= target),
-                "TcpTransport::send: relay round trip timed out (hub gone?)");
-  }
+  MutexLock wlock(write_mutex_);
+  socket_.write_all(bytes.data(), bytes.size(), opts_.write_timeout_ms);
 }
 
 // ---- receive path --------------------------------------------------------
 
-bool TcpTransport::has_mail(proto::PartyId party) const {
-  MutexLock lock(mutex_);
-  const auto it = inbox_.find(party);
-  SAP_REQUIRE(it != inbox_.end(), "TcpTransport::has_mail: party not hosted here");
-  return !it->second.empty();
-}
-
-proto::Transport::Delivery TcpTransport::receive(proto::PartyId party) {
+TcpTransport::Delivery TcpTransport::receive(proto::PartyId party) {
   Delivery out;
   SAP_REQUIRE(try_receive(party, out, opts_.receive_timeout_ms),
               "TcpTransport::receive: timed out waiting for mail (deadline " +
@@ -273,29 +202,6 @@ bool TcpTransport::try_receive(proto::PartyId party, Delivery& out, int timeout_
 
 // ---- misc accessors ------------------------------------------------------
 
-void TcpTransport::set_drop_filter(DropFilter filter) {
-  MutexLock lock(mutex_);
-  drop_filter_ = std::move(filter);
-}
-
-std::size_t TcpTransport::dropped_count() const {
-  MutexLock lock(mutex_);
-  return dropped_;
-}
-
-const std::vector<proto::Message>& TcpTransport::trace() const {
-  // Base-class contract: callers may only look while no batch is executing.
-  // The (uncontended) lock makes the guarded read well-formed for the
-  // analysis; the returned reference is covered by the same contract.
-  MutexLock lock(mutex_);
-  return trace_;
-}
-
-std::size_t TcpTransport::total_bytes() const {
-  MutexLock lock(mutex_);
-  return total_bytes_;
-}
-
 SocketAddr TcpTransport::local_addr() const {
   if (role_ == Role::kHub) return listener_.local_addr();
   return peer_addr_;
@@ -304,11 +210,6 @@ SocketAddr TcpTransport::local_addr() const {
 std::size_t TcpTransport::live_connections() const {
   MutexLock lock(conn_mutex_);
   return live_conns_;
-}
-
-std::size_t TcpTransport::total_connections() const {
-  MutexLock lock(conn_mutex_);
-  return total_conns_;
 }
 
 void TcpTransport::send_bye() {
@@ -335,9 +236,7 @@ void TcpTransport::deliver_locked(const Frame& frame) {
   msg.to = frame.to;
   msg.kind = static_cast<proto::PayloadKind>(frame.payload_kind);
   msg.envelope = body_envelope(frame.body);
-  msg.wire_bytes = msg.envelope.size_doubles() * sizeof(double);
   it->second.push_back(std::move(msg));
-  ++link_delivered_[{frame.from, frame.to}];
 }
 
 void TcpTransport::deliver_local(const Frame& frame) {
@@ -469,11 +368,7 @@ void TcpTransport::hub_write(std::size_t conn_index, const Frame& frame) {
     // for the io loop's POLLOUT pass — never a blocking wait.
     ok = enqueue_frame_locked(*conn, frame) && flush_outq_locked(*conn);
   }
-  if (!ok) {
-    mark_conn_closed(conn);
-    MutexLock lock(mutex_);
-    ++dropped_;
-  }
+  if (!ok) mark_conn_closed(conn);
 }
 
 void TcpTransport::hub_dispatch(Frame frame) {
@@ -490,9 +385,6 @@ void TcpTransport::hub_dispatch(Frame frame) {
           pending_bytes_ + frame.body.size() <= kMaxPendingBytes) {
         pending_bytes_ += frame.body.size();
         parked.push_back(std::move(frame));
-      } else {
-        MutexLock lock(mutex_);
-        ++dropped_;
       }
       return;
     }
@@ -524,7 +416,6 @@ void TcpTransport::hub_handle_frame(std::size_t conn_index, Frame frame) {
       {
         MutexLock conn_lock(conn_mutex_);
         claim = register_claim_locked(body_u32(frame.body), conn_index);
-        if (!claim.conflict) conn->parties.push_back(claim.id);
       }
       bool ok;
       if (claim.conflict) {
@@ -621,7 +512,6 @@ void TcpTransport::io_loop_hub() {
         if (!sock.valid()) break;
         conns_.push_back(std::make_unique<Conn>(std::move(sock), opts_.max_frame_body));
         ++live_conns_;
-        ++total_conns_;
       }
     }
     // Inbound frames — handled WITHOUT conn_mutex_ held, so routing a
@@ -677,13 +567,6 @@ void TcpTransport::io_loop_hub() {
       }
     }
   }
-}
-
-proto::SapSession::TransportFactory tcp_transport_factory(const SocketAddr& addr,
-                                                          TcpOptions opts) {
-  return [addr, opts](std::uint64_t session_secret) {
-    return TcpTransport::connect(addr, session_secret, opts);
-  };
 }
 
 }  // namespace sap::net

@@ -1,41 +1,26 @@
-// TcpTransport — the proto::Transport backend over real sockets.
+// TcpTransport — the exchange link over real sockets.
 //
-// Topology: hub-and-spoke. One process runs a *hub* (TcpTransport::listen),
-// every other process runs a *client* (TcpTransport::connect). A party id
-// is hosted by exactly one transport; clients claim ids from the hub via a
-// Hello/Welcome handshake, and every protocol message travels as a kData
-// frame (net/frame.hpp) carrying the link-encrypted envelope. The hub
-// routes frames between connections by destination id — it can open only
-// envelopes addressed to parties it hosts itself, so a relay observes
-// exactly what the in-process transports' metadata trace records:
-// ciphertext + (from, to, kind).
-//
-// Two deployment shapes fall out of one implementation:
-//
-//   * relay mode — a single client hosts every party (SapSession with
-//     TransportKind::kTcp): the session runs unmodified, every message
-//     makes a genuine round trip through the hub process over TCP, and the
-//     results stay bit-identical to the in-process backends;
-//   * distributed mode — each process hosts its own party subset (the
-//     net::MinerDaemon hosts the miner on the hub, each net::PartyClient
-//     hosts one provider) and only ciphertext crosses machine boundaries.
+// Topology: hub-and-spoke. The miner daemon runs the *hub*
+// (TcpTransport::listen) and hosts the miner id on it; each party process
+// runs a *client* (TcpTransport::connect) hosting its one provider id.
+// Clients claim ids from the hub via a Hello/Welcome handshake, and every
+// protocol message travels as a kData frame (net/frame.hpp) carrying the
+// link-encrypted envelope. The hub routes frames between connections by
+// destination id — it can open only envelopes addressed to parties it
+// hosts itself, so a routing hub observes ciphertext + (from, to, kind)
+// and nothing more. Frames for ids nobody claimed yet are parked (bounded)
+// until the owner connects, so parties need no start barrier. Serving
+// traffic does not ride this link: it goes to the miner's serving door
+// (net/reactor.hpp, DESIGN.md §10).
 //
 // Liveness: sockets have no starvation analysis, so every wait is
 // deadline-bound (TcpOptions): connect, the claim handshake, receive(), and
 // stalled writes all fail with sap::Error when their deadline expires.
-//
-// has_mail()/send ordering: when the destination party is hosted by the
-// *sending* transport (relay mode), send() blocks until the frame has
-// completed its hub round trip into the local inbox. That keeps the
-// Transport contract — has_mail() is meaningful between run_parties()
-// batches — without the protocol layer knowing frames ever left the
-// process. Sends to remote parties return once the frame is written; TCP
-// ordering keeps per-link FIFO delivery.
+// TCP ordering keeps per-link FIFO delivery.
 //
 // Threading: one background I/O thread per transport (the hub's runs
-// accept+route, a client's demultiplexes its socket into per-party
-// inboxes). send()/receive()/has_mail() are safe from any thread;
-// trace() follows the base-class contract (call only while no batch runs).
+// accept+route, a client's demultiplexes its socket into the inbox).
+// send()/receive()/try_receive() are safe from any thread.
 #pragma once
 
 #include <atomic>
@@ -50,20 +35,22 @@
 #include "common/mutex.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "protocol/session.hpp"
 #include "protocol/transport.hpp"
 
 namespace sap::net {
 
 struct TcpOptions {
   int connect_timeout_ms = 5000;  ///< TCP connect + claim handshake deadline
-  int receive_timeout_ms = 30000; ///< receive() / relay round-trip deadline
+  int receive_timeout_ms = 30000; ///< receive() deadline
   int write_timeout_ms = 5000;    ///< per-stall deadline for socket writes
   std::size_t max_frame_body = kDefaultMaxBody;
 };
 
-class TcpTransport final : public proto::Transport {
+class TcpTransport {
  public:
+  /// A decrypted message as seen by its addressee.
+  using Delivery = proto::Transport::Delivery;
+
   /// Hub role: bind `addr` (port 0 = ephemeral; see local_addr()) and start
   /// routing. `session_secret` seeds per-link key derivation exactly like
   /// the in-process backends.
@@ -76,42 +63,19 @@ class TcpTransport final : public proto::Transport {
                                                std::uint64_t session_secret,
                                                TcpOptions opts = {});
 
-  ~TcpTransport() override;
+  ~TcpTransport();
 
-  // ---- proto::Transport ------------------------------------------------
-
-  /// Claim the next free party id from the hub (blocking handshake on a
-  /// client). Dense ids under a fresh hub with one client — which is the
-  /// relay deployment SapSession uses.
-  proto::PartyId add_party() override;
-
-  /// Parties hosted by THIS transport (not the cluster-wide count).
-  [[nodiscard]] std::size_t party_count() const override;
-
+  /// Encrypt `payload` for the (from, to) link and send it. A client writes
+  /// the frame; the hub routes it (parking it while `to` is unclaimed).
   void send(proto::PartyId from, proto::PartyId to, proto::PayloadKind kind,
-            std::span<const double> payload) override;
-
-  /// Meaningful between batches for locally-addressed traffic (see the
-  /// send-ordering note above); remote senders' frames are only visible
-  /// once delivered.
-  [[nodiscard]] bool has_mail(proto::PartyId party) const override;
+            std::span<const double> payload);
 
   /// Blocks until mail arrives for `party` or the receive deadline expires
   /// (sap::Error). Throws immediately when the connection is gone.
-  Delivery receive(proto::PartyId party) override;
+  Delivery receive(proto::PartyId party);
 
-  void set_drop_filter(DropFilter filter) override;
-  [[nodiscard]] std::size_t dropped_count() const override;
-  [[nodiscard]] const std::vector<proto::Message>& trace() const override;
-  [[nodiscard]] std::size_t total_bytes() const override;
-
-  // run_parties(): base sequential policy — the send-ordering guarantee
-  // above makes every SapSession batch structure safe without workers.
-
-  // ---- net-specific surface --------------------------------------------
-
-  /// Claim a specific party id (distributed role drivers; kClaimAnyParty =
-  /// auto-assign). Throws sap::Error if the id is already claimed.
+  /// Claim a specific party id (kClaimAnyParty = auto-assign). Throws
+  /// sap::Error if the id is already claimed.
   proto::PartyId claim_party(std::uint32_t desired);
 
   /// Non-throwing receive with an explicit deadline; false on timeout.
@@ -124,13 +88,8 @@ class TcpTransport final : public proto::Transport {
   /// Hub: currently open client connections.
   [[nodiscard]] std::size_t live_connections() const;
 
-  /// Hub: client connections ever accepted.
-  [[nodiscard]] std::size_t total_connections() const;
-
   /// Client: polite shutdown — sends kBye and stops accepting new mail.
   void send_bye();
-
-  [[nodiscard]] bool is_hub() const noexcept { return role_ == Role::kHub; }
 
  private:
   enum class Role : std::uint8_t { kHub, kClient };
@@ -139,10 +98,6 @@ class TcpTransport final : public proto::Transport {
   TcpTransport(Role role, std::uint64_t session_secret, TcpOptions opts);
 
   [[nodiscard]] std::uint64_t link_key(proto::PartyId from, proto::PartyId to) const noexcept;
-
-  // Record the send in the trace; returns false when the drop filter ate it.
-  bool record_send(proto::PartyId from, proto::PartyId to, proto::PayloadKind kind,
-                   proto::EncryptedEnvelope envelope);
 
   /// The one copy of claim semantics shared by local (claim_party) and
   /// remote (kHello) claims: id resolution, conflict check, route
@@ -189,18 +144,7 @@ class TcpTransport final : public proto::Transport {
   // ---- shared mailbox state (mutex_/cv_) -------------------------------
   mutable Mutex mutex_;
   mutable CondVar cv_;
-  std::vector<proto::PartyId> local_ids_ SAP_GUARDED_BY(mutex_);
   std::map<proto::PartyId, std::deque<proto::Message>> inbox_ SAP_GUARDED_BY(mutex_);
-  std::vector<proto::Message> trace_ SAP_GUARDED_BY(mutex_);
-  std::size_t total_bytes_ SAP_GUARDED_BY(mutex_) = 0;
-  DropFilter drop_filter_ SAP_GUARDED_BY(mutex_);
-  std::size_t dropped_ SAP_GUARDED_BY(mutex_) = 0;
-  /// Relay round-trip accounting: frames sent/delivered per directed link
-  /// whose destination is locally hosted.
-  std::map<std::pair<proto::PartyId, proto::PartyId>, std::size_t> link_sent_
-      SAP_GUARDED_BY(mutex_);
-  std::map<std::pair<proto::PartyId, proto::PartyId>, std::size_t> link_delivered_
-      SAP_GUARDED_BY(mutex_);
   /// Granted id of the pending claim.
   std::optional<std::uint32_t> welcome_ SAP_GUARDED_BY(mutex_);
   /// Sticky failure (kError / EOF).
@@ -210,7 +154,7 @@ class TcpTransport final : public proto::Transport {
 
   // ---- hub connection state --------------------------------------------
   // conn_mutex_ guards conns_ membership, route_, pending_ and the
-  // counters; each Conn's write_mutex serializes writes and fd close;
+  // connection counter; each Conn's write_mutex serializes writes and fd close;
   // `open` is atomic so writers can bail without conn_mutex_. Entries are
   // never erased, so Conn pointers stay stable for the transport lifetime.
   // Lock order (outermost first, annotated via SAP_ACQUIRED_BEFORE below):
@@ -220,7 +164,6 @@ class TcpTransport final : public proto::Transport {
     FrameReader reader;      ///< io thread only
     Mutex write_mutex;       ///< serializes socket writes and the fd close
     std::atomic<bool> open{true};
-    std::vector<proto::PartyId> parties;  ///< conn_mutex_ (hub bookkeeping)
     /// Outbound queue: encoded frames waiting for POLLOUT; bounded —
     /// overflow marks the conn dead instead of growing.
     std::deque<std::vector<std::uint8_t>> outq SAP_GUARDED_BY(write_mutex);
@@ -244,9 +187,11 @@ class TcpTransport final : public proto::Transport {
   std::map<proto::PartyId, std::vector<Frame>> pending_ SAP_GUARDED_BY(conn_mutex_);
   /// Body bytes across all of pending_.
   std::size_t pending_bytes_ SAP_GUARDED_BY(conn_mutex_) = 0;
-  std::uint32_t next_auto_id_ SAP_GUARDED_BY(conn_mutex_) = 0;
+  /// Auto-assigned ids start high: parties claim their ids explicitly, so a
+  /// client asking for any id (a misdirected serving client, say) is never
+  /// handed a party's id, even when it arrives before that party does.
+  std::uint32_t next_auto_id_ SAP_GUARDED_BY(conn_mutex_) = 1u << 20;
   std::size_t live_conns_ SAP_GUARDED_BY(conn_mutex_) = 0;
-  std::size_t total_conns_ SAP_GUARDED_BY(conn_mutex_) = 0;
 
   // ---- client connection state -----------------------------------------
   TcpSocket socket_;
@@ -256,12 +201,5 @@ class TcpTransport final : public proto::Transport {
   std::thread io_thread_;
   std::atomic<bool> stop_{false};
 };
-
-/// SapSession transport factory for TransportKind::kTcp: every session
-/// message relays through the hub at `addr` over real TCP while the session
-/// itself runs unmodified (results bit-identical to the in-process
-/// backends).
-[[nodiscard]] proto::SapSession::TransportFactory tcp_transport_factory(
-    const SocketAddr& addr, TcpOptions opts = {});
 
 }  // namespace sap::net

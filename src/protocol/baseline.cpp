@@ -24,7 +24,7 @@ const Transport& DirectSubmissionProtocol::transport() const {
   return *net_;
 }
 
-SapResult DirectSubmissionProtocol::run(const MinerJob& job) {
+SapResult DirectSubmissionProtocol::run() {
   const std::size_t k = provider_data_.size();
   const std::size_t d = provider_data_.front().dims();
   rng::Engine master(opts_.seed);
@@ -135,14 +135,6 @@ SapResult DirectSubmissionProtocol::run(const MinerJob& job) {
   result.unified = data::Dataset("direct-unified", unified_features.transpose(),
                                  std::move(unified_labels));
   result.target_space = g_t;
-
-  if (job) {
-    const auto report = job(result.unified);
-    for (std::size_t i = 0; i < k; ++i)
-      net_->send(miner, provider_id[i], PayloadKind::kModelReport, report);
-    for (std::size_t i = 0; i < k; ++i)
-      while (net_->has_mail(provider_id[i])) (void)net_->receive(provider_id[i]);
-  }
 
   // Accounting: identical formulas, but the miner attributes every shard —
   // identifiability 1 (and eq. (2)'s anonymity dilution does not apply, so

@@ -21,8 +21,8 @@ class DirectSubmissionProtocol {
   /// SapSession, minus the need for an anonymizing peer group).
   DirectSubmissionProtocol(std::vector<data::Dataset> provider_data, SapOptions opts);
 
-  /// Execute; `job` may be empty. PartyReports carry identifiability 1.
-  SapResult run(const MinerJob& job = {});
+  /// Execute the direct submission. PartyReports carry identifiability 1.
+  SapResult run();
 
   /// The transport of the last run (throws before the first run()).
   [[nodiscard]] const Transport& transport() const;

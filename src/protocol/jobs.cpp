@@ -399,17 +399,6 @@ void JobRegistry::register_job(JobSpec spec) {
   specs_[spec.name] = std::move(spec);  // replaces an existing spec
 }
 
-void JobRegistry::register_job(std::string name, MinerJob job) {
-  SAP_REQUIRE(job != nullptr, "JobRegistry: null job");
-  JobSpec spec;
-  spec.name = std::move(name);
-  spec.summary = "ad-hoc closure job";
-  spec.run = [job = std::move(job)](const data::Dataset& pool, const JobParams&) {
-    return job(pool);
-  };
-  register_job(std::move(spec));
-}
-
 bool JobRegistry::contains(const std::string& name) const {
   return specs_.find(name) != specs_.end();
 }

@@ -1,9 +1,9 @@
 // Mining job specifications and the named-job registry.
 //
 // A mining job is what the mining service provider executes on the unified
-// pool once the exchange is complete. PR 1 modeled a job as a bare closure
-// (`MinerJob`); that admits no per-request parameters and gives the engine
-// nothing to cache by. A JobSpec instead declares:
+// pool once the exchange is complete. A bare closure would admit no
+// per-request parameters and give the engine nothing to cache by, so every
+// job is a named JobSpec that declares:
 //
 //   * a parameter schema (names, defaults, valid ranges) — every request
 //     merges its JobParams over the defaults and is validated against the
@@ -35,12 +35,6 @@
 #include "protocol/shard.hpp"
 
 namespace sap::proto {
-
-/// Legacy closure form of a mining job: executed at the miner on the unified
-/// dataset, the returned doubles are broadcast back to providers as
-/// kModelReport. Still accepted everywhere a quick ad-hoc job is handier
-/// than a full JobSpec (SapSession::mine(), register_job()).
-using MinerJob = std::function<std::vector<double>(const data::Dataset&)>;
 
 /// Per-request job parameters, merged over the spec's declared defaults.
 using JobParams = std::map<std::string, double>;
@@ -138,9 +132,6 @@ class JobRegistry {
   /// sap::Error on an empty name, neither-or-both execution paths, or a
   /// malformed parameter schema (duplicate names, default outside range).
   void register_job(JobSpec spec);
-
-  /// Wrap a legacy closure as a structural, parameterless JobSpec.
-  void register_job(std::string name, MinerJob job);
 
   [[nodiscard]] bool contains(const std::string& name) const;
 

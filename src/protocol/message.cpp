@@ -81,6 +81,7 @@ std::string to_string(PayloadKind kind) {
     case PayloadKind::kStatsResponse: return "stats-response";
     case PayloadKind::kShardSnapshotRequest: return "shard-snapshot-request";
     case PayloadKind::kShardSnapshotResponse: return "shard-snapshot-response";
+    case PayloadKind::kServingDoor: return "serving-door";
   }
   return "unknown";
 }
@@ -150,8 +151,13 @@ DecodedDataset decode_dataset(std::span<const double> wire) {
   DecodedDataset out;
   out.features = linalg::Matrix(d, n);
   std::size_t pos = 2;
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < d; ++i) out.features(i, j) = wire[pos++];
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < d; ++i) {
+      // One NaN/Inf record would poison every later fit on the pool.
+      SAP_REQUIRE(std::isfinite(wire[pos]), "decode_dataset: non-finite feature value");
+      out.features(i, j) = wire[pos++];
+    }
+  }
   out.labels.resize(n);
   for (std::size_t j = 0; j < n; ++j) out.labels[j] = checked_label(wire[pos++]);
   return out;
@@ -215,6 +221,17 @@ RoutingNotice decode_routing(std::span<const double> wire) {
   notice.receiver = static_cast<PartyId>(checked_count(wire[0], "party id"));
   notice.inbound = static_cast<std::uint32_t>(checked_count(wire[1], "inbound count"));
   return notice;
+}
+
+std::vector<double> encode_serving_door(std::uint16_t port) {
+  return {static_cast<double>(port)};
+}
+
+std::uint16_t decode_serving_door(std::span<const double> wire) {
+  SAP_REQUIRE(wire.size() == 1, "decode_serving_door: malformed payload");
+  const std::size_t port = checked_count(wire[0], "port");
+  SAP_REQUIRE(port >= 1 && port <= 65535, "decode_serving_door: port out of range");
+  return static_cast<std::uint16_t>(port);
 }
 
 std::vector<double> encode_mining_request(const std::string& job,

@@ -50,6 +50,7 @@ enum class PayloadKind : std::uint8_t {
   // -- self-healing (PR 10): the shard-snapshot resync door -----------------
   kShardSnapshotRequest = 19,   ///< rejoining miner -> live owner: one shard, please
   kShardSnapshotResponse = 20,  ///< owner -> rejoiner: rows in ARRIVAL order + epoch
+  kServingDoor = 21,  ///< miner -> party over the hub: serving started, door port
 };
 
 /// Printable name for traces and tests.
@@ -101,7 +102,8 @@ struct Message {
 // Flat double-vector encodings; every encoder has a matching decoder that
 // validates shape and throws sap::Error on malformed input.
 
-/// [d, N, features column-major... , labels...]
+/// [d, N, features column-major... , labels...]. The decoder rejects
+/// non-finite feature values.
 std::vector<double> encode_dataset(const linalg::Matrix& features_dxn,
                                    std::span<const int> labels);
 struct DecodedDataset {
@@ -143,6 +145,12 @@ struct RoutingNotice {
   std::uint32_t inbound = 0;  ///< how many peer datasets to receive & forward
 };
 RoutingNotice decode_routing(std::span<const double> wire);
+
+/// Serving-door notice: [port]. Once the pool is installed the miner tells
+/// each party, over its exchange link, which port its serving door listens
+/// on; the notice arriving at all means serving has started.
+std::vector<double> encode_serving_door(std::uint16_t port);
+std::uint16_t decode_serving_door(std::span<const double> wire);
 
 // ---- cross-process serving payloads -----------------------------------
 // These kinds only flow in the distributed (miner daemon / party client)
@@ -245,8 +253,8 @@ DecodedPoolSliceRequest decode_pool_slice_request(std::span<const double> wire);
 
 // ---- observability payloads (PR 9) --------------------------------------
 // The live stats door (DESIGN.md §12). A stats snapshot rides the same
-// encrypted envelope as every serving payload; both daemon front doors
-// answer it through the one serve_payload dispatch.
+// encrypted envelope as every serving payload; the daemon's serving door
+// answers it through the one serve_payload dispatch.
 
 /// Stats request: [version]. Version 1 is the only one defined; decoders
 /// reject anything else so a future layout change is a clean break.

@@ -272,24 +272,6 @@ std::vector<MiningResponse> MiningEngine::run_batch(
   return responses;
 }
 
-std::vector<double> MiningEngine::run_adhoc(const MinerJob& job) {
-  if (!job) return {};
-  if (opts_.shards == 1) {
-    const auto view = slots_.front()->view();
-    SAP_REQUIRE(view.snap != nullptr, "MiningEngine: no pool installed (set_pool first)");
-    return job(view.snap->rows);
-  }
-  std::vector<PoolShard::View> views;
-  views.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    auto view = slot->view();
-    SAP_REQUIRE(view.snap != nullptr,
-                "MiningEngine: no pool installed (set_pool_segments first)");
-    views.push_back(std::move(view));
-  }
-  return job(gather_canonical(views, 0));
-}
-
 MiningResponse MiningEngine::run_partial(std::size_t global_shard,
                                          const MiningRequest& request,
                                          const data::Dataset& queries) {

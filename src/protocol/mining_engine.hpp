@@ -220,11 +220,6 @@ class MiningEngine {
   /// in-flight requests drain (first error wins).
   std::vector<MiningResponse> run_batch(const std::vector<MiningRequest>& requests);
 
-  /// Serve a legacy closure job (SapSession::mine() compat; single-shard
-  /// engines only). Not cacheable — the closure is opaque. A null job
-  /// yields an empty report.
-  std::vector<double> run_adhoc(const MinerJob& job);
-
   /// One shard's partial blob for `request` (coordinator-side exact
   /// merges): executes spec.partial over the shard's snapshot with the
   /// coordinator-supplied canonical query prefix. values = the opaque

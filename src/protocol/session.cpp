@@ -32,9 +32,6 @@ std::string to_string(SessionPhase phase) {
   return "unknown";
 }
 
-SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts)
-    : SapSession(std::move(provider_data), opts, TransportFactory{}) {}
-
 void SapSession::validate(const std::vector<data::Dataset>& provider_data,
                           const SapOptions& opts) {
   SAP_REQUIRE(provider_data.size() >= 3,
@@ -48,8 +45,7 @@ void SapSession::validate(const std::vector<data::Dataset>& provider_data,
   SAP_REQUIRE(opts.noise_sigma >= 0.0, "SapSession: noise_sigma must be non-negative");
 }
 
-SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts,
-                       TransportFactory transport_factory)
+SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts)
     : opts_(opts),
       engine_({.threads = opts.mining_threads,
                .cache_models = opts.cache_models,
@@ -61,12 +57,7 @@ SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts
 
   const std::size_t k = provider_data.size();
   auto seeds = logic::derive_session_seeds(opts_.seed, k);
-  SAP_REQUIRE(opts_.transport != TransportKind::kTcp || transport_factory,
-              "SapSession: the tcp transport needs an address — pass "
-              "net::tcp_transport_factory(...) as the transport factory");
-  transport_ = transport_factory ? transport_factory(seeds.session_secret)
-                                 : make_transport(opts_.transport, seeds.session_secret);
-  SAP_REQUIRE(transport_ != nullptr, "SapSession: transport factory returned null");
+  transport_ = make_transport(opts_.transport, seeds.session_secret);
 
   provider_id_.resize(k);
   for (std::size_t i = 0; i < k; ++i) provider_id_[i] = transport_->add_party();
@@ -135,7 +126,7 @@ void SapSession::run_until(SessionPhase target) {
   while (static_cast<int>(phase_) < static_cast<int>(target)) advance();
 }
 
-SapResult SapSession::run(const MinerJob& job) { return mine(job); }
+SapResult SapSession::run() { return mine(); }
 
 // ---------------- phase 1: local perturbation optimization ---------------
 
@@ -379,10 +370,9 @@ SapResult SapSession::finish_mine(const std::vector<double>& report, bool broadc
   return result;
 }
 
-SapResult SapSession::mine(const MinerJob& job) {
+SapResult SapSession::mine() {
   run_until(SessionPhase::kMine);
-  if (!job) return finish_mine({}, /*broadcast=*/false);
-  return finish_mine(engine_.run_adhoc(job), /*broadcast=*/true);
+  return finish_mine({}, /*broadcast=*/false);
 }
 
 SapResult SapSession::mine_named(const std::string& job_name, const JobParams& params) {
@@ -392,12 +382,6 @@ SapResult SapSession::mine_named(const std::string& job_name, const JobParams& p
   run_until(SessionPhase::kMine);
   const auto response = engine_.run({job_name, params});
   return finish_mine(response.values, /*broadcast=*/true);
-}
-
-void SapSession::register_job(std::string name, MinerJob job) {
-  SAP_REQUIRE(!name.empty(), "SapSession::register_job: empty job name");
-  SAP_REQUIRE(job != nullptr, "SapSession::register_job: null job");
-  engine_.registry().register_job(std::move(name), std::move(job));
 }
 
 std::vector<std::string> SapSession::job_names() const { return engine_.registry().names(); }

@@ -34,10 +34,11 @@
 // the session's MiningEngine (mining_engine.hpp) serves any number of
 // parameterized mining requests against the pooled unified space without
 // redoing the exchange — concurrently, with fitted models cached per (job,
-// params) and extended incrementally across pool epochs. mine()/mine_named()
-// are thin single-request wrappers that additionally broadcast the job's
-// model report to every provider; engine() exposes the batched serving
-// surface directly (no broadcasts).
+// params) and extended incrementally across pool epochs. mine_named() is a
+// thin single-request wrapper that additionally broadcasts the job's model
+// report to every provider; engine() exposes the batched serving surface
+// directly (no broadcasts). Jobs are named JobSpecs (jobs.hpp); register
+// new ones through engine().registry().
 //
 // Contribute (the streaming extension, DESIGN.md §6): after the exchange,
 // any provider can keep submitting perturbed record batches — contribute()
@@ -53,7 +54,6 @@
 // but leaves the pool untouched and the session serviceable.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,19 +147,11 @@ std::string to_string(SessionPhase phase);
 
 class SapSession {
  public:
-  /// Custom backend hook (real-network transports plug in here); receives
-  /// the session secret that seeds per-link key derivation.
-  using TransportFactory = std::function<std::unique_ptr<Transport>(std::uint64_t)>;
-
   /// One dataset per provider (>= 3 providers: with fewer than two
   /// non-coordinator providers the exchange cannot anonymize anything).
   /// All datasets must share dimensionality and be pre-normalized.
   /// The backend is chosen by `opts.transport`.
   SapSession(std::vector<data::Dataset> provider_data, SapOptions opts);
-
-  /// Same, but with an explicit transport factory overriding opts.transport.
-  SapSession(std::vector<data::Dataset> provider_data, SapOptions opts,
-             TransportFactory transport_factory);
 
   SapSession(const SapSession&) = delete;
   SapSession& operator=(const SapSession&) = delete;
@@ -188,23 +180,19 @@ class SapSession {
   /// advance() until phase() == target.
   void run_until(SessionPhase target);
 
-  /// Convenience single-shot: run every phase, then mine(job).
-  SapResult run(const MinerJob& job = {});
+  /// Convenience single-shot: run every phase, then mine().
+  SapResult run();
 
   // ---- mining (served by the engine over the pooled unified space) ------
 
-  /// Run `job` (may be empty) at the miner on the unified pool; broadcasts
-  /// the model report to every provider. Implicitly completes outstanding
-  /// phases. Callable any number of times without redoing the exchange.
-  SapResult mine(const MinerJob& job = {});
+  /// The unified pool and the exchange's accounting, without serving a
+  /// job. Implicitly completes outstanding phases.
+  SapResult mine();
 
   /// Serve one request from the engine's job registry (seeded with the
   /// built-in jobs; see jobs.hpp), optionally parameterized, and broadcast
   /// its report. Throws sap::Error for unknown names or invalid params.
   SapResult mine_named(const std::string& job_name, const JobParams& params = {});
-
-  /// Add (or replace) a named closure job in the engine's registry.
-  void register_job(std::string name, MinerJob job);
 
   /// Names in the engine's registry, sorted.
   [[nodiscard]] std::vector<std::string> job_names() const;
@@ -298,7 +286,7 @@ class SapSession {
   void run_unify_and_account();
 
   /// Shared mine()/mine_named() tail: assemble the SapResult, broadcast
-  /// `report` (unless empty) as kModelReport, snapshot transport costs.
+  /// `report` as kModelReport when asked, snapshot transport costs.
   SapResult finish_mine(const std::vector<double>& report, bool broadcast);
 
   std::size_t dims_ = 0;

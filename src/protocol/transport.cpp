@@ -12,7 +12,6 @@ std::string to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kSimulated: return "simulated";
     case TransportKind::kThreadedLocal: return "threaded-local";
-    case TransportKind::kTcp: return "tcp";
   }
   return "unknown";
 }
@@ -51,9 +50,6 @@ std::unique_ptr<Transport> make_transport(TransportKind kind, std::uint64_t sess
       return std::make_unique<SimulatedNetwork>(session_secret);
     case TransportKind::kThreadedLocal:
       return std::make_unique<ThreadedLocalTransport>(session_secret);
-    case TransportKind::kTcp:
-      SAP_FAIL("make_transport: the tcp transport needs an address — use "
-               "net::tcp_transport_factory(address, ...)");
   }
   SAP_FAIL("make_transport: unknown transport kind");
 }

@@ -38,10 +38,6 @@ namespace sap::proto {
 enum class TransportKind : std::uint8_t {
   kSimulated = 0,      ///< synchronous in-process delivery (SimulatedNetwork)
   kThreadedLocal = 1,  ///< concurrent in-process delivery (ThreadedLocalTransport)
-  kTcp = 2,            ///< real sockets via a relay hub (net::TcpTransport);
-                       ///< needs an address, so construct it through
-                       ///< net::tcp_transport_factory rather than
-                       ///< make_transport
 };
 
 /// Printable backend name for test parameterization and CLI flags.

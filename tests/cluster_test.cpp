@@ -205,6 +205,9 @@ struct Member {
       });
     }
     exchanged.get_future().wait();
+    // Party 0 finishing its exchange does not mean the daemon installed the
+    // pool yet; a request before that is a transient "not serving yet".
+    while (!daemon->serving()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   net::MinerDaemon::Summary stop() {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
@@ -158,6 +159,37 @@ TEST_P(Contribute, DimensionMismatchedBatchIsRejected) {
     EXPECT_NE(std::string(e.what()).find("dimension mismatch"), std::string::npos);
   }
   EXPECT_EQ(session.engine().pool_view().data->size(), 100u);
+}
+
+TEST_P(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
+  // One NaN would poison every later fit on the pool (NB moments, kNN
+  // distances, SVM margins): the miner's decoder rejects the batch like any
+  // malformed one, and the pool and epoch stay put.
+  auto setup = stream_setup(4, 308);
+  proto::SapSession session(std::move(setup.shards), fast_opts(308, GetParam()));
+  (void)session.engine();
+
+  Dataset batch = setup.stream.slice(0, 10);
+  Matrix x = batch.features();
+  x(3, 1) = std::numeric_limits<double>::quiet_NaN();
+  const Dataset poisoned("poisoned", std::move(x), batch.labels());
+  EXPECT_THROW((void)session.contribute(1, poisoned), sap::Error);
+  EXPECT_EQ(session.engine().pool_view().data->size(), 100u);
+  EXPECT_EQ(session.engine().pool_epoch(), 1u);
+
+  // Infinity on the wire is rejected the same way.
+  Engine eng(3);
+  Matrix y = Matrix::generate(batch.dims(), 4, [&] { return eng.uniform(); });
+  y(0, 2) = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)session.contribute_raw(2, session.provider_nonce(2), y,
+                                            std::vector<int>{0, 1, 0, 1}),
+               sap::Error);
+  EXPECT_EQ(session.engine().pool_epoch(), 1u);
+
+  // Not poisoning: the clean batch still lands.
+  const auto receipt = session.contribute(1, batch);
+  EXPECT_EQ(receipt.pool_epoch, 2u);
+  EXPECT_EQ(receipt.pool_records, 110u);
 }
 
 TEST_P(Contribute, DroppedContributionIsDetectedNotHung) {

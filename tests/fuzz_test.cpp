@@ -80,6 +80,28 @@ TEST(Fuzz, DatasetCodecNeverCrashes) {
                400, 11);
 }
 
+TEST(Fuzz, DatasetCodecRejectsNonFiniteFeatures) {
+  Engine eng(12);
+  const Matrix f = Matrix::generate(3, 4, [&] { return eng.normal(); });
+  const std::vector<int> labels{0, 1, 0, 1};
+  const auto wire = proto::encode_dataset(f, labels);
+  EXPECT_NO_THROW((void)proto::decode_dataset(wire));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    // Every feature slot, first to last: [d, N, features..., labels...].
+    for (std::size_t at = 2; at < 2 + f.size(); ++at) {
+      auto poisoned = wire;
+      poisoned[at] = bad;
+      EXPECT_THROW((void)proto::decode_dataset(poisoned), sap::Error) << "slot " << at;
+    }
+    // The contribution codec inherits the check.
+    EXPECT_THROW((void)proto::decode_contribution(proto::encode_contribution(
+                     7, Matrix(3, 1, bad), std::vector<int>{1})),
+                 sap::Error);
+  }
+}
+
 TEST(Fuzz, TargetSpaceCodecNeverCrashes) {
   Engine eng(2);
   const Matrix r = Matrix::identity(5);

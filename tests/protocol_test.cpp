@@ -422,15 +422,11 @@ TEST_P(SapRun, DifferentSeedsShuffleAssignments) {
   EXPECT_NE(a.audit_forwarder_of, b.audit_forwarder_of);
 }
 
-TEST_P(SapRun, MinerJobRunsAndReportsBroadcast) {
+TEST_P(SapRun, NamedJobRunsAndReportsBroadcast) {
   auto session = make_session(4, 7);
-  bool job_ran = false;
-  const auto result = session->run([&](const Dataset& unified) {
-    job_ran = true;
-    return std::vector<double>{static_cast<double>(unified.size())};
-  });
-  EXPECT_TRUE(job_ran);
-  (void)result;
+  const auto result = session->mine_named("record-count");
+  EXPECT_EQ(session->engine().run({"record-count", {}}).values,
+            std::vector<double>{static_cast<double>(result.unified.size())});
   // One model report per provider.
   std::size_t reports = 0;
   for (proto::PartyId p = 0; p < 4; ++p)
@@ -501,10 +497,13 @@ TEST_P(SapRun, MultipleJobsWithoutRedoingExchange) {
 TEST_P(SapRun, CustomRegisteredJobIsServed) {
   auto session = make_session(4, 14);
   bool ran = false;
-  session->register_job("my-job", [&](const Dataset& unified) {
+  proto::JobSpec spec;
+  spec.name = "my-job";
+  spec.run = [&](const Dataset& unified, const proto::JobParams&) {
     ran = true;
     return std::vector<double>{static_cast<double>(unified.dims())};
-  });
+  };
+  session->engine().registry().register_job(std::move(spec));
   const auto names = session->job_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "my-job"), names.end());
   (void)session->mine_named("my-job");
@@ -676,13 +675,10 @@ TEST(SapSingleShot, OneCallRunServesJobAndNetworkIsInspectable) {
   opts.seed = 7;
   proto::SapSession session(provider_split("Iris", 4, 7), opts);
   EXPECT_EQ(session.provider_count(), 4u);
-  bool job_ran = false;
-  const auto result = session.run([&](const Dataset& unified) {
-    job_ran = true;
-    return std::vector<double>{static_cast<double>(unified.size())};
-  });
-  EXPECT_TRUE(job_ran);
+  const auto result = session.mine_named("record-count");
   EXPECT_EQ(result.unified.size(), 150u);
+  EXPECT_EQ(session.engine().run({"record-count", {}}).values, std::vector<double>{150.0});
+  EXPECT_EQ(session.transport().count_received(0, proto::PayloadKind::kModelReport), 1u);
   EXPECT_EQ(session.transport().count_received(4, proto::PayloadKind::kForwardedData), 4u);
 
   // A second session over the same inputs reproduces the pool bit for bit
@@ -761,19 +757,6 @@ TEST(DirectBaseline, TwoProvidersAllowed) {
   EXPECT_EQ(protocol.run().unified.size(), 150u);
 }
 
-TEST(DirectBaseline, MinerJobRuns) {
-  auto opts = proto::SapOptions::fast();
-  opts.seed = 205;
-  opts.compute_satisfaction = false;
-  proto::DirectSubmissionProtocol protocol(provider_split("Iris", 3, 205), opts);
-  bool ran = false;
-  (void)protocol.run([&](const Dataset& unified) {
-    ran = true;
-    return std::vector<double>{double(unified.size())};
-  });
-  EXPECT_TRUE(ran);
-}
-
 // ------------------------------------------------------------ failure injection
 
 class SapFaults : public ::testing::TestWithParam<proto::TransportKind> {
@@ -831,8 +814,7 @@ TEST_P(SapFaults, DroppedModelReportIsBenign) {
   session->inject_faults([](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
     return kind == proto::PayloadKind::kModelReport;
   });
-  const auto result = session->run(
-      [](const Dataset& unified) { return std::vector<double>{double(unified.size())}; });
+  const auto result = session->mine_named("record-count");
   EXPECT_EQ(result.unified.size(), 150u);
   EXPECT_EQ(session->transport().dropped_count(), 4u);
 }

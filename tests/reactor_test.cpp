@@ -9,9 +9,10 @@
 //   * churn: a thousand short-lived connections accepted, served, and
 //     reclaimed (run under TSAN in CI — the cross-thread surface is small
 //     and this leans on it);
-//   * daemon integration: MinerDaemon's reactor endpoint serves mining
-//     requests and contributions BIT-IDENTICAL to the legacy hub path and
-//     to direct in-process MiningEngine calls;
+//   * daemon integration: MinerDaemon's serving door answers a party (who
+//     learned the door over its hub link) and a plain ServeClient
+//     BIT-IDENTICALLY to direct in-process MiningEngine calls, before and
+//     after a contribution;
 //   * FrameReader hygiene: buffer capacity stays flat across 10k frames.
 #include <gtest/gtest.h>
 
@@ -405,7 +406,7 @@ TEST(Reactor, ThousandConnectionChurnIsServedAndReclaimed) {
       << "closed connections were not reclaimed";
 }
 
-// ---- daemon integration: both front doors bit-identical ------------------
+// ---- daemon integration: one door, bit-identical to the engine -----------
 
 TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   const std::size_t k = 3;
@@ -436,13 +437,13 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   const auto door_addr = daemon.reactor_addr();
   auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
 
-  // k parties exchange; party 0 stays connected, mines via the HUB at both
-  // epochs, and holds the daemon open while the main thread works the
-  // reactor door.
-  std::promise<void> hub_ready;
+  // k parties exchange; party 0 stays connected, mines through the serving
+  // door (learned over its hub link) at both epochs, and holds the daemon
+  // open while the main thread works the door with a ServeClient.
+  std::promise<void> party_ready;
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
-  proto::WireMiningResponse hub_epoch1, hub_epoch2;
+  proto::WireMiningResponse party_epoch1, party_epoch2;
   std::vector<std::thread> parties;
   for (std::size_t i = 0; i < k; ++i) {
     parties.emplace_back([&, i] {
@@ -454,25 +455,25 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
       net::PartyClient party(shards[i], party_opts);
       (void)party.run_exchange();
       if (i == 0) {
-        hub_epoch1 = party.mine_named("nb-train-accuracy");
-        hub_ready.set_value();
+        party_epoch1 = party.mine_named("nb-train-accuracy");
+        party_ready.set_value();
         released.wait();
-        hub_epoch2 = party.mine_named("nb-train-accuracy");
+        party_epoch2 = party.mine_named("nb-train-accuracy");
       }
       party.finish();
     });
   }
-  hub_ready.get_future().wait();
+  party_ready.get_future().wait();
 
-  // Epoch 1 (the freshly unified pool): reactor door == hub == engine.
+  // Epoch 1 (the freshly unified pool): party == client == engine.
   const auto direct_epoch1 = daemon.engine().run({"nb-train-accuracy", {}});
   net::ServeClient door(door_addr, seed, k);
   EXPECT_GE(door.id(), net::ReactorOptions{}.first_client_id);
   const auto door_epoch1 = door.mine_named("nb-train-accuracy");
   EXPECT_EQ(door_epoch1.pool_epoch, 1u);
-  EXPECT_EQ(door_epoch1.values, hub_epoch1.values);
+  EXPECT_EQ(door_epoch1.values, party_epoch1.values);
   EXPECT_EQ(door_epoch1.values, direct_epoch1.values);
-  EXPECT_EQ(hub_epoch1.pool_epoch, 1u);
+  EXPECT_EQ(party_epoch1.pool_epoch, 1u);
 
   // An unknown job is a TYPED refusal — kServeError{kBadRequest}, raised
   // client-side as net::ServeError — not a disconnect, and not the old
@@ -487,7 +488,7 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
     EXPECT_NE(std::string(e.what()).find("no-such-job"), std::string::npos);
   }
 
-  // Contribute THROUGH THE REACTOR: replicate party 0's side of the math
+  // Contribute with the ServeClient: replicate party 0's side of the math
   // (same derived engine, same LocalOptimize, perturb with its G_0) so the
   // wire is valid for the adaptor the exchange installed.
   const auto seeds = proto::logic::derive_session_seeds(seed, k);
@@ -501,7 +502,7 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   EXPECT_EQ(receipt.pool_epoch, 2u);
   EXPECT_EQ(receipt.pool_records, 100u + batch.size());
 
-  // Epoch 2 (after the reactor-door contribution): all three again.
+  // Epoch 2 (after the client's contribution): all three again.
   const auto direct_epoch2 = daemon.engine().run({"nb-train-accuracy", {}});
   const auto door_epoch2 = door.mine_named("nb-train-accuracy");
   EXPECT_EQ(door_epoch2.pool_epoch, 2u);
@@ -510,17 +511,16 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
 
   release.set_value();
   for (auto& t : parties) t.join();
-  EXPECT_EQ(hub_epoch2.pool_epoch, 2u);
-  EXPECT_EQ(hub_epoch2.values, door_epoch2.values);
+  EXPECT_EQ(party_epoch2.pool_epoch, 2u);
+  EXPECT_EQ(party_epoch2.values, door_epoch2.values);
 
   const auto summary = daemon_future.get();
   EXPECT_EQ(summary.pool_epoch, 2u);
   EXPECT_EQ(summary.pool_records, 100u + batch.size());
-  EXPECT_EQ(summary.contributions, 1u);        // the reactor-door one
-  EXPECT_EQ(summary.requests_served, 5u);      // 2 hub + 3 door (one refused)
-  ASSERT_NE(daemon.reactor(), nullptr);
+  EXPECT_EQ(summary.contributions, 1u);        // the client's one
+  EXPECT_EQ(summary.requests_served, 5u);      // 2 party + 3 client (one refused)
   const auto stats = daemon.reactor()->stats();
-  EXPECT_EQ(stats.requests, 4u);  // mine, refused mine, contribute, mine
+  EXPECT_EQ(stats.requests, 6u);  // party: 2 mines; client: mine, refused, contribute, mine
   EXPECT_EQ(stats.live, 0u);      // stop() closed everything
 }
 

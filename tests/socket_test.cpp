@@ -1,19 +1,20 @@
-// sap::net integration tests — the wire layer and both TCP deployment
-// shapes over 127.0.0.1:
+// sap::net integration tests — the wire layer and the TCP deployment over
+// 127.0.0.1:
 //
 //   * frame codec: round trips, incremental decoding, strict rejection;
 //   * deadlines: dead hubs and silent peers fail with sap::Error, fast;
-//   * relay mode: a full SapSession (exchange + Contribute + mining jobs)
-//     over TransportKind::kTcp, asserted BIT-IDENTICAL to kSimulated;
-//   * distributed mode: MinerDaemon + k PartyClient drivers in separate
-//     threads with real sockets, pooled results bit-identical to
-//     kSimulated, wire mining requests equal to in-process serving.
+//   * MinerDaemon + k PartyClient drivers in separate threads with real
+//     sockets: pooled results bit-identical to kSimulated, door-served
+//     mining requests equal to in-process serving, and the hub refusing
+//     every serving kind with a typed error that names the serving door.
 // (tests/cli_test.cpp repeats the distributed topology with genuinely
 // separate OS processes through sap_cli.)
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
 #include <future>
+#include <limits>
 #include <thread>
 
 #include "common/error.hpp"
@@ -198,11 +199,10 @@ TEST(TcpDeadline, ReceiveTimesOutCleanly) {
   net::TcpOptions tcp = test_tcp();
   tcp.receive_timeout_ms = 200;
   auto client = net::TcpTransport::connect(hub->local_addr(), 42, tcp);
-  const auto id = client->add_party();
-  proto::Transport::Delivery out;
+  const auto id = client->claim_party(net::kClaimAnyParty);
+  net::TcpTransport::Delivery out;
   EXPECT_FALSE(client->try_receive(id, out, 100));
   EXPECT_THROW((void)client->receive(id), sap::Error);
-  EXPECT_FALSE(client->has_mail(id));
 }
 
 TEST(TcpDeadline, DuplicateClaimIsRefused) {
@@ -213,68 +213,61 @@ TEST(TcpDeadline, DuplicateClaimIsRefused) {
   EXPECT_THROW((void)b->claim_party(0), sap::Error);
 }
 
-TEST(TcpDeadline, MakeTransportNeedsAddress) {
-  EXPECT_EQ(proto::to_string(proto::TransportKind::kTcp), "tcp");
-  EXPECT_THROW((void)proto::make_transport(proto::TransportKind::kTcp, 1), sap::Error);
-}
+// ---- daemon + party clients ----------------------------------------------
 
-// ---- relay mode: SapSession over TCP ------------------------------------
+/// A live daemon whose k parties ran the exchange and stay connected — the
+/// open hub links keep the daemon serving until finish().
+struct ExchangedDaemon {
+  std::unique_ptr<net::MinerDaemon> daemon;
+  std::future<net::MinerDaemon::Summary> done;
+  std::vector<std::unique_ptr<net::PartyClient>> parties;
+  std::vector<proto::PartyReport> reports;
 
-TEST(TcpRelay, FullSessionBitIdenticalToSimulated) {
-  // Reference run: synchronous in-process.
-  auto ref_setup = stream_setup(4, 907);
-  proto::SapSession reference(std::move(ref_setup.shards), fast_opts(907));
-  const auto ref_result = reference.mine_named("nb-train-accuracy");
-  const auto ref_receipt = reference.contribute(1, ref_setup.stream.slice(0, 16));
-  const auto ref_pool = *reference.engine().pool_view().data;
-
-  // Same logical session, every message relayed through a hub process...
-  // here a hub transport in this process, reached over real loopback TCP.
-  auto hub = net::TcpTransport::listen({"127.0.0.1", 0}, 0, test_tcp());
-  auto tcp_setup = stream_setup(4, 907);
-  auto opts = fast_opts(907);
-  opts.transport = proto::TransportKind::kTcp;
-  proto::SapSession session(std::move(tcp_setup.shards), opts,
-                            net::tcp_transport_factory(hub->local_addr(), test_tcp()));
-  const auto result = session.mine_named("nb-train-accuracy");
-  const auto receipt = session.contribute(1, tcp_setup.stream.slice(0, 16));
-  const auto pool = *session.engine().pool_view().data;
-
-  // Bit-identical pooled space, reports, and job results.
-  ASSERT_EQ(pool.size(), ref_pool.size());
-  EXPECT_EQ(net::dataset_digest(pool), net::dataset_digest(ref_pool));
-  EXPECT_EQ(receipt.pool_epoch, ref_receipt.pool_epoch);
-  EXPECT_EQ(receipt.pool_records, ref_receipt.pool_records);
-  ASSERT_EQ(result.parties.size(), ref_result.parties.size());
-  for (std::size_t i = 0; i < result.parties.size(); ++i) {
-    EXPECT_EQ(result.parties[i].local_rho, ref_result.parties[i].local_rho);
-    EXPECT_EQ(result.parties[i].risk_sap, ref_result.parties[i].risk_sap);
+  ExchangedDaemon(std::size_t k, std::uint64_t seed, int door_idle_timeout_ms = 60'000) {
+    net::MinerDaemonOptions opts;
+    opts.listen = {"127.0.0.1", 0};
+    opts.parties = k;
+    opts.seed = seed;
+    opts.tcp = test_tcp();
+    opts.reactor_idle_timeout_ms = door_idle_timeout_ms;
+    daemon = std::make_unique<net::MinerDaemon>(opts);
+    done = std::async(std::launch::async, [this] { return daemon->run(); });
   }
-  // Cost accounting stays in ciphertext terms, so it matches too.
-  EXPECT_EQ(result.messages, ref_result.messages);
-  EXPECT_EQ(result.total_bytes, ref_result.total_bytes);
-  // And the relay really carried the session: one connection, frames flowed.
-  EXPECT_EQ(hub->total_connections(), 1u);
-}
 
-TEST(TcpRelay, DroppedSetupMessageFailsCleanly) {
-  auto setup = stream_setup(3, 911);
-  auto hub = net::TcpTransport::listen({"127.0.0.1", 0}, 0, test_tcp());
-  net::TcpOptions tcp = test_tcp();
-  tcp.receive_timeout_ms = 2000;  // a lost message must not hang the test
-  auto opts = fast_opts(911);
-  opts.transport = proto::TransportKind::kTcp;
-  proto::SapSession session(std::move(setup.shards), opts,
-                            net::tcp_transport_factory(hub->local_addr(), tcp));
-  session.inject_faults([](proto::PartyId, proto::PartyId to, proto::PayloadKind kind) {
-    return kind == proto::PayloadKind::kTargetSpace && to == 0;
-  });
-  EXPECT_THROW(session.run_until(proto::SessionPhase::kPerturbAndForward), sap::Error);
-  EXPECT_TRUE(session.failed());
-  EXPECT_EQ(session.transport().dropped_count(), 1u);
-}
+  /// Run the exchange, then wait until the serving door answers.
+  bool exchange(const std::vector<Dataset>& shards, const proto::SapOptions& sap) {
+    parties.resize(shards.size());
+    reports.resize(shards.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      threads.emplace_back([&, i] {
+        net::PartyClientOptions popts;
+        popts.connect = daemon->local_addr();
+        popts.index = i;
+        popts.parties = shards.size();
+        popts.sap = sap;
+        popts.tcp = test_tcp();
+        parties[i] = std::make_unique<net::PartyClient>(shards[i], popts);
+        reports[i] = parties[i]->run_exchange();
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int i = 0; i < 10'000 && !daemon->serving(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return daemon->serving();
+  }
 
-// ---- distributed mode: daemon + party clients ---------------------------
+  net::MinerDaemon::Summary finish() {
+    for (auto& p : parties) p->finish();
+    return done.get();
+  }
+};
+
+std::uint64_t stats_counter(const sap::obs::Snapshot& snap, const std::string& name) {
+  for (const auto& [key, value] : snap.counters)
+    if (key == name) return value;
+  return 0;
+}
 
 struct DistributedRun {
   net::MinerDaemon::Summary summary;
@@ -288,45 +281,15 @@ struct DistributedRun {
 DistributedRun run_distributed(std::size_t k, std::uint64_t seed,
                                const std::vector<Dataset>& shards,
                                const std::vector<Dataset>& batches) {
-  net::MinerDaemonOptions daemon_opts;
-  daemon_opts.listen = {"127.0.0.1", 0};
-  daemon_opts.parties = k;
-  daemon_opts.seed = seed;
-  daemon_opts.tcp = test_tcp();
-  net::MinerDaemon daemon(daemon_opts);
-  const auto addr = daemon.local_addr();
-
-  auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
-
+  ExchangedDaemon live(k, seed);
+  SAP_REQUIRE(live.exchange(shards, fast_opts(seed)), "daemon never started serving");
   DistributedRun run;
-  run.reports.resize(k);
-  std::mutex mutex;
-  std::vector<std::thread> parties;
-  for (std::size_t i = 0; i < k; ++i) {
-    parties.emplace_back([&, i] {
-      net::PartyClientOptions popts;
-      popts.connect = addr;
-      popts.index = i;
-      popts.parties = k;
-      popts.sap = fast_opts(seed);
-      popts.tcp = test_tcp();
-      net::PartyClient party(shards[i], popts);
-      const auto report = party.run_exchange();
-      std::vector<proto::WireMiningResponse> responses;
-      if (i == 0) {
-        for (const auto& batch : batches) {
-          (void)party.contribute(batch);
-          responses.push_back(party.mine_named("nb-train-accuracy"));
-        }
-      }
-      party.finish();
-      std::lock_guard lock(mutex);
-      run.reports[i] = report;
-      if (i == 0) run.responses = std::move(responses);
-    });
+  run.reports = live.reports;
+  for (const auto& batch : batches) {
+    (void)live.parties[0]->contribute(batch);
+    run.responses.push_back(live.parties[0]->mine_named("nb-train-accuracy"));
   }
-  for (auto& t : parties) t.join();
-  run.summary = daemon_future.get();
+  run.summary = live.finish();
   return run;
 }
 
@@ -376,75 +339,167 @@ TEST(TcpDistributed, DaemonSurvivesHostileClientsAndSendsNegativeReceipts) {
   auto setup = stream_setup(k, seed);
   const auto seeds = sap::proto::logic::derive_session_seeds(seed, k);
 
-  net::MinerDaemonOptions daemon_opts;
-  daemon_opts.listen = {"127.0.0.1", 0};
-  daemon_opts.parties = k;
-  daemon_opts.seed = seed;
-  daemon_opts.tcp = test_tcp();
-  net::MinerDaemon daemon(daemon_opts);
-  const auto addr = daemon.local_addr();
-  auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
-
-  // Honest parties run the exchange but stay connected.
-  std::vector<std::unique_ptr<net::PartyClient>> parties(k);
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < k; ++i) {
-    threads.emplace_back([&, i] {
-      net::PartyClientOptions popts;
-      popts.connect = addr;
-      popts.index = i;
-      popts.parties = k;
-      popts.sap = fast_opts(seed);
-      popts.tcp = test_tcp();
-      parties[i] = std::make_unique<net::PartyClient>(setup.shards[i], popts);
-      (void)parties[i]->run_exchange();
-    });
-  }
-  for (auto& t : threads) t.join();
+  ExchangedDaemon live(k, seed);
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
   const proto::PartyId miner = static_cast<proto::PartyId>(k);
 
   // Hostile client 1: WRONG session secret — its envelopes fail the
   // integrity check at the miner. The daemon must reject per-message, not
   // die.
   {
-    auto rogue = net::TcpTransport::connect(addr, seeds.session_secret ^ 0xBAD, test_tcp());
-    const auto rogue_id = rogue->add_party();
+    auto rogue = net::TcpTransport::connect(live.daemon->local_addr(),
+                                            seeds.session_secret ^ 0xBAD, test_tcp());
+    const auto rogue_id = rogue->claim_party(net::kClaimAnyParty);
     rogue->send(rogue_id, miner, proto::PayloadKind::kContribution,
                 std::vector<double>{1.0, 2.0, 3.0});
     rogue->send_bye();
   }
 
-  // Hostile client 2: correct secret, valid codec, but a nonce the miner
-  // never negotiated — must get the NEGATIVE receipt (epoch 0)
-  // immediately instead of silence.
+  // Hostile client 2, at the serving door: correct secret, valid codec, but
+  // a nonce the miner never negotiated — must get the NEGATIVE receipt
+  // (epoch 0) immediately instead of silence, not a typed refusal.
   {
-    auto rogue = net::TcpTransport::connect(addr, seeds.session_secret, test_tcp());
-    const auto rogue_id = rogue->add_party();
+    net::ServeClient rogue(live.daemon->reactor_addr(), seed, k);
     sap::rng::Engine eng(7);
     const sap::linalg::Matrix y =
         sap::linalg::Matrix::generate(setup.shards[0].dims(), 4, [&] { return eng.normal(); });
     const std::vector<int> labels{0, 1, 0, 1};
-    rogue->send(rogue_id, miner, proto::PayloadKind::kContribution,
-                proto::encode_contribution(0xDEADBEEF, y, labels));
-    const auto ack = rogue->receive(rogue_id);
-    EXPECT_EQ(ack.kind, proto::PayloadKind::kContributionAck);
-    const auto receipt = proto::decode_receipt(ack.payload);
-    EXPECT_EQ(receipt.pool_epoch, 0u);
-    EXPECT_EQ(receipt.pool_records, 0u);
-    rogue->send_bye();
+    try {
+      (void)rogue.contribute_wire(proto::encode_contribution(0xDEADBEEF, y, labels));
+      ADD_FAILURE() << "an unknown nonce must get a negative receipt";
+    } catch (const net::ServeError& e) {
+      ADD_FAILURE() << "expected a negative receipt, got " << e.what();
+    } catch (const sap::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("rejected"), std::string::npos) << e.what();
+    }
+    rogue.bye();
   }
 
   // The daemon survived both: honest serving still works end to end.
-  const auto receipt = parties[0]->contribute(setup.stream.slice(0, 8));
+  const auto receipt = live.parties[0]->contribute(setup.stream.slice(0, 8));
   EXPECT_EQ(receipt.pool_epoch, 2u);
-  const auto response = parties[0]->mine_named("record-count");
+  const auto response = live.parties[0]->mine_named("record-count");
   ASSERT_EQ(response.values.size(), 1u);
   EXPECT_EQ(response.values[0], static_cast<double>(receipt.pool_records));
 
-  for (auto& p : parties) p->finish();
-  const auto summary = daemon_future.get();
+  const auto summary = live.finish();
   EXPECT_EQ(summary.contributions, 1u);  // the hostile batches never landed
   EXPECT_EQ(summary.pool_epoch, 2u);
+}
+
+TEST(TcpDistributed, HubRefusesServingTrafficNamingTheDoor) {
+  const std::size_t k = 3;
+  const std::uint64_t seed = 2121;
+  auto setup = stream_setup(k, seed);
+  ExchangedDaemon live(k, seed);
+  const std::string door = live.daemon->reactor_addr().to_string();
+
+  net::ServeClient::Options copts;
+  copts.timeout_ms = 5000;
+  const auto expect_refused = [&](const std::function<void()>& call, const char* what) {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      call();
+      ADD_FAILURE() << "the exchange hub served a " << what;
+    } catch (const net::ServeError& e) {
+      EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << what;
+      EXPECT_NE(std::string(e.what()).find(door), std::string::npos) << e.what();
+    } catch (const sap::Error& e) {
+      ADD_FAILURE() << what << ": expected a typed refusal, got " << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(copts.timeout_ms))
+        << what;
+  };
+
+  // At any time: a serving client on the hub before any party connected is
+  // refused at once — and it must not take a party's id from the exchange.
+  net::ServeClient early(live.daemon->local_addr(), seed, k, copts);
+  expect_refused([&] { (void)early.mine_named("record-count"); }, "mining request");
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+
+  // After the install: every serving kind, from any client.
+  net::ServeClient late(live.daemon->local_addr(), seed, k, copts);
+  sap::rng::Engine eng(3);
+  const auto y =
+      sap::linalg::Matrix::generate(setup.shards[0].dims(), 2, [&] { return eng.normal(); });
+  const auto wire = proto::encode_contribution(live.parties[0]->nonce(), y, std::vector<int>{0, 1});
+  expect_refused([&] { (void)late.mine_named("record-count"); }, "mining request");
+  expect_refused([&] { (void)late.contribute_wire(wire); }, "contribution");
+  expect_refused([&] { (void)early.contribute_wire(wire); }, "contribution");
+  early.bye();
+  late.bye();
+
+  const auto refused = stats_counter(live.daemon->stats_snapshot(), "serve.refused.bad_request");
+  const auto summary = live.finish();
+  EXPECT_EQ(refused, 4u);
+  EXPECT_EQ(summary.requests_served, 0u);
+  EXPECT_EQ(summary.contributions, 0u);
+  EXPECT_EQ(summary.pool_epoch, 1u);
+}
+
+TEST(TcpDistributed, NonFiniteContributionGetsANegativeReceiptAtTheDoor) {
+  const std::size_t k = 3;
+  const std::uint64_t seed = 2323;
+  auto setup = stream_setup(k, seed);
+  ExchangedDaemon live(k, seed);
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+
+  // Party 0's side of the math (same derived engine, same LocalOptimize),
+  // so the nonce and adaptor are valid and only the NaN is wrong.
+  const auto seeds = proto::logic::derive_session_seeds(seed, k);
+  Engine eng = seeds.provider_eng[0];
+  const auto local = proto::logic::optimize_local(setup.shards[0].features_T(),
+                                                  setup.shards[0].dims(), fast_opts(seed), eng);
+  const Dataset batch = setup.stream.slice(0, 10);
+  const auto y = local.g.apply(batch.features_T(), eng);
+  auto poisoned = y;
+  poisoned(1, 3) = std::numeric_limits<double>::quiet_NaN();
+
+  net::ServeClient client(live.daemon->reactor_addr(), seed, k);
+  const auto rejected_before =
+      stats_counter(live.daemon->stats_snapshot(), "ingest.rejected");
+  try {
+    (void)client.contribute_wire(proto::encode_contribution(local.nonce, poisoned, batch.labels()));
+    ADD_FAILURE() << "a NaN feature must be rejected";
+  } catch (const net::ServeError& e) {
+    ADD_FAILURE() << "expected a negative receipt, got " << e.what();
+  } catch (const sap::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rejected"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(stats_counter(live.daemon->stats_snapshot(), "ingest.rejected"), rejected_before + 1);
+  EXPECT_EQ(live.daemon->engine().pool_epoch(), 1u);
+  EXPECT_EQ(live.daemon->engine().pool_view().data->size(), 100u);
+
+  // The same batch without the NaN lands.
+  const auto receipt =
+      client.contribute_wire(proto::encode_contribution(local.nonce, y, batch.labels()));
+  EXPECT_EQ(receipt.pool_epoch, 2u);
+  client.bye();
+  EXPECT_EQ(live.finish().contributions, 1u);
+}
+
+TEST(TcpDistributed, PartyRedialsTheDoorAfterIdleEviction) {
+  // The serving door evicts idle connections; a party that sat idle past
+  // that must still contribute and mine — its client redials a connection
+  // the door closed before writing the next request.
+  const std::size_t k = 3;
+  const std::uint64_t seed = 2525;
+  auto setup = stream_setup(k, seed);
+  ExchangedDaemon live(k, seed, /*door_idle_timeout_ms=*/200);
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+
+  auto& party = *live.parties[0];
+  EXPECT_EQ(party.contribute(setup.stream.slice(0, 8)).pool_epoch, 2u);
+  const auto* door = live.daemon->reactor();
+  for (int i = 0; i < 5000 && door->stats().evicted_idle == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GE(door->stats().evicted_idle, 1u) << "the door never evicted the idle party";
+
+  EXPECT_EQ(party.contribute(setup.stream.slice(8, 16)).pool_epoch, 3u);
+  const auto response = party.mine_named("record-count");
+  ASSERT_EQ(response.values.size(), 1u);
+  EXPECT_EQ(response.values[0], 116.0);
+  EXPECT_EQ(live.finish().contributions, 2u);
 }
 
 TEST(TcpDistributed, ConcurrentContributorsGrowThePoolConsistently) {
@@ -465,37 +520,21 @@ TEST(TcpDistributed, ConcurrentContributorsGrowThePoolConsistently) {
   for (std::size_t i = 0; i < k; ++i) (void)reference.contribute(i, batches[i]);
   const auto ref_pool = *reference.engine().pool_view().data;
 
-  net::MinerDaemonOptions daemon_opts;
-  daemon_opts.listen = {"127.0.0.1", 0};
-  daemon_opts.parties = k;
-  daemon_opts.seed = seed;
-  daemon_opts.tcp = test_tcp();
-  net::MinerDaemon daemon(daemon_opts);
-  const auto addr = daemon.local_addr();
-  auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
-
-  std::vector<std::thread> parties;
+  ExchangedDaemon live(k, seed);
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+  std::vector<std::thread> contributors;
   for (std::size_t i = 0; i < k; ++i) {
-    parties.emplace_back([&, i] {
-      net::PartyClientOptions popts;
-      popts.connect = addr;
-      popts.index = i;
-      popts.parties = k;
-      popts.sap = fast_opts(seed);
-      popts.tcp = test_tcp();
-      net::PartyClient party(setup.shards[i], popts);
-      (void)party.run_exchange();
-      const auto receipt = party.contribute(batches[i]);
+    contributors.emplace_back([&, i] {
+      const auto receipt = live.parties[i]->contribute(batches[i]);
       EXPECT_GE(receipt.pool_records, 100u + batches[i].size());
-      party.finish();
     });
   }
-  for (auto& t : parties) t.join();
-  const auto summary = daemon_future.get();
+  for (auto& t : contributors) t.join();
+  const auto summary = live.finish();
 
   EXPECT_EQ(summary.contributions, k);
   EXPECT_EQ(summary.pool_records, ref_pool.size());
-  EXPECT_EQ(net::dataset_multiset_digest(*daemon.engine().pool_view().data),
+  EXPECT_EQ(net::dataset_multiset_digest(*live.daemon->engine().pool_view().data),
             net::dataset_multiset_digest(ref_pool));
 }
 

@@ -66,14 +66,16 @@ const char* kUsage =
     "          [--optimize-threads K=0]\n"
     "  sap_cli serve --listen HOST:PORT --parties K [--seed S=1]\n"
     "          [--threads K=0] [--no-cache] [--deadline-ms N=30000]\n"
-    "          [--reactor-loops N=0] [--reactor-listen HOST:PORT]\n"
+    "          [--reactor-loops N=1] [--reactor-listen HOST:PORT]\n"
     "          [--shards N=1 --shard-index I] [--replicas R=1]\n"
     "          [--shard-layout mod|range] [--resync HOST:PORT,...]\n"
     "          [--fault SPEC]\n"
-    "          (miner daemon: port 0 = ephemeral, the bound port is printed;\n"
-    "           --reactor-loops > 0 opens the epoll serving front door on\n"
-    "           --reactor-listen with N sharded event loops — C10k serving\n"
-    "           for clients beyond the K exchange parties, DESIGN.md \xc2\xa7""10;\n"
+    "          (miner daemon: port 0 = ephemeral, the bound ports are printed;\n"
+    "           the hub on --listen carries the exchange only, and all\n"
+    "           serving — the parties' contributions and jobs included —\n"
+    "           goes through the epoll serving door on --reactor-listen\n"
+    "           (default: the --listen host, ephemeral port) with N sharded\n"
+    "           event loops, DESIGN.md \xc2\xa7""10;\n"
     "           --shards N > 1 makes this daemon cluster member I of N: it\n"
     "           installs/serves only the nonce-hash shards it owns — shard I\n"
     "           as primary plus the R-1 preceding shards as replicas,\n"
@@ -94,7 +96,7 @@ const char* kUsage =
     "          [--health]\n"
     "          (fetch a serving endpoint's live metrics + recent request\n"
     "           traces over one kStatsRequest round trip. Works against a\n"
-    "           miner's reactor door AND a router front door — the router\n"
+    "           miner's serving door and a router front door — the router\n"
     "           answers the cluster-wide aggregate: counters and latency\n"
     "           histograms merged exactly across miners, per-miner gauges\n"
     "           namespaced m<i>.*. --parties/--seed must match the cluster\n"
@@ -157,7 +159,8 @@ const char* kUsage =
     "cross-process mode (see README for the two-terminal walkthrough):\n"
     "  `serve --listen` runs the miner daemon: it binds HOST:PORT, waits for\n"
     "  --parties party processes, pools the exchange, then serves streamed\n"
-    "  contributions and mining requests until every party disconnects.\n"
+    "  contributions and mining requests on its serving door until every\n"
+    "  party disconnects. Parties learn the door's port over the hub.\n"
     "  `party` runs one provider: every party process must use the SAME\n"
     "  dataset/parties/sigma/seed arguments (they define the logical\n"
     "  session; the seed also stands in for the out-of-band key exchange)\n"
@@ -526,9 +529,9 @@ bool validate_job_requests(const std::vector<proto::MiningRequest>& requests) {
 /// contributions + mining requests until every party disconnects.
 int cmd_serve_daemon(int argc, char** argv) {
   std::string listen_text;
-  std::string reactor_listen_text = "127.0.0.1:0";
+  std::string reactor_listen_text;  // empty = the --listen host, port 0
   std::uint64_t parties = 0, seed = 1, threads = 0, deadline_ms = 30000;
-  std::uint64_t reactor_loops = 0;
+  std::uint64_t reactor_loops = 1;
   std::uint64_t shards = 1, shard_index = 0, replicas = 1;
   bool have_shard_index = false;
   proto::ShardLayout layout = proto::ShardLayout::kHashMod;
@@ -563,8 +566,9 @@ int cmd_serve_daemon(int argc, char** argv) {
       else if (value == "range") layout = proto::ShardLayout::kHashRange;
       else return usage_error("unknown shard layout (use `mod` or `range`)");
     } else if (arg == "--reactor-loops") {
-      if (++i >= argc || !parse_u64(argv[i], reactor_loops) || reactor_loops > 64)
-        return usage_error("--reactor-loops needs a count in [0, 64]");
+      if (++i >= argc || !parse_u64(argv[i], reactor_loops) || reactor_loops == 0 ||
+          reactor_loops > 64)
+        return usage_error("--reactor-loops needs a count in [1, 64]");
     } else if (arg == "--reactor-listen") {
       if (++i >= argc) return usage_error("--reactor-listen needs HOST:PORT");
       reactor_listen_text = argv[i];
@@ -616,10 +620,15 @@ int cmd_serve_daemon(int argc, char** argv) {
   }
   opts.reactor_loops = reactor_loops;
   opts.resync_peers = std::move(resync_peers);
-  try {
-    opts.reactor_listen = net::SocketAddr::parse(reactor_listen_text);
-  } catch (const sap::Error&) {
-    return usage_error("--reactor-listen needs HOST:PORT (IPv4 or localhost)");
+  // Parties dial the door on the host they reached the hub at, so the door
+  // binds the hub's host unless told otherwise.
+  opts.reactor_listen = {opts.listen.host, 0};
+  if (!reactor_listen_text.empty()) {
+    try {
+      opts.reactor_listen = net::SocketAddr::parse(reactor_listen_text);
+    } catch (const sap::Error&) {
+      return usage_error("--reactor-listen needs HOST:PORT (IPv4 or localhost)");
+    }
   }
   opts.log = [](const std::string& line) {
     std::printf("%s\n", line.c_str());
@@ -645,11 +654,9 @@ int cmd_serve_daemon(int argc, char** argv) {
   }
   // Serving clients parse this one — it must come AFTER the hub line so
   // scripts reading only the first line keep working.
-  if (reactor_loops > 0) {
-    std::printf("reactor listening on %s (%llu loops)\n",
-                daemon.reactor_addr().to_string().c_str(),
-                static_cast<unsigned long long>(reactor_loops));
-  }
+  std::printf("reactor listening on %s (%llu loops)\n",
+              daemon.reactor_addr().to_string().c_str(),
+              static_cast<unsigned long long>(reactor_loops));
   std::fflush(stdout);
 
   const auto summary = daemon.run();
@@ -667,12 +674,10 @@ int cmd_serve_daemon(int argc, char** argv) {
               "%zu cache hits\n",
               summary.contributions, summary.requests_served, stats.fits, stats.incremental,
               stats.hits);
-  if (const auto* reactor = daemon.reactor()) {
-    const auto rs = reactor->stats();
-    std::printf("reactor: %zu accepted, %zu requests, %zu responses, "
-                "%zu evicted idle, %zu shed\n",
-                rs.accepted, rs.requests, rs.responses, rs.evicted_idle, rs.shed);
-  }
+  const auto rs = daemon.reactor()->stats();
+  std::printf("reactor: %zu accepted, %zu requests, %zu responses, "
+              "%zu evicted idle, %zu shed\n",
+              rs.accepted, rs.requests, rs.responses, rs.evicted_idle, rs.shed);
   return 0;
 }
 
