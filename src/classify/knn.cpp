@@ -16,74 +16,69 @@ Knn::Knn(std::size_t k, KnnBackend backend) : k_(k), backend_(backend) {
   SAP_REQUIRE(k >= 1, "Knn: k must be >= 1");
 }
 
+bool Knn::wants_tree(std::size_t records) const noexcept {
+  return backend_ == KnnBackend::kKdTree ||
+         (backend_ == KnnBackend::kAuto && records >= kAutoTreeThreshold);
+}
+
+std::size_t Knn::dims() const noexcept { return tree_ ? tree_->dims() : features_.cols(); }
+
 void Knn::fit(const data::Dataset& train) {
   SAP_REQUIRE(train.size() >= 1, "Knn::fit: empty training set");
-  train_ = train;
-  const bool want_tree =
-      backend_ == KnnBackend::kKdTree ||
-      (backend_ == KnnBackend::kAuto && train.size() >= kAutoTreeThreshold);
-  tree_ = want_tree ? std::make_unique<KdTree>(train_.features()) : nullptr;
+  labels_ = train.labels();
+  if (wants_tree(train.size())) {
+    tree_ = std::make_unique<KdTree>(train.features());
+    features_ = linalg::Matrix();
+  } else {
+    tree_ = nullptr;
+    features_ = train.features();
+  }
 }
 
 std::unique_ptr<Classifier> Knn::partial_fit(const data::Dataset& batch) const {
   SAP_REQUIRE(trained(), "Knn::partial_fit before fit");
   SAP_REQUIRE(batch.size() >= 1, "Knn::partial_fit: empty batch");
-  SAP_REQUIRE(batch.dims() == train_.dims(), "Knn::partial_fit: dimension mismatch");
+  SAP_REQUIRE(batch.dims() == dims(), "Knn::partial_fit: dimension mismatch");
   auto extended = std::make_unique<Knn>(k_, backend_);
-  extended->train_ = data::Dataset::concat(train_, batch);
-  const bool want_tree =
-      backend_ == KnnBackend::kKdTree ||
-      (backend_ == KnnBackend::kAuto && extended->train_.size() >= kAutoTreeThreshold);
-  if (want_tree) {
-    if (tree_) {
-      // Reuse the existing structure via the extension copy: one point
-      // matrix copy, batch joins the brute tail (queries stay exact; see
-      // kdtree.hpp).
-      extended->tree_ = std::make_unique<KdTree>(*tree_, batch.features());
-    } else {
-      // The append crossed the auto threshold: first (and only) full build.
-      extended->tree_ = std::make_unique<KdTree>(extended->train_.features());
-    }
+  extended->labels_ = labels_;
+  extended->labels_.insert(extended->labels_.end(), batch.labels().begin(),
+                           batch.labels().end());
+  if (tree_) {
+    // Reuse the existing structure via the extension copy: one point
+    // matrix copy, batch joins the brute tail (queries stay exact; see
+    // kdtree.hpp).
+    extended->tree_ = std::make_unique<KdTree>(*tree_, batch.features());
+  } else if (wants_tree(extended->labels_.size())) {
+    // The append crossed the auto threshold: first (and only) full build.
+    extended->tree_ =
+        std::make_unique<KdTree>(linalg::Matrix::vcat(features_, batch.features()));
+  } else {
+    extended->features_ = linalg::Matrix::vcat(features_, batch.features());
   }
   return extended;
 }
 
 int Knn::predict(std::span<const double> record) const {
   SAP_REQUIRE(trained(), "Knn::predict before fit");
-  SAP_REQUIRE(record.size() == train_.dims(), "Knn::predict: dimension mismatch");
+  SAP_REQUIRE(record.size() == dims(), "Knn::predict: dimension mismatch");
 
-  const std::size_t n = train_.size();
-  const std::size_t k = std::min(k_, n);
-
-  // Collect the k nearest as (distance_sq, index), ascending with the
+  // The k nearest as (index, distance_sq), ascending with the
   // (distance, index) tie-break — identical for both backends.
-  std::vector<KdTree::Neighbor> nearest;
+  const std::size_t k = std::min(k_, labels_.size());
+  std::vector<Neighbor> nearest;
   if (tree_) {
     nearest = tree_->nearest(record, k);
   } else {
-    std::vector<std::pair<double, std::size_t>> dist(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto row = train_.record(i);
-      double acc = 0.0;
-      for (std::size_t c = 0; c < record.size(); ++c) {
-        const double diff = row[c] - record[c];
-        acc += diff * diff;
-      }
-      dist[i] = {acc, i};
-    }
-    std::nth_element(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     dist.end());
-    dist.resize(k);
-    std::sort(dist.begin(), dist.end());
-    nearest.reserve(k);
-    for (const auto& [d, i] : dist) nearest.push_back({i, d});
+    NearestK best(record, k);
+    best.scan(features_.data().data(), features_.rows(), std::size_t{0});
+    nearest = best.take();
   }
 
   // Majority vote over the k nearest; break ties by summed proximity
   // (smaller total distance wins).
   std::map<int, std::pair<std::size_t, double>> votes;  // label -> (count, dist sum)
   for (const auto& nb : nearest) {
-    auto& [count, dsum] = votes[train_.label(nb.index)];
+    auto& [count, dsum] = votes[labels_[nb.index]];
     ++count;
     dsum += nb.distance_sq;
   }

@@ -1,9 +1,11 @@
 // k-nearest-neighbor classifier (majority vote, Euclidean metric).
 //
-// Two interchangeable backends with identical results (exact search, same
-// (distance, index) tie-break): brute force, and a kd-tree for larger
-// training sets. kAuto picks the tree once the training set is big enough
-// for the build cost to pay off.
+// Two interchangeable backends with identical results (both run the exact
+// k-nearest kernel of classify/nearest.hpp with the row index as tie-id):
+// brute force, and a kd-tree for larger training sets. kAuto picks the tree
+// once the training set is big enough for the build cost to pay off. The
+// model keeps the labels plus one copy of the points: the brute backend's
+// feature matrix or the tree's tree-ordered storage.
 #pragma once
 
 #include <memory>
@@ -26,7 +28,7 @@ class Knn final : public Classifier {
 
   void fit(const data::Dataset& train) override;
   [[nodiscard]] int predict(std::span<const double> record) const override;
-  [[nodiscard]] bool trained() const override { return train_.size() > 0; }
+  [[nodiscard]] bool trained() const override { return !labels_.empty(); }
 
   [[nodiscard]] bool supports_partial_fit() const override { return true; }
   /// Incremental extension: appends `batch` to the training set, reusing the
@@ -40,10 +42,14 @@ class Knn final : public Classifier {
   [[nodiscard]] bool using_kdtree() const noexcept { return tree_ != nullptr; }
 
  private:
+  [[nodiscard]] bool wants_tree(std::size_t records) const noexcept;
+  [[nodiscard]] std::size_t dims() const noexcept;
+
   std::size_t k_;
   KnnBackend backend_;
-  data::Dataset train_;
-  std::unique_ptr<KdTree> tree_;
+  std::vector<int> labels_;        ///< by training row
+  linalg::Matrix features_;        ///< brute backend only
+  std::unique_ptr<KdTree> tree_;   ///< kd-tree backend only
 };
 
 }  // namespace sap::ml

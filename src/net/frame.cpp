@@ -8,15 +8,23 @@
 namespace sap::net {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: tables[0] is the bytewise CRC-32 table, and
+/// tables[s][b] advances tables[s-1][b] by one more zero byte, so eight
+/// lookups fold eight input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < 8; ++s)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[s][i] = (tables[s - 1][i] >> 8) ^ tables[0][tables[s - 1][i] & 0xFFu];
+  return tables;
 }
+
+constexpr auto kCrcTables = make_crc_tables();
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -30,8 +38,21 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+/// Little-endian store; the compiler merges the byte stores into one word.
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+  p[4] = static_cast<std::uint8_t>(v >> 32);
+  p[5] = static_cast<std::uint8_t>(v >> 40);
+  p[6] = static_cast<std::uint8_t>(v >> 48);
+  p[7] = static_cast<std::uint8_t>(v >> 56);
+}
+
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  out.resize(out.size() + 8);
+  store_u64(out.data() + out.size() - 8, v);
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) {
@@ -48,9 +69,16 @@ bool known_type(std::uint8_t t) {
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const std::uint32_t lo = c ^ get_u32(data + i);
+    const std::uint32_t hi = get_u32(data + i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < len; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -137,10 +165,10 @@ bool FrameReader::next(Frame& out) {
 }
 
 std::vector<std::uint8_t> envelope_body(const proto::EncryptedEnvelope& env) {
-  std::vector<std::uint8_t> body;
-  body.reserve(8 + env.ciphertext().size() * 8);
-  put_u64(body, env.checksum());
-  for (const std::uint64_t word : env.ciphertext()) put_u64(body, word);
+  const auto words = env.ciphertext();
+  std::vector<std::uint8_t> body(8 + words.size() * 8);
+  store_u64(body.data(), env.checksum());
+  for (std::size_t i = 0; i < words.size(); ++i) store_u64(body.data() + 8 + 8 * i, words[i]);
   return body;
 }
 

@@ -7,6 +7,7 @@
 
 #include "classify/knn.hpp"
 #include "classify/naive_bayes.hpp"
+#include "classify/nearest.hpp"
 #include "classify/perceptron.hpp"
 #include "classify/svm.hpp"
 #include "common/error.hpp"
@@ -226,39 +227,25 @@ std::vector<double> knn_partial(const data::Dataset& rows, std::span<const PoolK
   SAP_REQUIRE(keys.size() == rows.size(), "knn partial: keys/rows size mismatch");
   const auto k = static_cast<std::size_t>(param(resolved, "k"));
   const std::size_t n = rows.size();
-  const std::size_t local_k = std::min(k, n);
+  SAP_REQUIRE(n == 0 || queries.size() == 0 || queries.dims() == rows.dims(),
+              "knn partial: query dimension mismatch");
+  // The kernel's tie-id is each row's rank in canonical PoolKey order, so
+  // (distance, rank) order is (distance, key) order — the merge's order.
+  const auto order = canonical_order(keys);
+  std::vector<std::size_t> rank(n);
+  for (std::size_t r = 0; r < n; ++r) rank[order[r]] = r;
   std::vector<double> blob{static_cast<double>(k), static_cast<double>(queries.size())};
-  struct Cand {
-    double dist = 0.0;
-    PoolKey key;
-    int label = 0;
-  };
-  std::vector<Cand> cands(n);
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto query = queries.record(q);
-    for (std::size_t i = 0; i < n; ++i) {
-      // The exact distance loop Knn's backends evaluate — identical FP op
-      // sequence, so merged selection sees identical doubles.
-      auto row = rows.record(i);
-      double acc = 0.0;
-      for (std::size_t c = 0; c < query.size(); ++c) {
-        const double diff = row[c] - query[c];
-        acc += diff * diff;
-      }
-      cands[i] = {acc, keys[i], rows.label(i)};
-    }
-    const auto closer = [](const Cand& a, const Cand& b) {
-      if (a.dist != b.dist) return a.dist < b.dist;
-      return a.key < b.key;
-    };
-    std::partial_sort(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(local_k),
-                      cands.end(), closer);
-    blob.push_back(static_cast<double>(local_k));
-    for (std::size_t i = 0; i < local_k; ++i) {
-      blob.push_back(cands[i].dist);
-      blob.push_back(static_cast<double>(cands[i].key.nonce));
-      blob.push_back(static_cast<double>(cands[i].key.seq));
-      blob.push_back(static_cast<double>(cands[i].label));
+    ml::NearestK best(queries.record(q), std::min(k, n));
+    best.scan(rows.features().data().data(), n, rank.data());
+    const auto nearest = best.take();
+    blob.push_back(static_cast<double>(nearest.size()));
+    for (const auto& nb : nearest) {
+      const std::size_t row = order[nb.index];
+      blob.push_back(nb.distance_sq);
+      blob.push_back(static_cast<double>(keys[row].nonce));
+      blob.push_back(static_cast<double>(keys[row].seq));
+      blob.push_back(static_cast<double>(rows.label(row)));
     }
   }
   return blob;

@@ -365,7 +365,13 @@ data::Dataset decode_query_block(std::span<const double> wire, std::size_t& pos,
   linalg::Matrix features(m, d, 0.0);
   for (std::size_t j = 0; j < m; ++j) {
     auto row = features.row(j);
-    for (std::size_t i = 0; i < d; ++i) row[i] = wire[pos++];
+    for (std::size_t i = 0; i < d; ++i) {
+      // Queries feed the kNN kernel, whose total order needs finite
+      // distances, and snapshot rows go straight into a live shard.
+      SAP_REQUIRE(std::isfinite(wire[pos]),
+                  std::string("decode: non-finite feature value in ") + what);
+      row[i] = wire[pos++];
+    }
   }
   std::vector<int> labels(m);
   for (std::size_t j = 0; j < m; ++j) labels[j] = checked_label(wire[pos++]);

@@ -2,7 +2,10 @@
 // including the rotation-invariance property that underpins the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 
 #include <numbers>
 
@@ -157,18 +160,25 @@ class KdTreeEquivalence : public ::testing::TestWithParam<std::pair<int, int>> {
 
 TEST_P(KdTreeEquivalence, MatchesBruteForceExactly) {
   // The load-bearing property: kd-tree results (indices, distances, order)
-  // must be bit-for-bit the brute-force answer, including ties.
+  // must be bit-for-bit the brute-force answer, including ties — for every
+  // k the job schema allows up to its maximum of 256 (k > n included), on a
+  // fresh tree and on one whose last quarter sits in the brute tail.
   const auto [n, d] = GetParam();
   Engine eng(1000 + n * 7 + d);
   // Quantized coordinates to force plenty of exact distance ties.
   Matrix pts(n, d);
   for (auto& v : pts.data()) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;
-  sap::ml::KdTree tree(pts);
+  const sap::ml::KdTree fresh(pts);
+  const std::size_t head = static_cast<std::size_t>(n - n / 4);
+  sap::ml::KdTree tailed(pts.block(0, 0, head, static_cast<std::size_t>(d)));
+  tailed.insert(pts.block(head, 0, static_cast<std::size_t>(n) - head,
+                          static_cast<std::size_t>(d)));
+  ASSERT_EQ(tailed.tail_size(), static_cast<std::size_t>(n) - head);
+  const std::array<const sap::ml::KdTree*, 2> trees{&fresh, &tailed};
 
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<double> q(d);
     for (auto& v : q) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;
-    const std::size_t k = 1 + eng.uniform_index(8);
 
     // Brute force with the same (distance, index) ordering.
     std::vector<std::pair<double, std::size_t>> brute;
@@ -184,12 +194,17 @@ TEST_P(KdTreeEquivalence, MatchesBruteForceExactly) {
     }
     std::sort(brute.begin(), brute.end());
 
-    const auto got = tree.nearest(q, k);
-    const std::size_t expect_k = std::min<std::size_t>(k, static_cast<std::size_t>(n));
-    ASSERT_EQ(got.size(), expect_k);
-    for (std::size_t i = 0; i < expect_k; ++i) {
-      EXPECT_EQ(got[i].index, brute[i].second) << "rank " << i;
-      EXPECT_DOUBLE_EQ(got[i].distance_sq, brute[i].first) << "rank " << i;
+    for (const std::size_t k : {std::size_t{1} + eng.uniform_index(8), std::size_t{1},
+                                std::size_t{5}, std::size_t{64}, std::size_t{256}}) {
+      const std::size_t expect_k = std::min<std::size_t>(k, static_cast<std::size_t>(n));
+      for (const sap::ml::KdTree* tree : trees) {
+        const auto got = tree->nearest(q, k);
+        ASSERT_EQ(got.size(), expect_k);
+        for (std::size_t i = 0; i < expect_k; ++i) {
+          EXPECT_EQ(got[i].index, brute[i].second) << "k " << k << " rank " << i;
+          EXPECT_EQ(got[i].distance_sq, brute[i].first) << "k " << k << " rank " << i;
+        }
+      }
     }
   }
 }
@@ -197,7 +212,8 @@ TEST_P(KdTreeEquivalence, MatchesBruteForceExactly) {
 INSTANTIATE_TEST_SUITE_P(SizesAndDims, KdTreeEquivalence,
                          ::testing::Values(std::pair{10, 2}, std::pair{50, 3},
                                            std::pair{200, 2}, std::pair{500, 5},
-                                           std::pair{1000, 8}, std::pair{64, 1}));
+                                           std::pair{1000, 8}, std::pair{64, 1},
+                                           std::pair{300, 9}));
 
 TEST(Knn, BackendsAgreeOnRealDataset) {
   const Dataset ds = sap::data::make_uci("Diabetes", 40);
@@ -299,6 +315,47 @@ TEST(Knn, PartialFitIsPredictionIdenticalToFullRefit) {
     const auto twice = base.partial_fit(ds.slice(130, 140))->partial_fit(ds.slice(140, ds.size()));
     for (std::size_t i = 0; i < ds.size(); ++i)
       ASSERT_EQ(twice->predict(ds.record(i)), full.predict(ds.record(i)));
+  }
+}
+
+TEST(Knn, TreePartialFitChainAcrossRebuildsPredictsLikeAFreshFit) {
+  // A kd-tree model grown by 16-record partial_fit batches passes through
+  // several tail rebuilds (each reorders the tree's storage in place) and
+  // must still predict exactly like a model fitted once on everything.
+  Engine eng(4244);
+  Matrix f(400, 3);
+  for (auto& v : f.data()) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;  // force ties
+  std::vector<int> labels(400);
+  for (auto& label : labels) label = static_cast<int>(eng.uniform_index(3));
+  const Dataset ds("ties", f, labels);
+
+  sap::ml::Knn base(5, sap::ml::KnnBackend::kKdTree);
+  base.fit(ds.slice(0, 64));
+  // The same inserts on a bare tree witness how many rebuilds the chain ran.
+  sap::ml::KdTree witness(f.block(0, 0, 64, 3));
+  std::size_t rebuilds = 0;
+  std::unique_ptr<sap::ml::Classifier> grown;
+  const sap::ml::Classifier* current = &base;
+  for (std::size_t at = 64; at < ds.size(); at += 16) {
+    grown = current->partial_fit(ds.slice(at, at + 16));
+    current = grown.get();
+    witness.insert(f.block(at, 0, 16, 3));
+    rebuilds += witness.tail_size() == 0;
+  }
+  ASSERT_GE(rebuilds, 2u);
+
+  sap::ml::Knn full(5, sap::ml::KnnBackend::kKdTree);
+  full.fit(ds);
+  const sap::ml::KdTree fresh(f);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    ASSERT_EQ(current->predict(ds.record(i)), full.predict(ds.record(i))) << "record " << i;
+    const auto a = witness.nearest(ds.record(i), 5);
+    const auto b = fresh.nearest(ds.record(i), 5);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      ASSERT_EQ(a[r].index, b[r].index) << "record " << i << " rank " << r;
+      ASSERT_EQ(a[r].distance_sq, b[r].distance_sq) << "record " << i << " rank " << r;
+    }
   }
 }
 

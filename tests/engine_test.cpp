@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <thread>
 
@@ -178,6 +179,85 @@ TEST(JobRegistryTest, ParamValidation) {
   const auto& spec = engine.registry().find("knn-train-accuracy");
   EXPECT_EQ(proto::JobSpec::canonical_params(spec.resolve_params({})),
             proto::JobSpec::canonical_params(spec.resolve_params({{"k", 5.0}})));
+}
+
+/// knn-train-accuracy's partial blob by brute force: every row's distance
+/// with the one-row chain, ALL rows sorted by (distance, tie), the first
+/// min(k, n) emitted as {dist, nonce, seq, label}.
+template <typename TieLess>
+std::vector<double> knn_blob_reference(const Dataset& rows,
+                                       const std::vector<proto::PoolKey>& keys,
+                                       const Dataset& queries, std::size_t k,
+                                       TieLess tie_less) {
+  std::vector<double> blob{static_cast<double>(k), static_cast<double>(queries.size())};
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto query = queries.record(q);
+    std::vector<std::pair<double, std::size_t>> all;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto row = rows.record(i);
+      double acc = 0.0;
+      for (std::size_t c = 0; c < query.size(); ++c) {
+        const double diff = row[c] - query[c];
+        acc += diff * diff;
+      }
+      all.emplace_back(acc, i);
+    }
+    std::sort(all.begin(), all.end(), [&](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return tie_less(a.second, b.second);
+    });
+    const std::size_t kept = std::min(k, all.size());
+    blob.push_back(static_cast<double>(kept));
+    for (std::size_t i = 0; i < kept; ++i) {
+      const std::size_t row = all[i].second;
+      blob.push_back(all[i].first);
+      blob.push_back(static_cast<double>(keys[row].nonce));
+      blob.push_back(static_cast<double>(keys[row].seq));
+      blob.push_back(static_cast<double>(rows.label(row)));
+    }
+  }
+  return blob;
+}
+
+TEST(JobRegistryTest, KnnPartialBreaksTiesByCanonicalKeyNotArrival) {
+  // A shard whose rows arrived out of canonical PoolKey order, with every
+  // row duplicated on a second nonce so the two copies tie exactly. The
+  // partial must keep the (distance, PoolKey) order of the merge, whatever
+  // the arrival order.
+  sap::rng::Engine eng(77);
+  const std::size_t n = 48;
+  const std::size_t d = 3;
+  sap::linalg::Matrix f(n, d);
+  std::vector<int> labels(n);
+  std::vector<proto::PoolKey> keys(n);
+  for (std::size_t i = 0; i < n; i += 2) {
+    for (std::size_t c = 0; c < d; ++c) {
+      f(i, c) = std::round(eng.uniform(0.0, 4.0)) / 2.0;
+      f(i + 1, c) = f(i, c);
+    }
+    // The copy on nonce 9 arrives first; canonical order puts nonce 3 first.
+    keys[i] = {9, static_cast<std::uint32_t>(n - i)};
+    keys[i + 1] = {3, static_cast<std::uint32_t>(n - i)};
+    labels[i] = 0;
+    labels[i + 1] = 1;
+  }
+  const Dataset rows("shard", f, labels);
+  const Dataset queries = rows.slice(0, 12);
+  const auto registry = proto::JobRegistry::builtins();
+  const auto& spec = registry.find("knn-train-accuracy");
+  const auto by_key = [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; };
+  const auto by_arrival = [](std::size_t a, std::size_t b) { return a < b; };
+  for (const std::size_t k : {1, 2, 5, 64, 256}) {
+    const auto resolved = spec.resolve_params({{"k", static_cast<double>(k)}});
+    const auto blob = spec.partial(rows, keys, queries, resolved);
+    const auto reference = knn_blob_reference(rows, keys, queries, k, by_key);
+    EXPECT_EQ(blob, reference) << "k " << k;
+    // The case discriminates: an arrival-index tie-break gives another blob.
+    EXPECT_NE(reference, knn_blob_reference(rows, keys, queries, k, by_arrival)) << "k " << k;
+  }
+  // Queries of the wrong width are refused, not read past the rows.
+  const Dataset wide("wide", sap::linalg::Matrix(1, d + 1, 0.5), std::vector<int>{0});
+  EXPECT_THROW((void)spec.partial(rows, keys, wide, spec.resolve_params({})), sap::Error);
 }
 
 // ------------------------------------------------------------ engine serving

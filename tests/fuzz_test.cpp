@@ -289,6 +289,85 @@ TEST(Fuzz, ReceiptCodecNeverCrashes) {
   EXPECT_EQ(back.pool_records, 1234u);
 }
 
+// ---- cluster codecs: partial requests/responses and pool slices ----------
+
+/// A small query/slice block: 5 records x 3 features with labels.
+sap::data::Dataset query_rows(std::uint64_t seed) {
+  Engine eng(seed);
+  Matrix f = Matrix::generate(5, 3, [&] { return eng.normal(); });
+  return {"rows", std::move(f), std::vector<int>{0, 1, 2, 1, 0}};
+}
+
+TEST(Fuzz, PartialRequestCodecNeverCrashes) {
+  const auto queries = query_rows(51);
+  const auto wire = proto::encode_partial_request(
+      2, "knn-train-accuracy", {{"k", 5.0}, {"eval-records", 64.0}}, queries);
+  fuzz_decoder(wire,
+               [](const std::vector<double>& w) { (void)proto::decode_partial_request(w); },
+               600, 53);
+  const auto back = proto::decode_partial_request(wire);
+  EXPECT_EQ(back.shard, 2u);
+  EXPECT_EQ(back.job, "knn-train-accuracy");
+  EXPECT_EQ(back.queries.features(), queries.features());
+  EXPECT_EQ(back.queries.labels(), queries.labels());
+}
+
+TEST(Fuzz, PartialResponseCodecNeverCrashes) {
+  const std::vector<double> blob{5.0, 2.0, 1.0, 0.25, 7.0, 3.0, 1.0};
+  const auto wire = proto::encode_partial_response(4, blob);
+  fuzz_decoder(wire,
+               [](const std::vector<double>& w) { (void)proto::decode_partial_response(w); },
+               400, 55);
+  const auto back = proto::decode_partial_response(wire);
+  EXPECT_EQ(back.shard_epoch, 4u);
+  EXPECT_EQ(back.blob, blob);
+}
+
+TEST(Fuzz, PoolSliceCodecNeverCrashes) {
+  const auto rows = query_rows(57);
+  const std::vector<proto::PoolKey> keys{{3, 0}, {3, 1}, {9, 0}, {9, 1}, {9, 2}};
+  const auto wire = proto::encode_pool_slice(6, rows, keys);
+  fuzz_decoder(wire, [](const std::vector<double>& w) { (void)proto::decode_pool_slice(w); },
+               600, 59);
+  const auto back = proto::decode_pool_slice(wire);
+  EXPECT_EQ(back.shard_epoch, 6u);
+  EXPECT_EQ(back.rows.features(), rows.features());
+  ASSERT_EQ(back.keys.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_TRUE(back.keys[i] == keys[i]);
+}
+
+TEST(Fuzz, QueryBlocksRejectNonFiniteFeatures) {
+  // Partial-request queries feed the kNN kernel, whose total order needs
+  // finite distances; pool slices double as resync snapshots installed
+  // straight into a live shard. Both must refuse NaN and +-Inf anywhere.
+  const auto rows = query_rows(61);
+  const std::size_t features = rows.size() * rows.dims();
+  const auto request = proto::encode_partial_request(0, "knn-train-accuracy", {}, rows);
+  const std::vector<proto::PoolKey> keys{{3, 0}, {3, 1}, {9, 0}, {9, 1}, {9, 2}};
+  const auto slice = proto::encode_pool_slice(1, rows, keys);
+  // Features sit just before the labels in a request, and right after
+  // [epoch, d, m] in a slice.
+  const std::size_t request_first = request.size() - rows.size() - features;
+  const std::size_t slice_first = 3;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t at = 0; at < features; ++at) {
+      auto poisoned_request = request;
+      poisoned_request[request_first + at] = bad;
+      EXPECT_THROW((void)proto::decode_partial_request(poisoned_request), sap::Error)
+          << "request feature " << at;
+      auto poisoned_slice = slice;
+      poisoned_slice[slice_first + at] = bad;
+      EXPECT_THROW((void)proto::decode_pool_slice(poisoned_slice), sap::Error)
+          << "slice feature " << at;
+    }
+  }
+  // The untouched payloads still decode.
+  EXPECT_NO_THROW((void)proto::decode_partial_request(request));
+  EXPECT_NO_THROW((void)proto::decode_pool_slice(slice));
+}
+
 // ---- byte-level wire frames (net/frame.hpp) ------------------------------
 
 /// One random byte-level mutation: truncate, extend, or corrupt a byte.

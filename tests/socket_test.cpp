@@ -26,6 +26,7 @@
 #include "net/socket.hpp"
 #include "net/tcp_transport.hpp"
 #include "protocol/session.hpp"
+#include "rng/rng.hpp"
 
 namespace {
 
@@ -158,10 +159,61 @@ TEST(Frame, RejectsHostileInput) {
   }
 }
 
+/// Byte-at-a-time table CRC-32 (IEEE 802.3, reflected): the reference the
+/// slice-by-8 net::crc32 must reproduce.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len, std::uint32_t seed) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Frame, Crc32MatchesTheBytewiseReference) {
+  const std::vector<std::uint8_t> check{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(net::crc32(check.data(), check.size()), 0xCBF43926u);
+
+  sap::rng::Engine eng(90);
+  std::vector<std::uint8_t> bytes(1031 + 8);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(eng.uniform_index(256));
+  // Every length 0..1031 at every start offset mod 8, fresh and seeded.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1031; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(net::crc32(p, len), crc32_bytewise(p, len, 0))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(net::crc32(p, len, 0x1234ABCDu), crc32_bytewise(p, len, 0x1234ABCDu))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  // Chaining through the seed is the CRC of the concatenation (the frame
+  // header and body are checksummed in two calls).
+  for (const std::size_t split : {0, 1, 7, 28, 500, 1039}) {
+    EXPECT_EQ(net::crc32(bytes.data() + split, bytes.size() - split,
+                         net::crc32(bytes.data(), split)),
+              net::crc32(bytes.data(), bytes.size()))
+        << "split " << split;
+  }
+}
+
 TEST(Frame, EnvelopeBodyIsByteExact) {
   const std::vector<double> payload{3.14, -0.0, 42.0};
   const proto::EncryptedEnvelope env(payload, 0xABCDEF);
   const auto body = net::envelope_body(env);
+  // Wire layout: the checksum then every ciphertext word, little-endian.
+  const auto le64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(body[at + i]) << (8 * i);
+    return v;
+  };
+  ASSERT_EQ(body.size(), 8 + 8 * env.ciphertext().size());
+  EXPECT_EQ(le64(0), env.checksum());
+  for (std::size_t i = 0; i < env.ciphertext().size(); ++i)
+    EXPECT_EQ(le64(8 + 8 * i), env.ciphertext()[i]);
   const auto back = net::body_envelope(body);
   EXPECT_EQ(back.checksum(), env.checksum());
   ASSERT_EQ(back.ciphertext().size(), env.ciphertext().size());
