@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -104,8 +103,7 @@ void ShardRouter::record_failure(std::size_t miner) {
   drop_client(miner);  // dead connection — reconnect on next use
   auto& h = health_[miner];
   ++h.failures;
-  if (opts_.breaker_threshold > 0 && h.state == BreakerState::kClosed &&
-      h.failures >= opts_.breaker_threshold) {
+  if (h.state == BreakerState::kClosed && h.failures >= kBreakerThreshold) {
     h.state = BreakerState::kOpen;
     h.open_until = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(opts_.breaker_cooldown_ms);
@@ -144,24 +142,10 @@ bool ShardRouter::admit(std::size_t miner, std::string& why) {
   }
 }
 
-proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wire) {
-  // The nonce is word 0 of every kContribution payload — validate like the
-  // daemon's exchange loop does (wire payloads are adversarial input).
-  SAP_REQUIRE(!wire.empty(), "ShardRouter: empty contribution payload");
-  SAP_REQUIRE(std::isfinite(wire[0]) && wire[0] >= 0.0 &&
-                  wire[0] < 9007199254740992.0 && wire[0] == std::floor(wire[0]),
-              "ShardRouter: malformed contribution nonce");
-  const auto nonce = static_cast<std::uint64_t>(wire[0]);
-  const auto shard = proto::shard_of_nonce(nonce, opts_.shards, opts_.layout);
-  ctr_contributions_->increment();
+template <class Leg>
+void ShardRouter::serve_owners(std::size_t shard, bool every_owner, Leg&& leg) {
   shard_requests_[shard]->increment();
-
-  // Every owner ingests the batch (that is what makes a replica a valid
-  // read target after the primary dies); the first live owner's receipt is
-  // the client's, and the floor rises to the HIGHEST acked epoch so a
-  // stale replica can never serve a pre-append view later.
-  bool have_receipt = false;
-  proto::DecodedReceipt receipt;
+  bool answered = false;
   std::uint64_t top = floors_[shard];
   std::string last_error = "no owner attempted";
   for (const auto m : owners(shard)) {
@@ -172,126 +156,87 @@ proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wi
       continue;
     }
     try {
-      Stopwatch leg;
-      const auto ack = client_for(m).contribute_wire(wire);
-      hist_fanout_->record(leg.millis());
+      Stopwatch sw;
+      const std::uint64_t epoch = leg(client_for(m));
+      hist_fanout_->record(sw.millis());
       record_success(m);
-      top = std::max(top, ack.pool_epoch);
-      if (!have_receipt) {
-        receipt = ack;
-        have_receipt = true;
+      if (every_owner) {
+        answered = true;
+        top = std::max(top, epoch);
+        continue;
       }
+      if (epoch < floors_[shard]) {
+        // Stale replica: it missed an append another owner acked.
+        ++failovers_;
+        last_error = "stale shard epoch " + std::to_string(epoch) + " < floor " +
+                     std::to_string(floors_[shard]);
+        continue;
+      }
+      floors_[shard] = epoch;
+      return;
+    } catch (const ContributionRejected&) {
+      throw;  // the batch itself is bad: every owner would reject it alike
     } catch (const ServeError& e) {
       if (e.code() == proto::ServeErrorCode::kBadRequest) throw;  // definitive
       record_success(m);  // a typed refusal means the miner is alive
       ++failovers_;
       last_error = e.what();
     } catch (const Error& e) {
-      // Negative receipts are definitive (the batch itself is bad — every
-      // owner would reject it identically); transport failures are not.
-      if (std::string(e.what()).find("rejected this contribution") != std::string::npos)
-        throw;
-      record_failure(m);
+      record_failure(m);  // transport failure
       ++failovers_;
       last_error = e.what();
     }
   }
-  if (!have_receipt)
+  if (!answered)
     throw ServeError(proto::ServeErrorCode::kUnavailable,
                      "no live owner for shard " + std::to_string(shard) + ": " +
                          last_error);
   floors_[shard] = top;
+}
+
+proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wire) {
+  // The nonce is word 0 of every kContribution payload — checked like
+  // decode_contribution checks it (wire payloads are adversarial input).
+  SAP_REQUIRE(!wire.empty(), "ShardRouter: empty contribution payload");
+  const auto nonce = proto::checked_u64(wire[0], "contribution nonce");
+  const auto shard = proto::shard_of_nonce(nonce, opts_.shards, opts_.layout);
+  ctr_contributions_->increment();
+  // Every owner ingests the batch (that is what makes a replica a valid
+  // read target after the primary dies); the first live owner's receipt is
+  // the client's (an accepted receipt never carries epoch 0), and the floor
+  // rises to the HIGHEST acked epoch so a stale replica can never serve a
+  // pre-append view later.
+  proto::DecodedReceipt receipt;
+  serve_owners(shard, /*every_owner=*/true, [&](ServeClient& client) {
+    const auto ack = client.contribute_wire(wire);
+    if (receipt.pool_epoch == 0) receipt = ack;
+    return ack.pool_epoch;
+  });
   return receipt;
 }
 
 proto::DecodedPartialResponse ShardRouter::scatter_partial(
     std::size_t shard, const std::string& job, const proto::JobParams& params,
     const data::Dataset& queries) {
-  shard_requests_[shard]->increment();
-  std::string last_error = "no owner attempted";
-  for (const auto m : owners(shard)) {
-    std::string why;
-    if (!admit(m, why)) {
-      ++failovers_;
-      last_error = std::move(why);
-      continue;
-    }
-    try {
-      Stopwatch leg;
-      auto resp = client_for(m).mine_partial(shard, job, params, queries);
-      hist_fanout_->record(leg.millis());
-      record_success(m);
-      if (resp.shard_epoch < floors_[shard]) {
-        // Stale replica: it missed an append another owner acked.
-        ++failovers_;
-        last_error = "stale shard epoch " + std::to_string(resp.shard_epoch) +
-                     " < floor " + std::to_string(floors_[shard]);
-        continue;
-      }
-      floors_[shard] = std::max(floors_[shard], resp.shard_epoch);
-      return resp;
-    } catch (const ServeError& e) {
-      if (e.code() == proto::ServeErrorCode::kBadRequest) throw;
-      record_success(m);
-      ++failovers_;
-      last_error = e.what();
-    } catch (const Error& e) {
-      record_failure(m);
-      ++failovers_;
-      last_error = e.what();
-    }
-  }
-  throw ServeError(proto::ServeErrorCode::kUnavailable,
-                   "no live owner for shard " + std::to_string(shard) + ": " +
-                       last_error);
+  proto::DecodedPartialResponse resp;
+  serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client) {
+    resp = client.mine_partial(shard, job, params, queries);
+    return resp.shard_epoch;
+  });
+  return resp;
 }
 
 proto::DecodedPoolSlice ShardRouter::scatter_slice(std::size_t shard,
                                                    std::size_t max_records) {
-  shard_requests_[shard]->increment();
-  std::string last_error = "no owner attempted";
-  for (const auto m : owners(shard)) {
-    std::string why;
-    if (!admit(m, why)) {
-      ++failovers_;
-      last_error = std::move(why);
-      continue;
-    }
-    try {
-      Stopwatch leg;
-      auto resp = client_for(m).pool_slice(shard, max_records);
-      hist_fanout_->record(leg.millis());
-      record_success(m);
-      if (resp.shard_epoch < floors_[shard]) {
-        ++failovers_;
-        last_error = "stale shard epoch " + std::to_string(resp.shard_epoch) +
-                     " < floor " + std::to_string(floors_[shard]);
-        continue;
-      }
-      floors_[shard] = std::max(floors_[shard], resp.shard_epoch);
-      return resp;
-    } catch (const ServeError& e) {
-      if (e.code() == proto::ServeErrorCode::kBadRequest) throw;
-      record_success(m);
-      ++failovers_;
-      last_error = e.what();
-    } catch (const Error& e) {
-      record_failure(m);
-      ++failovers_;
-      last_error = e.what();
-    }
-  }
-  throw ServeError(proto::ServeErrorCode::kUnavailable,
-                   "no live owner for shard " + std::to_string(shard) + ": " +
-                       last_error);
+  proto::DecodedPoolSlice resp;
+  serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client) {
+    resp = client.pool_slice(shard, max_records);
+    return resp.shard_epoch;
+  });
+  return resp;
 }
 
 ShardRouter::Gathered ShardRouter::gather(std::size_t limit) {
-  struct Row {
-    proto::PoolKey key;
-    std::size_t slice_idx;
-    std::size_t row_idx;
-  };
   std::vector<proto::DecodedPoolSlice> slices;
   slices.reserve(opts_.shards);
   Gathered out;
@@ -300,31 +245,10 @@ ShardRouter::Gathered ShardRouter::gather(std::size_t limit) {
     slices.push_back(scatter_slice(g, limit));
     out.watermark = std::min(out.watermark, slices.back().shard_epoch);
   }
-  if (out.watermark == std::numeric_limits<std::uint64_t>::max()) out.watermark = 0;
-
-  std::vector<Row> rows;
-  std::size_t dims = 0;
-  for (std::size_t s = 0; s < slices.size(); ++s) {
-    const auto& slice = slices[s];
-    if (slice.rows.size() == 0) continue;
-    if (dims == 0) dims = slice.rows.dims();
-    SAP_REQUIRE(slice.rows.dims() == dims,
-                "ShardRouter: shard dimensionality mismatch in gather");
-    for (std::size_t i = 0; i < slice.rows.size(); ++i)
-      rows.push_back({slice.keys[i], s, i});
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.key < b.key; });
-  const std::size_t n = limit == 0 ? rows.size() : std::min(limit, rows.size());
-  linalg::Matrix features(n, dims, 0.0);
-  std::vector<int> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto rec = slices[rows[i].slice_idx].rows.record(rows[i].row_idx);
-    auto dst = features.row(i);
-    std::copy(rec.begin(), rec.end(), dst.begin());
-    labels[i] = slices[rows[i].slice_idx].rows.label(rows[i].row_idx);
-  }
-  out.pool = data::Dataset("gathered", std::move(features), std::move(labels));
+  std::vector<proto::KeyedRows> parts;
+  parts.reserve(slices.size());
+  for (const auto& slice : slices) parts.push_back({&slice.rows, slice.keys});
+  out.pool = proto::merge_canonical(parts, limit);
   return out;
 }
 
@@ -358,14 +282,12 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
     }
     std::vector<std::vector<double>> partials;
     partials.reserve(opts_.shards);
-    std::uint64_t watermark = std::numeric_limits<std::uint64_t>::max();
+    response.pool_epoch = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t g = 0; g < opts_.shards; ++g) {
       auto partial = scatter_partial(g, job, params, queries);
-      watermark = std::min(watermark, partial.shard_epoch);
+      response.pool_epoch = std::min(response.pool_epoch, partial.shard_epoch);
       partials.push_back(std::move(partial.blob));
     }
-    response.pool_epoch =
-        watermark == std::numeric_limits<std::uint64_t>::max() ? 0 : watermark;
     {
       Stopwatch merge_sw;  // the kMerge trace stage: router-side reassembly
       response.values = spec.merge_partials(partials, queries, resolved);
@@ -374,52 +296,15 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
     return response;
   }
 
-  if (spec.merge_fallback == proto::MergeFallback::kRoute) {
-    // Route the whole request to shard 0's owners — exact only when that
-    // miner owns every shard (its engine serves over its owned set).
-    std::string last_error = "no owner attempted";
-    for (const auto m : owners(0)) {
-      std::string why;
-      if (!admit(m, why)) {
-        ++failovers_;
-        last_error = std::move(why);
-        continue;
-      }
-      try {
-        auto resp = client_for(m).mine_named(job, params);
-        record_success(m);
-        return resp;
-      } catch (const ServeError& e) {
-        if (e.code() == proto::ServeErrorCode::kBadRequest) throw;
-        record_success(m);
-        ++failovers_;
-        last_error = e.what();
-      } catch (const Error& e) {
-        record_failure(m);
-        ++failovers_;
-        last_error = e.what();
-      }
-    }
-    throw ServeError(proto::ServeErrorCode::kUnavailable,
-                     "no live owner for routed job: " + last_error);
-  }
-
-  // MergeFallback::kGather — reassemble the canonical pool and execute flat
-  // (a fresh single-shard engine run; no caching — the rows just crossed
-  // the wire and the next request may see a different epoch).
-  auto gathered = gather(0);
+  // No exact merge: reassemble the canonical pool and run the job flat, as a
+  // sharded MiningEngine does (uncached — the rows just crossed the wire and
+  // the next request may see a different epoch).
+  const auto gathered = gather(0);
   SAP_REQUIRE(gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
   Stopwatch merge_sw;  // kMerge: reassembled-pool execution, router-side
-  proto::MiningEngine local({.threads = 0,
-                             .cache_models = false,
-                             .shards = 1,
-                             .layout = proto::ShardLayout::kHashMod,
-                             .owned = {}});
-  local.set_pool(std::move(gathered.pool));
-  const auto served = local.run({job, params});
+  response.values = proto::run_gathered(spec, gathered.pool, resolved).values;
   last_merge_ms_ = merge_sw.millis();
   response.pool_epoch = gathered.watermark;
-  response.values = served.values;
   return response;
 }
 
@@ -492,111 +377,70 @@ RouterDaemon::RouterDaemon(RouterDaemonOptions opts)
     ctr_refused_ = &router_.metrics().counter("router.refused");
     opts_.reactor.metrics = &router_.metrics();
   }
-  reactor_ = std::make_unique<Reactor>(
-      opts_.reactor, [this](const Frame& frame) { return handle(frame); });
-}
-
-std::vector<Frame> RouterDaemon::handle(const Frame& frame) {
-  std::vector<Frame> out;
-  proto::PayloadKind out_kind{};
-  std::vector<double> out_wire;
-  // This door mints when the request rode untraced; the id propagates to
+  // This door mints when a request rode untraced; the id propagates to
   // every fanned-to miner (ShardRouter::set_trace) and echoes back to the
   // client, so one id names the whole scatter-gather.
-  const std::uint64_t trace_id = frame.trace != 0 ? frame.trace : minter_.mint();
-  obs::TraceRecord rec;
-  rec.id = trace_id;
-  rec.op = proto::to_string(static_cast<proto::PayloadKind>(frame.payload_kind));
-  bool traced = obs::enabled();
-  const std::uint64_t t_entry = steady_now_ns();
-  if (frame.recv_steady_ns != 0 && t_entry > frame.recv_steady_ns)
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kQueue)] =
-        static_cast<double>(t_entry - frame.recv_steady_ns) / 1e6;
+  reactor_ = std::make_unique<Reactor>(opts_.reactor, [this](const Frame& frame) {
+    return door_frame(frame, my_id_, secret_, minter_, traces_,
+                      [this](const DoorRequest& request) { return dispatch(request); });
+  });
+}
+
+DoorReply RouterDaemon::dispatch(const DoorRequest& request) {
+  if (request.kind != proto::PayloadKind::kStatsRequest)
+    served_.fetch_add(1, std::memory_order_relaxed);
+  DoorReply reply;
   try {
-    const auto payload =
-        body_envelope(frame.body)
-            .open(proto::detail::derive_link_key(secret_, frame.from, my_id_));
-    const auto kind = static_cast<proto::PayloadKind>(frame.payload_kind);
-    const std::uint64_t t_decoded = steady_now_ns();
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kDecode)] =
-        static_cast<double>(t_decoded - t_entry) / 1e6;
-    if (kind != proto::PayloadKind::kStatsRequest)
-      served_.fetch_add(1, std::memory_order_relaxed);
-    double merge_ms = 0.0;
-    try {
-      switch (kind) {
-        case proto::PayloadKind::kContribution: {
-          MutexLock lk(mutex_);
-          router_.set_trace(trace_id);
-          const auto receipt = router_.contribute_wire(payload);
-          out_kind = proto::PayloadKind::kContributionAck;
-          out_wire = proto::encode_receipt(receipt.pool_epoch, receipt.pool_records);
-          break;
+    switch (request.kind) {
+      case proto::PayloadKind::kContribution: {
+        reply.kind = proto::PayloadKind::kContributionAck;
+        MutexLock lk(mutex_);
+        router_.set_trace(request.trace);
+        try {
+          const auto receipt = router_.contribute_wire(request.payload);
+          reply.wire = proto::encode_receipt(receipt.pool_epoch, receipt.pool_records);
+        } catch (const ContributionRejected&) {
+          // The owner sent the negative receipt; this door answers with it
+          // too, exactly as a miner door answers a batch it rejects.
+          reply.wire = proto::encode_receipt(/*pool_epoch=*/0, /*pool_records=*/0);
         }
-        case proto::PayloadKind::kMiningRequest: {
-          const auto request = proto::decode_mining_request(std::span(payload));
-          MutexLock lk(mutex_);
-          router_.set_trace(trace_id);
-          const auto response = router_.mine_named(request.job, request.params);
-          merge_ms = router_.last_merge_ms();
-          out_kind = proto::PayloadKind::kMiningResponse;
-          out_wire = proto::encode_mining_response(response);
-          break;
-        }
-        case proto::PayloadKind::kStatsRequest: {
-          // The cluster aggregate: router metrics + every miner's snapshot
-          // (exact counter/histogram merge), with THIS hop's traces. Does
-          // not count toward requests_served_ and records no trace of its
-          // own — measurement must not move what it measures.
-          proto::decode_stats_request(std::span<const double>(payload));
-          traced = false;
-          MutexLock lk(mutex_);
-          router_.set_trace(0);  // the stats fan-out itself rides untraced
-          const auto snap = router_.cluster_stats();
-          out_kind = proto::PayloadKind::kStatsResponse;
-          out_wire = proto::encode_stats_response(snap, traces_.recent(32));
-          break;
-        }
-        default:
-          SAP_FAIL("RouterDaemon: the router serves only contributions, "
-                   "mining requests, and stats");
+        break;
       }
-    } catch (const ServeError& e) {
-      // Forward the typed code verbatim — the client's failover logic (if
-      // it has one above the router) must see what the cluster saw.
-      ctr_refused_->increment();
-      out_kind = proto::PayloadKind::kServeError;
-      out_wire = proto::encode_serve_error(e.code(), e.what());
+      case proto::PayloadKind::kMiningRequest: {
+        const auto mining = proto::decode_mining_request(request.payload);
+        MutexLock lk(mutex_);
+        router_.set_trace(request.trace);
+        const auto response = router_.mine_named(mining.job, mining.params);
+        reply.merge_ms = router_.last_merge_ms();
+        reply.kind = proto::PayloadKind::kMiningResponse;
+        reply.wire = proto::encode_mining_response(response);
+        break;
+      }
+      case proto::PayloadKind::kStatsRequest: {
+        // The cluster aggregate: router metrics + every miner's snapshot
+        // (exact counter/histogram merge), with THIS hop's traces. Does
+        // not count toward requests_served_ — measurement must not move
+        // what it measures.
+        proto::decode_stats_request(request.payload);
+        MutexLock lk(mutex_);
+        router_.set_trace(0);  // the stats fan-out itself rides untraced
+        const auto snap = router_.cluster_stats();
+        reply.kind = proto::PayloadKind::kStatsResponse;
+        reply.wire = proto::encode_stats_response(snap, traces_.recent(32));
+        break;
+      }
+      default:
+        SAP_FAIL("RouterDaemon: the router serves only contributions, "
+                 "mining requests, and stats");
     }
-    const std::uint64_t t_served = steady_now_ns();
-    // The router's "serve" is the downstream fan-out; the router-side
-    // reassembly reports separately as kMerge.
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kMerge)] = merge_ms;
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kServe)] =
-        std::max(0.0, static_cast<double>(t_served - t_decoded) / 1e6 - merge_ms);
-    Frame resp;
-    resp.type = FrameType::kData;
-    resp.payload_kind = static_cast<std::uint8_t>(out_kind);
-    resp.from = my_id_;
-    resp.to = frame.from;
-    resp.trace = trace_id;
-    resp.body = envelope_body(proto::EncryptedEnvelope(
-        out_wire, proto::detail::derive_link_key(secret_, my_id_, frame.from)));
-    out.push_back(std::move(resp));
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kWrite)] =
-        static_cast<double>(steady_now_ns() - t_served) / 1e6;
-    if (traced) traces_.push(std::move(rec));
-  } catch (const Error& e) {
-    Frame err;
-    err.type = FrameType::kError;
-    err.from = my_id_;
-    err.to = frame.from;
-    err.trace = trace_id;
-    err.body = text_body(e.what());
-    out.push_back(std::move(err));
-    if (traced) traces_.push(std::move(rec));
+  } catch (const ServeError& e) {
+    // Forward the typed code verbatim — the client's failover logic (if
+    // it has one above the router) must see what the cluster saw.
+    ctr_refused_->increment();
+    reply.kind = proto::PayloadKind::kServeError;
+    reply.wire = proto::encode_serve_error(e.code(), e.what());
   }
-  return out;
+  return reply;
 }
 
 }  // namespace sap::net

@@ -14,10 +14,16 @@
 //     (JobSpec::partial / merge_partials): scatter one kPartialRequest per
 //     shard across live owners, merge router-side — the merged report is
 //     bit-identical to a single miner holding the whole pool, whatever the
-//     shard count or layout. Jobs without a contract fall back per their
-//     JobSpec: kGather reassembles the canonical pool from kPoolSliceRequest
-//     slices and executes locally; kRoute forwards the whole request to one
-//     miner.
+//     shard count or layout. Jobs without a contract gather: the canonical
+//     pool is reassembled from one kPoolSliceRequest slice per shard
+//     (proto::merge_canonical) and the job runs flat router-side
+//     (proto::run_gathered) — the same two steps a sharded MiningEngine
+//     takes.
+//
+// Every per-shard leg — a contribution, a partial, a slice — runs through
+// ONE owner-failover loop (serve_owners): breaker admission, the round
+// trip, success/failure accounting, the failover count, and a typed
+// kUnavailable when no owner answers.
 //
 // Consistency: the router tracks a per-shard EPOCH FLOOR — the highest
 // shard epoch any owner acknowledged (contribution receipts and served
@@ -59,13 +65,8 @@ struct ShardRouterOptions {
   std::uint64_t seed = 0x5A9;   ///< must match the miners' session seed
   std::size_t parties = 0;      ///< k (>= 3); must match the miners
   ServeClient::Options client{};
-  /// Consecutive transport failures on one miner before its circuit
-  /// breaker opens and the shard serves from replicas only (DESIGN.md
-  /// §13). Typed refusals (the daemon answered) never count. 0 disables
-  /// the breaker.
-  std::size_t breaker_threshold = 3;
-  /// How long an open breaker cools down before admitting one half-open
-  /// probe through the stats door.
+  /// How long an open breaker (ShardRouter::kBreakerThreshold) cools down
+  /// before admitting one half-open probe through the stats door.
   int breaker_cooldown_ms = 250;
   /// After a failed connect, how long client_for() refuses to re-dial the
   /// same miner. Failovers inside the window skip the dead owner
@@ -92,11 +93,11 @@ class ShardRouter {
   /// nonce's shard. Returns the first live owner's receipt and raises the
   /// shard's epoch floor to the highest acked epoch. Throws ServeError
   /// {kUnavailable} when no owner is reachable; a definitive rejection
-  /// (negative receipt, kBadRequest) rethrows immediately.
+  /// (ContributionRejected, kBadRequest) rethrows immediately.
   proto::DecodedReceipt contribute_wire(const std::vector<double>& wire);
 
   /// Serve a named job across the cluster (see the file comment for the
-  /// exact-merge / gather / route split). Throws ServeError{kBadRequest}
+  /// exact-merge / gather split). Throws ServeError{kBadRequest}
   /// for unknown jobs or bad params, ServeError{kUnavailable} when a shard
   /// has no live owner at or above its epoch floor.
   proto::WireMiningResponse mine_named(const std::string& job,
@@ -114,6 +115,10 @@ class ShardRouter {
   /// a cooled-down breaker goes kHalfOpen and one stats-door probe decides
   /// whether it closes or re-opens.
   enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
+  /// Consecutive transport failures on one miner that open its breaker, so
+  /// its shards serve from replicas only. Typed refusals (the daemon
+  /// answered) never count.
+  static constexpr std::size_t kBreakerThreshold = 3;
   [[nodiscard]] BreakerState breaker(std::size_t miner) const {
     return health_[miner].state;
   }
@@ -140,9 +145,8 @@ class ShardRouter {
   /// record the SAME id — the cross-hop propagation sap_cli stats shows.
   void set_trace(std::uint64_t id);
 
-  /// Router-side merge time (merge_partials or gather-reassembly) of the
-  /// last mine_named call — the kMerge trace stage (0 when the last
-  /// request routed whole).
+  /// Router-side merge time (merge_partials, or the gathered job's flat
+  /// run) of the last mine_named call — the kMerge trace stage.
   [[nodiscard]] double last_merge_ms() const noexcept { return last_merge_ms_; }
 
  private:
@@ -173,23 +177,36 @@ class ShardRouter {
   /// Reset clients_[miner], folding its retry count into the lifetime sum.
   void drop_client(std::size_t miner);
 
-  /// One shard's partial, trying owners in order (stale-epoch and dead
-  /// owners skipped).
+  /// The one owner-failover loop. Visits the owners of `shard` in order:
+  /// breaker admission, then `leg` (one round trip over the owner's client,
+  /// returning the shard epoch its answer was cut at), then record_success
+  /// or record_failure, counting a failover for every owner that did not
+  /// serve. With `every_owner` (a contribution) all owners are visited and
+  /// the floor rises to the highest ack; otherwise the first answer at or
+  /// above the shard's epoch floor ends the loop and a stale one fails
+  /// over. kBadRequest and ContributionRejected rethrow at once; when no
+  /// owner answered, throws ServeError{kUnavailable, "no live owner for
+  /// shard <g>: <last error>"}.
+  template <class Leg>
+  void serve_owners(std::size_t shard, bool every_owner, Leg&& leg);
+
+  /// One shard's partial (serve_owners over mine_partial).
   proto::DecodedPartialResponse scatter_partial(std::size_t shard,
                                                 const std::string& job,
                                                 const proto::JobParams& params,
                                                 const data::Dataset& queries);
 
-  /// One shard's canonical slice, trying owners in order.
+  /// One shard's canonical slice (serve_owners over pool_slice).
   proto::DecodedPoolSlice scatter_slice(std::size_t shard, std::size_t max_records);
 
   struct Gathered {
     data::Dataset pool;            ///< canonical (nonce, seq) order
     std::uint64_t watermark = 0;   ///< min shard epoch that contributed
   };
-  /// Canonical pool across all shards, truncated to `limit` rows (0 = all).
-  /// A shard contributes at most `limit` rows to any global limit-prefix,
-  /// so per-shard truncation loses nothing.
+  /// Canonical pool across all shards (one slice each, merged by
+  /// proto::merge_canonical), truncated to `limit` rows (0 = all). A shard
+  /// contributes at most `limit` rows to any global limit-prefix, so
+  /// per-shard truncation loses nothing.
   Gathered gather(std::size_t limit);
 
   ShardRouterOptions opts_;
@@ -219,8 +236,10 @@ struct RouterDaemonOptions {
 
 /// The ShardRouter behind a reactor front door, speaking the miner wire
 /// protocol — a ServeClient cannot tell a RouterDaemon from a MinerDaemon
-/// (it claims the same logical miner id and answers the same payload
-/// kinds). Requests are mutex-serialized onto the router.
+/// (it claims the same logical miner id, answers the same payload kinds
+/// and runs the same door_frame path; a rejected contribution gets the
+/// miner's negative receipt). Requests are mutex-serialized onto the
+/// router.
 class RouterDaemon {
  public:
   explicit RouterDaemon(RouterDaemonOptions opts);
@@ -244,7 +263,8 @@ class RouterDaemon {
   [[nodiscard]] const obs::TraceRing& traces() const noexcept { return traces_; }
 
  private:
-  std::vector<Frame> handle(const Frame& frame);
+  /// The router's payload dispatch behind door_frame.
+  DoorReply dispatch(const DoorRequest& request);
 
   RouterDaemonOptions opts_;
   std::uint64_t secret_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "common/error.hpp"
@@ -51,6 +50,66 @@ proto::SapOptions serving_session_options(double noise_sigma, std::uint64_t seed
   opts.optimizer.threads = optimize_threads;
   opts.optimizer.attacks = {.naive = true, .known_inputs = 4};
   return opts;
+}
+
+// ---- the serving door's frame path ---------------------------------------
+
+std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint64_t secret,
+                              obs::TraceMinter& minter, obs::TraceRing& traces,
+                              const DoorDispatch& dispatch,
+                              const std::function<void(const std::string&)>& log) {
+  // Trace bookkeeping is pure measurement: adopt the id the frame rode in
+  // with (a router minted it at ITS door) or mint one here; every response
+  // echoes it. Stage clocks are stamped at boundaries only (rule R6).
+  const auto kind = static_cast<proto::PayloadKind>(frame.payload_kind);
+  const std::uint64_t trace_id = frame.trace != 0 ? frame.trace : minter.mint();
+  const bool traced =
+      obs::enabled() && kind != proto::PayloadKind::kStatsRequest;  // no self-noise
+  obs::TraceRecord rec;
+  rec.id = trace_id;
+  rec.op = proto::to_string(kind);
+  const auto stage = [&rec](obs::Stage s) -> double& {
+    return rec.stage_ms[static_cast<std::size_t>(s)];
+  };
+  const auto ms_since = [](std::uint64_t t0, std::uint64_t t1) {
+    return static_cast<double>(t1 - t0) / 1e6;
+  };
+  const std::uint64_t t_entry = steady_now_ns();
+  if (frame.recv_steady_ns != 0 && t_entry > frame.recv_steady_ns)
+    stage(obs::Stage::kQueue) = ms_since(frame.recv_steady_ns, t_entry);
+  Frame out;
+  out.from = self;
+  out.to = frame.from;
+  out.trace = trace_id;
+  try {
+    const auto payload =
+        body_envelope(frame.body)
+            .open(proto::detail::derive_link_key(secret, frame.from, self));
+    const std::uint64_t t_decoded = steady_now_ns();
+    stage(obs::Stage::kDecode) = ms_since(t_entry, t_decoded);
+    const DoorReply reply = dispatch({kind, payload, trace_id});
+    const std::uint64_t t_served = steady_now_ns();
+    // A router's "serve" is its downstream fan-out; its reassembly reports
+    // separately as kMerge (0 at a miner).
+    stage(obs::Stage::kMerge) = reply.merge_ms;
+    stage(obs::Stage::kServe) = std::max(0.0, ms_since(t_decoded, t_served) - reply.merge_ms);
+    out.type = FrameType::kData;
+    out.payload_kind = static_cast<std::uint8_t>(reply.kind);
+    out.body = envelope_body(proto::EncryptedEnvelope(
+        reply.wire, proto::detail::derive_link_key(secret, self, frame.from)));
+    stage(obs::Stage::kWrite) = ms_since(t_served, steady_now_ns());
+  } catch (const Error& e) {
+    // Per-request containment — answer kError so the client fails fast
+    // instead of timing out.
+    if (log) log(e.what());
+    out.type = FrameType::kError;
+    out.payload_kind = 0;
+    out.body = text_body(e.what());
+  }
+  if (traced) traces.push(std::move(rec));
+  std::vector<Frame> frames;
+  frames.push_back(std::move(out));
+  return frames;
 }
 
 // ---- MinerDaemon ---------------------------------------------------------
@@ -378,64 +437,18 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
 }
 
 std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
-  std::vector<Frame> out;
-  // Trace bookkeeping is pure measurement: adopt the id the frame rode in
-  // with (a router minted it at ITS door) or mint one here; every response
-  // echoes it. Stage clocks are stamped at boundaries only (rule R6).
-  const auto kind = static_cast<proto::PayloadKind>(frame.payload_kind);
-  const std::uint64_t trace_id = frame.trace != 0 ? frame.trace : minter_.mint();
-  const bool traced =
-      obs::enabled() && kind != proto::PayloadKind::kStatsRequest;  // no self-noise
-  obs::TraceRecord rec;
-  rec.id = trace_id;
-  rec.op = proto::to_string(kind);
-  const std::uint64_t t_entry = steady_now_ns();
-  if (frame.recv_steady_ns != 0 && t_entry > frame.recv_steady_ns)
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kQueue)] =
-        static_cast<double>(t_entry - frame.recv_steady_ns) / 1e6;
-  try {
-    SAP_REQUIRE(serving_.load(std::memory_order_acquire),
-                "MinerDaemon: not serving yet (exchange in progress)");
-    const auto payload =
-        body_envelope(frame.body)
-            .open(proto::detail::derive_link_key(secret_, frame.from, miner_id_));
-    const std::uint64_t t_decoded = steady_now_ns();
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kDecode)] =
-        static_cast<double>(t_decoded - t_entry) / 1e6;
-    proto::PayloadKind out_kind{};
-    std::vector<double> out_wire;
-    SAP_REQUIRE(serve_payload(kind, payload, out_kind, out_wire),
-                "MinerDaemon: the serving door serves only contributions, mining "
-                "requests, partials, pool slices, shard snapshots, and stats");
-    const std::uint64_t t_served = steady_now_ns();
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kServe)] =
-        static_cast<double>(t_served - t_decoded) / 1e6;
-    Frame resp;
-    resp.type = FrameType::kData;
-    resp.payload_kind = static_cast<std::uint8_t>(out_kind);
-    resp.from = miner_id_;
-    resp.to = frame.from;
-    resp.trace = trace_id;
-    resp.body = envelope_body(proto::EncryptedEnvelope(
-        out_wire, proto::detail::derive_link_key(secret_, miner_id_, frame.from)));
-    out.push_back(std::move(resp));
-    rec.stage_ms[static_cast<std::size_t>(obs::Stage::kWrite)] =
-        static_cast<double>(steady_now_ns() - t_served) / 1e6;
-    if (traced) traces_.push(std::move(rec));
-  } catch (const Error& e) {
-    // Per-request containment — answer kError so the client fails fast
-    // instead of timing out.
-    note(std::string("serving door rejected request: ") + e.what());
-    Frame err;
-    err.type = FrameType::kError;
-    err.from = miner_id_;
-    err.to = frame.from;
-    err.trace = trace_id;
-    err.body = text_body(e.what());
-    out.push_back(std::move(err));
-    if (traced) traces_.push(std::move(rec));
-  }
-  return out;
+  return door_frame(
+      frame, miner_id_, secret_, minter_, traces_,
+      [this](const DoorRequest& request) {
+        SAP_REQUIRE(serving_.load(std::memory_order_acquire),
+                    "MinerDaemon: not serving yet (exchange in progress)");
+        DoorReply reply;
+        SAP_REQUIRE(serve_payload(request.kind, request.payload, reply.kind, reply.wire),
+                    "MinerDaemon: the serving door serves only contributions, mining "
+                    "requests, partials, pool slices, shard snapshots, and stats");
+        return reply;
+      },
+      [this](const std::string& why) { note("serving door rejected request: " + why); });
 }
 
 MinerDaemon::Summary MinerDaemon::run() {
@@ -482,14 +495,9 @@ MinerDaemon::Summary MinerDaemon::run() {
       if (refuse_on_hub(msg)) continue;
       const std::span<const double> payload(msg.payload);
       SAP_REQUIRE(!payload.empty(), "empty payload during the exchange");
-      // Wire payloads are adversarial input: the cast below is UB for
-      // non-finite, negative, or >= 2^64 values (the daemon is the new
-      // cross-process trust boundary — validate like decode_contribution).
-      SAP_REQUIRE(std::isfinite(payload[0]) && payload[0] >= 0.0 &&
-                      payload[0] < 9007199254740992.0 &&
-                      payload[0] == std::floor(payload[0]),
-                  "malformed nonce during the exchange");
-      const auto nonce = static_cast<std::uint64_t>(payload[0]);
+      // Wire payloads are adversarial input (the daemon is the cross-process
+      // trust boundary): the same nonce check decode_contribution runs.
+      const std::uint64_t nonce = proto::checked_u64(payload[0], "nonce during the exchange");
       if (msg.kind == proto::PayloadKind::kForwardedData) {
         SAP_REQUIRE(
             shards
@@ -848,8 +856,9 @@ proto::DecodedReceipt ServeClient::contribute_wire(const std::vector<double>& wi
   const auto ack = transact(proto::PayloadKind::kContribution, wire,
                             proto::PayloadKind::kContributionAck);
   const auto receipt = proto::decode_receipt(ack);
-  SAP_REQUIRE(receipt.pool_epoch != 0,
-              "ServeClient::contribute_wire: the miner rejected this contribution");
+  if (receipt.pool_epoch == 0)
+    throw ContributionRejected(
+        "ServeClient::contribute_wire: the miner rejected this contribution");
   return receipt;
 }
 

@@ -25,8 +25,10 @@
 //     kContributionAck receipt), mining requests (served by the
 //     MiningEngine, cached/incremental exactly like in-process), cluster
 //     partials/slices/snapshots and stats, through ONE dispatch
-//     (serve_payload). It refuses traffic until the exchange installed the
-//     pool.
+//     (serve_payload) behind the frame path every serving door shares
+//     (door_frame: trace ids and stage timings, link-key envelopes, kError
+//     containment — a RouterDaemon runs the same one). It refuses traffic
+//     until the exchange installed the pool.
 // Once the pool is installed the daemon tells each party the door's port
 // over its hub link; PartyClient contributes and mines through a
 // ServeClient to that door. The daemon exits when every hub connection has
@@ -64,6 +66,49 @@ class ServeError : public Error {
  private:
   proto::ServeErrorCode code_;
 };
+
+/// Raised client-side when a daemon answers a contribution with the NEGATIVE
+/// receipt (epoch 0): the batch itself is bad (unknown nonce, malformed or
+/// non-finite rows), so every owner would reject it alike and no failover
+/// can help. Not a ServeError — the daemon answered with a receipt, not a
+/// typed refusal. A router door relays it as the same negative receipt.
+class ContributionRejected : public Error {
+ public:
+  using Error::Error;
+};
+
+// ---- the serving door's frame path ---------------------------------------
+
+/// One decrypted request at a serving door.
+struct DoorRequest {
+  proto::PayloadKind kind{};
+  const std::vector<double>& payload;  ///< the opened envelope
+  std::uint64_t trace = 0;             ///< adopted or minted; the reply echoes it
+};
+
+/// A daemon's answer to one DoorRequest.
+struct DoorReply {
+  proto::PayloadKind kind{};
+  std::vector<double> wire;  ///< sealed under the (self -> client) link key
+  double merge_ms = 0.0;     ///< router-side reassembly: the kMerge trace stage
+};
+
+/// A daemon's payload dispatch: answer one request, or throw sap::Error to
+/// refuse it with a kError frame.
+using DoorDispatch = std::function<DoorReply(const DoorRequest& request)>;
+
+/// The frame path of every serving door: MinerDaemon's and RouterDaemon's
+/// reactors both run it, each passing only its payload dispatch. It adopts
+/// the request's trace id or mints one (the reply echoes it), opens the
+/// request envelope under the (client -> self) link key, seals the reply
+/// under (self -> client), and records the queue, decode, serve, merge and
+/// write stages in `traces` — stats requests stay untraced, since
+/// measurement must not move what it measures. A sap::Error from any step
+/// becomes a kError frame, reported to `log` first when it is set.
+std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint64_t secret,
+                              obs::TraceMinter& minter, obs::TraceRing& traces,
+                              const DoorDispatch& dispatch,
+                              const std::function<void(const std::string&)>& log = {});
 
 /// Order-sensitive FNV-1a digest of a dataset (feature bit patterns +
 /// labels) — how two processes compare pools without shipping them.
@@ -207,8 +252,8 @@ class MinerDaemon {
   /// effort per shard — runs after the exchange install, before serving_.
   void resync_owned_shards();
 
-  /// Reactor handler: decrypt, dispatch through serve_payload, encrypt the
-  /// response. Runs on reactor compute lanes.
+  /// Reactor handler: door_frame over serve_payload, refusing every request
+  /// until the pool is installed. Runs on reactor compute lanes.
   std::vector<Frame> serve_frame(const Frame& frame);
 
   MinerDaemonOptions opts_;
@@ -289,9 +334,10 @@ class ServeClient {
                                        const proto::JobParams& params = {});
 
   /// Ship a pre-encoded kContribution payload (encode_contribution wire —
-  /// the caller owns perturbing into its negotiated space). Throws on a
-  /// negative receipt (epoch 0) or a typed refusal (ServeError — a
-  /// kNotOwner code means "retry the owning miner", see net/cluster.hpp).
+  /// the caller owns perturbing into its negotiated space). Throws
+  /// ContributionRejected on a negative receipt (epoch 0) and ServeError on
+  /// a typed refusal (kNotOwner means "retry the owning miner", see
+  /// net/cluster.hpp).
   proto::DecodedReceipt contribute_wire(const std::vector<double>& wire);
 
   /// One shard's exact-merge partial for a named job (cluster scatter

@@ -11,6 +11,7 @@
 #include "classify/perceptron.hpp"
 #include "classify/svm.hpp"
 #include "common/error.hpp"
+#include "protocol/message.hpp"
 
 namespace sap::proto {
 namespace {
@@ -179,10 +180,7 @@ std::vector<double> nb_merge(const std::vector<std::vector<double>>& partials,
       dims = d;
     }
     for (std::size_t s = 0; s < nsegs; ++s) {
-      const double nonce = r.next("nonce");
-      SAP_REQUIRE(std::isfinite(nonce) && nonce >= 0.0 && nonce == std::floor(nonce) &&
-                      nonce < 9007199254740992.0,
-                  "nb merge: malformed nonce");
+      const std::uint64_t nonce = checked_u64(r.next("nonce"), "nb merge nonce");
       const std::size_t classes = r.next_count("classes", 4096);
       std::vector<ml::NbClassStats> stats(classes);
       for (auto& cls : stats) {
@@ -199,7 +197,7 @@ std::vector<double> nb_merge(const std::vector<std::vector<double>>& partials,
         for (auto& v : cls.sum) v = r.next("sum");
         for (auto& v : cls.sumsq) v = r.next("sumsq");
       }
-      segments.emplace_back(static_cast<std::uint64_t>(nonce), std::move(stats));
+      segments.emplace_back(nonce, std::move(stats));
     }
     SAP_REQUIRE(r.done(), "nb merge: trailing bytes in partial");
   }
@@ -274,11 +272,7 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
         Cand c;
         c.dist = r.next("distance");
         SAP_REQUIRE(std::isfinite(c.dist) && c.dist >= 0.0, "knn merge: malformed distance");
-        const double nonce = r.next("nonce");
-        SAP_REQUIRE(std::isfinite(nonce) && nonce >= 0.0 && nonce == std::floor(nonce) &&
-                        nonce < 9007199254740992.0,
-                    "knn merge: malformed nonce");
-        c.key.nonce = static_cast<std::uint64_t>(nonce);
+        c.key.nonce = checked_u64(r.next("nonce"), "knn merge nonce");
         c.key.seq = static_cast<std::uint32_t>(r.next_count("seq", 0xFFFFFFFFull));
         const double label = r.next("label");
         SAP_REQUIRE(std::isfinite(label) && label == std::floor(label) &&
@@ -464,7 +458,6 @@ JobRegistry JobRegistry::builtins() {
     spec.serve = serve_accuracy;
     // SMO's working-set selection is a global optimization over all rows —
     // no exact merge exists, so a sharded serve gathers the canonical pool.
-    spec.merge_fallback = MergeFallback::kGather;
     reg.register_job(std::move(spec));
   }
 
@@ -497,7 +490,6 @@ JobRegistry JobRegistry::builtins() {
     spec.serve = serve_accuracy;
     // Epoch-ordered mistake-driven updates depend on the full record
     // sequence; like the SVM, sharded serves gather rather than merge.
-    spec.merge_fallback = MergeFallback::kGather;
     reg.register_job(std::move(spec));
   }
 

@@ -52,17 +52,6 @@ struct ParamSpec {
   bool serve_only = false;
 };
 
-/// Fallback execution for a multi-shard serve when the job declares no
-/// exact merge (merge_partials unset).
-enum class MergeFallback : std::uint8_t {
-  /// Reassemble the canonical pool from every shard and execute there —
-  /// exact, but ships rows to the merging side (SVM/perceptron fits).
-  kGather = 0,
-  /// Serve from the lowest-numbered shard alone — never ships rows, but the
-  /// report covers only that shard's slice of the pool.
-  kRoute = 1,
-};
-
 /// A named mining workload. Exactly one of the two execution paths is set:
 ///   * structural: `run(pool, params)` computes the report directly;
 ///   * trainable:  `make_model(params)` builds an untrained Classifier, the
@@ -79,7 +68,9 @@ enum class MergeFallback : std::uint8_t {
 /// of the canonical pool (what the report scores against; empty for
 /// structural merges). The contract: the merged report is bit-identical to
 /// running the job on the canonical concatenated pool, whatever the shard
-/// count or hash-route layout.
+/// count or hash-route layout. A job without the contract is served over a
+/// sharded pool by gathering the canonical pool and executing flat — exact,
+/// but it ships rows to the merging side (the SVM and perceptron fits).
 struct JobSpec {
   std::string name;
   std::string summary;
@@ -103,8 +94,6 @@ struct JobSpec {
   std::function<std::vector<double>(const std::vector<std::vector<double>>& partials,
                                     const data::Dataset& queries, const JobParams&)>
       merge_partials;
-  /// Multi-shard execution when no exact merge is declared.
-  MergeFallback merge_fallback = MergeFallback::kGather;
 
   [[nodiscard]] bool trainable() const noexcept { return static_cast<bool>(make_model); }
   [[nodiscard]] bool mergeable() const noexcept { return static_cast<bool>(merge_partials); }

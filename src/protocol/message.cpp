@@ -59,6 +59,22 @@ std::string decode_string(std::span<const double> wire, std::size_t& pos, const 
 
 }  // namespace
 
+/// 2^53: every integer below it is exactly representable as a double.
+constexpr std::uint64_t kDoubleExactLimit = 1ULL << 53;
+
+void require_double_exact(std::uint64_t v, const char* what) {
+  SAP_REQUIRE(v < kDoubleExactLimit, std::string("encode: not double-exact: ") + what);
+}
+
+std::uint64_t checked_u64(double v, const char* what) {
+  // The cast below is UB for non-finite or >= 2^64 values, and wire
+  // payloads are adversarial input until proven otherwise.
+  SAP_REQUIRE(std::isfinite(v) && v >= 0.0 && v < static_cast<double>(kDoubleExactLimit) &&
+                  v == std::floor(v),
+              std::string("decode: malformed ") + what);
+  return static_cast<std::uint64_t>(v);
+}
+
 std::string to_string(PayloadKind kind) {
   switch (kind) {
     case PayloadKind::kTargetSpace: return "target-space";
@@ -190,7 +206,7 @@ std::vector<double> encode_contribution(std::uint64_t nonce,
                                         std::span<const int> labels) {
   // Nonces are 32-bit by construction (session.cpp), hence exactly
   // representable as doubles; reject anything that would round on the wire.
-  SAP_REQUIRE(nonce < (1ULL << 53), "encode_contribution: nonce not double-exact");
+  require_double_exact(nonce, "contribution nonce");
   std::vector<double> wire;
   wire.push_back(static_cast<double>(nonce));
   const auto body = encode_dataset(features_dxm, labels);
@@ -200,13 +216,8 @@ std::vector<double> encode_contribution(std::uint64_t nonce,
 
 DecodedContribution decode_contribution(std::span<const double> wire) {
   SAP_REQUIRE(!wire.empty(), "decode_contribution: empty payload");
-  // Mirror the encode-side bound: the cast below is UB for values >= 2^64,
-  // and wire payloads are adversarial input until proven otherwise.
-  SAP_REQUIRE(std::isfinite(wire[0]) && wire[0] >= 0.0 && wire[0] < 9007199254740992.0 &&
-                  wire[0] == std::floor(wire[0]),
-              "decode_contribution: malformed nonce");
   DecodedContribution out;
-  out.nonce = static_cast<std::uint64_t>(wire[0]);
+  out.nonce = checked_u64(wire[0], "contribution nonce");
   out.data = decode_dataset(wire.subspan(1));
   return out;
 }
@@ -460,7 +471,7 @@ std::vector<double> encode_pool_slice(std::uint64_t shard_epoch, const data::Dat
   SAP_REQUIRE(rows.size() == keys.size(), "encode_pool_slice: rows/keys size mismatch");
   std::vector<double> wire{static_cast<double>(shard_epoch)};
   for (const auto& key : keys) {
-    SAP_REQUIRE(key.nonce < (1ULL << 53), "encode_pool_slice: nonce not double-exact");
+    require_double_exact(key.nonce, "slice nonce");
     SAP_REQUIRE(key.seq < 1000000000U, "encode_pool_slice: seq out of wire range");
   }
   encode_query_block(wire, rows);
@@ -481,13 +492,9 @@ DecodedPoolSlice decode_pool_slice(std::span<const double> wire) {
               "decode_pool_slice: malformed payload");
   out.keys.reserve(out.rows.size());
   for (std::size_t i = 0; i < out.rows.size(); ++i) {
-    const double nonce = wire[pos++];
-    SAP_REQUIRE(std::isfinite(nonce) && nonce >= 0.0 && nonce < 9007199254740992.0 &&
-                    nonce == std::floor(nonce),
-                "decode_pool_slice: malformed nonce");
+    const std::uint64_t nonce = checked_u64(wire[pos++], "slice nonce");
     const auto seq = checked_count(wire[pos++], "slice seq");
-    out.keys.push_back({static_cast<std::uint64_t>(nonce),
-                        static_cast<std::uint32_t>(seq)});
+    out.keys.push_back({nonce, static_cast<std::uint32_t>(seq)});
   }
   return out;
 }
@@ -501,17 +508,8 @@ constexpr double kStatsWireVersion = 1.0;
 /// still crosses the adversarial wire boundary like everything else.
 constexpr std::size_t kMaxStatsEntries = 4096;
 
-/// Validate-and-cast a wire double that must encode an exact u64 (counter
-/// values, bucket counts, trace ids can legitimately exceed checked_count's
-/// 1e9 range but must survive the double round-trip bit-exactly).
-std::uint64_t checked_u64(double v, const char* what) {
-  SAP_REQUIRE(std::isfinite(v) && v >= 0.0 && v < 9007199254740992.0 && v == std::floor(v),
-              std::string("decode: malformed ") + what);
-  return static_cast<std::uint64_t>(v);
-}
-
 void encode_u64(std::vector<double>& wire, std::uint64_t v, const char* what) {
-  SAP_REQUIRE(v < (1ULL << 53), std::string("encode: not double-exact: ") + what);
+  require_double_exact(v, what);
   wire.push_back(static_cast<double>(v));
 }
 

@@ -102,6 +102,15 @@ struct Message {
 // Flat double-vector encodings; every encoder has a matching decoder that
 // validates shape and throws sap::Error on malformed input.
 
+/// Integer fields that may exceed the small-count range (nonces, counters,
+/// ids) ride the double wire exactly only below 2^53. These two checks are
+/// the one copy of that bound (sap_lint R3 keeps it in this codec).
+/// Encode side: throws sap::Error unless `v` is double-exact.
+void require_double_exact(std::uint64_t v, const char* what);
+/// Decode side: validate-and-cast a wire double that must hold a
+/// non-negative integer below 2^53; throws sap::Error naming `what`.
+[[nodiscard]] std::uint64_t checked_u64(double v, const char* what);
+
 /// [d, N, features column-major... , labels...]. The decoder rejects
 /// non-finite feature values.
 std::vector<double> encode_dataset(const linalg::Matrix& features_dxn,

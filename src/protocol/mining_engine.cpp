@@ -135,58 +135,37 @@ void MiningEngine::install_shard(std::size_t global_shard, data::Dataset rows,
   slot_for(global_shard).install_at(std::move(rows), std::move(keys), epoch);
 }
 
-data::Dataset MiningEngine::gather_canonical(const std::vector<PoolShard::View>& views,
-                                             std::size_t limit) {
-  struct Row {
-    PoolKey key;
-    std::size_t view_idx;
-    std::size_t row_idx;
-  };
-  std::vector<Row> rows;
-  std::size_t dims = 0;
-  std::string name;
-  for (std::size_t v = 0; v < views.size(); ++v) {
-    const auto& snap = *views[v].snap;
-    if (snap.rows.size() == 0) continue;
-    if (dims == 0) {
-      dims = snap.rows.dims();
-      name = snap.rows.name();
-    }
-    SAP_REQUIRE(snap.rows.dims() == dims,
-                "MiningEngine: shard dimensionality mismatch in gather");
-    for (std::size_t i = 0; i < snap.rows.size(); ++i)
-      rows.push_back({snap.keys[i], v, i});
+MiningResponse run_gathered(const JobSpec& spec, const data::Dataset& pool,
+                           const JobParams& resolved) {
+  MiningResponse response;
+  if (spec.trainable()) {
+    Stopwatch fit_sw;
+    auto model = spec.make_model(resolved);
+    model->fit(pool);
+    response.fit_millis = fit_sw.millis();
+    response.values = spec.serve(*model, pool, resolved);
+  } else {
+    response.values = spec.run(pool, resolved);
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.key < b.key; });
-  const std::size_t n =
-      limit == 0 ? rows.size() : std::min(limit, rows.size());
-  linalg::Matrix features(n, dims, 0.0);
-  std::vector<int> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& snap = *views[rows[i].view_idx].snap;
-    const auto rec = snap.rows.record(rows[i].row_idx);
-    auto dst = features.row(i);
-    std::copy(rec.begin(), rec.end(), dst.begin());
-    labels[i] = snap.rows.label(rows[i].row_idx);
-  }
-  return data::Dataset(std::move(name), std::move(features), std::move(labels));
+  return response;
 }
 
 MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& resolved) {
-  MiningResponse response;
   std::vector<PoolShard::View> views;
+  std::vector<KeyedRows> parts;
   views.reserve(slots_.size());
+  parts.reserve(slots_.size());
   std::uint64_t watermark = 0;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     auto view = slots_[s]->view();
     SAP_REQUIRE(view.snap != nullptr,
                 "MiningEngine: no pool installed (set_pool_segments first)");
     watermark = s == 0 ? view.epoch : std::min(watermark, view.epoch);
+    parts.push_back({&view.snap->rows, view.snap->keys});
     views.push_back(std::move(view));
   }
-  response.pool_epoch = watermark;
 
+  MiningResponse response;
   if (spec.mergeable()) {
     // Exact merge: per-shard partials over coordinator-grade canonical
     // queries, folded by the job's merge contract (DESIGN.md §11).
@@ -195,7 +174,7 @@ MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& r
       std::size_t limit = 0;
       const auto it = resolved.find("eval-records");
       if (it != resolved.end()) limit = static_cast<std::size_t>(it->second);
-      queries = gather_canonical(views, limit);
+      queries = merge_canonical(parts, limit);
       SAP_REQUIRE(queries.size() > 0, "MiningEngine: empty pool across shards");
     }
     std::vector<std::vector<double>> partials;
@@ -206,23 +185,13 @@ MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& r
     }
     SAP_REQUIRE(!partials.empty(), "MiningEngine: empty pool across shards");
     response.values = spec.merge_partials(partials, queries, resolved);
-    return response;
-  }
-
-  // No exact merge declared: gather the canonical pool and execute flat
-  // (MergeFallback::kGather — the router may choose kRoute instead and
-  // never reach a multi-shard engine run).
-  auto pool = gather_canonical(views, 0);
-  SAP_REQUIRE(pool.size() > 0, "MiningEngine: empty pool across shards");
-  if (spec.trainable()) {
-    Stopwatch fit_sw;
-    auto model = spec.make_model(resolved);
-    model->fit(pool);
-    response.fit_millis = fit_sw.millis();
-    response.values = spec.serve(*model, pool, resolved);
   } else {
-    response.values = spec.run(pool, resolved);
+    // No exact merge declared: gather the canonical pool and execute flat.
+    const auto pool = merge_canonical(parts, 0);
+    SAP_REQUIRE(pool.size() > 0, "MiningEngine: empty pool across shards");
+    response = run_gathered(spec, pool, resolved);
   }
+  response.pool_epoch = watermark;
   return response;
 }
 

@@ -22,7 +22,7 @@
 //     declares one (JobSpec::partial + merge_partials — report
 //     bit-identical to the canonical concatenated pool, whatever the shard
 //     count or layout), and otherwise gathers the canonical pool and
-//     executes flat (MergeFallback::kGather semantics);
+//     executes flat (run_gathered, the cluster router's path too);
 //   * a partially-owned engine (a cluster miner serving a subset of the
 //     shard space) additionally serves run_partial() — one shard's partial
 //     blob for a coordinator-side merge — and shard_slice() — one shard's
@@ -119,6 +119,14 @@ struct ShardSlice {
   std::vector<PoolKey> keys;      ///< parallel to rows
   std::uint64_t epoch = 0;        ///< shard epoch the slice was cut at
 };
+
+/// Serve `spec` once over a flat gathered `pool`, uncached: fit + serve for
+/// a trainable job, run for a structural one. The gather path for jobs
+/// without an exact merge — a sharded MiningEngine and the cluster router
+/// (net/cluster.hpp) both execute it, so a gathered report is computed one
+/// way. Fills values and fit_millis.
+[[nodiscard]] MiningResponse run_gathered(const JobSpec& spec, const data::Dataset& pool,
+                                          const JobParams& resolved);
 
 class MiningEngine {
  public:
@@ -248,11 +256,6 @@ class MiningEngine {
   /// The single slot of a 1-slot engine; throws when sharded surface must
   /// be used instead.
   [[nodiscard]] PoolShard& sole_slot(const char* what) const;
-
-  /// Canonically-ordered gather across the given owned-slot views:
-  /// all rows sorted by (nonce, seq), truncated to `limit` (0 = all).
-  [[nodiscard]] static data::Dataset gather_canonical(
-      const std::vector<PoolShard::View>& views, std::size_t limit);
 
   /// Multi-shard serving: exact merge when the spec declares one, canonical
   /// gather + flat execution otherwise.

@@ -1,8 +1,45 @@
 #include "protocol/pool_shard.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace sap::proto {
+
+data::Dataset merge_canonical(std::span<const KeyedRows> parts, std::size_t limit) {
+  struct Row {
+    PoolKey key;
+    std::size_t part;
+    std::size_t row;
+  };
+  std::vector<Row> rows;
+  std::size_t dims = 0;
+  std::string name;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const data::Dataset& part = *parts[p].rows;
+    if (part.size() == 0) continue;
+    SAP_REQUIRE(parts[p].keys.size() == part.size(),
+                "merge_canonical: rows/keys size mismatch");
+    if (dims == 0) {
+      dims = part.dims();
+      name = part.name();
+    }
+    SAP_REQUIRE(part.dims() == dims, "merge_canonical: shard dimensionality mismatch");
+    for (std::size_t i = 0; i < part.size(); ++i) rows.push_back({parts[p].keys[i], p, i});
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.key < b.key; });
+  const std::size_t n = limit == 0 ? rows.size() : std::min(limit, rows.size());
+  linalg::Matrix features(n, dims, 0.0);
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const data::Dataset& part = *parts[rows[i].part].rows;
+    const auto rec = part.record(rows[i].row);
+    std::copy(rec.begin(), rec.end(), features.row(i).begin());
+    labels[i] = part.label(rows[i].row);
+  }
+  return data::Dataset(std::move(name), std::move(features), std::move(labels));
+}
 
 void PoolShard::install(data::Dataset rows, std::vector<PoolKey> keys) {
   SAP_REQUIRE(rows.size() == keys.size(),

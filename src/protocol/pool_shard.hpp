@@ -25,6 +25,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,22 @@ struct PoolSegment {
   std::uint64_t nonce = 0;
   data::Dataset rows;
 };
+
+/// One input of merge_canonical: a shard's rows, in any order, with their
+/// parallel canonical (nonce, seq) keys. Borrowed, never copied.
+struct KeyedRows {
+  const data::Dataset* rows = nullptr;
+  std::span<const PoolKey> keys;
+};
+
+/// The canonical pool over `parts`: every row in (nonce, seq) order,
+/// truncated to `limit` rows (0 = all). Empty parts are skipped; the others
+/// must agree on dimensionality. The one canonical merge — MiningEngine's
+/// sharded serving and the cluster router's gather both build their pools
+/// and query prefixes with it (DESIGN.md §11). A part needs at most `limit`
+/// rows of its own canonical prefix to cover the global one.
+[[nodiscard]] data::Dataset merge_canonical(std::span<const KeyedRows> parts,
+                                            std::size_t limit);
 
 class PoolShard {
  public:

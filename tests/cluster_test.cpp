@@ -13,6 +13,11 @@
 //     the floor;
 //   * typed refusals: kBadRequest is definitive — no replica failover is
 //     burned probing other owners.
+//   * empty shards (more shards than nonces) keep every job bit-identical
+//     to the flat engine, before and after routed contributions.
+//   * the router door answers like a miner door: the owner's receipt, the
+//     negative receipt for a rejected batch, kBadRequest for an unknown
+//     job — and a kError refusal for a kind only miners serve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -390,6 +395,158 @@ TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
   EXPECT_EQ(after.pool_epoch, 3u);
   EXPECT_FALSE(after.values.empty());
 
+  b.stop();
+}
+
+TEST(ShardRouter, EmptyShardsStayBitIdenticalToTheFlatEngine) {
+  Cluster cluster(5151);
+  // Four shards over two miners: owner j of shard g is miner (g + j) mod 2,
+  // so miner A owns {0, 2} and miner B owns {1, 3}. Three nonces cannot
+  // fill four shards.
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 4;
+  da.owned_shards = {0, 2};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1, 3};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  const std::vector<Member*> members = {&a, &b};
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.shards = 4;
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+
+  const auto empty_shards = [&] {
+    std::size_t empty = 0;
+    for (const Member* m : members)
+      for (const std::size_t g : m->daemon->engine().owned_shards())
+        if (m->daemon->engine().shard_view(g).snap->rows.size() == 0) ++empty;
+    return empty;
+  };
+  const auto expect_flat = [&](const char* when) {
+    auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+    flat.set_pool(union_pool(members));
+    for (const char* job : kAllJobs) {
+      const auto want = flat.run({job, job_params(job)});
+      EXPECT_EQ(router.mine_named(job, job_params(job)).values, want.values)
+          << job << " diverged " << when;
+    }
+  };
+
+  ASSERT_GE(empty_shards(), 1u) << "no owned shard is empty: the case under test is gone";
+  expect_flat("before contributions");
+  for (const auto& wire : cluster.wires(2))
+    EXPECT_GE(router.contribute_wire(wire).pool_epoch, 2u);
+  EXPECT_GE(empty_shards(), 1u);
+  expect_flat("after two routed contributions");
+
+  a.stop();
+  b.stop();
+}
+
+// ---- router door ---------------------------------------------------------
+
+TEST(RouterDoor, AnswersLikeAMinerDoor) {
+  Cluster cluster(5353);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  Member* members[] = {&a, &b};  // miner i owns shard i
+
+  net::RouterDaemonOptions ropts;
+  ropts.router.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.router.replicas = 1;
+  ropts.router.seed = cluster.seed;
+  ropts.router.parties = cluster.k;
+  ropts.reactor.listen = {"127.0.0.1", 0};
+  auto router = std::make_unique<net::RouterDaemon>(ropts);
+
+  const auto owner_of = [&](const std::vector<double>& wire) {
+    return members[proto::shard_of_nonce(static_cast<std::uint64_t>(wire[0]), 2,
+                                         proto::ShardLayout::kHashMod)];
+  };
+  const auto wires = cluster.wires(2);
+  // Well-formed rows under a nonce no party negotiated.
+  Engine eng(7);
+  const auto y = sap::linalg::Matrix::generate(cluster.pool.dims(), 4,
+                                               [&] { return eng.normal(); });
+  const auto rogue = proto::encode_contribution(0xDEADBEEF, y, std::vector<int>{0, 1, 0, 1});
+
+  net::ServeClient via_router(router->local_addr(), cluster.seed, cluster.k);
+  net::ServeClient at_owner(owner_of(wires[0])->daemon->reactor_addr(), cluster.seed,
+                            cluster.k);
+  net::ServeClient at_rogue_owner(owner_of(rogue)->daemon->reactor_addr(), cluster.seed,
+                                  cluster.k);
+
+  // 1. A contribution: the receipt carries the owning shard's new epoch and
+  //    size, whether the router routed it or the owner's door took it.
+  const auto expect_owner_receipt = [&](net::ServeClient& door,
+                                        const std::vector<double>& wire, const char* where) {
+    const auto receipt = door.contribute_wire(wire);
+    const auto& owner = owner_of(wire)->daemon->engine();
+    const std::size_t g = proto::shard_of_nonce(static_cast<std::uint64_t>(wire[0]), 2,
+                                                proto::ShardLayout::kHashMod);
+    EXPECT_EQ(receipt.pool_epoch, owner.shard_epoch(g)) << where;
+    EXPECT_EQ(receipt.pool_records, owner.shard_view(g).snap->rows.size()) << where;
+  };
+  expect_owner_receipt(via_router, wires[0], "router door");
+  expect_owner_receipt(at_owner, wires[1], "miner door");
+
+  // 2. A batch under an unknown nonce: the negative receipt, surfacing as
+  //    ContributionRejected — not a kError frame, not a typed refusal.
+  const auto expect_rejected = [&](net::ServeClient& door, const char* where) {
+    try {
+      (void)door.contribute_wire(rogue);
+      ADD_FAILURE() << where << ": an unknown nonce must be rejected";
+    } catch (const net::ContributionRejected& e) {
+      EXPECT_NE(std::string(e.what()).find("rejected"), std::string::npos) << e.what();
+    } catch (const sap::Error& e) {
+      ADD_FAILURE() << where << ": expected the negative receipt, got " << e.what();
+    }
+  };
+  expect_rejected(via_router, "router door");
+  expect_rejected(at_rogue_owner, "miner door");
+
+  // 3. An unknown job: the definitive typed refusal.
+  const auto expect_bad_request = [&](net::ServeClient& door, const char* where) {
+    try {
+      (void)door.mine_named("no-such-job");
+      ADD_FAILURE() << where << ": expected ServeError for an unknown job";
+    } catch (const net::ServeError& e) {
+      EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << where;
+    }
+  };
+  expect_bad_request(via_router, "router door");
+  expect_bad_request(at_owner, "miner door");
+
+  // 4. A pool slice is a miner-only kind: the router door refuses it with a
+  //    kError frame.
+  try {
+    (void)via_router.pool_slice(0, 0);
+    ADD_FAILURE() << "the router door served a pool slice";
+  } catch (const net::ServeError& e) {
+    ADD_FAILURE() << "expected a kError refusal, got " << e.what();
+  } catch (const sap::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("request refused"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(router->requests_served(), 4u);
+
+  via_router.bye();
+  at_owner.bye();
+  at_rogue_owner.bye();
+  router->stop();
+  router.reset();
+  a.stop();
   b.stop();
 }
 

@@ -448,7 +448,6 @@ TEST(CircuitBreaker, TripsFailsFastProbesHalfOpenAndCloses) {
   ropts.replicas = 1;
   ropts.seed = cluster.seed;
   ropts.parties = cluster.k;
-  ropts.breaker_threshold = 3;
   ropts.breaker_cooldown_ms = 150;
   net::ShardRouter router(ropts);
 

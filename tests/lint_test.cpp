@@ -169,6 +169,20 @@ TEST(SapLint, R3PermitsCodecBoundaryFiles) {
   EXPECT_EQ(run.exit, 0) << run.output;
 }
 
+TEST(SapLint, R3FlagsTheDoubleExactBoundOutsideTheMessageCodec) {
+  const std::string file = "src/net/spells_the_bound.cpp";
+  const LintRun run = lint("violating", file);
+  EXPECT_EQ(run.exit, 1) << run.output;
+  EXPECT_EQ(run.diagnostics.size(), 2u) << run.output;
+  EXPECT_TRUE(has_diag(run, file, 5, "R3/codec-safety")) << run.output;  // 9007199254740992
+  EXPECT_TRUE(has_diag(run, file, 6, "R3/codec-safety")) << run.output;  // << 53
+}
+
+TEST(SapLint, R3PermitsTheDoubleExactBoundInTheMessageCodec) {
+  const LintRun run = lint("conforming", "src/protocol/message.cpp");
+  EXPECT_EQ(run.exit, 0) << run.output;
+}
+
 // ---- R4: RAII locking ----------------------------------------------------
 
 TEST(SapLint, R4FlagsBareLockCallsAndRawStdMutex) {

@@ -17,7 +17,11 @@
 //   R3/codec-safety     memcpy/memmove/reinterpret_cast confined to the
 //                       checked codec helpers (src/net/frame.*,
 //                       src/net/socket.*) — everything else uses typed,
-//                       bounds-checked accessors.
+//                       bounds-checked accessors. The double-exact wire
+//                       bound 2^53 (the literal 9007199254740992 or a shift
+//                       by 53) is written only in src/protocol/message.*;
+//                       everything else calls its checked_u64 /
+//                       require_double_exact.
 //   R4/raii-locking     no bare .lock()/.unlock() on a declared mutex (RAII
 //                       guards only), and no raw std::mutex /
 //                       std::condition_variable outside src/common/ — use
@@ -246,6 +250,24 @@ std::size_t find_word(const std::string& line, const std::string& word,
 
 bool has_word(const std::string& line, const std::string& word) {
   return find_word(line, word) != std::string::npos;
+}
+
+/// True when `code` writes out 2^53: the literal 9007199254740992 or a
+/// left shift by 53 (integer suffixes allowed, `<< 530` is not one).
+bool spells_double_exact_bound(const std::string& code) {
+  if (code.find("9007199254740992") != std::string::npos) return true;
+  for (std::size_t pos = code.find("<<"); pos != std::string::npos;
+       pos = code.find("<<", pos + 2)) {
+    std::size_t p = pos + 2;
+    while (p < code.size() && std::isspace(static_cast<unsigned char>(code[p]))) ++p;
+    if (code.compare(p, 2, "53") != 0) continue;
+    std::size_t end = p + 2;
+    while (end < code.size() && (std::tolower(static_cast<unsigned char>(code[end])) == 'u' ||
+                                 std::tolower(static_cast<unsigned char>(code[end])) == 'l'))
+      ++end;
+    if (end >= code.size() || !ident_char(code[end])) return true;
+  }
+  return false;
 }
 
 /// True when the identifier at `pos` is qualified as std:: (possibly ::std::).
@@ -518,8 +540,14 @@ class Linter {
              "hash-seed-dependent; sort a snapshot first");
   }
 
-  // R3 — byte reinterpretation stays inside the checked codec helpers.
+  // R3 — byte reinterpretation stays inside the checked codec helpers, and
+  // the double-exact wire bound inside the message codec.
   void rule_codec(const ScannedFile& f, std::size_t line, const std::string& code) {
+    if (!path_has_prefix(f.path, "src/protocol/message.") &&
+        spells_double_exact_bound(code))
+      report(f, line, "R3",
+             "the double-exact bound 2^53 outside src/protocol/message.* — call "
+             "proto::checked_u64 / require_double_exact so the bound lives in one place");
     if (path_has_prefix(f.path, "src/net/frame.") ||
         path_has_prefix(f.path, "src/net/socket."))
       return;
