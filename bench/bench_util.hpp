@@ -45,17 +45,13 @@ struct LatencySummary {
   double max = 0.0;
 };
 
-/// Summarize raw samples. Histogram::record is gated on obs::enabled(), so
-/// the histogram is fed only after forcing metrics on — a bench measuring
-/// the metrics-off position (obs_overhead) can still summarize its samples.
+/// Summarize raw samples. Histogram::record is gated on obs::enabled(),
+/// which defaults to on and which no bench turns off.
 inline LatencySummary summarize_latency(const std::vector<double>& samples) {
   LatencySummary out;
   if (samples.empty()) return out;
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
   obs::Histogram h;
   for (const double s : samples) h.record(s);
-  obs::set_enabled(was_enabled);
   const obs::HistogramSnapshot snap = h.snapshot();
   out.count = snap.count;
   out.mean = snap.mean();

@@ -17,264 +17,19 @@
 // All floors are enforced by EXIT CODE so CI can gate on this binary.
 //
 //   cluster_scaling [--quick]        driver (the default)
-//   cluster_scaling --miner S I R    internal: miner process, S shards,
-//                                    owning index I with R replicas
-//
-// Determinism: every miner process runs the SAME 8-party exchange (same
-// seed => bit-identical unified segments) and installs only its owned
-// shards. kSeed is tuned so the 8 contribution nonces spread 2/2/2/2 over
-// 4 hash-mod shards (and 4/4 over 2) — re-tune it if the optimizer or the
-// partitioner changes the nonce stream (the driver checks and says so).
-#include <sys/types.h>
-#include <sys/wait.h>
-
-#include <csignal>
+//   cluster_scaling --miner S I R    internal: miner process (cluster_harness.hpp)
 #include <cstdio>
 #include <cstring>
-#include <future>
-#include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
-#include "bench_util.hpp"
+#include "cluster_harness.hpp"
 #include "common/stopwatch.hpp"
-#include "net/cluster.hpp"
-#include "net/remote.hpp"
-#include "protocol/party_logic.hpp"
 
 namespace {
 
-using sap::data::Dataset;
-using sap::rng::Engine;
 namespace net = sap::net;
-namespace proto = sap::proto;
-
-constexpr std::uint64_t kSeed = 90058;  // tuned: 8 nonces -> 2/2/2/2 over 4 shards
-constexpr std::size_t kParties = 8;
-constexpr std::size_t kBatchRows = 16;
-const char* const kMergeJobs[] = {"record-count", "class-histogram",
-                                  "nb-train-accuracy", "knn-train-accuracy"};
-
-/// The shared session setup — every miner process and the driver derive the
-/// identical normalized pool and party partition from kSeed alone.
-struct Session {
-  Dataset pool;
-  std::vector<Dataset> shards;
-  proto::SapOptions sap;
-};
-
-Session make_session() {
-  Session s;
-  const Dataset raw = sap::data::make_uci("Diabetes", kSeed);
-  sap::data::MinMaxNormalizer norm;
-  norm.fit(raw.features());
-  s.pool = Dataset(raw.name(), norm.transform(raw.features()), raw.labels());
-  Engine shard_eng(kSeed ^ 0xBEEF);
-  sap::data::PartitionOptions popts;
-  s.shards = sap::data::partition(s.pool, kParties, popts, shard_eng);
-  s.sap = proto::SapOptions::fast();
-  s.sap.seed = kSeed;
-  s.sap.compute_satisfaction = false;
-  return s;
-}
-
-// ---- miner process -------------------------------------------------------
-
-/// Child mode: one cluster member. Runs the daemon plus all 8 parties
-/// in-process (the exchange is deterministic, so every member unifies the
-/// same segments), prints "DOOR <port>" then "READY", and serves until the
-/// driver SIGKILLs it.
-int miner_main(std::size_t shards, std::size_t index, std::size_t replicas) {
-  const Session s = make_session();
-
-  net::MinerDaemonOptions opts;
-  opts.listen = {"127.0.0.1", 0};
-  opts.parties = kParties;
-  opts.seed = kSeed;
-  opts.reactor_loops = 2;
-  opts.reactor_compute_threads = 2;
-  opts.shards = shards;
-  opts.shard_layout = proto::ShardLayout::kHashMod;
-  if (shards > 1) {
-    std::set<std::size_t> owned;
-    for (std::size_t j = 0; j < replicas; ++j)
-      owned.insert((index + shards - j) % shards);
-    opts.owned_shards.assign(owned.begin(), owned.end());
-  }
-  net::MinerDaemon daemon(opts);
-  std::printf("DOOR %u\n", static_cast<unsigned>(daemon.reactor_addr().port));
-  std::fflush(stdout);
-
-  auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
-  std::promise<void> exchanged;
-  std::vector<std::thread> parties;
-  for (std::size_t i = 0; i < kParties; ++i) {
-    parties.emplace_back([&, i] {
-      net::PartyClientOptions popts;
-      popts.connect = daemon.local_addr();
-      popts.index = i;
-      popts.parties = kParties;
-      popts.sap = s.sap;
-      net::PartyClient party(s.shards[i], popts);
-      (void)party.run_exchange();
-      if (i != 0) {
-        party.finish();
-        return;
-      }
-      // Party 0 holds its hub connection open forever so the daemon keeps
-      // serving; the driver ends this process with SIGKILL.
-      exchanged.set_value();
-      for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
-    });
-  }
-  exchanged.get_future().wait();
-  // Party 0's exchange return races the daemon-side pool install by a hair;
-  // probe our own door until it serves before announcing READY. Bounded
-  // (lint R7): if our own door cannot serve within the budget the process
-  // is wedged, and dying beats hanging the driver forever.
-  bool door_up = false;
-  for (int attempt = 0; attempt < 2000 && !door_up; ++attempt) {
-    try {
-      net::ServeClient probe(daemon.reactor_addr(), kSeed, kParties);
-      (void)probe.mine_named("record-count");
-      probe.bye();
-      door_up = true;
-    } catch (const sap::Error&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  if (!door_up) {
-    std::fprintf(stderr, "miner: own serving door never came up\n");
-    return 1;
-  }
-  std::printf("READY\n");
-  std::fflush(stdout);
-  for (auto& t : parties) t.join();  // never returns
-  return 0;
-}
-
-// ---- driver: process management ------------------------------------------
-
-struct Miner {
-  pid_t pid = -1;
-  FILE* out = nullptr;
-  net::SocketAddr door;
-};
-
-Miner spawn_miner(const char* self, std::size_t shards, std::size_t index,
-                  std::size_t replicas) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    std::perror("pipe");
-    std::exit(2);
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(2);
-  }
-  if (pid == 0) {
-    ::dup2(fds[1], 1);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    char s_arg[16], i_arg[16], r_arg[16];
-    std::snprintf(s_arg, sizeof s_arg, "%zu", shards);
-    std::snprintf(i_arg, sizeof i_arg, "%zu", index);
-    std::snprintf(r_arg, sizeof r_arg, "%zu", replicas);
-    ::execl(self, self, "--miner", s_arg, i_arg, r_arg, (char*)nullptr);
-    std::perror("execl");
-    ::_exit(127);
-  }
-  ::close(fds[1]);
-  Miner m;
-  m.pid = pid;
-  m.out = ::fdopen(fds[0], "r");
-  unsigned port = 0;
-  if (!m.out || std::fscanf(m.out, "DOOR %u\n", &port) != 1 || port == 0) {
-    std::fprintf(stderr, "FAIL: miner %zu/%zu did not report a door\n", index, shards);
-    std::exit(1);
-  }
-  m.door = {"127.0.0.1", static_cast<std::uint16_t>(port)};
-  return m;
-}
-
-void await_ready(Miner& m) {
-  char line[64];
-  if (std::fscanf(m.out, "%15s", line) != 1 || std::strcmp(line, "READY") != 0) {
-    std::fprintf(stderr, "FAIL: miner on port %u never became READY\n",
-                 static_cast<unsigned>(m.door.port));
-    std::exit(1);
-  }
-}
-
-void kill_miner(Miner& m) {
-  if (m.pid > 0) {
-    ::kill(m.pid, SIGKILL);
-    int status = 0;
-    ::waitpid(m.pid, &status, 0);
-    m.pid = -1;
-  }
-  if (m.out) {
-    std::fclose(m.out);
-    m.out = nullptr;
-  }
-}
-
-net::ShardRouterOptions router_options(const std::vector<Miner>& miners,
-                                       std::size_t replicas) {
-  net::ShardRouterOptions ropts;
-  for (const auto& m : miners) ropts.miners.push_back(m.door);
-  ropts.replicas = replicas;
-  ropts.layout = proto::ShardLayout::kHashMod;
-  ropts.seed = kSeed;
-  ropts.parties = kParties;
-  return ropts;
-}
-
-// ---- driver: workload ----------------------------------------------------
-
-/// One pre-encoded kContribution wire per party, perturbed with that
-/// party's negotiated space (the same math the party process ran, so the
-/// installed adaptor accepts it). Reused for every series so the canonical
-/// pool after ingest is identical whatever the miner count.
-std::vector<std::vector<double>> make_contribution_wires(const Session& s) {
-  const auto seeds = proto::logic::derive_session_seeds(kSeed, kParties);
-  std::vector<std::vector<double>> wires;
-  std::vector<std::size_t> count4(4, 0);
-  for (std::size_t i = 0; i < kParties; ++i) {
-    Engine eng = seeds.provider_eng[i];
-    const auto local = proto::logic::optimize_local(s.shards[i].features_T(),
-                                                    s.shards[i].dims(), s.sap, eng);
-    const Dataset batch = s.pool.slice(i * kBatchRows, (i + 1) * kBatchRows);
-    const auto y = local.g.apply(batch.features_T(), eng);
-    wires.push_back(proto::encode_contribution(local.nonce, y, batch.labels()));
-    ++count4[proto::shard_of_nonce(local.nonce, 4, proto::ShardLayout::kHashMod)];
-  }
-  for (std::size_t g = 0; g < 4; ++g) {
-    if (count4[g] != 2) {
-      std::fprintf(stderr,
-                   "FAIL: kSeed no longer balances the nonce hash (shard %zu got "
-                   "%zu of %zu) — re-tune kSeed\n",
-                   g, count4[g], kParties);
-      std::exit(1);
-    }
-  }
-  return wires;
-}
-
-/// Merged reports for every exact-merge job, in declaration order.
-std::vector<std::vector<double>> merged_reports(net::ShardRouter& router) {
-  std::vector<std::vector<double>> out;
-  for (const char* job : kMergeJobs) {
-    proto::JobParams params;
-    if (std::strstr(job, "train-accuracy") != nullptr) params["eval-records"] = 64.0;
-    out.push_back(router.mine_named(job, params).values);
-  }
-  return out;
-}
+using namespace sap::bench::cluster;
 
 void require_identical(const std::vector<std::vector<double>>& reference,
                        const std::vector<std::vector<double>>& got,
@@ -322,8 +77,7 @@ SeriesResult run_series(const char* self, const Session& s,
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
         net::ShardRouter mine(ropts);
-        proto::JobParams params;
-        params["eval-records"] = 64.0;
+        const auto params = job_params("knn-train-accuracy");
         for (std::size_t i = 0; i < requests_per_thread; ++i)
           (void)mine.mine_named("knn-train-accuracy", params);
       });
@@ -381,9 +135,8 @@ std::pair<std::size_t, std::size_t> run_failover(const char* self, std::size_t r
   for (std::size_t i = 0; i < requests; ++i) {
     if (i == requests / 2) kill_miner(fleet[0]);  // mid-bench SIGKILL
     try {
-      proto::JobParams params;
-      params["eval-records"] = 64.0;
-      const auto resp = router.mine_named("knn-train-accuracy", params);
+      const auto resp =
+          router.mine_named("knn-train-accuracy", job_params("knn-train-accuracy"));
       if (resp.values.empty()) ++failed;
     } catch (const sap::Error& e) {
       std::fprintf(stderr, "failover request %zu failed: %s\n", i, e.what());
@@ -398,10 +151,7 @@ std::pair<std::size_t, std::size_t> run_failover(const char* self, std::size_t r
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 5 && std::strcmp(argv[1], "--miner") == 0)
-    return miner_main(static_cast<std::size_t>(std::atoi(argv[2])),
-                      static_cast<std::size_t>(std::atoi(argv[3])),
-                      static_cast<std::size_t>(std::atoi(argv[4])));
+  if (argc >= 5 && std::strcmp(argv[1], "--miner") == 0) return miner_main(argc, argv);
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {

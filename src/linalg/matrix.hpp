@@ -137,7 +137,7 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c
           std::span<const double> row_bias = {});
 
 /// Reference product (the naive ikj triple loop). Kept as the exactness
-/// baseline for gemm and for the pre-PR comparisons in bench/local_optimize.
+/// baseline for gemm (linalg_test) and as micro_linalg's unblocked timing.
 [[nodiscard]] Matrix matmul_naive(const Matrix& a, const Matrix& b);
 
 /// C = A * B^T without forming the transpose: C(i,j) = dot(A.row(i),

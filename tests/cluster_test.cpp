@@ -21,23 +21,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
-#include <thread>
 #include <vector>
 
+#include "cluster_fixture.hpp"
 #include "common/error.hpp"
-#include "data/normalize.hpp"
-#include "data/partition.hpp"
-#include "data/synthetic.hpp"
 #include "net/cluster.hpp"
 #include "net/remote.hpp"
 #include "protocol/mining_engine.hpp"
-#include "protocol/party_logic.hpp"
 
 namespace {
 
 using sap::data::Dataset;
 using sap::rng::Engine;
+using sap::testing::Cluster;
+using sap::testing::Member;
+using sap::testing::normalized_pool;
 namespace net = sap::net;
 namespace proto = sap::proto;
 
@@ -54,13 +52,6 @@ std::vector<proto::PoolSegment> make_segments(const Dataset& pool,
     segments.push_back({nonces[i], pool.slice(i * per, hi)});
   }
   return segments;
-}
-
-Dataset normalized_pool(const std::string& name, std::uint64_t seed) {
-  const Dataset raw = sap::data::make_uci(name, seed);
-  sap::data::MinMaxNormalizer norm;
-  norm.fit(raw.features());
-  return {raw.name(), norm.transform(raw.features()), raw.labels()};
 }
 
 proto::MiningEngine make_engine(std::size_t shards, proto::ShardLayout layout) {
@@ -170,91 +161,6 @@ TEST(ShardedEngine, ReportsBitIdenticalAfterInterleavedAppends) {
 }
 
 // ---- router layer --------------------------------------------------------
-
-/// One in-process cluster member: a MinerDaemon plus its k exchange parties.
-/// Party 0 holds the daemon open until release() — releasing it ends the
-/// daemon run loop and STOPS the reactor, which is how the failover tests
-/// take a miner down without process machinery.
-struct Member {
-  std::unique_ptr<net::MinerDaemon> daemon;
-  std::future<net::MinerDaemon::Summary> done;
-  std::vector<std::thread> parties;
-  std::promise<void> release;
-
-  void start(const std::vector<Dataset>& shards, const proto::SapOptions& sap_opts,
-             std::uint64_t seed, net::MinerDaemonOptions opts) {
-    const std::size_t k = shards.size();
-    opts.parties = k;
-    opts.seed = seed;
-    opts.reactor_loops = 2;
-    opts.reactor_compute_threads = 2;
-    daemon = std::make_unique<net::MinerDaemon>(opts);
-    done = std::async(std::launch::async, [this] { return daemon->run(); });
-    std::promise<void> exchanged;
-    std::shared_future<void> released(release.get_future());
-    for (std::size_t i = 0; i < k; ++i) {
-      parties.emplace_back([this, &shards, &sap_opts, seed, k, i, released,
-                            &exchanged] {
-        net::PartyClientOptions popts;
-        popts.connect = daemon->local_addr();
-        popts.index = i;
-        popts.parties = k;
-        popts.sap = sap_opts;
-        net::PartyClient party(shards[i], popts);
-        (void)party.run_exchange();
-        if (i == 0) {
-          exchanged.set_value();
-          released.wait();
-        }
-        party.finish();
-      });
-    }
-    exchanged.get_future().wait();
-    // Party 0 finishing its exchange does not mean the daemon installed the
-    // pool yet; a request before that is a transient "not serving yet".
-    while (!daemon->serving()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  net::MinerDaemon::Summary stop() {
-    release.set_value();
-    for (auto& t : parties) t.join();
-    return done.get();
-  }
-};
-
-struct Cluster {
-  Dataset pool;
-  std::vector<Dataset> shards;
-  proto::SapOptions sap_opts;
-  std::uint64_t seed;
-  std::size_t k;
-
-  explicit Cluster(std::uint64_t seed_in, std::size_t k_in = 3) : seed(seed_in), k(k_in) {
-    pool = normalized_pool("Iris", seed);
-    Engine shard_eng(seed ^ 0xBEEF);
-    sap::data::PartitionOptions popts;
-    shards = sap::data::partition(pool.slice(0, 100), k, popts, shard_eng);
-    sap_opts = proto::SapOptions::fast();
-    sap_opts.seed = seed;
-    sap_opts.compute_satisfaction = false;
-  }
-
-  /// Party 0's contribution wires (the adaptor the exchange installed
-  /// accepts them), batches drawn from the held-back pool tail.
-  std::vector<std::vector<double>> wires(std::size_t count) const {
-    const auto seeds = proto::logic::derive_session_seeds(seed, k);
-    Engine eng = seeds.provider_eng[0];
-    const auto local = proto::logic::optimize_local(shards[0].features_T(),
-                                                    shards[0].dims(), sap_opts, eng);
-    std::vector<std::vector<double>> out;
-    for (std::size_t b = 0; b < count; ++b) {
-      const Dataset batch = pool.slice(100 + b * 10, 110 + b * 10);
-      const auto y = local.g.apply(batch.features_T(), eng);
-      out.push_back(proto::encode_contribution(local.nonce, y, batch.labels()));
-    }
-    return out;
-  }
-};
 
 /// Flat canonical pool from the union of every member's owned shard views —
 /// the ground truth a cluster response must match bit for bit.

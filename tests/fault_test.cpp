@@ -24,27 +24,23 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <future>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "cluster_fixture.hpp"
 #include "common/error.hpp"
-#include "data/normalize.hpp"
-#include "data/partition.hpp"
-#include "data/synthetic.hpp"
 #include "net/cluster.hpp"
 #include "net/fault.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
 #include "protocol/mining_engine.hpp"
-#include "protocol/party_logic.hpp"
 
 namespace {
 
-using sap::data::Dataset;
-using sap::rng::Engine;
+using sap::testing::Cluster;
+using sap::testing::Member;
 namespace net = sap::net;
 namespace proto = sap::proto;
 namespace fault = sap::net::fault;
@@ -156,13 +152,6 @@ TEST(FaultSchedule, SameSeedReplaysTheIdenticalSchedule) {
 
 // ---- live-cluster harness (cluster_test idiom) ---------------------------
 
-Dataset normalized_pool(const std::string& name, std::uint64_t seed) {
-  const Dataset raw = sap::data::make_uci(name, seed);
-  sap::data::MinMaxNormalizer norm;
-  norm.fit(raw.features());
-  return {raw.name(), norm.transform(raw.features()), raw.labels()};
-}
-
 /// The chaos jobs: one counter, one exact-merge histogram, one model
 /// trainer — enough job diversity to cover the partial/merge, gather, and
 /// route serving paths without making the faulted rounds slow.
@@ -174,107 +163,6 @@ proto::JobParams job_params(const std::string& job) {
   if (job.find("train-accuracy") != std::string::npos) params["eval-records"] = 48.0;
   return params;
 }
-
-/// One in-process cluster member: a MinerDaemon plus its k exchange
-/// parties. Party 0 holds the daemon open until release() (cluster_test
-/// idiom) — stopping it ends the run loop and the reactor.
-struct Member {
-  std::unique_ptr<net::MinerDaemon> daemon;
-  std::future<net::MinerDaemon::Summary> done;
-  std::vector<std::thread> parties;
-  std::promise<void> release;
-  bool stopped = false;
-
-  Member() = default;
-  Member(const Member&) = delete;
-  Member& operator=(const Member&) = delete;
-  /// Unwind-safe: a throwing assertion mid-test must not destroy joinable
-  /// party threads (std::terminate) — it should surface the assertion.
-  ~Member() {
-    if (daemon == nullptr || stopped) return;
-    try {
-      (void)stop();
-    } catch (...) {
-    }
-  }
-
-  void start(const std::vector<Dataset>& shards, const proto::SapOptions& sap_opts,
-             std::uint64_t seed, net::MinerDaemonOptions opts) {
-    const std::size_t k = shards.size();
-    opts.parties = k;
-    opts.seed = seed;
-    opts.reactor_loops = 2;
-    opts.reactor_compute_threads = 2;
-    daemon = std::make_unique<net::MinerDaemon>(opts);
-    done = std::async(std::launch::async, [this] { return daemon->run(); });
-    std::promise<void> exchanged;
-    std::shared_future<void> released(release.get_future());
-    for (std::size_t i = 0; i < k; ++i) {
-      parties.emplace_back([this, &shards, &sap_opts, seed, k, i, released,
-                            &exchanged] {
-        net::PartyClientOptions popts;
-        popts.connect = daemon->local_addr();
-        popts.index = i;
-        popts.parties = k;
-        popts.sap = sap_opts;
-        net::PartyClient party(shards[i], popts);
-        (void)party.run_exchange();
-        if (i == 0) {
-          exchanged.set_value();
-          released.wait();
-        }
-        party.finish();
-      });
-    }
-    exchanged.get_future().wait();
-    // Party 0 finishing its exchange does not mean the DAEMON has installed
-    // the pool yet — wait for the serving flip so fault-free phases and
-    // retry-count assertions never race a transient "not serving" refusal.
-    for (int i = 0; i < 2000 && !daemon->serving(); ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    SAP_REQUIRE(daemon->serving(), "test member: daemon never started serving");
-  }
-
-  net::MinerDaemon::Summary stop() {
-    stopped = true;
-    release.set_value();
-    for (auto& t : parties) t.join();
-    return done.get();
-  }
-};
-
-struct Cluster {
-  Dataset pool;
-  std::vector<Dataset> shards;
-  proto::SapOptions sap_opts;
-  std::uint64_t seed;
-  std::size_t k;
-
-  explicit Cluster(std::uint64_t seed_in, std::size_t k_in = 3) : seed(seed_in), k(k_in) {
-    pool = normalized_pool("Iris", seed);
-    Engine shard_eng(seed ^ 0xBEEF);
-    sap::data::PartitionOptions popts;
-    shards = sap::data::partition(pool.slice(0, 100), k, popts, shard_eng);
-    sap_opts = proto::SapOptions::fast();
-    sap_opts.seed = seed;
-    sap_opts.compute_satisfaction = false;
-  }
-
-  /// Party 0's contribution wires, batches drawn from the held-back tail.
-  std::vector<std::vector<double>> wires(std::size_t count) const {
-    const auto seeds = proto::logic::derive_session_seeds(seed, k);
-    Engine eng = seeds.provider_eng[0];
-    const auto local = proto::logic::optimize_local(shards[0].features_T(),
-                                                    shards[0].dims(), sap_opts, eng);
-    std::vector<std::vector<double>> out;
-    for (std::size_t b = 0; b < count; ++b) {
-      const Dataset batch = pool.slice(100 + b * 10, 110 + b * 10);
-      const auto y = local.g.apply(batch.features_T(), eng);
-      out.push_back(proto::encode_contribution(local.nonce, y, batch.labels()));
-    }
-    return out;
-  }
-};
 
 // ---- chaos layer ---------------------------------------------------------
 

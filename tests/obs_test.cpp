@@ -8,7 +8,8 @@
 //   * codec: kStatsResponse round-trips a full snapshot + trace records and
 //     rejects malformed wires;
 //   * purity: metrics on vs off cannot move a single bit of the optimizer
-//     baseline (pinned against tests/golden.hpp);
+//     baseline (pinned against tests/golden.hpp) or of a live member's
+//     served reports;
 //   * live doors: a real miner answers the stats door with non-zero
 //     counters, a stats request never counts itself as served traffic, and
 //     a client-minted trace id propagates through a RouterDaemon to every
@@ -16,17 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <future>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster_fixture.hpp"
 #include "common/error.hpp"
 #include "data/normalize.hpp"
-#include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "golden.hpp"
 #include "net/cluster.hpp"
@@ -35,13 +34,13 @@
 #include "obs/trace.hpp"
 #include "optimize/optimizer.hpp"
 #include "protocol/message.hpp"
-#include "protocol/party_logic.hpp"
 #include "rng/rng.hpp"
 
 namespace {
 
-using sap::data::Dataset;
 using sap::rng::Engine;
+using sap::testing::Cluster;
+using sap::testing::Member;
 namespace net = sap::net;
 namespace obs = sap::obs;
 namespace proto = sap::proto;
@@ -331,99 +330,31 @@ TEST(ObsPurity, OptimizerBaselineUnmovedByMetricsSwitch) {
   EXPECT_NEAR(rho_on, sap::testing::kGoldenWineBestRho, sap::testing::kGoldenTolerance);
 }
 
-// ---- live doors ----------------------------------------------------------
+TEST(ObsPurity, ServedReportsUnmovedByMetricsSwitch) {
+  Cluster cluster(7203);
+  Member m;
+  net::MinerDaemonOptions dopts;
+  m.start(cluster.shards, cluster.sap_opts, cluster.seed, dopts);
 
-Dataset normalized_pool(const std::string& name, std::uint64_t seed) {
-  const Dataset raw = sap::data::make_uci(name, seed);
-  sap::data::MinMaxNormalizer norm;
-  norm.fit(raw.features());
-  return {raw.name(), norm.transform(raw.features()), raw.labels()};
+  const char* const jobs[] = {"record-count", "nb-train-accuracy", "knn-train-accuracy"};
+  std::vector<std::vector<double>> served[2];  // [0] metrics on, [1] off
+  for (const bool on : {true, false}) {
+    EnabledGuard guard(on);
+    net::ServeClient client(m.daemon->reactor_addr(), cluster.seed, cluster.k);
+    for (const char* job : jobs) served[on ? 0 : 1].push_back(client.mine_named(job).values);
+    client.bye();
+  }
+  for (std::size_t j = 0; j < std::size(jobs); ++j) {
+    EXPECT_EQ(served[0][j], served[1][j]) << jobs[j];
+    EXPECT_EQ(served[0][j], m.daemon->engine().run({jobs[j], {}}).values) << jobs[j];
+  }
+  m.stop();
 }
 
-/// One in-process cluster member (the cluster_test fixture): a MinerDaemon
-/// plus its k exchange parties; party 0 holds the daemon open until stop().
-struct Member {
-  std::unique_ptr<net::MinerDaemon> daemon;
-  std::future<net::MinerDaemon::Summary> done;
-  std::vector<std::thread> parties;
-  std::promise<void> release;
-
-  void start(const std::vector<Dataset>& shards, const proto::SapOptions& sap_opts,
-             std::uint64_t seed, net::MinerDaemonOptions opts) {
-    const std::size_t k = shards.size();
-    opts.parties = k;
-    opts.seed = seed;
-    opts.reactor_loops = 2;
-    opts.reactor_compute_threads = 2;
-    daemon = std::make_unique<net::MinerDaemon>(opts);
-    done = std::async(std::launch::async, [this] { return daemon->run(); });
-    std::promise<void> exchanged;
-    std::shared_future<void> released(release.get_future());
-    for (std::size_t i = 0; i < k; ++i) {
-      parties.emplace_back([this, &shards, &sap_opts, k, i, released, &exchanged] {
-        net::PartyClientOptions popts;
-        popts.connect = daemon->local_addr();
-        popts.index = i;
-        popts.parties = k;
-        popts.sap = sap_opts;
-        net::PartyClient party(shards[i], popts);
-        (void)party.run_exchange();
-        if (i == 0) {
-          exchanged.set_value();
-          released.wait();
-        }
-        party.finish();
-      });
-    }
-    exchanged.get_future().wait();
-    // The exchange signal fires when party 0's client side is done; the
-    // daemon installs the pool and flips to serving shortly after. Direct
-    // clients below have no router failover, so wait for the flip.
-    while (!daemon->serving()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  net::MinerDaemon::Summary stop() {
-    release.set_value();
-    released = true;
-    for (auto& t : parties) t.join();
-    parties.clear();
-    return done.get();
-  }
-
-  /// Unwind safety: a throwing test body must not destroy joinable party
-  /// threads (std::terminate) — release party 0 and join everything so the
-  /// REAL exception reaches gtest.
-  ~Member() {
-    if (!parties.empty()) {
-      if (!released) release.set_value();
-      for (auto& t : parties) t.join();
-    }
-  }
-
-  bool released = false;
-};
-
-struct ClusterFixture {
-  Dataset pool;
-  std::vector<Dataset> shards;
-  proto::SapOptions sap_opts;
-  std::uint64_t seed;
-  std::size_t k;
-
-  explicit ClusterFixture(std::uint64_t seed_in, std::size_t k_in = 3)
-      : seed(seed_in), k(k_in) {
-    pool = normalized_pool("Iris", seed);
-    Engine shard_eng(seed ^ 0xBEEF);
-    sap::data::PartitionOptions popts;
-    shards = sap::data::partition(pool.slice(0, 100), k, popts, shard_eng);
-    sap_opts = proto::SapOptions::fast();
-    sap_opts.seed = seed;
-    sap_opts.compute_satisfaction = false;
-  }
-};
+// ---- live doors ----------------------------------------------------------
 
 TEST(StatsDoor, MinerAnswersWithLiveCountersAndNeverCountsItself) {
-  ClusterFixture cluster(7201);
+  Cluster cluster(7201);
   Member m;
   net::MinerDaemonOptions dopts;
   m.start(cluster.shards, cluster.sap_opts, cluster.seed, dopts);
@@ -453,7 +384,7 @@ TEST(StatsDoor, MinerAnswersWithLiveCountersAndNeverCountsItself) {
 }
 
 TEST(StatsDoor, TraceIdPropagatesThroughRouterToEveryShard) {
-  ClusterFixture cluster(7202);
+  Cluster cluster(7202);
   Member a, b;
   net::MinerDaemonOptions da;
   da.shards = 2;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
@@ -109,25 +111,35 @@ TEST(Optimizer, MatchesPinnedGolden) {
 TEST(Optimizer, BitIdenticalAcrossThreadCounts) {
   // The determinism contract (optimizer.hpp): candidate engines are derived
   // serially before the parallel region and results land in index-addressed
-  // slots, so 0, 2 and 8 worker threads must agree bit for bit.
-  const Matrix x = normalized_paper_layout("Diabetes", 12);
-  auto opts = cheap_options();
-  sap::opt::OptimizationResult reference;
-  for (const std::size_t threads : {0, 2, 8}) {
-    opts.threads = threads;
-    Engine eng(777);
-    const auto res = sap::opt::optimize_perturbation(x, opts, eng);
-    if (threads == 0) {
-      reference = res;
-      continue;
+  // slots, so 0, 2 and 8 worker threads must agree bit for bit. Two inputs:
+  // the unit-test budget at d = 8, and the d = 34 serving profile (12
+  // candidates, 8 refinement steps, 160 eval records).
+  auto serving = cheap_options();
+  serving.candidates = 12;
+  serving.refine_steps = 8;
+  serving.max_eval_records = 160;
+  const std::pair<Matrix, sap::opt::OptimizerOptions> inputs[] = {
+      {normalized_paper_layout("Diabetes", 12), cheap_options()},
+      {normalized_paper_layout("Ionosphere", 7), serving}};
+  for (auto [x, opts] : inputs) {
+    SCOPED_TRACE("d = " + std::to_string(x.rows()));
+    sap::opt::OptimizationResult reference;
+    for (const std::size_t threads : {0, 2, 8}) {
+      opts.threads = threads;
+      Engine eng(777);
+      const auto res = sap::opt::optimize_perturbation(x, opts, eng);
+      if (threads == 0) {
+        reference = res;
+        continue;
+      }
+      EXPECT_EQ(res.best_rho, reference.best_rho) << threads << " threads";
+      EXPECT_TRUE(res.best.rotation() == reference.best.rotation()) << threads;
+      EXPECT_TRUE(res.best.translation() == reference.best.translation()) << threads;
+      ASSERT_EQ(res.candidate_rhos.size(), reference.candidate_rhos.size());
+      for (std::size_t c = 0; c < res.candidate_rhos.size(); ++c)
+        EXPECT_EQ(res.candidate_rhos[c], reference.candidate_rhos[c]) << "candidate " << c;
+      EXPECT_EQ(res.evaluations, reference.evaluations);
     }
-    EXPECT_EQ(res.best_rho, reference.best_rho) << threads << " threads";
-    EXPECT_TRUE(res.best.rotation() == reference.best.rotation()) << threads;
-    EXPECT_TRUE(res.best.translation() == reference.best.translation()) << threads;
-    ASSERT_EQ(res.candidate_rhos.size(), reference.candidate_rhos.size());
-    for (std::size_t c = 0; c < res.candidate_rhos.size(); ++c)
-      EXPECT_EQ(res.candidate_rhos[c], reference.candidate_rhos[c]) << "candidate " << c;
-    EXPECT_EQ(res.evaluations, reference.evaluations);
   }
 }
 

@@ -579,6 +579,7 @@ TEST(SapCrossBackend, OptimizerThreadsNeverChangeTheResult) {
       EXPECT_EQ(result.parties[i].local_rho, reference.parties[i].local_rho);
       EXPECT_EQ(result.parties[i].bound, reference.parties[i].bound);
       EXPECT_EQ(result.parties[i].satisfaction, reference.parties[i].satisfaction);
+      EXPECT_EQ(result.parties[i].risk_sap, reference.parties[i].risk_sap);
     }
   }
 }
