@@ -242,6 +242,8 @@ Svd svd(const Matrix& a, double tol, int max_sweeps) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   SAP_REQUIRE(m > 0 && n > 0, "svd: empty matrix");
+  // A NaN would run every Jacobi sweep and come back as NaN factors.
+  SAP_REQUIRE(all_finite(a.data()), "svd: non-finite input");
 
   if (m < n) {
     // Work on the transpose and swap factors back: A = U S V^T  <=>

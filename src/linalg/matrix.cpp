@@ -352,4 +352,8 @@ double distance(std::span<const double> a, std::span<const double> b) {
   return std::sqrt(acc);
 }
 
+bool all_finite(std::span<const double> v) noexcept {
+  return std::all_of(v.begin(), v.end(), [](double x) { return std::isfinite(x); });
+}
+
 }  // namespace sap::linalg

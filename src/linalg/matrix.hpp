@@ -165,4 +165,7 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// Euclidean distance between two points.
 double distance(std::span<const double> a, std::span<const double> b);
 
+/// True when no entry is NaN or infinite.
+[[nodiscard]] bool all_finite(std::span<const double> v) noexcept;
+
 }  // namespace sap::linalg

@@ -58,6 +58,9 @@ Matrix procrustes_rotation(const Matrix& src, const Matrix& dst) {
   SAP_REQUIRE(src.rows() == dst.rows() && src.cols() == dst.cols(),
               "procrustes_rotation: shape mismatch");
   SAP_REQUIRE(src.cols() >= 1, "procrustes_rotation: need at least one point");
+  // Checked here as well as in svd: the m < d path QR-reduces first.
+  SAP_REQUIRE(all_finite(src.data()) && all_finite(dst.data()),
+              "procrustes_rotation: non-finite input");
   const std::size_t d = src.rows();
   const std::size_t m = src.cols();
 

@@ -26,6 +26,8 @@ ShardRouter::ShardRouter(ShardRouterOptions opts)
   hist_fanout_ = &obs_.histogram("router.fanout_ms");
   ctr_contributions_ = &obs_.counter("router.contributions");
   ctr_mine_ = &obs_.counter("router.mine_requests");
+  ctr_prefix_gathers_ = &obs_.counter("router.prefix_gathers");
+  ctr_prefix_stale_ = &obs_.counter("router.prefix_stale");
   ctr_breaker_opens_ = &obs_.counter("router.breaker_opens");
   breaker_gauges_.reserve(opts_.miners.size());
   for (std::size_t m = 0; m < opts_.miners.size(); ++m)
@@ -80,6 +82,7 @@ void ShardRouter::drop_client(std::size_t miner) {
   if (clients_[miner]) {
     retries_accum_ += clients_[miner]->retries();
     clients_[miner].reset();
+    ++drops_;
   }
 }
 
@@ -240,16 +243,33 @@ ShardRouter::Gathered ShardRouter::gather(std::size_t limit) {
   std::vector<proto::DecodedPoolSlice> slices;
   slices.reserve(opts_.shards);
   Gathered out;
-  out.watermark = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t g = 0; g < opts_.shards; ++g) {
     slices.push_back(scatter_slice(g, limit));
-    out.watermark = std::min(out.watermark, slices.back().shard_epoch);
+    out.epochs.push_back(slices.back().shard_epoch);
   }
   std::vector<proto::KeyedRows> parts;
   parts.reserve(slices.size());
   for (const auto& slice : slices) parts.push_back({&slice.rows, slice.keys});
   out.pool = proto::merge_canonical(parts, limit);
   return out;
+}
+
+bool ShardRouter::prefix_current(std::size_t limit) const {
+  return prefix_ && prefix_->limit == limit && prefix_->gathered.epochs == floors_ &&
+         prefix_->route_changes == route_changes();
+}
+
+void ShardRouter::gather_prefix(std::size_t limit) {
+  prefix_.reset();
+  ctr_prefix_gathers_->increment();
+  EvalPrefix next;
+  next.limit = limit;
+  // Counted before the legs: a gather that failed over may hold a slice
+  // from a replica while the next partial reaches the recovered primary.
+  next.route_changes = route_changes();
+  next.gathered = gather(limit);
+  SAP_REQUIRE(next.gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
+  prefix_ = std::move(next);
 }
 
 proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
@@ -271,26 +291,40 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
     // Exact merge: identical to MiningEngine::run_sharded, with the shard
     // views replaced by live miners — queries are the canonical eval
     // prefix, partials one blob per shard, the merge router-side.
-    data::Dataset queries;
+    std::vector<std::vector<double>> partials(opts_.shards);
+    const auto scatter = [&](const data::Dataset& queries) {
+      response.pool_epoch = std::numeric_limits<std::uint64_t>::max();
+      for (std::size_t g = 0; g < opts_.shards; ++g) {
+        auto partial = scatter_partial(g, job, params, queries);
+        response.pool_epoch = std::min(response.pool_epoch, partial.shard_epoch);
+        partials[g] = std::move(partial.blob);
+      }
+    };
+    const data::Dataset no_queries;
+    const data::Dataset* queries = &no_queries;
     if (spec.trainable()) {
       std::size_t limit = 0;
       const auto it = resolved.find("eval-records");
       if (it != resolved.end()) limit = static_cast<std::size_t>(it->second);
-      auto gathered = gather(limit);
-      SAP_REQUIRE(gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
-      queries = std::move(gathered.pool);
-    }
-    std::vector<std::vector<double>> partials;
-    partials.reserve(opts_.shards);
-    response.pool_epoch = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t g = 0; g < opts_.shards; ++g) {
-      auto partial = scatter_partial(g, job, params, queries);
-      response.pool_epoch = std::min(response.pool_epoch, partial.shard_epoch);
-      partials.push_back(std::move(partial.blob));
+      const bool reused = prefix_current(limit);
+      if (!reused) gather_prefix(limit);
+      scatter(prefix_->gathered.pool);
+      // The partials confirm a reused prefix: every floor must still sit at
+      // its slice's epoch and no route may have changed. If not (an append
+      // that bypassed this router, or another owner answered), gather and
+      // run the partials again; that pair is accepted as any fresh one is.
+      if (reused && !prefix_current(limit)) {
+        ctr_prefix_stale_->increment();
+        gather_prefix(limit);
+        scatter(prefix_->gathered.pool);
+      }
+      queries = &prefix_->gathered.pool;
+    } else {
+      scatter(no_queries);
     }
     {
       Stopwatch merge_sw;  // the kMerge trace stage: router-side reassembly
-      response.values = spec.merge_partials(partials, queries, resolved);
+      response.values = spec.merge_partials(partials, *queries, resolved);
       last_merge_ms_ = merge_sw.millis();
     }
     return response;
@@ -304,7 +338,7 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
   Stopwatch merge_sw;  // kMerge: reassembled-pool execution, router-side
   response.values = proto::run_gathered(spec, gathered.pool, resolved).values;
   last_merge_ms_ = merge_sw.millis();
-  response.pool_epoch = gathered.watermark;
+  response.pool_epoch = *std::min_element(gathered.epochs.begin(), gathered.epochs.end());
   return response;
 }
 

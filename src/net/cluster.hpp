@@ -25,20 +25,26 @@
 // trip, success/failure accounting, the failover count, and a typed
 // kUnavailable when no owner answers.
 //
+// The kNN/NB query rows (the canonical eval prefix) are gathered once and
+// reused while every shard's floor stays at the epoch its slice was cut at
+// and no owner changed; the partials, which run on every read, confirm the
+// reuse (DESIGN.md §11, "Eval-prefix reuse").
+//
 // Consistency: the router tracks a per-shard EPOCH FLOOR — the highest
-// shard epoch any owner acknowledged (contribution receipts and served
-// partials both advance it). A replica answering below the floor is stale
-// (it missed an append the primary acked) and is skipped, so failover never
-// serves a report the client could distinguish from the primary's. The
-// cluster-wide watermark of a merged response is the minimum shard epoch
-// that contributed — the same quantity MiningEngine::pool_epoch() reports
-// for an in-process ShardSet.
+// shard epoch any owner acknowledged (contribution receipts, served
+// partials and slices all advance it). A replica answering below the floor
+// is stale (it missed an append the primary acked) and is skipped, so
+// failover never serves a report the client could distinguish from the
+// primary's. The cluster-wide watermark of a merged response is the
+// minimum shard epoch that contributed — the same quantity
+// MiningEngine::pool_epoch() reports for an in-process ShardSet.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -200,8 +206,8 @@ class ShardRouter {
   proto::DecodedPoolSlice scatter_slice(std::size_t shard, std::size_t max_records);
 
   struct Gathered {
-    data::Dataset pool;            ///< canonical (nonce, seq) order
-    std::uint64_t watermark = 0;   ///< min shard epoch that contributed
+    data::Dataset pool;                 ///< canonical (nonce, seq) order
+    std::vector<std::uint64_t> epochs;  ///< per shard: the epoch its slice was cut at
   };
   /// Canonical pool across all shards (one slice each, merged by
   /// proto::merge_canonical), truncated to `limit` rows (0 = all). A shard
@@ -209,17 +215,40 @@ class ShardRouter {
   /// per-shard truncation loses nothing.
   Gathered gather(std::size_t limit);
 
+  /// Failovers, transport retries and dropped connections: every event
+  /// after which a shard's next leg may be answered by another owner or by
+  /// a reconnected miner.
+  [[nodiscard]] std::size_t route_changes() const {
+    return failovers_ + client_retries() + drops_;
+  }
+
+  /// The kNN/NB query rows: the canonical eval prefix of `limit` rows.
+  struct EvalPrefix {
+    std::size_t limit = 0;
+    std::size_t route_changes = 0;  ///< route_changes() when the gather began
+    Gathered gathered;
+  };
+  /// prefix_ holds the `limit` prefix, every shard's floor still equals the
+  /// epoch its slice was cut at, and no route changed since the gather began.
+  [[nodiscard]] bool prefix_current(std::size_t limit) const;
+  /// Drop prefix_, gather the `limit` prefix afresh and keep it.
+  void gather_prefix(std::size_t limit);
+
   ShardRouterOptions opts_;
   proto::JobRegistry registry_;   ///< merge contracts, router-side
   std::vector<std::unique_ptr<ServeClient>> clients_;  ///< parallel to miners
   std::vector<MinerHealth> health_;                    ///< parallel to miners
   std::vector<std::uint64_t> floors_;                  ///< per-shard epoch floor
+  std::optional<EvalPrefix> prefix_;
   std::size_t failovers_ = 0;
   std::size_t retries_accum_ = 0;  ///< retries of since-dropped clients
+  std::size_t drops_ = 0;          ///< live connections dropped
   obs::Registry obs_;
   obs::Histogram* hist_fanout_ = nullptr;      ///< router.fanout_ms (per leg)
   obs::Counter* ctr_contributions_ = nullptr;  ///< router.contributions
   obs::Counter* ctr_mine_ = nullptr;           ///< router.mine_requests
+  obs::Counter* ctr_prefix_gathers_ = nullptr; ///< router.prefix_gathers
+  obs::Counter* ctr_prefix_stale_ = nullptr;   ///< router.prefix_stale
   obs::Counter* ctr_breaker_opens_ = nullptr;  ///< router.breaker_opens
   std::vector<obs::Gauge*> breaker_gauges_;    ///< router.m<i>.breaker
   std::vector<obs::Counter*> shard_requests_;  ///< router.shard<g>.requests

@@ -13,6 +13,9 @@
 //     the floor;
 //   * typed refusals: kBadRequest is definitive — no replica failover is
 //     burned probing other owners.
+//   * the kNN/NB eval prefix is gathered once per shard epoch: reads reuse
+//     it until a routed append moves a floor, and an append that bypassed
+//     the router is caught by the partials and re-gathered;
 //   * empty shards (more shards than nonces) keep every job bit-identical
 //     to the flat engine, before and after routed contributions.
 //   * the router door answers like a miner door: the owner's receipt, the
@@ -27,6 +30,7 @@
 #include "common/error.hpp"
 #include "net/cluster.hpp"
 #include "net/remote.hpp"
+#include "obs/metrics.hpp"
 #include "protocol/mining_engine.hpp"
 
 namespace {
@@ -245,6 +249,91 @@ TEST(ShardRouter, TwoMinerClusterMatchesFlatEngineOverUnionPool) {
   b.stop();
 }
 
+std::uint64_t counter_value(const sap::obs::Snapshot& s, const std::string& name) {
+  for (const auto& [n, v] : s.counters)
+    if (n == name) return v;
+  return 0;
+}
+
+/// The same batch with every label l moved to (l + 1) % 3, so rows a
+/// replica never saw cannot pass for the ones it did.
+std::vector<double> relabeled(const std::vector<double>& wire) {
+  auto batch = proto::decode_contribution(wire);
+  for (int& label : batch.data.labels) label = (label + 1) % 3;
+  return proto::encode_contribution(batch.nonce, batch.data.features, batch.data.labels);
+}
+
+TEST(ShardRouter, EvalPrefixGatheredOncePerShardEpoch) {
+  Cluster cluster(5454);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  const std::vector<Member*> members = {&a, &b};  // miner i owns shard i
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+
+  // A leg is one round trip a miner served: a partial or a slice.
+  const auto legs = [&] {
+    std::uint64_t total = 0;
+    for (const Member* m : members)
+      total += counter_value(m->daemon->stats_snapshot(), "serve.requests");
+    return total;
+  };
+  // Runs `jobs` through the router, each equal to the flat engine over the
+  // union pool, and returns the legs they cost.
+  const auto reads = [&](std::initializer_list<const char*> jobs, const char* when) {
+    auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+    flat.set_pool(union_pool(members));
+    const auto before = legs();
+    for (const char* job : jobs)
+      EXPECT_EQ(router.mine_named(job, job_params(job)).values,
+                flat.run({job, job_params(job)}).values)
+          << job << " diverged " << when;
+    return legs() - before;
+  };
+
+  // Gather + partials once, then partials only: 2 legs per read.
+  EXPECT_EQ(reads({"knn-train-accuracy"}, "on the warm read"), 4u);
+  EXPECT_EQ(reads({"knn-train-accuracy", "nb-train-accuracy", "knn-train-accuracy",
+                   "nb-train-accuracy", "knn-train-accuracy", "nb-train-accuracy"},
+                  "on a warm prefix"),
+            12u);
+
+  // A routed append raises its shard's floor: the next read re-gathers.
+  const auto wires = cluster.wires(2);
+  EXPECT_GE(router.contribute_wire(wires[0]).pool_epoch, 2u);
+  EXPECT_EQ(reads({"nb-train-accuracy"}, "after a routed append"), 4u);
+
+  // An append straight to the owner leaves the floors alone; the partials
+  // come back at a newer epoch, so the read re-gathers and runs them again.
+  {
+    const auto g = proto::shard_of_nonce(static_cast<std::uint64_t>(wires[1][0]), 2,
+                                         proto::ShardLayout::kHashMod);
+    net::ServeClient direct(members[g]->daemon->reactor_addr(), cluster.seed, cluster.k);
+    (void)direct.contribute_wire(wires[1]);
+    direct.bye();
+  }
+  EXPECT_EQ(reads({"knn-train-accuracy"}, "after an append that bypassed the router"), 6u);
+
+  const auto stats = router.cluster_stats();
+  EXPECT_EQ(counter_value(stats, "router.prefix_gathers"), 3u);
+  EXPECT_EQ(counter_value(stats, "router.prefix_stale"), 1u);
+  EXPECT_EQ(router.failovers(), 0u);
+
+  a.stop();
+  b.stop();
+}
+
 TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
   Cluster cluster(6262);
   // One shard, two owners: miner A primary, miner B replica — both install
@@ -273,10 +362,11 @@ TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
 
   // A contribution that bypasses the router (straight to the primary)
   // leaves the replica one epoch behind; serving from the primary raises
-  // the router's floor past the replica.
+  // the router's floor past the replica. Relabeled, so the primary's rows
+  // at epoch 3 score differently from the replica's below.
   {
     net::ServeClient direct(a.daemon->reactor_addr(), cluster.seed, cluster.k);
-    (void)direct.contribute_wire(wires[1]);
+    (void)direct.contribute_wire(relabeled(wires[1]));
     direct.bye();
   }
   EXPECT_EQ(router.mine_named("nb-train-accuracy").pool_epoch, 3u);
@@ -300,6 +390,13 @@ TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
   const auto after = router.mine_named("nb-train-accuracy");
   EXPECT_EQ(after.pool_epoch, 3u);
   EXPECT_FALSE(after.values.empty());
+
+  // Both owners now stand at epoch 3 with different rows. The failovers
+  // since the last gather keep the router from scoring the primary's eval
+  // prefix against the replica's statistics: the read is the replica's own.
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&b}));
+  EXPECT_EQ(after.values, flat.run({"nb-train-accuracy", {}}).values);
 
   b.stop();
 }

@@ -461,6 +461,73 @@ TEST(Procrustes, RobustToSmallNoise) {
   EXPECT_LT((r_hat - r_true).max_abs(), 0.05);
 }
 
+// Modeled on scipy's test_procrustes.py: non-finite and shape-mismatched
+// input is refused, and a re-fit beats the true rotation on perturbed input.
+
+TEST(Svd, RejectsNonFiniteInput) {
+  Engine eng(14);
+  for (const double bad : {INFINITY, -INFINITY, NAN}) {
+    for (const auto& [r, c] : {std::pair{5, 3}, std::pair{3, 5}}) {  // tall and wide
+      Matrix a = random_matrix(r, c, eng);
+      a(1, 2) = bad;
+      EXPECT_THROW((void)sap::linalg::svd(a), sap::Error) << r << "x" << c << " with " << bad;
+    }
+  }
+}
+
+TEST(Procrustes, RejectsNonFiniteInputOnBothPaths) {
+  Engine eng(15);
+  // d x m: m >= d runs the d x d SVD, m < d the QR-reduced core.
+  for (const auto& [d, m] : {std::pair{3, 5}, std::pair{5, 3}}) {
+    const Matrix good_src = random_matrix(d, m, eng);
+    const Matrix good_dst = random_matrix(d, m, eng);
+    for (const double bad : {INFINITY, -INFINITY, NAN}) {
+      Matrix bad_src = good_src;
+      bad_src(1, 2) = bad;
+      Matrix bad_dst = good_dst;
+      bad_dst(1, 2) = bad;
+      using Pair = std::pair<const Matrix*, const Matrix*>;
+      for (const auto& [src, dst] :
+           {Pair{&good_src, &bad_dst}, Pair{&bad_src, &good_dst}, Pair{&bad_src, &bad_dst}})
+        EXPECT_THROW((void)sap::linalg::procrustes_rotation(*src, *dst), sap::Error)
+            << d << "x" << m << " with " << bad;
+    }
+  }
+}
+
+TEST(Procrustes, RejectsEveryShapeMismatch) {
+  Engine eng(16);
+  const std::pair<int, int> shapes[] = {{3, 3}, {3, 4}, {4, 3}, {4, 4}};
+  for (const auto& a : shapes)
+    for (const auto& b : shapes) {
+      if (a == b) continue;
+      const Matrix src = random_matrix(a.first, a.second, eng);
+      const Matrix dst = random_matrix(b.first, b.second, eng);
+      EXPECT_THROW((void)sap::linalg::procrustes_rotation(src, dst), sap::Error)
+          << a.first << "x" << a.second << " vs " << b.first << "x" << b.second;
+    }
+}
+
+TEST(Procrustes, RefitOnPerturbedInputBeatsTheTrueRotation) {
+  Engine eng(17);
+  for (const auto& [d, m] : {std::pair{4, 6}, std::pair{4, 4}, std::pair{6, 4}}) {
+    const Matrix dst = random_matrix(d, m, eng);
+    const Matrix r_true = sap::linalg::random_orthogonal(d, eng);
+    const Matrix src = r_true.transpose() * dst;  // r_true * src == dst
+    const Matrix r = sap::linalg::procrustes_rotation(src, dst);
+    EXPECT_LT(sap::linalg::orthogonality_defect(r), 1e-9);
+    EXPECT_TRUE((r * src).approx_equal(dst, 1e-9)) << d << "x" << m;
+
+    Matrix perturbed = src;
+    for (auto& v : perturbed.data()) v += 1e-2 * eng.normal();
+    const Matrix refit = sap::linalg::procrustes_rotation(perturbed, dst);
+    EXPECT_LT(sap::linalg::orthogonality_defect(refit), 1e-9);
+    const double naive = (r_true * perturbed - dst).norm_fro();
+    const double optimal = (refit * perturbed - dst).norm_fro();
+    EXPECT_LT(optimal, naive) << d << "x" << m;
+  }
+}
+
 // ------------------------------------------------------------ Stats
 
 TEST(Stats, RowAndColMeans) {
