@@ -53,11 +53,33 @@ void BM_FastIca(benchmark::State& state) {
   const Matrix r = sap::linalg::random_orthogonal(8, eng);
   const Matrix y = r * s;
   for (auto _ : state) {
-    auto res = sap::privacy::fast_ica(y, {.max_iterations = 100}, eng);
+    // One fixed call per iteration: a stream of fresh starting points
+    // eventually draws one whose iteration degenerates and throws.
+    Engine ica_eng(4);
+    auto res = sap::privacy::fast_ica(y, {.max_iterations = 100}, ica_eng);
     benchmark::DoNotOptimize(res.sources.data().data());
   }
 }
 BENCHMARK(BM_FastIca)->Arg(160)->Arg(500)->Arg(2000);
+
+// The shape LocalOptimize's ICA attack runs in the serving suite
+// (net::serving_session_options): a perturbed 160-record subsample of a
+// 9-dimensional Shuttle shard, {100 iterations, 1e-5}. Most such calls run
+// to the iteration cap, so this is the cost that sets perfbench's setup_s.
+void BM_FastIcaServingShape(benchmark::State& state) {
+  Engine eng(8);
+  const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
+  const Matrix shard = workload.shards[0].features_T();
+  const Matrix x =
+      sap::linalg::gather_cols(shard, eng.sample_without_replacement(shard.cols(), 160));
+  const Matrix y = sap::perturb::GeometricPerturbation::random(9, 0.1, eng).apply(x, eng);
+  for (auto _ : state) {
+    Engine ica_eng(9);
+    auto res = sap::privacy::fast_ica(y, {.max_iterations = 100, .tolerance = 1e-5}, ica_eng);
+    benchmark::DoNotOptimize(res.sources.data().data());
+  }
+}
+BENCHMARK(BM_FastIcaServingShape)->Unit(benchmark::kMillisecond);
 
 void BM_AttackSuiteEvaluate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -14,6 +14,7 @@ Qr qr_decompose(const Matrix& a) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   SAP_REQUIRE(m > 0 && n > 0, "qr_decompose: empty matrix");
+  SAP_REQUIRE(all_finite(a.data()), "qr_decompose: non-finite input");
 
   Matrix r = a;
   Matrix q = Matrix::identity(m);
@@ -62,6 +63,7 @@ Lu lu_decompose(const Matrix& a) {
   SAP_REQUIRE(a.rows() == a.cols(), "lu_decompose: matrix must be square");
   const std::size_t n = a.rows();
   SAP_REQUIRE(n > 0, "lu_decompose: empty matrix");
+  SAP_REQUIRE(all_finite(a.data()), "lu_decompose: non-finite input");
 
   Lu f;
   f.lu = a;
@@ -134,6 +136,9 @@ Matrix inverse(const Matrix& a) {
 
 double determinant(const Matrix& a) {
   SAP_REQUIRE(a.rows() == a.cols(), "determinant: matrix must be square");
+  // Checked here too: the catch below reads any lu_decompose error as
+  // "singular", and a NaN is not a zero determinant.
+  SAP_REQUIRE(all_finite(a.data()), "determinant: non-finite input");
   Lu f;
   try {
     f = lu_decompose(a);
@@ -149,6 +154,7 @@ double determinant(const Matrix& a) {
 
 Matrix cholesky(const Matrix& a) {
   SAP_REQUIRE(a.rows() == a.cols(), "cholesky: matrix must be square");
+  SAP_REQUIRE(all_finite(a.data()), "cholesky: non-finite input");
   const std::size_t n = a.rows();
   Matrix l(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -170,6 +176,9 @@ Matrix cholesky(const Matrix& a) {
 
 SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
   SAP_REQUIRE(a.rows() == a.cols(), "sym_eigen: matrix must be square");
+  // A NaN passes the symmetry check below and breaks the eigenvalue sort's
+  // strict weak order; an inf comes back as finite eigenvalues.
+  SAP_REQUIRE(all_finite(a.data()), "sym_eigen: non-finite input");
   const std::size_t n = a.rows();
   SAP_REQUIRE(a.approx_equal(a.transpose(), 1e-8 * (1.0 + a.max_abs())),
               "sym_eigen: matrix must be symmetric");

@@ -3,7 +3,8 @@
 //
 // These back the random-orthogonal sampler (QR), the adaptor algebra and
 // attack models (LU solve / inverse), ICA whitening (symmetric eigen) and
-// the Procrustes known-input attack (SVD).
+// the Procrustes known-input attack (SVD). Each one rejects a NaN or an
+// infinite entry with sap::Error.
 #pragma once
 
 #include "linalg/matrix.hpp"

@@ -29,25 +29,7 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  SAP_REQUIRE(r < rows_ && c < cols_, "Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  SAP_REQUIRE(r < rows_ && c < cols_, "Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  SAP_REQUIRE(r < rows_, "Matrix::row: index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  SAP_REQUIRE(r < rows_, "Matrix::row: index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
+void Matrix::out_of_range(const char* message) { SAP_FAIL(message); }
 
 Vector Matrix::col(std::size_t c) const {
   SAP_REQUIRE(c < cols_, "Matrix::col: index out of range");

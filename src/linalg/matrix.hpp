@@ -51,13 +51,27 @@ class Matrix {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  /// Element access, bounds-checked.
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Element access, bounds-checked. Inline: the decompositions and ICA
+  /// loop through these, and an out-of-line call per element cost more than
+  /// the arithmetic it fetched for.
+  double& operator()(std::size_t r, std::size_t c) {
+    if (r >= rows_ || c >= cols_) [[unlikely]] out_of_range("Matrix: index out of range");
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) [[unlikely]] out_of_range("Matrix: index out of range");
+    return data_[r * cols_ + c];
+  }
 
-  /// Contiguous row view.
-  [[nodiscard]] std::span<double> row(std::size_t r);
-  [[nodiscard]] std::span<const double> row(std::size_t r) const;
+  /// Contiguous row view, bounds-checked.
+  [[nodiscard]] std::span<double> row(std::size_t r) {
+    if (r >= rows_) [[unlikely]] out_of_range("Matrix::row: index out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
+  [[nodiscard]] std::span<const double> row(std::size_t r) const {
+    if (r >= rows_) [[unlikely]] out_of_range("Matrix::row: index out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
 
   /// Column copy (rows are contiguous; columns are strided).
   [[nodiscard]] Vector col(std::size_t c) const;
@@ -112,6 +126,10 @@ class Matrix {
   [[nodiscard]] std::string str(int precision = 4) const;
 
  private:
+  /// Raises sap::Error; out of line and cold so the inline accessors keep
+  /// only a compare and a branch on their hot path.
+  [[noreturn, gnu::cold]] static void out_of_range(const char* message);
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

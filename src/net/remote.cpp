@@ -48,7 +48,7 @@ proto::SapOptions serving_session_options(double noise_sigma, std::uint64_t seed
   opts.optimizer.candidates = 6;
   opts.optimizer.refine_steps = 3;
   opts.optimizer.threads = optimize_threads;
-  opts.optimizer.attacks = {.naive = true, .known_inputs = 4};
+  opts.optimizer.attacks = {.naive = true, .ica = true, .known_inputs = 4};
   return opts;
 }
 

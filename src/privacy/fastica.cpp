@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/decompose.hpp"
@@ -10,16 +11,30 @@
 namespace sap::privacy {
 namespace {
 
-/// Symmetric decorrelation: W <- (W W^T)^{-1/2} W.
-linalg::Matrix symmetric_decorrelate(const linalg::Matrix& w) {
-  const linalg::Matrix gram = w * w.transpose();
-  const auto eig = linalg::sym_eigen(gram);
-  linalg::Matrix d_inv_sqrt(gram.rows(), gram.rows());
-  for (std::size_t i = 0; i < gram.rows(); ++i) {
-    SAP_REQUIRE(eig.values[i] > 1e-12, "fast_ica: degenerate decorrelation");
-    d_inv_sqrt(i, i) = 1.0 / std::sqrt(eig.values[i]);
+/// The decorrelation's k x k buffers, held for one fast_ica call.
+struct DecorrelationBuffers {
+  linalg::Matrix gram;      ///< W W^T
+  linalg::Matrix scaled;    ///< V D^{-1/2}
+  linalg::Matrix inv_sqrt;  ///< V D^{-1/2} V^T = (W W^T)^{-1/2}
+};
+
+/// Symmetric decorrelation: out <- (W W^T)^{-1/2} W, bit for bit the
+/// explicit product V D^{-1/2} V^T W (DESIGN §8). The two matmul_abt
+/// products are gemm's chains against the transposes. In gemm's chain for
+/// V D, every term but one adds a signed zero to the +0.0 start, so the
+/// column scale 0.0 + V(i,j) * (1 / sqrt(lambda_j)) is that chain's value.
+void symmetric_decorrelate(const linalg::Matrix& w, DecorrelationBuffers& buf,
+                           linalg::Matrix& out) {
+  linalg::matmul_abt_into(w, w, buf.gram);
+  const auto eig = linalg::sym_eigen(buf.gram);
+  const std::size_t k = w.rows();
+  for (std::size_t j = 0; j < k; ++j) {
+    SAP_REQUIRE(eig.values[j] > 1e-12, "fast_ica: degenerate decorrelation");
+    const double scale = 1.0 / std::sqrt(eig.values[j]);
+    for (std::size_t i = 0; i < k; ++i) buf.scaled(i, j) = 0.0 + eig.vectors(i, j) * scale;
   }
-  return eig.vectors * d_inv_sqrt * eig.vectors.transpose() * w;
+  linalg::matmul_abt_into(buf.scaled, eig.vectors, buf.inv_sqrt);
+  linalg::gemm(1.0, buf.inv_sqrt, w, 0.0, out);
 }
 
 }  // namespace
@@ -51,31 +66,35 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
   }
   const linalg::Matrix z = whitener * x;  // k x N, identity covariance
 
-  // ---- symmetric fixed-point iteration with g = tanh
-  linalg::Matrix w = linalg::Matrix::generate(k, k, [&] { return eng.normal(); });
-  w = symmetric_decorrelate(w);
+  // ---- symmetric fixed-point iteration with g = tanh, on buffers held for
+  // the whole call
+  DecorrelationBuffers buf{linalg::Matrix(k, k), linalg::Matrix(k, k), linalg::Matrix(k, k)};
+  linalg::Matrix w(k, k);
+  symmetric_decorrelate(linalg::Matrix::generate(k, k, [&] { return eng.normal(); }), buf, w);
+  linalg::Matrix g(k, n);  // g(W Z), k x N
+  linalg::Matrix step(k, k);
+  linalg::Matrix w_new(k, k);
+  linalg::Vector gprime(k);
 
   FastIcaResult result;
   const double inv_n = 1.0 / static_cast<double>(n);
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
-    const linalg::Matrix proj = w * z;  // k x N
-
-    // E[g(w^T z) z^T] and E[g'(w^T z)]
-    linalg::Matrix gz(k, k);
-    linalg::Vector gprime(k, 0.0);
+    // g(W Z) in place, and E[g'(W Z)] per row.
+    linalg::gemm(1.0, w, z, 0.0, g);
     for (std::size_t i = 0; i < k; ++i) {
-      auto prow = proj.row(i);
-      for (std::size_t t = 0; t < n; ++t) {
-        const double g = std::tanh(prow[t]);
-        gprime[i] += 1.0 - g * g;
-        for (std::size_t j = 0; j < k; ++j) gz(i, j) += g * z(j, t);
+      double acc = 0.0;
+      for (auto& v : g.row(i)) {
+        v = std::tanh(v);
+        acc += 1.0 - v * v;
       }
+      gprime[i] = acc;
     }
-    linalg::Matrix w_new(k, k);
+    // E[g(W Z) Z^T] - E[g'(W Z)] W
+    linalg::matmul_abt_into(g, z, step);
     for (std::size_t i = 0; i < k; ++i)
       for (std::size_t j = 0; j < k; ++j)
-        w_new(i, j) = gz(i, j) * inv_n - gprime[i] * inv_n * w(i, j);
-    w_new = symmetric_decorrelate(w_new);
+        step(i, j) = step(i, j) * inv_n - gprime[i] * inv_n * w(i, j);
+    symmetric_decorrelate(step, buf, w_new);
 
     // Convergence: rows should align with previous rows up to sign.
     double delta = 0.0;
@@ -83,7 +102,7 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
       const double align = std::abs(linalg::dot(w_new.row(i), w.row(i)));
       delta = std::max(delta, std::abs(1.0 - align));
     }
-    w = std::move(w_new);
+    std::swap(w, w_new);
     result.iterations = iter + 1;
     if (delta < opts.tolerance) {
       result.converged = true;

@@ -29,6 +29,11 @@ inline constexpr double kGoldenWineBestRho = 0.79431834031577186;
 /// Same options on normalized Iris (data seed 7), Engine(17).
 inline constexpr double kGoldenIrisBestRho = 0.63135623673444197;
 
+/// optimize_perturbation on normalized Shuttle (data seed 1), Engine(777),
+/// net::serving_session_options(0.1, 1).optimizer: the serving suite, whose
+/// ICA attack runs FastICA inside every evaluation.
+inline constexpr double kGoldenServingShuttleBestRho = 0.77638611137794078;
+
 /// SapSession over provider_split("Iris", 3, 4242) shards with
 /// SapOptions::fast() + seed 4242: party 0's locally optimized rho_i.
 inline constexpr double kGoldenSessionParty0Rho = 0.54116241632763151;

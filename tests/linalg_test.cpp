@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -46,9 +47,24 @@ TEST(Matrix, RaggedInitializerThrows) {
 }
 
 TEST(Matrix, OutOfRangeAccessThrows) {
+  // The accessors are inline; each keeps its check and its message.
   Matrix m(2, 2);
-  EXPECT_THROW(m(2, 0), sap::Error);
-  EXPECT_THROW(m(0, 2), sap::Error);
+  const Matrix& cm = m;
+  const auto message_of = [](const auto& access) {
+    try {
+      access();
+    } catch (const sap::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  for (const auto& what : {message_of([&] { (void)m(2, 0); }), message_of([&] { (void)m(0, 2); }),
+                           message_of([&] { (void)cm(2, 0); }),
+                           message_of([&] { (void)cm(0, 2); })})
+    EXPECT_TRUE(what.starts_with("Matrix: index out of range")) << what;
+  for (const auto& what :
+       {message_of([&] { (void)m.row(2); }), message_of([&] { (void)cm.row(2); })})
+    EXPECT_TRUE(what.starts_with("Matrix::row: index out of range")) << what;
 }
 
 TEST(Matrix, IdentityProperties) {
@@ -191,6 +207,17 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QrProperty,
                                            std::pair{8, 3}, std::pair{10, 10},
                                            std::pair{20, 7}, std::pair{3, 8}));
 
+TEST(Qr, RejectsNonFiniteInput) {
+  Engine eng(9);
+  for (const double bad : {NAN, INFINITY, -INFINITY}) {
+    for (const auto& [r, c] : {std::pair{4, 3}, std::pair{3, 4}}) {
+      Matrix a = random_matrix(r, c, eng);
+      a(1, 2) = bad;
+      EXPECT_THROW((void)sap::linalg::qr_decompose(a), sap::Error) << r << "x" << c << " " << bad;
+    }
+  }
+}
+
 TEST(Qr, RankDeficientStillFactorizes) {
   Matrix a{{1, 2}, {2, 4}, {3, 6}};  // rank 1
   const auto f = sap::linalg::qr_decompose(a);
@@ -228,6 +255,18 @@ TEST(Lu, SingularMatrixThrows) {
   EXPECT_THROW(sap::linalg::inverse(a), sap::Error);
 }
 
+TEST(Lu, RejectsNonFiniteInput) {
+  // A NaN used to surface as "singular" (determinant 0.0), an inf as a
+  // finite inverse entry.
+  for (const double bad : {NAN, INFINITY, -INFINITY}) {
+    const Matrix a{{1, bad}, {bad, 1}};
+    EXPECT_THROW((void)sap::linalg::lu_decompose(a), sap::Error) << bad;
+    EXPECT_THROW((void)sap::linalg::inverse(a), sap::Error) << bad;
+    EXPECT_THROW((void)sap::linalg::determinant(a), sap::Error) << bad;
+    EXPECT_THROW((void)sap::linalg::inverse(Matrix{{bad, 0}, {0, 1}}), sap::Error) << bad;
+  }
+}
+
 TEST(Lu, DeterminantKnownValues) {
   EXPECT_NEAR(sap::linalg::determinant(Matrix{{2, 0}, {0, 3}}), 6.0, 1e-12);
   EXPECT_NEAR(sap::linalg::determinant(Matrix{{0, 1}, {1, 0}}), -1.0, 1e-12);
@@ -261,6 +300,13 @@ TEST(Cholesky, ReconstructsSpdMatrix) {
 TEST(Cholesky, IndefiniteThrows) {
   Matrix m{{1, 0}, {0, -1}};
   EXPECT_THROW(sap::linalg::cholesky(m), sap::Error);
+}
+
+TEST(Cholesky, RejectsNonFiniteInput) {
+  for (const double bad : {NAN, INFINITY, -INFINITY}) {
+    EXPECT_THROW((void)sap::linalg::cholesky(Matrix{{bad, 0}, {0, 1}}), sap::Error) << bad;
+    EXPECT_THROW((void)sap::linalg::cholesky(Matrix{{4, bad}, {bad, 4}}), sap::Error) << bad;
+  }
 }
 
 // ------------------------------------------------------------ Jacobi eigen
@@ -307,6 +353,16 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SymEigenProperty, ::testing::Values(2, 3, 5, 8, 
 
 TEST(SymEigen, AsymmetricInputThrows) {
   EXPECT_THROW(sap::linalg::sym_eigen(Matrix{{1, 2}, {0, 1}}), sap::Error);
+}
+
+TEST(SymEigen, RejectsNonFiniteInput) {
+  // Off the diagonal a NaN or inf used to pass the symmetry check and come
+  // back as eigenvalues {1, 1}; on it, as NaN eigenvalues sorted by a
+  // comparator that is then no strict weak order.
+  for (const double bad : {NAN, INFINITY, -INFINITY}) {
+    EXPECT_THROW((void)sap::linalg::sym_eigen(Matrix{{1, bad}, {bad, 1}}), sap::Error) << bad;
+    EXPECT_THROW((void)sap::linalg::sym_eigen(Matrix{{bad, 0}, {0, 1}}), sap::Error) << bad;
+  }
 }
 
 // ------------------------------------------------------------ SVD

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
 #include "data/synthetic.hpp"
 #include "golden.hpp"
 #include "linalg/orthogonal.hpp"
+#include "net/remote.hpp"
 #include "optimize/optimizer.hpp"
 #include "rng/rng.hpp"
 
@@ -111,17 +111,26 @@ TEST(Optimizer, MatchesPinnedGolden) {
 TEST(Optimizer, BitIdenticalAcrossThreadCounts) {
   // The determinism contract (optimizer.hpp): candidate engines are derived
   // serially before the parallel region and results land in index-addressed
-  // slots, so 0, 2 and 8 worker threads must agree bit for bit. Two inputs:
-  // the unit-test budget at d = 8, and the d = 34 serving profile (12
-  // candidates, 8 refinement steps, 160 eval records).
-  auto serving = cheap_options();
-  serving.candidates = 12;
-  serving.refine_steps = 8;
-  serving.max_eval_records = 160;
-  const std::pair<Matrix, sap::opt::OptimizerOptions> inputs[] = {
-      {normalized_paper_layout("Diabetes", 12), cheap_options()},
-      {normalized_paper_layout("Ionosphere", 7), serving}};
-  for (auto [x, opts] : inputs) {
+  // slots, so 0, 2 and 8 worker threads must agree bit for bit. Three
+  // inputs: the unit-test budget at d = 8; the same ICA-off suite at d = 34
+  // with the default budget (12 candidates, 8 refinement steps, 160 eval
+  // records); and the real serving optimizer, ICA on, at d = 9, pinned to a
+  // golden because it is the only row that runs FastICA inside the search.
+  auto wide = cheap_options();
+  wide.candidates = 12;
+  wide.refine_steps = 8;
+  wide.max_eval_records = 160;
+  struct Input {
+    Matrix x;
+    sap::opt::OptimizerOptions opts;
+    const double* golden;
+  };
+  const Input inputs[] = {
+      {normalized_paper_layout("Diabetes", 12), cheap_options(), nullptr},
+      {normalized_paper_layout("Ionosphere", 7), wide, nullptr},
+      {normalized_paper_layout("Shuttle", 1), sap::net::serving_session_options(0.1, 1).optimizer,
+       &sap::testing::kGoldenServingShuttleBestRho}};
+  for (auto [x, opts, golden] : inputs) {
     SCOPED_TRACE("d = " + std::to_string(x.rows()));
     sap::opt::OptimizationResult reference;
     for (const std::size_t threads : {0, 2, 8}) {
@@ -129,6 +138,9 @@ TEST(Optimizer, BitIdenticalAcrossThreadCounts) {
       Engine eng(777);
       const auto res = sap::opt::optimize_perturbation(x, opts, eng);
       if (threads == 0) {
+        if (golden != nullptr) {
+          EXPECT_NEAR(res.best_rho, *golden, sap::testing::kGoldenTolerance);
+        }
         reference = res;
         continue;
       }

@@ -2,11 +2,17 @@
 // the three attack models, and the attack-suite evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
 #include "data/synthetic.hpp"
+#include "linalg/decompose.hpp"
 #include "linalg/orthogonal.hpp"
 #include "linalg/stats.hpp"
 #include "perturb/geometric.hpp"
@@ -163,6 +169,135 @@ TEST(FastIca, TooFewObservationsThrows) {
   Engine eng(8);
   Matrix y(3, 4);
   EXPECT_THROW(sap::privacy::fast_ica(y, {}, eng), sap::Error);
+}
+
+// The textbook FastICA loop, kept as fast_ica's exactness reference the way
+// matmul_naive is gemm's: E[g(WZ) Z^T] accumulated element by element, and
+// the decorrelation as the explicit product V D^{-1/2} V^T W. Never timed.
+Matrix textbook_decorrelate(const Matrix& w) {
+  const Matrix gram = w * w.transpose();
+  const auto eig = sap::linalg::sym_eigen(gram);
+  Matrix d_inv_sqrt(gram.rows(), gram.rows());
+  for (std::size_t i = 0; i < gram.rows(); ++i) {
+    SAP_REQUIRE(eig.values[i] > 1e-12, "fast_ica: degenerate decorrelation");
+    d_inv_sqrt(i, i) = 1.0 / std::sqrt(eig.values[i]);
+  }
+  return eig.vectors * d_inv_sqrt * eig.vectors.transpose() * w;
+}
+
+sap::privacy::FastIcaResult textbook_fast_ica(const Matrix& observations,
+                                              const sap::privacy::FastIcaOptions& opts,
+                                              Engine& eng) {
+  const std::size_t d = observations.rows();
+  const std::size_t n = observations.cols();
+  const std::size_t k = (opts.components == 0) ? d : std::min(opts.components, d);
+
+  Matrix x = observations;
+  const Vector mean = sap::linalg::row_means(x);
+  for (std::size_t i = 0; i < d; ++i)
+    for (auto& v : x.row(i)) v -= mean[i];
+
+  const auto eig = sap::linalg::sym_eigen(sap::linalg::covariance_cols(x));
+  Matrix whitener(k, d);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double scale = 1.0 / std::sqrt(eig.values[i]);
+    for (std::size_t j = 0; j < d; ++j) whitener(i, j) = scale * eig.vectors(j, i);
+  }
+  const Matrix z = whitener * x;
+
+  Matrix w = Matrix::generate(k, k, [&] { return eng.normal(); });
+  w = textbook_decorrelate(w);
+
+  sap::privacy::FastIcaResult result;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
+    const Matrix proj = w * z;
+    Matrix gz(k, k);
+    Vector gprime(k, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      auto prow = proj.row(i);
+      for (std::size_t t = 0; t < n; ++t) {
+        const double g = std::tanh(prow[t]);
+        gprime[i] += 1.0 - g * g;
+        for (std::size_t j = 0; j < k; ++j) gz(i, j) += g * z(j, t);
+      }
+    }
+    Matrix w_new(k, k);
+    for (std::size_t i = 0; i < k; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        w_new(i, j) = gz(i, j) * inv_n - gprime[i] * inv_n * w(i, j);
+    w_new = textbook_decorrelate(w_new);
+
+    double delta = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double align = std::abs(sap::linalg::dot(w_new.row(i), w.row(i)));
+      delta = std::max(delta, std::abs(1.0 - align));
+    }
+    w = std::move(w_new);
+    result.iterations = iter + 1;
+    if (delta < opts.tolerance) {
+      result.converged = true;
+      break;
+    }
+  }
+  result.sources = w * z;
+  result.unmixing = w * whitener;
+  return result;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(FastIca, MatchesTextbookLoopBitForBit) {
+  using sap::privacy::FastIcaOptions;
+  struct Case {
+    std::string name;
+    Matrix y;
+    FastIcaOptions opts;
+    std::optional<bool> converges;  ///< pinned where the case is about it
+  };
+  std::vector<Case> cases;
+
+  // The serving shape: the optimizer scores every candidate on a perturbed
+  // 160-record subsample of one party's Shuttle shard (d = 9).
+  Engine prep(18);
+  const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
+  const Matrix shard = workload.shards[0].features_T();
+  const Matrix x_eval =
+      sap::linalg::gather_cols(shard, prep.sample_without_replacement(shard.cols(), 160));
+  const Matrix served =
+      GeometricPerturbation::random(x_eval.rows(), 0.1, prep).apply(x_eval, prep);
+  const FastIcaOptions serving{.max_iterations = 100, .tolerance = 1e-5};
+  // Like most serving-shape calls, this one runs to the iteration cap.
+  cases.push_back({"shuttle serving shape", served, serving, false});
+  cases.push_back({"shuttle, 5 components", served,
+                   {.max_iterations = 100, .tolerance = 1e-5, .components = 5}, {}});
+  // Tile remainders of the 4 x 4 kernels at both ends of the paper's range.
+  for (const std::size_t d : {std::size_t{2}, std::size_t{34}}) {
+    const Matrix mixed = sap::linalg::random_orthogonal(d, prep) * uniform_sources(d, 160, prep);
+    cases.push_back({"uniform d = " + std::to_string(d), mixed, serving, {}});
+  }
+  const Matrix mixed4 = sap::linalg::random_orthogonal(4, prep) * uniform_sources(4, 1000, prep);
+  cases.push_back({"converging", mixed4, {.max_iterations = 400, .tolerance = 1e-8}, true});
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Engine eng_ref(404), eng(404);
+    const auto ref = textbook_fast_ica(c.y, c.opts, eng_ref);
+    const auto res = sap::privacy::fast_ica(c.y, c.opts, eng);
+    EXPECT_TRUE(same_bits(res.sources, ref.sources));
+    EXPECT_TRUE(same_bits(res.unmixing, ref.unmixing));
+    EXPECT_EQ(res.iterations, ref.iterations);
+    EXPECT_EQ(res.converged, ref.converged);
+    if (c.converges) {
+      EXPECT_EQ(ref.converged, *c.converges);
+    }
+    // The same draws were taken: both engines continue identically.
+    EXPECT_EQ(eng.normal(), eng_ref.normal());
+    EXPECT_EQ(eng(), eng_ref());
+  }
 }
 
 // ------------------------------------------------------------ attacks
