@@ -1,17 +1,19 @@
 // Micro-benchmarks for the perturbation / privacy / protocol hot paths
 // (google-benchmark): perturbation application, adaptor application,
-// FastICA, full attack-suite evaluation, SMO training, and one complete
-// SAP protocol round.
+// FastICA, full attack-suite evaluation, one LocalOptimize run, SMO
+// training, and one complete SAP protocol round.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 #include "classify/svm.hpp"
 #include "linalg/orthogonal.hpp"
+#include "net/remote.hpp"
 #include "optimize/optimizer.hpp"
 #include "perturb/geometric.hpp"
 #include "perturb/space_adaptor.hpp"
 #include "privacy/evaluator.hpp"
 #include "privacy/fastica.hpp"
+#include "protocol/party_logic.hpp"
 
 namespace {
 
@@ -80,6 +82,29 @@ void BM_FastIcaServingShape(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FastIcaServingShape)->Unit(benchmark::kMillisecond);
+
+// One of LocalOptimize's two runs on the serving shape: party 0 of the
+// Shuttle stream workload, net::serving_session_options' optimizer, party
+// 0's session engine for seed 1. Refinement probes the cheap attacks hold
+// at or below best_rho skip FastICA; `ica_skipped` counts them (of 6).
+void BM_OptimizeLocalServingShape(benchmark::State& state) {
+  const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
+  const Matrix x = workload.shards[0].features_T();
+  const auto session = sap::net::serving_session_options(0.1, 1);
+  auto opts = session.optimizer;
+  opts.noise_sigma = session.noise_sigma;
+  const Engine party_eng =
+      sap::proto::logic::derive_session_seeds(session.seed, 4).provider_eng[0];
+  std::size_t ica_skipped = 0;
+  for (auto _ : state) {
+    Engine eng = party_eng;
+    auto res = sap::opt::optimize_perturbation(x, opts, eng);
+    benchmark::DoNotOptimize(res.best_rho);
+    ica_skipped = res.ica_skipped;
+  }
+  state.counters["ica_skipped"] = static_cast<double>(ica_skipped);
+}
+BENCHMARK(BM_OptimizeLocalServingShape)->Unit(benchmark::kMillisecond);
 
 void BM_AttackSuiteEvaluate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "common/error.hpp"
 #include "linalg/orthogonal.hpp"
@@ -20,11 +21,14 @@ linalg::Matrix subsample_records(const linalg::Matrix& x, std::size_t max_record
 /// One candidate evaluation. Everything mutable (`scratch`, `y_buf`, `eng`)
 /// is slot-private in the parallel phases, so the score depends only on the
 /// slot's own engine stream.
-double score(const linalg::Matrix& x_eval, const perturb::GeometricPerturbation& g,
-             const privacy::AttackSuite& suite, privacy::AttackSuite::Scratch& scratch,
-             linalg::Matrix& y_buf, rng::Engine& eng) {
+privacy::PrivacyReport score(const linalg::Matrix& x_eval,
+                             const perturb::GeometricPerturbation& g,
+                             const privacy::AttackSuite& suite,
+                             privacy::AttackSuite::Scratch& scratch, linalg::Matrix& y_buf,
+                             rng::Engine& eng,
+                             double floor = -std::numeric_limits<double>::infinity()) {
   g.apply_into(x_eval, y_buf, eng);
-  return suite.evaluate(x_eval, y_buf, eng, scratch).rho;
+  return suite.evaluate(x_eval, y_buf, eng, scratch, floor);
 }
 
 }  // namespace
@@ -38,7 +42,7 @@ double evaluate_perturbation(const linalg::Matrix& x,
   const linalg::Matrix x_eval = subsample_records(x, max_eval_records, eng);
   auto scratch = suite.make_scratch(x_eval);
   linalg::Matrix y_buf;
-  return score(x_eval, g, suite, scratch, y_buf, eng);
+  return score(x_eval, g, suite, scratch, y_buf, eng).rho;
 }
 
 OptimizationResult optimize_perturbation(const linalg::Matrix& x,
@@ -78,7 +82,7 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
   pool.run_indexed(nc, [&](std::size_t c) {
     cand[c] = perturb::GeometricPerturbation::random(d, opts.noise_sigma, slot_eng[c]);
     result.candidate_rhos[c] =
-        score(x_eval, cand[c], suite, scratch[c], y_buf[c], slot_eng[c]);
+        score(x_eval, cand[c], suite, scratch[c], y_buf[c], slot_eng[c]).rho;
   });
   result.evaluations += nc;
 
@@ -93,12 +97,18 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
   // -theta rotations of one random plane as a parallel pair (engines again
   // spawned serially, + first). The better probe wins the step — on an exact
   // tie, +theta, keeping the accept decision scheduling-independent.
+  //
+  // Both probes score against the step's incoming best_rho as their floor:
+  // a probe the cheap attacks already hold at or below it could not be
+  // accepted, so it skips ICA without changing any decision (see the
+  // header's determinism contract and DESIGN.md §8).
   double angle = opts.refine_angle;
   std::array<privacy::AttackSuite::Scratch, 2> probe_scratch{proto_scratch, proto_scratch};
   std::array<linalg::Matrix, 2> probe_y;
   std::array<perturb::GeometricPerturbation, 2> probe;
   std::array<rng::Engine, 2> probe_eng{rng::Engine{0}, rng::Engine{0}};
   std::array<double, 2> probe_rho{};
+  std::array<bool, 2> probe_skipped{};
   for (std::size_t step = 0; step < opts.refine_steps; ++step) {
     if (d < 2) break;
     const std::size_t p = eng.uniform_index(d);
@@ -107,14 +117,20 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
     probe_eng[0] = eng.spawn();
     probe_eng[1] = eng.spawn();
 
+    const double floor = result.best_rho;
     pool.run_indexed(2, [&](std::size_t s) {
       const double theta = (s == 0 ? 1.0 : -1.0) * angle;
       probe[s] = result.best;
       probe[s].precompose_rotation(linalg::givens(d, p, q, theta));
-      probe_rho[s] =
-          score(x_eval, probe[s], suite, probe_scratch[s], probe_y[s], probe_eng[s]);
+      const privacy::PrivacyReport report =
+          score(x_eval, probe[s], suite, probe_scratch[s], probe_y[s], probe_eng[s], floor);
+      probe_rho[s] = report.rho;
+      probe_skipped[s] = std::any_of(report.attacks.begin(), report.attacks.end(),
+                                     [](const privacy::AttackOutcome& a) { return a.skipped; });
     });
     result.evaluations += 2;
+    result.ica_skipped += static_cast<std::size_t>(probe_skipped[0]) +
+                          static_cast<std::size_t>(probe_skipped[1]);
 
     const std::size_t win = (probe_rho[0] >= probe_rho[1]) ? 0 : 1;
     if (probe_rho[win] > result.best_rho) {

@@ -20,6 +20,14 @@
 // result is a pure function of (data, options, engine) — identical for 0, 2
 // or 8 optimizer threads, and therefore identical across every transport
 // backend that runs LocalOptimize.
+//
+// Refinement probes are scored against a floor, the step's incoming
+// best_rho, fixed before the pair is scheduled: a probe whose cheap attacks
+// already score at or below it skips FastICA (AttackSuite::evaluate). That
+// probe could not have been accepted, nor displaced the probe that was, so
+// the result stays the full search's bit for bit; which probes skip depends
+// only on (data, options, engine), never on the thread count. Random
+// candidates are scored in full: candidate_rhos is Figure 2's distribution.
 #pragma once
 
 #include "common/thread_pool.hpp"
@@ -58,6 +66,9 @@ struct OptimizationResult {
   linalg::Vector candidate_rhos;
   /// Evaluations spent (candidates + 2 refinement probes per step).
   std::size_t evaluations = 0;
+  /// Refinement probes whose ICA attack was skipped because the cheap
+  /// attacks already held them at or below best_rho (counted in evaluations).
+  std::size_t ica_skipped = 0;
 };
 
 /// One optimization run on a d x N dataset (paper layout, column = record).

@@ -102,7 +102,10 @@ linalg::Vector candidate_pool_privacy_fast(AttackSuite::Scratch& s,
 
 AttackSuite::AttackSuite(AttackSuiteOptions opts) : opts_(opts) {
   if (opts_.naive) attacks_.push_back(std::make_unique<NaiveEstimationAttack>());
-  if (opts_.ica) attacks_.push_back(std::make_unique<IcaReconstructionAttack>(opts_.ica_options));
+  if (opts_.ica) {
+    ica_slot_ = attacks_.size();
+    attacks_.push_back(std::make_unique<IcaReconstructionAttack>(opts_.ica_options));
+  }
   if (opts_.spectral) attacks_.push_back(std::make_unique<SpectralAttack>());
   if (opts_.known_inputs > 0) attacks_.push_back(std::make_unique<KnownInputAttack>());
   SAP_REQUIRE(!attacks_.empty(), "AttackSuite: no attacks enabled");
@@ -138,7 +141,7 @@ PrivacyReport AttackSuite::evaluate(const linalg::Matrix& original,
 
 PrivacyReport AttackSuite::evaluate(const linalg::Matrix& original,
                                     const linalg::Matrix& perturbed, rng::Engine& eng,
-                                    Scratch& scratch) const {
+                                    Scratch& scratch, double floor) const {
   SAP_REQUIRE(original.rows() == perturbed.rows() && original.cols() == perturbed.cols(),
               "AttackSuite::evaluate: shape mismatch");
   SAP_REQUIRE(scratch.centered.rows() == original.rows() &&
@@ -156,12 +159,12 @@ PrivacyReport AttackSuite::evaluate(const linalg::Matrix& original,
   }
 
   PrivacyReport report;
+  report.attacks.resize(attacks_.size());
   report.rho = std::numeric_limits<double>::infinity();
-  for (const auto& attack : attacks_) {
-    AttackOutcome outcome;
-    outcome.attack = attack->name();
+  const auto run = [&](std::size_t a) {
+    AttackOutcome& outcome = report.attacks[a];
     try {
-      const Reconstruction rec = attack->reconstruct(ctx, eng);
+      const Reconstruction rec = attacks_[a]->reconstruct(ctx, eng);
       outcome.per_column = (rec.kind == Reconstruction::Kind::kAligned)
                                ? column_privacy(original, rec.get(), scratch.stddevs)
                                : candidate_pool_privacy_fast(scratch, rec.get());
@@ -171,7 +174,18 @@ PrivacyReport AttackSuite::evaluate(const linalg::Matrix& original,
       outcome.failed = true;
       log::debug(std::string("attack '") + outcome.attack + "' failed: " + e.what());
     }
-    report.attacks.push_back(std::move(outcome));
+  };
+  for (std::size_t a = 0; a < attacks_.size(); ++a) {
+    report.attacks[a].attack = attacks_[a]->name();
+    if (!opts_.ica || a != ica_slot_) run(a);
+  }
+  // ICA last (see the header): skipped once the cheap attacks have met the floor.
+  if (opts_.ica) {
+    if (std::isfinite(report.rho) && report.rho <= floor) {
+      report.attacks[ica_slot_].skipped = true;
+    } else {
+      run(ica_slot_);
+    }
   }
   SAP_REQUIRE(std::isfinite(report.rho),
               "AttackSuite::evaluate: every enabled attack failed");

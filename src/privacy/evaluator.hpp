@@ -13,6 +13,7 @@
 // knowledge, making the reported guarantee conservative.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,12 +28,16 @@ struct AttackOutcome {
   linalg::Vector per_column;  ///< p_j for every original dimension
   double rho = 0.0;           ///< min_j p_j under this attack
   bool failed = false;        ///< attack threw (e.g. ICA on degenerate data)
+  /// Not run: the other attacks already scored at or below the evaluation's
+  /// floor (see AttackSuite::evaluate). Only ICA is ever skipped.
+  bool skipped = false;
 };
 
 /// Full evaluation result.
 struct PrivacyReport {
   std::vector<AttackOutcome> attacks;
-  /// Minimum privacy guarantee over all successful attacks (the paper's rho).
+  /// Minimum privacy guarantee over all successful attacks (the paper's rho),
+  /// or over the attacks that ran when ICA was skipped.
   double rho = 0.0;
 };
 
@@ -83,15 +88,25 @@ class AttackSuite {
   /// Hot-loop variant: `scratch` must come from make_scratch(original).
   /// Bit-identical to the scratch-free overload (the hoisted quantities are
   /// the same values the per-call path computes).
-  [[nodiscard]] PrivacyReport evaluate(const linalg::Matrix& original,
-                                       const linalg::Matrix& perturbed,
-                                       rng::Engine& eng, Scratch& scratch) const;
+  ///
+  /// `floor` lets a caller that only asks "is rho above this?" bound the
+  /// expensive attack out. ICA runs last, after the cheap attacks; when
+  /// their minimum is already <= `floor`, ICA is skipped (its outcome keeps
+  /// its slot, marked `skipped`) and `rho` is that minimum: still <= floor,
+  /// and >= the value the full evaluation would return. ICA is the only
+  /// attack that draws from `eng`, so running it last leaves every draw,
+  /// and `std::min` leaves rho, unchanged. The default floor skips nothing:
+  /// the report is the full evaluation's, bit for bit.
+  [[nodiscard]] PrivacyReport evaluate(
+      const linalg::Matrix& original, const linalg::Matrix& perturbed, rng::Engine& eng,
+      Scratch& scratch, double floor = -std::numeric_limits<double>::infinity()) const;
 
   [[nodiscard]] const AttackSuiteOptions& options() const noexcept { return opts_; }
 
  private:
   AttackSuiteOptions opts_;
   std::vector<std::unique_ptr<Attack>> attacks_;
+  std::size_t ica_slot_ = 0;  ///< index of ICA in attacks_ (when opts_.ica)
 };
 
 /// Per-column privacy of a candidate pool against the original data:

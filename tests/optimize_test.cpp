@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
@@ -12,6 +15,8 @@
 #include "linalg/orthogonal.hpp"
 #include "net/remote.hpp"
 #include "optimize/optimizer.hpp"
+#include "perturb/geometric.hpp"
+#include "privacy/evaluator.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -35,6 +40,78 @@ sap::opt::OptimizerOptions cheap_options() {
   o.attacks.ica = false;  // keep unit tests fast; ICA covered in privacy_test
   o.attacks.known_inputs = 4;
   return o;
+}
+
+// optimize_perturbation as it was before refinement probes took a floor:
+// every probe fully scored. Kept as the skip's exactness reference, the way
+// the textbook loop anchors fast_ica. Never timed.
+sap::opt::OptimizationResult full_scoring_optimize(const Matrix& x,
+                                                   const sap::opt::OptimizerOptions& opts,
+                                                   Engine& eng) {
+  using sap::perturb::GeometricPerturbation;
+  using sap::privacy::AttackSuite;
+  sap::ThreadPool pool(opts.threads);
+  const AttackSuite suite(opts.attacks);
+  const Matrix x_eval =
+      x.cols() <= opts.max_eval_records
+          ? x
+          : sap::linalg::gather_cols(
+                x, eng.sample_without_replacement(x.cols(), opts.max_eval_records));
+  const std::size_t d = x.rows();
+  const std::size_t nc = opts.candidates;
+  const auto score = [&](const GeometricPerturbation& g, AttackSuite::Scratch& scratch,
+                         Matrix& y_buf, Engine& e) {
+    g.apply_into(x_eval, y_buf, e);
+    return suite.evaluate(x_eval, y_buf, e, scratch).rho;
+  };
+
+  sap::opt::OptimizationResult result;
+  std::vector<Engine> slot_eng;
+  for (std::size_t c = 0; c < nc; ++c) slot_eng.push_back(eng.spawn());
+  const AttackSuite::Scratch proto_scratch = suite.make_scratch(x_eval);
+  std::vector<AttackSuite::Scratch> scratch(nc, proto_scratch);
+  std::vector<Matrix> y_buf(nc);
+  std::vector<GeometricPerturbation> cand(nc);
+  result.candidate_rhos.assign(nc, 0.0);
+  pool.run_indexed(nc, [&](std::size_t c) {
+    cand[c] = GeometricPerturbation::random(d, opts.noise_sigma, slot_eng[c]);
+    result.candidate_rhos[c] = score(cand[c], scratch[c], y_buf[c], slot_eng[c]);
+  });
+  result.evaluations += nc;
+  std::size_t best = 0;
+  for (std::size_t c = 1; c < nc; ++c)
+    if (result.candidate_rhos[c] > result.candidate_rhos[best]) best = c;
+  result.best = std::move(cand[best]);
+  result.best_rho = result.candidate_rhos[best];
+
+  double angle = opts.refine_angle;
+  std::array<AttackSuite::Scratch, 2> probe_scratch{proto_scratch, proto_scratch};
+  std::array<Matrix, 2> probe_y;
+  std::array<GeometricPerturbation, 2> probe;
+  std::array<Engine, 2> probe_eng{Engine{0}, Engine{0}};
+  std::array<double, 2> probe_rho{};
+  for (std::size_t step = 0; step < opts.refine_steps; ++step) {
+    const std::size_t p = eng.uniform_index(d);
+    std::size_t q = eng.uniform_index(d - 1);
+    if (q >= p) ++q;
+    probe_eng[0] = eng.spawn();
+    probe_eng[1] = eng.spawn();
+    pool.run_indexed(2, [&](std::size_t s) {
+      const double theta = (s == 0 ? 1.0 : -1.0) * angle;
+      probe[s] = result.best;
+      probe[s].precompose_rotation(sap::linalg::givens(d, p, q, theta));
+      probe_rho[s] = score(probe[s], probe_scratch[s], probe_y[s], probe_eng[s]);
+    });
+    result.evaluations += 2;
+    const std::size_t win = (probe_rho[0] >= probe_rho[1]) ? 0 : 1;
+    if (probe_rho[win] > result.best_rho) {
+      result.best_rho = probe_rho[win];
+      result.best = std::move(probe[win]);
+    } else {
+      angle *= 0.7;
+    }
+  }
+  return result;
 }
 
 TEST(Optimizer, BestIsAtLeastEveryCandidate) {
@@ -151,6 +228,48 @@ TEST(Optimizer, BitIdenticalAcrossThreadCounts) {
       for (std::size_t c = 0; c < res.candidate_rhos.size(); ++c)
         EXPECT_EQ(res.candidate_rhos[c], reference.candidate_rhos[c]) << "candidate " << c;
       EXPECT_EQ(res.evaluations, reference.evaluations);
+    }
+  }
+}
+
+TEST(Optimizer, RefineSkipMatchesTextbookLoopBitForBit) {
+  // Refinement probes skip ICA when the cheap attacks already hold them at
+  // or below best_rho; the search must still be the fully scored one, bit
+  // for bit, at every thread count. Three inputs: the serving optimizer on
+  // Shuttle (pinned skip count), the same with the spectral attack, and
+  // Votes, where ICA binds on every probe and nothing is skipped.
+  const auto serving = sap::net::serving_session_options(0.1, 1).optimizer;
+  auto spectral = serving;
+  spectral.attacks.spectral = true;
+  struct Input {
+    std::string name;
+    Matrix x;
+    sap::opt::OptimizerOptions opts;
+    std::optional<std::size_t> ica_skipped;  ///< pinned where the input is about it
+  };
+  const Input inputs[] = {
+      {"serving, Shuttle", normalized_paper_layout("Shuttle", 1), serving, 5},
+      {"serving + spectral, Shuttle", normalized_paper_layout("Shuttle", 1), spectral, {}},
+      {"serving, Votes", normalized_paper_layout("Votes", 1), serving, 0}};
+  for (auto [name, x, opts, ica_skipped] : inputs) {
+    SCOPED_TRACE(name);
+    Engine ref_eng(777);
+    const auto ref = full_scoring_optimize(x, opts, ref_eng);
+    for (const std::size_t threads : {0, 2, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      opts.threads = threads;
+      Engine eng(777);
+      const auto res = sap::opt::optimize_perturbation(x, opts, eng);
+      EXPECT_TRUE(res.best.rotation() == ref.best.rotation());
+      EXPECT_TRUE(res.best.translation() == ref.best.translation());
+      EXPECT_EQ(res.best_rho, ref.best_rho);
+      EXPECT_EQ(res.candidate_rhos, ref.candidate_rhos);
+      EXPECT_EQ(res.evaluations, ref.evaluations);
+      Engine next(ref_eng);
+      EXPECT_EQ(eng(), next());
+      if (ica_skipped) {
+        EXPECT_EQ(res.ica_skipped, *ica_skipped);
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -508,6 +510,36 @@ TEST(KnownInputAttack, RequiresAtLeastTwoKnownRecords) {
   EXPECT_THROW(attack.reconstruct(ctx, eng), sap::Error);
 }
 
+TEST(Attacks, OnlyIcaDrawsFromTheEngine) {
+  // AttackSuite::evaluate skips ICA below a floor and runs it after the
+  // cheap attacks; both are exact only while ICA is the sole attack that
+  // draws from the engine. An attack that starts drawing fails here.
+  Engine prep(36);
+  const Matrix x = uniform_sources(4, 200, prep);
+  const auto g = GeometricPerturbation::random(4, 0.1, prep);
+  const Matrix y = g.apply(x, prep);
+  sap::privacy::AttackContext ctx;
+  ctx.perturbed = &y;
+  ctx.original_means = sap::linalg::row_means(x);
+  ctx.original_stddevs = sap::linalg::row_stddev(x);
+  ctx.known_indices = {3, 50, 97, 140};
+  ctx.known_originals = sap::linalg::gather_cols(x, ctx.known_indices);
+
+  const sap::privacy::NaiveEstimationAttack naive;
+  const sap::privacy::KnownInputAttack known;
+  const sap::privacy::SpectralAttack spectral;
+  for (const sap::privacy::Attack* attack :
+       std::initializer_list<const sap::privacy::Attack*>{&naive, &known, &spectral}) {
+    SCOPED_TRACE(attack->name());
+    Engine eng(37), untouched(37);
+    (void)attack->reconstruct(ctx, eng);
+    EXPECT_EQ(eng(), untouched());
+  }
+  Engine eng(37), untouched(37);
+  (void)sap::privacy::IcaReconstructionAttack({.max_iterations = 5}).reconstruct(ctx, eng);
+  EXPECT_NE(eng(), untouched());
+}
+
 // ------------------------------------------------------------ evaluator
 
 TEST(AttackSuite, RhoIsMinAcrossAttacks) {
@@ -611,6 +643,82 @@ TEST(AttackSuite, FastCandidatePoolBitIdenticalToPearsonReference) {
   ASSERT_EQ(report.attacks.size(), 1u);
   const auto reference = sap::privacy::candidate_pool_privacy(x, y);
   EXPECT_EQ(report.attacks[0].per_column, reference);  // bit-identical
+}
+
+void expect_same_report(const sap::privacy::PrivacyReport& a,
+                        const sap::privacy::PrivacyReport& b) {
+  EXPECT_EQ(a.rho, b.rho);
+  ASSERT_EQ(a.attacks.size(), b.attacks.size());
+  for (std::size_t i = 0; i < a.attacks.size(); ++i) {
+    SCOPED_TRACE(a.attacks[i].attack);
+    EXPECT_EQ(a.attacks[i].attack, b.attacks[i].attack);
+    EXPECT_EQ(a.attacks[i].per_column, b.attacks[i].per_column);
+    EXPECT_EQ(a.attacks[i].rho, b.attacks[i].rho);
+    EXPECT_EQ(a.attacks[i].failed, b.attacks[i].failed);
+    EXPECT_EQ(a.attacks[i].skipped, b.attacks[i].skipped);
+  }
+}
+
+TEST(AttackSuite, FloorSkipsOnlyIca) {
+  // The serving suite on rotated uniform sources, where ICA binds: the
+  // cheap attacks' minimum sits above the full rho.
+  Engine prep(80);
+  const Matrix x = uniform_sources(4, 300, prep);
+  const auto g = GeometricPerturbation::random(4, 0.05, prep);
+  const Matrix y = g.apply(x, prep);
+  const sap::privacy::AttackSuite suite({.naive = true, .ica = true, .known_inputs = 4});
+  auto scratch = suite.make_scratch(x);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  Engine eng_full(81);
+  const auto full = suite.evaluate(x, y, eng_full, scratch);
+  ASSERT_EQ(full.attacks.size(), 3u);
+  ASSERT_EQ(full.attacks[1].attack, "ica");
+  ASSERT_FALSE(full.attacks[1].failed);
+  const double cheap_min = std::min(full.attacks[0].rho, full.attacks[2].rho);
+  ASSERT_LT(full.rho, cheap_min);
+
+  {
+    SCOPED_TRACE("floor -inf: the 4-argument overload, bit for bit");
+    Engine eng(81);
+    expect_same_report(suite.evaluate(x, y, eng, scratch, -kInf), full);
+    Engine next(eng_full);
+    EXPECT_EQ(eng(), next());
+  }
+  for (const double floor : {cheap_min, cheap_min + 0.25}) {
+    SCOPED_TRACE("floor at or above the cheap attacks' minimum: ICA skipped");
+    Engine eng(81);
+    const auto report = suite.evaluate(x, y, eng, scratch, floor);
+    ASSERT_EQ(report.attacks.size(), 3u);
+    for (const std::size_t a : {0u, 2u}) {
+      EXPECT_FALSE(report.attacks[a].skipped);
+      EXPECT_EQ(report.attacks[a].per_column, full.attacks[a].per_column);
+    }
+    EXPECT_EQ(report.attacks[1].attack, "ica");
+    EXPECT_TRUE(report.attacks[1].skipped);
+    EXPECT_FALSE(report.attacks[1].failed);
+    EXPECT_TRUE(report.attacks[1].per_column.empty());
+    EXPECT_EQ(report.rho, cheap_min);
+    EXPECT_LE(report.rho, floor);
+    EXPECT_GE(report.rho, full.rho);
+  }
+  {
+    SCOPED_TRACE("floor just below the cheap attacks' minimum: ICA runs");
+    Engine eng(81);
+    expect_same_report(suite.evaluate(x, y, eng, scratch, std::nextafter(cheap_min, -kInf)),
+                       full);
+    Engine next(eng_full);
+    EXPECT_EQ(eng(), next());
+  }
+  {
+    SCOPED_TRACE("an ICA-off suite ignores the floor");
+    const sap::privacy::AttackSuite cheap({.naive = true, .ica = false, .known_inputs = 4});
+    auto cheap_scratch = cheap.make_scratch(x);
+    Engine eng_a(82), eng_b(82);
+    const auto plain = cheap.evaluate(x, y, eng_a, cheap_scratch);
+    expect_same_report(cheap.evaluate(x, y, eng_b, cheap_scratch, kInf), plain);
+    EXPECT_EQ(eng_a(), eng_b());
+  }
 }
 
 TEST(AttackSuite, MismatchedScratchThrows) {
