@@ -1,15 +1,11 @@
 // Ablation Abl-3: protocol cost scaling with the number of parties k.
 //
 // Reports, per k: source identifiability pi = 1/(k-1), wire bytes (total and
-// data-plane share), message count, and wall time under BOTH transport
-// backends — the synchronous SimulatedNetwork and the concurrent
-// ThreadedLocalTransport (one worker per party; local optimization and
-// perturbation parallelize across providers). Expectation: pi decays
-// hyperbolically (the privacy benefit of more parties), bytes stay within a
-// constant factor of 2x the raw data volume (each record crosses exactly two
-// encrypted hops) plus O(k) adaptor overhead, and the two backends' wall
-// times stay comparable here (this bench minimizes per-party compute; the
-// threaded payoff shows in optimize-heavy runs, cf. micro_perturb).
+// data-plane share), message count, and the wall time of one session run
+// (local optimization runs one worker per party). Expectation: pi decays
+// hyperbolically (the privacy benefit of more parties), and bytes stay
+// within a constant factor of 2x the raw data volume (each record crosses
+// exactly two encrypted hops) plus O(k) adaptor overhead.
 #include <cstdio>
 #include <vector>
 
@@ -24,31 +20,22 @@ int main() {
   std::printf("== Ablation: protocol cost vs number of parties (%s) ==\n\n",
               dataset.c_str());
 
-  Table table({"k", "pi=1/(k-1)", "messages", "total KiB", "KiB/record", "ms sim",
-               "ms threaded"});
+  Table table({"k", "pi=1/(k-1)", "messages", "total KiB", "KiB/record", "ms"});
   for (std::size_t k = 3; k <= 12; ++k) {
-    auto run_with = [&](proto::TransportKind transport, proto::SapResult* out) {
-      const data::Dataset pool = bench::normalized_uci(dataset, 8);
-      rng::Engine eng(31 + k);
-      data::PartitionOptions popts;
-      auto parts = data::partition(pool, k, popts, eng);
+    const data::Dataset pool = bench::normalized_uci(dataset, 8);
+    rng::Engine eng(31 + k);
+    data::PartitionOptions popts;
+    auto parts = data::partition(pool, k, popts, eng);
 
-      auto opts = bench::bench_sap_options();
-      opts.optimizer.candidates = 2;  // cost bench: minimal optimization
-      opts.optimizer.refine_steps = 0;
-      opts.seed = 41 + k;
-      opts.transport = transport;
-      proto::SapSession session(std::move(parts), opts);
+    auto opts = bench::bench_sap_options();
+    opts.optimizer.candidates = 2;  // cost bench: minimal optimization
+    opts.optimizer.refine_steps = 0;
+    opts.seed = 41 + k;
+    proto::SapSession session(std::move(parts), opts);
 
-      Stopwatch sw;
-      auto result = session.run();
-      if (out) *out = std::move(result);
-      return sw.millis();
-    };
-
-    proto::SapResult result;
-    const double ms_sim = run_with(proto::TransportKind::kSimulated, &result);
-    const double ms_threaded = run_with(proto::TransportKind::kThreadedLocal, nullptr);
+    Stopwatch sw;
+    const proto::SapResult result = session.run();
+    const double ms = sw.millis();
 
     table.add_row({std::to_string(k), Table::num(1.0 / static_cast<double>(k - 1)),
                    std::to_string(result.messages),
@@ -56,11 +43,10 @@ int main() {
                    Table::num(static_cast<double>(result.total_bytes) / 1024.0 /
                                   static_cast<double>(result.unified.size()),
                               3),
-                   Table::num(ms_sim, 1), Table::num(ms_threaded, 1)});
+                   Table::num(ms, 1)});
   }
   bench::emit_table("protocol_scaling", table);
   std::printf("\nexpected: pi ~ 1/(k-1); KiB/record roughly flat (2 data hops + O(k)\n"
-              "control); sim and threaded comparable here (tiny per-party compute) —\n"
-              "the threaded backend pays off when local optimization dominates.\n");
+              "control).\n");
   return 0;
 }

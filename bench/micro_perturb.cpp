@@ -156,7 +156,6 @@ BENCHMARK(BM_SmoFit)->Arg(100)->Arg(400)->Arg(1000)->Unit(benchmark::kMillisecon
 
 void BM_SapSessionRound(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  const auto transport = static_cast<sap::proto::TransportKind>(state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
     const auto pool = sap::bench::normalized_uci("Iris", 13);
@@ -165,23 +164,14 @@ void BM_SapSessionRound(benchmark::State& state) {
     auto parts = sap::data::partition(pool, k, popts, eng);
     auto opts = sap::proto::SapOptions::fast();
     opts.compute_satisfaction = false;
-    opts.transport = transport;
     state.ResumeTiming();
     sap::proto::SapSession session(std::move(parts), opts);
     auto result = session.run();
     benchmark::DoNotOptimize(result.total_bytes);
   }
-  state.SetLabel("providers=" + std::to_string(k) + " transport=" +
-                 sap::proto::to_string(transport));
+  state.SetLabel("providers=" + std::to_string(k));
 }
-BENCHMARK(BM_SapSessionRound)
-    ->Args({3, 0})
-    ->Args({6, 0})
-    ->Args({10, 0})
-    ->Args({3, 1})
-    ->Args({6, 1})
-    ->Args({10, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SapSessionRound)->Arg(3)->Arg(6)->Arg(10)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -15,10 +15,10 @@
 //   (bit-equal for Knn, <= 1e-12 for NaiveBayes).
 //
 // Part 2 (determinism): a full protocol scenario — exchange, then
-// interleaved mining batches and Contribute-phase ingests — executed over
-// {simulated, threaded} transports x {0, 2, 8} engine threads. Every
-// configuration must produce bit-identical reports and a bit-identical
-// final pool (pool mutations are epoch-ordered regardless of scheduling).
+// interleaved mining batches and Contribute-phase ingests — executed at
+// {0, 2, 8} engine threads. Every configuration must produce bit-identical
+// reports and a bit-identical final pool (pool mutations are epoch-ordered
+// regardless of scheduling).
 //
 // Output: aligned table on stdout + BENCH_streaming_ingest.json.
 // Exit code 1 when any bar fails.
@@ -124,7 +124,7 @@ TimingOutcome run_timing(std::size_t rows, std::size_t batches,
   return out;
 }
 
-// ---- determinism across transports and thread counts ----------------------
+// ---- determinism across engine thread counts -------------------------------
 
 struct ScenarioResult {
   std::vector<std::vector<double>> reports;
@@ -132,9 +132,9 @@ struct ScenarioResult {
   std::vector<int> pool_labels;
 };
 
-/// Exchange + interleaved serving/ingest, fully determined by (transport,
-/// threads). Any two configurations must agree bit for bit.
-ScenarioResult run_scenario(proto::TransportKind transport, std::size_t threads) {
+/// Exchange + interleaved serving/ingest, fully determined by the data and
+/// options. Any two engine thread counts must agree bit for bit.
+ScenarioResult run_scenario(std::size_t threads) {
   const Dataset pool = sap::bench::normalized_uci("Iris", /*seed=*/31);
   const Dataset initial = pool.slice(0, 100);
   const Dataset stream = pool.slice(100, 150);
@@ -146,7 +146,6 @@ ScenarioResult run_scenario(proto::TransportKind transport, std::size_t threads)
   auto opts = proto::SapOptions::fast();
   opts.seed = 31;
   opts.compute_satisfaction = false;
-  opts.transport = transport;
   opts.mining_threads = threads;
   proto::SapSession session(std::move(shards), opts);
   auto& engine = session.engine();
@@ -209,7 +208,7 @@ int main(int argc, char** argv) {
               batch_records);
   TimingOutcome timing = run_timing(rows, batches, batch_records);
   sap::bench::emit_table("streaming_ingest", timing.table,
-                         {.transport = "simulated+threaded-local", .threads = 8});
+                         {.transport = "in-process", .threads = 8});
 
   const double nb_speedup = sap::bench::exact_median(timing.nb_speedups);
   const double knn_speedup = sap::bench::exact_median(timing.knn_speedups);
@@ -219,24 +218,21 @@ int main(int argc, char** argv) {
   if (nb_speedup < 3.0 || knn_speedup < 3.0)
     std::fprintf(stderr, "FAIL: incremental refit speedup below the 3x bar\n");
 
-  // Determinism: reports and final pool bit-identical across transports and
-  // engine thread counts.
-  const auto reference = run_scenario(proto::TransportKind::kSimulated, 0);
+  // Determinism: reports and final pool bit-identical across engine thread
+  // counts (the 0-thread run is the reference and also runs again, which
+  // catches a schedule-dependent party pool).
+  const auto reference = run_scenario(0);
   bool deterministic = true;
-  for (const auto transport :
-       {proto::TransportKind::kSimulated, proto::TransportKind::kThreadedLocal}) {
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
-      const auto got = run_scenario(transport, threads);
-      if (!identical(reference, got)) {
-        std::fprintf(stderr, "FAIL: scenario (%s, %zu threads) diverges from reference\n",
-                     proto::to_string(transport).c_str(), threads);
-        deterministic = false;
-      }
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
+    if (!identical(reference, run_scenario(threads))) {
+      std::fprintf(stderr, "FAIL: scenario (%zu engine threads) diverges from reference\n",
+                   threads);
+      deterministic = false;
     }
   }
   if (deterministic)
-    std::printf("determinism: reports + pool bit-identical across 2 transports x "
-                "{0,2,8} engine threads (ok)\n");
+    std::printf("determinism: reports + pool bit-identical across {0,2,8} engine "
+                "threads (ok)\n");
   ok = ok && deterministic;
   return ok ? 0 : 1;
 }

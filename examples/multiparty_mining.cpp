@@ -53,12 +53,10 @@ int main() {
   opts.bound_runs = 2;
   opts.seed = 424242;
 
-  opts.transport = proto::TransportKind::kThreadedLocal;  // one worker per party
-
   proto::SapSession session(std::move(shards), opts);
   session.run_until(proto::SessionPhase::kMine);  // the exchange, phase by phase
 
-  std::printf("\nprotocol phases (concurrent per-party execution):\n");
+  std::printf("\nprotocol phases (LocalOptimize runs one worker per party):\n");
   for (const auto& stats : session.phase_log())
     std::printf("  %-20s %7.1f ms   %3zu msgs  %7.1f KiB\n",
                 proto::to_string(stats.phase).c_str(), stats.millis, stats.messages,

@@ -54,6 +54,14 @@ enum class FrameType : std::uint8_t {
 
 /// Hello body value asking the hub to assign the next free id.
 constexpr std::uint32_t kClaimAnyParty = 0xFFFFFFFFu;
+/// First id the hub and the serving door auto-assign. High base so such a
+/// client is never handed a party's id (providers 0..k-1, miner k), even
+/// when it arrives before that party does.
+constexpr std::uint32_t kFirstClientId = 1u << 20;
+/// Per-connection outbound queue cap, hub and serving door alike: a peer
+/// that stops draining costs at most this much memory before it is
+/// disconnected.
+constexpr std::size_t kMaxOutqBytes = 64u << 20;
 
 struct Frame {
   std::uint8_t version = kFrameVersion;

@@ -43,8 +43,6 @@ struct Reactor::Completion {
 /// One connection. Owned exclusively by its loop thread; compute refers to
 /// it only through {slot, gen} tickets.
 struct Reactor::Conn {
-  explicit Conn(std::size_t max_body) : reader(max_body) {}
-
   TcpSocket sock;
   FrameReader reader;
   std::uint32_t gen = 0;
@@ -96,7 +94,7 @@ struct Reactor::Loop {
 Reactor::Reactor(ReactorOptions opts, Handler handler)
     : opts_(std::move(opts)),
       handler_(std::move(handler)),
-      next_client_id_(opts_.first_client_id),
+      next_client_id_(kFirstClientId),
       work_q_(opts_.compute_queue_cap) {
   SAP_REQUIRE(handler_ != nullptr, "Reactor: null handler");
   SAP_REQUIRE(opts_.loops >= 1, "Reactor: need at least one event loop");
@@ -281,7 +279,7 @@ void Reactor::adopt_fresh(Loop& loop) {
       slot = static_cast<std::uint32_t>(loop.slots.size());
       loop.slots.emplace_back();
     }
-    auto conn = std::make_unique<Conn>(opts_.max_frame_body);
+    auto conn = std::make_unique<Conn>();
     conn->sock = std::move(sock);
     conn->gen = ++loop.gen_counter;
     conn->last_progress = Clock::now();
@@ -432,7 +430,7 @@ void Reactor::enqueue_bytes(Loop& loop, std::uint32_t slot,
                             std::vector<std::uint8_t> bytes) {
   if (bytes.empty()) return;
   Conn& conn = *loop.slots[slot];
-  if (conn.outq_bytes + bytes.size() > opts_.max_outq_bytes) {
+  if (conn.outq_bytes + bytes.size() > kMaxOutqBytes) {
     // The peer requests faster than it reads: same stall policy as the
     // hub's bounded outq — drop the connection, not the process.
     evict(loop, slot, /*idle=*/false);

@@ -61,13 +61,8 @@ struct ReactorOptions {
   /// Evict a connection that makes no progress (no completed inbound frame,
   /// no accepted outbound byte) for this long while nothing is in compute.
   int idle_timeout_ms = 60'000;
-  std::size_t max_frame_body = kDefaultMaxBody;
   std::size_t max_connections = 16'000;  ///< accept cap (refused above)
-  std::size_t max_outq_bytes = 64u << 20;  ///< per-connection outbound cap
   std::size_t compute_queue_cap = 4096;  ///< pending requests before shedding
-  /// First auto-assigned client id. High base so reactor clients can never
-  /// collide with party ids (providers 0..k-1, miner k).
-  std::uint32_t first_client_id = 1u << 20;
   /// Optional metrics sink (non-owning; must outlive the reactor). When
   /// set, the reactor records latency histograms on its hot path:
   /// reactor.queue_wait_ms (frame parsed -> compute pickup),

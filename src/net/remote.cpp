@@ -143,7 +143,6 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
   ropts.loops = opts_.reactor_loops;
   ropts.compute_threads = opts_.reactor_compute_threads;
   ropts.idle_timeout_ms = opts_.reactor_idle_timeout_ms;
-  ropts.max_frame_body = opts_.tcp.max_frame_body;
   ropts.metrics = &obs_;  // reactor.queue_wait_ms / handler_ms / writev_batch
   // The serving door binds (and accepts) immediately so its address can be
   // advertised next to the hub's; serve_frame refuses every request until
@@ -642,7 +641,6 @@ void MinerDaemon::resync_owned_shards() {
       try {
         ServeClient::Options copts;
         copts.timeout_ms = opts_.resync_timeout_ms;
-        copts.max_frame_body = opts_.tcp.max_frame_body;
         ServeClient client(peer, opts_.seed, opts_.parties, copts);
         auto snap = client.shard_snapshot(g);
         client.bye();
@@ -675,14 +673,17 @@ void MinerDaemon::resync_owned_shards() {
 
 // ---- ServeClient ---------------------------------------------------------
 
+/// Seed of every ServeClient's backoff-jitter stream: the same request
+/// sequence always gets the same backoff schedule.
+constexpr std::uint64_t kRetrySeed = 0x5AFE;
+
 ServeClient::ServeClient(const SocketAddr& addr, std::uint64_t seed, std::size_t parties,
                          Options opts)
     : sock_(TcpSocket::connect(addr, opts.timeout_ms)),
-      reader_(opts.max_frame_body),
       opts_(opts),
       addr_(addr),
       parties_(parties),
-      retry_eng_(opts.retry_seed) {
+      retry_eng_(kRetrySeed) {
   SAP_REQUIRE(parties >= 3, "ServeClient: need at least 3 parties");
   secret_ = proto::logic::derive_session_seeds(seed, parties).session_secret;
   miner_ = static_cast<proto::PartyId>(parties);
@@ -1006,7 +1007,6 @@ ServeClient& PartyClient::door() {
     const auto notice = expect({proto::PayloadKind::kServingDoor});
     ServeClient::Options copts;
     copts.timeout_ms = opts_.tcp.receive_timeout_ms;
-    copts.max_frame_body = opts_.tcp.max_frame_body;
     door_ = std::make_unique<ServeClient>(
         SocketAddr{opts_.connect.host, proto::decode_serving_door(notice.payload)},
         opts_.sap.seed, k_, copts);

@@ -296,7 +296,6 @@ class ServeClient {
  public:
   struct Options {
     int timeout_ms = 10'000;  ///< connect/handshake/response deadline
-    std::size_t max_frame_body = kDefaultMaxBody;
     /// Transport-level retry budget for IDEMPOTENT requests (mine_named,
     /// mine_partial, pool_slice, stats, shard_snapshot): up to this many
     /// reconnect-and-resend attempts after the first try. 0 (default)
@@ -307,14 +306,13 @@ class ServeClient {
     int retry_attempts = 0;
     /// Backoff base: attempt n sleeps retry_backoff_ms << n, capped at
     /// retry_backoff_cap_ms, plus deterministic jitter in [0, base) drawn
-    /// from a sap::rng::Engine seeded by retry_seed — same seed, same
-    /// request sequence => same backoff schedule (sap rng discipline).
+    /// from a sap::rng::Engine with a fixed seed — same request sequence =>
+    /// same backoff schedule (sap rng discipline).
     int retry_backoff_ms = 10;
     int retry_backoff_cap_ms = 500;
     /// Total wall-clock budget across all attempts of one request; once
     /// exceeded no further attempt starts (deadline-scoped retries).
     int retry_deadline_ms = 20'000;
-    std::uint64_t retry_seed = 0x5AFE;
   };
 
   /// Connect to a serving endpoint and claim an auto-assigned id. `seed`

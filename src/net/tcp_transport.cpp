@@ -18,9 +18,6 @@ constexpr int kIoTickMs = 20;
 /// are dropped.
 constexpr std::size_t kMaxPendingPerParty = 4096;
 constexpr std::size_t kMaxPendingBytes = 64u << 20;
-/// Per-connection outbound queue cap: a peer that stops draining costs at
-/// most this much memory before it is disconnected.
-constexpr std::size_t kMaxOutqBytes = 64u << 20;
 
 std::vector<std::uint8_t> frame_bytes(const Frame& frame) {
   std::vector<std::uint8_t> bytes;
@@ -157,7 +154,7 @@ void TcpTransport::send(proto::PartyId from, proto::PartyId to, proto::PayloadKi
   frame.from = from;
   frame.to = to;
   frame.body = envelope_body(proto::EncryptedEnvelope(payload, link_key(from, to)));
-  SAP_REQUIRE(frame.body.size() <= opts_.max_frame_body,
+  SAP_REQUIRE(frame.body.size() <= kDefaultMaxBody,
               "TcpTransport::send: payload exceeds the frame size cap");
   if (role_ == Role::kHub) {
     hub_dispatch(std::move(frame));
@@ -284,7 +281,7 @@ void TcpTransport::client_handle_frame(Frame frame) {
 }
 
 void TcpTransport::io_loop_client() {
-  FrameReader reader(opts_.max_frame_body);
+  FrameReader reader;
   std::uint8_t buf[64 * 1024];
   while (!stop_.load()) {
     bool closed = false;
@@ -510,7 +507,7 @@ void TcpTransport::io_loop_hub() {
       for (;;) {
         TcpSocket sock = listener_.accept(0);
         if (!sock.valid()) break;
-        conns_.push_back(std::make_unique<Conn>(std::move(sock), opts_.max_frame_body));
+        conns_.push_back(std::make_unique<Conn>(std::move(sock)));
         ++live_conns_;
       }
     }

@@ -43,7 +43,6 @@ struct TcpOptions {
   int connect_timeout_ms = 5000;  ///< TCP connect + claim handshake deadline
   int receive_timeout_ms = 30000; ///< receive() deadline
   int write_timeout_ms = 5000;    ///< per-stall deadline for socket writes
-  std::size_t max_frame_body = kDefaultMaxBody;
 };
 
 class TcpTransport {
@@ -175,7 +174,7 @@ class TcpTransport {
     std::uint64_t io_prev_flushed = 0;
     std::chrono::steady_clock::time_point io_stall_start{};
     bool io_stalled = false;
-    Conn(TcpSocket s, std::size_t max_body) : sock(std::move(s)), reader(max_body) {}
+    explicit Conn(TcpSocket s) : sock(std::move(s)) {}
   };
   mutable Mutex conn_mutex_ SAP_ACQUIRED_BEFORE(mutex_);
   TcpListener listener_;
@@ -187,10 +186,10 @@ class TcpTransport {
   std::map<proto::PartyId, std::vector<Frame>> pending_ SAP_GUARDED_BY(conn_mutex_);
   /// Body bytes across all of pending_.
   std::size_t pending_bytes_ SAP_GUARDED_BY(conn_mutex_) = 0;
-  /// Auto-assigned ids start high: parties claim their ids explicitly, so a
-  /// client asking for any id (a misdirected serving client, say) is never
-  /// handed a party's id, even when it arrives before that party does.
-  std::uint32_t next_auto_id_ SAP_GUARDED_BY(conn_mutex_) = 1u << 20;
+  /// Auto-assigned ids start at kFirstClientId: parties claim their ids
+  /// explicitly, so a client asking for any id (a misdirected serving
+  /// client, say) is never handed a party's id.
+  std::uint32_t next_auto_id_ SAP_GUARDED_BY(conn_mutex_) = kFirstClientId;
   std::size_t live_conns_ SAP_GUARDED_BY(conn_mutex_) = 0;
 
   // ---- client connection state -----------------------------------------

@@ -14,6 +14,8 @@ GeometricPerturbation::GeometricPerturbation(linalg::Matrix r, linalg::Vector t,
   SAP_REQUIRE(r_.rows() == r_.cols() && r_.rows() > 0,
               "GeometricPerturbation: R must be square and non-empty");
   SAP_REQUIRE(t_.size() == r_.rows(), "GeometricPerturbation: t size must match R");
+  // R is gated by orthogonality below (which NaN fails); t has no such gate.
+  SAP_REQUIRE(linalg::all_finite(t_), "GeometricPerturbation: t must be finite");
   SAP_REQUIRE(sigma_ >= 0.0, "GeometricPerturbation: sigma must be non-negative");
   SAP_REQUIRE(linalg::orthogonality_defect(r_) < 1e-8,
               "GeometricPerturbation: R must be orthogonal");

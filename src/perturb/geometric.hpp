@@ -25,7 +25,7 @@ class GeometricPerturbation {
   GeometricPerturbation() = default;
 
   /// Construct from explicit parameters. R must be square and orthogonal
-  /// (checked to 1e-8); t must have R.rows() entries; sigma >= 0.
+  /// (checked to 1e-8); t must have R.rows() finite entries; sigma >= 0.
   GeometricPerturbation(linalg::Matrix r, linalg::Vector t, double noise_sigma);
 
   /// Sample a random perturbation: Haar-orthogonal R, t ~ U[-1,1]^d.

@@ -11,6 +11,9 @@ SpaceAdaptor::SpaceAdaptor(linalg::Matrix rotation_adaptor, linalg::Vector trans
     : r_(std::move(rotation_adaptor)), psi_(std::move(translation_adaptor)) {
   SAP_REQUIRE(r_.rows() == r_.cols() && r_.rows() > 0, "SpaceAdaptor: R_it must be square");
   SAP_REQUIRE(psi_.size() == r_.rows(), "SpaceAdaptor: psi size must match R_it");
+  // A NaN in R_it already fails the orthogonality gate; psi has no such
+  // gate, and a non-finite entry would poison every adapted row.
+  SAP_REQUIRE(linalg::all_finite(psi_), "SpaceAdaptor: psi must be finite");
   SAP_REQUIRE(linalg::orthogonality_defect(r_) < 1e-7,
               "SpaceAdaptor: rotation adaptor must be orthogonal");
 }

@@ -24,7 +24,7 @@ class SpaceAdaptor {
  public:
   SpaceAdaptor() = default;
 
-  /// R_it must be orthogonal d x d; psi_it must have d entries.
+  /// R_it must be orthogonal d x d; psi_it must have d finite entries.
   SpaceAdaptor(linalg::Matrix rotation_adaptor, linalg::Vector translation_adaptor);
 
   /// Build the adaptor taking data perturbed by `source` into the space of

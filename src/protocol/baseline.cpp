@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "privacy/attacks.hpp"
 
 namespace sap::proto {
@@ -29,7 +30,7 @@ SapResult DirectSubmissionProtocol::run() {
   const std::size_t d = provider_data_.front().dims();
   rng::Engine master(opts_.seed);
 
-  net_ = make_transport(opts_.transport, master());
+  net_ = std::make_unique<Transport>(master());
   std::vector<PartyId> provider_id(k);
   for (std::size_t i = 0; i < k; ++i) provider_id[i] = net_->add_party();
   const PartyId miner = net_->add_party();
@@ -51,34 +52,30 @@ SapResult DirectSubmissionProtocol::run() {
     ps[i].eng = master.spawn();
   }
 
-  // Local optimization — identical to SAP phase 1; one task per provider so
-  // a concurrent transport parallelizes the dominant cost.
-  std::vector<std::function<void()>> optimize_tasks(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    optimize_tasks[i] = [this, &ps, d, i] {
-      auto& p = ps[i];
-      auto opt_opts = opts_.optimizer;
-      opt_opts.noise_sigma = opts_.noise_sigma;
-      if (opts_.optimize_local) {
-        // One scoring pool for the main run and every bound run, as in
-        // party_logic::optimize_local (results are thread-count-invariant).
-        ThreadPool pool(opt_opts.threads);
-        const auto first = opt::optimize_perturbation(p.x, opt_opts, p.eng, pool);
-        p.g = first.best;
-        p.rho = first.best_rho;
-        p.bound = first.best_rho;
-        for (std::size_t r = 1; r < opts_.bound_runs; ++r)
-          p.bound = std::max(
-              p.bound, opt::optimize_perturbation(p.x, opt_opts, p.eng, pool).best_rho);
-      } else {
-        p.g = perturb::GeometricPerturbation::random(d, opts_.noise_sigma, p.eng);
-        p.rho = opt::evaluate_perturbation(p.x, p.g, opt_opts.attacks,
-                                           opt_opts.max_eval_records, p.eng);
-        p.bound = p.rho;
-      }
-    };
-  }
-  net_->run_parties(std::move(optimize_tasks));
+  // Local optimization — identical to SAP phase 1, and like it one worker
+  // per provider: the dominant cost, and it sends nothing.
+  ThreadPool(k).run_indexed(k, [this, &ps, d](std::size_t i) {
+    auto& p = ps[i];
+    auto opt_opts = opts_.optimizer;
+    opt_opts.noise_sigma = opts_.noise_sigma;
+    if (opts_.optimize_local) {
+      // One scoring pool for the main run and every bound run, as in
+      // party_logic::optimize_local (results are thread-count-invariant).
+      ThreadPool pool(opt_opts.threads);
+      const auto first = opt::optimize_perturbation(p.x, opt_opts, p.eng, pool);
+      p.g = first.best;
+      p.rho = first.best_rho;
+      p.bound = first.best_rho;
+      for (std::size_t r = 1; r < opts_.bound_runs; ++r)
+        p.bound = std::max(p.bound,
+                           opt::optimize_perturbation(p.x, opt_opts, p.eng, pool).best_rho);
+    } else {
+      p.g = perturb::GeometricPerturbation::random(d, opts_.noise_sigma, p.eng);
+      p.rho = opt::evaluate_perturbation(p.x, p.g, opt_opts.attacks, opt_opts.max_eval_records,
+                                         p.eng);
+      p.bound = p.rho;
+    }
+  });
 
   // Provider 0 selects the target space and shares it with the other
   // providers (the miner must still not learn G_t).
@@ -91,7 +88,8 @@ SapResult DirectSubmissionProtocol::run() {
     const auto msg = net_->receive(provider_id[i]);
     SAP_REQUIRE(msg.kind == PayloadKind::kTargetSpace,
                 "DirectSubmissionProtocol: expected target space");
-    (void)decode_target_space(msg.payload);  // providers validate receipt
+    const auto ts = decode_target_space(msg.payload);
+    (void)perturb::GeometricPerturbation(ts.r, ts.t, 0.0);  // providers validate receipt
   }
 
   // Every provider perturbs and submits (data, adaptor) straight to the

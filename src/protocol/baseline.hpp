@@ -9,12 +9,14 @@
 // quantifies both sides of that trade.
 #pragma once
 
+#include <memory>
+
 #include "protocol/session.hpp"
 
 namespace sap::proto {
 
-/// Same options as SAP (optimizer budget, noise level, seed, transport
-/// backend); the exchange and coordinator machinery are simply not used.
+/// Same options as SAP (optimizer budget, noise level, seed); the exchange
+/// and coordinator machinery are simply not used.
 class DirectSubmissionProtocol {
  public:
   /// Requires >= 2 providers with equal dimensionality (same contract as

@@ -29,7 +29,7 @@
 //     canonically-ordered rows for coordinator-side gathers
 //     (net/cluster.hpp).
 //
-// Determinism invariant (tested under TSAN like the threaded transport): a
+// Determinism invariant (tested under TSAN like the session's party pool): a
 // batch's reports (MiningResponse::values) are bit-identical to the same
 // requests run serially, regardless of thread count — only the diagnostics
 // (model_cached, model_incremental, millis) may reflect scheduling. This
@@ -40,7 +40,7 @@
 // of the same key are collapsed onto one shared_future. Pool mutations are
 // epoch-ordered per shard: shard content at epoch e is a pure function of
 // the install/append call sequence for that shard, independent of thread
-// count or transport backend.
+// count.
 //
 // Thread-safety: run()/run_batch() may be called concurrently with each
 // other AND with append_records()/set_pool() (requests serve the snapshots

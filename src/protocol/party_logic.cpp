@@ -118,9 +118,9 @@ UnifiedPool unify_pool(std::vector<MinerShard> received,
               "SapSession: miner did not receive k datasets and k adaptors");
 
   // Canonical pooling order: sort by nonce so the unified dataset is
-  // bit-identical across transport backends (concurrent delivery reorders
-  // arrivals). Nonces are per-run random values and carry no source
-  // information the adaptor matching does not already use.
+  // bit-identical in one process and over TCP (where the miner sees
+  // arrivals in network order). Nonces are per-run random values and carry
+  // no source information the adaptor matching does not already use.
   std::sort(received.begin(), received.end(),
             [](const MinerShard& a, const MinerShard& b) { return a.nonce < b.nonce; });
 

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "common/thread_pool.hpp"
 #include "protocol/party_logic.hpp"
 
 namespace sap::proto {
@@ -57,12 +58,12 @@ SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts
 
   const std::size_t k = provider_data.size();
   auto seeds = logic::derive_session_seeds(opts_.seed, k);
-  transport_ = make_transport(opts_.transport, seeds.session_secret);
+  transport_ = Transport(seeds.session_secret);
 
   provider_id_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) provider_id_[i] = transport_->add_party();
+  for (std::size_t i = 0; i < k; ++i) provider_id_[i] = transport_.add_party();
   coordinator_ = provider_id_[k - 1];
-  miner_ = transport_->add_party();
+  miner_ = transport_.add_party();
 
   ps_.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -74,7 +75,7 @@ SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts
 }
 
 void SapSession::inject_faults(Transport::DropFilter filter) {
-  transport_->set_drop_filter(std::move(filter));
+  transport_.set_drop_filter(std::move(filter));
 }
 
 void SapSession::advance() {
@@ -90,8 +91,8 @@ void SapSession::advance() {
     failed_ = true;
     throw;
   }
-  phase_log_.push_back({executing, sw.millis(), transport_->trace().size(),
-                        transport_->total_bytes()});
+  phase_log_.push_back({executing, sw.millis(), transport_.trace().size(),
+                        transport_.total_bytes()});
 }
 
 void SapSession::run_phase(SessionPhase executing) {
@@ -131,19 +132,17 @@ SapResult SapSession::run() { return mine(); }
 // ---------------- phase 1: local perturbation optimization ---------------
 
 void SapSession::run_local_optimize() {
+  // Compute only, so every provider runs on its own worker: each touches
+  // nothing but ps_[i], and the results do not depend on the schedule.
   const std::size_t k = ps_.size();
-  std::vector<std::function<void()>> tasks(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    tasks[i] = [this, i] {
-      auto& p = ps_[i];
-      auto local = logic::optimize_local(p.x, dims_, opts_, p.eng);
-      p.g = std::move(local.g);
-      p.rho = local.rho;
-      p.bound = local.bound;
-      p.nonce = local.nonce;
-    };
-  }
-  transport_->run_parties(std::move(tasks));
+  ThreadPool(k).run_indexed(k, [this](std::size_t i) {
+    auto& p = ps_[i];
+    auto local = logic::optimize_local(p.x, dims_, opts_, p.eng);
+    p.g = std::move(local.g);
+    p.rho = local.rho;
+    p.bound = local.bound;
+    p.nonce = local.nonce;
+  });
 }
 
 // ---------------- phase 2: coordinator selects the noise-free target ------
@@ -153,7 +152,7 @@ void SapSession::run_target_distribution() {
   g_t_ = logic::make_target_space(dims_, coord_eng_);
   const auto target_wire = encode_target_space(g_t_.rotation(), g_t_.translation());
   for (std::size_t i = 0; i + 1 < k; ++i)
-    transport_->send(coordinator_, provider_id_[i], PayloadKind::kTargetSpace, target_wire);
+    transport_.send(coordinator_, provider_id_[i], PayloadKind::kTargetSpace, target_wire);
   ps_[k - 1].target = g_t_;  // the coordinator knows its own choice
 }
 
@@ -169,44 +168,40 @@ void SapSession::run_permutation_exchange() {
   for (std::size_t source = 0; source < k; ++source)
     receiver_of_source_[source] = provider_id_[plan.receiver_of_source[source]];
   for (std::size_t i = 0; i + 1 < k; ++i)
-    transport_->send(coordinator_, provider_id_[i], PayloadKind::kRoutingNotice,
-                     encode_routing(receiver_of_source_[i], plan.inbound[i]));
+    transport_.send(coordinator_, provider_id_[i], PayloadKind::kRoutingNotice,
+                    encode_routing(receiver_of_source_[i], plan.inbound[i]));
   ps_[k - 1].send_to = receiver_of_source_[k - 1];
   ps_[k - 1].inbound = plan.inbound[k - 1];  // 0 by construction (coordinator redirect)
 
   // Providers drain target-space + routing notices; a provider that did not
   // receive BOTH must abort the round (a dropped setup message would
   // otherwise silently misroute its data).
-  std::vector<std::function<void()>> tasks(k - 1);
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    tasks[i] = [this, i] {
-      bool got_target = false;
-      bool got_routing = false;
-      while (transport_->has_mail(provider_id_[i])) {
-        const auto msg = transport_->receive(provider_id_[i]);
-        switch (msg.kind) {
-          case PayloadKind::kTargetSpace: {
-            const auto ts = decode_target_space(msg.payload);
-            ps_[i].target = perturb::GeometricPerturbation(ts.r, ts.t, 0.0);
-            got_target = true;
-            break;
-          }
-          case PayloadKind::kRoutingNotice: {
-            const auto notice = decode_routing(msg.payload);
-            ps_[i].send_to = notice.receiver;
-            ps_[i].inbound = notice.inbound;
-            got_routing = true;
-            break;
-          }
-          default:
-            SAP_FAIL("SapSession: unexpected message kind in setup phase");
+    bool got_target = false;
+    bool got_routing = false;
+    while (transport_.has_mail(provider_id_[i])) {
+      const auto msg = transport_.receive(provider_id_[i]);
+      switch (msg.kind) {
+        case PayloadKind::kTargetSpace: {
+          const auto ts = decode_target_space(msg.payload);
+          ps_[i].target = perturb::GeometricPerturbation(ts.r, ts.t, 0.0);
+          got_target = true;
+          break;
         }
+        case PayloadKind::kRoutingNotice: {
+          const auto notice = decode_routing(msg.payload);
+          ps_[i].send_to = notice.receiver;
+          ps_[i].inbound = notice.inbound;
+          got_routing = true;
+          break;
+        }
+        default:
+          SAP_FAIL("SapSession: unexpected message kind in setup phase");
       }
-      SAP_REQUIRE(got_target && got_routing,
-                  "SapSession: provider missed setup messages (lossy network?) — aborting");
-    };
+    }
+    SAP_REQUIRE(got_target && got_routing,
+                "SapSession: provider missed setup messages (lossy network?) — aborting");
   }
-  transport_->run_parties(std::move(tasks));
 }
 
 // ---------------- phase 4: perturb and exchange ---------------------------
@@ -217,44 +212,36 @@ void SapSession::run_perturb_and_forward() {
   // put (no wire message) and the provider forwards its own perturbed data —
   // the miner cannot distinguish this case, so pi_i = 1/(k-1) still holds.
   self_held_.assign(k, {});
-  std::vector<std::function<void()>> perturb_tasks(k);
   for (std::size_t i = 0; i < k; ++i) {
-    perturb_tasks[i] = [this, i] {
-      auto& p = ps_[i];
-      p.y = p.g.apply(p.x, p.eng);
-      auto wire = logic::tagged_wire(p.nonce, encode_dataset(p.y, p.labels));
-      if (p.send_to == provider_id_[i]) {
-        self_held_[i].push_back(std::move(wire));
-      } else {
-        transport_->send(provider_id_[i], p.send_to, PayloadKind::kPerturbedData, wire);
-      }
-    };
+    auto& p = ps_[i];
+    p.y = p.g.apply(p.x, p.eng);
+    auto wire = logic::tagged_wire(p.nonce, encode_dataset(p.y, p.labels));
+    if (p.send_to == provider_id_[i]) {
+      self_held_[i].push_back(std::move(wire));
+    } else {
+      transport_.send(provider_id_[i], p.send_to, PayloadKind::kPerturbedData, wire);
+    }
   }
-  transport_->run_parties(std::move(perturb_tasks));
 
   // Peers forward everything they received (or held) to the miner. Each
   // provider knows exactly how many peer datasets to expect from its routing
   // notice, so a dropped exchange message is detected here.
-  std::vector<std::function<void()>> forward_tasks(k - 1);
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    forward_tasks[i] = [this, i] {
-      for (const auto& wire : self_held_[i])
-        transport_->send(provider_id_[i], miner_, PayloadKind::kForwardedData, wire);
-      for (std::uint32_t n = 0; n < ps_[i].inbound; ++n) {
-        SAP_REQUIRE(transport_->has_mail(provider_id_[i]),
-                    "SapSession: missing perturbed dataset (dropped message?)");
-        const auto msg = transport_->receive(provider_id_[i]);
-        SAP_REQUIRE(msg.kind == PayloadKind::kPerturbedData,
-                    "SapSession: unexpected message kind in exchange phase");
-        transport_->send(provider_id_[i], miner_, PayloadKind::kForwardedData, msg.payload);
-      }
-    };
+    for (const auto& wire : self_held_[i])
+      transport_.send(provider_id_[i], miner_, PayloadKind::kForwardedData, wire);
+    for (std::uint32_t n = 0; n < ps_[i].inbound; ++n) {
+      SAP_REQUIRE(transport_.has_mail(provider_id_[i]),
+                  "SapSession: missing perturbed dataset (dropped message?)");
+      const auto msg = transport_.receive(provider_id_[i]);
+      SAP_REQUIRE(msg.kind == PayloadKind::kPerturbedData,
+                  "SapSession: unexpected message kind in exchange phase");
+      transport_.send(provider_id_[i], miner_, PayloadKind::kForwardedData, msg.payload);
+    }
   }
-  transport_->run_parties(std::move(forward_tasks));
 
   SAP_REQUIRE(self_held_[k - 1].empty(),
               "SapSession invariant violated: coordinator assigned as receiver");
-  SAP_REQUIRE(!transport_->has_mail(coordinator_),
+  SAP_REQUIRE(!transport_.has_mail(coordinator_),
               "SapSession invariant violated: coordinator received a dataset");
 }
 
@@ -262,25 +249,21 @@ void SapSession::run_perturb_and_forward() {
 
 void SapSession::run_adaptor_alignment() {
   const std::size_t k = ps_.size();
-  std::vector<std::function<void()>> adaptor_tasks(k);
   for (std::size_t i = 0; i < k; ++i) {
-    adaptor_tasks[i] = [this, i] {
-      auto& p = ps_[i];
-      p.adaptor = perturb::SpaceAdaptor::between(p.g, p.target);
-      if (provider_id_[i] != coordinator_) {
-        transport_->send(provider_id_[i], coordinator_, PayloadKind::kSpaceAdaptor,
-                         logic::tagged_wire(p.nonce, p.adaptor.serialize()));
-      }
-    };
+    auto& p = ps_[i];
+    p.adaptor = perturb::SpaceAdaptor::between(p.g, p.target);
+    if (provider_id_[i] != coordinator_) {
+      transport_.send(provider_id_[i], coordinator_, PayloadKind::kSpaceAdaptor,
+                      logic::tagged_wire(p.nonce, p.adaptor.serialize()));
+    }
   }
-  transport_->run_parties(std::move(adaptor_tasks));
 
   // Coordinator collects (nonce, adaptor) pairs — its own included — and
   // ships the sequence to the miner. It never learns more than it already
   // knows (it generated tau), and the miner learns nothing about sources.
   std::vector<std::vector<double>> entries;
-  while (transport_->has_mail(coordinator_)) {
-    const auto msg = transport_->receive(coordinator_);
+  while (transport_.has_mail(coordinator_)) {
+    const auto msg = transport_.receive(coordinator_);
     SAP_REQUIRE(msg.kind == PayloadKind::kSpaceAdaptor,
                 "SapSession: coordinator expected only adaptors");
     entries.push_back(msg.payload);
@@ -292,7 +275,7 @@ void SapSession::run_adaptor_alignment() {
   // identity.
   logic::shuffle_entries(entries, coord_eng_);
   for (const auto& e : entries)
-    transport_->send(coordinator_, miner_, PayloadKind::kAdaptorSequence, e);
+    transport_.send(coordinator_, miner_, PayloadKind::kAdaptorSequence, e);
 }
 
 // ---------------- phase 6 (entry): the miner unifies; accounting ----------
@@ -302,8 +285,8 @@ void SapSession::run_unify_and_account() {
 
   std::vector<logic::MinerShard> received;
   std::vector<std::pair<std::uint64_t, perturb::SpaceAdaptor>> adaptors;
-  while (transport_->has_mail(miner_)) {
-    const auto msg = transport_->receive(miner_);
+  while (transport_.has_mail(miner_)) {
+    const auto msg = transport_.receive(miner_);
     const std::span<const double> payload(msg.payload);
     SAP_REQUIRE(!payload.empty(), "SapSession: empty payload at miner");
     const auto nonce = static_cast<std::uint64_t>(payload[0]);
@@ -333,17 +316,13 @@ void SapSession::run_unify_and_account() {
 
   // Accounting (party-side knowledge only: each provider knows X_i, G_i,
   // G_t and can score its own exposure). The satisfaction evaluation is the
-  // expensive part, so each party's accounting is one run_parties task.
+  // expensive part and sends nothing, so it runs on the party pool too.
   reports_.assign(k, PartyReport{});
-  std::vector<std::function<void()>> accounting_tasks(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    accounting_tasks[i] = [this, i, k] {
-      auto& p = ps_[i];
-      reports_[i] = logic::account_party(p.x, p.y, p.adaptor, provider_id_[i], p.rho,
-                                         p.bound, k, opts_, p.eng);
-    };
-  }
-  transport_->run_parties(std::move(accounting_tasks));
+  ThreadPool(k).run_indexed(k, [this, k](std::size_t i) {
+    auto& p = ps_[i];
+    reports_[i] = logic::account_party(p.x, p.y, p.adaptor, provider_id_[i], p.rho, p.bound,
+                                       k, opts_, p.eng);
+  });
 }
 
 // ---------------- mining (served by the engine) ---------------------------
@@ -358,15 +337,15 @@ SapResult SapSession::finish_mine(const std::vector<double>& report, bool broadc
 
   if (broadcast) {
     for (const PartyId id : provider_id_)
-      transport_->send(miner_, id, PayloadKind::kModelReport, report);
+      transport_.send(miner_, id, PayloadKind::kModelReport, report);
     // Providers drain their report (best effort: a dropped report degrades
     // service but must not corrupt the protocol result).
     for (const PartyId id : provider_id_)
-      while (transport_->has_mail(id)) (void)transport_->receive(id);
+      while (transport_.has_mail(id)) (void)transport_.receive(id);
   }
 
-  result.messages = transport_->trace().size();
-  result.total_bytes = transport_->total_bytes();
+  result.messages = transport_.trace().size();
+  result.total_bytes = transport_.total_bytes();
   return result;
 }
 
@@ -407,7 +386,7 @@ SapSession::ContributionReceipt SapSession::contribute(std::size_t provider_inde
   auto& p = ps_[provider_index];
   // Same perturbation, fresh noise: the batch leaves the provider exactly as
   // the initial shard did (Y = G_i(X)), drawn from the provider's own
-  // deterministic stream so runs are reproducible across backends.
+  // deterministic stream so runs are reproducible.
   const linalg::Matrix y = p.g.apply(batch.features_T(), p.eng);
   return contribute_raw(provider_index, p.nonce, y, batch.labels());
 }
@@ -420,33 +399,23 @@ SapSession::ContributionReceipt SapSession::contribute_raw(std::size_t via_provi
   run_until(SessionPhase::kMine);
   const auto wire = encode_contribution(nonce, y_dxm, labels);
 
-  // One run_parties batch: the contributor sends, the miner ingests. On the
-  // synchronous backend the send lands before the miner's receive; on the
-  // threaded backend the miner blocks until the message arrives — and if it
-  // was dropped, starvation detection (all workers blocked or done) turns
-  // "mail that will never come" into an immediate sap::Error, exactly like
-  // the exchange phases. Ingest failures of any kind leave the pool
-  // untouched, so the session keeps serving the previous epoch.
+  // The contributor sends, the miner ingests. A dropped contribution leaves
+  // the miner's inbox empty, so receive() throws at once. Ingest failures of
+  // any kind leave the pool untouched, so the session keeps serving the
+  // previous epoch.
+  transport_.send(provider_id_[via_provider], miner_, PayloadKind::kContribution, wire);
+  const auto msg = transport_.receive(miner_);
+  SAP_REQUIRE(msg.kind == PayloadKind::kContribution,
+              "SapSession: miner expected a contribution");
+  const auto contribution = decode_contribution(msg.payload);
+  const auto it = std::find_if(miner_adaptors_.begin(), miner_adaptors_.end(),
+                               [&](const auto& a) { return a.first == contribution.nonce; });
+  SAP_REQUIRE(it != miner_adaptors_.end(),
+              "SapSession: contribution from unknown party (no adaptor for nonce)");
+  const data::Dataset appended = logic::adapt_contribution(contribution, it->second, dims_);
   ContributionReceipt receipt;
-  std::vector<std::function<void()>> tasks(2);
-  tasks[0] = [this, via_provider, &wire] {
-    transport_->send(provider_id_[via_provider], miner_, PayloadKind::kContribution, wire);
-  };
-  tasks[1] = [this, &receipt] {
-    const auto msg = transport_->receive(miner_);
-    SAP_REQUIRE(msg.kind == PayloadKind::kContribution,
-                "SapSession: miner expected a contribution");
-    const auto contribution = decode_contribution(msg.payload);
-    const auto it =
-        std::find_if(miner_adaptors_.begin(), miner_adaptors_.end(),
-                     [&](const auto& a) { return a.first == contribution.nonce; });
-    SAP_REQUIRE(it != miner_adaptors_.end(),
-                "SapSession: contribution from unknown party (no adaptor for nonce)");
-    const data::Dataset appended = logic::adapt_contribution(contribution, it->second, dims_);
-    receipt.pool_epoch = engine_.append_records(appended);
-    receipt.pool_records = engine_.pool_view().data->size();
-  };
-  transport_->run_parties(std::move(tasks));
+  receipt.pool_epoch = engine_.append_records(appended);
+  receipt.pool_records = engine_.pool_view().data->size();
   return receipt;
 }
 

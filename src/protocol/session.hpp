@@ -1,14 +1,17 @@
 // SapSession — the Space Adaptation Protocol (paper §3) as a phase-explicit
-// state machine over a pluggable Transport backend.
+// state machine over the in-process Transport.
 //
-// Roles (all in-process over the chosen Transport, which enforces and
-// records the information flow):
+// Roles (all in-process over one Transport, which enforces and records the
+// information flow):
 //   * k data providers DP_0 .. DP_{k-1}; DP_{k-1} doubles as the
 //     *coordinator* (the paper's DP_k),
 //   * one mining service provider (SP / "the miner").
 //
-// Phases (each individually observable via phase() / phase_log(), each a
-// run_parties() batch so the threaded backend parallelizes per-party work):
+// Phases (each individually observable via phase() / phase_log()). The two
+// that send no messages — LocalOptimize and the per-party accounting at the
+// end of AdaptorAlignment — run on a pool with one worker per provider;
+// every send and receive happens on the session's thread in provider-index
+// order, so the trace and the pool are the same on every run:
 //
 //   LocalOptimize        every provider locally optimizes its perturbation
 //                        G_i : (R_i, t_i) with the common noise level sigma;
@@ -54,7 +57,6 @@
 // but leaves the pool untouched and the session serviceable.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,8 +78,9 @@ struct SapOptions {
   bool optimize_local = true;
   /// Randomized-optimizer configuration (also supplies the attack suite
   /// used for rho / satisfaction accounting). `optimizer.threads` sizes the
-  /// per-party LocalOptimize scoring pool; results are bit-identical for
-  /// any thread count (optimizer.hpp), so it is purely a latency knob.
+  /// per-party LocalOptimize scoring pool, nested inside the session's
+  /// one-worker-per-provider pool; results are bit-identical for any thread
+  /// count (optimizer.hpp), so it is purely a latency knob.
   opt::OptimizerOptions optimizer{};
   /// Extra optimization runs per party used to estimate the bound b_i
   /// (>= 1; the paper estimates b empirically as a max over runs).
@@ -86,10 +89,10 @@ struct SapOptions {
   /// evaluation per party; disable for pure cost benches).
   bool compute_satisfaction = true;
   /// Master seed: a run is bit-for-bit reproducible given options + data,
-  /// regardless of the transport backend (the miner pools shards in a
-  /// canonical order, so even concurrent delivery yields identical output).
+  /// for any thread counts (the miner pools shards in a canonical order).
   std::uint64_t seed = 0x5A9;
-  /// Messaging + party-execution backend.
+  /// Unused: there is one in-process backend. Kept only because perfbench
+  /// assigns it (see TransportKind); deleted with the enum.
   TransportKind transport = TransportKind::kSimulated;
   /// Worker threads for the session's MiningEngine (0 = serve batches
   /// inline; the engine's reports are thread-count-invariant either way).
@@ -150,7 +153,6 @@ class SapSession {
   /// One dataset per provider (>= 3 providers: with fewer than two
   /// non-coordinator providers the exchange cannot anonymize anything).
   /// All datasets must share dimensionality and be pre-normalized.
-  /// The backend is chosen by `opts.transport`.
   SapSession(std::vector<data::Dataset> provider_data, SapOptions opts);
 
   SapSession(const SapSession&) = delete;
@@ -158,9 +160,9 @@ class SapSession {
 
   // ---- phase stepping --------------------------------------------------
 
-  /// Contract checks shared with the compatibility wrapper: >= 3 providers,
-  /// equal dimensionality, >= 8 records each, valid options. Throws
-  /// sap::Error on violation.
+  /// Contract checks run by the constructor: >= 3 providers, equal
+  /// dimensionality, >= 8 records each, valid options. Throws sap::Error on
+  /// violation.
   static void validate(const std::vector<data::Dataset>& provider_data,
                        const SapOptions& opts);
 
@@ -244,7 +246,7 @@ class SapSession {
   }
 
   /// The transport carrying this session (trace, cost and drop accounting).
-  [[nodiscard]] const Transport& transport() const noexcept { return *transport_; }
+  [[nodiscard]] const Transport& transport() const noexcept { return transport_; }
 
   /// Failure injection for tests/benches: messages matching the filter are
   /// dropped by the transport. The protocol must detect the incomplete
@@ -261,7 +263,7 @@ class SapSession {
 
  private:
   /// Simulation container for one provider's private state; nothing outside
-  /// the owning party's task reads an entry except through the transport.
+  /// the owning party's steps reads an entry except through the transport.
   struct ProviderState {
     linalg::Matrix x;  // d x N original (normalized) data
     std::vector<int> labels;
@@ -291,7 +293,7 @@ class SapSession {
 
   std::size_t dims_ = 0;
   SapOptions opts_;
-  std::unique_ptr<Transport> transport_;
+  Transport transport_{0};  // re-keyed from the session secret on construction
   std::vector<PartyId> provider_id_;
   PartyId coordinator_ = 0;
   PartyId miner_ = 0;

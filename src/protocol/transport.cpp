@@ -1,57 +1,63 @@
 #include "protocol/transport.hpp"
 
-#include <exception>
-
 #include "common/error.hpp"
-#include "protocol/network.hpp"
-#include "protocol/threaded_transport.hpp"
 
 namespace sap::proto {
 
-std::string to_string(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kSimulated: return "simulated";
-    case TransportKind::kThreadedLocal: return "threaded-local";
-  }
-  return "unknown";
+Transport::Transport(std::uint64_t session_secret) : session_secret_(session_secret) {}
+
+PartyId Transport::add_party() {
+  inboxes_.emplace_back();
+  return static_cast<PartyId>(inboxes_.size() - 1);
 }
 
-void Transport::run_parties(std::vector<std::function<void()>> tasks) {
-  // Sequential policy: tasks run in index order on the calling thread. The
-  // protocol orders its batches so every receive happens after the batch
-  // that produced the mail, which this policy preserves trivially.
-  std::exception_ptr first_error;
-  for (auto& task : tasks) {
-    if (!task) continue;
-    try {
-      task();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+void Transport::set_drop_filter(DropFilter filter) { drop_filter_ = std::move(filter); }
+
+void Transport::send(PartyId from, PartyId to, PayloadKind kind,
+                     std::span<const double> payload) {
+  SAP_REQUIRE(from < party_count() && to < party_count(), "Transport::send: unknown party");
+  SAP_REQUIRE(from != to, "Transport::send: self-send is not a protocol step");
+  Message msg;
+  msg.from = from;
+  msg.to = to;
+  msg.kind = kind;
+  msg.envelope = EncryptedEnvelope(payload, detail::derive_link_key(session_secret_, from, to));
+  msg.wire_bytes = msg.envelope.size_doubles() * sizeof(double);
+  total_bytes_ += msg.wire_bytes;
+  const bool dropped = drop_filter_ && drop_filter_(from, to, kind);
+  trace_.push_back(std::move(msg));
+  if (dropped) {
+    ++dropped_;
+  } else {
+    inboxes_[to].push_back(trace_.size() - 1);
   }
-  if (first_error) std::rethrow_exception(first_error);
+}
+
+bool Transport::has_mail(PartyId party) const {
+  SAP_REQUIRE(party < party_count(), "Transport::has_mail: unknown party");
+  return !inboxes_[party].empty();
+}
+
+Transport::Delivery Transport::receive(PartyId party) {
+  SAP_REQUIRE(party < party_count(), "Transport::receive: unknown party");
+  SAP_REQUIRE(!inboxes_[party].empty(), "Transport::receive: empty inbox");
+  const std::size_t idx = inboxes_[party].front();
+  inboxes_[party].pop_front();
+  const Message& msg = trace_[idx];
+  return {msg.from, msg.kind,
+          msg.envelope.open(detail::derive_link_key(session_secret_, msg.from, msg.to))};
 }
 
 std::map<std::pair<PartyId, PartyId>, std::size_t> Transport::link_bytes() const {
   std::map<std::pair<PartyId, PartyId>, std::size_t> bytes;
-  for (const Message& msg : trace()) bytes[{msg.from, msg.to}] += msg.wire_bytes;
+  for (const Message& msg : trace_) bytes[{msg.from, msg.to}] += msg.wire_bytes;
   return bytes;
 }
 
 std::size_t Transport::count_received(PartyId party, PayloadKind kind) const {
   std::size_t count = 0;
-  for (const Message& msg : trace()) count += (msg.to == party && msg.kind == kind);
+  for (const Message& msg : trace_) count += (msg.to == party && msg.kind == kind);
   return count;
-}
-
-std::unique_ptr<Transport> make_transport(TransportKind kind, std::uint64_t session_secret) {
-  switch (kind) {
-    case TransportKind::kSimulated:
-      return std::make_unique<SimulatedNetwork>(session_secret);
-    case TransportKind::kThreadedLocal:
-      return std::make_unique<ThreadedLocalTransport>(session_secret);
-  }
-  SAP_FAIL("make_transport: unknown transport kind");
 }
 
 namespace detail {

@@ -61,11 +61,9 @@
 #include "protocol/jobs.hpp"
 #include "protocol/message.hpp"
 #include "protocol/mining_engine.hpp"
-#include "protocol/network.hpp"
 #include "protocol/party_logic.hpp"
 #include "protocol/risk.hpp"
 #include "protocol/session.hpp"
-#include "protocol/threaded_transport.hpp"
 #include "protocol/transport.hpp"
 
 #include "net/cluster.hpp"

@@ -6,7 +6,7 @@
 //     and k `party --connect` processes over loopback TCP, all spawned as
 //     genuine OS processes, with the daemon's pooled result asserted
 //     bit-identical (digest + multiset digest) to the same logical session
-//     run in-process through SapSession/kSimulated.
+//     run in-process through SapSession.
 //
 // SAP_CLI_PATH is injected by CMake as the built binary's absolute path.
 #include <gtest/gtest.h>
@@ -241,7 +241,7 @@ TEST(CliCrossProcess, DaemonAndPartiesMatchInProcessSession) {
   constexpr std::size_t kParties = 3;
   constexpr std::uint64_t kBatches = 2, kBatchRecords = 10;
 
-  // Reference: the identical logical session in THIS process (kSimulated).
+  // Reference: the identical logical session in THIS process (SapSession).
   // Data prep and session options come from the SAME library helpers
   // `sap_cli party`/`contribute` call — one copy, no drift.
   //

@@ -2,15 +2,14 @@
 // contributions into the live unified pool by reusing the space adaptors
 // negotiated in the initial exchange (no re-run of LocalOptimize/Exchange).
 //
-// Every end-to-end test is parameterized over both transport backends: the
-// phase must behave identically — same acceptances, same rejections (an
-// undeliverable contribution must fail fast on the threaded backend via
-// starvation detection, not hang), and bit-identical pools.
+// A contribution is one send and one receive on the session's thread: an
+// undeliverable one fails fast, and the pool is bit-identical at any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
@@ -46,23 +45,16 @@ StreamSetup stream_setup(std::size_t k, std::uint64_t seed) {
   return setup;
 }
 
-proto::SapOptions fast_opts(std::uint64_t seed, proto::TransportKind transport) {
+proto::SapOptions fast_opts(std::uint64_t seed) {
   auto opts = proto::SapOptions::fast();
   opts.seed = seed;
   opts.compute_satisfaction = false;
-  opts.transport = transport;
   return opts;
 }
 
-std::string transport_label(const ::testing::TestParamInfo<proto::TransportKind>& info) {
-  return info.param == proto::TransportKind::kSimulated ? "Simulated" : "ThreadedLocal";
-}
-
-class Contribute : public ::testing::TestWithParam<proto::TransportKind> {};
-
-TEST_P(Contribute, GrowsThePoolWithoutRedoingTheExchange) {
+TEST(Contribute, GrowsThePoolWithoutRedoingTheExchange) {
   auto setup = stream_setup(4, 301);
-  proto::SapSession session(std::move(setup.shards), fast_opts(301, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(301));
   auto& engine = session.engine();
   EXPECT_EQ(engine.pool_view().data->size(), 100u);
   const std::size_t exchange_messages = session.transport().trace().size();
@@ -89,12 +81,12 @@ TEST_P(Contribute, GrowsThePoolWithoutRedoingTheExchange) {
   EXPECT_EQ(count.pool_epoch, 3u);
 }
 
-TEST_P(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
+TEST(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
   // With sigma = 0 the whole pipeline is exact algebra: the appended records
   // must equal the batch mapped straight into the target space G_t — the
   // utility-preservation guarantee of adaptor reuse.
   auto setup = stream_setup(4, 302);
-  auto opts = fast_opts(302, GetParam());
+  auto opts = fast_opts(302);
   opts.noise_sigma = 0.0;
   proto::SapSession session(std::move(setup.shards), opts);
   const auto result = session.mine();
@@ -112,9 +104,9 @@ TEST_P(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
   }
 }
 
-TEST_P(Contribute, UnknownContributorIsRejectedAndThePoolUntouched) {
+TEST(Contribute, UnknownContributorIsRejectedAndThePoolUntouched) {
   auto setup = stream_setup(4, 303);
-  proto::SapSession session(std::move(setup.shards), fast_opts(303, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(303));
   (void)session.engine();
 
   const Dataset batch = setup.stream.slice(0, 10);
@@ -134,9 +126,9 @@ TEST_P(Contribute, UnknownContributorIsRejectedAndThePoolUntouched) {
   EXPECT_EQ(receipt.pool_records, 110u);
 }
 
-TEST_P(Contribute, DimensionMismatchedBatchIsRejected) {
+TEST(Contribute, DimensionMismatchedBatchIsRejected) {
   auto setup = stream_setup(4, 304);
-  proto::SapSession session(std::move(setup.shards), fast_opts(304, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(304));
   (void)session.engine();
 
   // Session-side validation rejects a malformed original-space batch...
@@ -161,12 +153,12 @@ TEST_P(Contribute, DimensionMismatchedBatchIsRejected) {
   EXPECT_EQ(session.engine().pool_view().data->size(), 100u);
 }
 
-TEST_P(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
+TEST(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
   // One NaN would poison every later fit on the pool (NB moments, kNN
   // distances, SVM margins): the miner's decoder rejects the batch like any
   // malformed one, and the pool and epoch stay put.
   auto setup = stream_setup(4, 308);
-  proto::SapSession session(std::move(setup.shards), fast_opts(308, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(308));
   (void)session.engine();
 
   Dataset batch = setup.stream.slice(0, 10);
@@ -192,21 +184,19 @@ TEST_P(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
   EXPECT_EQ(receipt.pool_records, 110u);
 }
 
-TEST_P(Contribute, DroppedContributionIsDetectedNotHung) {
-  // The transport drops the contribution: the miner must fail fast — on the
-  // threaded backend via starvation detection (all workers blocked or done,
-  // no mail can arrive), not a timeout or a hang — and the pool stays put.
+TEST(Contribute, DroppedContributionIsDetectedNotHung) {
+  // The transport drops the contribution: the miner finds its inbox empty
+  // and fails fast — not a timeout or a hang — and the pool stays put.
+  bool dropped = false;  // declared first: the session's drop filter refers to it
   auto setup = stream_setup(4, 305);
-  proto::SapSession session(std::move(setup.shards), fast_opts(305, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(305));
   (void)session.engine();
 
-  auto dropped = std::make_shared<std::atomic<bool>>(false);
-  session.inject_faults([dropped](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
-    if (kind != proto::PayloadKind::kContribution) return false;
-    return !dropped->exchange(true);
+  session.inject_faults([&dropped](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
+    return kind == proto::PayloadKind::kContribution && !std::exchange(dropped, true);
   });
   EXPECT_THROW((void)session.contribute(1, setup.stream.slice(0, 10)), sap::Error);
-  EXPECT_TRUE(dropped->load());
+  EXPECT_TRUE(dropped);
   EXPECT_GE(session.transport().dropped_count(), 1u);
   EXPECT_EQ(session.engine().pool_view().data->size(), 100u);
 
@@ -215,9 +205,9 @@ TEST_P(Contribute, DroppedContributionIsDetectedNotHung) {
   EXPECT_EQ(receipt.pool_records, 110u);
 }
 
-TEST_P(Contribute, RejectedBeforeTheExchangeCompletes) {
+TEST(Contribute, RejectedBeforeTheExchangeCompletes) {
   auto setup = stream_setup(4, 306);
-  proto::SapSession session(std::move(setup.shards), fast_opts(306, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(306));
   // contribute() implicitly completes the phases (like engine()); but a
   // session poisoned mid-exchange must refuse to ingest.
   session.inject_faults([](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
@@ -228,48 +218,46 @@ TEST_P(Contribute, RejectedBeforeTheExchangeCompletes) {
   EXPECT_THROW((void)session.contribute(0, setup.stream.slice(0, 10)), sap::Error);
 }
 
-TEST_P(Contribute, InvalidArgumentsRejectedUpFront) {
+TEST(Contribute, InvalidArgumentsRejectedUpFront) {
   auto setup = stream_setup(3, 307);
-  proto::SapSession session(std::move(setup.shards), fast_opts(307, GetParam()));
+  proto::SapSession session(std::move(setup.shards), fast_opts(307));
   EXPECT_THROW((void)session.contribute(9, setup.stream.slice(0, 10)), sap::Error);
   EXPECT_THROW((void)session.contribute(0, setup.stream.slice(0, 0)), sap::Error);
   // Nothing ran: the exchange was never started by a failed validation.
   EXPECT_EQ(session.phase(), proto::SessionPhase::kLocalOptimize);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, Contribute,
-                         ::testing::Values(proto::TransportKind::kSimulated,
-                                           proto::TransportKind::kThreadedLocal),
-                         transport_label);
-
 // ------------------------------------------------------------ replay determinism
 
-TEST(ContributeReplay, IdenticalSequenceYieldsBitIdenticalPoolsAcrossTransports) {
-  // Replaying the same contribution sequence over both backends must
-  // produce byte-identical pools and epochs — pool mutations are
-  // epoch-ordered and independent of delivery scheduling.
-  const auto run_replay = [](proto::TransportKind transport) {
+TEST(ContributeReplay, IdenticalSequenceYieldsBitIdenticalPoolsAcrossThreadCounts) {
+  // Replaying the same contribution sequence serially and with a scoring
+  // pool nested in the party pool plus a threaded engine must produce
+  // byte-identical pools and epochs — pool mutations are epoch-ordered and
+  // independent of scheduling.
+  const auto run_replay = [](std::size_t threads) {
     auto setup = stream_setup(4, 308);
-    proto::SapSession session(std::move(setup.shards), fast_opts(308, transport));
+    auto opts = fast_opts(308);
+    opts.optimizer.threads = threads;
+    opts.mining_threads = threads;
+    proto::SapSession session(std::move(setup.shards), opts);
     (void)session.engine();
     (void)session.contribute(0, setup.stream.slice(0, 15));
     (void)session.contribute(3, setup.stream.slice(15, 30));
     (void)session.contribute(1, setup.stream.slice(30, 50));
     return session.engine().pool_view();
   };
-  const auto sim = run_replay(proto::TransportKind::kSimulated);
-  const auto threaded = run_replay(proto::TransportKind::kThreadedLocal);
-  EXPECT_EQ(sim.epoch, 4u);
+  const auto serial = run_replay(0);
+  const auto threaded = run_replay(4);
+  EXPECT_EQ(serial.epoch, 4u);
   EXPECT_EQ(threaded.epoch, 4u);
-  ASSERT_EQ(sim.data->size(), threaded.data->size());
-  EXPECT_TRUE(sim.data->features().approx_equal(threaded.data->features(), 0.0));
-  EXPECT_EQ(sim.data->labels(), threaded.data->labels());
+  ASSERT_EQ(serial.data->size(), threaded.data->size());
+  EXPECT_TRUE(serial.data->features().approx_equal(threaded.data->features(), 0.0));
+  EXPECT_EQ(serial.data->labels(), threaded.data->labels());
 }
 
 TEST(ContributeReplay, MineReflectsContributionsInItsResult) {
   auto setup = stream_setup(4, 309);
-  proto::SapSession session(std::move(setup.shards),
-                            fast_opts(309, proto::TransportKind::kSimulated));
+  proto::SapSession session(std::move(setup.shards), fast_opts(309));
   const auto before = session.mine();
   EXPECT_EQ(before.unified.size(), 100u);
   (void)session.contribute(2, setup.stream.slice(0, 30));

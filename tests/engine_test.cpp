@@ -3,7 +3,7 @@
 // (protocol/mining_engine.hpp) — including the determinism invariant (a
 // batch's reports are bit-identical to serial execution regardless of
 // thread count) and an 8-thread hammer against one shared engine. Run under
-// TSAN like the threaded transport.
+// TSAN like the session's party pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -222,6 +222,51 @@ TEST(Fuzz, CorruptedAdaptorRotationRejected) {
   EXPECT_THROW(sap::perturb::SpaceAdaptor::deserialize(wire), sap::Error);
 }
 
+TEST(Fuzz, NonFiniteAdaptorTranslationRejected) {
+  // The miner unifies a nonce's whole pool segment, and every later
+  // contribution under it, through the adaptor it decodes from
+  // kAdaptorSequence: a non-finite psi word would write NaN/inf into every
+  // adapted row, so the adaptor itself refuses it.
+  Engine eng(32);
+  const auto g_i = sap::perturb::GeometricPerturbation::random(4, 0.1, eng);
+  const auto g_t = sap::perturb::GeometricPerturbation::random(4, 0.0, eng);
+  const auto adaptor = sap::perturb::SpaceAdaptor::between(g_i, g_t);
+  const std::size_t d = adaptor.dims();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t at = 0; at < d; ++at) {
+      auto psi = adaptor.translation();
+      psi[at] = bad;
+      EXPECT_THROW(sap::perturb::SpaceAdaptor(adaptor.rotation(), psi), sap::Error)
+          << "psi[" << at << "]";
+      auto wire = adaptor.serialize();
+      wire[1 + d * d + at] = bad;  // [d, R row-major..., psi...]
+      EXPECT_THROW((void)sap::perturb::SpaceAdaptor::deserialize(wire), sap::Error)
+          << "psi[" << at << "]";
+    }
+  }
+}
+
+TEST(Fuzz, NonFiniteTargetTranslationRejected) {
+  // Every party builds G_t from the kTargetSpace wire, and its adaptor is
+  // SpaceAdaptor::between(G_i, G_t): a non-finite t must stop at G_t's
+  // construction, before it can become a non-finite psi.
+  Engine eng(33);
+  const auto g_t = sap::perturb::GeometricPerturbation::random(4, 0.0, eng);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    auto t = g_t.translation();
+    t.back() = bad;
+    const auto ts = proto::decode_target_space(proto::encode_target_space(g_t.rotation(), t));
+    EXPECT_THROW(sap::perturb::GeometricPerturbation(ts.r, ts.t, 0.0), sap::Error);
+    auto wire = g_t.serialize();
+    wire.back() = bad;  // [d, sigma, R row-major..., t...]
+    EXPECT_THROW((void)sap::perturb::GeometricPerturbation::deserialize(wire), sap::Error);
+  }
+}
+
 TEST(Fuzz, EnvelopeTamperDetected) {
   // Flipping any ciphertext bit must be caught by the checksum.
   const std::vector<double> plain{3.14, 2.71, 1.41, 0.57};

@@ -11,11 +11,13 @@
 // This header is the ONE place goldens live; re-pin here (and say so in the
 // PR) whenever the derivation scheme deliberately changes.
 //
-// Within one binary the suite asserts exact equality (thread-count and
-// transport invariance). Across compilers the low bits can legitimately
+// Within one binary the suite asserts exact equality (thread-count
+// invariance). Across compilers the low bits can legitimately
 // differ (FMA contraction, vectorizer choices), so the pins use
 // kGoldenTolerance instead of exact comparison.
 #pragma once
+
+#include <cstdint>
 
 namespace sap::testing {
 
@@ -37,5 +39,9 @@ inline constexpr double kGoldenServingShuttleBestRho = 0.77638611137794078;
 /// SapSession over provider_split("Iris", 3, 4242) shards with
 /// SapOptions::fast() + seed 4242: party 0's locally optimized rho_i.
 inline constexpr double kGoldenSessionParty0Rho = 0.54116241632763151;
+
+/// The same session's message trace: FNV-1a over every entry's (from, to,
+/// kind, wire_bytes), 13 messages. Integer metadata only, so no tolerance.
+inline constexpr std::uint64_t kGoldenSessionTraceDigest = 0x707584EE4AA06918ULL;
 
 }  // namespace sap::testing

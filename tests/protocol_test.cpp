@@ -1,17 +1,18 @@
-// Tests for sap::proto: message codecs, the Transport seam (encrypted
-// SimulatedNetwork + concurrent ThreadedLocalTransport), risk formulas, and
-// the SapSession phase machine's information-flow invariants (DESIGN.md §4).
+// Tests for sap::proto: message codecs, the encrypted in-process Transport,
+// risk formulas, and the SapSession phase machine's information-flow
+// invariants (DESIGN.md §4).
 //
-// Every end-to-end SAP test is parameterized over both transport backends:
-// the protocol must behave identically — same invariants, same failures,
-// and (thanks to canonical pooling) bit-identical unified output.
+// SapSession runs LocalOptimize and the per-party accounting on a pool with
+// one worker per provider, and each party's scoring pool nests inside it:
+// the thread-count tests below pin that neither changes the pool, the
+// accounting or the message trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "data/normalize.hpp"
@@ -22,10 +23,8 @@
 #include "protocol/adversary.hpp"
 #include "protocol/baseline.hpp"
 #include "protocol/message.hpp"
-#include "protocol/network.hpp"
 #include "protocol/risk.hpp"
 #include "protocol/session.hpp"
-#include "protocol/threaded_transport.hpp"
 
 namespace {
 
@@ -47,8 +46,23 @@ std::vector<Dataset> provider_split(const std::string& dataset, std::size_t k,
   return sap::data::partition(normalized, k, opts, eng);
 }
 
-std::string transport_label(const ::testing::TestParamInfo<proto::TransportKind>& info) {
-  return info.param == proto::TransportKind::kSimulated ? "Simulated" : "ThreadedLocal";
+/// FNV-1a over every trace entry's (from, to, kind, wire_bytes): the
+/// message order and sizes, without the ciphertext.
+std::uint64_t trace_metadata_digest(const std::vector<proto::Message>& trace) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const auto& msg : trace) {
+    mix(msg.from);
+    mix(msg.to);
+    mix(static_cast<std::uint64_t>(msg.kind));
+    mix(msg.wire_bytes);
+  }
+  return h;
 }
 
 // ------------------------------------------------------------ envelopes
@@ -124,119 +138,75 @@ TEST(Codec, PayloadKindNamesAreDistinct) {
 
 // ------------------------------------------------------------ transports
 
-/// Backend-conformance tests running against both implementations.
-class TransportConformance : public ::testing::TestWithParam<proto::TransportKind> {
- protected:
-  static std::unique_ptr<proto::Transport> make(std::uint64_t secret) {
-    return proto::make_transport(GetParam(), secret);
-  }
-};
-
-TEST_P(TransportConformance, DeliversInOrder) {
-  auto net = make(1);
-  const auto a = net->add_party();
-  const auto b = net->add_party();
-  net->send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0});
-  net->send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{2.0});
-  ASSERT_TRUE(net->has_mail(b));
-  EXPECT_DOUBLE_EQ(net->receive(b).payload[0], 1.0);
-  EXPECT_DOUBLE_EQ(net->receive(b).payload[0], 2.0);
-  EXPECT_FALSE(net->has_mail(b));
+TEST(TransportConformance, DeliversInOrder) {
+  proto::Transport net(1);
+  const auto a = net.add_party();
+  const auto b = net.add_party();
+  net.send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0});
+  net.send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{2.0});
+  ASSERT_TRUE(net.has_mail(b));
+  EXPECT_DOUBLE_EQ(net.receive(b).payload[0], 1.0);
+  EXPECT_DOUBLE_EQ(net.receive(b).payload[0], 2.0);
+  EXPECT_FALSE(net.has_mail(b));
 }
 
-TEST_P(TransportConformance, SelfSendRejected) {
-  auto net = make(1);
-  const auto a = net->add_party();
-  EXPECT_THROW(net->send(a, a, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0}),
+TEST(TransportConformance, SelfSendRejected) {
+  proto::Transport net(1);
+  const auto a = net.add_party();
+  EXPECT_THROW(net.send(a, a, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0}),
                sap::Error);
 }
 
-TEST_P(TransportConformance, EmptyInboxThrows) {
-  auto net = make(1);
-  const auto a = net->add_party();
-  (void)net->add_party();
-  EXPECT_THROW(net->receive(a), sap::Error);
+TEST(TransportConformance, EmptyInboxThrows) {
+  proto::Transport net(1);
+  const auto a = net.add_party();
+  (void)net.add_party();
+  EXPECT_THROW(net.receive(a), sap::Error);
 }
 
-TEST_P(TransportConformance, TraceRecordsMetadataAndBytes) {
-  auto net = make(99);
-  const auto a = net->add_party();
-  const auto b = net->add_party();
+TEST(TransportConformance, TraceRecordsMetadataAndBytes) {
+  proto::Transport net(99);
+  const auto a = net.add_party();
+  const auto b = net.add_party();
   const std::vector<double> payload(10, 1.0);
-  net->send(a, b, proto::PayloadKind::kPerturbedData, payload);
-  ASSERT_EQ(net->trace().size(), 1u);
-  EXPECT_EQ(net->trace()[0].from, a);
-  EXPECT_EQ(net->trace()[0].to, b);
-  EXPECT_EQ(net->trace()[0].wire_bytes, 80u);
-  EXPECT_EQ(net->total_bytes(), 80u);
-  EXPECT_EQ(net->count_received(b, proto::PayloadKind::kPerturbedData), 1u);
-  EXPECT_EQ(net->count_received(a, proto::PayloadKind::kPerturbedData), 0u);
+  net.send(a, b, proto::PayloadKind::kPerturbedData, payload);
+  ASSERT_EQ(net.trace().size(), 1u);
+  EXPECT_EQ(net.trace()[0].from, a);
+  EXPECT_EQ(net.trace()[0].to, b);
+  EXPECT_EQ(net.trace()[0].wire_bytes, 80u);
+  EXPECT_EQ(net.total_bytes(), 80u);
+  EXPECT_EQ(net.count_received(b, proto::PayloadKind::kPerturbedData), 1u);
+  EXPECT_EQ(net.count_received(a, proto::PayloadKind::kPerturbedData), 0u);
 }
 
-TEST_P(TransportConformance, LinkBytesAggregatesPerDirectedPair) {
-  auto net = make(5);
-  const auto a = net->add_party();
-  const auto b = net->add_party();
-  net->send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0});
-  net->send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0, 2.0});
-  net->send(b, a, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0});
-  const auto bytes = net->link_bytes();
+TEST(TransportConformance, LinkBytesAggregatesPerDirectedPair) {
+  proto::Transport net(5);
+  const auto a = net.add_party();
+  const auto b = net.add_party();
+  net.send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0});
+  net.send(a, b, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0, 2.0});
+  net.send(b, a, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0});
+  const auto bytes = net.link_bytes();
   EXPECT_EQ(bytes.at({a, b}), 24u);
   EXPECT_EQ(bytes.at({b, a}), 8u);
 }
 
-TEST_P(TransportConformance, IdenticalSecretYieldsIdenticalCiphertext) {
-  // The threaded backend must be a drop-in replacement down to the wire
-  // bytes: same secret + same sends → same ciphertext in the trace.
-  auto sim = proto::make_transport(proto::TransportKind::kSimulated, 77);
-  auto other = make(77);
-  for (auto* net : {sim.get(), other.get()}) {
+TEST(TransportConformance, IdenticalSecretYieldsIdenticalCiphertext) {
+  // Link keys derive from the session secret alone: same secret + same
+  // sends → same ciphertext in the trace.
+  proto::Transport first(77);
+  proto::Transport second(77);
+  for (auto* net : {&first, &second}) {
     const auto a = net->add_party();
     const auto b = net->add_party();
     net->send(a, b, proto::PayloadKind::kPerturbedData, std::vector<double>{1.5, -2.5});
   }
-  ASSERT_EQ(sim->trace().size(), other->trace().size());
-  const auto sim_cipher = sim->trace()[0].envelope.ciphertext();
-  const auto other_cipher = other->trace()[0].envelope.ciphertext();
-  ASSERT_EQ(sim_cipher.size(), other_cipher.size());
-  for (std::size_t i = 0; i < sim_cipher.size(); ++i)
-    EXPECT_EQ(sim_cipher[i], other_cipher[i]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
-                         ::testing::Values(proto::TransportKind::kSimulated,
-                                           proto::TransportKind::kThreadedLocal),
-                         transport_label);
-
-TEST(ThreadedTransport, WorkersExchangeWithinOneBatch) {
-  // Unlike the synchronous backend, a worker may receive a message that
-  // another worker sends *during* the same batch: receive() blocks on the
-  // condvar until mail arrives.
-  proto::ThreadedLocalTransport net(3);
-  const auto a = net.add_party();
-  const auto b = net.add_party();
-  std::atomic<double> got{0.0};
-  net.run_parties({[&] { net.send(a, b, proto::PayloadKind::kRoutingNotice,
-                                  std::vector<double>{42.0}); },
-                   [&] { got = net.receive(b).payload[0]; }});
-  EXPECT_DOUBLE_EQ(got.load(), 42.0);
-}
-
-TEST(ThreadedTransport, StarvationDetectedInsteadOfDeadlock) {
-  // Two workers both wait for mail that can never arrive: the transport
-  // must detect quiescence and throw rather than hang.
-  proto::ThreadedLocalTransport net(4);
-  const auto a = net.add_party();
-  const auto b = net.add_party();
-  EXPECT_THROW(net.run_parties({[&] { (void)net.receive(a); },
-                                [&] { (void)net.receive(b); }}),
-               sap::Error);
-}
-
-TEST(ThreadedTransport, TaskExceptionPropagates) {
-  proto::ThreadedLocalTransport net(5);
-  (void)net.add_party();
-  EXPECT_THROW(net.run_parties({[] { SAP_FAIL("task failure"); }}), sap::Error);
+  ASSERT_EQ(first.trace().size(), second.trace().size());
+  const auto first_cipher = first.trace()[0].envelope.ciphertext();
+  const auto second_cipher = second.trace()[0].envelope.ciphertext();
+  ASSERT_EQ(first_cipher.size(), second_cipher.size());
+  for (std::size_t i = 0; i < first_cipher.size(); ++i)
+    EXPECT_EQ(first_cipher[i], second_cipher[i]);
 }
 
 // ------------------------------------------------------------ risk formulas
@@ -331,23 +301,22 @@ TEST(MinParties, InvalidArgsThrow) {
 
 // ------------------------------------------------------------ SAP session
 
-/// End-to-end SAP runs parameterized over the transport backend.
-class SapRun : public ::testing::TestWithParam<proto::TransportKind> {
+/// End-to-end SAP runs over Iris shards with the fast options.
+class SapRun : public ::testing::Test {
  protected:
-  static proto::SapOptions fast_opts(std::uint64_t seed, proto::TransportKind transport) {
+  static proto::SapOptions fast_opts(std::uint64_t seed) {
     auto opts = proto::SapOptions::fast();
     opts.seed = seed;
-    opts.transport = transport;
     return opts;
   }
 
-  std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) const {
+  static std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) {
     return std::make_unique<proto::SapSession>(provider_split("Iris", k, seed),
-                                               fast_opts(seed, GetParam()));
+                                               fast_opts(seed));
   }
 };
 
-TEST_P(SapRun, UnifiedDatasetPoolsAllRecords) {
+TEST_F(SapRun, UnifiedDatasetPoolsAllRecords) {
   auto session = make_session(4, 1);
   const auto result = session->run();
   EXPECT_EQ(result.unified.size(), 150u);  // Iris row count
@@ -355,7 +324,7 @@ TEST_P(SapRun, UnifiedDatasetPoolsAllRecords) {
   EXPECT_EQ(result.unified.classes().size(), 3u);
 }
 
-TEST_P(SapRun, CoordinatorNeverReceivesData) {
+TEST_F(SapRun, CoordinatorNeverReceivesData) {
   auto session = make_session(5, 2);
   (void)session->run();
   const auto& net = session->transport();
@@ -364,7 +333,7 @@ TEST_P(SapRun, CoordinatorNeverReceivesData) {
   EXPECT_EQ(net.count_received(coordinator, proto::PayloadKind::kForwardedData), 0u);
 }
 
-TEST_P(SapRun, MinerReceivesExactlyKDatasetsAndKAdaptors) {
+TEST_F(SapRun, MinerReceivesExactlyKDatasetsAndKAdaptors) {
   auto session = make_session(5, 3);
   (void)session->run();
   const auto& net = session->transport();
@@ -376,7 +345,7 @@ TEST_P(SapRun, MinerReceivesExactlyKDatasetsAndKAdaptors) {
   EXPECT_EQ(net.count_received(miner, proto::PayloadKind::kTargetSpace), 0u);
 }
 
-TEST_P(SapRun, EveryProviderDatasetReachesMinerViaSomePeer) {
+TEST_F(SapRun, EveryProviderDatasetReachesMinerViaSomePeer) {
   auto session = make_session(6, 4);
   const auto result = session->run();
   ASSERT_EQ(result.audit_forwarder_of.size(), 6u);
@@ -388,7 +357,7 @@ TEST_P(SapRun, EveryProviderDatasetReachesMinerViaSomePeer) {
   }
 }
 
-TEST_P(SapRun, PartyReportsAreComplete) {
+TEST_F(SapRun, PartyReportsAreComplete) {
   auto session = make_session(4, 5);
   const auto result = session->run();
   ASSERT_EQ(result.parties.size(), 4u);
@@ -404,7 +373,7 @@ TEST_P(SapRun, PartyReportsAreComplete) {
   }
 }
 
-TEST_P(SapRun, DeterministicForSameSeed) {
+TEST_F(SapRun, DeterministicForSameSeed) {
   const auto a = make_session(4, 42)->run();
   const auto b = make_session(4, 42)->run();
   EXPECT_TRUE(a.unified.features().approx_equal(b.unified.features(), 0.0));
@@ -414,7 +383,7 @@ TEST_P(SapRun, DeterministicForSameSeed) {
     EXPECT_DOUBLE_EQ(a.parties[i].local_rho, b.parties[i].local_rho);
 }
 
-TEST_P(SapRun, DifferentSeedsShuffleAssignments) {
+TEST_F(SapRun, DifferentSeedsShuffleAssignments) {
   const auto a = make_session(6, 1)->run();
   const auto b = make_session(6, 99)->run();
   // Forwarder assignments should differ for at least one provider across
@@ -422,7 +391,7 @@ TEST_P(SapRun, DifferentSeedsShuffleAssignments) {
   EXPECT_NE(a.audit_forwarder_of, b.audit_forwarder_of);
 }
 
-TEST_P(SapRun, NamedJobRunsAndReportsBroadcast) {
+TEST_F(SapRun, NamedJobRunsAndReportsBroadcast) {
   auto session = make_session(4, 7);
   const auto result = session->mine_named("record-count");
   EXPECT_EQ(session->engine().run({"record-count", {}}).values,
@@ -434,21 +403,21 @@ TEST_P(SapRun, NamedJobRunsAndReportsBroadcast) {
   EXPECT_EQ(reports, 4u);
 }
 
-TEST_P(SapRun, FewerThanThreeProvidersRejected) {
-  EXPECT_THROW(proto::SapSession(provider_split("Iris", 2, 1), fast_opts(1, GetParam())),
+TEST_F(SapRun, FewerThanThreeProvidersRejected) {
+  EXPECT_THROW(proto::SapSession(provider_split("Iris", 2, 1), fast_opts(1)),
                sap::Error);
 }
 
-TEST_P(SapRun, MismatchedDimensionsRejected) {
+TEST_F(SapRun, MismatchedDimensionsRejected) {
   auto parts = provider_split("Iris", 3, 1);
   // Corrupt one provider with a different dimensionality.
   parts[1] = Dataset("bad", Matrix(20, 3, 0.5), std::vector<int>(20, 0));
-  EXPECT_THROW(proto::SapSession(std::move(parts), fast_opts(1, GetParam())), sap::Error);
+  EXPECT_THROW(proto::SapSession(std::move(parts), fast_opts(1)), sap::Error);
 }
 
 // ------------------------------------------------------------ phase machine
 
-TEST_P(SapRun, PhasesAdvanceInDeclaredOrder) {
+TEST_F(SapRun, PhasesAdvanceInDeclaredOrder) {
   auto session = make_session(4, 11);
   using P = proto::SessionPhase;
   const std::vector<P> expected{P::kLocalOptimize, P::kTargetDistribution,
@@ -469,7 +438,7 @@ TEST_P(SapRun, PhasesAdvanceInDeclaredOrder) {
   EXPECT_GT(session->phase_log().back().messages, 0u);
 }
 
-TEST_P(SapRun, PhasesAreIndividuallyObservable) {
+TEST_F(SapRun, PhasesAreIndividuallyObservable) {
   auto session = make_session(4, 12);
   session->run_until(proto::SessionPhase::kPermutationExchange);
   // After target distribution, only control-plane traffic exists.
@@ -480,7 +449,7 @@ TEST_P(SapRun, PhasesAreIndividuallyObservable) {
   EXPECT_EQ(net.count_received(4, proto::PayloadKind::kForwardedData), 4u);
 }
 
-TEST_P(SapRun, MultipleJobsWithoutRedoingExchange) {
+TEST_F(SapRun, MultipleJobsWithoutRedoingExchange) {
   auto session = make_session(4, 13);
   session->run_until(proto::SessionPhase::kMine);
   const std::size_t exchange_messages = session->transport().trace().size();
@@ -494,7 +463,7 @@ TEST_P(SapRun, MultipleJobsWithoutRedoingExchange) {
   EXPECT_EQ(r2.messages, exchange_messages + 8);
 }
 
-TEST_P(SapRun, CustomRegisteredJobIsServed) {
+TEST_F(SapRun, CustomRegisteredJobIsServed) {
   auto session = make_session(4, 14);
   bool ran = false;
   proto::JobSpec spec;
@@ -510,23 +479,23 @@ TEST_P(SapRun, CustomRegisteredJobIsServed) {
   EXPECT_TRUE(ran);
 }
 
-TEST_P(SapRun, UnknownNamedJobRejected) {
+TEST_F(SapRun, UnknownNamedJobRejected) {
   auto session = make_session(4, 15);
   EXPECT_THROW(session->mine_named("no-such-job"), sap::Error);
 }
 
-TEST(SapCrossBackend, UnifiedPoolIsBitIdenticalAcrossTransports) {
-  // The canonical pooling order makes the protocol output independent of
-  // message arrival order: same seed → identical unified data, bytes and
-  // accounting under the synchronous and the concurrent backend.
+TEST(SapThreadCounts, UnifiedPoolIsBitIdenticalAcrossThreadCounts) {
+  // The party pool runs every provider's LocalOptimize and accounting at
+  // once; a serial scoring pool and a 4-thread one nested inside it must
+  // give identical unified data, bytes and accounting for the same seed.
   auto opts = proto::SapOptions::fast();
   opts.seed = 1234;
-  opts.transport = proto::TransportKind::kSimulated;
-  proto::SapSession sim(provider_split("Wine", 5, 9), opts);
-  opts.transport = proto::TransportKind::kThreadedLocal;
+  proto::SapSession serial(provider_split("Wine", 5, 9), opts);
+  opts.optimizer.threads = 4;
+  opts.mining_threads = 2;
   proto::SapSession threaded(provider_split("Wine", 5, 9), opts);
 
-  const auto a = sim.run();
+  const auto a = serial.run();
   const auto b = threaded.run();
   EXPECT_TRUE(a.unified.features().approx_equal(b.unified.features(), 0.0));
   EXPECT_EQ(a.unified.labels(), b.unified.labels());
@@ -551,20 +520,48 @@ TEST(SapGolden, MatchesPinnedDeterministicBaseline) {
               sap::testing::kGoldenTolerance);
 }
 
-TEST(SapCrossBackend, OptimizerThreadsNeverChangeTheResult) {
-  // LocalOptimize's scoring pool (SapOptions::optimizer.threads) is a pure
-  // latency knob: the per-candidate seed derivation makes every thread
-  // count — mixed freely with either transport — produce bit-identical
-  // pools and accounting (optimizer.hpp determinism contract).
-  sap::proto::SapResult reference;
-  bool have_reference = false;
-  for (const auto& [transport, threads] :
-       {std::pair<proto::TransportKind, std::size_t>{proto::TransportKind::kSimulated, 0},
-        {proto::TransportKind::kSimulated, 8},
-        {proto::TransportKind::kThreadedLocal, 2}}) {
+TEST(SapGolden, TraceMetadataMatchesPinnedDigest) {
+  // Every send and receive runs on the session's thread in provider-index
+  // order, so the trace is part of the protocol's observable behaviour. The
+  // pin covers metadata only: ciphertext words carry floating-point low
+  // bits, which golden.hpp lets differ across compilers.
+  const auto trace_at = [](std::size_t optimizer_threads) {
     auto opts = proto::SapOptions::fast();
     opts.seed = 4242;
-    opts.transport = transport;
+    opts.optimizer.threads = optimizer_threads;
+    proto::SapSession session(provider_split("Iris", 3, 4242), opts);
+    (void)session.run();
+    return session.transport().trace();
+  };
+  const auto serial = trace_at(0);
+  EXPECT_EQ(trace_metadata_digest(serial), sap::testing::kGoldenSessionTraceDigest);
+
+  // Within one binary the whole trace, ciphertext included, is the same at
+  // any scoring pool size.
+  const auto threaded = trace_at(8);
+  ASSERT_EQ(threaded.size(), serial.size());
+  for (std::size_t m = 0; m < serial.size(); ++m) {
+    EXPECT_EQ(threaded[m].from, serial[m].from) << "message " << m;
+    EXPECT_EQ(threaded[m].to, serial[m].to) << "message " << m;
+    EXPECT_EQ(threaded[m].kind, serial[m].kind) << "message " << m;
+    EXPECT_EQ(threaded[m].wire_bytes, serial[m].wire_bytes) << "message " << m;
+    const auto a = serial[m].envelope.ciphertext();
+    const auto b = threaded[m].envelope.ciphertext();
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "message " << m;
+    EXPECT_EQ(threaded[m].envelope.checksum(), serial[m].envelope.checksum()) << "message " << m;
+  }
+}
+
+TEST(SapThreadCounts, OptimizerThreadsNeverChangeTheResult) {
+  // LocalOptimize's scoring pool (SapOptions::optimizer.threads) is a pure
+  // latency knob: the per-candidate seed derivation makes every thread
+  // count, nested inside the party pool, produce bit-identical pools and
+  // accounting (optimizer.hpp determinism contract).
+  sap::proto::SapResult reference;
+  bool have_reference = false;
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{8}, std::size_t{2}}) {
+    auto opts = proto::SapOptions::fast();
+    opts.seed = 4242;
     opts.optimizer.threads = threads;
     proto::SapSession session(provider_split("Iris", 3, 4242), opts);
     const auto result = session.run();
@@ -584,23 +581,18 @@ TEST(SapCrossBackend, OptimizerThreadsNeverChangeTheResult) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, SapRun,
-                         ::testing::Values(proto::TransportKind::kSimulated,
-                                           proto::TransportKind::kThreadedLocal),
-                         transport_label);
-
 // Parameterized end-to-end sweep: the §3 information-flow invariants must
-// hold for every (dataset, party count, transport) combination.
+// hold for every (dataset, party count) combination. The dataset is a
+// std::string so the printed parameter (and the test's name) carries no
+// pointer value.
 class SapInvariantSweep
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, std::size_t, proto::TransportKind>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
 
 TEST_P(SapInvariantSweep, InformationFlowInvariantsHold) {
-  const auto [dataset, k, transport] = GetParam();
+  const auto [dataset, k] = GetParam();
   auto opts = proto::SapOptions::fast();
   opts.seed = 0xABC0 + k;
   opts.compute_satisfaction = false;
-  opts.transport = transport;
   auto shards = provider_split(dataset, k, 7 * k + 1);
   std::size_t total_records = 0;
   for (const auto& s : shards) total_records += s.size();
@@ -632,15 +624,9 @@ TEST_P(SapInvariantSweep, InformationFlowInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndParties, SapInvariantSweep,
     ::testing::Combine(::testing::Values("Iris", "Wine", "Diabetes", "Votes"),
-                       ::testing::Values(std::size_t{3}, std::size_t{5}, std::size_t{8}),
-                       ::testing::Values(proto::TransportKind::kSimulated,
-                                         proto::TransportKind::kThreadedLocal)),
+                       ::testing::Values(std::size_t{3}, std::size_t{5}, std::size_t{8})),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_" +
-             (std::get<2>(info.param) == proto::TransportKind::kSimulated
-                  ? "Simulated"
-                  : "ThreadedLocal");
+      return std::get<0>(info.param) + "_k" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(SapIdentifiability, ForwarderChoiceIsNearUniformOverRuns) {
@@ -760,31 +746,30 @@ TEST(DirectBaseline, TwoProvidersAllowed) {
 
 // ------------------------------------------------------------ failure injection
 
-class SapFaults : public ::testing::TestWithParam<proto::TransportKind> {
+class SapFaults : public ::testing::Test {
  protected:
-  std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) const {
+  static std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) {
     auto opts = proto::SapOptions::fast();
     opts.seed = seed;
     opts.compute_satisfaction = false;
-    opts.transport = GetParam();
     return std::make_unique<proto::SapSession>(provider_split("Iris", k, seed), opts);
   }
 };
 
-TEST_P(SapFaults, DroppedDataMessageIsDetected) {
+TEST_F(SapFaults, DroppedDataMessageIsDetected) {
+  // Drop the first perturbed-data message. Every send runs on the
+  // session's thread, so a plain flag is enough; it is declared first
+  // because the session's drop filter refers to it.
+  bool dropped = false;
   auto session = make_session(4, 91);
-  // Drop the first perturbed-data message. The filter must be thread-safe
-  // under the concurrent backend, hence the atomic flag.
-  auto dropped = std::make_shared<std::atomic<bool>>(false);
-  session->inject_faults([dropped](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
-    if (kind != proto::PayloadKind::kPerturbedData) return false;
-    return !dropped->exchange(true);
+  session->inject_faults([&dropped](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
+    return kind == proto::PayloadKind::kPerturbedData && !std::exchange(dropped, true);
   });
   EXPECT_THROW(session->run(), sap::Error);
   EXPECT_GE(session->transport().dropped_count(), 1u);
 }
 
-TEST_P(SapFaults, DroppedRoutingNoticeAbortsBeforeExchange) {
+TEST_F(SapFaults, DroppedRoutingNoticeAbortsBeforeExchange) {
   auto session = make_session(4, 92);
   session->inject_faults([](proto::PartyId, proto::PartyId to, proto::PayloadKind kind) {
     return kind == proto::PayloadKind::kRoutingNotice && to == 0;
@@ -800,7 +785,7 @@ TEST_P(SapFaults, DroppedRoutingNoticeAbortsBeforeExchange) {
   EXPECT_EQ(session->transport().count_received(4, proto::PayloadKind::kForwardedData), 0u);
 }
 
-TEST_P(SapFaults, DroppedAdaptorIsDetected) {
+TEST_F(SapFaults, DroppedAdaptorIsDetected) {
   auto session = make_session(5, 93);
   session->inject_faults([](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
     return kind == proto::PayloadKind::kSpaceAdaptor;
@@ -808,7 +793,7 @@ TEST_P(SapFaults, DroppedAdaptorIsDetected) {
   EXPECT_THROW(session->run(), sap::Error);
 }
 
-TEST_P(SapFaults, DroppedModelReportIsBenign) {
+TEST_F(SapFaults, DroppedModelReportIsBenign) {
   // Losing the final broadcast degrades service but must not corrupt the
   // protocol result itself.
   auto session = make_session(4, 94);
@@ -820,7 +805,7 @@ TEST_P(SapFaults, DroppedModelReportIsBenign) {
   EXPECT_EQ(session->transport().dropped_count(), 4u);
 }
 
-TEST_P(SapFaults, FailedSessionIsPoisonedAgainstResumption) {
+TEST_F(SapFaults, FailedSessionIsPoisonedAgainstResumption) {
   // A throw mid-exchange leaves partially-mutated state (queued mail,
   // advanced engines); re-running the session must be refused outright
   // rather than mining a corrupted pool.
@@ -838,16 +823,11 @@ TEST_P(SapFaults, FailedSessionIsPoisonedAgainstResumption) {
   }
 }
 
-TEST_P(SapFaults, NoFaultsMeansNoDrops) {
+TEST_F(SapFaults, NoFaultsMeansNoDrops) {
   auto session = make_session(4, 95);
   (void)session->run();
   EXPECT_EQ(session->transport().dropped_count(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, SapFaults,
-                         ::testing::Values(proto::TransportKind::kSimulated,
-                                           proto::TransportKind::kThreadedLocal),
-                         transport_label);
 
 // ------------------------------------------------------------ source linking
 

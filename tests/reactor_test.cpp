@@ -130,7 +130,7 @@ TEST(Reactor, EchoRoundTripAndLoopFairness) {
   for (std::size_t c = 0; c < kClients; ++c) {
     socks.push_back(net::TcpSocket::connect(addr, 5000));
     const auto id = say_hello(socks[c], readers[c]);
-    EXPECT_GE(id, opts.first_client_id);
+    EXPECT_GE(id, net::kFirstClientId);
     ids.insert(id);
   }
   EXPECT_EQ(ids.size(), kClients);  // ids never collide
@@ -283,7 +283,7 @@ TEST(Reactor, DataBeforeHelloGetsErrorButKeepsConnection) {
 
   // Framing is intact, so the claim still works afterwards.
   const auto id = say_hello(sock, reader);
-  EXPECT_GE(id, opts.first_client_id);
+  EXPECT_GE(id, net::kFirstClientId);
   EXPECT_EQ(reactor.stats().requests, 0u);  // never reached compute
 }
 
@@ -468,7 +468,7 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   // Epoch 1 (the freshly unified pool): party == client == engine.
   const auto direct_epoch1 = daemon.engine().run({"nb-train-accuracy", {}});
   net::ServeClient door(door_addr, seed, k);
-  EXPECT_GE(door.id(), net::ReactorOptions{}.first_client_id);
+  EXPECT_GE(door.id(), net::kFirstClientId);
   const auto door_epoch1 = door.mine_named("nb-train-accuracy");
   EXPECT_EQ(door_epoch1.pool_epoch, 1u);
   EXPECT_EQ(door_epoch1.values, party_epoch1.values);

@@ -4,7 +4,7 @@
 //   * frame codec: round trips, incremental decoding, strict rejection;
 //   * deadlines: dead hubs and silent peers fail with sap::Error, fast;
 //   * MinerDaemon + k PartyClient drivers in separate threads with real
-//     sockets: pooled results bit-identical to kSimulated, door-served
+//     sockets: pooled results bit-identical to SapSession, door-served
 //     mining requests equal to in-process serving, and the hub refusing
 //     every serving kind with a typed error that names the serving door.
 // (tests/cli_test.cpp repeats the distributed topology with genuinely
@@ -351,7 +351,7 @@ TEST(TcpDistributed, ExchangeAndContributeBitIdenticalToSimulated) {
   auto setup = stream_setup(k, seed);
   const std::vector<Dataset> batches{setup.stream.slice(0, 12), setup.stream.slice(12, 30)};
 
-  // Reference: the identical logical session in one process (kSimulated),
+  // Reference: the identical logical session in one process (SapSession),
   // with party 0 contributing the same batches in the same order.
   proto::SapSession reference(setup.shards, fast_opts(seed));
   reference.run_until(proto::SessionPhase::kMine);

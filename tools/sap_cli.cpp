@@ -7,18 +7,18 @@
 //   perturb <in.csv> <out.csv> [sigma] [seed] normalize + optimized perturbation
 //   attack <orig.csv> <pert.csv> [known_m]    run the attack suite, print report
 //   protocol <name> [parties] [sigma] [seed]  full SAP run + KNN utility check
-//            [--job <name>] [--transport sim|threaded] [--phases]
+//            [--job <name>] [--phases]
 //   serve <name> [parties] [sigma] [seed]     run the exchange, then serve a
 //            [--requests N] [--threads K]     mining request load from the
 //            [--job name[:k=v,...]]           session's MiningEngine and
-//            [--no-cache] [--transport ...]   report req/s + p50/p99 latency
+//            [--no-cache]                     report req/s + p50/p99 latency
 //            [--ingest-every N]               (optionally streaming new
 //            [--ingest-records M]             batches into the live pool
 //                                            between request chunks)
 //   contribute <name> [parties] [sigma] [seed] run the exchange, then stream
 //            [--batches N] [--batch-records M] held-back record batches into
 //            [--job name[:k=v,...]]            the live pool via the
-//            [--transport ...]                 Contribute phase, re-serving
+//                                             Contribute phase, re-serving
 //                                             the job after every append
 //   minparties <s0> <opt_rate>                Figure-4 calculator
 //
@@ -30,7 +30,7 @@
 //   sap_cli generate Diabetes /tmp/diab.csv 7
 //   sap_cli perturb /tmp/diab.csv /tmp/diab_pert.csv 0.1
 //   sap_cli attack /tmp/diab_norm.csv /tmp/diab_pert.csv 4
-//   sap_cli protocol Diabetes 6 0.1 1 --job svm-train-accuracy --transport threaded
+//   sap_cli protocol Diabetes 6 0.1 1 --job svm-train-accuracy --phases
 //   sap_cli minparties 0.95 0.9
 #include <algorithm>
 #include <cerrno>
@@ -57,12 +57,11 @@ const char* kUsage =
     "          [--optimize-threads K=0]\n"
     "  sap_cli attack <original.csv> <perturbed.csv> [known_m=4]\n"
     "  sap_cli protocol <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
-    "          [--job <name>] [--transport sim|threaded] [--phases]\n"
+    "          [--job <name>] [--phases]\n"
     "          [--optimize-threads K=0]\n"
     "  sap_cli serve <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
     "          [--requests N=256] [--threads K=4] [--job name[:k=v,...]]\n"
-    "          [--no-cache] [--transport sim|threaded]\n"
-    "          [--ingest-every N=0] [--ingest-records M=32]\n"
+    "          [--no-cache] [--ingest-every N=0] [--ingest-records M=32]\n"
     "          [--optimize-threads K=0]\n"
     "  sap_cli serve --listen HOST:PORT --parties K [--seed S=1]\n"
     "          [--threads K=0] [--no-cache] [--deadline-ms N=30000]\n"
@@ -109,21 +108,21 @@ const char* kUsage =
     "          [--deadline-ms N=30000] [--optimize-threads K=0]\n"
     "  sap_cli contribute <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
     "          [--batches N=4] [--batch-records M=16] [--job name[:k=v,...]]\n"
-    "          [--transport sim|threaded] [--optimize-threads K=0]\n"
+    "          [--optimize-threads K=0]\n"
     "  sap_cli minparties <s0> <opt_rate>\n"
     "  sap_cli --help\n"
     "\n"
     "flags for `protocol`:\n"
     "  --job <name>        run a named miner job on the unified pool\n"
     "                      (see `sap_cli jobs`; repeatable)\n"
-    "  --transport <kind>  messaging backend: `sim` (synchronous, default)\n"
-    "                      or `threaded` (one worker per party)\n"
     "  --phases            print per-phase timing and wire cost\n"
     "\n"
     "shared flag (perturb / protocol / serve / party / contribute):\n"
     "  --optimize-threads <k>  worker threads for each party's LocalOptimize\n"
     "                      candidate search (0 = serial). Pure speed knob:\n"
     "                      results are bit-identical for any thread count.\n"
+    "                      In-process runs already optimize every party on\n"
+    "                      its own worker; this pool nests inside each.\n"
     "\n"
     "flags for `serve`:\n"
     "  --requests <n>      total mining requests to serve (round-robin over\n"
@@ -167,7 +166,8 @@ const char* kUsage =
     "  and a DISTINCT --index 0..K-1 (K-1 doubles as the coordinator).\n"
     "  Each party streams the held-back batches b with b mod K == --index\n"
     "  and re-serves --job (repeatable) over the wire after its last\n"
-    "  batch. The exchange pool is bit-identical to `--transport sim`;\n"
+    "  batch. The exchange pool is bit-identical to the in-process run's\n"
+    "  (`contribute` with the same arguments);\n"
     "  concurrently streamed batches land in scheduling-dependent order, so\n"
     "  compare the daemon's `multiset` digest (order-insensitive) — with a\n"
     "  single contributing party the ordered digest matches too.\n";
@@ -225,19 +225,6 @@ bool install_fault_spec(const char* text, std::string& error) {
     net::fault::install(net::fault::FaultPlan::parse(text ? text : ""));
   } catch (const sap::Error& e) {
     error = e.what();
-    return false;
-  }
-  return true;
-}
-
-/// Shared --transport value parser; false on an unknown kind.
-bool parse_transport(const char* text, proto::TransportKind& out) {
-  const std::string kind = text ? text : "";
-  if (kind == "sim" || kind == "simulated") {
-    out = proto::TransportKind::kSimulated;
-  } else if (kind == "threaded" || kind == "threaded-local") {
-    out = proto::TransportKind::kThreadedLocal;
-  } else {
     return false;
   }
   return true;
@@ -376,7 +363,6 @@ int cmd_protocol(int argc, char** argv) {
   // Positionals first, then flags (flags may also interleave).
   std::vector<const char*> positional;
   std::vector<std::string> job_names;
-  proto::TransportKind transport = proto::TransportKind::kSimulated;
   std::uint64_t optimize_threads = 0;
   bool show_phases = false;
   for (int i = 2; i < argc; ++i) {
@@ -387,10 +373,6 @@ int cmd_protocol(int argc, char** argv) {
     } else if (arg == "--job") {
       if (++i >= argc) return usage_error("--job needs a value");
       job_names.emplace_back(argv[i]);
-    } else if (arg == "--transport") {
-      if (++i >= argc) return usage_error("--transport needs a value");
-      if (!parse_transport(argv[i], transport))
-        return usage_error("unknown transport (use `sim` or `threaded`)");
     } else if (arg == "--phases") {
       show_phases = true;
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
@@ -425,7 +407,6 @@ int cmd_protocol(int argc, char** argv) {
   proto::SapOptions opts;
   opts.noise_sigma = sigma;
   opts.seed = seed;
-  opts.transport = transport;
   opts.optimizer.candidates = 8;
   opts.optimizer.refine_steps = 4;
   opts.optimizer.threads = optimize_threads;
@@ -452,7 +433,7 @@ int cmd_protocol(int argc, char** argv) {
   std::fputs(table.str().c_str(), stdout);
 
   if (show_phases) {
-    std::printf("\nphases (transport=%s):\n", proto::to_string(transport).c_str());
+    std::printf("\nphases:\n");
     for (const auto& stats : session.phase_log())
       std::printf("  %-20s %8.1f ms  %4zu msgs  %8.1f KiB\n",
                   proto::to_string(stats.phase).c_str(), stats.millis, stats.messages,
@@ -898,7 +879,6 @@ int cmd_serve(int argc, char** argv) {
   }
   std::vector<const char*> positional;
   std::vector<proto::MiningRequest> job_templates;
-  proto::TransportKind transport = proto::TransportKind::kSimulated;
   std::uint64_t requests = 256, threads = 4;
   std::uint64_t ingest_every = 0, ingest_records = 32;
   std::uint64_t optimize_threads = 0;
@@ -930,10 +910,6 @@ int cmd_serve(int argc, char** argv) {
         return usage_error("--ingest-records needs a positive count");
     } else if (arg == "--no-cache") {
       cache = false;
-    } else if (arg == "--transport") {
-      if (++i >= argc) return usage_error("--transport needs a value");
-      if (!parse_transport(argv[i], transport))
-        return usage_error("unknown transport (use `sim` or `threaded`)");
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
       return usage_error(("unknown flag " + arg).c_str());
     } else {
@@ -971,7 +947,6 @@ int cmd_serve(int argc, char** argv) {
   auto shards = data::partition(pool, parties, popts, eng);
 
   auto opts = net::serving_session_options(sigma, seed, optimize_threads);
-  opts.transport = transport;
   opts.mining_threads = threads;
   opts.cache_models = cache;
   proto::SapSession session(std::move(shards), opts);
@@ -1031,8 +1006,7 @@ int cmd_serve(int argc, char** argv) {
   };
   const auto stats = engine.cache_stats();
 
-  std::printf("exchange: %.1f ms (%s transport, %llu parties)\n", exchange_ms,
-              proto::to_string(transport).c_str(),
+  std::printf("exchange: %.1f ms (%llu parties)\n", exchange_ms,
               static_cast<unsigned long long>(parties));
   Table table({"requests", "threads", "cache", "wall ms", "req/s", "p50 ms", "p99 ms",
                "fits", "incr", "cache hits"});
@@ -1053,7 +1027,6 @@ int cmd_serve(int argc, char** argv) {
 int cmd_contribute(int argc, char** argv) {
   std::vector<const char*> positional;
   proto::MiningRequest job{"nb-train-accuracy", {}};
-  proto::TransportKind transport = proto::TransportKind::kSimulated;
   std::uint64_t batches = 4, batch_records = 16;
   std::uint64_t optimize_threads = 0;
   for (int i = 2; i < argc; ++i) {
@@ -1073,10 +1046,6 @@ int cmd_contribute(int argc, char** argv) {
     } else if (arg == "--batch-records") {
       if (++i >= argc || !parse_u64(argv[i], batch_records) || batch_records == 0)
         return usage_error("--batch-records needs a positive count");
-    } else if (arg == "--transport") {
-      if (++i >= argc) return usage_error("--transport needs a value");
-      if (!parse_transport(argv[i], transport))
-        return usage_error("unknown transport (use `sim` or `threaded`)");
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
       return usage_error(("unknown flag " + arg).c_str());
     } else {
@@ -1112,13 +1081,11 @@ int cmd_contribute(int argc, char** argv) {
   const data::Dataset& stream = workload.stream;
 
   auto opts = net::serving_session_options(sigma, seed, optimize_threads);
-  opts.transport = transport;
   proto::SapSession session(std::move(workload.shards), opts);
 
   Stopwatch exchange_sw;
   auto& engine = session.engine();  // runs the exchange
-  std::printf("exchange: %.1f ms (%s transport, %llu parties); pool %zu records\n",
-              exchange_sw.millis(), proto::to_string(transport).c_str(),
+  std::printf("exchange: %.1f ms (%llu parties); pool %zu records\n", exchange_sw.millis(),
               static_cast<unsigned long long>(parties), engine.pool_view().data->size());
 
   Table table({"batch", "provider", "records", "pool", "epoch", "refit", "report",
