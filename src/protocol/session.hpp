@@ -91,8 +91,9 @@ struct SapOptions {
   /// Master seed: a run is bit-for-bit reproducible given options + data,
   /// for any thread counts (the miner pools shards in a canonical order).
   std::uint64_t seed = 0x5A9;
-  /// Unused: there is one in-process backend. Kept only because perfbench
-  /// assigns it (see TransportKind); deleted with the enum.
+  /// Unused by the library: there is one in-process backend. Kept because
+  /// perfbench and the protocol tests assign it (see TransportKind);
+  /// deleted with the enum.
   TransportKind transport = TransportKind::kSimulated;
   /// Worker threads for the session's MiningEngine (0 = serve batches
   /// inline; the engine's reports are thread-count-invariant either way).

@@ -28,9 +28,11 @@
 
 namespace sap::proto {
 
-/// The one in-process backend. Nothing reads SapOptions::transport; the
-/// enum and the field stay only because perfbench (src/common.cpp) still
-/// assigns the field, and go once the benchmark stops naming them.
+/// The one in-process backend. Nothing in the library reads
+/// SapOptions::transport; the enum and the field stay because perfbench
+/// (src/common.cpp) still assigns the field, and the protocol test suites
+/// are instantiated over the enum (tests/protocol_test.cpp,
+/// tests/contribute_test.cpp). Both go once the benchmark stops naming them.
 enum class TransportKind : std::uint8_t {
   kSimulated = 0,  ///< synchronous in-process delivery (Transport)
 };

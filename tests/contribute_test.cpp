@@ -4,11 +4,13 @@
 //
 // A contribution is one send and one receive on the session's thread: an
 // undeliverable one fails fast, and the pool is bit-identical at any thread
-// count.
+// count. The Contribute suite is instantiated over every in-process
+// TransportKind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -45,16 +47,24 @@ StreamSetup stream_setup(std::size_t k, std::uint64_t seed) {
   return setup;
 }
 
-proto::SapOptions fast_opts(std::uint64_t seed) {
+proto::SapOptions fast_opts(std::uint64_t seed,
+                            proto::TransportKind transport = proto::TransportKind::kSimulated) {
   auto opts = proto::SapOptions::fast();
   opts.seed = seed;
   opts.compute_satisfaction = false;
+  opts.transport = transport;
   return opts;
 }
 
-TEST(Contribute, GrowsThePoolWithoutRedoingTheExchange) {
+std::string transport_label(const ::testing::TestParamInfo<proto::TransportKind>& info) {
+  return info.param == proto::TransportKind::kSimulated ? "Simulated" : "Unknown";
+}
+
+class Contribute : public ::testing::TestWithParam<proto::TransportKind> {};
+
+TEST_P(Contribute, GrowsThePoolWithoutRedoingTheExchange) {
   auto setup = stream_setup(4, 301);
-  proto::SapSession session(std::move(setup.shards), fast_opts(301));
+  proto::SapSession session(std::move(setup.shards), fast_opts(301, GetParam()));
   auto& engine = session.engine();
   EXPECT_EQ(engine.pool_view().data->size(), 100u);
   const std::size_t exchange_messages = session.transport().trace().size();
@@ -81,12 +91,12 @@ TEST(Contribute, GrowsThePoolWithoutRedoingTheExchange) {
   EXPECT_EQ(count.pool_epoch, 3u);
 }
 
-TEST(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
+TEST_P(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
   // With sigma = 0 the whole pipeline is exact algebra: the appended records
   // must equal the batch mapped straight into the target space G_t — the
   // utility-preservation guarantee of adaptor reuse.
   auto setup = stream_setup(4, 302);
-  auto opts = fast_opts(302);
+  auto opts = fast_opts(302, GetParam());
   opts.noise_sigma = 0.0;
   proto::SapSession session(std::move(setup.shards), opts);
   const auto result = session.mine();
@@ -104,9 +114,9 @@ TEST(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
   }
 }
 
-TEST(Contribute, UnknownContributorIsRejectedAndThePoolUntouched) {
+TEST_P(Contribute, UnknownContributorIsRejectedAndThePoolUntouched) {
   auto setup = stream_setup(4, 303);
-  proto::SapSession session(std::move(setup.shards), fast_opts(303));
+  proto::SapSession session(std::move(setup.shards), fast_opts(303, GetParam()));
   (void)session.engine();
 
   const Dataset batch = setup.stream.slice(0, 10);
@@ -126,9 +136,9 @@ TEST(Contribute, UnknownContributorIsRejectedAndThePoolUntouched) {
   EXPECT_EQ(receipt.pool_records, 110u);
 }
 
-TEST(Contribute, DimensionMismatchedBatchIsRejected) {
+TEST_P(Contribute, DimensionMismatchedBatchIsRejected) {
   auto setup = stream_setup(4, 304);
-  proto::SapSession session(std::move(setup.shards), fast_opts(304));
+  proto::SapSession session(std::move(setup.shards), fast_opts(304, GetParam()));
   (void)session.engine();
 
   // Session-side validation rejects a malformed original-space batch...
@@ -153,12 +163,12 @@ TEST(Contribute, DimensionMismatchedBatchIsRejected) {
   EXPECT_EQ(session.engine().pool_view().data->size(), 100u);
 }
 
-TEST(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
+TEST_P(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
   // One NaN would poison every later fit on the pool (NB moments, kNN
   // distances, SVM margins): the miner's decoder rejects the batch like any
   // malformed one, and the pool and epoch stay put.
   auto setup = stream_setup(4, 308);
-  proto::SapSession session(std::move(setup.shards), fast_opts(308));
+  proto::SapSession session(std::move(setup.shards), fast_opts(308, GetParam()));
   (void)session.engine();
 
   Dataset batch = setup.stream.slice(0, 10);
@@ -184,12 +194,12 @@ TEST(Contribute, NonFiniteBatchIsRejectedAndThePoolUntouched) {
   EXPECT_EQ(receipt.pool_records, 110u);
 }
 
-TEST(Contribute, DroppedContributionIsDetectedNotHung) {
+TEST_P(Contribute, DroppedContributionIsDetectedNotHung) {
   // The transport drops the contribution: the miner finds its inbox empty
   // and fails fast — not a timeout or a hang — and the pool stays put.
   bool dropped = false;  // declared first: the session's drop filter refers to it
   auto setup = stream_setup(4, 305);
-  proto::SapSession session(std::move(setup.shards), fast_opts(305));
+  proto::SapSession session(std::move(setup.shards), fast_opts(305, GetParam()));
   (void)session.engine();
 
   session.inject_faults([&dropped](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
@@ -205,9 +215,9 @@ TEST(Contribute, DroppedContributionIsDetectedNotHung) {
   EXPECT_EQ(receipt.pool_records, 110u);
 }
 
-TEST(Contribute, RejectedBeforeTheExchangeCompletes) {
+TEST_P(Contribute, RejectedBeforeTheExchangeCompletes) {
   auto setup = stream_setup(4, 306);
-  proto::SapSession session(std::move(setup.shards), fast_opts(306));
+  proto::SapSession session(std::move(setup.shards), fast_opts(306, GetParam()));
   // contribute() implicitly completes the phases (like engine()); but a
   // session poisoned mid-exchange must refuse to ingest.
   session.inject_faults([](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
@@ -218,14 +228,17 @@ TEST(Contribute, RejectedBeforeTheExchangeCompletes) {
   EXPECT_THROW((void)session.contribute(0, setup.stream.slice(0, 10)), sap::Error);
 }
 
-TEST(Contribute, InvalidArgumentsRejectedUpFront) {
+TEST_P(Contribute, InvalidArgumentsRejectedUpFront) {
   auto setup = stream_setup(3, 307);
-  proto::SapSession session(std::move(setup.shards), fast_opts(307));
+  proto::SapSession session(std::move(setup.shards), fast_opts(307, GetParam()));
   EXPECT_THROW((void)session.contribute(9, setup.stream.slice(0, 10)), sap::Error);
   EXPECT_THROW((void)session.contribute(0, setup.stream.slice(0, 0)), sap::Error);
   // Nothing ran: the exchange was never started by a failed validation.
   EXPECT_EQ(session.phase(), proto::SessionPhase::kLocalOptimize);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, Contribute,
+                         ::testing::Values(proto::TransportKind::kSimulated), transport_label);
 
 // ------------------------------------------------------------ replay determinism
 

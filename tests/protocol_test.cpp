@@ -2,16 +2,19 @@
 // risk formulas, and the SapSession phase machine's information-flow
 // invariants (DESIGN.md §4).
 //
-// SapSession runs LocalOptimize and the per-party accounting on a pool with
-// one worker per provider, and each party's scoring pool nests inside it:
-// the thread-count tests below pin that neither changes the pool, the
-// accounting or the message trace.
+// The transport and end-to-end SAP suites are instantiated over every
+// in-process TransportKind. SapSession runs LocalOptimize and the per-party
+// accounting on a pool with one worker per provider, and each party's
+// scoring pool nests inside it: the thread-count tests below pin that
+// neither changes the pool, the accounting or the message trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -44,6 +47,14 @@ std::vector<Dataset> provider_split(const std::string& dataset, std::size_t k,
   Engine eng(seed ^ 0xBEEF);
   sap::data::PartitionOptions opts;
   return sap::data::partition(normalized, k, opts, eng);
+}
+
+std::string transport_name(proto::TransportKind kind) {
+  return kind == proto::TransportKind::kSimulated ? "Simulated" : "Unknown";
+}
+
+std::string transport_label(const ::testing::TestParamInfo<proto::TransportKind>& info) {
+  return transport_name(info.param);
 }
 
 /// FNV-1a over every trace entry's (from, to, kind, wire_bytes): the
@@ -138,7 +149,10 @@ TEST(Codec, PayloadKindNamesAreDistinct) {
 
 // ------------------------------------------------------------ transports
 
-TEST(TransportConformance, DeliversInOrder) {
+/// Conformance of the in-process backend named by the parameter.
+class TransportConformance : public ::testing::TestWithParam<proto::TransportKind> {};
+
+TEST_P(TransportConformance, DeliversInOrder) {
   proto::Transport net(1);
   const auto a = net.add_party();
   const auto b = net.add_party();
@@ -150,21 +164,21 @@ TEST(TransportConformance, DeliversInOrder) {
   EXPECT_FALSE(net.has_mail(b));
 }
 
-TEST(TransportConformance, SelfSendRejected) {
+TEST_P(TransportConformance, SelfSendRejected) {
   proto::Transport net(1);
   const auto a = net.add_party();
   EXPECT_THROW(net.send(a, a, proto::PayloadKind::kRoutingNotice, std::vector<double>{1.0}),
                sap::Error);
 }
 
-TEST(TransportConformance, EmptyInboxThrows) {
+TEST_P(TransportConformance, EmptyInboxThrows) {
   proto::Transport net(1);
   const auto a = net.add_party();
   (void)net.add_party();
   EXPECT_THROW(net.receive(a), sap::Error);
 }
 
-TEST(TransportConformance, TraceRecordsMetadataAndBytes) {
+TEST_P(TransportConformance, TraceRecordsMetadataAndBytes) {
   proto::Transport net(99);
   const auto a = net.add_party();
   const auto b = net.add_party();
@@ -179,7 +193,7 @@ TEST(TransportConformance, TraceRecordsMetadataAndBytes) {
   EXPECT_EQ(net.count_received(a, proto::PayloadKind::kPerturbedData), 0u);
 }
 
-TEST(TransportConformance, LinkBytesAggregatesPerDirectedPair) {
+TEST_P(TransportConformance, LinkBytesAggregatesPerDirectedPair) {
   proto::Transport net(5);
   const auto a = net.add_party();
   const auto b = net.add_party();
@@ -191,7 +205,7 @@ TEST(TransportConformance, LinkBytesAggregatesPerDirectedPair) {
   EXPECT_EQ(bytes.at({b, a}), 8u);
 }
 
-TEST(TransportConformance, IdenticalSecretYieldsIdenticalCiphertext) {
+TEST_P(TransportConformance, IdenticalSecretYieldsIdenticalCiphertext) {
   // Link keys derive from the session secret alone: same secret + same
   // sends → same ciphertext in the trace.
   proto::Transport first(77);
@@ -208,6 +222,9 @@ TEST(TransportConformance, IdenticalSecretYieldsIdenticalCiphertext) {
   for (std::size_t i = 0; i < first_cipher.size(); ++i)
     EXPECT_EQ(first_cipher[i], second_cipher[i]);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
+                         ::testing::Values(proto::TransportKind::kSimulated), transport_label);
 
 // ------------------------------------------------------------ risk formulas
 
@@ -301,22 +318,24 @@ TEST(MinParties, InvalidArgsThrow) {
 
 // ------------------------------------------------------------ SAP session
 
-/// End-to-end SAP runs over Iris shards with the fast options.
-class SapRun : public ::testing::Test {
+/// End-to-end SAP runs over Iris shards with the fast options, on the
+/// backend named by the parameter.
+class SapRun : public ::testing::TestWithParam<proto::TransportKind> {
  protected:
-  static proto::SapOptions fast_opts(std::uint64_t seed) {
+  static proto::SapOptions fast_opts(std::uint64_t seed, proto::TransportKind transport) {
     auto opts = proto::SapOptions::fast();
     opts.seed = seed;
+    opts.transport = transport;
     return opts;
   }
 
-  static std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) {
+  std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) const {
     return std::make_unique<proto::SapSession>(provider_split("Iris", k, seed),
-                                               fast_opts(seed));
+                                               fast_opts(seed, GetParam()));
   }
 };
 
-TEST_F(SapRun, UnifiedDatasetPoolsAllRecords) {
+TEST_P(SapRun, UnifiedDatasetPoolsAllRecords) {
   auto session = make_session(4, 1);
   const auto result = session->run();
   EXPECT_EQ(result.unified.size(), 150u);  // Iris row count
@@ -324,7 +343,7 @@ TEST_F(SapRun, UnifiedDatasetPoolsAllRecords) {
   EXPECT_EQ(result.unified.classes().size(), 3u);
 }
 
-TEST_F(SapRun, CoordinatorNeverReceivesData) {
+TEST_P(SapRun, CoordinatorNeverReceivesData) {
   auto session = make_session(5, 2);
   (void)session->run();
   const auto& net = session->transport();
@@ -333,7 +352,7 @@ TEST_F(SapRun, CoordinatorNeverReceivesData) {
   EXPECT_EQ(net.count_received(coordinator, proto::PayloadKind::kForwardedData), 0u);
 }
 
-TEST_F(SapRun, MinerReceivesExactlyKDatasetsAndKAdaptors) {
+TEST_P(SapRun, MinerReceivesExactlyKDatasetsAndKAdaptors) {
   auto session = make_session(5, 3);
   (void)session->run();
   const auto& net = session->transport();
@@ -345,7 +364,7 @@ TEST_F(SapRun, MinerReceivesExactlyKDatasetsAndKAdaptors) {
   EXPECT_EQ(net.count_received(miner, proto::PayloadKind::kTargetSpace), 0u);
 }
 
-TEST_F(SapRun, EveryProviderDatasetReachesMinerViaSomePeer) {
+TEST_P(SapRun, EveryProviderDatasetReachesMinerViaSomePeer) {
   auto session = make_session(6, 4);
   const auto result = session->run();
   ASSERT_EQ(result.audit_forwarder_of.size(), 6u);
@@ -357,7 +376,7 @@ TEST_F(SapRun, EveryProviderDatasetReachesMinerViaSomePeer) {
   }
 }
 
-TEST_F(SapRun, PartyReportsAreComplete) {
+TEST_P(SapRun, PartyReportsAreComplete) {
   auto session = make_session(4, 5);
   const auto result = session->run();
   ASSERT_EQ(result.parties.size(), 4u);
@@ -373,7 +392,7 @@ TEST_F(SapRun, PartyReportsAreComplete) {
   }
 }
 
-TEST_F(SapRun, DeterministicForSameSeed) {
+TEST_P(SapRun, DeterministicForSameSeed) {
   const auto a = make_session(4, 42)->run();
   const auto b = make_session(4, 42)->run();
   EXPECT_TRUE(a.unified.features().approx_equal(b.unified.features(), 0.0));
@@ -383,7 +402,7 @@ TEST_F(SapRun, DeterministicForSameSeed) {
     EXPECT_DOUBLE_EQ(a.parties[i].local_rho, b.parties[i].local_rho);
 }
 
-TEST_F(SapRun, DifferentSeedsShuffleAssignments) {
+TEST_P(SapRun, DifferentSeedsShuffleAssignments) {
   const auto a = make_session(6, 1)->run();
   const auto b = make_session(6, 99)->run();
   // Forwarder assignments should differ for at least one provider across
@@ -391,7 +410,7 @@ TEST_F(SapRun, DifferentSeedsShuffleAssignments) {
   EXPECT_NE(a.audit_forwarder_of, b.audit_forwarder_of);
 }
 
-TEST_F(SapRun, NamedJobRunsAndReportsBroadcast) {
+TEST_P(SapRun, NamedJobRunsAndReportsBroadcast) {
   auto session = make_session(4, 7);
   const auto result = session->mine_named("record-count");
   EXPECT_EQ(session->engine().run({"record-count", {}}).values,
@@ -403,21 +422,21 @@ TEST_F(SapRun, NamedJobRunsAndReportsBroadcast) {
   EXPECT_EQ(reports, 4u);
 }
 
-TEST_F(SapRun, FewerThanThreeProvidersRejected) {
-  EXPECT_THROW(proto::SapSession(provider_split("Iris", 2, 1), fast_opts(1)),
+TEST_P(SapRun, FewerThanThreeProvidersRejected) {
+  EXPECT_THROW(proto::SapSession(provider_split("Iris", 2, 1), fast_opts(1, GetParam())),
                sap::Error);
 }
 
-TEST_F(SapRun, MismatchedDimensionsRejected) {
+TEST_P(SapRun, MismatchedDimensionsRejected) {
   auto parts = provider_split("Iris", 3, 1);
   // Corrupt one provider with a different dimensionality.
   parts[1] = Dataset("bad", Matrix(20, 3, 0.5), std::vector<int>(20, 0));
-  EXPECT_THROW(proto::SapSession(std::move(parts), fast_opts(1)), sap::Error);
+  EXPECT_THROW(proto::SapSession(std::move(parts), fast_opts(1, GetParam())), sap::Error);
 }
 
 // ------------------------------------------------------------ phase machine
 
-TEST_F(SapRun, PhasesAdvanceInDeclaredOrder) {
+TEST_P(SapRun, PhasesAdvanceInDeclaredOrder) {
   auto session = make_session(4, 11);
   using P = proto::SessionPhase;
   const std::vector<P> expected{P::kLocalOptimize, P::kTargetDistribution,
@@ -438,7 +457,7 @@ TEST_F(SapRun, PhasesAdvanceInDeclaredOrder) {
   EXPECT_GT(session->phase_log().back().messages, 0u);
 }
 
-TEST_F(SapRun, PhasesAreIndividuallyObservable) {
+TEST_P(SapRun, PhasesAreIndividuallyObservable) {
   auto session = make_session(4, 12);
   session->run_until(proto::SessionPhase::kPermutationExchange);
   // After target distribution, only control-plane traffic exists.
@@ -449,7 +468,7 @@ TEST_F(SapRun, PhasesAreIndividuallyObservable) {
   EXPECT_EQ(net.count_received(4, proto::PayloadKind::kForwardedData), 4u);
 }
 
-TEST_F(SapRun, MultipleJobsWithoutRedoingExchange) {
+TEST_P(SapRun, MultipleJobsWithoutRedoingExchange) {
   auto session = make_session(4, 13);
   session->run_until(proto::SessionPhase::kMine);
   const std::size_t exchange_messages = session->transport().trace().size();
@@ -463,7 +482,7 @@ TEST_F(SapRun, MultipleJobsWithoutRedoingExchange) {
   EXPECT_EQ(r2.messages, exchange_messages + 8);
 }
 
-TEST_F(SapRun, CustomRegisteredJobIsServed) {
+TEST_P(SapRun, CustomRegisteredJobIsServed) {
   auto session = make_session(4, 14);
   bool ran = false;
   proto::JobSpec spec;
@@ -479,10 +498,13 @@ TEST_F(SapRun, CustomRegisteredJobIsServed) {
   EXPECT_TRUE(ran);
 }
 
-TEST_F(SapRun, UnknownNamedJobRejected) {
+TEST_P(SapRun, UnknownNamedJobRejected) {
   auto session = make_session(4, 15);
   EXPECT_THROW(session->mine_named("no-such-job"), sap::Error);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, SapRun, ::testing::Values(proto::TransportKind::kSimulated),
+                         transport_label);
 
 TEST(SapThreadCounts, UnifiedPoolIsBitIdenticalAcrossThreadCounts) {
   // The party pool runs every provider's LocalOptimize and accounting at
@@ -582,17 +604,18 @@ TEST(SapThreadCounts, OptimizerThreadsNeverChangeTheResult) {
 }
 
 // Parameterized end-to-end sweep: the §3 information-flow invariants must
-// hold for every (dataset, party count) combination. The dataset is a
-// std::string so the printed parameter (and the test's name) carries no
-// pointer value.
+// hold for every (dataset, party count, transport) combination. The dataset
+// is a std::string so the printed parameter carries no pointer value.
 class SapInvariantSweep
-    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::size_t, proto::TransportKind>> {};
 
 TEST_P(SapInvariantSweep, InformationFlowInvariantsHold) {
-  const auto [dataset, k] = GetParam();
+  const auto [dataset, k, transport] = GetParam();
   auto opts = proto::SapOptions::fast();
   opts.seed = 0xABC0 + k;
   opts.compute_satisfaction = false;
+  opts.transport = transport;
   auto shards = provider_split(dataset, k, 7 * k + 1);
   std::size_t total_records = 0;
   for (const auto& s : shards) total_records += s.size();
@@ -624,9 +647,11 @@ TEST_P(SapInvariantSweep, InformationFlowInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndParties, SapInvariantSweep,
     ::testing::Combine(::testing::Values("Iris", "Wine", "Diabetes", "Votes"),
-                       ::testing::Values(std::size_t{3}, std::size_t{5}, std::size_t{8})),
+                       ::testing::Values(std::size_t{3}, std::size_t{5}, std::size_t{8}),
+                       ::testing::Values(proto::TransportKind::kSimulated)),
     [](const auto& info) {
-      return std::get<0>(info.param) + "_k" + std::to_string(std::get<1>(info.param));
+      return std::get<0>(info.param) + "_k" + std::to_string(std::get<1>(info.param)) + "_" +
+             transport_name(std::get<2>(info.param));
     });
 
 TEST(SapIdentifiability, ForwarderChoiceIsNearUniformOverRuns) {
@@ -746,17 +771,18 @@ TEST(DirectBaseline, TwoProvidersAllowed) {
 
 // ------------------------------------------------------------ failure injection
 
-class SapFaults : public ::testing::Test {
+class SapFaults : public ::testing::TestWithParam<proto::TransportKind> {
  protected:
-  static std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) {
+  std::unique_ptr<proto::SapSession> make_session(std::size_t k, std::uint64_t seed) const {
     auto opts = proto::SapOptions::fast();
     opts.seed = seed;
     opts.compute_satisfaction = false;
+    opts.transport = GetParam();
     return std::make_unique<proto::SapSession>(provider_split("Iris", k, seed), opts);
   }
 };
 
-TEST_F(SapFaults, DroppedDataMessageIsDetected) {
+TEST_P(SapFaults, DroppedDataMessageIsDetected) {
   // Drop the first perturbed-data message. Every send runs on the
   // session's thread, so a plain flag is enough; it is declared first
   // because the session's drop filter refers to it.
@@ -769,7 +795,7 @@ TEST_F(SapFaults, DroppedDataMessageIsDetected) {
   EXPECT_GE(session->transport().dropped_count(), 1u);
 }
 
-TEST_F(SapFaults, DroppedRoutingNoticeAbortsBeforeExchange) {
+TEST_P(SapFaults, DroppedRoutingNoticeAbortsBeforeExchange) {
   auto session = make_session(4, 92);
   session->inject_faults([](proto::PartyId, proto::PartyId to, proto::PayloadKind kind) {
     return kind == proto::PayloadKind::kRoutingNotice && to == 0;
@@ -785,7 +811,7 @@ TEST_F(SapFaults, DroppedRoutingNoticeAbortsBeforeExchange) {
   EXPECT_EQ(session->transport().count_received(4, proto::PayloadKind::kForwardedData), 0u);
 }
 
-TEST_F(SapFaults, DroppedAdaptorIsDetected) {
+TEST_P(SapFaults, DroppedAdaptorIsDetected) {
   auto session = make_session(5, 93);
   session->inject_faults([](proto::PartyId, proto::PartyId, proto::PayloadKind kind) {
     return kind == proto::PayloadKind::kSpaceAdaptor;
@@ -793,7 +819,7 @@ TEST_F(SapFaults, DroppedAdaptorIsDetected) {
   EXPECT_THROW(session->run(), sap::Error);
 }
 
-TEST_F(SapFaults, DroppedModelReportIsBenign) {
+TEST_P(SapFaults, DroppedModelReportIsBenign) {
   // Losing the final broadcast degrades service but must not corrupt the
   // protocol result itself.
   auto session = make_session(4, 94);
@@ -805,7 +831,7 @@ TEST_F(SapFaults, DroppedModelReportIsBenign) {
   EXPECT_EQ(session->transport().dropped_count(), 4u);
 }
 
-TEST_F(SapFaults, FailedSessionIsPoisonedAgainstResumption) {
+TEST_P(SapFaults, FailedSessionIsPoisonedAgainstResumption) {
   // A throw mid-exchange leaves partially-mutated state (queued mail,
   // advanced engines); re-running the session must be refused outright
   // rather than mining a corrupted pool.
@@ -823,11 +849,14 @@ TEST_F(SapFaults, FailedSessionIsPoisonedAgainstResumption) {
   }
 }
 
-TEST_F(SapFaults, NoFaultsMeansNoDrops) {
+TEST_P(SapFaults, NoFaultsMeansNoDrops) {
   auto session = make_session(4, 95);
   (void)session->run();
   EXPECT_EQ(session->transport().dropped_count(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, SapFaults,
+                         ::testing::Values(proto::TransportKind::kSimulated), transport_label);
 
 // ------------------------------------------------------------ source linking
 
