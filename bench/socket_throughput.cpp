@@ -340,9 +340,9 @@ int main(int argc, char** argv) {
   const std::size_t active = 4;
   const std::size_t soak_conns = 10'000, soak_requests = 10'000;
 
-  // One daemon serves every run: exchange once over the hub, then the k
-  // party connections stay open (the daemon exits when they drop) while
-  // driver children hammer the serving door. Small pool on purpose: the
+  // One daemon serves every run: exchange once through its door, then the
+  // k party connections stay open (the daemon exits when they drop) while
+  // driver children hammer the same door. Small pool on purpose: the
   // serving cost per request must be modest so the bench measures the DOOR
   // (wake/decode/flush per request), not the mining job itself.
   const Dataset base = sap::bench::normalized_uci("Diabetes", seed).slice(0, 210);
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
   daemon_opts.reactor_compute_threads = 1;
   daemon_opts.reactor_idle_timeout_ms = 300'000;  // idle conns ARE the workload
   net::MinerDaemon daemon(daemon_opts);
-  const auto hub_addr = daemon.local_addr();
+  const auto door_addr = daemon.local_addr();
   auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
 
   std::promise<void> serving_promise;
@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < parties; ++i) {
     party_threads.emplace_back([&, i] {
       net::PartyClientOptions popts;
-      popts.connect = hub_addr;
+      popts.connect = door_addr;
       popts.index = i;
       popts.parties = parties;
       popts.sap = sap_opts;

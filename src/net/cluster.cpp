@@ -414,7 +414,7 @@ RouterDaemon::RouterDaemon(RouterDaemonOptions opts)
   // This door mints when a request rode untraced; the id propagates to
   // every fanned-to miner (ShardRouter::set_trace) and echoes back to the
   // client, so one id names the whole scatter-gather.
-  reactor_ = std::make_unique<Reactor>(opts_.reactor, [this](const Frame& frame) {
+  reactor_ = std::make_unique<Reactor>(opts_.reactor, my_id_, [this](const Frame& frame) {
     return door_frame(frame, my_id_, secret_, minter_, traces_,
                       [this](const DoorRequest& request) { return dispatch(request); });
   });

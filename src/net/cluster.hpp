@@ -60,7 +60,7 @@
 namespace sap::net {
 
 struct ShardRouterOptions {
-  /// Miner serving doors, one per miner (a hub refuses every serving kind).
+  /// Miner doors, one per miner.
   std::vector<SocketAddr> miners;
   /// Total shards in the nonce-hash space; 0 = one per miner.
   std::size_t shards = 0;

@@ -18,8 +18,8 @@
 //
 // kData bodies carry an EncryptedEnvelope byte-exactly: the 8-byte
 // integrity word followed by the ciphertext words (little-endian u64s) —
-// the hub routes ciphertext it cannot open, exactly like the
-// in-process transports' metadata trace. Control frames (Hello/Welcome/
+// the door routes ciphertext it cannot open, exactly like the
+// in-process network's metadata trace. Control frames (Hello/Welcome/
 // Error/Bye) use small fixed bodies described at their helpers.
 //
 // Decoding treats every byte as adversarial: bad magic, unknown version or
@@ -45,22 +45,21 @@ constexpr std::size_t kFrameHeaderBytes = 32;
 constexpr std::size_t kDefaultMaxBody = 64u << 20;
 
 enum class FrameType : std::uint8_t {
-  kHello = 1,    ///< client -> hub: claim a party id (body: u32 desired id)
-  kWelcome = 2,  ///< hub -> client: id granted (body: u32 granted id)
+  kHello = 1,    ///< client -> door: claim an id (body: u32 desired id)
+  kWelcome = 2,  ///< door -> client: id granted (body: u32 granted id)
   kData = 3,     ///< routed protocol message (body: envelope bytes)
-  kError = 4,    ///< hub -> client: refusal (body: ASCII message)
+  kError = 4,    ///< door -> client: refusal (body: ASCII message)
   kBye = 5,      ///< polite shutdown (empty body)
 };
 
-/// Hello body value asking the hub to assign the next free id.
+/// Hello body value asking the door to assign the next free id.
 constexpr std::uint32_t kClaimAnyParty = 0xFFFFFFFFu;
-/// First id the hub and the serving door auto-assign. High base so such a
-/// client is never handed a party's id (providers 0..k-1, miner k), even
-/// when it arrives before that party does.
+/// First id the door auto-assigns. High base so such a client is never
+/// handed a party's id (providers 0..k-1, miner k), even when it arrives
+/// before that party does; ids from here up cannot be claimed by name.
 constexpr std::uint32_t kFirstClientId = 1u << 20;
-/// Per-connection outbound queue cap, hub and serving door alike: a peer
-/// that stops draining costs at most this much memory before it is
-/// disconnected.
+/// Per-connection outbound queue cap at the door: a peer that stops
+/// draining costs at most this much memory before it is disconnected.
 constexpr std::size_t kMaxOutqBytes = 64u << 20;
 
 struct Frame {
@@ -120,8 +119,8 @@ class FrameReader {
   /// exception contract as next().
   bool next_view(FrameView& out);
 
-  /// Drop all buffered bytes and release their memory (a hub clearing out
-  /// a dead connection's half-received frame).
+  /// Drop all buffered bytes and release their memory (a client clearing
+  /// out a dead connection's half-received frame before it redials).
   void reset();
 
   [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size() - pos_; }

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <deque>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -27,16 +28,24 @@ constexpr std::size_t kWheelBuckets = 64;
 /// already amortizes the syscall without big stack iovec arrays).
 constexpr int kMaxIov = 64;
 constexpr std::size_t kReadChunk = 64u << 10;
+/// Frames parked for party ids nobody has claimed yet (parties that are
+/// still connecting). Bounded by COUNT per id and by total BYTES across all
+/// ids — parking is for setup races, not storage; beyond either cap frames
+/// are dropped.
+constexpr std::size_t kMaxParkedPerParty = 4096;
+constexpr std::size_t kMaxParkedBytes = 64u << 20;
 
 }  // namespace
 
-/// Pre-encoded response bytes riding back to the owning loop. Posted even
-/// when empty: the completion is what decrements the connection's in-flight
-/// count (and un-spares it from idle eviction).
+/// Pre-encoded bytes riding to the owning loop. A compute completion is
+/// posted even when empty: it is what decrements the connection's in-flight
+/// count (and un-spares it from idle eviction). A routed frame is not a
+/// response and leaves that count alone.
 struct Reactor::Completion {
   std::uint32_t slot = 0;
   std::uint32_t gen = 0;
   std::size_t frames = 0;
+  bool routed = false;
   std::vector<std::uint8_t> bytes;
 };
 
@@ -48,6 +57,7 @@ struct Reactor::Conn {
   std::uint32_t gen = 0;
   std::uint32_t id = 0;
   bool hello_done = false;
+  bool party = false;        ///< `id` is a claimed party id (in claims_)
   bool closing = false;      ///< kBye received: flush, then close
   std::size_t inflight = 0;  ///< requests currently in compute
   std::deque<std::vector<std::uint8_t>> outq;
@@ -69,7 +79,7 @@ struct Reactor::Loop {
   int tick_ms = 100;
 
   DrainQueue<TcpSocket> fresh;   ///< acceptor -> loop (new connections)
-  DrainQueue<Completion> done;   ///< compute -> loop (responses)
+  DrainQueue<Completion> done;   ///< compute/routing -> loop (outbound bytes)
   std::atomic<std::size_t> assigned{0};
 
   // ---- loop-thread-owned ----
@@ -91,14 +101,16 @@ struct Reactor::Loop {
   }
 };
 
-Reactor::Reactor(ReactorOptions opts, Handler handler)
+Reactor::Reactor(ReactorOptions opts, proto::PartyId self, Handler handler)
     : opts_(std::move(opts)),
+      self_(self),
       handler_(std::move(handler)),
       next_client_id_(kFirstClientId),
       work_q_(opts_.compute_queue_cap) {
   SAP_REQUIRE(handler_ != nullptr, "Reactor: null handler");
   SAP_REQUIRE(opts_.loops >= 1, "Reactor: need at least one event loop");
   SAP_REQUIRE(opts_.idle_timeout_ms > 0, "Reactor: idle timeout must be positive");
+  SAP_REQUIRE(self_ < kFirstClientId, "Reactor: self must be a party-range id");
   if (opts_.metrics != nullptr) {
     // Register once, here: the record path must never take the registry
     // mutex (DESIGN.md §12).
@@ -174,6 +186,11 @@ Reactor::Stats Reactor::stats() const {
   for (const auto& loop : loops_)
     s.loop_conns.push_back(loop->assigned.load(std::memory_order_relaxed));
   return s;
+}
+
+void Reactor::send(const Frame& frame) {
+  SAP_REQUIRE(frame.to != self_, "Reactor::send: the host does not route to itself");
+  route(frame);
 }
 
 void Reactor::wake(Loop& loop) {
@@ -307,9 +324,11 @@ void Reactor::adopt_fresh(Loop& loop) {
 void Reactor::apply_completions(Loop& loop) {
   for (auto& comp : loop.done.drain()) {
     Conn* conn = conn_at(loop, comp.slot, comp.gen);
-    if (conn == nullptr) continue;  // connection died while computing
-    conn->inflight -= 1;
-    responses_.fetch_add(comp.frames, std::memory_order_relaxed);
+    if (conn == nullptr) continue;  // connection died meanwhile
+    if (!comp.routed) {
+      conn->inflight -= 1;
+      responses_.fetch_add(comp.frames, std::memory_order_relaxed);
+    }
     if (!comp.bytes.empty()) {
       enqueue_bytes(loop, comp.slot, std::move(comp.bytes));
       conn = conn_at(loop, comp.slot, comp.gen);  // enqueue may evict
@@ -358,36 +377,25 @@ void Reactor::on_frame(Loop& loop, std::uint32_t slot, Frame&& frame) {
   Conn& conn = *loop.slots[slot];
   switch (frame.type) {
     case FrameType::kHello: {
-      // Claims are always auto-assigned: the front door serves an open
-      // client population, not the k fixed protocol parties. The body must
-      // still parse (body_u32 throws -> caller evicts).
-      (void)body_u32(frame.body);
+      // The body must parse (body_u32 throws -> caller evicts).
+      const std::uint32_t desired = body_u32(frame.body);
       if (conn.hello_done) {
         SAP_FAIL("Reactor: duplicate Hello on one connection");
       }
-      conn.id = next_client_id_.fetch_add(1, std::memory_order_relaxed);
-      conn.hello_done = true;
-      Frame welcome;
-      welcome.type = FrameType::kWelcome;
-      welcome.body = u32_body(conn.id);
-      std::vector<std::uint8_t> bytes;
-      encode_frame(welcome, bytes);
-      enqueue_bytes(loop, slot, std::move(bytes));
+      on_hello(loop, slot, desired);
       break;
     }
     case FrameType::kData: {
       if (!conn.hello_done || frame.from != conn.id) {
-        // Anti-spoof parity with the hub: answer kError, keep the
+        // Anti-spoof, before any routing: answer kError, keep the
         // connection (the framing layer is still intact).
-        Frame err;
-        err.type = FrameType::kError;
-        err.to = conn.id;
-        err.body = text_body(conn.hello_done
-                                 ? "data frame from an id this connection does not own"
-                                 : "data frame before Hello");
-        std::vector<std::uint8_t> bytes;
-        encode_frame(err, bytes);
-        enqueue_bytes(loop, slot, std::move(bytes));
+        refuse(loop, slot,
+               conn.hello_done ? "data frame from an id this connection does not own"
+                               : "data frame before Hello");
+        break;
+      }
+      if (frame.to != self_) {
+        route(frame);
         break;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
@@ -405,13 +413,7 @@ void Reactor::on_frame(Loop& loop, std::uint32_t slot, Frame&& frame) {
         // (one stalled loop would starve every connection it owns).
         conn.inflight -= 1;
         shed_.fetch_add(1, std::memory_order_relaxed);
-        Frame err;
-        err.type = FrameType::kError;
-        err.to = conn.id;
-        err.body = text_body("server overloaded: request shed");
-        std::vector<std::uint8_t> bytes;
-        encode_frame(err, bytes);
-        enqueue_bytes(loop, slot, std::move(bytes));
+        refuse(loop, slot, "server overloaded: request shed");
       }
       break;
     }
@@ -422,8 +424,94 @@ void Reactor::on_frame(Loop& loop, std::uint32_t slot, Frame&& frame) {
     }
     case FrameType::kWelcome:
     case FrameType::kError:
-      break;  // hub-only frames from a client: nothing to serve, ignore
+      break;  // door-to-client frames from a client: nothing to do, ignore
   }
+}
+
+void Reactor::on_hello(Loop& loop, std::uint32_t slot, std::uint32_t desired) {
+  Conn& conn = *loop.slots[slot];
+  std::vector<std::vector<std::uint8_t>> parked;
+  if (desired == kClaimAnyParty) {
+    conn.id = next_client_id_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Auto-assigned ids come from a counter that never consults the claim
+    // table, so the client range cannot be claimed; nor can the door's own
+    // id.
+    if (desired >= kFirstClientId || desired == self_) {
+      refuse(loop, slot, "party id " + std::to_string(desired) + " cannot be claimed");
+      return;
+    }
+    bool taken = false;
+    {
+      MutexLock lock(claims_mutex_);
+      taken = !claims_
+                   .try_emplace(desired,
+                                Claim{static_cast<std::uint32_t>(loop.index), slot, conn.gen})
+                   .second;
+      if (const auto it = parked_.find(desired); !taken && it != parked_.end()) {
+        for (const auto& bytes : it->second) parked_bytes_ -= bytes.size();
+        parked = std::move(it->second);
+        parked_.erase(it);
+      }
+    }
+    if (taken) {
+      refuse(loop, slot, "party id " + std::to_string(desired) + " already claimed");
+      return;
+    }
+    conn.id = desired;
+    conn.party = true;
+    parties_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  conn.hello_done = true;
+  // Welcome first, then the parked frames in arrival order. Frames routed
+  // after the claim registered reach this loop's inbox, which is drained
+  // only after this returns, so per-link order holds.
+  Frame welcome;
+  welcome.type = FrameType::kWelcome;
+  welcome.body = u32_body(conn.id);
+  std::vector<std::uint8_t> bytes;
+  encode_frame(welcome, bytes);
+  for (const auto& frame : parked) bytes.insert(bytes.end(), frame.begin(), frame.end());
+  enqueue_bytes(loop, slot, std::move(bytes));
+}
+
+void Reactor::route(const Frame& frame) {
+  std::vector<std::uint8_t> bytes;
+  encode_frame(frame, bytes);
+  Claim owner;
+  {
+    MutexLock lock(claims_mutex_);
+    const auto it = claims_.find(frame.to);
+    if (it == claims_.end()) {
+      if (frame.to >= kFirstClientId) return;  // an unknown client id: dropped
+      auto& parked = parked_[frame.to];
+      if (parked.size() < kMaxParkedPerParty &&
+          parked_bytes_ + bytes.size() <= kMaxParkedBytes) {
+        parked_bytes_ += bytes.size();
+        parked.push_back(std::move(bytes));
+      }
+      return;
+    }
+    if (!it->second.live) return;  // a departed party: dropped
+    owner = it->second;
+  }
+  Completion comp;
+  comp.slot = owner.slot;
+  comp.gen = owner.gen;
+  comp.routed = true;
+  comp.bytes = std::move(bytes);
+  Loop& target = *loops_[owner.loop];
+  if (target.done.push(std::move(comp))) wake(target);
+}
+
+void Reactor::refuse(Loop& loop, std::uint32_t slot, const std::string& why) {
+  Frame err;
+  err.type = FrameType::kError;
+  err.to = loop.slots[slot]->id;
+  err.body = text_body(why);
+  std::vector<std::uint8_t> bytes;
+  encode_frame(err, bytes);
+  enqueue_bytes(loop, slot, std::move(bytes));
 }
 
 void Reactor::enqueue_bytes(Loop& loop, std::uint32_t slot,
@@ -431,11 +519,13 @@ void Reactor::enqueue_bytes(Loop& loop, std::uint32_t slot,
   if (bytes.empty()) return;
   Conn& conn = *loop.slots[slot];
   if (conn.outq_bytes + bytes.size() > kMaxOutqBytes) {
-    // The peer requests faster than it reads: same stall policy as the
-    // hub's bounded outq — drop the connection, not the process.
+    // The peer requests (or is sent) faster than it reads: drop the
+    // connection, not the process.
     evict(loop, slot, /*idle=*/false);
     return;
   }
+  // An idle party link's stall clock starts when something is queued to it.
+  if (conn.party && conn.outq.empty()) conn.last_progress = Clock::now();
   conn.outq_bytes += bytes.size();
   conn.outq.push_back(std::move(bytes));
   flush_conn(loop, slot);
@@ -483,6 +573,12 @@ void Reactor::flush_conn(Loop& loop, std::uint32_t slot) {
 
 void Reactor::evict(Loop& loop, std::uint32_t slot, bool idle) {
   if (slot >= loop.slots.size() || loop.slots[slot] == nullptr) return;
+  if (const Conn& conn = *loop.slots[slot]; conn.party) {
+    // The id stays taken: frames for it are dropped from now on.
+    MutexLock lock(claims_mutex_);
+    claims_.at(conn.id).live = false;
+    parties_.fetch_sub(1, std::memory_order_acq_rel);
+  }
   // Closing the fd deregisters it from epoll; wheel entries and in-flight
   // completions for this slot die on their generation check.
   loop.slots[slot].reset();
@@ -504,8 +600,11 @@ void Reactor::process_tick(Loop& loop) {
     if (conn == nullptr) continue;  // already gone: stale wheel entry
     const auto deadline = conn->last_progress + idle;
     // Connections with work in compute are spared: a long mining job is
-    // not a dead peer. They re-arm and get re-checked next round.
-    if (now >= deadline && conn->inflight == 0) {
+    // not a dead peer. So is a party link with nothing queued to it — a
+    // party may hold its link for the whole serving lifetime. Spared
+    // connections re-arm and get re-checked next round.
+    const bool spared = conn->inflight > 0 || (conn->party && conn->outq.empty());
+    if (now >= deadline && !spared) {
       evict(loop, entry.slot, /*idle=*/true);
       continue;
     }

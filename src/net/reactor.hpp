@@ -1,51 +1,55 @@
-// C10k serving door — an edge-triggered epoll reactor for sap::net.
+// A daemon's one door — an edge-triggered epoll reactor for sap::net.
 //
-// The hub transport (tcp_transport.hpp) is built for the exchange: k party
-// connections, id-routed frames, one poll() pass over every fd per tick.
-// That shape is exactly wrong for the serving phase, where the miner is a
-// request/response server for an open-ended client population ("millions
-// of users", ROADMAP): poll() scans all C connections to find the few ready
-// ones, every frame crosses two thread hand-offs, and every response is its
-// own write() syscall. So the hub does not serve; the reactor does:
+// Every connection to a daemon lands here: the k parties' exchange links
+// and an open-ended population of serving clients ("millions of users",
+// ROADMAP) alike.
 //
 //   * ONE acceptor thread drains accept() until EAGAIN and deals fds
 //     round-robin to N sharded event loops.
 //   * Each loop owns its connections exclusively — sockets, frame readers,
 //     outbound queues and the timer wheel are touched only by the loop
-//     thread, so the hot path takes no locks at all. Cross-thread traffic
-//     (fresh fds from the acceptor, completions from compute) arrives
-//     through DrainQueue inboxes (common/queue.hpp) + an eventfd wake.
+//     thread, so serving frames take no locks at all. Cross-thread traffic
+//     (fresh fds from the acceptor, completions from compute, routed
+//     frames from other loops) arrives through DrainQueue inboxes
+//     (common/queue.hpp) + an eventfd wake.
 //   * Sockets are registered edge-triggered (EPOLLIN|EPOLLOUT|EPOLLET);
 //     reads drain until EAGAIN into the connection's incremental
 //     FrameReader, so epoll_wait returns only genuinely-ready fds and the
 //     cost per pass is O(ready), not O(connections).
-//   * Decoded kData frames are handed to the compute side — a
-//     sap::ThreadPool whose lanes drain a bounded WorkQueue — and the
-//     handler's response frames come back pre-encoded through the owning
-//     loop's completion inbox. A {slot, generation} ticket makes stale
-//     completions for evicted/reused slots drop harmlessly.
+//   * kData frames addressed to `self` (the id the handler answers for) go
+//     to the compute side — a sap::ThreadPool whose lanes drain a bounded
+//     WorkQueue — and the handler's response frames come back pre-encoded
+//     through the owning loop's completion inbox. A {slot, generation}
+//     ticket makes stale completions for evicted/reused slots drop
+//     harmlessly.
+//   * Routing: a Hello naming an id below kFirstClientId claims that party
+//     id in one claim table. A kData frame for another claimed id is
+//     encoded once and posted to the owner's loop inbox, so per-link FIFO
+//     order holds across loops; a frame for an id nobody claimed yet is
+//     parked (bounded) until the owner connects. The door opens nothing it
+//     routes: it sees (from, to, kind, length, ciphertext).
 //   * Responses queue per connection and flush with writev (many frames
 //     per syscall); EPOLLOUT edges resume a flush the kernel buffer cut
 //     short.
 //   * A per-loop hashed timer wheel evicts idle and slow-loris
 //     connections: any connection that neither completes a frame nor
-//     accepts response bytes for idle_timeout_ms is closed (connections
-//     with requests still in compute are spared).
+//     accepts response bytes for idle_timeout_ms is closed. Connections
+//     with requests still in compute are spared, and so are party links
+//     while nothing is queued to them.
 //
-// The reactor speaks the same wire protocol as the hub (Hello/Welcome
-// claim, enveloped kData, kBye) so one client implementation works against
-// both endpoints; client ids are auto-assigned from a high base so they
-// can never collide with hub-side party ids. The k-party exchange stays on
-// the hub — see DESIGN.md §10 for why.
+// "Any id" claims are auto-assigned from kFirstClientId up, lock-free, so
+// a serving client can never take a party's id. DESIGN.md §10.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/mutex.hpp"
 #include "common/queue.hpp"
 #include "common/thread_pool.hpp"
 #include "net/frame.hpp"
@@ -59,7 +63,8 @@ struct ReactorOptions {
   std::size_t loops = 2;            ///< sharded event loops (>= 1)
   std::size_t compute_threads = 2;  ///< handler lanes (0 = one inline lane)
   /// Evict a connection that makes no progress (no completed inbound frame,
-  /// no accepted outbound byte) for this long while nothing is in compute.
+  /// no accepted outbound byte) for this long while nothing is in compute
+  /// (a party link: while something is queued to it).
   int idle_timeout_ms = 60'000;
   std::size_t max_connections = 16'000;  ///< accept cap (refused above)
   std::size_t compute_queue_cap = 4096;  ///< pending requests before shedding
@@ -81,8 +86,10 @@ class Reactor {
   using Handler = std::function<std::vector<Frame>(const Frame&)>;
 
   /// Binds the listen address and starts acceptor, loops, and compute
-  /// lanes; serving begins immediately.
-  Reactor(ReactorOptions opts, Handler handler);
+  /// lanes; serving begins immediately. `self` is the id the handler
+  /// answers for: kData frames addressed to it go to compute, frames for
+  /// any other id are routed. It cannot be claimed.
+  Reactor(ReactorOptions opts, proto::PartyId self, Handler handler);
 
   /// stop() + join everything.
   ~Reactor();
@@ -96,6 +103,16 @@ class Reactor {
   /// Shut down: stop accepting, drain compute, close every connection,
   /// join all threads. Idempotent; the first caller does the joining.
   void stop();
+
+  /// Route a frame from the host to the party that claimed `frame.to`:
+  /// parked while that id is unclaimed, dropped for a departed party or an
+  /// unknown client id. Thread-safe.
+  void send(const Frame& frame);
+
+  /// Live connections holding a party id.
+  [[nodiscard]] std::size_t parties() const {
+    return parties_.load(std::memory_order_acquire);
+  }
 
   struct Stats {
     std::size_t accepted = 0;      ///< connections accepted (incl. refused)
@@ -142,6 +159,13 @@ class Reactor {
   void apply_completions(Loop& loop);
   void handle_readable(Loop& loop, std::uint32_t slot, std::vector<std::uint8_t>& rbuf);
   void on_frame(Loop& loop, std::uint32_t slot, Frame&& frame);
+  /// Hello: auto-assign an id, or claim a party id and flush its parked
+  /// frames right behind the Welcome.
+  void on_hello(Loop& loop, std::uint32_t slot, std::uint32_t desired);
+  /// Post `frame` to the loop of the connection that claimed `frame.to`.
+  void route(const Frame& frame) SAP_EXCLUDES(claims_mutex_);
+  /// Answer kError; the connection stays open (its framing is intact).
+  void refuse(Loop& loop, std::uint32_t slot, const std::string& why);
   void enqueue_bytes(Loop& loop, std::uint32_t slot, std::vector<std::uint8_t> bytes);
   void flush_conn(Loop& loop, std::uint32_t slot);
   void evict(Loop& loop, std::uint32_t slot, bool idle);
@@ -149,6 +173,7 @@ class Reactor {
   Conn* conn_at(Loop& loop, std::uint32_t slot, std::uint32_t gen);
 
   ReactorOptions opts_;
+  const proto::PartyId self_;
   Handler handler_;
   TcpListener listener_;
   SocketAddr listener_addr_;
@@ -169,6 +194,24 @@ class Reactor {
   std::atomic<std::size_t> requests_{0};
   std::atomic<std::size_t> responses_{0};
   std::atomic<std::size_t> shed_{0};
+  std::atomic<std::size_t> parties_{0};
+
+  /// Where a claimed party id lives. A departed party keeps its entry
+  /// (live = false), so its id stays taken for the door's lifetime.
+  struct Claim {
+    std::uint32_t loop = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+    bool live = true;
+  };
+  /// The claim table, shared by every loop and by send(). Serving frames
+  /// (addressed to self_) never take this lock.
+  Mutex claims_mutex_;
+  std::map<std::uint32_t, Claim> claims_ SAP_GUARDED_BY(claims_mutex_);
+  /// Encoded frames for party ids nobody has claimed yet, in arrival order.
+  std::map<std::uint32_t, std::vector<std::vector<std::uint8_t>>> parked_
+      SAP_GUARDED_BY(claims_mutex_);
+  std::size_t parked_bytes_ SAP_GUARDED_BY(claims_mutex_) = 0;
 
   std::vector<std::unique_ptr<Loop>> loops_;
   WorkQueue<Work> work_q_;

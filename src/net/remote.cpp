@@ -123,11 +123,10 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
                .owned = opts_.owned_shards}),
       minter_(opts_.seed) {
   SAP_REQUIRE(opts_.parties >= 3, "MinerDaemon: need at least 3 parties");
-  SAP_REQUIRE(opts_.reactor_loops >= 1, "MinerDaemon: the serving door needs >= 1 loop");
+  SAP_REQUIRE(opts_.reactor_loops >= 1, "MinerDaemon: the door needs >= 1 loop");
   const auto seeds = proto::logic::derive_session_seeds(opts_.seed, opts_.parties);
   secret_ = seeds.session_secret;
-  hub_ = TcpTransport::listen(opts_.listen, secret_, opts_.tcp);
-  miner_id_ = hub_->claim_party(static_cast<std::uint32_t>(opts_.parties));
+  miner_id_ = static_cast<proto::PartyId>(opts_.parties);
   // Register the hot-path metric slots once — serving threads only touch
   // the lock-free record path through these pointers (DESIGN.md §12).
   hist_serve_ms_ = &obs_.histogram("engine.serve_ms");
@@ -139,16 +138,17 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
   ctr_refused_unavail_ = &obs_.counter("serve.refused.unavailable");
   g_ingest_epoch_ = &obs_.gauge("ingest.epoch");
   ReactorOptions ropts;
-  ropts.listen = opts_.reactor_listen;
+  ropts.listen = opts_.listen;
   ropts.loops = opts_.reactor_loops;
   ropts.compute_threads = opts_.reactor_compute_threads;
   ropts.idle_timeout_ms = opts_.reactor_idle_timeout_ms;
   ropts.metrics = &obs_;  // reactor.queue_wait_ms / handler_ms / writev_batch
-  // The serving door binds (and accepts) immediately so its address can be
-  // advertised next to the hub's; serve_frame refuses every request until
-  // the exchange installs the pool (serving_ flips in run()).
+  // The door binds (and accepts) immediately: parties claim their ids and
+  // route the exchange through it at once, while serve_frame refuses every
+  // serving request until the exchange installs the pool (serving_ flips
+  // in run()).
   reactor_ = std::make_unique<Reactor>(
-      ropts, [this](const Frame& frame) { return serve_frame(frame); });
+      ropts, miner_id_, [this](const Frame& frame) { return serve_frame(frame); });
 }
 
 void MinerDaemon::note(const std::string& line) const {
@@ -168,28 +168,6 @@ void MinerDaemon::serve_error(proto::ServeErrorCode code, const std::string& mes
   note("refused (" + proto::to_string(code) + "): " + message);
   out_kind = proto::PayloadKind::kServeError;
   out_wire = proto::encode_serve_error(code, message);
-}
-
-bool MinerDaemon::refuse_on_hub(const TcpTransport::Delivery& msg) {
-  switch (msg.kind) {
-    case proto::PayloadKind::kContribution:
-    case proto::PayloadKind::kMiningRequest:
-    case proto::PayloadKind::kPartialRequest:
-    case proto::PayloadKind::kPoolSliceRequest:
-    case proto::PayloadKind::kShardSnapshotRequest:
-    case proto::PayloadKind::kStatsRequest:
-      break;
-    default:
-      return false;
-  }
-  proto::PayloadKind out_kind{};
-  std::vector<double> out_wire;
-  serve_error(proto::ServeErrorCode::kBadRequest,
-              "the exchange hub does not serve " + proto::to_string(msg.kind) +
-                  "; use the serving door at " + reactor_addr().to_string(),
-              out_kind, out_wire);
-  hub_->send(miner_id_, msg.from, out_kind, out_wire);
-  return true;
 }
 
 bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double> payload,
@@ -358,7 +336,7 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
       return true;
     }
     default:
-      return false;  // late exchange traffic / reports: nothing to serve
+      return false;  // reports and stray exchange kinds: nothing to serve
   }
 }
 
@@ -436,6 +414,20 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
 }
 
 std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
+  const auto kind = static_cast<proto::PayloadKind>(frame.payload_kind);
+  if (kind == proto::PayloadKind::kForwardedData ||
+      kind == proto::PayloadKind::kAdaptorSequence) {
+    {
+      MutexLock lock(mail_mutex_);
+      if (!mail_closed_) {
+        mail_.push_back(frame);
+        mail_cv_.notify_all();
+        return {};
+      }
+    }
+    note("ignored late " + proto::to_string(kind) + " at the door");
+    return {};
+  }
   return door_frame(
       frame, miner_id_, secret_, minter_, traces_,
       [this](const DoorRequest& request) {
@@ -470,51 +462,52 @@ MinerDaemon::Summary MinerDaemon::run() {
   // not keep resetting the window, or a missing party would never surface
   // while any other client is chatty.
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opts_.tcp.receive_timeout_ms);
+                        std::chrono::milliseconds(opts_.exchange_timeout_ms);
   while (matched() < k) {
-    // Per-message containment even here: a hostile or corrupt message
-    // (wrong link key, malformed nonce, unexpected kind) is logged and
-    // skipped — only the phase deadline aborts the exchange, so one bad
-    // client cannot take the daemon down for the k honest parties.
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    SAP_REQUIRE(remaining.count() > 0,
+    SAP_REQUIRE(std::chrono::steady_clock::now() < deadline,
                 "MinerDaemon: exchange timed out waiting for shards/adaptors "
                 "(missing party?)");
-    TcpTransport::Delivery msg;
-    bool got = false;
-    try {
-      got = hub_->try_receive(miner_id_, msg, static_cast<int>(remaining.count()));
-    } catch (const Error& e) {
-      note(std::string("rejected message during the exchange: ") + e.what());
-      continue;
+    Frame frame;
+    {
+      MutexLock lock(mail_mutex_);
+      bool awake = true;
+      while (awake && mail_.empty()) awake = mail_cv_.wait_until(lock, deadline);
+      if (mail_.empty()) continue;  // the deadline check above ends the phase
+      frame = std::move(mail_.front());
+      mail_.pop_front();
     }
-    if (!got) continue;  // loop re-checks the deadline
+    // Per-message containment even here: a hostile or corrupt message
+    // (wrong link key, malformed nonce) is logged and skipped — only the
+    // phase deadline aborts the exchange, so one bad client cannot take the
+    // daemon down for the k honest parties.
     try {
-      if (refuse_on_hub(msg)) continue;
-      const std::span<const double> payload(msg.payload);
+      const auto payload = body_envelope(frame.body)
+                               .open(proto::detail::derive_link_key(secret_, frame.from,
+                                                                    miner_id_));
       SAP_REQUIRE(!payload.empty(), "empty payload during the exchange");
       // Wire payloads are adversarial input (the daemon is the cross-process
       // trust boundary): the same nonce check decode_contribution runs.
       const std::uint64_t nonce = proto::checked_u64(payload[0], "nonce during the exchange");
-      if (msg.kind == proto::PayloadKind::kForwardedData) {
-        SAP_REQUIRE(
-            shards
-                .emplace(nonce, proto::logic::MinerShard{
-                                    nonce, msg.from, proto::decode_dataset(payload.subspan(1))})
-                .second,
-            "duplicate shard for a nonce");
-      } else if (msg.kind == proto::PayloadKind::kAdaptorSequence) {
-        SAP_REQUIRE(
-            adaptors.emplace(nonce, perturb::SpaceAdaptor::deserialize(payload.subspan(1)))
-                .second,
-            "duplicate adaptor for a nonce");
+      const auto body = std::span<const double>(payload).subspan(1);
+      if (frame.payload_kind == static_cast<std::uint8_t>(proto::PayloadKind::kForwardedData)) {
+        SAP_REQUIRE(shards
+                        .emplace(nonce, proto::logic::MinerShard{nonce, frame.from,
+                                                                 proto::decode_dataset(body)})
+                        .second,
+                    "duplicate shard for a nonce");
       } else {
-        SAP_FAIL("unexpected " + to_string(msg.kind) + " during the exchange");
+        SAP_REQUIRE(adaptors.emplace(nonce, perturb::SpaceAdaptor::deserialize(body)).second,
+                    "duplicate adaptor for a nonce");
       }
     } catch (const Error& e) {
       note(std::string("rejected message during the exchange: ") + e.what());
     }
+  }
+  {
+    // From here on, exchange kinds at the door are late: noted and dropped.
+    MutexLock lock(mail_mutex_);
+    mail_closed_ = true;
+    mail_.clear();
   }
   // Unify exactly the k matched pairs; unmatched surplus (noise that never
   // paired up) is discarded with a note.
@@ -583,28 +576,24 @@ MinerDaemon::Summary MinerDaemon::run() {
   // adaptors_/dims_/engine_ pool are frozen now — the door's compute lanes
   // may start dispatching the moment this store is visible.
   serving_.store(true, std::memory_order_release);
-  // Tell every party where to serve; the notice doubles as "serving has
-  // started". A party that already left simply never reads it.
-  const auto door_notice = proto::encode_serving_door(reactor_addr().port);
-  for (std::size_t i = 0; i < k; ++i)
-    hub_->send(miner_id_, static_cast<proto::PartyId>(i), proto::PayloadKind::kServingDoor,
-               door_notice);
-
-  // ---- drain the hub until every party has said goodbye -----------------
-  while (hub_->live_connections() > 0) {
-    TcpTransport::Delivery msg;
-    // try_receive decrypts — a corrupt envelope (wrong link key, flipped
-    // ciphertext) throws HERE and must be contained per-message too.
-    try {
-      if (!hub_->try_receive(miner_id_, msg, /*timeout_ms=*/50)) continue;
-      if (!refuse_on_hub(msg)) note("ignored late " + proto::to_string(msg.kind) + " on the hub");
-    } catch (const Error& e) {
-      note(std::string("rejected message: ") + e.what());
-    }
+  // Tell every party that serving has started, over its exchange link. A
+  // party that already left is dropped at the door.
+  for (std::size_t i = 0; i < k; ++i) {
+    Frame notice;
+    notice.type = FrameType::kData;
+    notice.payload_kind = static_cast<std::uint8_t>(proto::PayloadKind::kServingStarted);
+    notice.from = miner_id_;
+    notice.to = static_cast<proto::PartyId>(i);
+    notice.body = envelope_body(proto::EncryptedEnvelope(
+        std::span<const double>{}, proto::detail::derive_link_key(secret_, miner_id_, notice.to)));
+    reactor_->send(notice);
   }
 
-  // The parties are gone: close the serving door too (joins its threads),
-  // so the counters below are final and destruction order never matters.
+  // ---- serve until every party link has closed ---------------------------
+  while (reactor_->parties() > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  // The parties are gone: close the door too (joins its threads), so the
+  // counters below are final and destruction order never matters.
   reactor_->stop();
 
   if (engine_.total_shards() == 1) {
@@ -897,7 +886,7 @@ PartyClient::PartyClient(data::Dataset shard, PartyClientOptions opts)
   coord_eng_ = seeds.coordinator_eng;
   transport_ = TcpTransport::connect(opts_.connect, seeds.session_secret, opts_.tcp);
   id_ = transport_->claim_party(static_cast<std::uint32_t>(opts_.index));
-  SAP_REQUIRE(id_ == opts_.index, "PartyClient: hub assigned an unexpected party id");
+  SAP_REQUIRE(id_ == opts_.index, "PartyClient: the door assigned an unexpected party id");
 }
 
 TcpTransport::Delivery PartyClient::expect(
@@ -959,6 +948,7 @@ proto::PartyReport PartyClient::run_exchange() {
         got_target = true;
       } else {
         const auto notice = proto::decode_routing(msg.payload);
+        proto::logic::check_routing_notice(notice, k_);
         send_to = notice.receiver;
         inbound = notice.inbound;
         got_routing = true;
@@ -1004,12 +994,10 @@ proto::PartyReport PartyClient::run_exchange() {
 
 ServeClient& PartyClient::door() {
   if (!door_) {
-    const auto notice = expect({proto::PayloadKind::kServingDoor});
+    (void)expect({proto::PayloadKind::kServingStarted});
     ServeClient::Options copts;
     copts.timeout_ms = opts_.tcp.receive_timeout_ms;
-    door_ = std::make_unique<ServeClient>(
-        SocketAddr{opts_.connect.host, proto::decode_serving_door(notice.payload)},
-        opts_.sap.seed, k_, copts);
+    door_ = std::make_unique<ServeClient>(opts_.connect, opts_.sap.seed, k_, copts);
   }
   return *door_;
 }

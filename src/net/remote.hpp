@@ -1,5 +1,5 @@
 // Cross-process deployment of the Space Adaptation Protocol: one miner
-// daemon (hub) + k party client processes.
+// daemon + k party client processes.
 //
 // This is the first topology where the paper's parties are genuinely
 // distributed: each provider process holds only its own shard, the miner
@@ -11,33 +11,35 @@
 //
 // Wiring convention (both sides must agree, normally via identical CLI
 // arguments): party ids are providers 0..k-1 (k-1 doubles as the
-// coordinator) and the miner claims id k on the hub. All parties derive the
+// coordinator) and the miner answers for id k. All parties derive the
 // session secret from the shared seed, standing in for the out-of-band key
 // exchange the paper assumes — see DESIGN.md §7 for the threat model of
 // this choice over real sockets.
 //
-// The miner has two jobs and one door for each:
-//   * the exchange hub (net/tcp_transport.hpp) carries the one-off k-party
-//     exchange and nothing else — serving kinds that arrive there are
-//     refused at once with kServeError{kBadRequest} naming the serving door;
-//   * the serving door, an epoll reactor (net/reactor.hpp, DESIGN.md §10),
-//     answers contributions (adapted + appended, answered with a
+// The miner has one door, an epoll reactor (net/reactor.hpp, DESIGN.md
+// §10), and two jobs behind it:
+//   * the exchange: parties claim their ids at the door, which routes
+//     their frames to each other by destination id; the forwarded shards
+//     and the adaptor sequence addressed to the miner go to an exchange
+//     mailbox that run() drains;
+//   * serving: contributions (adapted + appended, answered with a
 //     kContributionAck receipt), mining requests (served by the
 //     MiningEngine, cached/incremental exactly like in-process), cluster
 //     partials/slices/snapshots and stats, through ONE dispatch
 //     (serve_payload) behind the frame path every serving door shares
 //     (door_frame: trace ids and stage timings, link-key envelopes, kError
-//     containment — a RouterDaemon runs the same one). It refuses traffic
-//     until the exchange installed the pool.
-// Once the pool is installed the daemon tells each party the door's port
-// over its hub link; PartyClient contributes and mines through a
-// ServeClient to that door. The daemon exits when every hub connection has
-// closed.
+//     containment — a RouterDaemon runs the same one). It refuses serving
+//     traffic until the exchange installed the pool.
+// Once the pool is installed the daemon sends each party a serving-started
+// notice over its exchange link; PartyClient then contributes and mines
+// through a ServeClient dialed to the same address. The daemon exits when
+// every party link has closed.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 
@@ -133,20 +135,20 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
 // ---- miner daemon --------------------------------------------------------
 
 struct MinerDaemonOptions {
+  /// The one door: parties run the exchange and every client is served here.
   SocketAddr listen{"127.0.0.1", 0};
   std::size_t parties = 0;    ///< k (>= 3); must match the party processes
   std::uint64_t seed = 0x5A9; ///< must match the party processes' seed
   std::size_t mining_threads = 0;
   bool cache_models = true;
-  TcpOptions tcp{};
+  /// One absolute deadline for the whole exchange phase: k shards and k
+  /// adaptors must arrive within it.
+  int exchange_timeout_ms = 30'000;
   /// Optional progress sink (the CLI prints these lines).
   std::function<void(const std::string&)> log;
-  /// The serving door: reactor_listen bound with reactor_loops (>= 1)
-  /// sharded event loops (see reactor_addr()). Parties dial its port on
-  /// the host they reached the hub at, so bind both on the same host.
+  /// The door's sharded event loops (>= 1), compute lanes and idle timeout.
   std::size_t reactor_loops = 1;
   std::size_t reactor_compute_threads = 2;
-  SocketAddr reactor_listen{"127.0.0.1", 0};
   int reactor_idle_timeout_ms = 60'000;
   /// Cluster membership (PR 8): the pool's total shard count and the global
   /// shard ids THIS miner owns (empty = own all — the classic single-miner
@@ -171,17 +173,17 @@ struct MinerDaemonOptions {
 
 class MinerDaemon {
  public:
-  /// Binds the listen address and claims the miner id; run() does the rest.
+  /// Binds the door; run() does the rest.
   explicit MinerDaemon(MinerDaemonOptions opts);
 
-  /// The bound address (ephemeral ports resolved) — print this so parties
-  /// know where to connect.
-  [[nodiscard]] SocketAddr local_addr() const { return hub_->local_addr(); }
+  /// The door's bound address (ephemeral port resolved) — print this so
+  /// parties and serving clients know where to connect.
+  [[nodiscard]] SocketAddr local_addr() const { return reactor_->local_addr(); }
 
-  /// The serving door's bound address.
-  [[nodiscard]] SocketAddr reactor_addr() const { return reactor_->local_addr(); }
+  /// A second name for local_addr().
+  [[nodiscard]] SocketAddr reactor_addr() const { return local_addr(); }
 
-  /// The serving door (never null) — stats for the CLI summary and the
+  /// The door (never null) — stats for the CLI summary and the
   /// connection-scaling bench.
   [[nodiscard]] const Reactor* reactor() const noexcept { return reactor_.get(); }
 
@@ -203,9 +205,9 @@ class MinerDaemon {
   };
 
   /// Serve one full session: collect the exchange, install the pool, tell
-  /// the parties where the serving door is, then drain the hub until every
-  /// party disconnected. Throws sap::Error if the exchange cannot complete
-  /// (missing party, malformed shard, deadline). The door serves from pool
+  /// the parties that serving started, then serve until every party link
+  /// has closed. Throws sap::Error if the exchange cannot complete (missing
+  /// party, malformed shard, deadline). The door serves from pool
   /// installation until return.
   Summary run();
 
@@ -229,18 +231,12 @@ class MinerDaemon {
  private:
   void note(const std::string& line) const;
 
-  /// The ONE serving dispatch. Returns false for non-serving kinds (late
-  /// exchange traffic, reports). Contribution failures answer inside
-  /// (negative receipt); a malformed mining request throws for the
-  /// caller's per-message containment. Thread-safe: the engine locks
+  /// The ONE serving dispatch. Returns false for non-serving kinds.
+  /// Contribution failures answer inside (negative receipt); a malformed
+  /// mining request throws for the caller's per-message containment. Thread-safe: the engine locks
   /// internally, adaptors_/dims_ are frozen before serving_.
   bool serve_payload(proto::PayloadKind kind, std::span<const double> payload,
                      proto::PayloadKind& out_kind, std::vector<double>& out_wire);
-
-  /// Hub side of the one-door rule: a serving kind on the exchange link is
-  /// answered at once with kServeError{kBadRequest} naming the serving
-  /// door. Returns false (nothing sent) for every other kind.
-  bool refuse_on_hub(const TcpTransport::Delivery& msg);
 
   /// Fill (out_kind, out_wire) with a typed kServeError refusal + log it.
   void serve_error(proto::ServeErrorCode code, const std::string& message,
@@ -252,18 +248,25 @@ class MinerDaemon {
   /// effort per shard — runs after the exchange install, before serving_.
   void resync_owned_shards();
 
-  /// Reactor handler: door_frame over serve_payload, refusing every request
-  /// until the pool is installed. Runs on reactor compute lanes.
+  /// Reactor handler. Forwarded shards and adaptor sequences go to the
+  /// exchange mailbox until the install (and are noted and dropped after
+  /// it); everything else is door_frame over serve_payload, refused until
+  /// the pool is installed. Runs on reactor compute lanes.
   std::vector<Frame> serve_frame(const Frame& frame);
 
   MinerDaemonOptions opts_;
-  std::unique_ptr<TcpTransport> hub_;
   proto::PartyId miner_id_ = 0;
   std::uint64_t secret_ = 0;
   std::size_t dims_ = 0;
   std::vector<std::pair<std::uint64_t, perturb::SpaceAdaptor>> adaptors_;
   proto::MiningEngine engine_;
   std::atomic<bool> serving_{false};  ///< pool installed; the door may serve
+  /// Exchange frames addressed to the miner, still sealed; run() opens
+  /// them on its own thread. Closed once the exchange has completed.
+  Mutex mail_mutex_;
+  CondVar mail_cv_;
+  std::deque<Frame> mail_ SAP_GUARDED_BY(mail_mutex_);
+  bool mail_closed_ SAP_GUARDED_BY(mail_mutex_) = false;
   std::atomic<std::size_t> contributions_{0};
   std::atomic<std::size_t> requests_served_{0};
   mutable Mutex log_mutex_;  ///< note() is called from compute lanes too
@@ -290,8 +293,8 @@ class MinerDaemon {
 
 /// Minimal synchronous client for the SERVING traffic only (contributions +
 /// mining requests) — no exchange duties, no io thread, one socket and an
-/// incremental FrameReader. Talks to a miner's serving door or a router's
-/// front door; an exchange hub refuses it with kBadRequest.
+/// incremental FrameReader. Talks to a miner's door or a router's front
+/// door.
 class ServeClient {
  public:
   struct Options {
@@ -435,7 +438,7 @@ class PartyClient {
 
   /// Post-exchange streaming: perturb `batch` (records in this party's
   /// original space) with the negotiated G_i and ship it to the miner's
-  /// serving door. Blocks for the receipt; throws sap::Error when the miner
+  /// door. Blocks for the receipt; throws sap::Error when the miner
   /// rejects or the deadline expires.
   proto::SapSession::ContributionReceipt contribute(const data::Dataset& batch);
 
@@ -445,9 +448,9 @@ class PartyClient {
   proto::WireMiningResponse mine_named(const std::string& job,
                                        const proto::JobParams& params = {});
 
-  /// Polite goodbye on the serving door and the hub (the daemon exits once
-  /// every party left the hub). Safe to call multiple times; the
-  /// destructor also sends it.
+  /// Polite goodbye on both connections (the daemon exits once every party
+  /// link has closed). Safe to call multiple times; the destructor also
+  /// sends it.
   void finish();
 
   /// This party's protocol nonce (valid after run_exchange()).
@@ -459,9 +462,11 @@ class PartyClient {
   /// there are no global phase barriers across processes).
   TcpTransport::Delivery expect(std::initializer_list<proto::PayloadKind> kinds);
 
-  /// The serving-door client, opened on first use: waits for the daemon's
-  /// kServingDoor notice, then dials that port on the hub's host with the
-  /// deadlines of opts_.tcp.
+  /// The serving client, opened on first use: waits for the daemon's
+  /// serving-started notice, then dials opts_.connect again with the
+  /// deadlines of opts_.tcp. A second connection, not the exchange link:
+  /// ServeClient gives serving per-request errors and redials after idle
+  /// eviction, whereas the exchange link treats any kError as fatal.
   ServeClient& door();
 
   PartyClientOptions opts_;

@@ -208,40 +208,6 @@ void TcpSocket::write_all(const void* data, std::size_t len, int timeout_ms) {
   send_all(fd_, bytes, len, timeout_ms);
 }
 
-std::size_t TcpSocket::write_some(const void* data, std::size_t len) {
-  SAP_REQUIRE(valid(), "TcpSocket::write_some: closed socket");
-  if (fault::enabled()) {
-    // Nonblocking path (hub io loop, reactor flush): only the faults that
-    // keep the "never waits" contract — drop, corrupt, reset.
-    const fault::WriteFault f = fault::next_write_fault(len);
-    if (f.kind == fault::Kind::kDrop) return len;  // pretend written
-    if (f.kind == fault::Kind::kReset) {
-      close();
-      SAP_FAIL("TcpSocket::write_some: connection lost: injected fault (reset)");
-    }
-    if (f.kind == fault::Kind::kCorrupt && len >= 1) {
-      const auto* bytes = static_cast<const std::uint8_t*>(data);
-      std::vector<std::uint8_t> copy(bytes, bytes + len);
-      copy[f.corrupt_at] = static_cast<std::uint8_t>(copy[f.corrupt_at] ^ f.corrupt_mask);
-      data = copy.data();
-      for (;;) {
-        const ssize_t rc = ::send(fd_, data, len, MSG_NOSIGNAL);
-        if (rc >= 0) return static_cast<std::size_t>(rc);
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
-        if (errno == EINTR) continue;
-        SAP_FAIL(std::string("TcpSocket::write_some: connection lost: ") + std::strerror(errno));
-      }
-    }
-  }
-  for (;;) {
-    const ssize_t rc = ::send(fd_, data, len, MSG_NOSIGNAL);
-    if (rc >= 0) return static_cast<std::size_t>(rc);
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
-    if (errno == EINTR) continue;
-    SAP_FAIL(std::string("TcpSocket::write_some: connection lost: ") + std::strerror(errno));
-  }
-}
-
 std::size_t TcpSocket::writev_some(const struct iovec* iov, int iovcnt) {
   SAP_REQUIRE(valid(), "TcpSocket::writev_some: closed socket");
   if (fault::enabled() && iovcnt > 0) {

@@ -66,11 +66,6 @@ class TcpSocket {
   /// when the peer has shut down the connection.
   std::size_t read_some(void* data, std::size_t len, int timeout_ms, bool& closed);
 
-  /// Nonblocking write attempt: returns bytes written (possibly 0 when the
-  /// kernel buffer is full). Throws sap::Error on a closed/reset
-  /// connection. Never waits — the hub's io loop drains queues with this.
-  std::size_t write_some(const void* data, std::size_t len);
-
   /// Nonblocking gathered write: one syscall over `iovcnt` buffers (many
   /// queued frames per syscall — the reactor's batched flush). Returns
   /// bytes written (0 when the kernel buffer is full); throws sap::Error on

@@ -97,7 +97,7 @@ std::string to_string(PayloadKind kind) {
     case PayloadKind::kStatsResponse: return "stats-response";
     case PayloadKind::kShardSnapshotRequest: return "shard-snapshot-request";
     case PayloadKind::kShardSnapshotResponse: return "shard-snapshot-response";
-    case PayloadKind::kServingDoor: return "serving-door";
+    case PayloadKind::kServingStarted: return "serving-started";
   }
   return "unknown";
 }
@@ -232,17 +232,6 @@ RoutingNotice decode_routing(std::span<const double> wire) {
   notice.receiver = static_cast<PartyId>(checked_count(wire[0], "party id"));
   notice.inbound = static_cast<std::uint32_t>(checked_count(wire[1], "inbound count"));
   return notice;
-}
-
-std::vector<double> encode_serving_door(std::uint16_t port) {
-  return {static_cast<double>(port)};
-}
-
-std::uint16_t decode_serving_door(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() == 1, "decode_serving_door: malformed payload");
-  const std::size_t port = checked_count(wire[0], "port");
-  SAP_REQUIRE(port >= 1 && port <= 65535, "decode_serving_door: port out of range");
-  return static_cast<std::uint16_t>(port);
 }
 
 std::vector<double> encode_mining_request(const std::string& job,

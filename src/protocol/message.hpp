@@ -50,7 +50,7 @@ enum class PayloadKind : std::uint8_t {
   // -- self-healing (PR 10): the shard-snapshot resync door -----------------
   kShardSnapshotRequest = 19,   ///< rejoining miner -> live owner: one shard, please
   kShardSnapshotResponse = 20,  ///< owner -> rejoiner: rows in ARRIVAL order + epoch
-  kServingDoor = 21,  ///< miner -> party over the hub: serving started, door port
+  kServingStarted = 21,  ///< miner -> party over its exchange link: serving started
 };
 
 /// Printable name for traces and tests.
@@ -154,12 +154,6 @@ struct RoutingNotice {
   std::uint32_t inbound = 0;  ///< how many peer datasets to receive & forward
 };
 RoutingNotice decode_routing(std::span<const double> wire);
-
-/// Serving-door notice: [port]. Once the pool is installed the miner tells
-/// each party, over its exchange link, which port its serving door listens
-/// on; the notice arriving at all means serving has started.
-std::vector<double> encode_serving_door(std::uint16_t port);
-std::uint16_t decode_serving_door(std::span<const double> wire);
 
 // ---- cross-process serving payloads -----------------------------------
 // These kinds only flow in the distributed (miner daemon / party client)

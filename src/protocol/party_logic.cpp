@@ -98,6 +98,13 @@ ExchangePlan make_exchange_plan(std::size_t k, rng::Engine& coord_eng) {
   return plan;
 }
 
+void check_routing_notice(const RoutingNotice& notice, std::size_t k) {
+  SAP_REQUIRE(std::size_t{notice.receiver} + 2 <= k && notice.inbound <= 2,
+              "routing notice (receiver " + std::to_string(notice.receiver) + ", inbound " +
+                  std::to_string(notice.inbound) + ") is not one an exchange plan over " +
+                  std::to_string(k) + " parties can produce");
+}
+
 std::vector<double> tagged_wire(std::uint64_t nonce, std::span<const double> body) {
   std::vector<double> wire;
   wire.reserve(1 + body.size());

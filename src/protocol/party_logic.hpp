@@ -61,6 +61,13 @@ struct ExchangePlan {
 };
 [[nodiscard]] ExchangePlan make_exchange_plan(std::size_t k, rng::Engine& coord_eng);
 
+/// Phase 3 (provider): reject a routing notice no exchange plan over k
+/// parties can produce. make_exchange_plan only routes to receivers in
+/// [0, k-2] — never the coordinator — and a receiver gets at most two
+/// peer datasets: its position's own source plus the redirected one.
+/// Throws sap::Error naming the notice.
+void check_routing_notice(const RoutingNotice& notice, std::size_t k);
+
 /// [nonce, body...] — the tagging shared by perturbed-data and adaptor wires.
 [[nodiscard]] std::vector<double> tagged_wire(std::uint64_t nonce,
                                               std::span<const double> body);

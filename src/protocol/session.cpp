@@ -190,6 +190,7 @@ void SapSession::run_permutation_exchange() {
         }
         case PayloadKind::kRoutingNotice: {
           const auto notice = decode_routing(msg.payload);
+          logic::check_routing_notice(notice, k);
           ps_[i].send_to = notice.receiver;
           ps_[i].inbound = notice.inbound;
           got_routing = true;

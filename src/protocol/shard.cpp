@@ -11,16 +11,9 @@ std::uint64_t mix_nonce(std::uint64_t nonce) noexcept {
 }
 
 std::size_t shard_of_nonce(std::uint64_t nonce, std::size_t total,
-                           ShardLayout layout) noexcept {
+                           ShardLayout /*layout*/) noexcept {
   if (total <= 1) return 0;
-  const std::uint64_t h = mix_nonce(nonce);
-  if (layout == ShardLayout::kHashRange) {
-    // Fixed-point scale of h into [0, total): the top of the hash picks a
-    // contiguous range per shard (Lemire's multiply-shift reduction).
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(h) * static_cast<unsigned __int128>(total)) >> 64);
-  }
-  return static_cast<std::size_t>(h % static_cast<std::uint64_t>(total));
+  return static_cast<std::size_t>(mix_nonce(nonce) % static_cast<std::uint64_t>(total));
 }
 
 }  // namespace sap::proto

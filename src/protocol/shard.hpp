@@ -7,18 +7,15 @@
 // nonce's records always land on the same shard, which is what makes the
 // exact cross-shard merges possible (DESIGN.md §11).
 //
-// Two hash-route layouts map a nonce onto one of `total` shards. Both mix
-// the nonce through a SplitMix64 finalizer first (protocol nonces are
-// uniform random draws, but a layout must not rely on that):
+// One hash-route layout, kHashMod, maps a nonce onto one of `total`
+// shards: the nonce is mixed through a SplitMix64 finalizer (protocol
+// nonces are uniform random draws, but the layout must not rely on that)
+// and taken modulo total.
 //
-//   * kHashMod   — mixed hash modulo total;
-//   * kHashRange — mixed hash scaled into [0, total) (fixed-point multiply),
-//                  i.e. contiguous hash ranges per shard.
-//
-// The merge contract is layout-INVARIANT: merged reports are bit-identical
-// whichever layout placed the nonces, because merging runs in canonical
-// nonce order regardless of which shard held which segment (tested across
-// both layouts in tests/cluster_test.cpp).
+// The merge contract does not depend on the placement: merged reports are
+// bit-identical whichever shard held which segment, because merging runs
+// in canonical nonce order (tested across shard counts in
+// tests/cluster_test.cpp).
 //
 // PoolKey is the canonical per-record coordinate: (nonce, seq) where seq
 // numbers the nonce's records in contribution order. Sorting any set of
@@ -50,10 +47,9 @@ struct PoolKey {
 /// How nonces map onto shards (see file comment).
 enum class ShardLayout : std::uint8_t {
   kHashMod = 0,
-  kHashRange = 1,
 };
 
-/// SplitMix64 finalizer — the nonce mix both layouts share.
+/// SplitMix64 finalizer — the nonce mix of the layout.
 [[nodiscard]] std::uint64_t mix_nonce(std::uint64_t nonce) noexcept;
 
 /// Owning shard of `nonce` under `layout`; total must be >= 1.

@@ -26,6 +26,7 @@
 #include "protocol/adversary.hpp"
 #include "protocol/baseline.hpp"
 #include "protocol/message.hpp"
+#include "protocol/party_logic.hpp"
 #include "protocol/risk.hpp"
 #include "protocol/session.hpp"
 
@@ -135,6 +136,28 @@ TEST(Codec, RoutingRoundTrip) {
   EXPECT_EQ(notice.inbound, 2u);
   EXPECT_THROW(proto::decode_routing(std::vector<double>{1.0}), sap::Error);
   EXPECT_THROW(proto::decode_routing(std::vector<double>{1.0, 2.0, 3.0}), sap::Error);
+}
+
+TEST(Codec, RoutingNoticesMatchTheExchangePlanShape) {
+  // Every notice a real plan sends (providers 0..k-2) passes the check.
+  for (std::size_t k = 3; k <= 12; ++k) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Engine coord_eng(seed);
+      const auto plan = proto::logic::make_exchange_plan(k, coord_eng);
+      for (std::size_t i = 0; i + 1 < k; ++i) {
+        const proto::RoutingNotice notice{static_cast<proto::PartyId>(plan.receiver_of_source[i]),
+                                          plan.inbound[i]};
+        EXPECT_NO_THROW(proto::logic::check_routing_notice(notice, k))
+            << "k " << k << " seed " << seed << " provider " << i;
+      }
+    }
+    // Plans never route to the coordinator or past it, and never send a
+    // receiver three datasets.
+    const auto k_id = static_cast<proto::PartyId>(k);
+    EXPECT_THROW(proto::logic::check_routing_notice({k_id - 1, 0}, k), sap::Error);
+    EXPECT_THROW(proto::logic::check_routing_notice({k_id, 0}, k), sap::Error);
+    EXPECT_THROW(proto::logic::check_routing_notice({0, 3}, k), sap::Error);
+  }
 }
 
 TEST(Codec, PayloadKindNamesAreDistinct) {

@@ -1,7 +1,10 @@
-// Reactor front-door tests — the epoll serving path (net/reactor.hpp):
+// Reactor door tests — the epoll door every daemon runs (net/reactor.hpp):
 //
 //   * protocol surface: Hello/Welcome claims, echo round trips, pipelined
 //     requests answered in order through the writev-batched flush;
+//   * routing: party-id claims, frames parked for an unclaimed id and then
+//     routed in order across loops, the claim rules, the parking bound, and
+//     party links spared from idle eviction;
 //   * sharding: accepted connections dealt round-robin across loops, every
 //     shard serving;
 //   * eviction: slow-loris half-frames and silent connections die on the
@@ -9,10 +12,9 @@
 //   * churn: a thousand short-lived connections accepted, served, and
 //     reclaimed (run under TSAN in CI — the cross-thread surface is small
 //     and this leans on it);
-//   * daemon integration: MinerDaemon's serving door answers a party (who
-//     learned the door over its hub link) and a plain ServeClient
-//     BIT-IDENTICALLY to direct in-process MiningEngine calls, before and
-//     after a contribution;
+//   * daemon integration: MinerDaemon's one door routes the exchange and
+//     answers a party and a plain ServeClient BIT-IDENTICALLY to direct
+//     in-process MiningEngine calls, before and after a contribution;
 //   * FrameReader hygiene: buffer capacity stays flat across 10k frames.
 #include <gtest/gtest.h>
 
@@ -77,6 +79,45 @@ std::uint32_t say_hello(net::TcpSocket& sock, net::FrameReader& reader) {
   return net::body_u32(welcome.body);
 }
 
+/// Hello naming `desired`; returns the door's answer (kWelcome or kError).
+net::Frame claim(net::TcpSocket& sock, net::FrameReader& reader, std::uint32_t desired) {
+  net::Frame hello;
+  hello.type = net::FrameType::kHello;
+  hello.body = net::u32_body(desired);
+  send_frame(sock, hello);
+  return read_frame(sock, reader);
+}
+
+/// A party-to-party frame whose body carries a sequence number. The door
+/// never opens what it routes, so any body will do.
+net::Frame routed(std::uint32_t from, std::uint32_t to, std::uint32_t seq) {
+  net::Frame frame;
+  frame.type = net::FrameType::kData;
+  frame.payload_kind = static_cast<std::uint8_t>(proto::PayloadKind::kPerturbedData);
+  frame.from = from;
+  frame.to = to;
+  frame.body = net::u32_body(seq);
+  return frame;
+}
+
+/// The sequence number of the next frame, which must be `from`'s routed frame.
+std::uint32_t next_seq(net::TcpSocket& sock, net::FrameReader& reader, std::uint32_t from) {
+  const auto frame = read_frame(sock, reader);
+  SAP_REQUIRE(frame.type == net::FrameType::kData && frame.from == from,
+              "test client: expected a routed data frame");
+  return net::body_u32(frame.body);
+}
+
+/// Round trip to the door's own handler (the echo): every frame this
+/// connection sent earlier has been routed or parked once it returns.
+void sync_with_door(net::TcpSocket& sock, net::FrameReader& reader, std::uint32_t id,
+                    std::uint32_t self) {
+  send_frame(sock, routed(id, self, 0));
+  const auto echo = read_frame(sock, reader);
+  SAP_REQUIRE(echo.type == net::FrameType::kData && echo.from == self,
+              "test client: expected the door's echo");
+}
+
 /// True when the peer closes within `timeout_ms` (no data expected).
 bool wait_for_eof(net::TcpSocket& sock, int timeout_ms) {
   std::uint8_t buf[512];
@@ -120,7 +161,7 @@ TEST(Reactor, EchoRoundTripAndLoopFairness) {
   net::ReactorOptions opts;
   opts.loops = 4;
   opts.compute_threads = 2;
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
   const auto addr = reactor.local_addr();
 
   constexpr std::size_t kClients = 8;
@@ -165,7 +206,7 @@ TEST(Reactor, PipelinedRequestsAnswerInOrder) {
   net::ReactorOptions opts;
   opts.loops = 1;
   opts.compute_threads = 1;  // one lane: completion order == request order
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
 
   auto sock = net::TcpSocket::connect(reactor.local_addr(), 5000);
   net::FrameReader reader;
@@ -205,7 +246,7 @@ TEST(Reactor, ComputeSaturationShedsTypedAndServesSurvivorsIntact) {
   opts.loops = 1;
   opts.compute_threads = 1;
   opts.compute_queue_cap = 2;
-  net::Reactor reactor(opts, [&](const net::Frame& in) {
+  net::Reactor reactor(opts, /*self=*/0, [&](const net::Frame& in) {
     if (net::body_u32(in.body) == kBlockMarker) {
       entered.store(true);
       released.wait();
@@ -269,7 +310,7 @@ TEST(Reactor, ComputeSaturationShedsTypedAndServesSurvivorsIntact) {
 TEST(Reactor, DataBeforeHelloGetsErrorButKeepsConnection) {
   net::ReactorOptions opts;
   opts.loops = 1;
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
 
   auto sock = net::TcpSocket::connect(reactor.local_addr(), 5000);
   net::FrameReader reader;
@@ -293,7 +334,7 @@ TEST(Reactor, SlowLorisAndSilentConnectionsAreEvicted) {
   net::ReactorOptions opts;
   opts.loops = 2;
   opts.idle_timeout_ms = 150;
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
   const auto addr = reactor.local_addr();
 
   // Silent: connects and never sends a byte.
@@ -322,7 +363,7 @@ TEST(Reactor, FramingGarbageDropsTheConnectionImmediately) {
   net::ReactorOptions opts;
   opts.loops = 1;
   opts.idle_timeout_ms = 60'000;  // eviction must NOT come from the wheel
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
 
   auto sock = net::TcpSocket::connect(reactor.local_addr(), 5000);
   std::vector<std::uint8_t> garbage(64, 0xA5);  // wrong magic
@@ -334,7 +375,7 @@ TEST(Reactor, ByeFlushesPendingResponsesThenCloses) {
   net::ReactorOptions opts;
   opts.loops = 1;
   opts.compute_threads = 1;
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
 
   auto sock = net::TcpSocket::connect(reactor.local_addr(), 5000);
   net::FrameReader reader;
@@ -367,7 +408,7 @@ TEST(Reactor, ThousandConnectionChurnIsServedAndReclaimed) {
   net::ReactorOptions opts;
   opts.loops = 2;
   opts.compute_threads = 2;
-  net::Reactor reactor(opts, echo_handler());
+  net::Reactor reactor(opts, /*self=*/0, echo_handler());
   const auto addr = reactor.local_addr();
 
   constexpr std::size_t kThreads = 4;
@@ -406,6 +447,140 @@ TEST(Reactor, ThousandConnectionChurnIsServedAndReclaimed) {
       << "closed connections were not reclaimed";
 }
 
+// ---- routing ---------------------------------------------------------------
+
+TEST(ReactorRouting, ParkedThenRoutedFramesArriveInOrderAcrossLoops) {
+  constexpr std::uint32_t kSelf = 9;
+  net::ReactorOptions opts;
+  opts.loops = 2;
+  net::Reactor door(opts, kSelf, echo_handler());
+
+  // A (loop 0) claims 0 and sends 50 frames to id 1 before B connects.
+  auto a = net::TcpSocket::connect(door.local_addr(), 5000);
+  net::FrameReader ra;
+  ASSERT_EQ(claim(a, ra, 0).type, net::FrameType::kWelcome);
+  for (std::uint32_t seq = 0; seq < 50; ++seq) send_frame(a, routed(0, 1, seq));
+  sync_with_door(a, ra, 0, kSelf);
+
+  // B (loop 1) claims 1: the Welcome, then the 50 parked frames in order.
+  auto b = net::TcpSocket::connect(door.local_addr(), 5000);
+  net::FrameReader rb;
+  const auto welcome = claim(b, rb, 1);
+  ASSERT_EQ(welcome.type, net::FrameType::kWelcome);
+  EXPECT_EQ(net::body_u32(welcome.body), 1u);
+  for (std::uint32_t seq = 0; seq < 50; ++seq) ASSERT_EQ(next_seq(b, rb, 0), seq);
+
+  // 500 more, routed from loop 0 to loop 1 as they come.
+  for (std::uint32_t seq = 50; seq < 550; ++seq) send_frame(a, routed(0, 1, seq));
+  for (std::uint32_t seq = 50; seq < 550; ++seq) ASSERT_EQ(next_seq(b, rb, 0), seq);
+  EXPECT_EQ(door.stats().loop_conns, (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(door.parties(), 2u);
+  EXPECT_EQ(door.stats().requests, 1u);  // only the sync echo reached compute
+}
+
+TEST(ReactorRouting, ClaimRulesRefuseAndKeepTheConnection) {
+  constexpr std::uint32_t kSelf = 3;
+  net::ReactorOptions opts;
+  opts.loops = 2;
+  net::Reactor door(opts, kSelf, echo_handler());
+  const auto dial = [&] { return net::TcpSocket::connect(door.local_addr(), 5000); };
+
+  auto a = dial();
+  net::FrameReader ra;
+  ASSERT_EQ(claim(a, ra, 0).type, net::FrameType::kWelcome);
+
+  // A duplicate claim is refused, and the connection stays open: the same
+  // connection then claims a free id.
+  auto b = dial();
+  net::FrameReader rb;
+  EXPECT_EQ(claim(b, rb, 0).type, net::FrameType::kError);
+  ASSERT_EQ(claim(b, rb, 1).type, net::FrameType::kWelcome);
+
+  // The door's own id and the auto-assigned range cannot be claimed.
+  auto c = dial();
+  net::FrameReader rc;
+  EXPECT_EQ(claim(c, rc, kSelf).type, net::FrameType::kError);
+  EXPECT_EQ(claim(c, rc, net::kFirstClientId).type, net::FrameType::kError);
+  EXPECT_EQ(claim(c, rc, net::kFirstClientId + 5).type, net::FrameType::kError);
+  ASSERT_EQ(claim(c, rc, 2).type, net::FrameType::kWelcome);
+  EXPECT_EQ(door.parties(), 3u);
+
+  // A routed frame whose `from` is not the sender's id is refused and never
+  // forwarded: B's honest frame behind it is the first thing C receives.
+  send_frame(b, routed(0, 2, 77));
+  EXPECT_EQ(read_frame(b, rb).type, net::FrameType::kError);
+  send_frame(b, routed(1, 2, 78));
+  EXPECT_EQ(next_seq(c, rc, 1), 78u);
+
+  // After A leaves, id 0 stays taken and frames for it are dropped.
+  a.close();
+  ASSERT_TRUE(stats_settle(
+      door, [&](const net::Reactor::Stats&) { return door.parties() == 2; }, 5000));
+  auto d = dial();
+  net::FrameReader rd;
+  EXPECT_EQ(claim(d, rd, 0).type, net::FrameType::kError);
+  send_frame(b, routed(1, 0, 79));
+  send_frame(b, routed(1, 2, 80));
+  EXPECT_EQ(next_seq(c, rc, 1), 80u);
+  EXPECT_EQ(door.parties(), 2u);
+}
+
+TEST(ReactorRouting, ParkingIsBoundedPerParty) {
+  constexpr std::uint32_t kSelf = 9;
+  constexpr std::uint32_t kBound = 4096;
+  net::ReactorOptions opts;
+  opts.loops = 1;
+  net::Reactor door(opts, kSelf, echo_handler());
+
+  auto a = net::TcpSocket::connect(door.local_addr(), 5000);
+  net::FrameReader ra;
+  ASSERT_EQ(claim(a, ra, 0).type, net::FrameType::kWelcome);
+  for (std::uint32_t seq = 0; seq < kBound + 8; ++seq) send_frame(a, routed(0, 1, seq));
+  sync_with_door(a, ra, 0, kSelf);
+
+  auto b = net::TcpSocket::connect(door.local_addr(), 5000);
+  net::FrameReader rb;
+  ASSERT_EQ(claim(b, rb, 1).type, net::FrameType::kWelcome);
+  for (std::uint32_t seq = 0; seq < kBound; ++seq) ASSERT_EQ(next_seq(b, rb, 0), seq);
+  // The 8 over the bound were dropped: the next frame is one sent after
+  // the claim.
+  send_frame(a, routed(0, 1, 999'999));
+  EXPECT_EQ(next_seq(b, rb, 0), 999'999u);
+}
+
+TEST(ReactorRouting, PartyLinksAreSparedFromIdleEviction) {
+  constexpr std::uint32_t kSelf = 9;
+  net::ReactorOptions opts;
+  opts.loops = 1;
+  opts.idle_timeout_ms = 200;
+  net::Reactor door(opts, kSelf, echo_handler());
+  const auto dial = [&] { return net::TcpSocket::connect(door.local_addr(), 5000); };
+
+  auto a = dial();
+  net::FrameReader ra;
+  ASSERT_EQ(claim(a, ra, 0).type, net::FrameType::kWelcome);
+  auto b = dial();
+  net::FrameReader rb;
+  ASSERT_EQ(claim(b, rb, 1).type, net::FrameType::kWelcome);
+  auto client = dial();
+  net::FrameReader rclient;
+  EXPECT_GE(say_hello(client, rclient), net::kFirstClientId);
+
+  // Everyone idles for five timeouts: only the auto-id client is evicted.
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_TRUE(wait_for_eof(client, 2000)) << "the idle client was not evicted";
+  EXPECT_TRUE(stats_settle(
+      door, [](const net::Reactor::Stats& s) { return s.evicted_idle == 1; }, 2000));
+  EXPECT_EQ(door.parties(), 2u);
+
+  // Both party links still carry routed frames, from a peer and from the host.
+  send_frame(b, routed(1, 0, 5));
+  EXPECT_EQ(next_seq(a, ra, 1), 5u);
+  door.send(routed(kSelf, 1, 6));
+  EXPECT_EQ(next_seq(b, rb, kSelf), 6u);
+  EXPECT_EQ(door.stats().evicted_idle, 1u);
+}
+
 // ---- daemon integration: one door, bit-identical to the engine -----------
 
 TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
@@ -433,13 +608,13 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   daemon_opts.reactor_loops = 2;
   daemon_opts.reactor_compute_threads = 2;
   net::MinerDaemon daemon(daemon_opts);
-  const auto hub_addr = daemon.local_addr();
-  const auto door_addr = daemon.reactor_addr();
+  const auto door_addr = daemon.local_addr();
+  EXPECT_EQ(daemon.reactor_addr().to_string(), door_addr.to_string());
   auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
 
-  // k parties exchange; party 0 stays connected, mines through the serving
-  // door (learned over its hub link) at both epochs, and holds the daemon
-  // open while the main thread works the door with a ServeClient.
+  // k parties exchange through the door; party 0 stays connected, mines
+  // through it at both epochs, and holds the daemon open while the main
+  // thread works the door with a ServeClient.
   std::promise<void> party_ready;
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
@@ -448,7 +623,7 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   for (std::size_t i = 0; i < k; ++i) {
     parties.emplace_back([&, i] {
       net::PartyClientOptions party_opts;
-      party_opts.connect = hub_addr;
+      party_opts.connect = door_addr;
       party_opts.index = i;
       party_opts.parties = k;
       party_opts.sap = sap_opts;
@@ -520,7 +695,9 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   EXPECT_EQ(summary.contributions, 1u);        // the client's one
   EXPECT_EQ(summary.requests_served, 5u);      // 2 party + 3 client (one refused)
   const auto stats = daemon.reactor()->stats();
-  EXPECT_EQ(stats.requests, 6u);  // party: 2 mines; client: mine, refused, contribute, mine
+  // 3 forwarded shards + 3 adaptor sequences (the exchange's frames for the
+  // miner) + party: 2 mines + client: mine, refused, contribute, mine = 12.
+  EXPECT_EQ(stats.requests, 12u);
   EXPECT_EQ(stats.live, 0u);      // stop() closed everything
 }
 

@@ -2,11 +2,12 @@
 // 127.0.0.1:
 //
 //   * frame codec: round trips, incremental decoding, strict rejection;
-//   * deadlines: dead hubs and silent peers fail with sap::Error, fast;
+//   * deadlines: dead doors and silent peers fail with sap::Error, fast;
 //   * MinerDaemon + k PartyClient drivers in separate threads with real
 //     sockets: pooled results bit-identical to SapSession, door-served
-//     mining requests equal to in-process serving, and the hub refusing
-//     every serving kind with a typed error that names the serving door.
+//     mining requests equal to in-process serving, the door refusing
+//     serving traffic until the exchange installs the pool, and parties
+//     rejecting routing notices no exchange plan can produce.
 // (tests/cli_test.cpp repeats the distributed topology with genuinely
 // separate OS processes through sap_cli.)
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "net/frame.hpp"
+#include "net/reactor.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_transport.hpp"
@@ -246,11 +248,17 @@ TEST(TcpDeadline, ConnectToDeadPortFails) {
   EXPECT_THROW((void)net::TcpTransport::connect(dead, 1, tcp), sap::Error);
 }
 
+/// A door that routes and answers nothing itself.
+net::Reactor bare_door() {
+  return net::Reactor({}, /*self=*/7,
+                      [](const net::Frame&) { return std::vector<net::Frame>{}; });
+}
+
 TEST(TcpDeadline, ReceiveTimesOutCleanly) {
-  auto hub = net::TcpTransport::listen({"127.0.0.1", 0}, 42, test_tcp());
+  auto door = bare_door();
   net::TcpOptions tcp = test_tcp();
   tcp.receive_timeout_ms = 200;
-  auto client = net::TcpTransport::connect(hub->local_addr(), 42, tcp);
+  auto client = net::TcpTransport::connect(door.local_addr(), 42, tcp);
   const auto id = client->claim_party(net::kClaimAnyParty);
   net::TcpTransport::Delivery out;
   EXPECT_FALSE(client->try_receive(id, out, 100));
@@ -258,9 +266,9 @@ TEST(TcpDeadline, ReceiveTimesOutCleanly) {
 }
 
 TEST(TcpDeadline, DuplicateClaimIsRefused) {
-  auto hub = net::TcpTransport::listen({"127.0.0.1", 0}, 42, test_tcp());
-  auto a = net::TcpTransport::connect(hub->local_addr(), 42, test_tcp());
-  auto b = net::TcpTransport::connect(hub->local_addr(), 42, test_tcp());
+  auto door = bare_door();
+  auto a = net::TcpTransport::connect(door.local_addr(), 42, test_tcp());
+  auto b = net::TcpTransport::connect(door.local_addr(), 42, test_tcp());
   EXPECT_EQ(a->claim_party(0), 0u);
   EXPECT_THROW((void)b->claim_party(0), sap::Error);
 }
@@ -268,7 +276,7 @@ TEST(TcpDeadline, DuplicateClaimIsRefused) {
 // ---- daemon + party clients ----------------------------------------------
 
 /// A live daemon whose k parties ran the exchange and stay connected — the
-/// open hub links keep the daemon serving until finish().
+/// open party links keep the daemon serving until finish().
 struct ExchangedDaemon {
   std::unique_ptr<net::MinerDaemon> daemon;
   std::future<net::MinerDaemon::Summary> done;
@@ -280,7 +288,7 @@ struct ExchangedDaemon {
     opts.listen = {"127.0.0.1", 0};
     opts.parties = k;
     opts.seed = seed;
-    opts.tcp = test_tcp();
+    opts.exchange_timeout_ms = test_tcp().receive_timeout_ms;
     opts.reactor_idle_timeout_ms = door_idle_timeout_ms;
     daemon = std::make_unique<net::MinerDaemon>(opts);
     done = std::async(std::launch::async, [this] { return daemon->run(); });
@@ -439,54 +447,103 @@ TEST(TcpDistributed, DaemonSurvivesHostileClientsAndSendsNegativeReceipts) {
   EXPECT_EQ(summary.pool_epoch, 2u);
 }
 
-TEST(TcpDistributed, HubRefusesServingTrafficNamingTheDoor) {
+TEST(TcpDistributed, DoorRefusesServingUntilTheExchangeInstalls) {
   const std::size_t k = 3;
   const std::uint64_t seed = 2121;
   auto setup = stream_setup(k, seed);
   ExchangedDaemon live(k, seed);
-  const std::string door = live.daemon->reactor_addr().to_string();
 
   net::ServeClient::Options copts;
   copts.timeout_ms = 5000;
-  const auto expect_refused = [&](const std::function<void()>& call, const char* what) {
+  const auto expect_not_serving = [&](const std::function<void()>& call, const char* what) {
     const auto t0 = std::chrono::steady_clock::now();
     try {
       call();
-      ADD_FAILURE() << "the exchange hub served a " << what;
+      ADD_FAILURE() << "the door served a " << what << " before the install";
     } catch (const net::ServeError& e) {
-      EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << what;
-      EXPECT_NE(std::string(e.what()).find(door), std::string::npos) << e.what();
+      ADD_FAILURE() << what << ": expected the transient refusal, got " << e.what();
     } catch (const sap::Error& e) {
-      ADD_FAILURE() << what << ": expected a typed refusal, got " << e.what();
+      EXPECT_NE(std::string(e.what()).find("not serving yet"), std::string::npos) << e.what();
     }
     EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(copts.timeout_ms))
         << what;
   };
 
-  // At any time: a serving client on the hub before any party connected is
-  // refused at once — and it must not take a party's id from the exchange.
+  // Before any party connected: the client gets an auto-assigned id, never
+  // a party's, and a fast refusal for every serving kind.
   net::ServeClient early(live.daemon->local_addr(), seed, k, copts);
-  expect_refused([&] { (void)early.mine_named("record-count"); }, "mining request");
-  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
-
-  // After the install: every serving kind, from any client.
-  net::ServeClient late(live.daemon->local_addr(), seed, k, copts);
+  EXPECT_GE(early.id(), net::kFirstClientId);
   sap::rng::Engine eng(3);
   const auto y =
       sap::linalg::Matrix::generate(setup.shards[0].dims(), 2, [&] { return eng.normal(); });
-  const auto wire = proto::encode_contribution(live.parties[0]->nonce(), y, std::vector<int>{0, 1});
-  expect_refused([&] { (void)late.mine_named("record-count"); }, "mining request");
-  expect_refused([&] { (void)late.contribute_wire(wire); }, "contribution");
-  expect_refused([&] { (void)early.contribute_wire(wire); }, "contribution");
-  early.bye();
-  late.bye();
+  const auto wire = proto::encode_contribution(0xC0FFEE, y, std::vector<int>{0, 1});
+  expect_not_serving([&] { (void)early.mine_named("record-count"); }, "mining request");
+  expect_not_serving([&] { (void)early.contribute_wire(wire); }, "contribution");
 
-  const auto refused = stats_counter(live.daemon->stats_snapshot(), "serve.refused.bad_request");
+  // The exchange then completes unchanged.
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+  proto::SapSession reference(setup.shards, fast_opts(seed));
+  reference.run_until(proto::SessionPhase::kMine);
+
+  // After the install, the same client is served.
+  const auto response = early.mine_named("record-count");
+  ASSERT_EQ(response.values.size(), 1u);
+  EXPECT_EQ(response.values[0], 100.0);
+  early.bye();
+
   const auto summary = live.finish();
-  EXPECT_EQ(refused, 4u);
-  EXPECT_EQ(summary.requests_served, 0u);
+  EXPECT_EQ(summary.pool_digest, net::dataset_digest(*reference.engine().pool_view().data));
+  EXPECT_EQ(summary.requests_served, 1u);
   EXPECT_EQ(summary.contributions, 0u);
   EXPECT_EQ(summary.pool_epoch, 1u);
+}
+
+TEST(TcpDistributed, PartyRejectsARoutingNoticeThePlanCannotProduce) {
+  const std::size_t k = 3;
+  const std::uint64_t seed = 2727;
+  auto setup = stream_setup(k, seed);
+  const auto seeds = proto::logic::derive_session_seeds(seed, k);
+
+  // The daemon's door routes; run() is never called.
+  net::MinerDaemonOptions opts;
+  opts.listen = {"127.0.0.1", 0};
+  opts.parties = k;
+  opts.seed = seed;
+  net::MinerDaemon daemon(opts);
+  net::PartyClientOptions popts;
+  popts.connect = daemon.local_addr();
+  popts.index = 0;
+  popts.parties = k;
+  popts.sap = fast_opts(seed);
+  popts.tcp = test_tcp();
+  net::PartyClient party(setup.shards[0], popts);
+
+  // A fake coordinator: a valid target space, then a notice naming
+  // receiver k+3, which no exchange plan produces.
+  auto coordinator =
+      net::TcpTransport::connect(daemon.local_addr(), seeds.session_secret, test_tcp());
+  const auto coord = coordinator->claim_party(static_cast<std::uint32_t>(k - 1));
+  Engine coord_eng = seeds.coordinator_eng;
+  const auto target = proto::logic::make_target_space(setup.shards[0].dims(), coord_eng);
+  coordinator->send(coord, 0, proto::PayloadKind::kTargetSpace,
+                    proto::encode_target_space(target.rotation(), target.translation()));
+  const auto stray = static_cast<proto::PartyId>(k + 3);
+  coordinator->send(coord, 0, proto::PayloadKind::kRoutingNotice,
+                    proto::encode_routing(stray, 0));
+  try {
+    (void)party.run_exchange();
+    ADD_FAILURE() << "a notice naming receiver k+3 must be rejected";
+  } catch (const sap::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("routing notice"), std::string::npos) << e.what();
+  }
+
+  // Party 0 never sent its shard: nothing is parked for the stray id, and
+  // no adaptor reached the coordinator.
+  auto sink = net::TcpTransport::connect(daemon.local_addr(), seeds.session_secret, test_tcp());
+  const auto sink_id = sink->claim_party(stray);
+  net::TcpTransport::Delivery out;
+  EXPECT_FALSE(sink->try_receive(sink_id, out, 300));
+  EXPECT_FALSE(coordinator->try_receive(coord, out, 0));
 }
 
 TEST(TcpDistributed, NonFiniteContributionGetsANegativeReceiptAtTheDoor) {
@@ -546,6 +603,7 @@ TEST(TcpDistributed, PartyRedialsTheDoorAfterIdleEviction) {
   for (int i = 0; i < 5000 && door->stats().evicted_idle == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_GE(door->stats().evicted_idle, 1u) << "the door never evicted the idle party";
+  EXPECT_EQ(door->parties(), k) << "an idle party link was evicted";
 
   EXPECT_EQ(party.contribute(setup.stream.slice(8, 16)).pool_epoch, 3u);
   const auto response = party.mine_named("record-count");

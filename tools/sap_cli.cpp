@@ -65,28 +65,26 @@ const char* kUsage =
     "          [--optimize-threads K=0]\n"
     "  sap_cli serve --listen HOST:PORT --parties K [--seed S=1]\n"
     "          [--threads K=0] [--no-cache] [--deadline-ms N=30000]\n"
-    "          [--reactor-loops N=1] [--reactor-listen HOST:PORT]\n"
+    "          [--reactor-loops N=1]\n"
     "          [--shards N=1 --shard-index I] [--replicas R=1]\n"
-    "          [--shard-layout mod|range] [--resync HOST:PORT,...]\n"
-    "          [--fault SPEC]\n"
-    "          (miner daemon: port 0 = ephemeral, the bound ports are printed;\n"
-    "           the hub on --listen carries the exchange only, and all\n"
-    "           serving — the parties' contributions and jobs included —\n"
-    "           goes through the epoll serving door on --reactor-listen\n"
-    "           (default: the --listen host, ephemeral port) with N sharded\n"
-    "           event loops, DESIGN.md \xc2\xa7""10;\n"
+    "          [--resync HOST:PORT,...] [--fault SPEC]\n"
+    "          (miner daemon: port 0 = ephemeral, the bound port is printed;\n"
+    "           one epoll door on --listen with N sharded event loops\n"
+    "           carries everything: the parties claim their ids there and\n"
+    "           it routes their exchange, then it serves contributions and\n"
+    "           jobs, DESIGN.md \xc2\xa7""10; --deadline-ms bounds the\n"
+    "           exchange phase;\n"
     "           --shards N > 1 makes this daemon cluster member I of N: it\n"
     "           installs/serves only the nonce-hash shards it owns — shard I\n"
     "           as primary plus the R-1 preceding shards as replicas,\n"
     "           DESIGN.md \xc2\xa7""11;\n"
-    "           --resync names peer serving doors: before serving, each owned\n"
+    "           --resync names peer miner addresses: before serving, each owned\n"
     "           shard is resynced from the first peer ahead of this miner's\n"
     "           local epoch — how a restarted miner re-enters rotation,\n"
     "           DESIGN.md \xc2\xa7""13)\n"
     "  sap_cli router --miners HOST:PORT,HOST:PORT,... --parties K\n"
     "          [--seed S=1] [--listen HOST:PORT] [--shards N=miners]\n"
-    "          [--replicas R=1] [--shard-layout mod|range]\n"
-    "          [--serve-ms N=60000] [--fault SPEC]\n"
+    "          [--replicas R=1] [--serve-ms N=60000] [--fault SPEC]\n"
     "          (cluster front door: hash-routes contributions to owning\n"
     "           miners, scatter-gathers mining requests, merges exactly,\n"
     "           fails reads over to replicas — serves for --serve-ms then\n"
@@ -95,7 +93,7 @@ const char* kUsage =
     "          [--health]\n"
     "          (fetch a serving endpoint's live metrics + recent request\n"
     "           traces over one kStatsRequest round trip. Works against a\n"
-    "           miner's serving door and a router front door — the router\n"
+    "           miner's --listen address and a router front door — the router\n"
     "           answers the cluster-wide aggregate: counters and latency\n"
     "           histograms merged exactly across miners, per-miner gauges\n"
     "           namespaced m<i>.*. --parties/--seed must match the cluster\n"
@@ -158,8 +156,8 @@ const char* kUsage =
     "cross-process mode (see README for the two-terminal walkthrough):\n"
     "  `serve --listen` runs the miner daemon: it binds HOST:PORT, waits for\n"
     "  --parties party processes, pools the exchange, then serves streamed\n"
-    "  contributions and mining requests on its serving door until every\n"
-    "  party disconnects. Parties learn the door's port over the hub.\n"
+    "  contributions and mining requests on the same address until every\n"
+    "  party disconnects.\n"
     "  `party` runs one provider: every party process must use the SAME\n"
     "  dataset/parties/sigma/seed arguments (they define the logical\n"
     "  session; the seed also stands in for the out-of-band key exchange)\n"
@@ -510,12 +508,10 @@ bool validate_job_requests(const std::vector<proto::MiningRequest>& requests) {
 /// contributions + mining requests until every party disconnects.
 int cmd_serve_daemon(int argc, char** argv) {
   std::string listen_text;
-  std::string reactor_listen_text;  // empty = the --listen host, port 0
   std::uint64_t parties = 0, seed = 1, threads = 0, deadline_ms = 30000;
   std::uint64_t reactor_loops = 1;
   std::uint64_t shards = 1, shard_index = 0, replicas = 1;
   bool have_shard_index = false;
-  proto::ShardLayout layout = proto::ShardLayout::kHashMod;
   bool cache = true;
   std::vector<net::SocketAddr> resync_peers;
   for (int i = 2; i < argc; ++i) {
@@ -540,19 +536,10 @@ int cmd_serve_daemon(int argc, char** argv) {
     } else if (arg == "--replicas") {
       if (++i >= argc || !parse_u64(argv[i], replicas) || replicas == 0)
         return usage_error("--replicas needs a count >= 1");
-    } else if (arg == "--shard-layout") {
-      if (++i >= argc) return usage_error("--shard-layout needs `mod` or `range`");
-      const std::string value = argv[i];
-      if (value == "mod") layout = proto::ShardLayout::kHashMod;
-      else if (value == "range") layout = proto::ShardLayout::kHashRange;
-      else return usage_error("unknown shard layout (use `mod` or `range`)");
     } else if (arg == "--reactor-loops") {
       if (++i >= argc || !parse_u64(argv[i], reactor_loops) || reactor_loops == 0 ||
           reactor_loops > 64)
         return usage_error("--reactor-loops needs a count in [1, 64]");
-    } else if (arg == "--reactor-listen") {
-      if (++i >= argc) return usage_error("--reactor-listen needs HOST:PORT");
-      reactor_listen_text = argv[i];
     } else if (arg == "--parties") {
       if (++i >= argc || !parse_u64(argv[i], parties))
         return usage_error("--parties needs a count");
@@ -587,9 +574,8 @@ int cmd_serve_daemon(int argc, char** argv) {
   opts.seed = seed;
   opts.mining_threads = threads;
   opts.cache_models = cache;
-  opts.tcp.receive_timeout_ms = static_cast<int>(deadline_ms);
+  opts.exchange_timeout_ms = static_cast<int>(deadline_ms);
   opts.shards = shards;
-  opts.shard_layout = layout;
   if (shards > 1) {
     // Miner I owns shard I (primary) plus replica copies of the preceding
     // replicas-1 shards — matching ShardRouter's owner j of shard g being
@@ -601,16 +587,6 @@ int cmd_serve_daemon(int argc, char** argv) {
   }
   opts.reactor_loops = reactor_loops;
   opts.resync_peers = std::move(resync_peers);
-  // Parties dial the door on the host they reached the hub at, so the door
-  // binds the hub's host unless told otherwise.
-  opts.reactor_listen = {opts.listen.host, 0};
-  if (!reactor_listen_text.empty()) {
-    try {
-      opts.reactor_listen = net::SocketAddr::parse(reactor_listen_text);
-    } catch (const sap::Error&) {
-      return usage_error("--reactor-listen needs HOST:PORT (IPv4 or localhost)");
-    }
-  }
   opts.log = [](const std::string& line) {
     std::printf("%s\n", line.c_str());
     std::fflush(stdout);
@@ -619,25 +595,19 @@ int cmd_serve_daemon(int argc, char** argv) {
                                  std::to_string(shards)
                            : "miner");
   net::MinerDaemon daemon(opts);
-  // Parties (and scripts driving them) parse this line for the bound port.
-  std::printf("listening on %s (%llu parties, seed %llu)\n",
+  // Parties, serving clients and scripts parse this line for the bound port.
+  std::printf("listening on %s (%llu parties, seed %llu, %llu loops)\n",
               daemon.local_addr().to_string().c_str(),
               static_cast<unsigned long long>(parties),
-              static_cast<unsigned long long>(seed));
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(reactor_loops));
   if (shards > 1) {
     std::string owned;
     for (const auto g : opts.owned_shards) owned += " " + std::to_string(g);
-    std::printf("cluster member: shard %llu of %llu (%s layout), owns{%s }\n",
+    std::printf("cluster member: shard %llu of %llu, owns{%s }\n",
                 static_cast<unsigned long long>(shard_index),
-                static_cast<unsigned long long>(shards),
-                layout == proto::ShardLayout::kHashMod ? "mod" : "range",
-                owned.c_str());
+                static_cast<unsigned long long>(shards), owned.c_str());
   }
-  // Serving clients parse this one — it must come AFTER the hub line so
-  // scripts reading only the first line keep working.
-  std::printf("reactor listening on %s (%llu loops)\n",
-              daemon.reactor_addr().to_string().c_str(),
-              static_cast<unsigned long long>(reactor_loops));
   std::fflush(stdout);
 
   const auto summary = daemon.run();
@@ -667,7 +637,6 @@ int cmd_serve_daemon(int argc, char** argv) {
 int cmd_router(int argc, char** argv) {
   std::string miners_text, listen_text = "127.0.0.1:0";
   std::uint64_t parties = 0, seed = 1, shards = 0, replicas = 1, serve_ms = 60000;
-  proto::ShardLayout layout = proto::ShardLayout::kHashMod;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--miners") {
@@ -687,12 +656,6 @@ int cmd_router(int argc, char** argv) {
     } else if (arg == "--replicas") {
       if (++i >= argc || !parse_u64(argv[i], replicas) || replicas == 0)
         return usage_error("--replicas needs a count >= 1");
-    } else if (arg == "--shard-layout") {
-      if (++i >= argc) return usage_error("--shard-layout needs `mod` or `range`");
-      const std::string value = argv[i];
-      if (value == "mod") layout = proto::ShardLayout::kHashMod;
-      else if (value == "range") layout = proto::ShardLayout::kHashRange;
-      else return usage_error("unknown shard layout (use `mod` or `range`)");
     } else if (arg == "--serve-ms") {
       if (++i >= argc || !parse_u64(argv[i], serve_ms) || serve_ms == 0 ||
           serve_ms > 3600000)
@@ -715,7 +678,6 @@ int cmd_router(int argc, char** argv) {
     return usage_error("--replicas must be <= miner count");
   opts.router.shards = shards;
   opts.router.replicas = replicas;
-  opts.router.layout = layout;
   opts.router.seed = seed;
   opts.router.parties = parties;
   try {
