@@ -15,7 +15,8 @@
 //     the IDENTICAL injection schedule (index, kind) trace;
 //   * self-healing rejoin (always enforced): the SIGKILL'd miner restarts,
 //     resyncs its owned shards from live peers through the shard-snapshot
-//     door (--resync), and serves BIT-IDENTICAL to its pre-kill self — and
+//     door (--resync), and holds and serves them BIT-IDENTICAL to its
+//     pre-kill self (each shard's snapshot and exact-merge partials) — and
 //     a fresh router over the healed fleet matches the reference.
 //
 //   chaos_soak [--quick]                 driver (the default)
@@ -62,17 +63,31 @@ net::ShardRouterOptions soak_router_options(const std::vector<Miner>& fleet) {
   return ropts;
 }
 
-/// One miner's DIRECT door reports (its owned shards only) — the pre-kill
-/// fingerprint its resynced replacement must reproduce bit for bit.
-std::vector<std::vector<double>> direct_reports(const net::SocketAddr& door) {
+/// Rows every partial fingerprint scores (kNN partials need queries); any
+/// rows of the pool's width fixed before the kill will do.
+constexpr std::size_t kQueryRows = 64;
+
+/// Miner 0's state for each shard it owns, read through the miner-only
+/// doors: the shard snapshot (epoch, arrival-order keys and rows) and each
+/// exact-merge job's partial blob over `queries`. Its resynced replacement
+/// must reproduce it bit for bit. A mining request at a member owning part
+/// of the pool is no whole-pool read (ROADMAP item 10), so the check does
+/// not go through one.
+std::vector<std::vector<double>> shard_fingerprint(const net::SocketAddr& door,
+                                                   const sap::data::Dataset& queries) {
   net::ServeClient::Options copts;
   copts.retry_attempts = 4;
   net::ServeClient client(door, kSeed, kParties, copts);
   std::vector<std::vector<double>> out;
-  for (const char* job : kMergeJobs) {
-    auto resp = client.mine_named(job, job_params(job));
-    resp.values.push_back(static_cast<double>(resp.pool_epoch));  // epoch rides along
-    out.push_back(std::move(resp.values));
+  for (std::size_t j = 0; j < kReplicas; ++j) {
+    const std::size_t shard = (kMiners - j) % kMiners;  // miner 0's owned shards
+    const auto snap = client.shard_snapshot(shard);
+    out.push_back(sap::proto::encode_pool_slice(snap.shard_epoch, snap.rows, snap.keys));
+    for (const char* job : kMergeJobs) {
+      auto partial = client.mine_partial(shard, job, job_params(job), queries);
+      partial.blob.push_back(static_cast<double>(partial.shard_epoch));  // epoch rides along
+      out.push_back(std::move(partial.blob));
+    }
   }
   client.bye();
   return out;
@@ -183,7 +198,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < kParties; ++i)
       (void)router.contribute_wire(wires[i]);
   const auto reference = merged_reports(router);
-  const auto fingerprint = direct_reports(fleet[0].door);  // pre-kill miner 0
+  const auto queries = session.pool.slice(0, kQueryRows);
+  const auto fingerprint = shard_fingerprint(fleet[0].door, queries);  // pre-kill miner 0
   std::printf("-- reference: %zu jobs, pool %zu records\n", std::size(kMergeJobs),
               static_cast<std::size_t>(reference[0][0]));
 
@@ -207,11 +223,11 @@ int main(int argc, char** argv) {
   std::printf("-- rejoin: restarting miner 0 with --resync %s\n", peers.c_str());
   fleet[0] = spawn_miner(argv[0], kMiners, 0, kReplicas, peers);
   await_ready(fleet[0]);
-  const auto healed_fingerprint = direct_reports(fleet[0].door);
+  const auto healed_fingerprint = shard_fingerprint(fleet[0].door, queries);
   bool rejoined = healed_fingerprint == fingerprint;
   if (!rejoined)
-    std::fprintf(stderr, "FAIL: the rejoined miner's direct reports diverge from "
-                         "its pre-kill self\n");
+    std::fprintf(stderr, "FAIL: the rejoined miner's shard snapshots or partials diverge "
+                         "from its pre-kill self\n");
   net::ShardRouter healed_router(soak_router_options(fleet));
   const auto healed_reports = merged_reports(healed_router);
   if (healed_reports != reference) {

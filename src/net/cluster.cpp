@@ -8,6 +8,7 @@
 #include "common/stopwatch.hpp"
 #include "net/fault.hpp"
 #include "protocol/mining_engine.hpp"
+#include "protocol/party_logic.hpp"
 
 namespace sap::net {
 
@@ -198,10 +199,9 @@ void ShardRouter::serve_owners(std::size_t shard, bool every_owner, Leg&& leg) {
 }
 
 proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wire) {
-  // The nonce is word 0 of every kContribution payload — checked like
+  // A kContribution payload is a nonce tag around a dataset — checked like
   // decode_contribution checks it (wire payloads are adversarial input).
-  SAP_REQUIRE(!wire.empty(), "ShardRouter: empty contribution payload");
-  const auto nonce = proto::checked_u64(wire[0], "contribution nonce");
+  const auto nonce = proto::logic::untag(wire).nonce;
   const auto shard = proto::shard_of_nonce(nonce, opts_.shards, opts_.layout);
   ctr_contributions_->increment();
   // Every owner ingests the batch (that is what makes a replica a valid

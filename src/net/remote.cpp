@@ -116,8 +116,7 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
 
 MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
     : opts_(std::move(opts)),
-      engine_({.threads = opts_.mining_threads,
-               .cache_models = opts_.cache_models,
+      engine_({.cache_models = opts_.cache_models,
                .shards = opts_.shards,
                .layout = opts_.shard_layout,
                .owned = opts_.owned_shards}),
@@ -350,11 +349,6 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
   snap.set_counter("engine.cache.incremental", cache.incremental);
   snap.set_counter("engine.cache.hits", cache.hits);
   snap.set_gauge("engine.cache.entries", static_cast<double>(cache.entries));
-  const auto pool = engine_.pool_stats();
-  snap.set_counter("engine.pool.batches", pool.batches);
-  snap.set_counter("engine.pool.tasks", pool.tasks);
-  snap.set_counter("engine.pool.busy_ns", pool.busy_ns);
-  snap.set_gauge("engine.pool.peak_batch", static_cast<double>(pool.peak_batch));
   if (serving_.load(std::memory_order_acquire)) {
     // Pool shape: records + live snapshot refcounts over owned shards, the
     // epoch watermark, and how far the hottest shard runs ahead of it.
@@ -484,11 +478,9 @@ MinerDaemon::Summary MinerDaemon::run() {
       const auto payload = body_envelope(frame.body)
                                .open(proto::detail::derive_link_key(secret_, frame.from,
                                                                     miner_id_));
-      SAP_REQUIRE(!payload.empty(), "empty payload during the exchange");
       // Wire payloads are adversarial input (the daemon is the cross-process
       // trust boundary): the same nonce check decode_contribution runs.
-      const std::uint64_t nonce = proto::checked_u64(payload[0], "nonce during the exchange");
-      const auto body = std::span<const double>(payload).subspan(1);
+      const auto [nonce, body] = proto::logic::untag(payload);
       if (frame.payload_kind == static_cast<std::uint8_t>(proto::PayloadKind::kForwardedData)) {
         SAP_REQUIRE(shards
                         .emplace(nonce, proto::logic::MinerShard{nonce, frame.from,

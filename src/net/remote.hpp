@@ -139,7 +139,6 @@ struct MinerDaemonOptions {
   SocketAddr listen{"127.0.0.1", 0};
   std::size_t parties = 0;    ///< k (>= 3); must match the party processes
   std::uint64_t seed = 0x5A9; ///< must match the party processes' seed
-  std::size_t mining_threads = 0;
   bool cache_models = true;
   /// One absolute deadline for the whole exchange phase: k shards and k
   /// adaptors must arrive within it.

@@ -1,7 +1,5 @@
 #include "perturb/geometric.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "linalg/decompose.hpp"
 #include "linalg/orthogonal.hpp"
@@ -87,31 +85,6 @@ void GeometricPerturbation::precompose_rotation(const linalg::Matrix& g) {
   SAP_REQUIRE(linalg::orthogonality_defect(g) < 1e-8,
               "precompose_rotation: factor must be orthogonal");
   r_ = g * r_;
-}
-
-std::vector<double> GeometricPerturbation::serialize() const {
-  SAP_REQUIRE(dims() > 0, "GeometricPerturbation::serialize: default-constructed");
-  std::vector<double> wire;
-  wire.reserve(2 + r_.size() + t_.size());
-  wire.push_back(static_cast<double>(dims()));
-  wire.push_back(sigma_);
-  wire.insert(wire.end(), r_.data().begin(), r_.data().end());
-  wire.insert(wire.end(), t_.begin(), t_.end());
-  return wire;
-}
-
-GeometricPerturbation GeometricPerturbation::deserialize(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() >= 2, "GeometricPerturbation::deserialize: truncated payload");
-  SAP_REQUIRE(std::isfinite(wire[0]) && wire[0] > 0.0 && wire[0] < 1e6 &&
-                  wire[0] == std::floor(wire[0]),
-              "GeometricPerturbation::deserialize: malformed dimension field");
-  const auto d = static_cast<std::size_t>(wire[0]);
-  SAP_REQUIRE(wire.size() == 2 + d * d + d,
-              "GeometricPerturbation::deserialize: malformed payload");
-  linalg::Matrix r(d, d);
-  for (std::size_t i = 0; i < d * d; ++i) r.data()[i] = wire[2 + i];
-  linalg::Vector t(wire.begin() + static_cast<std::ptrdiff_t>(2 + d * d), wire.end());
-  return {std::move(r), std::move(t), wire[1]};
 }
 
 }  // namespace sap::perturb

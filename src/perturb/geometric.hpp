@@ -63,11 +63,6 @@ class GeometricPerturbation {
   /// optimizer's local refinement step.
   void precompose_rotation(const linalg::Matrix& g);
 
-  /// Flat serialization [d, sigma, R row-major..., t...] so providers can
-  /// persist an optimized perturbation across sessions.
-  [[nodiscard]] std::vector<double> serialize() const;
-  static GeometricPerturbation deserialize(std::span<const double> wire);
-
  private:
   linalg::Matrix r_;
   linalg::Vector t_;

@@ -1,11 +1,18 @@
 #include "perturb/space_adaptor.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/error.hpp"
+#include "common/wire.hpp"
 #include "linalg/orthogonal.hpp"
 
 namespace sap::perturb {
+namespace {
+
+/// Largest adaptor dimension the wire carries.
+constexpr std::size_t kMaxWireDims = 999'999;
+
+}  // namespace
 
 SpaceAdaptor::SpaceAdaptor(linalg::Matrix rotation_adaptor, linalg::Vector translation_adaptor)
     : r_(std::move(rotation_adaptor)), psi_(std::move(translation_adaptor)) {
@@ -55,26 +62,23 @@ SpaceAdaptor SpaceAdaptor::after(const SpaceAdaptor& other) const {
 }
 
 std::vector<double> SpaceAdaptor::serialize() const {
-  std::vector<double> wire;
-  wire.reserve(1 + r_.size() + psi_.size());
-  wire.push_back(static_cast<double>(dims()));
-  wire.insert(wire.end(), r_.data().begin(), r_.data().end());
-  wire.insert(wire.end(), psi_.begin(), psi_.end());
-  return wire;
+  wire::Writer w("SpaceAdaptor::serialize", 1 + r_.size() + psi_.size());
+  w.count(dims(), "dimension", kMaxWireDims);
+  w.block(r_.data());
+  w.block(psi_);
+  return w.take();
 }
 
 SpaceAdaptor SpaceAdaptor::deserialize(std::span<const double> wire) {
-  SAP_REQUIRE(!wire.empty(), "SpaceAdaptor::deserialize: empty payload");
-  SAP_REQUIRE(std::isfinite(wire[0]) && wire[0] > 0.0 && wire[0] < 1e6 &&
-                  wire[0] == std::floor(wire[0]),
-              "SpaceAdaptor::deserialize: malformed dimension field");
-  const auto d = static_cast<std::size_t>(wire[0]);
-  SAP_REQUIRE(wire.size() == 1 + d * d + d,
-              "SpaceAdaptor::deserialize: malformed payload");
+  wire::Reader in(wire, "SpaceAdaptor::deserialize");
+  const std::size_t d = in.count("dimension", kMaxWireDims);
+  SAP_REQUIRE(d > 0, "SpaceAdaptor::deserialize: empty adaptor");
+  const auto rotation = in.block(d * d, "rotation");
+  const auto psi = in.block(d, "translation");
+  in.finish();
   linalg::Matrix r(d, d);
-  for (std::size_t i = 0; i < d * d; ++i) r.data()[i] = wire[1 + i];
-  linalg::Vector psi(wire.begin() + static_cast<std::ptrdiff_t>(1 + d * d), wire.end());
-  return {std::move(r), std::move(psi)};
+  std::copy(rotation.begin(), rotation.end(), r.data().begin());
+  return {std::move(r), linalg::Vector(psi.begin(), psi.end())};
 }
 
 }  // namespace sap::perturb

@@ -1,11 +1,10 @@
 #include "protocol/baseline.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "privacy/attacks.hpp"
+#include "protocol/party_logic.hpp"
 
 namespace sap::proto {
 
@@ -52,29 +51,15 @@ SapResult DirectSubmissionProtocol::run() {
     ps[i].eng = master.spawn();
   }
 
-  // Local optimization — identical to SAP phase 1, and like it one worker
-  // per provider: the dominant cost, and it sends nothing.
+  // Local optimization — SAP phase 1 itself, and like it one worker per
+  // provider: the dominant cost, and it sends nothing. The nonce it draws
+  // stays unused: the miner attributes every submission anyway.
   ThreadPool(k).run_indexed(k, [this, &ps, d](std::size_t i) {
     auto& p = ps[i];
-    auto opt_opts = opts_.optimizer;
-    opt_opts.noise_sigma = opts_.noise_sigma;
-    if (opts_.optimize_local) {
-      // One scoring pool for the main run and every bound run, as in
-      // party_logic::optimize_local (results are thread-count-invariant).
-      ThreadPool pool(opt_opts.threads);
-      const auto first = opt::optimize_perturbation(p.x, opt_opts, p.eng, pool);
-      p.g = first.best;
-      p.rho = first.best_rho;
-      p.bound = first.best_rho;
-      for (std::size_t r = 1; r < opts_.bound_runs; ++r)
-        p.bound = std::max(p.bound,
-                           opt::optimize_perturbation(p.x, opt_opts, p.eng, pool).best_rho);
-    } else {
-      p.g = perturb::GeometricPerturbation::random(d, opts_.noise_sigma, p.eng);
-      p.rho = opt::evaluate_perturbation(p.x, p.g, opt_opts.attacks, opt_opts.max_eval_records,
-                                         p.eng);
-      p.bound = p.rho;
-    }
+    auto local = logic::optimize_local(p.x, d, opts_, p.eng);
+    p.g = std::move(local.g);
+    p.rho = local.rho;
+    p.bound = local.bound;
   });
 
   // Provider 0 selects the target space and shares it with the other
@@ -134,48 +119,14 @@ SapResult DirectSubmissionProtocol::run() {
                                  std::move(unified_labels));
   result.target_space = g_t;
 
-  // Accounting: identical formulas, but the miner attributes every shard —
-  // identifiability 1 (and eq. (2)'s anonymity dilution does not apply, so
-  // risk_sap is reported with the k=2 worst case of a known source:
-  // max{local, full collaboration term}).
-  const privacy::AttackSuite suite(opts_.optimizer.attacks);
+  // Accounting: SAP's per-party accounting with k = 2, because the miner
+  // attributes every shard: identifiability 1/(2-1) = 1, and eq. (2) has no
+  // anonymity set to dilute the risk (risk_sap at k = 2 is max{local, full
+  // collaboration term}).
   for (std::size_t i = 0; i < k; ++i) {
     auto& p = ps[i];
-    PartyReport report;
-    report.id = provider_id[i];
-    report.local_rho = p.rho;
-    report.bound = std::max(p.bound, p.rho);
-    report.identifiability = 1.0;
-
-    if (opts_.compute_satisfaction && p.rho > 0.0) {
-      const linalg::Matrix y_t = p.adaptor.apply(p.y);
-      linalg::Matrix x_s = p.x, y_s = y_t;
-      if (p.x.cols() > opts_.optimizer.max_eval_records) {
-        const auto idx = p.eng.sample_without_replacement(p.x.cols(),
-                                                          opts_.optimizer.max_eval_records);
-        x_s = linalg::Matrix(p.x.rows(), idx.size());
-        y_s = linalg::Matrix(p.x.rows(), idx.size());
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const linalg::Vector xc = p.x.col(idx[j]);
-          const linalg::Vector yc = y_t.col(idx[j]);
-          x_s.set_col(j, xc);
-          y_s.set_col(j, yc);
-        }
-      }
-      report.unified_rho = suite.evaluate(x_s, y_s, p.eng).rho;
-      report.satisfaction = std::min(report.unified_rho / p.rho, report.bound / p.rho);
-    } else {
-      report.unified_rho = p.rho;
-      report.satisfaction = 1.0;
-    }
-
-    RiskInputs in{.rho = std::min(report.local_rho, report.bound),
-                  .bound = report.bound,
-                  .satisfaction = report.satisfaction,
-                  .identifiability = 1.0};
-    report.risk_breach = risk_of_privacy_breach(in);
-    report.risk_sap = sap_risk(in, 2);  // no anonymity set: worst-case k-1 = 1
-    result.parties.push_back(report);
+    result.parties.push_back(logic::account_party(p.x, p.y, p.adaptor, provider_id[i], p.rho,
+                                                  p.bound, /*k=*/2, opts_, p.eng));
   }
 
   result.messages = net_->trace().size();

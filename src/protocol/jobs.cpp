@@ -11,7 +11,7 @@
 #include "classify/perceptron.hpp"
 #include "classify/svm.hpp"
 #include "common/error.hpp"
-#include "protocol/message.hpp"
+#include "common/wire.hpp"
 
 namespace sap::proto {
 namespace {
@@ -35,10 +35,19 @@ std::vector<double> serve_accuracy(const ml::Classifier& model, const data::Data
 const ParamSpec kEvalRecords{"eval-records", 0.0, 0.0, 1e9, /*serve_only=*/true};
 
 // ---- exact-merge helpers (DESIGN.md §11) ---------------------------------
-// Partial blobs are flat double vectors, exactly like the wire payloads in
-// protocol/message.cpp. They cross the cluster's encrypted links, but a
-// confused or stale miner could still ship a malformed blob — every merge
-// validates shape with SAP_REQUIRE before touching contents.
+// Partial blobs are flat double vectors, written and read through the same
+// wire cursor as the payloads in protocol/message.cpp. They cross the
+// cluster's encrypted links, but a confused or stale miner could still ship
+// a malformed blob — every merge reads through wire::Reader, and every
+// partial writes through wire::Writer under the same bounds.
+
+/// Blob bounds: record and class sizes, dims/k/segments, query count, class
+/// count, and the per-nonce sequence number.
+constexpr std::size_t kMaxBlobCount = 1ull << 52;
+constexpr std::size_t kMaxBlobDims = 1u << 20;
+constexpr std::size_t kMaxBlobQueries = 1u << 26;
+constexpr std::size_t kMaxBlobClasses = 4096;
+constexpr std::size_t kMaxBlobSeq = 0xFFFFFFFF;
 
 /// Row indices of a shard's pool in canonical (nonce, seq) order.
 std::vector<std::size_t> canonical_order(std::span<const PoolKey> keys) {
@@ -50,42 +59,22 @@ std::vector<std::size_t> canonical_order(std::span<const PoolKey> keys) {
   return order;
 }
 
-/// Reads doubles off a partial blob with bounds/shape checking.
-class BlobReader {
- public:
-  explicit BlobReader(std::span<const double> blob) : blob_(blob) {}
-  double next(const char* what) {
-    SAP_REQUIRE(pos_ < blob_.size(), std::string("merge_partials: truncated blob at ") + what);
-    return blob_[pos_++];
-  }
-  std::size_t next_count(const char* what, std::size_t max) {
-    const double v = next(what);
-    SAP_REQUIRE(std::isfinite(v) && v >= 0.0 && v == std::floor(v) &&
-                    v <= static_cast<double>(max),
-                std::string("merge_partials: malformed count for ") + what);
-    return static_cast<std::size_t>(v);
-  }
-  [[nodiscard]] bool done() const noexcept { return pos_ == blob_.size(); }
-
- private:
-  std::span<const double> blob_;
-  std::size_t pos_ = 0;
-};
-
 // -- record-count: partials are per-shard counts; the merge is an exact
 //    integer sum (record counts are far below 2^53).
 std::vector<double> count_partial(const data::Dataset& rows, std::span<const PoolKey>,
                                   const data::Dataset&, const JobParams&) {
-  return {static_cast<double>(rows.size())};
+  wire::Writer w("record-count partial", 1);
+  w.count(rows.size(), "record count", kMaxBlobCount);
+  return w.take();
 }
 
 std::vector<double> count_merge(const std::vector<std::vector<double>>& partials,
                                 const data::Dataset&, const JobParams&) {
   double total = 0.0;
   for (const auto& blob : partials) {
-    SAP_REQUIRE(blob.size() == 1, "record-count merge: malformed partial");
-    BlobReader r(blob);
-    total += static_cast<double>(r.next_count("record-count", 1ull << 52));
+    wire::Reader in(blob, "record-count merge");
+    total += static_cast<double>(in.count("record count", kMaxBlobCount));
+    in.finish();
   }
   return {total};
 }
@@ -97,31 +86,26 @@ std::vector<double> hist_partial(const data::Dataset& rows, std::span<const Pool
                                  const data::Dataset&, const JobParams&) {
   const auto labels = rows.classes();
   const auto counts = rows.class_counts();
-  std::vector<double> blob;
-  blob.reserve(1 + 2 * labels.size());
-  blob.push_back(static_cast<double>(labels.size()));
+  wire::Writer w("class-histogram partial", 1 + 2 * labels.size());
+  w.count(labels.size(), "class count", kMaxBlobClasses);
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    blob.push_back(static_cast<double>(labels[i]));
-    blob.push_back(static_cast<double>(counts[i]));
+    w.label(labels[i], "label");
+    w.count(counts[i], "class size", kMaxBlobCount);
   }
-  return blob;
+  return w.take();
 }
 
 std::vector<double> hist_merge(const std::vector<std::vector<double>>& partials,
                                const data::Dataset&, const JobParams&) {
   std::map<int, double> tally;
   for (const auto& blob : partials) {
-    BlobReader r(blob);
-    const std::size_t classes = r.next_count("class count", 4096);
+    wire::Reader in(blob, "class-histogram merge");
+    const std::size_t classes = in.count("class count", kMaxBlobClasses);
     for (std::size_t i = 0; i < classes; ++i) {
-      const double label = r.next("label");
-      SAP_REQUIRE(std::isfinite(label) && label == std::floor(label) &&
-                      std::abs(label) < 2147483648.0,
-                  "class-histogram merge: malformed label");
-      tally[static_cast<int>(label)] +=
-          static_cast<double>(r.next_count("class size", 1ull << 52));
+      const int label = in.label("label");
+      tally[label] += static_cast<double>(in.count("class size", kMaxBlobCount));
     }
-    SAP_REQUIRE(r.done(), "class-histogram merge: trailing bytes in partial");
+    in.finish();
   }
   std::vector<double> report;
   report.reserve(tally.size());
@@ -138,29 +122,30 @@ std::vector<double> hist_merge(const std::vector<std::vector<double>>& partials,
 std::vector<double> nb_partial(const data::Dataset& rows, std::span<const PoolKey> keys,
                                const data::Dataset&, const JobParams&) {
   SAP_REQUIRE(keys.size() == rows.size(), "nb partial: keys/rows size mismatch");
-  const std::size_t d = rows.dims();
   const auto order = canonical_order(keys);
-  std::vector<double> blob{static_cast<double>(d), 0.0};
   std::size_t segments = 0;
+  for (std::size_t at = 0; at < order.size(); ++at)
+    segments += at == 0 || keys[order[at]].nonce != keys[order[at - 1]].nonce;
+  wire::Writer w("nb partial");
+  w.count(rows.dims(), "dims", kMaxBlobDims);
+  w.count(segments, "segments", kMaxBlobDims);
   std::size_t at = 0;
   while (at < order.size()) {
     const std::uint64_t nonce = keys[order[at]].nonce;
     std::vector<std::size_t> segment;
     while (at < order.size() && keys[order[at]].nonce == nonce) segment.push_back(order[at++]);
     const auto stats = ml::GaussianNaiveBayes::collect_stats(rows.subset(segment));
-    blob.push_back(static_cast<double>(nonce));
-    blob.push_back(static_cast<double>(stats.size()));
+    w.u64(nonce, "nonce");
+    w.count(stats.size(), "classes", kMaxBlobClasses);
     for (const auto& cls : stats) {
-      blob.push_back(static_cast<double>(cls.label));
-      blob.push_back(static_cast<double>(cls.count));
-      blob.insert(blob.end(), cls.shift.begin(), cls.shift.end());
-      blob.insert(blob.end(), cls.sum.begin(), cls.sum.end());
-      blob.insert(blob.end(), cls.sumsq.begin(), cls.sumsq.end());
+      w.label(cls.label, "label");
+      w.count(cls.count, "class size", kMaxBlobCount);
+      w.block(cls.shift);
+      w.block(cls.sum);
+      w.block(cls.sumsq);
     }
-    ++segments;
   }
-  blob[1] = static_cast<double>(segments);
-  return blob;
+  return w.take();
 }
 
 std::vector<double> nb_merge(const std::vector<std::vector<double>>& partials,
@@ -172,34 +157,27 @@ std::vector<double> nb_merge(const std::vector<std::vector<double>>& partials,
   std::vector<std::pair<std::uint64_t, std::vector<ml::NbClassStats>>> segments;
   std::size_t dims = 0;
   for (const auto& blob : partials) {
-    BlobReader r(blob);
-    const std::size_t d = r.next_count("dims", 1u << 20);
-    const std::size_t nsegs = r.next_count("segments", 1u << 20);
+    wire::Reader in(blob, "nb merge");
+    const std::size_t d = in.count("dims", kMaxBlobDims);
+    const std::size_t nsegs = in.count("segments", kMaxBlobDims);
     if (nsegs > 0) {  // an empty shard's blob carries no dims to reconcile
       SAP_REQUIRE(d > 0 && (dims == 0 || d == dims), "nb merge: inconsistent dims");
       dims = d;
     }
     for (std::size_t s = 0; s < nsegs; ++s) {
-      const std::uint64_t nonce = checked_u64(r.next("nonce"), "nb merge nonce");
-      const std::size_t classes = r.next_count("classes", 4096);
-      std::vector<ml::NbClassStats> stats(classes);
+      const std::uint64_t nonce = in.u64("nonce");
+      std::vector<ml::NbClassStats> stats(in.count("classes", kMaxBlobClasses));
       for (auto& cls : stats) {
-        const double label = r.next("label");
-        SAP_REQUIRE(std::isfinite(label) && label == std::floor(label) &&
-                        std::abs(label) < 2147483648.0,
-                    "nb merge: malformed label");
-        cls.label = static_cast<int>(label);
-        cls.count = r.next_count("class size", 1ull << 52);
-        cls.shift.resize(dims);
-        cls.sum.resize(dims);
-        cls.sumsq.resize(dims);
-        for (auto& v : cls.shift) v = r.next("shift");
-        for (auto& v : cls.sum) v = r.next("sum");
-        for (auto& v : cls.sumsq) v = r.next("sumsq");
+        cls.label = in.label("label");
+        cls.count = in.count("class size", kMaxBlobCount);
+        for (auto* moments : {&cls.shift, &cls.sum, &cls.sumsq}) {
+          const auto values = in.block(dims, "moments");
+          moments->assign(values.begin(), values.end());
+        }
       }
       segments.emplace_back(nonce, std::move(stats));
     }
-    SAP_REQUIRE(r.done(), "nb merge: trailing bytes in partial");
+    in.finish();
   }
   SAP_REQUIRE(!segments.empty(), "nb merge: no rows across shards");
   std::sort(segments.begin(), segments.end(),
@@ -232,21 +210,23 @@ std::vector<double> knn_partial(const data::Dataset& rows, std::span<const PoolK
   const auto order = canonical_order(keys);
   std::vector<std::size_t> rank(n);
   for (std::size_t r = 0; r < n; ++r) rank[order[r]] = r;
-  std::vector<double> blob{static_cast<double>(k), static_cast<double>(queries.size())};
+  wire::Writer w("knn partial", 2 + queries.size() * (1 + 4 * std::min(k, n)));
+  w.count(k, "k", kMaxBlobDims);
+  w.count(queries.size(), "queries", kMaxBlobQueries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     ml::NearestK best(queries.record(q), std::min(k, n));
     best.scan(rows.features().data().data(), n, rank.data());
     const auto nearest = best.take();
-    blob.push_back(static_cast<double>(nearest.size()));
+    w.count(nearest.size(), "candidates", k);
     for (const auto& nb : nearest) {
       const std::size_t row = order[nb.index];
-      blob.push_back(nb.distance_sq);
-      blob.push_back(static_cast<double>(keys[row].nonce));
-      blob.push_back(static_cast<double>(keys[row].seq));
-      blob.push_back(static_cast<double>(rows.label(row)));
+      w.finite(nb.distance_sq, "distance");
+      w.u64(keys[row].nonce, "nonce");
+      w.count(keys[row].seq, "seq", kMaxBlobSeq);
+      w.label(rows.label(row), "label");
     }
   }
-  return blob;
+  return w.take();
 }
 
 std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
@@ -262,27 +242,23 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
   // Per query, the union of every shard's local candidates.
   std::vector<std::vector<Cand>> merged(queries.size());
   for (const auto& blob : partials) {
-    BlobReader r(blob);
-    SAP_REQUIRE(r.next_count("k", 1u << 20) == k, "knn merge: k mismatch across partials");
-    SAP_REQUIRE(r.next_count("queries", 1u << 26) == queries.size(),
+    wire::Reader in(blob, "knn merge");
+    SAP_REQUIRE(in.count("k", kMaxBlobDims) == k, "knn merge: k mismatch across partials");
+    SAP_REQUIRE(in.count("queries", kMaxBlobQueries) == queries.size(),
                 "knn merge: query count mismatch");
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::size_t cands = r.next_count("candidates", k);
-      for (std::size_t i = 0; i < cands; ++i) {
+    for (auto& cands : merged) {
+      const std::size_t count = in.count("candidates", k);
+      for (std::size_t i = 0; i < count; ++i) {
         Cand c;
-        c.dist = r.next("distance");
-        SAP_REQUIRE(std::isfinite(c.dist) && c.dist >= 0.0, "knn merge: malformed distance");
-        c.key.nonce = checked_u64(r.next("nonce"), "knn merge nonce");
-        c.key.seq = static_cast<std::uint32_t>(r.next_count("seq", 0xFFFFFFFFull));
-        const double label = r.next("label");
-        SAP_REQUIRE(std::isfinite(label) && label == std::floor(label) &&
-                        std::abs(label) < 2147483648.0,
-                    "knn merge: malformed label");
-        c.label = static_cast<int>(label);
-        merged[q].push_back(c);
+        c.dist = in.finite("distance");
+        SAP_REQUIRE(c.dist >= 0.0, "knn merge: negative distance");
+        c.key.nonce = in.u64("nonce");
+        c.key.seq = static_cast<std::uint32_t>(in.count("seq", kMaxBlobSeq));
+        c.label = in.label("label");
+        cands.push_back(c);
       }
     }
-    SAP_REQUIRE(r.done(), "knn merge: trailing bytes in partial");
+    in.finish();
   }
   std::size_t hits = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {

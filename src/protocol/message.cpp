@@ -1,79 +1,19 @@
 #include "protocol/message.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
+#include <string_view>
 
 #include "common/error.hpp"
+#include "common/wire.hpp"
 #include "rng/rng.hpp"
 
 namespace sap::proto {
 namespace {
 
-/// Validate-and-cast a wire double that must encode a small non-negative
-/// integer (dimension, record count, label, party id). Rejects non-finite,
-/// non-integral, negative, or absurdly large values — wire payloads are
-/// adversarial input until proven otherwise.
-std::size_t checked_count(double v, const char* what) {
-  SAP_REQUIRE(std::isfinite(v) && v >= 0.0 && v < 1e9 && v == std::floor(v),
-              std::string("decode: malformed ") + what);
-  return static_cast<std::size_t>(v);
-}
-
-int checked_label(double v) {
-  SAP_REQUIRE(std::isfinite(v) && std::abs(v) < 2e9 && v == std::floor(v),
-              "decode: malformed label");
-  return static_cast<int>(v);
-}
-
-constexpr std::size_t kMaxWireString = 128;
 constexpr std::size_t kMaxWireParams = 64;
 
-void encode_string(std::vector<double>& wire, const std::string& text, const char* what) {
-  SAP_REQUIRE(!text.empty() && text.size() <= kMaxWireString,
-              std::string("encode: bad length for ") + what);
-  for (const char c : text)
-    SAP_REQUIRE(c >= 32 && c <= 126, std::string("encode: non-printable char in ") + what);
-  wire.push_back(static_cast<double>(text.size()));
-  for (const char c : text) wire.push_back(static_cast<double>(c));
-}
-
-/// Decode a length-prefixed printable-ASCII string starting at wire[pos];
-/// advances pos past it. Throws on truncation or hostile code points.
-std::string decode_string(std::span<const double> wire, std::size_t& pos, const char* what) {
-  SAP_REQUIRE(pos < wire.size(), std::string("decode: truncated ") + what);
-  const std::size_t len = checked_count(wire[pos], what);
-  SAP_REQUIRE(len >= 1 && len <= kMaxWireString && pos + 1 + len <= wire.size(),
-              std::string("decode: malformed ") + what);
-  ++pos;
-  std::string text;
-  text.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    const double v = wire[pos++];
-    SAP_REQUIRE(v == std::floor(v) && v >= 32.0 && v <= 126.0,
-                std::string("decode: hostile char in ") + what);
-    text.push_back(static_cast<char>(v));
-  }
-  return text;
-}
-
 }  // namespace
-
-/// 2^53: every integer below it is exactly representable as a double.
-constexpr std::uint64_t kDoubleExactLimit = 1ULL << 53;
-
-void require_double_exact(std::uint64_t v, const char* what) {
-  SAP_REQUIRE(v < kDoubleExactLimit, std::string("encode: not double-exact: ") + what);
-}
-
-std::uint64_t checked_u64(double v, const char* what) {
-  // The cast below is UB for non-finite or >= 2^64 values, and wire
-  // payloads are adversarial input until proven otherwise.
-  SAP_REQUIRE(std::isfinite(v) && v >= 0.0 && v < static_cast<double>(kDoubleExactLimit) &&
-                  v == std::floor(v),
-              std::string("decode: malformed ") + what);
-  return static_cast<std::uint64_t>(v);
-}
 
 std::string to_string(PayloadKind kind) {
   switch (kind) {
@@ -143,238 +83,209 @@ std::vector<double> EncryptedEnvelope::open(std::uint64_t key) const {
   return plain;
 }
 
+
 std::vector<double> encode_dataset(const linalg::Matrix& features_dxn,
                                    std::span<const int> labels) {
   SAP_REQUIRE(features_dxn.cols() == labels.size(), "encode_dataset: label count mismatch");
-  std::vector<double> wire;
   const std::size_t d = features_dxn.rows();
   const std::size_t n = features_dxn.cols();
-  wire.reserve(2 + d * n + n);
-  wire.push_back(static_cast<double>(d));
-  wire.push_back(static_cast<double>(n));
+  wire::Writer w("encode_dataset", 2 + d * n + n);
+  w.count(d, "dimension count");
+  w.count(n, "record count");
   for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < d; ++i) wire.push_back(features_dxn(i, j));
-  for (int label : labels) wire.push_back(static_cast<double>(label));
-  return wire;
+    for (std::size_t i = 0; i < d; ++i) w.value(features_dxn(i, j));
+  for (const int label : labels) w.label(label, "label");
+  return w.take();
 }
 
 DecodedDataset decode_dataset(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() >= 2, "decode_dataset: truncated payload");
-  const std::size_t d = checked_count(wire[0], "dimension count");
-  const std::size_t n = checked_count(wire[1], "record count");
-  SAP_REQUIRE(d > 0 && n > 0 && wire.size() == 2 + d * n + n,
-              "decode_dataset: malformed payload");
+  wire::Reader in(wire, "decode_dataset");
+  const std::size_t d = in.count("dimension count");
+  const std::size_t n = in.count("record count");
+  SAP_REQUIRE(d > 0 && n > 0, "decode_dataset: empty dataset");
+  // One NaN/Inf record would poison every later fit on the pool.
+  const auto features = in.finite_block(d * n, "feature value");
   DecodedDataset out;
   out.features = linalg::Matrix(d, n);
-  std::size_t pos = 2;
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < d; ++i) {
-      // One NaN/Inf record would poison every later fit on the pool.
-      SAP_REQUIRE(std::isfinite(wire[pos]), "decode_dataset: non-finite feature value");
-      out.features(i, j) = wire[pos++];
-    }
-  }
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < d; ++i) out.features(i, j) = features[j * d + i];
   out.labels.resize(n);
-  for (std::size_t j = 0; j < n; ++j) out.labels[j] = checked_label(wire[pos++]);
+  for (int& label : out.labels) label = in.label("label");
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_target_space(const linalg::Matrix& r, const linalg::Vector& t) {
   SAP_REQUIRE(r.rows() == r.cols() && r.rows() == t.size(),
               "encode_target_space: shape mismatch");
-  std::vector<double> wire;
-  wire.reserve(1 + r.size() + t.size());
-  wire.push_back(static_cast<double>(r.rows()));
-  wire.insert(wire.end(), r.data().begin(), r.data().end());
-  wire.insert(wire.end(), t.begin(), t.end());
-  return wire;
+  wire::Writer w("encode_target_space", 1 + r.size() + t.size());
+  w.count(r.rows(), "dimension count");
+  w.block(r.data());
+  w.block(t);
+  return w.take();
 }
 
 DecodedTargetSpace decode_target_space(std::span<const double> wire) {
-  SAP_REQUIRE(!wire.empty(), "decode_target_space: empty payload");
-  const std::size_t d = checked_count(wire[0], "dimension count");
-  SAP_REQUIRE(d > 0 && wire.size() == 1 + d * d + d, "decode_target_space: malformed payload");
+  wire::Reader in(wire, "decode_target_space");
+  const std::size_t d = in.count("dimension count");
+  SAP_REQUIRE(d > 0, "decode_target_space: empty target space");
+  const auto r = in.block(d * d, "rotation");
+  const auto t = in.block(d, "translation");
+  in.finish();
   DecodedTargetSpace out;
   out.r = linalg::Matrix(d, d);
-  for (std::size_t i = 0; i < d * d; ++i) out.r.data()[i] = wire[1 + i];
-  out.t.assign(wire.begin() + static_cast<std::ptrdiff_t>(1 + d * d), wire.end());
+  std::copy(r.begin(), r.end(), out.r.data().begin());
+  out.t.assign(t.begin(), t.end());
   return out;
 }
 
 std::vector<double> encode_contribution(std::uint64_t nonce,
                                         const linalg::Matrix& features_dxm,
                                         std::span<const int> labels) {
-  // Nonces are 32-bit by construction (session.cpp), hence exactly
-  // representable as doubles; reject anything that would round on the wire.
-  require_double_exact(nonce, "contribution nonce");
-  std::vector<double> wire;
-  wire.push_back(static_cast<double>(nonce));
   const auto body = encode_dataset(features_dxm, labels);
-  wire.insert(wire.end(), body.begin(), body.end());
-  return wire;
+  wire::Writer w("encode_contribution", 1 + body.size());
+  w.u64(nonce, "nonce");
+  w.block(body);
+  return w.take();
 }
 
 DecodedContribution decode_contribution(std::span<const double> wire) {
-  SAP_REQUIRE(!wire.empty(), "decode_contribution: empty payload");
+  wire::Reader in(wire, "decode_contribution");
   DecodedContribution out;
-  out.nonce = checked_u64(wire[0], "contribution nonce");
-  out.data = decode_dataset(wire.subspan(1));
+  out.nonce = in.u64("nonce");
+  out.data = decode_dataset(in.rest());
   return out;
 }
 
 std::vector<double> encode_routing(PartyId receiver, std::uint32_t inbound) {
-  return {static_cast<double>(receiver), static_cast<double>(inbound)};
+  wire::Writer w("encode_routing", 2);
+  w.count(receiver, "party id");
+  w.count(inbound, "inbound count");
+  return w.take();
 }
 
 RoutingNotice decode_routing(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() == 2, "decode_routing: malformed payload");
+  wire::Reader in(wire, "decode_routing");
   RoutingNotice notice;
-  notice.receiver = static_cast<PartyId>(checked_count(wire[0], "party id"));
-  notice.inbound = static_cast<std::uint32_t>(checked_count(wire[1], "inbound count"));
+  notice.receiver = static_cast<PartyId>(in.count("party id"));
+  notice.inbound = static_cast<std::uint32_t>(in.count("inbound count"));
+  in.finish();
   return notice;
 }
 
 std::vector<double> encode_mining_request(const std::string& job,
                                           const std::map<std::string, double>& params) {
-  SAP_REQUIRE(params.size() <= kMaxWireParams, "encode_mining_request: too many params");
-  std::vector<double> wire;
-  encode_string(wire, job, "job name");
-  wire.push_back(static_cast<double>(params.size()));
+  wire::Writer w("encode_mining_request");
+  w.text(job, "job name");
+  w.count(params.size(), "param count", kMaxWireParams);
   for (const auto& [key, value] : params) {
-    encode_string(wire, key, "param name");
-    SAP_REQUIRE(std::isfinite(value), "encode_mining_request: non-finite param value");
-    wire.push_back(value);
+    w.text(key, "param name");
+    w.finite(value, "param value");
   }
-  return wire;
+  return w.take();
 }
 
 DecodedMiningRequest decode_mining_request(std::span<const double> wire) {
+  wire::Reader in(wire, "decode_mining_request");
   DecodedMiningRequest out;
-  std::size_t pos = 0;
-  out.job = decode_string(wire, pos, "job name");
-  SAP_REQUIRE(pos < wire.size(), "decode_mining_request: truncated payload");
-  const std::size_t count = checked_count(wire[pos++], "param count");
-  SAP_REQUIRE(count <= kMaxWireParams, "decode_mining_request: too many params");
+  out.job = in.text("job name");
+  const std::size_t count = in.count("param count", kMaxWireParams);
   for (std::size_t i = 0; i < count; ++i) {
-    std::string key = decode_string(wire, pos, "param name");
-    SAP_REQUIRE(pos < wire.size(), "decode_mining_request: truncated payload");
-    const double value = wire[pos++];
-    SAP_REQUIRE(std::isfinite(value), "decode_mining_request: non-finite param value");
+    std::string key = in.text("param name");
+    const double value = in.finite("param value");
     SAP_REQUIRE(out.params.emplace(std::move(key), value).second,
                 "decode_mining_request: duplicate param");
   }
-  SAP_REQUIRE(pos == wire.size(), "decode_mining_request: trailing garbage");
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_mining_response(const WireMiningResponse& response) {
-  // Mirror the decoder's checked_count bound (< 1e9) — an encoder that
-  // accepts what every well-behaved peer rejects is a wire-contract bug.
-  SAP_REQUIRE(response.pool_epoch < 1000000000ULL,
-              "encode_mining_response: epoch out of wire range");
-  std::vector<double> wire;
-  wire.reserve(4 + response.values.size());
-  wire.push_back(static_cast<double>(response.pool_epoch));
-  wire.push_back(response.model_cached ? 1.0 : 0.0);
-  wire.push_back(response.model_incremental ? 1.0 : 0.0);
-  wire.push_back(static_cast<double>(response.values.size()));
-  wire.insert(wire.end(), response.values.begin(), response.values.end());
-  return wire;
+  wire::Writer w("encode_mining_response", 4 + response.values.size());
+  w.count(response.pool_epoch, "pool epoch");
+  w.flag(response.model_cached);
+  w.flag(response.model_incremental);
+  w.count(response.values.size(), "value count");
+  w.block(response.values);
+  return w.take();
 }
 
 WireMiningResponse decode_mining_response(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() >= 4, "decode_mining_response: truncated payload");
+  wire::Reader in(wire, "decode_mining_response");
   WireMiningResponse out;
-  out.pool_epoch = static_cast<std::uint64_t>(checked_count(wire[0], "pool epoch"));
-  SAP_REQUIRE(wire[1] == 0.0 || wire[1] == 1.0, "decode_mining_response: malformed flag");
-  SAP_REQUIRE(wire[2] == 0.0 || wire[2] == 1.0, "decode_mining_response: malformed flag");
-  out.model_cached = wire[1] == 1.0;
-  out.model_incremental = wire[2] == 1.0;
-  const std::size_t count = checked_count(wire[3], "value count");
-  SAP_REQUIRE(wire.size() == 4 + count, "decode_mining_response: malformed payload");
-  out.values.assign(wire.begin() + 4, wire.end());
+  out.pool_epoch = in.count("pool epoch");
+  out.model_cached = in.flag("cached flag");
+  out.model_incremental = in.flag("incremental flag");
+  const std::size_t count = in.count("value count");
+  const auto values = in.block(count, "values");
+  out.values.assign(values.begin(), values.end());
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_receipt(std::uint64_t pool_epoch, std::size_t pool_records) {
-  // Mirror the decoder's checked_count bound (< 1e9), as above.
-  SAP_REQUIRE(pool_epoch < 1000000000ULL, "encode_receipt: epoch out of wire range");
-  SAP_REQUIRE(pool_records < 1000000000ULL, "encode_receipt: record count out of wire range");
-  return {static_cast<double>(pool_epoch), static_cast<double>(pool_records)};
+  wire::Writer w("encode_receipt", 2);
+  w.count(pool_epoch, "pool epoch");
+  w.count(pool_records, "record count");
+  return w.take();
 }
 
 DecodedReceipt decode_receipt(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() == 2, "decode_receipt: malformed payload");
+  wire::Reader in(wire, "decode_receipt");
   DecodedReceipt out;
-  out.pool_epoch = static_cast<std::uint64_t>(checked_count(wire[0], "pool epoch"));
-  out.pool_records = checked_count(wire[1], "record count");
+  out.pool_epoch = in.count("pool epoch");
+  out.pool_records = in.count("record count");
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_serve_error(ServeErrorCode code, const std::string& message) {
-  std::vector<double> wire{static_cast<double>(static_cast<std::uint8_t>(code))};
   // Error texts come from exception messages, which may exceed the wire
   // string cap or carry odd bytes — clamp instead of refusing to report.
   std::string clipped = message.empty() ? std::string("(no message)") : message;
-  if (clipped.size() > kMaxWireString) clipped.resize(kMaxWireString);
+  if (clipped.size() > wire::kMaxText) clipped.resize(wire::kMaxText);
   for (auto& c : clipped)
     if (c < 32 || c > 126) c = '?';
-  encode_string(wire, clipped, "error message");
-  return wire;
+  wire::Writer w("encode_serve_error", 2 + clipped.size());
+  w.count(static_cast<std::size_t>(code), "error code");
+  w.text(clipped, "error message");
+  return w.take();
 }
 
 DecodedServeError decode_serve_error(std::span<const double> wire) {
-  SAP_REQUIRE(!wire.empty(), "decode_serve_error: empty payload");
-  const auto code = checked_count(wire[0], "error code");
-  SAP_REQUIRE(code >= 1 && code <= 3, "decode_serve_error: unknown error code");
+  wire::Reader in(wire, "decode_serve_error");
+  const std::size_t code = in.count("error code", 3);
+  SAP_REQUIRE(code >= 1, "decode_serve_error: unknown error code");
   DecodedServeError out;
   out.code = static_cast<ServeErrorCode>(code);
-  std::size_t pos = 1;
-  out.message = decode_string(wire, pos, "error message");
-  SAP_REQUIRE(pos == wire.size(), "decode_serve_error: trailing garbage");
+  out.message = in.text("error message");
+  in.finish();
   return out;
 }
 
 namespace {
 
-/// [qd, qm, features col-major, labels] with qm == 0 allowed (no queries).
-void encode_query_block(std::vector<double>& wire, const data::Dataset& queries) {
-  const std::size_t d = queries.size() == 0 ? 0 : queries.dims();
-  const std::size_t m = queries.size();
-  wire.push_back(static_cast<double>(d));
-  wire.push_back(static_cast<double>(m));
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto rec = queries.record(j);
-    wire.insert(wire.end(), rec.begin(), rec.end());
-  }
-  for (std::size_t j = 0; j < m; ++j)
-    wire.push_back(static_cast<double>(queries.label(j)));
+/// [d, m, features row-major m x d, labels...]; m == 0 (with d 0) is an
+/// empty block.
+void write_rows(wire::Writer& w, const data::Dataset& rows) {
+  w.count(rows.size() == 0 ? 0 : rows.dims(), "dimension count");
+  w.count(rows.size(), "record count");
+  w.block(rows.features().data());
+  for (const int label : rows.labels()) w.label(label, "label");
 }
 
-data::Dataset decode_query_block(std::span<const double> wire, std::size_t& pos,
-                                 const char* what) {
-  SAP_REQUIRE(pos + 2 <= wire.size(), std::string("decode: truncated ") + what);
-  const std::size_t d = checked_count(wire[pos++], "dimension count");
-  const std::size_t m = checked_count(wire[pos++], "record count");
-  if (m == 0) {
-    SAP_REQUIRE(d == 0, std::string("decode: malformed ") + what);
-    return {};
-  }
-  SAP_REQUIRE(d > 0 && pos + m * d + m <= wire.size(),
-              std::string("decode: malformed ") + what);
-  linalg::Matrix features(m, d, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    auto row = features.row(j);
-    for (std::size_t i = 0; i < d; ++i) {
-      // Queries feed the kNN kernel, whose total order needs finite
-      // distances, and snapshot rows go straight into a live shard.
-      SAP_REQUIRE(std::isfinite(wire[pos]),
-                  std::string("decode: non-finite feature value in ") + what);
-      row[i] = wire[pos++];
-    }
-  }
+data::Dataset read_rows(wire::Reader& in, const char* what) {
+  const std::size_t d = in.count("dimension count");
+  const std::size_t m = in.count("record count");
+  SAP_REQUIRE(m == 0 ? d == 0 : d > 0, std::string("decode: malformed ") + what);
+  if (m == 0) return {};
+  // Queries feed the kNN kernel, whose total order needs finite distances,
+  // and snapshot rows go straight into a live shard.
+  const auto values = in.finite_block(m * d, "feature value");
+  linalg::Matrix features(m, d);
+  std::copy(values.begin(), values.end(), features.data().begin());
   std::vector<int> labels(m);
-  for (std::size_t j = 0; j < m; ++j) labels[j] = checked_label(wire[pos++]);
+  for (int& label : labels) label = in.label("label");
   return data::Dataset("wire", std::move(features), std::move(labels));
 }
 
@@ -383,108 +294,102 @@ data::Dataset decode_query_block(std::span<const double> wire, std::size_t& pos,
 std::vector<double> encode_partial_request(std::size_t shard, const std::string& job,
                                            const std::map<std::string, double>& params,
                                            const data::Dataset& queries) {
-  SAP_REQUIRE(shard < 1000000000ULL, "encode_partial_request: shard out of wire range");
-  std::vector<double> wire{static_cast<double>(shard)};
   const auto request = encode_mining_request(job, params);
-  wire.push_back(static_cast<double>(request.size()));
-  wire.insert(wire.end(), request.begin(), request.end());
-  encode_query_block(wire, queries);
-  return wire;
+  wire::Writer w("encode_partial_request",
+                 4 + request.size() + queries.features().size() + queries.size());
+  w.count(shard, "shard id");
+  w.count(request.size(), "request length");
+  w.block(request);
+  write_rows(w, queries);
+  return w.take();
 }
 
 DecodedPartialRequest decode_partial_request(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() >= 2, "decode_partial_request: truncated payload");
+  wire::Reader in(wire, "decode_partial_request");
   DecodedPartialRequest out;
-  out.shard = checked_count(wire[0], "shard id");
-  const std::size_t req_len = checked_count(wire[1], "request length");
-  SAP_REQUIRE(2 + req_len <= wire.size(), "decode_partial_request: malformed payload");
-  const auto request = decode_mining_request(wire.subspan(2, req_len));
-  out.job = request.job;
-  out.params = request.params;
-  std::size_t pos = 2 + req_len;
-  out.queries = decode_query_block(wire, pos, "query block");
-  SAP_REQUIRE(pos == wire.size(), "decode_partial_request: trailing garbage");
+  out.shard = in.count("shard id");
+  const std::size_t request_length = in.count("request length");
+  auto request = decode_mining_request(in.block(request_length, "mining request"));
+  out.job = std::move(request.job);
+  out.params = std::move(request.params);
+  out.queries = read_rows(in, "query block");
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_partial_response(std::uint64_t shard_epoch,
                                             std::span<const double> blob) {
-  SAP_REQUIRE(shard_epoch < 1000000000ULL,
-              "encode_partial_response: epoch out of wire range");
-  std::vector<double> wire;
-  wire.reserve(2 + blob.size());
-  wire.push_back(static_cast<double>(shard_epoch));
-  wire.push_back(static_cast<double>(blob.size()));
-  wire.insert(wire.end(), blob.begin(), blob.end());
-  return wire;
+  wire::Writer w("encode_partial_response", 2 + blob.size());
+  w.count(shard_epoch, "shard epoch");
+  w.count(blob.size(), "blob length");
+  w.block(blob);
+  return w.take();
 }
 
 DecodedPartialResponse decode_partial_response(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() >= 2, "decode_partial_response: truncated payload");
+  wire::Reader in(wire, "decode_partial_response");
   DecodedPartialResponse out;
-  out.shard_epoch = static_cast<std::uint64_t>(checked_count(wire[0], "shard epoch"));
-  const std::size_t count = checked_count(wire[1], "blob length");
-  SAP_REQUIRE(wire.size() == 2 + count, "decode_partial_response: malformed payload");
-  out.blob.assign(wire.begin() + 2, wire.end());
+  out.shard_epoch = in.count("shard epoch");
+  const std::size_t count = in.count("blob length");
+  const auto blob = in.block(count, "blob");
+  out.blob.assign(blob.begin(), blob.end());
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_pool_slice_request(std::size_t shard, std::size_t max_records) {
-  SAP_REQUIRE(shard < 1000000000ULL, "encode_pool_slice_request: shard out of wire range");
-  SAP_REQUIRE(max_records < 1000000000ULL,
-              "encode_pool_slice_request: max_records out of wire range");
-  return {static_cast<double>(shard), static_cast<double>(max_records)};
+  wire::Writer w("encode_pool_slice_request", 2);
+  w.count(shard, "shard id");
+  w.count(max_records, "max records");
+  return w.take();
 }
 
 DecodedPoolSliceRequest decode_pool_slice_request(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() == 2, "decode_pool_slice_request: malformed payload");
+  wire::Reader in(wire, "decode_pool_slice_request");
   DecodedPoolSliceRequest out;
-  out.shard = checked_count(wire[0], "shard id");
-  out.max_records = checked_count(wire[1], "max records");
+  out.shard = in.count("shard id");
+  out.max_records = in.count("max records");
+  in.finish();
   return out;
 }
 
 std::vector<double> encode_shard_snapshot_request(std::size_t shard) {
-  SAP_REQUIRE(shard < 1000000000ULL, "encode_shard_snapshot_request: shard out of wire range");
-  return {static_cast<double>(shard)};
+  wire::Writer w("encode_shard_snapshot_request", 1);
+  w.count(shard, "shard id");
+  return w.take();
 }
 
 std::size_t decode_shard_snapshot_request(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() == 1, "decode_shard_snapshot_request: malformed payload");
-  return checked_count(wire[0], "shard id");
+  wire::Reader in(wire, "decode_shard_snapshot_request");
+  const std::size_t shard = in.count("shard id");
+  in.finish();
+  return shard;
 }
 
 std::vector<double> encode_pool_slice(std::uint64_t shard_epoch, const data::Dataset& rows,
                                       std::span<const PoolKey> keys) {
-  SAP_REQUIRE(shard_epoch < 1000000000ULL, "encode_pool_slice: epoch out of wire range");
   SAP_REQUIRE(rows.size() == keys.size(), "encode_pool_slice: rows/keys size mismatch");
-  std::vector<double> wire{static_cast<double>(shard_epoch)};
+  wire::Writer w("encode_pool_slice", 3 + rows.features().size() + 3 * rows.size());
+  w.count(shard_epoch, "shard epoch");
+  write_rows(w, rows);
   for (const auto& key : keys) {
-    require_double_exact(key.nonce, "slice nonce");
-    SAP_REQUIRE(key.seq < 1000000000U, "encode_pool_slice: seq out of wire range");
+    w.u64(key.nonce, "slice nonce");
+    w.count(key.seq, "slice seq");
   }
-  encode_query_block(wire, rows);
-  for (const auto& key : keys) {
-    wire.push_back(static_cast<double>(key.nonce));
-    wire.push_back(static_cast<double>(key.seq));
-  }
-  return wire;
+  return w.take();
 }
 
 DecodedPoolSlice decode_pool_slice(std::span<const double> wire) {
-  SAP_REQUIRE(!wire.empty(), "decode_pool_slice: truncated payload");
+  wire::Reader in(wire, "decode_pool_slice");
   DecodedPoolSlice out;
-  out.shard_epoch = static_cast<std::uint64_t>(checked_count(wire[0], "shard epoch"));
-  std::size_t pos = 1;
-  out.rows = decode_query_block(wire, pos, "slice rows");
-  SAP_REQUIRE(wire.size() == pos + 2 * out.rows.size(),
-              "decode_pool_slice: malformed payload");
-  out.keys.reserve(out.rows.size());
-  for (std::size_t i = 0; i < out.rows.size(); ++i) {
-    const std::uint64_t nonce = checked_u64(wire[pos++], "slice nonce");
-    const auto seq = checked_count(wire[pos++], "slice seq");
-    out.keys.push_back({nonce, static_cast<std::uint32_t>(seq)});
+  out.shard_epoch = in.count("shard epoch");
+  out.rows = read_rows(in, "slice rows");
+  out.keys.resize(out.rows.size());
+  for (auto& key : out.keys) {
+    key.nonce = in.u64("slice nonce");
+    key.seq = static_cast<std::uint32_t>(in.count("slice seq"));
   }
+  in.finish();
   return out;
 }
 
@@ -496,158 +401,105 @@ constexpr double kStatsWireVersion = 1.0;
 /// Caps on collection counts — a stats payload is operator traffic, but it
 /// still crosses the adversarial wire boundary like everything else.
 constexpr std::size_t kMaxStatsEntries = 4096;
-
-void encode_u64(std::vector<double>& wire, std::uint64_t v, const char* what) {
-  require_double_exact(v, what);
-  wire.push_back(static_cast<double>(v));
-}
-
-void encode_stat_value(std::vector<double>& wire, double v, const char* what) {
-  SAP_REQUIRE(std::isfinite(v), std::string("encode: non-finite ") + what);
-  wire.push_back(v);
-}
-
-double checked_stat_value(std::span<const double> wire, std::size_t& pos, const char* what) {
-  SAP_REQUIRE(pos < wire.size(), std::string("decode: truncated ") + what);
-  const double v = wire[pos++];
-  SAP_REQUIRE(std::isfinite(v), std::string("decode: non-finite ") + what);
-  return v;
-}
+constexpr std::size_t kMaxBucketIndex = obs::Histogram::kBucketCount - 1;
+/// A trace id uses the full 64 bits (16-bit door salt in the top bits), so
+/// it rides as two 32-bit halves, each trivially double-exact.
+constexpr std::size_t kMaxTraceIdHalf = 0xFFFFFFFF;
 
 }  // namespace
 
 std::vector<double> encode_stats_request() { return {kStatsWireVersion}; }
 
 void decode_stats_request(std::span<const double> wire) {
-  SAP_REQUIRE(wire.size() == 1 && wire[0] == kStatsWireVersion,
+  wire::Reader in(wire, "decode_stats_request");
+  SAP_REQUIRE(in.value("version") == kStatsWireVersion,
               "decode_stats_request: unsupported stats version");
+  in.finish();
 }
 
 std::vector<double> encode_stats_response(const obs::Snapshot& snapshot,
                                           std::span<const obs::TraceRecord> traces) {
-  SAP_REQUIRE(snapshot.counters.size() <= kMaxStatsEntries &&
-                  snapshot.gauges.size() <= kMaxStatsEntries &&
-                  snapshot.histograms.size() <= kMaxStatsEntries &&
-                  traces.size() <= kMaxStatsEntries,
-              "encode_stats_response: too many entries");
-  std::vector<double> wire{kStatsWireVersion};
-  wire.push_back(static_cast<double>(snapshot.counters.size()));
+  wire::Writer w("encode_stats_response");
+  w.value(kStatsWireVersion);
+  w.count(snapshot.counters.size(), "counter section", kMaxStatsEntries);
   for (const auto& [name, value] : snapshot.counters) {
-    encode_string(wire, name, "counter name");
-    encode_u64(wire, value, "counter value");
+    w.text(name, "counter name");
+    w.u64(value, "counter value");
   }
-  wire.push_back(static_cast<double>(snapshot.gauges.size()));
+  w.count(snapshot.gauges.size(), "gauge section", kMaxStatsEntries);
   for (const auto& [name, value] : snapshot.gauges) {
-    encode_string(wire, name, "gauge name");
-    encode_stat_value(wire, value, "gauge value");
+    w.text(name, "gauge name");
+    w.finite(value, "gauge value");
   }
-  wire.push_back(static_cast<double>(snapshot.histograms.size()));
+  w.count(snapshot.histograms.size(), "histogram section", kMaxStatsEntries);
   for (const auto& [name, hist] : snapshot.histograms) {
-    encode_string(wire, name, "histogram name");
-    encode_u64(wire, hist.count, "histogram count");
-    encode_stat_value(wire, hist.sum, "histogram sum");
-    encode_stat_value(wire, hist.max, "histogram max");
-    SAP_REQUIRE(hist.buckets.size() <= obs::Histogram::kBucketCount,
-                "encode_stats_response: too many histogram buckets");
-    wire.push_back(static_cast<double>(hist.buckets.size()));
+    w.text(name, "histogram name");
+    w.u64(hist.count, "histogram count");
+    w.finite(hist.sum, "histogram sum");
+    w.finite(hist.max, "histogram max");
+    w.count(hist.buckets.size(), "bucket count", obs::Histogram::kBucketCount);
     for (const auto& [index, n] : hist.buckets) {
-      SAP_REQUIRE(index < obs::Histogram::kBucketCount,
-                  "encode_stats_response: bucket index out of range");
-      wire.push_back(static_cast<double>(index));
-      encode_u64(wire, n, "bucket count");
+      w.count(index, "bucket index", kMaxBucketIndex);
+      w.u64(n, "bucket count");
     }
   }
-  wire.push_back(static_cast<double>(traces.size()));
+  w.count(traces.size(), "trace section", kMaxStatsEntries);
   for (const auto& trace : traces) {
-    // A trace id uses the full 64 bits (16-bit door salt in the top bits),
-    // so it cannot ride the double-exact u64 path — split into 32-bit
-    // halves, each trivially exact.
-    encode_u64(wire, trace.id >> 32, "trace id hi");
-    encode_u64(wire, trace.id & 0xFFFFFFFFull, "trace id lo");
-    encode_string(wire, trace.op.empty() ? std::string("?") : trace.op, "trace op");
-    for (const double ms : trace.stage_ms) encode_stat_value(wire, ms, "trace stage ms");
+    w.count(trace.id >> 32, "trace id hi", kMaxTraceIdHalf);
+    w.count(trace.id & kMaxTraceIdHalf, "trace id lo", kMaxTraceIdHalf);
+    w.text(trace.op.empty() ? std::string_view("?") : std::string_view(trace.op), "trace op");
+    for (const double ms : trace.stage_ms) w.finite(ms, "trace stage ms");
   }
-  return wire;
+  return w.take();
 }
 
 DecodedStats decode_stats_response(std::span<const double> wire) {
-  SAP_REQUIRE(!wire.empty() && wire[0] == kStatsWireVersion,
+  wire::Reader in(wire, "decode_stats_response");
+  SAP_REQUIRE(in.value("version") == kStatsWireVersion,
               "decode_stats_response: unsupported stats version");
   DecodedStats out;
-  std::size_t pos = 1;
+  auto& snap = out.snapshot;
 
-  const auto read_count = [&](const char* what) {
-    SAP_REQUIRE(pos < wire.size(), std::string("decode: truncated ") + what);
-    const std::size_t n = checked_count(wire[pos++], what);
-    SAP_REQUIRE(n <= kMaxStatsEntries, std::string("decode: oversized ") + what);
-    return n;
-  };
-
-  const std::size_t n_counters = read_count("counter section");
-  out.snapshot.counters.reserve(n_counters);
-  for (std::size_t i = 0; i < n_counters; ++i) {
-    std::string name = decode_string(wire, pos, "counter name");
-    SAP_REQUIRE(pos < wire.size(), "decode_stats_response: truncated counter");
-    const std::uint64_t value = checked_u64(wire[pos++], "counter value");
-    out.snapshot.counters.emplace_back(std::move(name), value);
+  snap.counters.resize(in.count("counter section", kMaxStatsEntries));
+  for (auto& [name, value] : snap.counters) {
+    name = in.text("counter name");
+    value = in.u64("counter value");
   }
 
-  const std::size_t n_gauges = read_count("gauge section");
-  out.snapshot.gauges.reserve(n_gauges);
-  for (std::size_t i = 0; i < n_gauges; ++i) {
-    std::string name = decode_string(wire, pos, "gauge name");
-    const double value = checked_stat_value(wire, pos, "gauge value");
-    out.snapshot.gauges.emplace_back(std::move(name), value);
+  snap.gauges.resize(in.count("gauge section", kMaxStatsEntries));
+  for (auto& [name, value] : snap.gauges) {
+    name = in.text("gauge name");
+    value = in.finite("gauge value");
   }
 
-  const std::size_t n_hists = read_count("histogram section");
-  out.snapshot.histograms.reserve(n_hists);
-  for (std::size_t i = 0; i < n_hists; ++i) {
-    std::string name = decode_string(wire, pos, "histogram name");
-    obs::HistogramSnapshot hist;
-    SAP_REQUIRE(pos < wire.size(), "decode_stats_response: truncated histogram");
-    hist.count = checked_u64(wire[pos++], "histogram count");
-    hist.sum = checked_stat_value(wire, pos, "histogram sum");
-    hist.max = checked_stat_value(wire, pos, "histogram max");
-    SAP_REQUIRE(pos < wire.size(), "decode_stats_response: truncated histogram");
-    const std::size_t n_buckets = checked_count(wire[pos++], "bucket count");
-    SAP_REQUIRE(n_buckets <= obs::Histogram::kBucketCount,
-                "decode_stats_response: too many buckets");
-    hist.buckets.reserve(n_buckets);
+  snap.histograms.resize(in.count("histogram section", kMaxStatsEntries));
+  for (auto& [name, hist] : snap.histograms) {
+    name = in.text("histogram name");
+    hist.count = in.u64("histogram count");
+    hist.sum = in.finite("histogram sum");
+    hist.max = in.finite("histogram max");
+    hist.buckets.resize(in.count("bucket count", obs::Histogram::kBucketCount));
     std::uint64_t bucket_total = 0;
-    std::uint32_t prev_index = 0;
-    for (std::size_t b = 0; b < n_buckets; ++b) {
-      SAP_REQUIRE(pos + 1 < wire.size(), "decode_stats_response: truncated bucket");
-      const auto index = static_cast<std::uint32_t>(checked_count(wire[pos++], "bucket index"));
-      SAP_REQUIRE(index < obs::Histogram::kBucketCount,
-                  "decode_stats_response: bucket index out of range");
-      SAP_REQUIRE(b == 0 || index > prev_index,
+    for (std::size_t b = 0; b < hist.buckets.size(); ++b) {
+      auto& [index, n] = hist.buckets[b];
+      index = static_cast<std::uint32_t>(in.count("bucket index", kMaxBucketIndex));
+      SAP_REQUIRE(b == 0 || index > hist.buckets[b - 1].first,
                   "decode_stats_response: bucket indices not ascending");
-      prev_index = index;
-      const std::uint64_t n = checked_u64(wire[pos++], "bucket count");
+      n = in.u64("bucket count");
       bucket_total += n;
-      hist.buckets.emplace_back(index, n);
     }
     SAP_REQUIRE(bucket_total == hist.count,
                 "decode_stats_response: bucket counts disagree with total");
-    out.snapshot.histograms.emplace_back(std::move(name), std::move(hist));
   }
 
-  const std::size_t n_traces = read_count("trace section");
-  out.traces.reserve(n_traces);
-  for (std::size_t i = 0; i < n_traces; ++i) {
-    obs::TraceRecord trace;
-    SAP_REQUIRE(pos + 1 < wire.size(), "decode_stats_response: truncated trace");
-    const std::uint64_t id_hi = checked_u64(wire[pos++], "trace id hi");
-    const std::uint64_t id_lo = checked_u64(wire[pos++], "trace id lo");
-    SAP_REQUIRE(id_hi <= 0xFFFFFFFFull && id_lo <= 0xFFFFFFFFull,
-                "decode_stats_response: trace id half out of range");
-    trace.id = (id_hi << 32) | id_lo;
-    trace.op = decode_string(wire, pos, "trace op");
-    for (double& ms : trace.stage_ms) ms = checked_stat_value(wire, pos, "trace stage ms");
-    out.traces.push_back(std::move(trace));
+  out.traces.resize(in.count("trace section", kMaxStatsEntries));
+  for (auto& trace : out.traces) {
+    const std::uint64_t hi = in.count("trace id hi", kMaxTraceIdHalf);
+    trace.id = (hi << 32) | in.count("trace id lo", kMaxTraceIdHalf);
+    trace.op = in.text("trace op");
+    for (double& ms : trace.stage_ms) ms = in.finite("trace stage ms");
   }
-  SAP_REQUIRE(pos == wire.size(), "decode_stats_response: trailing garbage");
+  in.finish();
   return out;
 }
 

@@ -100,16 +100,9 @@ struct Message {
 
 // ---- payload (de)serialization helpers --------------------------------
 // Flat double-vector encodings; every encoder has a matching decoder that
-// validates shape and throws sap::Error on malformed input.
-
-/// Integer fields that may exceed the small-count range (nonces, counters,
-/// ids) ride the double wire exactly only below 2^53. These two checks are
-/// the one copy of that bound (sap_lint R3 keeps it in this codec).
-/// Encode side: throws sap::Error unless `v` is double-exact.
-void require_double_exact(std::uint64_t v, const char* what);
-/// Decode side: validate-and-cast a wire double that must hold a
-/// non-negative integer below 2^53; throws sap::Error naming `what`.
-[[nodiscard]] std::uint64_t checked_u64(double v, const char* what);
+// validates shape and throws sap::Error on malformed input. Both sides go
+// through the one wire cursor (common/wire.hpp), which decides how each
+// field rides a double and refuses on encode what every decoder rejects.
 
 /// [d, N, features column-major... , labels...]. The decoder rejects
 /// non-finite feature values.
@@ -270,8 +263,8 @@ void decode_stats_request(std::span<const double> wire);
 ///   n_hists, (name, count, sum, max, n_buckets, (index, count)...)...,
 ///   n_traces, (id, op, stage_ms x 5)...].
 /// Strings use the printable-ASCII-per-double convention; counts and ids
-/// must be exactly representable as doubles (< 2^53) — enforced on encode
-/// so the decoder's adversarial checks mirror a real peer.
+/// must be exactly representable as doubles — enforced on encode so the
+/// decoder's adversarial checks mirror a real peer.
 struct DecodedStats {
   obs::Snapshot snapshot;
   std::vector<obs::TraceRecord> traces;

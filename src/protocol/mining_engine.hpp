@@ -245,10 +245,6 @@ class MiningEngine {
 
   [[nodiscard]] MiningCacheStats cache_stats() const;
   [[nodiscard]] std::size_t threads() const noexcept { return pool_threads_.thread_count(); }
-  /// Batch-pool execution totals (exported by the stats door, DESIGN.md §12).
-  [[nodiscard]] ThreadPool::Stats pool_stats() const noexcept {
-    return pool_threads_.stats();
-  }
 
  private:
   /// Owned slot for a global shard id; throws for unowned ids.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/wire.hpp"
 #include "optimize/optimizer.hpp"
 #include "privacy/attacks.hpp"
 #include "protocol/risk.hpp"
@@ -106,11 +107,16 @@ void check_routing_notice(const RoutingNotice& notice, std::size_t k) {
 }
 
 std::vector<double> tagged_wire(std::uint64_t nonce, std::span<const double> body) {
-  std::vector<double> wire;
-  wire.reserve(1 + body.size());
-  wire.push_back(static_cast<double>(nonce));
-  wire.insert(wire.end(), body.begin(), body.end());
-  return wire;
+  wire::Writer w("tagged_wire", 1 + body.size());
+  w.u64(nonce, "nonce");
+  w.block(body);
+  return w.take();
+}
+
+Untagged untag(std::span<const double> payload) {
+  wire::Reader in(payload, "untag");
+  const std::uint64_t nonce = in.u64("nonce");
+  return {nonce, in.rest()};
 }
 
 void shuffle_entries(std::vector<std::vector<double>>& entries, rng::Engine& coord_eng) {

@@ -68,9 +68,19 @@ struct ExchangePlan {
 /// Throws sap::Error naming the notice.
 void check_routing_notice(const RoutingNotice& notice, std::size_t k);
 
-/// [nonce, body...] — the tagging shared by perturbed-data and adaptor wires.
+/// [nonce, body...] — the tagging shared by perturbed-data and adaptor wires
+/// (and, through encode_contribution, contributions).
 [[nodiscard]] std::vector<double> tagged_wire(std::uint64_t nonce,
                                               std::span<const double> body);
+
+/// A tagged wire split into its checked nonce and a view of its body (valid
+/// while `payload` is). Throws sap::Error on an empty payload or a nonce
+/// that is not an integer below the double-exact bound.
+struct Untagged {
+  std::uint64_t nonce = 0;
+  std::span<const double> body;
+};
+[[nodiscard]] Untagged untag(std::span<const double> payload);
 
 /// Phase 5 (coordinator): unbiased in-place shuffle of the adaptor sequence
 /// so wire order carries no source information. Exactly the session's loop.

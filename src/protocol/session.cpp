@@ -288,13 +288,11 @@ void SapSession::run_unify_and_account() {
   std::vector<std::pair<std::uint64_t, perturb::SpaceAdaptor>> adaptors;
   while (transport_.has_mail(miner_)) {
     const auto msg = transport_.receive(miner_);
-    const std::span<const double> payload(msg.payload);
-    SAP_REQUIRE(!payload.empty(), "SapSession: empty payload at miner");
-    const auto nonce = static_cast<std::uint64_t>(payload[0]);
+    const auto [nonce, body] = logic::untag(msg.payload);
     if (msg.kind == PayloadKind::kForwardedData) {
-      received.push_back({nonce, msg.from, decode_dataset(payload.subspan(1))});
+      received.push_back({nonce, msg.from, decode_dataset(body)});
     } else if (msg.kind == PayloadKind::kAdaptorSequence) {
-      adaptors.emplace_back(nonce, perturb::SpaceAdaptor::deserialize(payload.subspan(1)));
+      adaptors.emplace_back(nonce, perturb::SpaceAdaptor::deserialize(body));
     } else {
       SAP_FAIL("SapSession: unexpected message kind at miner");
     }

@@ -6,13 +6,19 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/wire.hpp"
 #include "net/frame.hpp"
 #include "perturb/geometric.hpp"
 #include "perturb/space_adaptor.hpp"
+#include "protocol/jobs.hpp"
 #include "protocol/message.hpp"
 #include "rng/rng.hpp"
 
@@ -156,17 +162,6 @@ TEST(Fuzz, SpaceAdaptorCodecNeverCrashes) {
                400, 19);
 }
 
-TEST(Fuzz, PerturbationCodecNeverCrashes) {
-  Engine eng(4);
-  const auto g = sap::perturb::GeometricPerturbation::random(6, 0.2, eng);
-  const auto wire = g.serialize();
-  fuzz_decoder(wire,
-               [](const std::vector<double>& w) {
-                 (void)sap::perturb::GeometricPerturbation::deserialize(w);
-               },
-               400, 23);
-}
-
 TEST(Fuzz, SpaceAdaptorSerializationRoundTrips) {
   // The adaptor codec is protocol wire format (kSpaceAdaptor /
   // kAdaptorSequence payloads): a faithful round-trip is a correctness
@@ -200,15 +195,6 @@ TEST(Fuzz, TruncatedAdaptorWireRejected) {
     EXPECT_THROW((void)sap::perturb::SpaceAdaptor::deserialize(extended), sap::Error)
         << "extra=" << extra;
   }
-}
-
-TEST(Fuzz, PerturbationSerializationRoundTrips) {
-  Engine eng(5);
-  const auto g = sap::perturb::GeometricPerturbation::random(7, 0.35, eng);
-  const auto back = sap::perturb::GeometricPerturbation::deserialize(g.serialize());
-  EXPECT_TRUE(back.rotation().approx_equal(g.rotation(), 0.0));
-  EXPECT_EQ(back.translation(), g.translation());
-  EXPECT_DOUBLE_EQ(back.noise_sigma(), g.noise_sigma());
 }
 
 TEST(Fuzz, CorruptedAdaptorRotationRejected) {
@@ -261,9 +247,6 @@ TEST(Fuzz, NonFiniteTargetTranslationRejected) {
     t.back() = bad;
     const auto ts = proto::decode_target_space(proto::encode_target_space(g_t.rotation(), t));
     EXPECT_THROW(sap::perturb::GeometricPerturbation(ts.r, ts.t, 0.0), sap::Error);
-    auto wire = g_t.serialize();
-    wire.back() = bad;  // [d, sigma, R row-major..., t...]
-    EXPECT_THROW((void)sap::perturb::GeometricPerturbation::deserialize(wire), sap::Error);
   }
 }
 
@@ -332,6 +315,39 @@ TEST(Fuzz, ReceiptCodecNeverCrashes) {
   const auto back = proto::decode_receipt(wire);
   EXPECT_EQ(back.pool_epoch, 5u);
   EXPECT_EQ(back.pool_records, 1234u);
+}
+
+TEST(Fuzz, EncodersRefuseWhatEveryDecoderRejects) {
+  // Each wire::Writer field enforces its Reader's bound, so an encoder
+  // cannot emit a payload every peer would refuse; the value just inside
+  // the bound still round-trips.
+  const Matrix one(1, 1, 0.5);
+  const auto count_max = static_cast<std::size_t>(sap::wire::kMaxCount);
+  EXPECT_THROW((void)proto::encode_receipt(count_max + 1, 0), sap::Error);
+  EXPECT_EQ(proto::decode_receipt(proto::encode_receipt(count_max, 0)).pool_epoch, count_max);
+  EXPECT_THROW((void)proto::encode_routing(0, 1000000000u), sap::Error);
+  EXPECT_THROW((void)proto::encode_dataset(one, std::vector<int>{2000000000}), sap::Error);
+  EXPECT_EQ(proto::decode_dataset(proto::encode_dataset(one, std::vector<int>{-1999999999}))
+                .labels.front(),
+            -1999999999);
+  const std::uint64_t nonce_max = sap::wire::kDoubleExactLimit - 1;
+  EXPECT_THROW((void)proto::encode_contribution(nonce_max + 1, one, std::vector<int>{0}),
+               sap::Error);
+  EXPECT_EQ(proto::decode_contribution(
+                proto::encode_contribution(nonce_max, one, std::vector<int>{0}))
+                .nonce,
+            nonce_max);
+  EXPECT_THROW((void)proto::encode_mining_request("", {}), sap::Error);
+  EXPECT_THROW((void)proto::encode_mining_request(std::string(129, 'j'), {}), sap::Error);
+  EXPECT_THROW((void)proto::encode_mining_request("job\n", {}), sap::Error);
+  EXPECT_THROW((void)proto::encode_mining_request("job", {{"k", std::nan("")}}), sap::Error);
+  std::map<std::string, double> params;
+  for (int i = 100; i < 165; ++i) params[std::to_string(i)] = 1.0;
+  EXPECT_THROW((void)proto::encode_mining_request("job", params), sap::Error);
+  params.erase("100");
+  EXPECT_EQ(proto::decode_mining_request(proto::encode_mining_request("job", params))
+                .params.size(),
+            64u);
 }
 
 // ---- cluster codecs: partial requests/responses and pool slices ----------
@@ -511,18 +527,184 @@ TEST(Fuzz, FrameRejectsWrongVersionAndOversizedLength) {
   EXPECT_THROW((void)small_cap.next(out), sap::Error);
 }
 
-TEST(Fuzz, DecoderAcceptsOnlyExactSizes) {
-  // Systematic size sweep: every prefix/extension of a valid payload except
-  // the exact size must throw.
-  Engine eng(8);
-  Matrix f = Matrix::generate(3, 4, [&] { return eng.normal(); });
+// ---- exact-merge partial blobs (protocol/jobs.cpp) -----------------------
+
+/// A valid partial blob of one built-in mergeable job over a small
+/// two-nonce shard, and that job's merge over the same query rows.
+struct BlobCase {
+  std::string job;
+  std::vector<double> blob;
+  std::function<void(std::span<const double>)> merge;
+};
+
+std::vector<BlobCase> blob_cases() {
+  static const proto::JobRegistry registry = proto::JobRegistry::builtins();
+  const auto rows = query_rows(71);
+  const std::vector<proto::PoolKey> keys{{3, 0}, {3, 1}, {9, 0}, {9, 1}, {9, 2}};
+  const auto queries = query_rows(73);
+  std::vector<BlobCase> cases;
+  for (const char* job :
+       {"record-count", "class-histogram", "nb-train-accuracy", "knn-train-accuracy"}) {
+    const proto::JobSpec& spec = registry.find(job);
+    const auto resolved = spec.resolve_params({});
+    cases.push_back({job, spec.partial(rows, keys, queries, resolved),
+                     [&spec, resolved, queries](std::span<const double> blob) {
+                       (void)spec.merge_partials({{blob.begin(), blob.end()}}, queries,
+                                                 resolved);
+                     }});
+  }
+  return cases;
+}
+
+TEST(Fuzz, PartialBlobMergesNeverCrash) {
+  std::uint64_t seed = 91;
+  for (const auto& c : blob_cases()) {
+    SCOPED_TRACE(c.job);
+    fuzz_decoder(c.blob, [&c](const std::vector<double>& w) { c.merge(w); }, 400, seed++);
+  }
+}
+
+TEST(Fuzz, PartialBlobMergesRefuseLabelsBeyondTheWireBound) {
+  // A blob label obeys the bound every row decoder applies (|v| < 2e9), so
+  // a merge never takes a label no decoded shard row could carry. 2^31 - 1
+  // still fits an int, which is all the merges used to ask.
+  const std::map<std::string, std::size_t> first_label = {
+      {"class-histogram", 1},     // [classes, label, ...]
+      {"nb-train-accuracy", 4},   // [dims, segments, nonce, classes, label, ...]
+      {"knn-train-accuracy", 6},  // [k, queries, candidates, dist, nonce, seq, label, ...]
+  };
+  for (const auto& c : blob_cases()) {
+    const auto at = first_label.find(c.job);
+    if (at == first_label.end()) continue;
+    SCOPED_TRACE(c.job);
+    EXPECT_NO_THROW(c.merge(c.blob));
+    auto wide = c.blob;
+    wide[at->second] = 2147483647.0;
+    EXPECT_THROW(c.merge(wide), sap::Error);
+  }
+}
+
+// ---- every double-wire reader --------------------------------------------
+
+TEST(Fuzz, CountsAtTheTopOfTheirRangeThrowBeforeAllocating) {
+  // A count field may hold up to 1e9 - 1 (an adaptor's dimension up to
+  // 999999): a decoder must find the payload too short for it before it
+  // sizes a matrix or a buffer by it, or a 16-value payload could ask for
+  // exabytes.
+  Engine eng(14);
+  const Matrix f = Matrix::generate(3, 4, [&] { return eng.normal(); });
   const std::vector<int> labels{0, 1, 0, 1};
-  const auto wire = proto::encode_dataset(f, labels);
-  for (std::size_t len = 0; len <= wire.size() + 3; ++len) {
-    if (len == wire.size()) continue;
-    std::vector<double> w(len);
-    for (std::size_t i = 0; i < len; ++i) w[i] = (i < wire.size()) ? wire[i] : 0.0;
-    EXPECT_THROW((void)proto::decode_dataset(w), sap::Error) << "len=" << len;
+  const auto g_i = sap::perturb::GeometricPerturbation::random(3, 0.1, eng);
+  const auto g_t = sap::perturb::GeometricPerturbation::random(3, 0.0, eng);
+  const auto rows = query_rows(15);
+  const std::vector<proto::PoolKey> keys{{3, 0}, {3, 1}, {9, 0}, {9, 1}, {9, 2}};
+  proto::WireMiningResponse response;
+  response.values = {0.5};
+  struct Case {
+    const char* name;
+    std::vector<double> wire;
+    std::size_t at;  ///< the count field
+    double count;
+    std::function<void(std::span<const double>)> decode;
+  };
+  const Case cases[] = {
+      {"dataset dims", proto::encode_dataset(f, labels), 0, 999999999.0,
+       [](auto w) { (void)proto::decode_dataset(w); }},
+      {"dataset records", proto::encode_dataset(f, labels), 1, 999999999.0,
+       [](auto w) { (void)proto::decode_dataset(w); }},
+      {"target space", proto::encode_target_space(g_t.rotation(), g_t.translation()), 0,
+       999999999.0, [](auto w) { (void)proto::decode_target_space(w); }},
+      {"space adaptor", sap::perturb::SpaceAdaptor::between(g_i, g_t).serialize(), 0, 999999.0,
+       [](auto w) { (void)sap::perturb::SpaceAdaptor::deserialize(w); }},
+      {"mining response", proto::encode_mining_response(response), 3, 999999999.0,
+       [](auto w) { (void)proto::decode_mining_response(w); }},
+      {"partial response", proto::encode_partial_response(1, std::vector<double>{2.0}), 1,
+       999999999.0, [](auto w) { (void)proto::decode_partial_response(w); }},
+      {"pool slice rows", proto::encode_pool_slice(6, rows, keys), 2, 999999999.0,
+       [](auto w) { (void)proto::decode_pool_slice(w); }},
+      {"partial request length",
+       proto::encode_partial_request(0, "knn-train-accuracy", {}, rows), 1, 999999999.0,
+       [](auto w) { (void)proto::decode_partial_request(w); }},
+  };
+  for (const auto& c : cases) {
+    auto wire = c.wire;
+    wire[c.at] = c.count;
+    EXPECT_THROW(c.decode(wire), sap::Error) << c.name;
+  }
+}
+
+TEST(Fuzz, DecoderAcceptsOnlyExactSizes) {
+  // Systematic size sweep over every payload decoder, the adaptor codec and
+  // the four partial-blob merges: every strict prefix of a valid payload,
+  // and every extension by 1-3 values, must throw.
+  struct Case {
+    std::string name;
+    std::vector<double> wire;
+    std::function<void(std::span<const double>)> decode;
+  };
+  Engine eng(8);
+  const Matrix f = Matrix::generate(3, 4, [&] { return eng.normal(); });
+  const std::vector<int> labels{0, 1, 0, 1};
+  const auto rows = query_rows(81);
+  const std::vector<proto::PoolKey> keys{{3, 0}, {3, 1}, {9, 0}, {9, 1}, {9, 2}};
+  const auto g_i = sap::perturb::GeometricPerturbation::random(3, 0.1, eng);
+  const auto g_t = sap::perturb::GeometricPerturbation::random(3, 0.0, eng);
+  const proto::JobParams params{{"k", 3.0}, {"eval-records", 16.0}};
+  proto::WireMiningResponse response;
+  response.pool_epoch = 4;
+  response.values = {0.5, 0.25};
+  sap::obs::Snapshot snapshot;
+  snapshot.counters = {{"serve.requests", 41}};
+  snapshot.gauges = {{"reactor.live", 7.5}};
+  snapshot.histograms = {{"engine.serve_ms", {3, 1.5, 0.75, {{4, 1}, {9, 2}}}}};
+  std::vector<sap::obs::TraceRecord> traces(1);
+  traces[0].id = 0xD00D000000000001ull;
+  traces[0].op = "mining-request";
+  traces[0].stage_ms = {0.1, 0.2, 3.5, 0.0, 0.05};
+
+  std::vector<Case> cases = {
+      {"dataset", proto::encode_dataset(f, labels),
+       [](auto w) { (void)proto::decode_dataset(w); }},
+      {"target space", proto::encode_target_space(g_t.rotation(), g_t.translation()),
+       [](auto w) { (void)proto::decode_target_space(w); }},
+      {"contribution", proto::encode_contribution(77, f, labels),
+       [](auto w) { (void)proto::decode_contribution(w); }},
+      {"routing", proto::encode_routing(1, 2), [](auto w) { (void)proto::decode_routing(w); }},
+      {"mining request", proto::encode_mining_request("knn-train-accuracy", params),
+       [](auto w) { (void)proto::decode_mining_request(w); }},
+      {"mining response", proto::encode_mining_response(response),
+       [](auto w) { (void)proto::decode_mining_response(w); }},
+      {"receipt", proto::encode_receipt(3, 120), [](auto w) { (void)proto::decode_receipt(w); }},
+      {"serve error", proto::encode_serve_error(proto::ServeErrorCode::kNotOwner, "shard 1"),
+       [](auto w) { (void)proto::decode_serve_error(w); }},
+      {"partial request", proto::encode_partial_request(1, "knn-train-accuracy", params, rows),
+       [](auto w) { (void)proto::decode_partial_request(w); }},
+      {"partial response", proto::encode_partial_response(5, std::vector<double>{1.0, 2.0}),
+       [](auto w) { (void)proto::decode_partial_response(w); }},
+      {"pool slice request", proto::encode_pool_slice_request(2, 64),
+       [](auto w) { (void)proto::decode_pool_slice_request(w); }},
+      {"shard snapshot request", proto::encode_shard_snapshot_request(3),
+       [](auto w) { (void)proto::decode_shard_snapshot_request(w); }},
+      {"pool slice", proto::encode_pool_slice(6, rows, keys),
+       [](auto w) { (void)proto::decode_pool_slice(w); }},
+      {"stats request", proto::encode_stats_request(),
+       [](auto w) { proto::decode_stats_request(w); }},
+      {"stats response", proto::encode_stats_response(snapshot, traces),
+       [](auto w) { (void)proto::decode_stats_response(w); }},
+      {"space adaptor", sap::perturb::SpaceAdaptor::between(g_i, g_t).serialize(),
+       [](auto w) { (void)sap::perturb::SpaceAdaptor::deserialize(w); }},
+  };
+  for (auto& c : blob_cases()) cases.push_back({c.job + " merge", c.blob, c.merge});
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_NO_THROW(c.decode(c.wire));
+    for (std::size_t len = 0; len <= c.wire.size() + 3; ++len) {
+      if (len == c.wire.size()) continue;
+      std::vector<double> w(len, 0.0);
+      std::copy_n(c.wire.begin(), std::min(len, c.wire.size()), w.begin());
+      EXPECT_THROW(c.decode(w), sap::Error) << "len=" << len;
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Fixture: R3 scope check — src/protocol/message.* holds the one copy of the
+// Fixture: R3 scope check — src/common/wire.* holds the one copy of the
 // double-exact wire bound. Lint input only.
 #include <cstdint>
 

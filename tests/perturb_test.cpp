@@ -324,11 +324,6 @@ TEST_P(SerializationSweep, PerturbationAndAdaptorRoundTripAcrossDims) {
   const auto d = static_cast<std::size_t>(GetParam());
   Engine eng(4000 + d);
   const auto g = GeometricPerturbation::random(d, 0.05 * static_cast<double>(d), eng);
-  const auto g_back = GeometricPerturbation::deserialize(g.serialize());
-  EXPECT_TRUE(g_back.rotation().approx_equal(g.rotation(), 0.0));
-  EXPECT_EQ(g_back.translation(), g.translation());
-  EXPECT_DOUBLE_EQ(g_back.noise_sigma(), g.noise_sigma());
-
   const auto g_t = GeometricPerturbation::random(d, 0.0, eng);
   const SpaceAdaptor a = SpaceAdaptor::between(g, g_t);
   const SpaceAdaptor a_back = SpaceAdaptor::deserialize(a.serialize());

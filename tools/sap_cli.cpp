@@ -64,7 +64,7 @@ const char* kUsage =
     "          [--no-cache] [--ingest-every N=0] [--ingest-records M=32]\n"
     "          [--optimize-threads K=0]\n"
     "  sap_cli serve --listen HOST:PORT --parties K [--seed S=1]\n"
-    "          [--threads K=0] [--no-cache] [--deadline-ms N=30000]\n"
+    "          [--no-cache] [--deadline-ms N=30000]\n"
     "          [--reactor-loops N=1]\n"
     "          [--shards N=1 --shard-index I] [--replicas R=1]\n"
     "          [--resync HOST:PORT,...] [--fault SPEC]\n"
@@ -508,7 +508,7 @@ bool validate_job_requests(const std::vector<proto::MiningRequest>& requests) {
 /// contributions + mining requests until every party disconnects.
 int cmd_serve_daemon(int argc, char** argv) {
   std::string listen_text;
-  std::uint64_t parties = 0, seed = 1, threads = 0, deadline_ms = 30000;
+  std::uint64_t parties = 0, seed = 1, deadline_ms = 30000;
   std::uint64_t reactor_loops = 1;
   std::uint64_t shards = 1, shard_index = 0, replicas = 1;
   bool have_shard_index = false;
@@ -545,9 +545,6 @@ int cmd_serve_daemon(int argc, char** argv) {
         return usage_error("--parties needs a count");
     } else if (arg == "--seed") {
       if (++i >= argc || !parse_u64(argv[i], seed)) return usage_error("bad seed");
-    } else if (arg == "--threads") {
-      if (++i >= argc || !parse_u64(argv[i], threads) || threads > 256)
-        return usage_error("--threads needs a count in [0, 256]");
     } else if (arg == "--deadline-ms") {
       if (++i >= argc || !parse_u64(argv[i], deadline_ms) || deadline_ms == 0 ||
           deadline_ms > 3600000)
@@ -572,7 +569,6 @@ int cmd_serve_daemon(int argc, char** argv) {
   }
   opts.parties = parties;
   opts.seed = seed;
-  opts.mining_threads = threads;
   opts.cache_models = cache;
   opts.exchange_timeout_ms = static_cast<int>(deadline_ms);
   opts.shards = shards;

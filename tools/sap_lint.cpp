@@ -19,9 +19,9 @@
 //                       src/net/socket.*) — everything else uses typed,
 //                       bounds-checked accessors. The double-exact wire
 //                       bound 2^53 (the literal 9007199254740992 or a shift
-//                       by 53) is written only in src/protocol/message.*;
-//                       everything else calls its checked_u64 /
-//                       require_double_exact.
+//                       by 53) is written only in src/common/wire.*, the
+//                       one wire cursor; everything else reads and writes
+//                       through its wire::Reader / wire::Writer.
 //   R4/raii-locking     no bare .lock()/.unlock() on a declared mutex (RAII
 //                       guards only), and no raw std::mutex /
 //                       std::condition_variable outside src/common/ — use
@@ -541,13 +541,12 @@ class Linter {
   }
 
   // R3 — byte reinterpretation stays inside the checked codec helpers, and
-  // the double-exact wire bound inside the message codec.
+  // the double-exact wire bound inside the wire cursor.
   void rule_codec(const ScannedFile& f, std::size_t line, const std::string& code) {
-    if (!path_has_prefix(f.path, "src/protocol/message.") &&
-        spells_double_exact_bound(code))
+    if (!path_has_prefix(f.path, "src/common/wire.") && spells_double_exact_bound(code))
       report(f, line, "R3",
-             "the double-exact bound 2^53 outside src/protocol/message.* — call "
-             "proto::checked_u64 / require_double_exact so the bound lives in one place");
+             "the double-exact bound 2^53 outside src/common/wire.* — read and write "
+             "through wire::Reader / wire::Writer so the bound lives in one place");
     if (path_has_prefix(f.path, "src/net/frame.") ||
         path_has_prefix(f.path, "src/net/socket."))
       return;
