@@ -128,7 +128,7 @@ inline int miner_main(int argc, char** argv) {
         party.finish();
         return;
       }
-      // Party 0 holds its exchange link open forever so the daemon keeps
+      // Party 0 holds its party link open forever so the daemon keeps
       // serving; the driver ends this process with SIGKILL.
       exchanged.set_value();
       for (;;) std::this_thread::sleep_for(std::chrono::hours(1));

@@ -349,15 +349,7 @@ obs::Snapshot ShardRouter::cluster_stats() {
   // This process's own fault injection (--fault / SAP_FAULT), same export
   // as MinerDaemon::stats_snapshot — counters merge by addition, so the
   // aggregate reads as cluster-wide injections.
-  if (fault::enabled()) {
-    const auto fs = fault::stats();
-    total.set_counter("fault.decisions", fs.decisions);
-    total.set_counter("fault.injected", fs.total_injected());
-    for (int k = 1; k < fault::kKindCount; ++k)
-      total.set_counter(std::string("fault.injected.") +
-                            fault::kind_name(static_cast<fault::Kind>(k)),
-                        fs.injected[static_cast<std::size_t>(k)]);
-  }
+  fault::export_stats(total);
   // Per-shard skew: hottest shard's request count over the mean (1.0 =
   // perfectly even). Derived at snapshot time from the per-shard counters.
   std::uint64_t peak = 0;

@@ -318,6 +318,16 @@ Stats stats() {
   return out;
 }
 
+void export_stats(obs::Snapshot& snap) {
+  if (!enabled()) return;
+  const Stats fs = stats();
+  snap.set_counter("fault.decisions", fs.decisions);
+  snap.set_counter("fault.injected", fs.total_injected());
+  for (int k = 1; k < kKindCount; ++k)
+    snap.set_counter(std::string("fault.injected.") + kind_name(static_cast<Kind>(k)),
+                     fs.injected[static_cast<std::size_t>(k)]);
+}
+
 std::vector<std::pair<std::uint64_t, Kind>> trace() {
   State& s = state();
   MutexLock lk(s.mutex);

@@ -37,6 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace sap::net::fault {
 
 enum class Kind : int {
@@ -132,6 +134,12 @@ struct Stats {
   [[nodiscard]] std::uint64_t total_injected() const noexcept;
 };
 [[nodiscard]] Stats stats();
+
+/// Chaos visibility for a stats door: while injection is enabled, add
+/// fault.decisions, fault.injected and one fault.injected.<kind> counter
+/// per kind to `snap`, so an operator reading surprising retry counters
+/// can tell deliberate chaos from a sick network. Adds nothing otherwise.
+void export_stats(obs::Snapshot& snap);
 
 /// Bounded trace of injected faults as (decision index, kind), oldest
 /// first, capacity-limited; single-threaded runs replaying the same ops

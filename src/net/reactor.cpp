@@ -28,6 +28,8 @@ constexpr std::size_t kWheelBuckets = 64;
 /// already amortizes the syscall without big stack iovec arrays).
 constexpr int kMaxIov = 64;
 constexpr std::size_t kReadChunk = 64u << 10;
+/// Accept cap: live connections beyond this are closed at accept.
+constexpr std::size_t kMaxConnections = 16'000;
 /// Frames parked for party ids nobody has claimed yet (parties that are
 /// still connecting). Bounded by COUNT per id and by total BYTES across all
 /// ids — parking is for setup races, not storage; beyond either cap frames
@@ -213,7 +215,7 @@ void Reactor::acceptor_main() {
         TcpSocket sock = listener_.accept(0);
         if (!sock.valid()) break;
         accepted_.fetch_add(1, std::memory_order_relaxed);
-        if (live_.load(std::memory_order_relaxed) >= opts_.max_connections) {
+        if (live_.load(std::memory_order_relaxed) >= kMaxConnections) {
           refused_.fetch_add(1, std::memory_order_relaxed);
           continue;  // dropped: the socket closes on scope exit
         }

@@ -1,8 +1,8 @@
 // A daemon's one door — an edge-triggered epoll reactor for sap::net.
 //
-// Every connection to a daemon lands here: the k parties' exchange links
-// and an open-ended population of serving clients ("millions of users",
-// ROADMAP) alike.
+// Every connection to a daemon lands here: the k party links (a party's
+// exchange, then its serving requests) and an open-ended population of
+// serving clients ("millions of users", ROADMAP) alike.
 //
 //   * ONE acceptor thread drains accept() until EAGAIN and deals fds
 //     round-robin to N sharded event loops.
@@ -66,7 +66,6 @@ struct ReactorOptions {
   /// no accepted outbound byte) for this long while nothing is in compute
   /// (a party link: while something is queued to it).
   int idle_timeout_ms = 60'000;
-  std::size_t max_connections = 16'000;  ///< accept cap (refused above)
   std::size_t compute_queue_cap = 4096;  ///< pending requests before shedding
   /// Optional metrics sink (non-owning; must outlive the reactor). When
   /// set, the reactor records latency histograms on its hot path:
@@ -116,7 +115,7 @@ class Reactor {
 
   struct Stats {
     std::size_t accepted = 0;      ///< connections accepted (incl. refused)
-    std::size_t refused = 0;       ///< dropped at the max_connections cap
+    std::size_t refused = 0;       ///< dropped at the accept cap
     std::size_t live = 0;          ///< currently-open connections
     std::size_t evicted_idle = 0;  ///< timer-wheel evictions (slow loris)
     std::size_t requests = 0;      ///< kData frames handed to compute

@@ -391,18 +391,7 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
                      static_cast<double>(rs.loop_conns[i]));
     snap.set_counter("reactor.compute.tasks", reactor_->compute_stats().tasks);
   }
-  if (fault::enabled()) {
-    // Chaos visibility: when this process injects socket faults, the stats
-    // door says so — an operator reading surprising retry counters can tell
-    // deliberate chaos from a genuinely sick network.
-    const auto fs = fault::stats();
-    snap.set_counter("fault.decisions", fs.decisions);
-    snap.set_counter("fault.injected", fs.total_injected());
-    for (int k = 1; k < fault::kKindCount; ++k)
-      snap.set_counter(std::string("fault.injected.") +
-                           fault::kind_name(static_cast<fault::Kind>(k)),
-                       fs.injected[static_cast<std::size_t>(k)]);
-  }
+  fault::export_stats(snap);
   snap.normalize();
   return snap;
 }
@@ -568,7 +557,7 @@ MinerDaemon::Summary MinerDaemon::run() {
   // adaptors_/dims_/engine_ pool are frozen now — the door's compute lanes
   // may start dispatching the moment this store is visible.
   serving_.store(true, std::memory_order_release);
-  // Tell every party that serving has started, over its exchange link. A
+  // Tell every party that serving has started, over its party link. A
   // party that already left is dropped at the door.
   for (std::size_t i = 0; i < k; ++i) {
     Frame notice;
@@ -614,6 +603,9 @@ MinerDaemon::Summary MinerDaemon::run() {
   return summary;
 }
 
+/// Deadline per resync peer probe (connect + snapshot fetch).
+constexpr int kResyncTimeoutMs = 5'000;
+
 void MinerDaemon::resync_owned_shards() {
   for (const auto g : engine_.owned_shards()) {
     const std::uint64_t local_epoch = engine_.shard_epoch(g);
@@ -621,7 +613,7 @@ void MinerDaemon::resync_owned_shards() {
     for (const auto& peer : opts_.resync_peers) {
       try {
         ServeClient::Options copts;
-        copts.timeout_ms = opts_.resync_timeout_ms;
+        copts.timeout_ms = kResyncTimeoutMs;
         ServeClient client(peer, opts_.seed, opts_.parties, copts);
         auto snap = client.shard_snapshot(g);
         client.bye();
@@ -659,11 +651,12 @@ void MinerDaemon::resync_owned_shards() {
 constexpr std::uint64_t kRetrySeed = 0x5AFE;
 
 ServeClient::ServeClient(const SocketAddr& addr, std::uint64_t seed, std::size_t parties,
-                         Options opts)
+                         Options opts, std::uint32_t claim)
     : sock_(TcpSocket::connect(addr, opts.timeout_ms)),
+      chunk_(16u << 10),
       opts_(opts),
       addr_(addr),
-      parties_(parties),
+      claim_(claim),
       retry_eng_(kRetrySeed) {
   SAP_REQUIRE(parties >= 3, "ServeClient: need at least 3 parties");
   secret_ = proto::logic::derive_session_seeds(seed, parties).session_secret;
@@ -674,88 +667,143 @@ ServeClient::ServeClient(const SocketAddr& addr, std::uint64_t seed, std::size_t
 void ServeClient::handshake() {
   Frame hello;
   hello.type = FrameType::kHello;
-  hello.body = u32_body(kClaimAnyParty);
-  std::vector<std::uint8_t> bytes;
-  encode_frame(hello, bytes);
-  sock_.write_all(bytes.data(), bytes.size(), opts_.timeout_ms);
+  hello.body = u32_body(claim_);
+  write_frame(hello);
 
-  const Frame welcome = read_frame();
+  Frame welcome;
+  SAP_REQUIRE(read_frame(welcome, deadline_after_ms(opts_.timeout_ms)),
+              "ServeClient: timed out waiting for the Welcome");
   if (welcome.type == FrameType::kError)
     SAP_FAIL("ServeClient: endpoint refused the claim: " + body_text(welcome.body));
   SAP_REQUIRE(welcome.type == FrameType::kWelcome,
               "ServeClient: expected kWelcome during the handshake");
   id_ = body_u32(welcome.body);
+  SAP_REQUIRE(claim_ == kClaimAnyParty || id_ == claim_,
+              "ServeClient: the door granted an unexpected id");
   last_io_ = std::chrono::steady_clock::now();
 }
 
 void ServeClient::reconnect() {
+  drop();
   sock_ = TcpSocket::connect(addr_, opts_.timeout_ms);
-  reader_.reset();
   said_bye_ = false;
   handshake();
 }
 
-Frame ServeClient::read_frame() {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opts_.timeout_ms);
+void ServeClient::drop() noexcept {
+  sock_.close();
+  reader_.reset();
+}
+
+Frame ServeClient::data_frame(proto::PartyId to, proto::PayloadKind kind,
+                              std::span<const double> payload) const {
   Frame frame;
-  std::vector<std::uint8_t> chunk(16u << 10);
-  while (!reader_.next(frame)) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    SAP_REQUIRE(remaining.count() > 0, "ServeClient: timed out waiting for a reply");
-    bool closed = false;
-    const std::size_t got =
-        sock_.read_some(chunk.data(), chunk.size(), static_cast<int>(remaining.count()),
-                        closed);
-    SAP_REQUIRE(!closed || got > 0, "ServeClient: endpoint closed the connection");
-    if (got > 0) reader_.feed(chunk.data(), got);
-  }
+  frame.type = FrameType::kData;
+  frame.payload_kind = static_cast<std::uint8_t>(kind);
+  frame.from = id_;
+  frame.to = to;
+  frame.body = envelope_body(
+      proto::EncryptedEnvelope(payload, proto::detail::derive_link_key(secret_, id_, to)));
+  SAP_REQUIRE(frame.body.size() <= kDefaultMaxBody,
+              "ServeClient: payload exceeds the frame size cap");
   return frame;
+}
+
+void ServeClient::write_frame(const Frame& frame) {
+  std::vector<std::uint8_t> bytes;
+  encode_frame(frame, bytes);
+  sock_.write_all(bytes.data(), bytes.size(), opts_.timeout_ms);
+}
+
+bool ServeClient::read_frame(Frame& frame, std::chrono::steady_clock::time_point deadline) {
+  while (!reader_.next(frame)) {
+    // Rounded up, so a wait never ends before its deadline.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    bool closed = false;
+    const std::size_t got = sock_.read_some(
+        chunk_.data(), chunk_.size(), static_cast<int>(std::max<decltype(left)>(left, 0)),
+        closed);
+    SAP_REQUIRE(!closed || got > 0, "ServeClient: endpoint closed the connection");
+    if (got > 0)
+      reader_.feed(chunk_.data(), got);
+    else if (left <= 0)
+      return false;
+  }
+  return true;
+}
+
+void ServeClient::send(proto::PartyId to, proto::PayloadKind kind,
+                       std::span<const double> payload) {
+  SAP_REQUIRE(to != id_, "ServeClient::send: self-send is not a protocol step");
+  write_frame(data_frame(to, kind, payload));
+}
+
+bool ServeClient::receive(Delivery& out, int timeout_ms) {
+  const auto deadline = deadline_after_ms(timeout_ms);
+  Frame frame;
+  do {
+    if (!read_frame(frame, deadline)) return false;
+    if (frame.type == FrameType::kError)
+      SAP_FAIL("ServeClient::receive: door error: " + body_text(frame.body));
+  } while (frame.type != FrameType::kData);  // skip stray control traffic
+  out = {frame.from, static_cast<proto::PayloadKind>(frame.payload_kind),
+         body_envelope(frame.body)
+             .open(proto::detail::derive_link_key(secret_, frame.from, id_))};
+  return true;
 }
 
 std::vector<double> ServeClient::transact(proto::PayloadKind kind,
                                           std::span<const double> payload,
                                           proto::PayloadKind expect_kind) {
-  // Busy clients skip the probe; door idle timeouts are far longer.
+  // Busy clients skip the idle probe; door idle timeouts are far longer.
   if (sock_.valid() &&
       std::chrono::steady_clock::now() - last_io_ > std::chrono::milliseconds(100)) {
     bool closed = false;
     std::uint8_t byte = 0;
     if (sock_.read_some(&byte, 1, /*timeout_ms=*/0, closed) > 0) reader_.feed(&byte, 1);
-    if (closed) reconnect();
+    if (closed) drop();
   }
-  Frame req;
-  req.type = FrameType::kData;
-  req.payload_kind = static_cast<std::uint8_t>(kind);
-  req.from = id_;
-  req.to = miner_;
-  req.trace = trace_;
-  req.body = envelope_body(proto::EncryptedEnvelope(
-      payload, proto::detail::derive_link_key(secret_, id_, miner_)));
-  std::vector<std::uint8_t> bytes;
-  encode_frame(req, bytes);
-  sock_.write_all(bytes.data(), bytes.size(), opts_.timeout_ms);
-
-  for (;;) {
-    const Frame resp = read_frame();
-    if (resp.type == FrameType::kError)
-      SAP_FAIL("ServeClient: request refused: " + body_text(resp.body));
-    if (resp.type != FrameType::kData) continue;  // stray control traffic
-    last_trace_ = resp.trace;
-    const bool typed_error =
-        resp.payload_kind == static_cast<std::uint8_t>(proto::PayloadKind::kServeError);
-    SAP_REQUIRE(typed_error || resp.payload_kind == static_cast<std::uint8_t>(expect_kind),
-                "ServeClient: unexpected reply payload kind");
-    auto plain = body_envelope(resp.body)
-                     .open(proto::detail::derive_link_key(secret_, miner_, id_));
-    last_io_ = std::chrono::steady_clock::now();
-    if (typed_error) {
-      const auto err = proto::decode_serve_error(plain);
-      throw ServeError(err.code, err.message);
+  Frame resp;
+  std::vector<double> plain;
+  try {
+    if (!sock_.valid()) reconnect();
+    Frame req = data_frame(miner_, kind, payload);
+    req.trace = trace_;
+    write_frame(req);
+    const auto deadline = deadline_after_ms(opts_.timeout_ms);
+    // Only a kError or a kData frame from the door's own id answers this
+    // request: anything else is control traffic or a frame a peer routed
+    // to this party link.
+    do {
+      SAP_REQUIRE(read_frame(resp, deadline), "ServeClient: timed out waiting for a reply");
+    } while (resp.type != FrameType::kError &&
+             (resp.type != FrameType::kData || resp.from != miner_));
+    if (resp.type == FrameType::kData) {
+      SAP_REQUIRE(resp.payload_kind == static_cast<std::uint8_t>(expect_kind) ||
+                      resp.payload_kind ==
+                          static_cast<std::uint8_t>(proto::PayloadKind::kServeError),
+                  "ServeClient: unexpected reply payload kind");
+      plain = body_envelope(resp.body)
+                  .open(proto::detail::derive_link_key(secret_, miner_, id_));
     }
-    return plain;
+  } catch (const Error&) {
+    // A reply may still be in flight, and it would answer the next
+    // request; a failed re-claim leaves an unclaimed socket. Drop the
+    // connection so the next request starts clean.
+    drop();
+    throw;
   }
+  last_io_ = std::chrono::steady_clock::now();
+  if (resp.type == FrameType::kError)
+    SAP_FAIL("ServeClient: request refused: " + body_text(resp.body));
+  last_trace_ = resp.trace;
+  if (resp.payload_kind == static_cast<std::uint8_t>(proto::PayloadKind::kServeError)) {
+    const auto err = proto::decode_serve_error(plain);
+    throw ServeError(err.code, err.message);
+  }
+  return plain;
 }
 
 std::vector<double> ServeClient::transact_idempotent(proto::PayloadKind kind,
@@ -765,11 +813,10 @@ std::vector<double> ServeClient::transact_idempotent(proto::PayloadKind kind,
                         std::chrono::milliseconds(opts_.retry_deadline_ms);
   for (int attempt = 0;; ++attempt) {
     try {
-      if (attempt > 0 && !sock_.valid()) reconnect();
       return transact(kind, payload, expect_kind);
     } catch (const ServeError&) {
       throw;  // the daemon answered — typed refusals are never transport noise
-    } catch (const Error& e) {
+    } catch (const Error&) {
       // Transport failure (reset, timeout, corrupt frame, dropped write):
       // state on the wire is unknown but the request is idempotent, so a
       // fresh connection + resend is safe. Budget- AND deadline-bounded.
@@ -787,8 +834,7 @@ std::vector<double> ServeClient::transact_idempotent(proto::PayloadKind kind,
       // The old socket may be half-dead in any number of ways — drop it so
       // the next attempt rebuilds from scratch (reconnect failures route
       // through this same catch and back off further).
-      sock_.close();
-      (void)e;
+      drop();
     }
   }
 }
@@ -851,10 +897,8 @@ void ServeClient::bye() {
   frame.type = FrameType::kBye;
   frame.from = id_;
   frame.to = miner_;
-  std::vector<std::uint8_t> bytes;
-  encode_frame(frame, bytes);
   try {
-    sock_.write_all(bytes.data(), bytes.size(), opts_.timeout_ms);
+    write_frame(frame);
   } catch (const Error&) {
     // Peer already gone — goodbye is best-effort by definition.
   }
@@ -876,13 +920,14 @@ PartyClient::PartyClient(data::Dataset shard, PartyClientOptions opts)
   auto seeds = proto::logic::derive_session_seeds(opts_.sap.seed, k_);
   eng_ = seeds.provider_eng[opts_.index];
   coord_eng_ = seeds.coordinator_eng;
-  transport_ = TcpTransport::connect(opts_.connect, seeds.session_secret, opts_.tcp);
-  id_ = transport_->claim_party(static_cast<std::uint32_t>(opts_.index));
-  SAP_REQUIRE(id_ == opts_.index, "PartyClient: the door assigned an unexpected party id");
+  ServeClient::Options link_opts;
+  link_opts.timeout_ms = opts_.timeout_ms;
+  link_.emplace(opts_.connect, opts_.sap.seed, k_, link_opts,
+                static_cast<std::uint32_t>(opts_.index));
+  id_ = link_->id();
 }
 
-TcpTransport::Delivery PartyClient::expect(
-    std::initializer_list<proto::PayloadKind> kinds) {
+ServeClient::Delivery PartyClient::expect(std::initializer_list<proto::PayloadKind> kinds) {
   const auto wanted = [&](proto::PayloadKind kind) {
     return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
   };
@@ -894,7 +939,10 @@ TcpTransport::Delivery PartyClient::expect(
     }
   }
   for (;;) {
-    auto msg = transport_->receive(id_);
+    ServeClient::Delivery msg;
+    SAP_REQUIRE(link_->receive(msg, opts_.timeout_ms),
+                "PartyClient: timed out waiting for mail (deadline " +
+                    std::to_string(opts_.timeout_ms) + " ms) — peer gone or message lost");
     if (wanted(msg.kind)) return msg;
     // Out-of-phase but legitimate traffic (no cross-process barriers): park
     // it for the phase that wants it.
@@ -917,15 +965,14 @@ proto::PartyReport PartyClient::run_exchange() {
     const auto target_wire =
         proto::encode_target_space(target_.rotation(), target_.translation());
     for (std::size_t j = 0; j + 1 < k_; ++j)
-      transport_->send(id_, static_cast<proto::PartyId>(j), proto::PayloadKind::kTargetSpace,
-                       target_wire);
+      link_->send(static_cast<proto::PartyId>(j), proto::PayloadKind::kTargetSpace,
+                  target_wire);
     const auto plan = proto::logic::make_exchange_plan(k_, coord_eng_);
     for (std::size_t j = 0; j + 1 < k_; ++j)
-      transport_->send(id_, static_cast<proto::PartyId>(j),
-                       proto::PayloadKind::kRoutingNotice,
-                       proto::encode_routing(
-                           static_cast<proto::PartyId>(plan.receiver_of_source[j]),
-                           plan.inbound[j]));
+      link_->send(static_cast<proto::PartyId>(j), proto::PayloadKind::kRoutingNotice,
+                  proto::encode_routing(
+                      static_cast<proto::PartyId>(plan.receiver_of_source[j]),
+                      plan.inbound[j]));
     send_to = static_cast<proto::PartyId>(plan.receiver_of_source[k_ - 1]);
     inbound = plan.inbound[k_ - 1];  // 0 by construction (coordinator redirect)
   } else {
@@ -953,20 +1000,18 @@ proto::PartyReport PartyClient::run_exchange() {
   const auto data_wire =
       proto::logic::tagged_wire(local_.nonce, proto::encode_dataset(y, shard_.labels()));
   const bool self_held = send_to == id_;
-  if (!self_held)
-    transport_->send(id_, send_to, proto::PayloadKind::kPerturbedData, data_wire);
-  if (self_held)
-    transport_->send(id_, miner_, proto::PayloadKind::kForwardedData, data_wire);
+  if (!self_held) link_->send(send_to, proto::PayloadKind::kPerturbedData, data_wire);
+  if (self_held) link_->send(miner_, proto::PayloadKind::kForwardedData, data_wire);
   for (std::uint32_t n = 0; n < inbound; ++n) {
     const auto msg = expect({proto::PayloadKind::kPerturbedData});
-    transport_->send(id_, miner_, proto::PayloadKind::kForwardedData, msg.payload);
+    link_->send(miner_, proto::PayloadKind::kForwardedData, msg.payload);
   }
 
   // ---- AdaptorAlignment -------------------------------------------------
   adaptor_ = perturb::SpaceAdaptor::between(local_.g, target_);
   if (id_ != coordinator_) {
-    transport_->send(id_, coordinator_, proto::PayloadKind::kSpaceAdaptor,
-                     proto::logic::tagged_wire(local_.nonce, adaptor_.serialize()));
+    link_->send(coordinator_, proto::PayloadKind::kSpaceAdaptor,
+                proto::logic::tagged_wire(local_.nonce, adaptor_.serialize()));
   } else {
     std::vector<std::vector<double>> entries;
     for (std::size_t j = 0; j + 1 < k_; ++j)
@@ -974,7 +1019,7 @@ proto::PartyReport PartyClient::run_exchange() {
     entries.push_back(proto::logic::tagged_wire(local_.nonce, adaptor_.serialize()));
     proto::logic::shuffle_entries(entries, coord_eng_);
     for (const auto& e : entries)
-      transport_->send(id_, miner_, proto::PayloadKind::kAdaptorSequence, e);
+      link_->send(miner_, proto::PayloadKind::kAdaptorSequence, e);
   }
 
   // ---- accounting (party-side knowledge only) ---------------------------
@@ -984,14 +1029,10 @@ proto::PartyReport PartyClient::run_exchange() {
   return report;
 }
 
-ServeClient& PartyClient::door() {
-  if (!door_) {
-    (void)expect({proto::PayloadKind::kServingStarted});
-    ServeClient::Options copts;
-    copts.timeout_ms = opts_.tcp.receive_timeout_ms;
-    door_ = std::make_unique<ServeClient>(opts_.connect, opts_.sap.seed, k_, copts);
-  }
-  return *door_;
+void PartyClient::await_serving() {
+  if (serving_) return;
+  (void)expect({proto::PayloadKind::kServingStarted});
+  serving_ = true;
 }
 
 proto::SapSession::ContributionReceipt PartyClient::contribute(const data::Dataset& batch) {
@@ -999,20 +1040,19 @@ proto::SapSession::ContributionReceipt PartyClient::contribute(const data::Datas
   SAP_REQUIRE(batch.size() >= 1, "PartyClient::contribute: empty batch");
   SAP_REQUIRE(batch.dims() == dims_, "PartyClient::contribute: dimension mismatch");
   const linalg::Matrix y = local_.g.apply(batch.features_T(), eng_);
+  await_serving();
   const auto receipt =
-      door().contribute_wire(proto::encode_contribution(local_.nonce, y, batch.labels()));
+      link_->contribute_wire(proto::encode_contribution(local_.nonce, y, batch.labels()));
   return {receipt.pool_epoch, receipt.pool_records};
 }
 
 proto::WireMiningResponse PartyClient::mine_named(const std::string& job,
                                                   const proto::JobParams& params) {
   SAP_REQUIRE(exchange_done_, "PartyClient::mine_named: run the exchange first");
-  return door().mine_named(job, params);
+  await_serving();
+  return link_->mine_named(job, params);
 }
 
-void PartyClient::finish() {
-  if (door_) door_->bye();
-  if (transport_) transport_->send_bye();
-}
+void PartyClient::finish() { link_->bye(); }
 
 }  // namespace sap::net

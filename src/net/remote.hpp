@@ -31,9 +31,10 @@
 //     containment — a RouterDaemon runs the same one). It refuses serving
 //     traffic until the exchange installed the pool.
 // Once the pool is installed the daemon sends each party a serving-started
-// notice over its exchange link; PartyClient then contributes and mines
-// through a ServeClient dialed to the same address. The daemon exits when
-// every party link has closed.
+// notice over its party link. A party holds one connection for its whole
+// life: the ServeClient that claimed its index carries its exchange
+// messages, then its contributions and mining requests. The daemon exits
+// when every party link has closed.
 #pragma once
 
 #include <atomic>
@@ -41,12 +42,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/mutex.hpp"
 #include "net/reactor.hpp"
-#include "net/tcp_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocol/mining_engine.hpp"
@@ -166,8 +167,6 @@ struct MinerDaemonOptions {
   /// down, don't own the shard, or are behind are skipped; with no usable
   /// peer the miner keeps its exchange-derived state (cold start).
   std::vector<SocketAddr> resync_peers;
-  /// Deadline per resync peer probe (connect + snapshot fetch).
-  int resync_timeout_ms = 5'000;
 };
 
 class MinerDaemon {
@@ -290,14 +289,18 @@ class MinerDaemon {
 
 // ---- serving client ------------------------------------------------------
 
-/// Minimal synchronous client for the SERVING traffic only (contributions +
-/// mining requests) — no exchange duties, no io thread, one socket and an
-/// incremental FrameReader. Talks to a miner's door or a router's front
-/// door.
+/// The one client of a door: synchronous, one socket and an incremental
+/// FrameReader, no io thread. A plain client claims an auto-assigned id
+/// and sends serving requests to a miner's door or a router's front door.
+/// A party claims its index and, over the same connection, also sends and
+/// receives the exchange's one-way messages (PartyClient).
 class ServeClient {
  public:
+  /// A decrypted message as seen by its addressee.
+  using Delivery = proto::Transport::Delivery;
+
   struct Options {
-    int timeout_ms = 10'000;  ///< connect/handshake/response deadline
+    int timeout_ms = 10'000;  ///< connect, handshake, write-stall and reply deadline
     /// Transport-level retry budget for IDEMPOTENT requests (mine_named,
     /// mine_partial, pool_slice, stats, shard_snapshot): up to this many
     /// reconnect-and-resend attempts after the first try. 0 (default)
@@ -317,16 +320,26 @@ class ServeClient {
     int retry_deadline_ms = 20'000;
   };
 
-  /// Connect to a serving endpoint and claim an auto-assigned id. `seed`
-  /// and `parties` must match the daemon (they derive the session secret
-  /// and the miner id, standing in for out-of-band keys like every other
-  /// client in this tree).
+  /// Connect to a door and claim `claim`: kClaimAnyParty asks for an
+  /// auto-assigned client id, a party passes its index and the Welcome
+  /// must grant exactly that id. `seed` and `parties` must match the
+  /// daemon (they derive the session secret and the miner id, standing in
+  /// for out-of-band keys like every other client in this tree).
   ServeClient(const SocketAddr& addr, std::uint64_t seed, std::size_t parties,
-              Options opts);
+              Options opts, std::uint32_t claim = kClaimAnyParty);
   ServeClient(const SocketAddr& addr, std::uint64_t seed, std::size_t parties)
       : ServeClient(addr, seed, parties, Options{}) {}
 
   [[nodiscard]] proto::PartyId id() const noexcept { return id_; }
+
+  /// One-way message: seal `payload` under the (id -> to) link key and
+  /// write one kData frame; waits for no reply.
+  void send(proto::PartyId to, proto::PayloadKind kind, std::span<const double> payload);
+
+  /// The next kData frame, opened under the (from -> id) key. False when
+  /// none arrives within `timeout_ms` (0 = only what has already arrived);
+  /// throws sap::Error on a kError frame or a closed connection.
+  bool receive(Delivery& out, int timeout_ms);
 
   /// Serve a named job on the miner's pool. A daemon-side refusal raises
   /// ServeError (typed: bad request vs not-owner vs unavailable).
@@ -374,11 +387,13 @@ class ServeClient {
   void bye();
 
  private:
-  /// Send `payload` as `kind`, await a kData reply of `expect_kind`
-  /// (kError frames raise sap::Error with the daemon's message). A
-  /// connection idle for a while is first checked for a close by the
-  /// serving door (idle eviction) and redialed: nothing of the request is
-  /// on the wire yet, so this is safe even for a contribution.
+  /// Send `payload` as `kind`, await the door's kData reply of
+  /// `expect_kind` (kError frames raise sap::Error with the daemon's
+  /// message). A timeout, a lost connection or an unexpected reply drops
+  /// the connection. A dropped one, or one the door closed while it sat
+  /// idle, is redialed before the request is written: nothing of it is on
+  /// the wire yet, so this is safe even for a contribution. A party's
+  /// redial fails, because the door keeps its claim.
   std::vector<double> transact(proto::PayloadKind kind, std::span<const double> payload,
                                proto::PayloadKind expect_kind);
   /// transact() with the Options retry budget applied — idempotent request
@@ -389,17 +404,26 @@ class ServeClient {
   std::vector<double> transact_idempotent(proto::PayloadKind kind,
                                           std::span<const double> payload,
                                           proto::PayloadKind expect_kind);
-  /// Fresh socket + handshake to the remembered endpoint.
+  /// Fresh socket + handshake to the remembered endpoint (same claim).
   void reconnect();
   /// kHello/kWelcome claim over the current socket.
   void handshake();
-  Frame read_frame();
+  /// Close the socket and forget any half-received frame.
+  void drop() noexcept;
+  /// A kData frame carrying `payload` sealed under the (id -> to) key.
+  [[nodiscard]] Frame data_frame(proto::PartyId to, proto::PayloadKind kind,
+                                 std::span<const double> payload) const;
+  void write_frame(const Frame& frame);
+  /// The next frame, or false once `deadline` has passed with none
+  /// complete. Throws sap::Error when the connection closes.
+  bool read_frame(Frame& frame, std::chrono::steady_clock::time_point deadline);
 
   TcpSocket sock_;
   FrameReader reader_;
+  std::vector<std::uint8_t> chunk_;  ///< read_frame's socket buffer
   Options opts_;
   SocketAddr addr_;         ///< remembered for reconnect-on-retry
-  std::size_t parties_ = 0;
+  std::uint32_t claim_ = kClaimAnyParty;  ///< re-sent on every reconnect
   std::uint64_t secret_ = 0;
   proto::PartyId id_ = 0;
   proto::PartyId miner_ = 0;
@@ -421,9 +445,14 @@ struct PartyClientOptions {
   /// Protocol options; seed/noise/optimizer settings must match every other
   /// party for the run to be the same logical session.
   proto::SapOptions sap{};
-  TcpOptions tcp{};
+  /// Bounds every wait the party makes: connect + claim, each exchange
+  /// wait, each write stall and each request.
+  int timeout_ms = 30'000;
 };
 
+/// One party process over one door connection, its ServeClient link.
+/// Single-threaded: frames peers route to the party during LocalOptimize
+/// wait in its socket buffers (DESIGN.md §7).
 class PartyClient {
  public:
   /// Connects and claims the party id; `shard` is this provider's private
@@ -441,15 +470,15 @@ class PartyClient {
   /// rejects or the deadline expires.
   proto::SapSession::ContributionReceipt contribute(const data::Dataset& batch);
 
-  /// Serve a named job remotely on the miner's pool, through the serving
-  /// door. A daemon-side refusal (unknown job / bad params / unavailable
-  /// shard) raises ServeError with the typed code.
+  /// Serve a named job remotely on the miner's pool, over the party link.
+  /// A daemon-side refusal (unknown job / bad params / unavailable shard)
+  /// raises ServeError with the typed code.
   proto::WireMiningResponse mine_named(const std::string& job,
                                        const proto::JobParams& params = {});
 
-  /// Polite goodbye on both connections (the daemon exits once every party
-  /// link has closed). Safe to call multiple times; the destructor also
-  /// sends it.
+  /// Polite goodbye (the daemon exits once every party link has closed).
+  /// Safe to call multiple times; destroying the client closes the link,
+  /// which the door counts the same way.
   void finish();
 
   /// This party's protocol nonce (valid after run_exchange()).
@@ -459,14 +488,11 @@ class PartyClient {
   /// Next delivery of one of `kinds`, stashing out-of-phase messages (a
   /// fast peer's data can arrive before the coordinator's setup lines —
   /// there are no global phase barriers across processes).
-  TcpTransport::Delivery expect(std::initializer_list<proto::PayloadKind> kinds);
+  ServeClient::Delivery expect(std::initializer_list<proto::PayloadKind> kinds);
 
-  /// The serving client, opened on first use: waits for the daemon's
-  /// serving-started notice, then dials opts_.connect again with the
-  /// deadlines of opts_.tcp. A second connection, not the exchange link:
-  /// ServeClient gives serving per-request errors and redials after idle
-  /// eviction, whereas the exchange link treats any kError as fatal.
-  ServeClient& door();
+  /// Wait once for the daemon's serving-started notice: serving requests
+  /// before it would be refused.
+  void await_serving();
 
   PartyClientOptions opts_;
   data::Dataset shard_;
@@ -476,15 +502,15 @@ class PartyClient {
   proto::PartyId id_ = 0;
   proto::PartyId coordinator_ = 0;
   proto::PartyId miner_ = 0;
-  std::unique_ptr<TcpTransport> transport_;
+  std::optional<ServeClient> link_;
   rng::Engine eng_{0};
   rng::Engine coord_eng_{0};
   proto::logic::LocalPerturbation local_;
   perturb::GeometricPerturbation target_;
   perturb::SpaceAdaptor adaptor_;
-  std::deque<TcpTransport::Delivery> stash_;
-  std::unique_ptr<ServeClient> door_;
+  std::deque<ServeClient::Delivery> stash_;
   bool exchange_done_ = false;
+  bool serving_ = false;
 };
 
 }  // namespace sap::net

@@ -50,7 +50,7 @@ enum class PayloadKind : std::uint8_t {
   // -- self-healing (PR 10): the shard-snapshot resync door -----------------
   kShardSnapshotRequest = 19,   ///< rejoining miner -> live owner: one shard, please
   kShardSnapshotResponse = 20,  ///< owner -> rejoiner: rows in ARRIVAL order + epoch
-  kServingStarted = 21,  ///< miner -> party over its exchange link: serving started
+  kServingStarted = 21,  ///< miner -> party over its party link: serving started
 };
 
 /// Printable name for traces and tests.

@@ -16,7 +16,7 @@
 // only open envelopes addressed to it, and the trace records (from, to,
 // kind, bytes) so tests and benches can audit exactly what each role
 // observed and what the protocol costs. The concurrent deployment over real
-// sockets is net/tcp_transport.hpp (DESIGN.md §7).
+// sockets is net/remote.hpp (DESIGN.md §7).
 #pragma once
 
 #include <deque>

@@ -71,4 +71,3 @@
 #include "net/frame.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
-#include "net/tcp_transport.hpp"

@@ -698,6 +698,8 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
   // 3 forwarded shards + 3 adaptor sequences (the exchange's frames for the
   // miner) + party: 2 mines + client: mine, refused, contribute, mine = 12.
   EXPECT_EQ(stats.requests, 12u);
+  // One connection per party (its serving rides the party link) + the client.
+  EXPECT_EQ(stats.accepted, k + 1);
   EXPECT_EQ(stats.live, 0u);      // stop() closed everything
 }
 

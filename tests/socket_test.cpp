@@ -3,6 +3,8 @@
 //
 //   * frame codec: round trips, incremental decoding, strict rejection;
 //   * deadlines: dead doors and silent peers fail with sap::Error, fast;
+//   * the one client link: a timed-out request never answers the next,
+//     and a frame a peer routes to a party link is not a reply;
 //   * MinerDaemon + k PartyClient drivers in separate threads with real
 //     sockets: pooled results bit-identical to SapSession, door-served
 //     mining requests equal to in-process serving, the door refusing
@@ -12,6 +14,7 @@
 // separate OS processes through sap_cli.)
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <functional>
 #include <future>
@@ -26,7 +29,7 @@
 #include "net/reactor.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
-#include "net/tcp_transport.hpp"
+#include "obs/trace.hpp"
 #include "protocol/session.hpp"
 #include "rng/rng.hpp"
 
@@ -66,11 +69,13 @@ proto::SapOptions fast_opts(std::uint64_t seed) {
   return opts;
 }
 
-net::TcpOptions test_tcp() {
-  net::TcpOptions tcp;
-  tcp.connect_timeout_ms = 10000;
-  tcp.receive_timeout_ms = 30000;  // CI-safe; deadline tests shrink it
-  return tcp;
+/// CI-safe deadline for every wait in these tests; deadline tests shrink it.
+constexpr int kDeadlineMs = 30'000;
+
+net::ServeClient::Options link_opts(int timeout_ms = kDeadlineMs) {
+  net::ServeClient::Options opts;
+  opts.timeout_ms = timeout_ms;
+  return opts;
 }
 
 // ---- frame codec ---------------------------------------------------------
@@ -243,34 +248,108 @@ TEST(Frame, SocketAddrParses) {
 TEST(TcpDeadline, ConnectToDeadPortFails) {
   // Grab an ephemeral port, then close the listener so nothing is there.
   const auto dead = net::TcpListener::listen({"127.0.0.1", 0}).local_addr();
-  net::TcpOptions tcp;
-  tcp.connect_timeout_ms = 500;
-  EXPECT_THROW((void)net::TcpTransport::connect(dead, 1, tcp), sap::Error);
+  EXPECT_THROW((void)net::ServeClient(dead, 1, 3, link_opts(500)), sap::Error);
 }
+
+/// The id a bare door answers for: the miner id of a 7-party session.
+constexpr std::size_t kBareParties = 7;
 
 /// A door that routes and answers nothing itself.
 net::Reactor bare_door() {
-  return net::Reactor({}, /*self=*/7,
+  return net::Reactor({}, /*self=*/kBareParties,
                       [](const net::Frame&) { return std::vector<net::Frame>{}; });
 }
 
 TEST(TcpDeadline, ReceiveTimesOutCleanly) {
   auto door = bare_door();
-  net::TcpOptions tcp = test_tcp();
-  tcp.receive_timeout_ms = 200;
-  auto client = net::TcpTransport::connect(door.local_addr(), 42, tcp);
-  const auto id = client->claim_party(net::kClaimAnyParty);
-  net::TcpTransport::Delivery out;
-  EXPECT_FALSE(client->try_receive(id, out, 100));
-  EXPECT_THROW((void)client->receive(id), sap::Error);
+  net::ServeClient client(door.local_addr(), 42, kBareParties, link_opts());
+  EXPECT_GE(client.id(), net::kFirstClientId);
+  net::ServeClient::Delivery out;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.receive(out, 100));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(100));
+  EXPECT_FALSE(client.receive(out, 0));
 }
 
 TEST(TcpDeadline, DuplicateClaimIsRefused) {
   auto door = bare_door();
-  auto a = net::TcpTransport::connect(door.local_addr(), 42, test_tcp());
-  auto b = net::TcpTransport::connect(door.local_addr(), 42, test_tcp());
-  EXPECT_EQ(a->claim_party(0), 0u);
-  EXPECT_THROW((void)b->claim_party(0), sap::Error);
+  net::ServeClient a(door.local_addr(), 42, kBareParties, link_opts(), /*claim=*/0);
+  EXPECT_EQ(a.id(), 0u);
+  try {
+    net::ServeClient b(door.local_addr(), 42, kBareParties, link_opts(), /*claim=*/0);
+    ADD_FAILURE() << "a second claim of party 0 must be refused";
+  } catch (const sap::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("already claimed"), std::string::npos) << e.what();
+  }
+}
+
+// ---- the one client link -------------------------------------------------
+
+/// A one-lane door for a k = 3 session that answers mining request n with
+/// the value n, after `first_delay` on the first request. With one compute
+/// lane, replies leave in request order.
+struct CountingDoor {
+  static constexpr std::size_t kParties = 3;
+  static constexpr std::uint64_t kSeed = 77;
+  std::atomic<int> served{0};
+  std::atomic<bool> first_done{false};
+  sap::obs::TraceMinter minter{kSeed};
+  sap::obs::TraceRing traces;
+  net::Reactor door;
+
+  static net::ReactorOptions one_lane() {
+    net::ReactorOptions opts;
+    opts.loops = 1;
+    opts.compute_threads = 1;
+    return opts;
+  }
+
+  explicit CountingDoor(std::chrono::milliseconds first_delay)
+      : door(one_lane(), /*self=*/kParties, [this, first_delay](const net::Frame& frame) {
+          return net::door_frame(
+              frame, kParties,
+              proto::logic::derive_session_seeds(kSeed, kParties).session_secret, minter,
+              traces, [this, first_delay](const net::DoorRequest&) {
+                const int n = ++served;
+                if (n == 1) {
+                  std::this_thread::sleep_for(first_delay);
+                  first_done = true;
+                }
+                proto::WireMiningResponse response;
+                response.pool_epoch = 1;
+                response.values = {static_cast<double>(n)};
+                return net::DoorReply{proto::PayloadKind::kMiningResponse,
+                                      proto::encode_mining_response(response)};
+              });
+        }) {}
+};
+
+TEST(ServeClientLink, TimedOutRequestNeverAnswersTheNext) {
+  // Request 1 outlives the client's deadline, and its reply would be the
+  // next frame on the connection. It must not be taken as request 2's
+  // answer: the timeout drops the connection and request 2 redials.
+  CountingDoor counting(std::chrono::milliseconds(500));
+  net::ServeClient client(counting.door.local_addr(), CountingDoor::kSeed,
+                          CountingDoor::kParties, link_opts(200));
+  EXPECT_THROW((void)client.mine_named("record-count"), sap::Error);
+  while (!counting.first_done) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(client.mine_named("record-count").values, std::vector<double>{2.0});
+  EXPECT_EQ(client.mine_named("record-count").values, std::vector<double>{3.0});
+  EXPECT_EQ(counting.door.stats().accepted, 2u);
+}
+
+TEST(ServeClientLink, FrameRoutedToAPartyIsNotAReply) {
+  CountingDoor counting(std::chrono::milliseconds(0));
+  const auto addr = counting.door.local_addr();
+  net::ServeClient party1(addr, CountingDoor::kSeed, CountingDoor::kParties, link_opts(), 1);
+  // One frame parked before party 0 claims (it rides right behind the
+  // Welcome), one routed to the live link.
+  party1.send(0, proto::PayloadKind::kPerturbedData, std::vector<double>{1.0, 2.0});
+  net::ServeClient party0(addr, CountingDoor::kSeed, CountingDoor::kParties, link_opts(), 0);
+  party1.send(0, proto::PayloadKind::kPerturbedData, std::vector<double>{3.0});
+  EXPECT_EQ(party0.mine_named("record-count").values, std::vector<double>{1.0});
+  EXPECT_EQ(party0.mine_named("record-count").values, std::vector<double>{2.0});
+  EXPECT_EQ(counting.door.parties(), 2u);
 }
 
 // ---- daemon + party clients ----------------------------------------------
@@ -288,7 +367,7 @@ struct ExchangedDaemon {
     opts.listen = {"127.0.0.1", 0};
     opts.parties = k;
     opts.seed = seed;
-    opts.exchange_timeout_ms = test_tcp().receive_timeout_ms;
+    opts.exchange_timeout_ms = kDeadlineMs;
     opts.reactor_idle_timeout_ms = door_idle_timeout_ms;
     daemon = std::make_unique<net::MinerDaemon>(opts);
     done = std::async(std::launch::async, [this] { return daemon->run(); });
@@ -306,7 +385,7 @@ struct ExchangedDaemon {
         popts.index = i;
         popts.parties = shards.size();
         popts.sap = sap;
-        popts.tcp = test_tcp();
+        popts.timeout_ms = kDeadlineMs;
         parties[i] = std::make_unique<net::PartyClient>(shards[i], popts);
         reports[i] = parties[i]->run_exchange();
       });
@@ -397,22 +476,18 @@ TEST(TcpDistributed, DaemonSurvivesHostileClientsAndSendsNegativeReceipts) {
   const std::size_t k = 3;
   const std::uint64_t seed = 1919;
   auto setup = stream_setup(k, seed);
-  const auto seeds = sap::proto::logic::derive_session_seeds(seed, k);
 
   ExchangedDaemon live(k, seed);
   ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
   const proto::PartyId miner = static_cast<proto::PartyId>(k);
 
-  // Hostile client 1: WRONG session secret — its envelopes fail the
-  // integrity check at the miner. The daemon must reject per-message, not
-  // die.
+  // Hostile client 1: WRONG session secret (another seed's) — its
+  // envelopes fail the integrity check at the miner. The daemon must
+  // reject per-message, not die.
   {
-    auto rogue = net::TcpTransport::connect(live.daemon->local_addr(),
-                                            seeds.session_secret ^ 0xBAD, test_tcp());
-    const auto rogue_id = rogue->claim_party(net::kClaimAnyParty);
-    rogue->send(rogue_id, miner, proto::PayloadKind::kContribution,
-                std::vector<double>{1.0, 2.0, 3.0});
-    rogue->send_bye();
+    net::ServeClient rogue(live.daemon->local_addr(), seed ^ 0xBAD, k, link_opts());
+    rogue.send(miner, proto::PayloadKind::kContribution, std::vector<double>{1.0, 2.0, 3.0});
+    rogue.bye();
   }
 
   // Hostile client 2, at the serving door: correct secret, valid codec, but
@@ -502,7 +577,6 @@ TEST(TcpDistributed, PartyRejectsARoutingNoticeThePlanCannotProduce) {
   const std::size_t k = 3;
   const std::uint64_t seed = 2727;
   auto setup = stream_setup(k, seed);
-  const auto seeds = proto::logic::derive_session_seeds(seed, k);
 
   // The daemon's door routes; run() is never called.
   net::MinerDaemonOptions opts;
@@ -515,21 +589,19 @@ TEST(TcpDistributed, PartyRejectsARoutingNoticeThePlanCannotProduce) {
   popts.index = 0;
   popts.parties = k;
   popts.sap = fast_opts(seed);
-  popts.tcp = test_tcp();
+  popts.timeout_ms = kDeadlineMs;
   net::PartyClient party(setup.shards[0], popts);
 
   // A fake coordinator: a valid target space, then a notice naming
   // receiver k+3, which no exchange plan produces.
-  auto coordinator =
-      net::TcpTransport::connect(daemon.local_addr(), seeds.session_secret, test_tcp());
-  const auto coord = coordinator->claim_party(static_cast<std::uint32_t>(k - 1));
-  Engine coord_eng = seeds.coordinator_eng;
+  net::ServeClient coordinator(daemon.local_addr(), seed, k, link_opts(),
+                               static_cast<std::uint32_t>(k - 1));
+  Engine coord_eng = proto::logic::derive_session_seeds(seed, k).coordinator_eng;
   const auto target = proto::logic::make_target_space(setup.shards[0].dims(), coord_eng);
-  coordinator->send(coord, 0, proto::PayloadKind::kTargetSpace,
-                    proto::encode_target_space(target.rotation(), target.translation()));
+  coordinator.send(0, proto::PayloadKind::kTargetSpace,
+                   proto::encode_target_space(target.rotation(), target.translation()));
   const auto stray = static_cast<proto::PartyId>(k + 3);
-  coordinator->send(coord, 0, proto::PayloadKind::kRoutingNotice,
-                    proto::encode_routing(stray, 0));
+  coordinator.send(0, proto::PayloadKind::kRoutingNotice, proto::encode_routing(stray, 0));
   try {
     (void)party.run_exchange();
     ADD_FAILURE() << "a notice naming receiver k+3 must be rejected";
@@ -539,11 +611,10 @@ TEST(TcpDistributed, PartyRejectsARoutingNoticeThePlanCannotProduce) {
 
   // Party 0 never sent its shard: nothing is parked for the stray id, and
   // no adaptor reached the coordinator.
-  auto sink = net::TcpTransport::connect(daemon.local_addr(), seeds.session_secret, test_tcp());
-  const auto sink_id = sink->claim_party(stray);
-  net::TcpTransport::Delivery out;
-  EXPECT_FALSE(sink->try_receive(sink_id, out, 300));
-  EXPECT_FALSE(coordinator->try_receive(coord, out, 0));
+  net::ServeClient sink(daemon.local_addr(), seed, k, link_opts(), stray);
+  net::ServeClient::Delivery out;
+  EXPECT_FALSE(sink.receive(out, 300));
+  EXPECT_FALSE(coordinator.receive(out, 0));
 }
 
 TEST(TcpDistributed, NonFiniteContributionGetsANegativeReceiptAtTheDoor) {
@@ -587,10 +658,10 @@ TEST(TcpDistributed, NonFiniteContributionGetsANegativeReceiptAtTheDoor) {
   EXPECT_EQ(live.finish().contributions, 1u);
 }
 
-TEST(TcpDistributed, PartyRedialsTheDoorAfterIdleEviction) {
-  // The serving door evicts idle connections; a party that sat idle past
-  // that must still contribute and mine — its client redials a connection
-  // the door closed before writing the next request.
+TEST(TcpDistributed, IdleClientRedialsAndIdlePartyLinksStay) {
+  // The door evicts an idle plain client, whose next request redials. A
+  // party's serving rides its party link, which the idle wheel spares: a
+  // party that sat idle just as long still contributes and mines.
   const std::size_t k = 3;
   const std::uint64_t seed = 2525;
   auto setup = stream_setup(k, seed);
@@ -599,16 +670,20 @@ TEST(TcpDistributed, PartyRedialsTheDoorAfterIdleEviction) {
 
   auto& party = *live.parties[0];
   EXPECT_EQ(party.contribute(setup.stream.slice(0, 8)).pool_epoch, 2u);
+  net::ServeClient client(live.daemon->local_addr(), seed, k, link_opts());
+  EXPECT_EQ(client.mine_named("record-count").values, std::vector<double>{108.0});
   const auto* door = live.daemon->reactor();
   for (int i = 0; i < 5000 && door->stats().evicted_idle == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GE(door->stats().evicted_idle, 1u) << "the door never evicted the idle party";
+  EXPECT_EQ(door->stats().evicted_idle, 1u) << "the door must evict the idle client alone";
   EXPECT_EQ(door->parties(), k) << "an idle party link was evicted";
+  EXPECT_EQ(client.mine_named("record-count").values, std::vector<double>{108.0});
 
   EXPECT_EQ(party.contribute(setup.stream.slice(8, 16)).pool_epoch, 3u);
   const auto response = party.mine_named("record-count");
   ASSERT_EQ(response.values.size(), 1u);
   EXPECT_EQ(response.values[0], 116.0);
+  client.bye();
   EXPECT_EQ(live.finish().contributions, 2u);
 }
 

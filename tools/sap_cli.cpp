@@ -104,6 +104,11 @@ const char* kUsage =
     "          --connect HOST:PORT --index I [--batches N=4]\n"
     "          [--batch-records M=16] [--job name[:k=v,...]]\n"
     "          [--deadline-ms N=30000] [--optimize-threads K=0]\n"
+    "          (one party process: claims --index at the daemon's door and\n"
+    "           runs the exchange, its contributions and its jobs over that\n"
+    "           one connection; --deadline-ms bounds every wait it makes:\n"
+    "           connect + claim, each exchange wait, each write stall, each\n"
+    "           request)\n"
     "  sap_cli contribute <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
     "          [--batches N=4] [--batch-records M=16] [--job name[:k=v,...]]\n"
     "          [--optimize-threads K=0]\n"
@@ -782,7 +787,7 @@ int cmd_party(int argc, char** argv) {
   opts.index = index;
   opts.parties = parties;
   opts.sap = net::serving_session_options(sigma, seed, optimize_threads);
-  opts.tcp.receive_timeout_ms = static_cast<int>(deadline_ms);
+  opts.timeout_ms = static_cast<int>(deadline_ms);
 
   log::set_role("party " + std::to_string(index));
   net::PartyClient party(workload.shards[index], opts);
