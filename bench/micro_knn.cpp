@@ -5,8 +5,10 @@
 // do — at k = 5 (the served default) and k = 256 (the schema's maximum):
 //
 //   * KdTreeServe: the kd-tree backend over n points whose last quarter
-//     arrived as 32-record partial_fit batches, so a brute tail rides every
-//     query, as on a live pool between rebuilds;
+//     arrived as 32-record partial_fit batches, as on a live pool. The tail
+//     folds into the tree whenever it exceeds an eighth of the indexed rows,
+//     so the chain folds twice and every query scans the brute tail it
+//     leaves (32 of 1536 points, 512 of 11264);
 //   * BruteServe:  the brute backend at 200 records (kAuto's brute range);
 //   * ShardPartial: the exact-merge partial over one 372-row shard.
 //

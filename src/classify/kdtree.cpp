@@ -63,9 +63,9 @@ void KdTree::insert(const linalg::Matrix& more) {
 }
 
 void KdTree::maybe_rebuild() {
-  // Amortization: once the brute tail outgrows half the indexed prefix, pay
-  // one full rebuild and return queries to pure branch-and-bound.
-  if (tail_size() * 2 > indexed_) rebuild();
+  // Amortization: once the brute tail outgrows an eighth of the indexed
+  // prefix, pay one full rebuild and return queries to pure branch-and-bound.
+  if (tail_size() * 8 > indexed_) rebuild();
 }
 
 int KdTree::build(std::vector<std::size_t>& order, std::size_t begin, std::size_t end,
@@ -122,7 +122,8 @@ int KdTree::build(std::vector<std::size_t>& order, std::size_t begin, std::size_
   return self;
 }
 
-void KdTree::search(int node_index, std::span<const double> query, NearestK& best) const {
+void KdTree::search(int node_index, std::span<const double> query, std::span<double> gaps,
+                    NearestK& best) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_index)];
 
   if (node.left < 0) {  // leaf: one contiguous block of stored rows
@@ -134,17 +135,27 @@ void KdTree::search(int node_index, std::span<const double> query, NearestK& bes
   const double delta = query[node.split_dim] - node.split_value;
   const int near = (delta < 0.0) ? node.left : node.right;
   const int far = (delta < 0.0) ? node.right : node.left;
-  search(near, query, best);
-  // Prune the far side only when the splitting plane is provably farther
-  // than the current worst neighbor (bound() is +inf until k are held).
-  if (delta * delta <= best.bound()) search(far, query, best);
+  search(near, query, gaps, best);  // the near cell keeps this cell's gaps
+  // Prune the far cell only when its box is provably farther than the
+  // current worst neighbor (bound() is +inf until k are held). `lower` is
+  // the far cell's per-dimension gaps squared and summed in the kernel's
+  // ascending chain from 0.0, so it never exceeds any of the cell's rows'
+  // computed distances (DESIGN.md §8). An incremental update or a
+  // reordered sum can overshoot them.
+  const double saved = gaps[node.split_dim];
+  gaps[node.split_dim] = delta;
+  double lower = 0.0;
+  for (const double gap : gaps) lower += gap * gap;
+  if (lower <= best.bound()) search(far, query, gaps, best);
+  gaps[node.split_dim] = saved;
 }
 
 std::vector<Neighbor> KdTree::nearest(std::span<const double> query, std::size_t k) const {
   SAP_REQUIRE(query.size() == dims(), "KdTree::nearest: dimension mismatch");
   SAP_REQUIRE(k >= 1, "KdTree::nearest: k must be >= 1");
   NearestK best(query, std::min(k, size()));
-  search(root_, query, best);
+  std::vector<double> gaps(dims(), 0.0);  // query to the current cell's box, per dimension
+  search(root_, query, gaps, best);
   best.scan(points_.data().data() + indexed_ * dims(), tail_size(), ids_.data() + indexed_);
   return best.take();
 }

@@ -1,10 +1,11 @@
 // kd-tree for exact k-nearest-neighbor queries.
 //
 // Median-split build (O(N log N)), branch-and-bound search over the exact
-// k-nearest kernel (classify/nearest.hpp). Results are EXACTLY the
-// brute-force neighbor set, including the deterministic (distance, index)
-// tie-break — the property tests in classify_test assert bit-for-bit
-// agreement, which is what lets Knn switch between backends freely.
+// k-nearest kernel (classify/nearest.hpp) that bounds a far cell by all of
+// its query-to-box gaps. Results are EXACTLY the brute-force neighbor set,
+// including the deterministic (distance, index) tie-break — the property
+// tests in classify_test assert bit-for-bit agreement, which is what lets
+// Knn switch between backends freely.
 //
 // Storage: the points live in tree order — every leaf's rows are one
 // contiguous block that the kernel scans directly — with one insertion
@@ -14,10 +15,10 @@
 // Streaming ingest: insert() appends points without a full rebuild. New
 // points form a contiguous brute-scanned *tail* after the indexed rows; every
 // query feeds it to the same selection as the tree search (exactness is
-// preserved: one (distance, index) order for both). When the tail outgrows
-// half the indexed prefix the whole structure is rebuilt once — amortized
+// preserved: one (distance, index) order for both). The whole structure is
+// rebuilt once the tail exceeds an eighth of the indexed prefix — amortized
 // O(log N) structure cost per inserted point, and queries never degrade
-// past 1.5x the point count.
+// past 1.125x the point count.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +54,8 @@ class KdTree {
   /// Append `more` (rows = points, dims must match) to the point set. The
   /// new rows receive indices size()..size()+more.rows()-1 and join the
   /// brute-scanned tail; the tree is rebuilt over everything once the tail
-  /// exceeds half the indexed prefix. Query results after insert() are
-  /// exactly those of a tree freshly built over the concatenated points.
+  /// exceeds an eighth of the indexed prefix. Query results after insert()
+  /// are exactly those of a tree freshly built over the concatenated points.
   void insert(const linalg::Matrix& more);
 
   /// Points currently answered by the brute-scanned tail (observability for
@@ -75,7 +76,10 @@ class KdTree {
             std::size_t depth);
   void rebuild();
   void maybe_rebuild();
-  void search(int node, std::span<const double> query, NearestK& best) const;
+  /// `gaps` holds the query's signed offset from `node`'s cell box along
+  /// each axis (0.0 inside it); search() leaves it as it found it.
+  void search(int node, std::span<const double> query, std::span<double> gaps,
+              NearestK& best) const;
 
   static constexpr std::size_t kLeafSize = 16;
 

@@ -1,7 +1,6 @@
 #include "classify/knn.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -11,6 +10,24 @@ namespace {
 constexpr std::size_t kAutoTreeThreshold = 256;
 
 }  // namespace
+
+void KnnVote::add(int label, double distance_sq) {
+  auto it = std::find_if(tallies_.begin(), tallies_.end(),
+                         [label](const Tally& t) { return t.label == label; });
+  if (it == tallies_.end()) it = tallies_.insert(it, Tally{label, 0, 0.0});
+  ++it->count;
+  it->distance_sum += distance_sq;
+}
+
+int KnnVote::winner() const {
+  SAP_REQUIRE(!tallies_.empty(), "KnnVote: no votes");
+  const auto beats = [](const Tally& a, const Tally& b) {
+    if (a.count != b.count) return a.count > b.count;
+    if (a.distance_sum != b.distance_sum) return a.distance_sum < b.distance_sum;
+    return a.label < b.label;
+  };
+  return std::min_element(tallies_.begin(), tallies_.end(), beats)->label;
+}
 
 Knn::Knn(std::size_t k, KnnBackend backend) : k_(k), backend_(backend) {
   SAP_REQUIRE(k >= 1, "Knn: k must be >= 1");
@@ -74,25 +91,9 @@ int Knn::predict(std::span<const double> record) const {
     nearest = best.take();
   }
 
-  // Majority vote over the k nearest; break ties by summed proximity
-  // (smaller total distance wins).
-  std::map<int, std::pair<std::size_t, double>> votes;  // label -> (count, dist sum)
-  for (const auto& nb : nearest) {
-    auto& [count, dsum] = votes[labels_[nb.index]];
-    ++count;
-    dsum += nb.distance_sq;
-  }
-  int best_label = votes.begin()->first;
-  std::pair<std::size_t, double> best{0, 0.0};
-  for (const auto& [label, tally] : votes) {
-    const bool wins = tally.first > best.first ||
-                      (tally.first == best.first && tally.second < best.second);
-    if (wins) {
-      best = tally;
-      best_label = label;
-    }
-  }
-  return best_label;
+  KnnVote vote(nearest.size());
+  for (const auto& nb : nearest) vote.add(labels_[nb.index], nb.distance_sq);
+  return vote.winner();
 }
 
 }  // namespace sap::ml

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "classify/classifier.hpp"
 #include "classify/kdtree.hpp"
@@ -19,6 +20,29 @@ enum class KnnBackend {
   kAuto,        ///< kd-tree when training size >= 256, else brute force
   kBruteForce,
   kKdTree,
+};
+
+/// The k-NN majority vote. Knn::predict and the shard merge's replay
+/// (knn_merge, protocol/jobs.cpp) both call it, which keeps the router's
+/// merge bit-identical to the flat engine. Feed the k nearest in ascending
+/// (distance_sq, tie-id) order, the order each label's summed distance
+/// accumulates in. Most votes wins; a tie goes to the smaller summed
+/// distance, then to the smaller label.
+class KnnVote {
+ public:
+  explicit KnnVote(std::size_t k) { tallies_.reserve(k); }
+
+  void add(int label, double distance_sq);
+  /// The winning label; at least one add() must come first.
+  [[nodiscard]] int winner() const;
+
+ private:
+  struct Tally {
+    int label;
+    std::size_t count;
+    double distance_sum;
+  };
+  std::vector<Tally> tallies_;  ///< one per label voted for, at most k
 };
 
 class Knn final : public Classifier {

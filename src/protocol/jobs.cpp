@@ -268,27 +268,12 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
       if (a.dist != b.dist) return a.dist < b.dist;
       return a.key < b.key;
     });
+    // Knn::predict's vote over the k nearest in ascending (distance,
+    // canonical index) order.
     const std::size_t kk = std::min(k, cands.size());
-    // Replay Knn::predict's vote exactly: tallies accumulate in ascending
-    // (distance, canonical index) order, majority wins, ties break toward
-    // the smaller summed distance.
-    std::map<int, std::pair<std::size_t, double>> votes;
-    for (std::size_t i = 0; i < kk; ++i) {
-      auto& [count, dsum] = votes[cands[i].label];
-      ++count;
-      dsum += cands[i].dist;
-    }
-    int best_label = votes.begin()->first;
-    std::pair<std::size_t, double> best{0, 0.0};
-    for (const auto& [label, tally] : votes) {
-      const bool wins = tally.first > best.first ||
-                        (tally.first == best.first && tally.second < best.second);
-      if (wins) {
-        best = tally;
-        best_label = label;
-      }
-    }
-    hits += (best_label == queries.label(q));
+    ml::KnnVote vote(kk);
+    for (std::size_t i = 0; i < kk; ++i) vote.add(cands[i].label, cands[i].dist);
+    hits += (vote.winner() == queries.label(q));
   }
   return {static_cast<double>(hits) / static_cast<double>(queries.size())};
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <numbers>
@@ -156,53 +157,82 @@ TEST(KdTree, InvalidUsagesThrow) {
   EXPECT_THROW(tree.nearest(ok, 0), sap::Error);
 }
 
+/// A coordinate on dimension c whose distances round: a 1e-4 spread on a
+/// common 1e8 offset on odd dimensions, mixed binary exponents on even ones.
+double rounding_coordinate(std::size_t c, Engine& eng) {
+  if (c % 2 == 1) return 1e8 + eng.uniform(0.0, 1e-4);
+  return std::ldexp(eng.uniform(-1.0, 1.0), static_cast<int>(eng.uniform_index(24)) - 12);
+}
+
+/// A query coordinate on dimension c: some stored row's value (a split
+/// value, when that row was a median), or one ulp to either side of it.
+double near_stored(const Matrix& pts, std::size_t c, Engine& eng) {
+  const double v = pts(eng.uniform_index(pts.rows()), c);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (eng.uniform_index(3)) {
+    case 0: return std::nextafter(v, -kInf);
+    case 1: return std::nextafter(v, kInf);
+    default: return v;
+  }
+}
+
 class KdTreeEquivalence : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(KdTreeEquivalence, MatchesBruteForceExactly) {
   // The load-bearing property: kd-tree results (indices, distances, order)
   // must be bit-for-bit the brute-force answer, including ties — for every
   // k the job schema allows up to its maximum of 256 (k > n included), on a
-  // fresh tree and on one whose last quarter sits in the brute tail.
+  // fresh tree and on one whose last ninth sits in the brute tail. Two kinds
+  // of data: half-integer coordinates force plenty of exact distance ties,
+  // and unquantized ones make every distance and every cell bound round,
+  // with queries landing on split values.
   const auto [n, d] = GetParam();
+  const auto rows = static_cast<std::size_t>(n);
+  const auto dims = static_cast<std::size_t>(d);
   Engine eng(1000 + n * 7 + d);
-  // Quantized coordinates to force plenty of exact distance ties.
-  Matrix pts(n, d);
-  for (auto& v : pts.data()) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;
-  const sap::ml::KdTree fresh(pts);
-  const std::size_t head = static_cast<std::size_t>(n - n / 4);
-  sap::ml::KdTree tailed(pts.block(0, 0, head, static_cast<std::size_t>(d)));
-  tailed.insert(pts.block(head, 0, static_cast<std::size_t>(n) - head,
-                          static_cast<std::size_t>(d)));
-  ASSERT_EQ(tailed.tail_size(), static_cast<std::size_t>(n) - head);
-  const std::array<const sap::ml::KdTree*, 2> trees{&fresh, &tailed};
+  for (const bool rounding : {false, true}) {
+    SCOPED_TRACE(rounding ? "unquantized" : "half-integer");
+    Matrix pts(rows, dims);
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t c = 0; c < dims; ++c)
+        pts(i, c) = rounding ? rounding_coordinate(c, eng)
+                             : std::round(eng.uniform(0.0, 6.0)) / 2.0;
+    const sap::ml::KdTree fresh(pts);
+    const std::size_t head = rows - rows / 9;
+    sap::ml::KdTree tailed(pts.block(0, 0, head, dims));
+    tailed.insert(pts.block(head, 0, rows - head, dims));
+    ASSERT_EQ(tailed.tail_size(), rows - head);
+    const std::array<const sap::ml::KdTree*, 2> trees{&fresh, &tailed};
 
-  for (int trial = 0; trial < 25; ++trial) {
-    std::vector<double> q(d);
-    for (auto& v : q) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<double> q(dims);
+      for (std::size_t c = 0; c < dims; ++c)
+        q[c] = rounding ? near_stored(pts, c, eng) : std::round(eng.uniform(0.0, 6.0)) / 2.0;
 
-    // Brute force with the same (distance, index) ordering.
-    std::vector<std::pair<double, std::size_t>> brute;
-    brute.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      double acc = 0.0;
-      auto row = pts.row(static_cast<std::size_t>(i));
-      for (int f = 0; f < d; ++f) {
-        const double diff = row[static_cast<std::size_t>(f)] - q[static_cast<std::size_t>(f)];
-        acc += diff * diff;
+      // Brute force with the same (distance, index) ordering.
+      std::vector<std::pair<double, std::size_t>> brute;
+      brute.reserve(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        double acc = 0.0;
+        auto row = pts.row(i);
+        for (std::size_t f = 0; f < dims; ++f) {
+          const double diff = row[f] - q[f];
+          acc += diff * diff;
+        }
+        brute.emplace_back(acc, i);
       }
-      brute.emplace_back(acc, static_cast<std::size_t>(i));
-    }
-    std::sort(brute.begin(), brute.end());
+      std::sort(brute.begin(), brute.end());
 
-    for (const std::size_t k : {std::size_t{1} + eng.uniform_index(8), std::size_t{1},
-                                std::size_t{5}, std::size_t{64}, std::size_t{256}}) {
-      const std::size_t expect_k = std::min<std::size_t>(k, static_cast<std::size_t>(n));
-      for (const sap::ml::KdTree* tree : trees) {
-        const auto got = tree->nearest(q, k);
-        ASSERT_EQ(got.size(), expect_k);
-        for (std::size_t i = 0; i < expect_k; ++i) {
-          EXPECT_EQ(got[i].index, brute[i].second) << "k " << k << " rank " << i;
-          EXPECT_EQ(got[i].distance_sq, brute[i].first) << "k " << k << " rank " << i;
+      for (const std::size_t k : {std::size_t{1} + eng.uniform_index(8), std::size_t{1},
+                                  std::size_t{5}, std::size_t{64}, std::size_t{256}}) {
+        const std::size_t expect_k = std::min(k, rows);
+        for (const sap::ml::KdTree* tree : trees) {
+          const auto got = tree->nearest(q, k);
+          ASSERT_EQ(got.size(), expect_k);
+          for (std::size_t i = 0; i < expect_k; ++i) {
+            EXPECT_EQ(got[i].index, brute[i].second) << "k " << k << " rank " << i;
+            EXPECT_EQ(got[i].distance_sq, brute[i].first) << "k " << k << " rank " << i;
+          }
         }
       }
     }
@@ -230,6 +260,26 @@ TEST(Knn, BackendsAgreeOnRealDataset) {
         << "record " << i;
 }
 
+TEST(Knn, VoteBreaksTiesBySummedDistanceThenLabel) {
+  // Most votes wins whatever the distances.
+  sap::ml::KnnVote majority(3);
+  majority.add(2, 0.0);
+  majority.add(1, 5.0);
+  majority.add(1, 5.0);
+  EXPECT_EQ(majority.winner(), 1);
+  // A tied count goes to the smaller summed distance...
+  sap::ml::KnnVote closer(4);
+  for (const auto& [label, d] : {std::pair{3, 1.0}, {1, 1.5}, {3, 2.0}, {1, 2.0}})
+    closer.add(label, d);
+  EXPECT_EQ(closer.winner(), 3);
+  // ...and a tied count and sum to the smaller label, whatever the order.
+  sap::ml::KnnVote level(2);
+  level.add(7, 1.0);
+  level.add(4, 1.0);
+  EXPECT_EQ(level.winner(), 4);
+  EXPECT_THROW((void)sap::ml::KnnVote(1).winner(), sap::Error);
+}
+
 TEST(Knn, AutoBackendSwitchesOnSize) {
   sap::ml::Knn small(3);
   small.fit(blobs(20, 42));  // 40 records < threshold
@@ -251,13 +301,14 @@ TEST(KdTree, InsertMatchesFreshBuildExactly) {
   Engine eng(4242);
   Matrix all(520, 4);
   for (auto& v : all.data()) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;  // force ties
-  Matrix head(400, 4);
-  Matrix tail(120, 4);
-  for (std::size_t i = 0; i < 400; ++i) head.set_row(i, all.row(i));
-  for (std::size_t i = 0; i < 120; ++i) tail.set_row(i, all.row(400 + i));
+  Matrix head(470, 4);
+  Matrix tail(50, 4);
+  for (std::size_t i = 0; i < 470; ++i) head.set_row(i, all.row(i));
+  for (std::size_t i = 0; i < 50; ++i) tail.set_row(i, all.row(470 + i));
 
   sap::ml::KdTree grown(head);
   grown.insert(tail);
+  ASSERT_EQ(grown.tail_size(), 50u);  // within an eighth of the prefix: kept
   const sap::ml::KdTree fresh(all);
   ASSERT_EQ(grown.size(), fresh.size());
 
@@ -284,12 +335,12 @@ TEST(KdTree, InsertRebuildsOnceTheTailOutgrowsThePrefix) {
   Matrix small(8, 3);
   for (auto& v : small.data()) v = eng.uniform();
   tree.insert(small);
-  EXPECT_EQ(tree.tail_size(), 8u);  // below the rebuild threshold
-  Matrix big(64, 3);
-  for (auto& v : big.data()) v = eng.uniform();
-  tree.insert(big);
-  EXPECT_EQ(tree.tail_size(), 0u);  // tail > prefix/2 → rebuilt
-  EXPECT_EQ(tree.size(), 136u);
+  EXPECT_EQ(tree.tail_size(), 8u);  // tail == prefix/8: kept
+  Matrix one(1, 3);
+  for (auto& v : one.data()) v = eng.uniform();
+  tree.insert(one);
+  EXPECT_EQ(tree.tail_size(), 0u);  // tail > prefix/8 → rebuilt
+  EXPECT_EQ(tree.size(), 73u);
   EXPECT_THROW(tree.insert(Matrix(1, 2, 0.0)), sap::Error);
 }
 
@@ -298,8 +349,12 @@ TEST(Knn, PartialFitIsPredictionIdenticalToFullRefit) {
   // must predict exactly like a full refit on the concatenated data — for
   // the kd-tree backend, the brute backend, and an auto-threshold crossing.
   const Dataset ds = normalized(sap::data::make_uci("Wine", 50));
-  const Dataset head = ds.slice(0, 130);
-  const Dataset tail = ds.slice(130, ds.size());
+  const Dataset head = ds.slice(0, 160);
+  const Dataset tail = ds.slice(160, ds.size());
+  // The same insert on a bare tree: the kd-tree rows keep a brute tail.
+  sap::ml::KdTree witness(head.features());
+  witness.insert(tail.features());
+  ASSERT_GT(witness.tail_size(), 0u);
 
   for (const auto backend : {sap::ml::KnnBackend::kAuto, sap::ml::KnnBackend::kBruteForce,
                              sap::ml::KnnBackend::kKdTree}) {
@@ -312,7 +367,7 @@ TEST(Knn, PartialFitIsPredictionIdenticalToFullRefit) {
       ASSERT_EQ(extended->predict(ds.record(i)), full.predict(ds.record(i)))
           << "backend " << static_cast<int>(backend) << " record " << i;
     // And chained appends (adaptor for many small contributions).
-    const auto twice = base.partial_fit(ds.slice(130, 140))->partial_fit(ds.slice(140, ds.size()));
+    const auto twice = base.partial_fit(ds.slice(160, 170))->partial_fit(ds.slice(170, ds.size()));
     for (std::size_t i = 0; i < ds.size(); ++i)
       ASSERT_EQ(twice->predict(ds.record(i)), full.predict(ds.record(i)));
   }
@@ -320,12 +375,13 @@ TEST(Knn, PartialFitIsPredictionIdenticalToFullRefit) {
 
 TEST(Knn, TreePartialFitChainAcrossRebuildsPredictsLikeAFreshFit) {
   // A kd-tree model grown by 16-record partial_fit batches passes through
-  // several tail rebuilds (each reorders the tree's storage in place) and
-  // must still predict exactly like a model fitted once on everything.
+  // several tail rebuilds (each reorders the tree's storage in place) and,
+  // with a brute tail still riding on it, must predict exactly like a model
+  // fitted once on everything.
   Engine eng(4244);
-  Matrix f(400, 3);
+  Matrix f(384, 3);
   for (auto& v : f.data()) v = std::round(eng.uniform(0.0, 6.0)) / 2.0;  // force ties
-  std::vector<int> labels(400);
+  std::vector<int> labels(384);
   for (auto& label : labels) label = static_cast<int>(eng.uniform_index(3));
   const Dataset ds("ties", f, labels);
 
@@ -343,6 +399,7 @@ TEST(Knn, TreePartialFitChainAcrossRebuildsPredictsLikeAFreshFit) {
     rebuilds += witness.tail_size() == 0;
   }
   ASSERT_GE(rebuilds, 2u);
+  ASSERT_GT(witness.tail_size(), 0u);
 
   sap::ml::Knn full(5, sap::ml::KnnBackend::kKdTree);
   full.fit(ds);
