@@ -13,7 +13,8 @@
 //   * ShardPartial: the exact-merge partial over one 372-row shard.
 //
 // The data is the Shuttle shape (9 dims), min-max normalized and rotated,
-// like the unified space the miner serves.
+// like the unified space the miner serves. Every row's label names the lane
+// kernel variant this CPU dispatched to (vec16 or avx2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "classify/knn.hpp"
+#include "classify/nearest.hpp"
 #include "data/normalize.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/orthogonal.hpp"
@@ -59,6 +61,7 @@ void BM_KdTreeServe(benchmark::State& state) {
     current = model.get();
   }
   for (auto _ : state) benchmark::DoNotOptimize(sap::ml::accuracy(*current, data, kQueries));
+  state.SetLabel(sap::ml::lane_kernel().name);
 }
 BENCHMARK(BM_KdTreeServe)
     ->Args({5, 1536})
@@ -73,6 +76,7 @@ void BM_BruteServe(benchmark::State& state) {
   sap::ml::Knn model(k, sap::ml::KnnBackend::kBruteForce);
   model.fit(data);
   for (auto _ : state) benchmark::DoNotOptimize(sap::ml::accuracy(model, data, kQueries));
+  state.SetLabel(sap::ml::lane_kernel().name);
 }
 BENCHMARK(BM_BruteServe)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 
@@ -90,6 +94,7 @@ void BM_ShardPartial(benchmark::State& state) {
     auto blob = spec.partial(rows, keys, queries, params);
     benchmark::DoNotOptimize(blob.data());
   }
+  state.SetLabel(sap::ml::lane_kernel().name);
 }
 BENCHMARK(BM_ShardPartial)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 

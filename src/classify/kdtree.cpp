@@ -7,69 +7,69 @@
 
 namespace sap::ml {
 
-KdTree::KdTree(linalg::Matrix points) : points_(std::move(points)), ids_(points_.rows()) {
-  SAP_REQUIRE(points_.rows() > 0 && points_.cols() > 0, "KdTree: empty point set");
-  std::iota(ids_.begin(), ids_.end(), std::size_t{0});
-  rebuild();
+KdTree::KdTree(const linalg::Matrix& points) {
+  SAP_REQUIRE(points.rows() > 0 && points.cols() > 0, "KdTree: empty point set");
+  std::vector<std::size_t> ids(points.rows());
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  index(points, ids);
 }
 
 KdTree::KdTree(const KdTree& base, const linalg::Matrix& more)
-    : ids_(base.ids_), nodes_(base.nodes_), root_(base.root_), indexed_(base.indexed_) {
+    : tree_(base.tree_), ids_(base.ids_), tail_(base.tail_), nodes_(base.nodes_),
+      root_(base.root_) {
   SAP_REQUIRE(more.rows() == 0 || more.cols() == base.dims(),
               "KdTree: dimension mismatch");
-  points_ = linalg::Matrix::vcat(base.points_, more);
-  for (std::size_t i = 0; i < more.rows(); ++i) ids_.push_back(base.size() + i);
+  tail_.append(more);
   maybe_rebuild();
 }
 
-void KdTree::rebuild() {
-  const std::size_t n = size();
-  const std::size_t d = dims();
-  std::vector<std::size_t> order(n);  // tree position -> current stored row
+void KdTree::index(const linalg::Matrix& rows, const std::vector<std::size_t>& ids) {
+  // Every row is in `rows` now: release the old blocks before packing anew.
+  tree_ = LaneBlocks(rows.cols());
+  tail_ = LaneBlocks(rows.cols());
+  const std::size_t n = rows.rows();
+  std::vector<std::size_t> order(n);  // tree position -> row of `rows`
   std::iota(order.begin(), order.end(), std::size_t{0});
   nodes_.clear();
   nodes_.reserve(2 * n / kLeafSize + 4);
-  root_ = build(order, 0, n, 0);
+  root_ = build(rows, order, 0, n, 0);
 
-  // Store the rows in tree order (new row i = current row order[i]),
-  // following each cycle of the permutation with one scratch row.
-  double* data = points_.data().data();
-  std::vector<double> scratch(d);
-  for (std::size_t start = 0; start < n; ++start) {
-    if (order[start] == start) continue;  // in place, or placed by an earlier cycle
-    std::copy_n(data + start * d, d, scratch.begin());
-    const std::size_t start_id = ids_[start];
-    std::size_t hole = start;
-    for (std::size_t src = order[hole]; src != start; src = order[hole]) {
-      std::copy_n(data + src * d, d, data + hole * d);
-      ids_[hole] = ids_[src];
-      order[hole] = hole;
-      hole = src;
-    }
-    std::copy_n(scratch.begin(), d, data + hole * d);
-    ids_[hole] = start_id;
-    order[hole] = hole;
+  tree_.reserve(n);
+  ids_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tree_.append(rows.row(order[i]));
+    ids_[i] = ids[order[i]];
   }
-  indexed_ = n;
+}
+
+void KdTree::rebuild() {
+  // Unpack the indexed rows and then the tail into one row-major matrix; the
+  // tail's insertion indices continue the tree's.
+  const std::size_t indexed = tree_.rows();
+  linalg::Matrix rows(size(), dims());
+  for (std::size_t r = 0; r < indexed; ++r) tree_.copy_row(r, rows.row(r));
+  for (std::size_t r = 0; r < tail_.rows(); ++r) tail_.copy_row(r, rows.row(indexed + r));
+  std::vector<std::size_t> ids(size());
+  std::copy(ids_.begin(), ids_.end(), ids.begin());
+  std::iota(ids.begin() + static_cast<std::ptrdiff_t>(indexed), ids.end(), indexed);
+  index(rows, ids);
 }
 
 void KdTree::insert(const linalg::Matrix& more) {
   if (more.rows() == 0) return;
   SAP_REQUIRE(more.cols() == dims(), "KdTree::insert: dimension mismatch");
-  const std::size_t first_new = size();
-  points_ = linalg::Matrix::vcat(points_, more);
-  for (std::size_t i = 0; i < more.rows(); ++i) ids_.push_back(first_new + i);
+  tail_.append(more);
   maybe_rebuild();
 }
 
 void KdTree::maybe_rebuild() {
   // Amortization: once the brute tail outgrows an eighth of the indexed
   // prefix, pay one full rebuild and return queries to pure branch-and-bound.
-  if (tail_size() * 8 > indexed_) rebuild();
+  if (tail_.rows() * 8 > tree_.rows()) rebuild();
 }
 
-int KdTree::build(std::vector<std::size_t>& order, std::size_t begin, std::size_t end,
-                  std::size_t depth) {
+int KdTree::build(const linalg::Matrix& rows, std::vector<std::size_t>& order,
+                  std::size_t begin, std::size_t end, std::size_t depth) {
   Node node;
   node.begin = begin;
   node.end = end;
@@ -81,8 +81,8 @@ int KdTree::build(std::vector<std::size_t>& order, std::size_t begin, std::size_
 
   // Split on the dimension with the largest spread in this range (more
   // robust than cycling dimensions on skewed data).
-  const std::size_t d = dims();
-  const double* data = points_.data().data();
+  const std::size_t d = rows.cols();
+  const double* data = rows.data().data();
   std::size_t best_dim = depth % d;
   double best_spread = -1.0;
   for (std::size_t dim = 0; dim < d; ++dim) {
@@ -103,7 +103,11 @@ int KdTree::build(std::vector<std::size_t>& order, std::size_t begin, std::size_
     return static_cast<int>(nodes_.size() - 1);
   }
 
-  const std::size_t mid = begin + count / 2;
+  // The split nearest the median that keeps both children on lane-group
+  // boundaries: a multiple of kLanes rows goes left, at least kLanes and
+  // fewer than count.
+  constexpr std::size_t kLanes = LaneBlocks::kLanes;
+  const std::size_t mid = begin + (count / 2 + kLanes / 2) / kLanes * kLanes;
   std::nth_element(order.begin() + static_cast<std::ptrdiff_t>(begin),
                    order.begin() + static_cast<std::ptrdiff_t>(mid),
                    order.begin() + static_cast<std::ptrdiff_t>(end),
@@ -115,8 +119,8 @@ int KdTree::build(std::vector<std::size_t>& order, std::size_t begin, std::size_
 
   const int self = static_cast<int>(nodes_.size());
   nodes_.push_back(node);  // placeholder; children filled below
-  const int left = build(order, begin, mid, depth + 1);
-  const int right = build(order, mid, end, depth + 1);
+  const int left = build(rows, order, begin, mid, depth + 1);
+  const int right = build(rows, order, mid, end, depth + 1);
   nodes_[static_cast<std::size_t>(self)].left = left;
   nodes_[static_cast<std::size_t>(self)].right = right;
   return self;
@@ -126,9 +130,8 @@ void KdTree::search(int node_index, std::span<const double> query, std::span<dou
                     NearestK& best) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_index)];
 
-  if (node.left < 0) {  // leaf: one contiguous block of stored rows
-    best.scan(points_.data().data() + node.begin * dims(), node.end - node.begin,
-              ids_.data() + node.begin);
+  if (node.left < 0) {  // leaf: whole lane groups of tree_
+    best.scan(tree_, node.begin, node.end, ids_.data() + node.begin);
     return;
   }
 
@@ -156,7 +159,7 @@ std::vector<Neighbor> KdTree::nearest(std::span<const double> query, std::size_t
   NearestK best(query, std::min(k, size()));
   std::vector<double> gaps(dims(), 0.0);  // query to the current cell's box, per dimension
   search(root_, query, gaps, best);
-  best.scan(points_.data().data() + indexed_ * dims(), tail_size(), ids_.data() + indexed_);
+  best.scan(tail_, tree_.rows());
   return best.take();
 }
 

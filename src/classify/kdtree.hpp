@@ -7,18 +7,21 @@
 // tests in classify_test assert bit-for-bit agreement, which is what lets
 // Knn switch between backends freely.
 //
-// Storage: the points live in tree order — every leaf's rows are one
-// contiguous block that the kernel scans directly — with one insertion
-// index per stored row. That matrix is the only copy of the points a Knn
-// model keeps.
+// Storage: the indexed rows live in tree order as lane blocks
+// (classify/nearest.hpp) with one insertion index per row. Every node's rows
+// start at a lane-group boundary (splits fall on multiples of 8 rows), so a
+// leaf is whole groups the kernel scores directly; only the last group of
+// the tree is padded. Those blocks and the tail's are the only copy of the
+// points a Knn model keeps.
 //
 // Streaming ingest: insert() appends points without a full rebuild. New
-// points form a contiguous brute-scanned *tail* after the indexed rows; every
+// points form a brute-scanned *tail* of lane blocks in insertion order; every
 // query feeds it to the same selection as the tree search (exactness is
 // preserved: one (distance, index) order for both). The whole structure is
 // rebuilt once the tail exceeds an eighth of the indexed prefix — amortized
 // O(log N) structure cost per inserted point, and queries never degrade
-// past 1.125x the point count.
+// past 1.125x the point count. A rebuild unpacks the rows into one transient
+// row-major matrix, builds over it, and packs the result.
 #pragma once
 
 #include <cstddef>
@@ -32,17 +35,16 @@ namespace sap::ml {
 
 class KdTree {
  public:
-  /// Build over an N x d point matrix (rows = points; taken over and
-  /// reordered in place).
-  explicit KdTree(linalg::Matrix points);
+  /// Build over an N x d point matrix (rows = points).
+  explicit KdTree(const linalg::Matrix& points);
 
   /// Extension copy: `base`'s structure over (base points ⧺ more) with
-  /// `more` joining the brute tail — one point-matrix copy instead of
-  /// copy-then-insert. Equivalent to copying base and calling insert(more).
+  /// `more` joining the brute tail. Equivalent to copying base and calling
+  /// insert(more).
   KdTree(const KdTree& base, const linalg::Matrix& more);
 
-  [[nodiscard]] std::size_t size() const noexcept { return points_.rows(); }
-  [[nodiscard]] std::size_t dims() const noexcept { return points_.cols(); }
+  [[nodiscard]] std::size_t size() const noexcept { return tree_.rows() + tail_.rows(); }
+  [[nodiscard]] std::size_t dims() const noexcept { return tree_.dims(); }
 
   /// The k nearest points to `query`, sorted ascending by
   /// (distance_sq, index), where index is the point's insertion index (its
@@ -60,11 +62,11 @@ class KdTree {
 
   /// Points currently answered by the brute-scanned tail (observability for
   /// tests and the rebuild heuristic).
-  [[nodiscard]] std::size_t tail_size() const noexcept { return size() - indexed_; }
+  [[nodiscard]] std::size_t tail_size() const noexcept { return tail_.rows(); }
 
  private:
   struct Node {
-    std::size_t begin = 0;   ///< range of stored rows
+    std::size_t begin = 0;   ///< range of tree_'s rows; begin is a multiple of kLanes
     std::size_t end = 0;
     std::size_t split_dim = 0;
     double split_value = 0.0;
@@ -72,8 +74,11 @@ class KdTree {
     int right = -1;
   };
 
-  int build(std::vector<std::size_t>& order, std::size_t begin, std::size_t end,
-            std::size_t depth);
+  /// Build the tree over `rows` (ids[r] is row r's insertion index) and
+  /// store them in tree order; the tail empties.
+  void index(const linalg::Matrix& rows, const std::vector<std::size_t>& ids);
+  int build(const linalg::Matrix& rows, std::vector<std::size_t>& order, std::size_t begin,
+            std::size_t end, std::size_t depth);
   void rebuild();
   void maybe_rebuild();
   /// `gaps` holds the query's signed offset from `node`'s cell box along
@@ -81,13 +86,15 @@ class KdTree {
   void search(int node, std::span<const double> query, std::span<double> gaps,
               NearestK& best) const;
 
-  static constexpr std::size_t kLeafSize = 16;
+  /// Eight lane groups: with the lane kernel a leaf's rows cost less than
+  /// the cell bounds a smaller leaf would add (bench/micro_knn).
+  static constexpr std::size_t kLeafSize = 64;
 
-  linalg::Matrix points_;         ///< stored rows: the indexed prefix in tree order, then the tail
-  std::vector<std::size_t> ids_;  ///< insertion index of each stored row
+  LaneBlocks tree_;               ///< the indexed rows, in tree order
+  std::vector<std::size_t> ids_;  ///< insertion index of each row of tree_
+  LaneBlocks tail_;               ///< rows inserted since the last build; ids follow tree_'s
   std::vector<Node> nodes_;
   int root_ = -1;
-  std::size_t indexed_ = 0;       ///< rows [0, indexed_) are under the tree
 };
 
 }  // namespace sap::ml

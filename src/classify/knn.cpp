@@ -38,17 +38,17 @@ bool Knn::wants_tree(std::size_t records) const noexcept {
          (backend_ == KnnBackend::kAuto && records >= kAutoTreeThreshold);
 }
 
-std::size_t Knn::dims() const noexcept { return tree_ ? tree_->dims() : features_.cols(); }
+std::size_t Knn::dims() const noexcept { return tree_ ? tree_->dims() : features_.dims(); }
 
 void Knn::fit(const data::Dataset& train) {
   SAP_REQUIRE(train.size() >= 1, "Knn::fit: empty training set");
   labels_ = train.labels();
   if (wants_tree(train.size())) {
     tree_ = std::make_unique<KdTree>(train.features());
-    features_ = linalg::Matrix();
+    features_ = LaneBlocks();
   } else {
     tree_ = nullptr;
-    features_ = train.features();
+    features_ = LaneBlocks(train.features());
   }
 }
 
@@ -61,16 +61,17 @@ std::unique_ptr<Classifier> Knn::partial_fit(const data::Dataset& batch) const {
   extended->labels_.insert(extended->labels_.end(), batch.labels().begin(),
                            batch.labels().end());
   if (tree_) {
-    // Reuse the existing structure via the extension copy: one point
-    // matrix copy, batch joins the brute tail (queries stay exact; see
+    // Reuse the existing structure via the extension copy: one copy of the
+    // points, batch joins the brute tail (queries stay exact; see
     // kdtree.hpp).
     extended->tree_ = std::make_unique<KdTree>(*tree_, batch.features());
   } else if (wants_tree(extended->labels_.size())) {
     // The append crossed the auto threshold: first (and only) full build.
     extended->tree_ =
-        std::make_unique<KdTree>(linalg::Matrix::vcat(features_, batch.features()));
+        std::make_unique<KdTree>(linalg::Matrix::vcat(features_.unpack(), batch.features()));
   } else {
-    extended->features_ = linalg::Matrix::vcat(features_, batch.features());
+    extended->features_ = features_;
+    extended->features_.append(batch.features());
   }
   return extended;
 }
@@ -87,7 +88,7 @@ int Knn::predict(std::span<const double> record) const {
     nearest = tree_->nearest(record, k);
   } else {
     NearestK best(record, k);
-    best.scan(features_.data().data(), features_.rows(), std::size_t{0});
+    best.scan(features_, 0);
     nearest = best.take();
   }
 

@@ -4,8 +4,8 @@
 // k-nearest kernel of classify/nearest.hpp with the row index as tie-id):
 // brute force, and a kd-tree for larger training sets. kAuto picks the tree
 // once the training set is big enough for the build cost to pay off. The
-// model keeps the labels plus one copy of the points: the brute backend's
-// feature matrix or the tree's tree-ordered storage.
+// model keeps the labels plus one copy of the points, as lane blocks: the
+// brute backend's, in training order, or the tree's.
 #pragma once
 
 #include <memory>
@@ -72,7 +72,7 @@ class Knn final : public Classifier {
   std::size_t k_;
   KnnBackend backend_;
   std::vector<int> labels_;        ///< by training row
-  linalg::Matrix features_;        ///< brute backend only
+  LaneBlocks features_;            ///< brute backend only
   std::unique_ptr<KdTree> tree_;   ///< kd-tree backend only
 };
 

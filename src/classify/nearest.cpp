@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/error.hpp"
+
 namespace sap::ml {
 namespace {
+
+constexpr std::size_t kLanes = LaneBlocks::kLanes;
 
 /// The selection's total order: (distance_sq, index) ascending. A lambda,
 /// not a function, so std::sort and std::make_heap inline it.
@@ -13,63 +17,141 @@ constexpr auto closer = [](const Neighbor& a, const Neighbor& b) {
   return a.index < b.index;
 };
 
+/// The one kernel body, over vectors V of 2 or 4 doubles: per group, each
+/// lane runs the scalar chain `diff = x[c] - q[c]; acc += diff * diff`
+/// ascending from 0.0 as IEEE vector sub, mul and add. Nothing fuses the mul
+/// into the add (-ffp-contract=off, and no variant enables FMA), so every
+/// lane's distance is the scalar loop's double. Lanes load through element
+/// initializers, which the compiler folds into one vector load each.
+template <typename V>
+[[gnu::always_inline]] inline void score_groups(const double* groups, std::size_t count,
+                                                std::span<const double> query, double* out) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  constexpr std::size_t kVectors = kLanes / kWidth;
+  static_assert(kWidth == 2 || kWidth == 4);
+  const std::size_t d = query.size();
+  for (std::size_t g = 0; g < count; ++g, groups += kLanes * d, out += kLanes) {
+    V acc[kVectors] = {};
+    for (std::size_t c = 0; c < d; ++c) {
+      const double* x = groups + c * kLanes;
+      const double q = query[c];
+      for (std::size_t v = 0; v < kVectors; ++v, x += kWidth) {
+        V diff;
+        if constexpr (kWidth == 2) {
+          diff = V{x[0], x[1]} - V{q, q};
+        } else {
+          diff = V{x[0], x[1], x[2], x[3]} - V{q, q, q, q};
+        }
+        acc[v] += diff * diff;
+      }
+    }
+    for (std::size_t v = 0; v < kVectors; ++v)
+      for (std::size_t l = 0; l < kWidth; ++l) out[v * kWidth + l] = acc[v][l];
+  }
+}
+
+typedef double Vec16 __attribute__((vector_size(16)));
+
+void score_vec16(const double* groups, std::size_t count, std::span<const double> query,
+                 double* out) {
+  score_groups<Vec16>(groups, count, query, out);
+}
+
+#if defined(__x86_64__)
+typedef double Vec32 __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) void score_avx2(const double* groups, std::size_t count,
+                                                std::span<const double> query, double* out) {
+  score_groups<Vec32>(groups, count, query, out);
+}
+#endif
+
 }  // namespace
+
+LaneBlocks::LaneBlocks(const linalg::Matrix& rows) : dims_(rows.cols()) { append(rows); }
+
+void LaneBlocks::reserve(std::size_t rows) {
+  data_.reserve((rows + kLanes - 1) / kLanes * kLanes * dims_);
+}
+
+void LaneBlocks::append(std::span<const double> row) {
+  SAP_REQUIRE(row.size() == dims_, "LaneBlocks::append: dimension mismatch");
+  const std::size_t lane = rows_ % kLanes;
+  if (lane == 0) data_.resize(data_.size() + kLanes * dims_, 0.0);
+  double* values = data_.data() + (rows_ - lane) * dims_ + lane;
+  for (std::size_t c = 0; c < dims_; ++c) values[c * kLanes] = row[c];
+  ++rows_;
+}
+
+void LaneBlocks::append(const linalg::Matrix& more) {
+  reserve(rows_ + more.rows());
+  for (std::size_t r = 0; r < more.rows(); ++r) append(more.row(r));
+}
+
+void LaneBlocks::copy_row(std::size_t r, std::span<double> out) const {
+  SAP_REQUIRE(r < rows_ && out.size() == dims_, "LaneBlocks::copy_row: out of range");
+  const double* values = data_.data() + (r - r % kLanes) * dims_ + r % kLanes;
+  for (std::size_t c = 0; c < dims_; ++c) out[c] = values[c * kLanes];
+}
+
+linalg::Matrix LaneBlocks::unpack() const {
+  linalg::Matrix out(rows_, dims_);
+  for (std::size_t r = 0; r < rows_; ++r) copy_row(r, out.row(r));
+  return out;
+}
+
+std::vector<LaneKernel> supported_lane_kernels() {
+  std::vector<LaneKernel> kernels{{"vec16", score_vec16}};
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) kernels.push_back({"avx2", score_avx2});
+#endif
+  return kernels;
+}
+
+const LaneKernel& lane_kernel() {
+  static const LaneKernel picked = supported_lane_kernels().back();
+  return picked;
+}
 
 NearestK::NearestK(std::span<const double> query, std::size_t k)
     : query_(query),
       k_(k),
       bound_(k == 0 ? -std::numeric_limits<double>::infinity()
-                    : std::numeric_limits<double>::infinity()) {
+                    : std::numeric_limits<double>::infinity()),
+      score_(lane_kernel().score) {
   best_.reserve(k);
 }
 
-void NearestK::scan(const double* rows, std::size_t count, const std::size_t* ids) {
-  scan_rows(rows, count, [ids](std::size_t r) { return ids[r]; });
+void NearestK::scan(const LaneBlocks& rows, std::size_t first_id) {
+  scan_rows(rows, 0, rows.rows(), [first_id](std::size_t r) { return first_id + r; });
 }
 
-void NearestK::scan(const double* rows, std::size_t count, std::size_t first_id) {
-  scan_rows(rows, count, [first_id](std::size_t r) { return first_id + r; });
+void NearestK::scan(const LaneBlocks& rows, std::size_t begin, std::size_t end,
+                    const std::size_t* ids) {
+  scan_rows(rows, begin, end, [ids](std::size_t r) { return ids[r]; });
 }
 
 template <typename IdOf>
-void NearestK::scan_rows(const double* rows, std::size_t count, IdOf id_of) {
-  const double* q = query_.data();
-  const std::size_t d = query_.size();
-  std::size_t r = 0;
-  // Four rows per pass: four independent chains in flight, each the exact
-  // ascending-dimension sequence of the one-row loop below.
-  for (; r + 4 <= count; r += 4) {
-    const double* p0 = rows + r * d;
-    const double* p1 = p0 + d;
-    const double* p2 = p1 + d;
-    const double* p3 = p2 + d;
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    double acc2 = 0.0;
-    double acc3 = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff0 = p0[c] - q[c];
-      const double diff1 = p1[c] - q[c];
-      const double diff2 = p2[c] - q[c];
-      const double diff3 = p3[c] - q[c];
-      acc0 += diff0 * diff0;
-      acc1 += diff1 * diff1;
-      acc2 += diff2 * diff2;
-      acc3 += diff3 * diff3;
+void NearestK::scan_rows(const LaneBlocks& rows, std::size_t begin, std::size_t end,
+                         IdOf id_of) {
+  SAP_REQUIRE(begin % kLanes == 0 && begin <= end && end <= rows.rows() &&
+                  (begin == end || rows.dims() == query_.size()),
+              "NearestK::scan: rows do not match the query or the range");
+  for (std::size_t at = begin; at < end; at += kChunk) {
+    const std::size_t count = std::min(kChunk, end - at);
+    const std::size_t groups = (count + kLanes - 1) / kLanes;
+    score_(rows.group(at / kLanes), groups, query_, distances_.data());
+    for (std::size_t g = 0; g < groups; ++g) {
+      const double* dist = distances_.data() + g * kLanes;
+      bool any = false;
+      for (std::size_t l = 0; l < kLanes; ++l) any |= dist[l] <= bound_;
+      if (!any) continue;
+      // Lanes past `count` are padding or rows outside the range: never offered.
+      const std::size_t lanes = std::min(kLanes, count - g * kLanes);
+      for (std::size_t l = 0; l < lanes; ++l)
+        if (dist[l] <= bound_) offer(dist[l], id_of(at - begin + g * kLanes + l));
     }
-    if (acc0 <= bound_) offer(acc0, id_of(r));
-    if (acc1 <= bound_) offer(acc1, id_of(r + 1));
-    if (acc2 <= bound_) offer(acc2, id_of(r + 2));
-    if (acc3 <= bound_) offer(acc3, id_of(r + 3));
-  }
-  for (; r < count; ++r) {
-    const double* p = rows + r * d;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = p[c] - q[c];
-      acc += diff * diff;
-    }
-    if (acc <= bound_) offer(acc, id_of(r));
   }
 }
 

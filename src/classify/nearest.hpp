@@ -1,23 +1,31 @@
 // The exact k-nearest kernel behind every kNN path: the kd-tree's leaves and
-// brute tail, Knn's brute backend, and the shard partial of
+// insert tail, Knn's brute backend, and the shard partial of
 // knn-train-accuracy (protocol/jobs.cpp).
+//
+// Storage: every point set the kernel scans is a LaneBlocks — rows in 8-row
+// lane groups, dimension-major inside a group, the last group zero-padded —
+// and it is that point set's only copy.
 //
 // Exactness contract: each squared distance is ONE ascending-dimension chain
 // `diff = row[c] - q[c]; acc += diff * diff` starting from 0.0, exactly the
-// plain one-row loop the tests use as their brute-force reference. scan()
-// interleaves four rows so their independent chains overlap in the
-// pipeline; it never reassociates a chain, so every distance is
-// bit-identical to that loop. Candidates then enter one bounded selection
-// under the total order (distance_sq, index), where the index is the
-// caller's tie-id (unique per row). Given finite inputs, the k smallest
-// under that order are a pure function of the rows, the query and the ids —
-// not of scan order or block boundaries — which is what lets the tree, the
-// brute backend and the shard merge agree bit for bit.
+// plain one-row loop the tests use as their brute-force reference. The lane
+// kernel runs that chain in every lane of a group at once, as IEEE vector
+// sub/mul/add with no fused multiply-add (the library builds with
+// -ffp-contract=off), so every distance is bit-identical to that loop on
+// every ISA variant. Candidates then enter one bounded selection under the
+// total order (distance_sq, index), where the index is the caller's tie-id
+// (unique per row); padding lanes are never offered. Given finite inputs,
+// the k smallest under that order are a pure function of the rows, the query
+// and the ids — not of scan order or block boundaries — which is what lets
+// the tree, the brute backend and the shard merge agree bit for bit.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
+
+#include "linalg/matrix.hpp"
 
 namespace sap::ml {
 
@@ -25,6 +33,60 @@ struct Neighbor {
   std::size_t index;   ///< the candidate's tie-id
   double distance_sq;  ///< squared Euclidean distance to the query
 };
+
+/// Rows stored as lane groups of kLanes rows, dimension-major inside a
+/// group: coordinate c of row r is group(r / kLanes)[c * kLanes + r % kLanes].
+/// The lanes past the last row are 0.0.
+class LaneBlocks {
+ public:
+  static constexpr std::size_t kLanes = 8;
+
+  explicit LaneBlocks(std::size_t dims = 0) : dims_(dims) {}
+  /// Every row of `rows`, in order.
+  explicit LaneBlocks(const linalg::Matrix& rows);
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t dims() const noexcept { return dims_; }
+  [[nodiscard]] std::size_t groups() const noexcept { return (rows_ + kLanes - 1) / kLanes; }
+  /// The g-th group: kLanes * dims() values.
+  [[nodiscard]] const double* group(std::size_t g) const noexcept {
+    return data_.data() + g * kLanes * dims_;
+  }
+
+  /// Room for `rows` rows without reallocating.
+  void reserve(std::size_t rows);
+  /// Append one row (dims() values) after the last, filling its group first.
+  void append(std::span<const double> row);
+  /// Append every row of `more`, in order.
+  void append(const linalg::Matrix& more);
+
+  /// Row r, copied out to `out` (dims() values).
+  void copy_row(std::size_t r, std::span<double> out) const;
+  /// Every row, row-major.
+  [[nodiscard]] linalg::Matrix unpack() const;
+
+ private:
+  std::size_t dims_;
+  std::size_t rows_ = 0;
+  std::vector<double> data_;  ///< groups() * kLanes * dims_ values
+};
+
+/// One instantiation of the lane kernel. score() writes the squared distance
+/// of every lane of `count` consecutive groups to out[0, count * kLanes), lane
+/// by lane; a padding lane's value is its 0.0 row's distance and means
+/// nothing.
+struct LaneKernel {
+  const char* name;  ///< "vec16" (16-byte vectors) or "avx2" (32-byte)
+  void (*score)(const double* groups, std::size_t count, std::span<const double> query,
+                double* out);
+};
+
+/// The variants this CPU can run: vec16 on every target, then avx2 on an
+/// x86-64 CPU that has it.
+[[nodiscard]] std::vector<LaneKernel> supported_lane_kernels();
+/// The variant every NearestK runs: the last of supported_lane_kernels(),
+/// picked once per process.
+[[nodiscard]] const LaneKernel& lane_kernel();
 
 /// Bounded selection of the k smallest (distance_sq, index) candidates for
 /// one query. Holds up to k candidates: filled unordered until it has k,
@@ -36,11 +98,12 @@ class NearestK {
   /// keeps them all. `query` must outlive this object.
   NearestK(std::span<const double> query, std::size_t k);
 
-  /// Offer `count` contiguous row-major rows of query.size() values each;
-  /// row r has tie-id ids[r].
-  void scan(const double* rows, std::size_t count, const std::size_t* ids);
-  /// Same, with tie-ids first_id, first_id + 1, ...
-  void scan(const double* rows, std::size_t count, std::size_t first_id);
+  /// Offer every row of `rows`; row r has tie-id first_id + r.
+  void scan(const LaneBlocks& rows, std::size_t first_id);
+  /// Offer rows [begin, end) of `rows`, begin a multiple of kLanes; row
+  /// begin + r has tie-id ids[r].
+  void scan(const LaneBlocks& rows, std::size_t begin, std::size_t end,
+            const std::size_t* ids);
 
   /// Largest squared distance a new candidate can have and still enter:
   /// +inf until a candidate contests k held ones, then the worst one's
@@ -52,8 +115,11 @@ class NearestK {
   [[nodiscard]] std::vector<Neighbor> take();
 
  private:
+  /// Rows scored per kernel call.
+  static constexpr std::size_t kChunk = 32 * LaneBlocks::kLanes;
+
   template <typename IdOf>
-  void scan_rows(const double* rows, std::size_t count, IdOf id_of);
+  void scan_rows(const LaneBlocks& rows, std::size_t begin, std::size_t end, IdOf id_of);
   void offer(double distance_sq, std::size_t index);
   void replace_worst(Neighbor candidate);
 
@@ -62,6 +128,10 @@ class NearestK {
   std::vector<Neighbor> best_;
   bool heap_ = false;
   double bound_;
+  decltype(LaneKernel::score) score_;
+  /// One kernel call's output. Left uninitialized: the kernel writes every
+  /// lane the selection reads.
+  std::array<double, kChunk> distances_;
 };
 
 }  // namespace sap::ml

@@ -306,9 +306,14 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
       std::size_t limit = 0;
       const auto it = resolved.find("eval-records");
       if (it != resolved.end()) limit = static_cast<std::size_t>(it->second);
+      // A partial that reads no queries gets an empty block: the prefix
+      // stays here for the merge.
+      const auto scatter_prefix = [&] {
+        scatter(spec.partial_reads_queries ? prefix_->gathered.pool : no_queries);
+      };
       const bool reused = prefix_current(limit);
       if (!reused) gather_prefix(limit);
-      scatter(prefix_->gathered.pool);
+      scatter_prefix();
       // The partials confirm a reused prefix: every floor must still sit at
       // its slice's epoch and no route may have changed. If not (an append
       // that bypassed this router, or another owner answered), gather and
@@ -316,7 +321,7 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
       if (reused && !prefix_current(limit)) {
         ctr_prefix_stale_->increment();
         gather_prefix(limit);
-        scatter(prefix_->gathered.pool);
+        scatter_prefix();
       }
       queries = &prefix_->gathered.pool;
     } else {

@@ -28,7 +28,9 @@
 // The kNN/NB query rows (the canonical eval prefix) are gathered once and
 // reused while every shard's floor stays at the epoch its slice was cut at
 // and no owner changed; the partials, which run on every read, confirm the
-// reuse (DESIGN.md §11, "Eval-prefix reuse").
+// reuse (DESIGN.md §11, "Eval-prefix reuse"). The prefix crosses to the
+// shards only for a partial that reads it (kNN's); NB's partials get an
+// empty block, and its merge scores the prefix here.
 //
 // Consistency: the router tracks a per-shard EPOCH FLOOR — the highest
 // shard epoch any owner acknowledged (contribution receipts, served

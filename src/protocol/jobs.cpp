@@ -205,17 +205,19 @@ std::vector<double> knn_partial(const data::Dataset& rows, std::span<const PoolK
   const std::size_t n = rows.size();
   SAP_REQUIRE(n == 0 || queries.size() == 0 || queries.dims() == rows.dims(),
               "knn partial: query dimension mismatch");
-  // The kernel's tie-id is each row's rank in canonical PoolKey order, so
-  // (distance, rank) order is (distance, key) order — the merge's order.
+  // The rows as lane blocks in canonical PoolKey order, so each row's tie-id
+  // is its position and (distance, tie-id) order is (distance, key) order —
+  // the merge's.
   const auto order = canonical_order(keys);
-  std::vector<std::size_t> rank(n);
-  for (std::size_t r = 0; r < n; ++r) rank[order[r]] = r;
+  ml::LaneBlocks blocks(rows.dims());
+  blocks.reserve(n);
+  for (const std::size_t row : order) blocks.append(rows.record(row));
   wire::Writer w("knn partial", 2 + queries.size() * (1 + 4 * std::min(k, n)));
   w.count(k, "k", kMaxBlobDims);
   w.count(queries.size(), "queries", kMaxBlobQueries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     ml::NearestK best(queries.record(q), std::min(k, n));
-    best.scan(rows.features().data().data(), n, rank.data());
+    best.scan(blocks, 0);
     const auto nearest = best.take();
     w.count(nearest.size(), "candidates", k);
     for (const auto& nb : nearest) {
@@ -400,6 +402,7 @@ JobRegistry JobRegistry::builtins() {
     spec.serve = serve_accuracy;
     spec.partial = knn_partial;
     spec.merge_partials = knn_merge;
+    spec.partial_reads_queries = true;
     reg.register_job(std::move(spec));
   }
 

@@ -66,9 +66,11 @@ struct ParamSpec {
 /// shard — in ANY blob order, because exact merges reorder by canonical key
 /// internally — and produces the final report. `queries` is the eval prefix
 /// of the canonical pool (what the report scores against; empty for
-/// structural merges). The contract: the merged report is bit-identical to
-/// running the job on the canonical concatenated pool, whatever the shard
-/// count or hash-route layout. A job without the contract is served over a
+/// structural merges). A partial is handed that prefix only when
+/// `partial_reads_queries` says it reads it, and an empty block otherwise;
+/// the merge always gets it. The contract: the merged report is
+/// bit-identical to running the job on the canonical concatenated pool,
+/// whatever the shard count or hash-route layout. A job without the contract is served over a
 /// sharded pool by gathering the canonical pool and executing flat — exact,
 /// but it ships rows to the merging side (the SVM and perceptron fits).
 struct JobSpec {
@@ -94,6 +96,9 @@ struct JobSpec {
   std::function<std::vector<double>(const std::vector<std::vector<double>>& partials,
                                     const data::Dataset& queries, const JobParams&)>
       merge_partials;
+  /// Whether `partial` reads its queries (kNN's does; NB's scores them at
+  /// the merge), so the prefix crosses to each shard only when it is read.
+  bool partial_reads_queries = false;
 
   [[nodiscard]] bool trainable() const noexcept { return static_cast<bool>(make_model); }
   [[nodiscard]] bool mergeable() const noexcept { return static_cast<bool>(merge_partials); }

@@ -177,11 +177,14 @@ MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& r
       queries = merge_canonical(parts, limit);
       SAP_REQUIRE(queries.size() > 0, "MiningEngine: empty pool across shards");
     }
+    const data::Dataset no_queries;
+    const data::Dataset& partial_queries = spec.partial_reads_queries ? queries : no_queries;
     std::vector<std::vector<double>> partials;
     partials.reserve(views.size());
     for (const auto& view : views) {
       if (view.snap->rows.size() == 0) continue;  // empty shards contribute nothing
-      partials.push_back(spec.partial(view.snap->rows, view.snap->keys, queries, resolved));
+      partials.push_back(
+          spec.partial(view.snap->rows, view.snap->keys, partial_queries, resolved));
     }
     SAP_REQUIRE(!partials.empty(), "MiningEngine: empty pool across shards");
     response.values = spec.merge_partials(partials, queries, resolved);

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -12,6 +14,7 @@
 
 #include "classify/knn.hpp"
 #include "classify/naive_bayes.hpp"
+#include "classify/nearest.hpp"
 #include "classify/perceptron.hpp"
 #include "classify/svm.hpp"
 #include "common/error.hpp"
@@ -157,6 +160,145 @@ TEST(KdTree, InvalidUsagesThrow) {
   EXPECT_THROW(tree.nearest(ok, 0), sap::Error);
 }
 
+// ------------------------------------------------ the lane kernel
+
+/// The plain one-row loop every kNN distance must reproduce bit for bit.
+double scalar_distance(std::span<const double> row, std::span<const double> q) {
+  double acc = 0.0;
+  for (std::size_t c = 0; c < q.size(); ++c) {
+    const double diff = row[c] - q[c];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+/// A coordinate of one of four kinds: half-integers (exact ties), signed
+/// zeros among small integers, values whose squares are subnormal (and
+/// subnormals themselves), and mixed binary exponents (every sum rounds).
+double lane_coordinate(int kind, Engine& eng) {
+  switch (kind) {
+    case 0: return std::round(eng.uniform(0.0, 6.0)) / 2.0;
+    case 1: {
+      constexpr std::array<double, 5> kValues{0.0, -0.0, 1.0, -1.0, 2.0};
+      return kValues[eng.uniform_index(kValues.size())];
+    }
+    case 2:
+      if (eng.uniform_index(4) == 0)
+        return std::numeric_limits<double>::denorm_min() *
+               static_cast<double>(eng.uniform_index(1000));
+      return std::ldexp(eng.uniform(-1.0, 1.0), -520 - static_cast<int>(eng.uniform_index(12)));
+    default:
+      return std::ldexp(eng.uniform(-1.0, 1.0), static_cast<int>(eng.uniform_index(60)) - 30);
+  }
+}
+
+TEST(LaneKernel, EveryVariantMatchesTheScalarLoopBitForBit) {
+  // Each ISA variant this CPU runs (vec16 always; avx2 only where the CPU has
+  // it) must give every row the scalar loop's distance, bit for bit, in that
+  // row's lane: counts 1-17 cover every padding remainder, d 1-12 every
+  // short and long chain.
+  const auto kernels = sap::ml::supported_lane_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "vec16");
+  EXPECT_STREQ(sap::ml::lane_kernel().name, kernels.back().name);
+  constexpr std::size_t kLanes = sap::ml::LaneBlocks::kLanes;
+  Engine eng(2501);
+  for (const auto& kernel : kernels) {
+    SCOPED_TRACE(kernel.name);
+    for (int kind = 0; kind < 4; ++kind) {
+      for (std::size_t d = 1; d <= 12; ++d) {
+        for (std::size_t count = 1; count <= 17; ++count) {
+          Matrix rows(count, d);
+          for (auto& v : rows.data()) v = lane_coordinate(kind, eng);
+          std::vector<double> q(d);
+          for (auto& v : q) v = lane_coordinate(kind, eng);
+          const sap::ml::LaneBlocks blocks(rows);
+          std::vector<double> out(blocks.groups() * kLanes);
+          kernel.score(blocks.group(0), blocks.groups(), q, out.data());
+          for (std::size_t r = 0; r < count; ++r)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[r]),
+                      std::bit_cast<std::uint64_t>(scalar_distance(rows.row(r), q)))
+                << "kind " << kind << " d " << d << " count " << count << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneKernel, SelectionMatchesTheScalarLoopAndNeverOffersPadding) {
+  // NearestK over lane blocks returns the scalar loop's k smallest
+  // (distance, tie-id), distance bits included, for whole scans and for a
+  // range starting at the second group. Half the queries sit at the origin,
+  // where every padding lane (a 0.0 row) is at distance 0, as close as a
+  // row can be: a padding lane offered would show up as an extra or
+  // out-of-range tie-id.
+  constexpr std::size_t kLanes = sap::ml::LaneBlocks::kLanes;
+  Engine eng(2502);
+  for (int kind = 0; kind < 4; ++kind) {
+    for (std::size_t d = 1; d <= 12; ++d) {
+      for (std::size_t count = 1; count <= 17; ++count) {
+        Matrix rows(count, d);
+        for (auto& v : rows.data()) v = lane_coordinate(kind, eng);
+        std::vector<double> q(d, 0.0);
+        if (eng.uniform_index(2) == 0)
+          for (auto& v : q) v = lane_coordinate(kind, eng);
+        const sap::ml::LaneBlocks blocks(rows);
+        const std::size_t first = count > kLanes ? kLanes : 0;
+        std::vector<std::size_t> ids(count - first);
+        for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 1000 - i;
+        for (const std::size_t k : {std::size_t{1}, count / 2 + 1, count, count + 3}) {
+          std::vector<std::pair<double, std::size_t>> whole;
+          std::vector<std::pair<double, std::size_t>> range;
+          for (std::size_t r = 0; r < count; ++r) {
+            whole.emplace_back(scalar_distance(rows.row(r), q), 40 + r);
+            if (r >= first) range.emplace_back(whole.back().first, ids[r - first]);
+          }
+          std::sort(whole.begin(), whole.end());
+          std::sort(range.begin(), range.end());
+          const auto expect = [&](const std::vector<sap::ml::Neighbor>& got,
+                                  const std::vector<std::pair<double, std::size_t>>& want) {
+            ASSERT_EQ(got.size(), std::min(k, want.size()))
+                << "kind " << kind << " d " << d << " count " << count << " k " << k;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(got[i].index, want[i].second);
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].distance_sq),
+                        std::bit_cast<std::uint64_t>(want[i].first));
+            }
+          };
+          sap::ml::NearestK all(q, k);
+          all.scan(blocks, 40);
+          expect(all.take(), whole);
+          sap::ml::NearestK part(q, k);
+          part.scan(blocks, first, count, ids.data());
+          expect(part.take(), range);
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneKernel, BlocksRoundTripRowsAndRejectMisfits) {
+  Engine eng(2503);
+  Matrix rows(11, 3);
+  for (auto& v : rows.data()) v = eng.uniform();
+  sap::ml::LaneBlocks blocks(rows.block(0, 0, 5, 3));
+  blocks.append(rows.block(5, 0, 6, 3));  // fills the first group, then opens a second
+  EXPECT_EQ(blocks.rows(), 11u);
+  EXPECT_EQ(blocks.groups(), 2u);
+  const Matrix unpacked = blocks.unpack();
+  EXPECT_TRUE(std::equal(unpacked.data().begin(), unpacked.data().end(), rows.data().begin(),
+                         rows.data().end()));
+  EXPECT_EQ(blocks.group(1)[2 * sap::ml::LaneBlocks::kLanes + 7], 0.0);  // padding
+  EXPECT_THROW(blocks.append(std::vector<double>{1.0}), sap::Error);
+  const std::vector<double> q{0.5, 0.5, 0.5};
+  sap::ml::NearestK best(q, 3);
+  EXPECT_THROW(best.scan(blocks, 4, 11, nullptr), sap::Error);  // not a group boundary
+  EXPECT_THROW(best.scan(blocks, 8, 12, nullptr), sap::Error);  // past the last row
+  const std::vector<double> short_q{0.5};
+  sap::ml::NearestK mismatched(short_q, 3);
+  EXPECT_THROW(mismatched.scan(blocks, 0), sap::Error);
+}
+
 /// A coordinate on dimension c whose distances round: a 1e-4 spread on a
 /// common 1e8 offset on odd dimensions, mixed binary exponents on even ones.
 double rounding_coordinate(std::size_t c, Engine& eng) {
@@ -244,6 +386,12 @@ INSTANTIATE_TEST_SUITE_P(SizesAndDims, KdTreeEquivalence,
                                            std::pair{200, 2}, std::pair{500, 5},
                                            std::pair{1000, 8}, std::pair{64, 1},
                                            std::pair{300, 9}));
+
+// Thousands of rows at low d: dozens of 64-row leaves, so the cell bound
+// prunes at every depth and half-integer ties land on split values.
+INSTANTIATE_TEST_SUITE_P(ManyLeaves, KdTreeEquivalence,
+                         ::testing::Values(std::pair{2000, 2}, std::pair{3000, 3},
+                                           std::pair{4000, 4}, std::pair{5000, 5}));
 
 TEST(Knn, BackendsAgreeOnRealDataset) {
   const Dataset ds = sap::data::make_uci("Diabetes", 40);
@@ -347,7 +495,9 @@ TEST(KdTree, InsertRebuildsOnceTheTailOutgrowsThePrefix) {
 TEST(Knn, PartialFitIsPredictionIdenticalToFullRefit) {
   // The incremental-refit contract (DESIGN.md §6): Knn's partial_fit result
   // must predict exactly like a full refit on the concatenated data — for
-  // the kd-tree backend, the brute backend, and an auto-threshold crossing.
+  // the kd-tree backend and the brute backend. Wine has 178 records, under
+  // kAuto's 256-record tree threshold, so the kAuto row is a second brute
+  // row; Knn.PartialFitCrossesTheAutoTreeThreshold covers the crossing.
   const Dataset ds = normalized(sap::data::make_uci("Wine", 50));
   const Dataset head = ds.slice(0, 160);
   const Dataset tail = ds.slice(160, ds.size());

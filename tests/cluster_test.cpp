@@ -104,6 +104,38 @@ TEST(ShardedEngine, ReportsBitIdenticalAcrossShardCountsAndLayouts) {
   }
 }
 
+TEST(ShardedEngine, PartialsReceiveTheEvalPrefixOnlyWhenTheyReadIt) {
+  // NB's partial never reads its queries, so a sharded serve hands it an
+  // empty block; kNN's gets the prefix. The merge gets the prefix either way.
+  const Dataset pool = normalized_pool("Iris", 7003);
+  const auto segments = make_segments(pool, {11, 5021, 90210});
+  for (const bool reads : {false, true}) {
+    auto engine = make_engine(2, proto::ShardLayout::kHashMod);
+    engine.set_pool_segments(segments);
+    std::vector<std::size_t> partial_queries;
+    std::size_t merge_queries = 0;
+    proto::JobSpec probe = engine.registry().find("nb-train-accuracy");
+    probe.name = "probe";
+    probe.partial_reads_queries = reads;
+    probe.partial = [&](const Dataset&, std::span<const proto::PoolKey>,
+                        const Dataset& queries, const proto::JobParams&) {
+      partial_queries.push_back(queries.size());
+      return std::vector<double>{};
+    };
+    probe.merge_partials = [&](const std::vector<std::vector<double>>&,
+                               const Dataset& queries, const proto::JobParams&) {
+      merge_queries = queries.size();
+      return std::vector<double>{};
+    };
+    engine.registry().register_job(std::move(probe));
+    (void)engine.run({"probe", {{"eval-records", 48.0}}});
+    EXPECT_EQ(partial_queries, std::vector<std::size_t>(2, reads ? 48 : 0));
+    EXPECT_EQ(merge_queries, 48u);
+  }
+  EXPECT_FALSE(proto::JobRegistry::builtins().find("nb-train-accuracy").partial_reads_queries);
+  EXPECT_TRUE(proto::JobRegistry::builtins().find("knn-train-accuracy").partial_reads_queries);
+}
+
 /// Rows of `a` followed by rows of `b` (labels too).
 Dataset concat(const Dataset& a, const Dataset& b) {
   sap::linalg::Matrix features(a.size() + b.size(), a.dims(), 0.0);

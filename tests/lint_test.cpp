@@ -3,7 +3,7 @@
 // Runs the built linter (SAP_LINT_PATH, injected by CMake like SAP_CLI_PATH)
 // against the in-repo fixture corpus (SAP_LINT_FIXTURES =
 // tests/lint_fixtures): one violating and one conforming input per rule
-// R1–R7, plus suppression handling. Assertions are on EXACT file:line and
+// R1–R8, plus suppression handling. Assertions are on EXACT file:line and
 // rule tags, so the diagnostics the tree relies on can never silently drift.
 //
 // The repo itself is linted by the separate `sap_lint` CTest entry (the tool
@@ -82,7 +82,7 @@ TEST(SapLint, ViolatingTreeFailsWithEveryRuleRepresented) {
   EXPECT_EQ(run.exit, 1) << run.output;
   for (const char* tag : {"R1/rng-discipline", "R2/determinism", "R3/codec-safety",
                           "R4/raii-locking", "R5/bench-hygiene", "R6/obs-purity",
-                          "R7/bounded-retry", "suppression"}) {
+                          "R7/bounded-retry", "R8/isa-confinement", "suppression"}) {
     bool seen = false;
     for (const std::string& d : run.diagnostics)
       if (d.find(std::string("[") + tag + "]") != std::string::npos) seen = true;
@@ -253,6 +253,23 @@ TEST(SapLint, R7FlagsUnboundedRequestLoops) {
 
 TEST(SapLint, R7PermitsBudgetAndDeadlineBoundedLoops) {
   const LintRun run = lint("conforming", "src/net/bounded_probe.cpp");
+  EXPECT_EQ(run.exit, 0) << run.output;
+}
+
+// ---- R8: ISA confinement -------------------------------------------------
+
+TEST(SapLint, R8FlagsIsaCodeOutsideTheLaneKernel) {
+  const std::string file = "src/linalg/stray_isa.cpp";
+  const LintRun run = lint("violating", file);
+  EXPECT_EQ(run.exit, 1) << run.output;
+  EXPECT_EQ(run.diagnostics.size(), 3u) << run.output;
+  EXPECT_TRUE(has_diag(run, file, 2, "R8/isa-confinement")) << run.output;  // <immintrin.h>
+  EXPECT_TRUE(has_diag(run, file, 4, "R8/isa-confinement")) << run.output;  // target attribute
+  EXPECT_TRUE(has_diag(run, file, 8, "R8/isa-confinement")) << run.output;  // cpu dispatch
+}
+
+TEST(SapLint, R8PermitsTheLaneKernel) {
+  const LintRun run = lint("conforming", "src/classify/nearest.cpp");
   EXPECT_EQ(run.exit, 0) << run.output;
 }
 

@@ -46,6 +46,12 @@
 //                       not hang the caller forever (DESIGN.md §13). Raw
 //                       syscall EINTR loops and frame-drain loops are out of
 //                       scope: the rule keys on the client-facing ops.
+//   R8/isa-confinement  `__attribute__((target ...))` (and `gnu::target`),
+//                       `__builtin_cpu_supports` and <immintrin.h> appear
+//                       only in src/classify/nearest.cpp — the kNN lane
+//                       kernel's AVX2 variant and its runtime dispatch are
+//                       the one ISA-specific code, and the per-ISA
+//                       exactness argument (DESIGN.md §8) covers only them.
 //
 // Suppressions: a finding is waived by a comment on the same line (or a
 // comment-only line directly above the offending statement):
@@ -55,7 +61,7 @@
 //
 // The reason after `--` is mandatory; an allow() without one is itself a
 // diagnostic ("suppression"), so every waiver in the tree carries a written
-// justification. Rules are named by id (R1..R7) or slug.
+// justification. Rules are named by id (R1..R8) or slug.
 //
 // Usage:  sap_lint [path]...
 //   * a directory containing src/tools/bench scans those subtrees (the
@@ -82,14 +88,14 @@ namespace fs = std::filesystem;
 // ---- rules ---------------------------------------------------------------
 
 struct RuleInfo {
-  const char* id;    ///< R1..R7
+  const char* id;    ///< R1..R8
   const char* slug;  ///< human-readable name, accepted in allow() too
 };
 
 constexpr RuleInfo kRules[] = {
     {"R1", "rng-discipline"}, {"R2", "determinism"},   {"R3", "codec-safety"},
     {"R4", "raii-locking"},   {"R5", "bench-hygiene"}, {"R6", "obs-purity"},
-    {"R7", "bounded-retry"},
+    {"R7", "bounded-retry"},  {"R8", "isa-confinement"},
 };
 
 /// Canonical id for an allow() argument ("R3" or "codec-safety"); empty when
@@ -109,7 +115,7 @@ const char* rule_slug(const std::string& id) {
 struct Diagnostic {
   std::string file;
   std::size_t line = 0;
-  std::string rule;  ///< "R1".."R5" or "suppression"
+  std::string rule;  ///< "R1".."R8" or "suppression"
   std::string message;
 };
 
@@ -403,6 +409,7 @@ class Linter {
       rule_raii(f, line, code);
       rule_bench(f, line, code);
       rule_obs(f, line, code);
+      rule_isa(f, line, code);
     }
     rule_retry(f);  // loop-shaped, so it scans the whole file itself
   }
@@ -632,6 +639,41 @@ class Linter {
       report(f, line, "R6",
              "timer inside a numeric kernel — time requests at stage boundaries "
              "(decode/queue/serve/merge/write), not inside the computation");
+  }
+
+  /// True when the line gives a function an ISA target:
+  /// `__attribute__((target(...)))` in any spacing, its `__target__` and
+  /// `target_clones` forms, or `[[gnu::target(...)]]`.
+  static bool isa_target_attribute(const std::string& code) {
+    for (std::size_t pos = find_word(code, "__attribute__"); pos != std::string::npos;
+         pos = find_word(code, "__attribute__", pos + 1)) {
+      std::size_t p = pos + std::string("__attribute__").size();
+      while (p < code.size() &&
+             (code[p] == '(' || std::isspace(static_cast<unsigned char>(code[p]))))
+        ++p;
+      const std::string name = ident_after(code, p);
+      if (name == "target" || name == "__target__" || name == "target_clones") return true;
+    }
+    return code.find("gnu::target") != std::string::npos;
+  }
+
+  // R8 — the kNN lane kernel is the one ISA-specific code (DESIGN.md §8).
+  void rule_isa(const ScannedFile& f, std::size_t line, const std::string& code) {
+    if (path_has_prefix(f.path, "src/classify/nearest.cpp")) return;
+    if (isa_target_attribute(code))
+      report(f, line, "R8",
+             "ISA target attribute outside src/classify/nearest.cpp — the lane "
+             "kernel's variants are the only ISA-specific code, each with its own "
+             "bit-identity argument");
+    if (has_word(code, "__builtin_cpu_supports"))
+      report(f, line, "R8",
+             "CPU feature dispatch outside src/classify/nearest.cpp — the lane "
+             "kernel picks its variant once, there");
+    if (code.find("#include") != std::string::npos &&
+        code.find("immintrin.h") != std::string::npos)
+      report(f, line, "R8",
+             "<immintrin.h> outside src/classify/nearest.cpp — vector code is the "
+             "lane kernel's, written with generic vectors");
   }
 
   // ---- R7 helpers --------------------------------------------------------
