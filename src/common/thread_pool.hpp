@@ -11,8 +11,8 @@
 // Exception contract: the first exception thrown by any body is captured
 // and rethrown on the calling thread after the whole batch has drained — a
 // throwing index never abandons in-flight work, so the caller can reason
-// about the batch as all-or-error. SapSession relies on this for its party
-// pool (one worker per provider over the compute-only phases).
+// about the batch as all-or-error. SapSession's party pool (one worker per
+// role over each exchange step) relies on this.
 //
 // A pool constructed with zero threads runs batches inline on the calling
 // thread; callers use this as the serial reference execution that threaded

@@ -425,31 +425,26 @@ std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
       [this](const std::string& why) { note("serving door rejected request: " + why); });
 }
 
-MinerDaemon::Summary MinerDaemon::run() {
-  const std::size_t k = opts_.parties;
-  Summary summary;
+Frame MinerDaemon::sealed(proto::PartyId to, proto::PayloadKind kind,
+                          std::span<const double> payload) const {
+  Frame frame;
+  frame.type = FrameType::kData;
+  frame.payload_kind = static_cast<std::uint8_t>(kind);
+  frame.from = miner_id_;
+  frame.to = to;
+  frame.body = envelope_body(
+      proto::EncryptedEnvelope(payload, proto::detail::derive_link_key(secret_, miner_id_, to)));
+  return frame;
+}
 
-  // ---- exchange: collect k forwarded shards + k aligned adaptors --------
-  // Shards and adaptors are keyed by nonce, and the exchange completes
-  // when k nonces have BOTH — a duplicate or an unmatched surplus entry
-  // (a re-sent shard, a confused or hostile client) is rejected or simply
-  // never pairs up, instead of corrupting the completion count.
-  std::map<std::uint64_t, proto::logic::MinerShard> shards;
-  std::map<std::uint64_t, perturb::SpaceAdaptor> adaptors;
-  const auto matched = [&] {
-    std::size_t n = 0;
-    for (const auto& [nonce, shard] : shards) n += adaptors.count(nonce);
-    return n;
-  };
-  // ONE absolute deadline for the whole exchange phase: junk traffic must
-  // not keep resetting the window, or a missing party would never surface
-  // while any other client is chatty.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opts_.exchange_timeout_ms);
-  while (matched() < k) {
+std::vector<proto::logic::Mail> MinerDaemon::take_mail(
+    proto::logic::Step step, std::vector<proto::logic::Expect> expects,
+    std::chrono::steady_clock::time_point deadline) {
+  proto::logic::Mailbag bag(std::move(expects));
+  while (!bag.complete()) {
     SAP_REQUIRE(std::chrono::steady_clock::now() < deadline,
-                "MinerDaemon: exchange timed out waiting for shards/adaptors "
-                "(missing party?)");
+                "MinerDaemon: exchange timed out at step " + proto::logic::to_string(step) +
+                    " waiting for " + bag.missing() + " (missing party?)");
     Frame frame;
     {
       MutexLock lock(mail_mutex_);
@@ -459,75 +454,61 @@ MinerDaemon::Summary MinerDaemon::run() {
       frame = std::move(mail_.front());
       mail_.pop_front();
     }
-    // Per-message containment even here: a hostile or corrupt message
-    // (wrong link key, malformed nonce) is logged and skipped — only the
-    // phase deadline aborts the exchange, so one bad client cannot take the
-    // daemon down for the k honest parties.
+    // Per-message containment: a frame that does not open under its link
+    // key, comes from a sender the step does not allow, or is surplus is
+    // noted and skipped — only the deadline aborts the exchange.
+    const auto kind = static_cast<proto::PayloadKind>(frame.payload_kind);
+    const std::string what = proto::to_string(kind) + " from " + std::to_string(frame.from);
     try {
-      const auto payload = body_envelope(frame.body)
-                               .open(proto::detail::derive_link_key(secret_, frame.from,
-                                                                    miner_id_));
-      // Wire payloads are adversarial input (the daemon is the cross-process
-      // trust boundary): the same nonce check decode_contribution runs.
-      const auto [nonce, body] = proto::logic::untag(payload);
-      if (frame.payload_kind == static_cast<std::uint8_t>(proto::PayloadKind::kForwardedData)) {
-        SAP_REQUIRE(shards
-                        .emplace(nonce, proto::logic::MinerShard{nonce, frame.from,
-                                                                 proto::decode_dataset(body)})
-                        .second,
-                    "duplicate shard for a nonce");
-      } else {
-        SAP_REQUIRE(adaptors.emplace(nonce, perturb::SpaceAdaptor::deserialize(body)).second,
-                    "duplicate adaptor for a nonce");
-      }
+      proto::logic::Mail mail{
+          frame.from, kind,
+          body_envelope(frame.body)
+              .open(proto::detail::derive_link_key(secret_, frame.from, miner_id_))};
+      if (bag.offer(mail) != proto::logic::Mailbag::Fit::kTaken)
+        note("dropped " + what + ": not a sender or count step " +
+             proto::logic::to_string(step) + " takes");
     } catch (const Error& e) {
-      note(std::string("rejected message during the exchange: ") + e.what());
+      note("rejected " + what + " during the exchange: " + e.what());
     }
   }
+  return bag.take();
+}
+
+MinerDaemon::Summary MinerDaemon::run() {
+  const std::size_t k = opts_.parties;
+  Summary summary;
+
+  // ---- exchange: the miner role's steps, fed from the exchange mailbox ---
+  // ONE absolute deadline for the whole exchange phase: junk traffic must
+  // not keep resetting the window, or a missing party would never surface
+  // while any other client is chatty.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(opts_.exchange_timeout_ms);
+  proto::logic::Miner miner(k);
+  for (const auto step : proto::logic::kSteps)
+    for (const auto& send : miner.run(step, take_mail(step, miner.expects(step), deadline)))
+      reactor_->send(sealed(send.to, send.kind, send.payload));
   {
     // From here on, exchange kinds at the door are late: noted and dropped.
     MutexLock lock(mail_mutex_);
     mail_closed_ = true;
     mail_.clear();
   }
-  // Unify exactly the k matched pairs; unmatched surplus (noise that never
-  // paired up) is discarded with a note.
-  std::vector<proto::logic::MinerShard> matched_shards;
-  std::vector<std::pair<std::uint64_t, perturb::SpaceAdaptor>> matched_adaptors;
-  // (nonce, record count) per matched shard, ascending nonce — how the
-  // unified pool (concatenated in that same canonical order) is sliced back
-  // into per-nonce segments for the sharded install below.
-  std::vector<std::pair<std::uint64_t, std::size_t>> segment_sizes;
-  for (auto& [nonce, shard] : shards) {
-    const auto it = adaptors.find(nonce);
-    if (it == adaptors.end()) continue;
-    segment_sizes.emplace_back(nonce, shard.data.labels.size());
-    matched_shards.push_back(std::move(shard));
-    matched_adaptors.emplace_back(nonce, std::move(it->second));
-  }
-  if (matched_shards.size() < shards.size() || matched_adaptors.size() < adaptors.size())
-    note("discarded " + std::to_string(shards.size() - matched_shards.size()) +
-         " unmatched shard(s) and " +
-         std::to_string(adaptors.size() - matched_adaptors.size()) +
-         " unmatched adaptor(s)");
-  auto unified =
-      proto::logic::unify_pool(std::move(matched_shards), std::move(matched_adaptors), k);
+  auto unified = miner.take_pool();
   adaptors_ = std::move(unified.adaptors);
   dims_ = unified.pool.dims();
   summary.pool_records = unified.pool.size();
   // Install per-nonce segments, not the flat pool: the (nonce, seq) keys are
   // what make contributions route to stable shards and exact merges order
-  // canonically. unify_pool concatenates in ascending-nonce order, so the
-  // cumulative slices below are exactly the per-party segments. For a
-  // single-shard daemon the segments land on shard 0 in the same order —
-  // the installed rows are bit-identical to the pre-cluster set_pool path.
+  // canonically. The segments are in pool order (ascending nonce), so for a
+  // single-shard daemon the installed rows are bit-identical to set_pool.
   {
     std::vector<proto::PoolSegment> segments;
-    segments.reserve(segment_sizes.size());
+    segments.reserve(unified.segments.size());
     std::size_t at = 0;
-    for (const auto& [nonce, count] : segment_sizes) {
-      segments.push_back({nonce, unified.pool.slice(at, at + count)});
-      at += count;
+    for (const auto& segment : unified.segments) {
+      segments.push_back({segment.nonce, unified.pool.slice(at, at + segment.records)});
+      at += segment.records;
     }
     SAP_REQUIRE(at == unified.pool.size(),
                 "MinerDaemon: segment sizes do not cover the unified pool");
@@ -559,16 +540,8 @@ MinerDaemon::Summary MinerDaemon::run() {
   serving_.store(true, std::memory_order_release);
   // Tell every party that serving has started, over its party link. A
   // party that already left is dropped at the door.
-  for (std::size_t i = 0; i < k; ++i) {
-    Frame notice;
-    notice.type = FrameType::kData;
-    notice.payload_kind = static_cast<std::uint8_t>(proto::PayloadKind::kServingStarted);
-    notice.from = miner_id_;
-    notice.to = static_cast<proto::PartyId>(i);
-    notice.body = envelope_body(proto::EncryptedEnvelope(
-        std::span<const double>{}, proto::detail::derive_link_key(secret_, miner_id_, notice.to)));
-    reactor_->send(notice);
-  }
+  for (proto::PartyId i = 0; i < k; ++i)
+    reactor_->send(sealed(i, proto::PayloadKind::kServingStarted, {}));
 
   // ---- serve until every party link has closed ---------------------------
   while (reactor_->parties() > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -907,148 +880,75 @@ void ServeClient::bye() {
 // ---- PartyClient ---------------------------------------------------------
 
 PartyClient::PartyClient(data::Dataset shard, PartyClientOptions opts)
-    : opts_(std::move(opts)), shard_(std::move(shard)) {
-  k_ = opts_.parties;
-  SAP_REQUIRE(k_ >= 3, "PartyClient: need at least 3 parties");
-  SAP_REQUIRE(opts_.index < k_, "PartyClient: party index out of range");
-  SAP_REQUIRE(shard_.size() >= 8, "PartyClient: shard too small (need >= 8 records)");
-  dims_ = shard_.dims();
-  x_ = shard_.features_T();
-  coordinator_ = static_cast<proto::PartyId>(k_ - 1);
-  miner_ = static_cast<proto::PartyId>(k_);
-
-  auto seeds = proto::logic::derive_session_seeds(opts_.sap.seed, k_);
-  eng_ = seeds.provider_eng[opts_.index];
-  coord_eng_ = seeds.coordinator_eng;
+    : opts_(std::move(opts)),
+      provider_(opts_.index, opts_.parties, shard, opts_.sap,
+                proto::logic::derive_session_seeds(opts_.sap.seed, opts_.parties)) {
   ServeClient::Options link_opts;
   link_opts.timeout_ms = opts_.timeout_ms;
-  link_.emplace(opts_.connect, opts_.sap.seed, k_, link_opts,
+  link_.emplace(opts_.connect, opts_.sap.seed, opts_.parties, link_opts,
                 static_cast<std::uint32_t>(opts_.index));
-  id_ = link_->id();
 }
 
-ServeClient::Delivery PartyClient::expect(std::initializer_list<proto::PayloadKind> kinds) {
-  const auto wanted = [&](proto::PayloadKind kind) {
-    return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
-  };
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (wanted(it->kind)) {
-      auto msg = std::move(*it);
-      stash_.erase(it);
-      return msg;
-    }
-  }
-  for (;;) {
-    ServeClient::Delivery msg;
-    SAP_REQUIRE(link_->receive(msg, opts_.timeout_ms),
-                "PartyClient: timed out waiting for mail (deadline " +
-                    std::to_string(opts_.timeout_ms) + " ms) — peer gone or message lost");
-    if (wanted(msg.kind)) return msg;
-    // Out-of-phase but legitimate traffic (no cross-process barriers): park
-    // it for the phase that wants it.
-    stash_.push_back(std::move(msg));
+std::vector<proto::logic::Mail> PartyClient::take(const std::string& what,
+                                                  std::vector<proto::logic::Expect> expects) {
+  using Fit = proto::logic::Mailbag::Fit;
+  proto::logic::Mailbag bag(std::move(expects));
+  for (auto it = stash_.begin(); it != stash_.end();)
+    it = bag.offer(*it) == Fit::kUnexpected ? std::next(it) : stash_.erase(it);
+  while (!bag.complete()) {
+    proto::logic::Mail mail;
+    SAP_REQUIRE(link_->receive(mail, opts_.timeout_ms),
+                "PartyClient: timed out at " + what + " waiting for " + bag.missing() +
+                    " (deadline " + std::to_string(opts_.timeout_ms) +
+                    " ms) — peer gone or message lost");
+    // Taken, or a wrong sender's and dropped. A plain client (an id above
+    // the miner's) sends for no step, so its mail is never stashed.
+    if (bag.offer(mail) != Fit::kUnexpected || mail.from > opts_.parties) continue;
+    stash_.push_back(std::move(mail));
     SAP_REQUIRE(stash_.size() <= 1024, "PartyClient: runaway message stash");
   }
+  return bag.take();
 }
 
 proto::PartyReport PartyClient::run_exchange() {
-  SAP_REQUIRE(!exchange_done_, "PartyClient: exchange already ran");
-
-  // ---- LocalOptimize ----------------------------------------------------
-  local_ = proto::logic::optimize_local(x_, dims_, opts_.sap, eng_);
-
-  // ---- TargetDistribution + PermutationExchange -------------------------
-  proto::PartyId send_to = 0;
-  std::uint32_t inbound = 0;
-  if (id_ == coordinator_) {
-    target_ = proto::logic::make_target_space(dims_, coord_eng_);
-    const auto target_wire =
-        proto::encode_target_space(target_.rotation(), target_.translation());
-    for (std::size_t j = 0; j + 1 < k_; ++j)
-      link_->send(static_cast<proto::PartyId>(j), proto::PayloadKind::kTargetSpace,
-                  target_wire);
-    const auto plan = proto::logic::make_exchange_plan(k_, coord_eng_);
-    for (std::size_t j = 0; j + 1 < k_; ++j)
-      link_->send(static_cast<proto::PartyId>(j), proto::PayloadKind::kRoutingNotice,
-                  proto::encode_routing(
-                      static_cast<proto::PartyId>(plan.receiver_of_source[j]),
-                      plan.inbound[j]));
-    send_to = static_cast<proto::PartyId>(plan.receiver_of_source[k_ - 1]);
-    inbound = plan.inbound[k_ - 1];  // 0 by construction (coordinator redirect)
-  } else {
-    bool got_target = false;
-    bool got_routing = false;
-    while (!(got_target && got_routing)) {
-      const auto msg = expect({proto::PayloadKind::kTargetSpace,
-                               proto::PayloadKind::kRoutingNotice});
-      if (msg.kind == proto::PayloadKind::kTargetSpace) {
-        const auto ts = proto::decode_target_space(msg.payload);
-        target_ = perturb::GeometricPerturbation(ts.r, ts.t, 0.0);
-        got_target = true;
-      } else {
-        const auto notice = proto::decode_routing(msg.payload);
-        proto::logic::check_routing_notice(notice, k_);
-        send_to = notice.receiver;
-        inbound = notice.inbound;
-        got_routing = true;
-      }
+  SAP_REQUIRE(exchange_ != Exchange::kFailed,
+              "PartyClient: an exchange failed on this client and cannot be resumed — "
+              "construct a new client");
+  SAP_REQUIRE(exchange_ == Exchange::kNotRun, "PartyClient: exchange already ran");
+  try {
+    for (const auto step : proto::logic::kSteps) {
+      auto mail = take("step " + proto::logic::to_string(step), provider_.expects(step));
+      for (const auto& send : provider_.run(step, std::move(mail)))
+        link_->send(send.to, send.kind, send.payload);
     }
+  } catch (...) {
+    exchange_ = Exchange::kFailed;
+    throw;
   }
-
-  // ---- PerturbAndForward ------------------------------------------------
-  const linalg::Matrix y = local_.g.apply(x_, eng_);
-  const auto data_wire =
-      proto::logic::tagged_wire(local_.nonce, proto::encode_dataset(y, shard_.labels()));
-  const bool self_held = send_to == id_;
-  if (!self_held) link_->send(send_to, proto::PayloadKind::kPerturbedData, data_wire);
-  if (self_held) link_->send(miner_, proto::PayloadKind::kForwardedData, data_wire);
-  for (std::uint32_t n = 0; n < inbound; ++n) {
-    const auto msg = expect({proto::PayloadKind::kPerturbedData});
-    link_->send(miner_, proto::PayloadKind::kForwardedData, msg.payload);
-  }
-
-  // ---- AdaptorAlignment -------------------------------------------------
-  adaptor_ = perturb::SpaceAdaptor::between(local_.g, target_);
-  if (id_ != coordinator_) {
-    link_->send(coordinator_, proto::PayloadKind::kSpaceAdaptor,
-                proto::logic::tagged_wire(local_.nonce, adaptor_.serialize()));
-  } else {
-    std::vector<std::vector<double>> entries;
-    for (std::size_t j = 0; j + 1 < k_; ++j)
-      entries.push_back(expect({proto::PayloadKind::kSpaceAdaptor}).payload);
-    entries.push_back(proto::logic::tagged_wire(local_.nonce, adaptor_.serialize()));
-    proto::logic::shuffle_entries(entries, coord_eng_);
-    for (const auto& e : entries)
-      link_->send(miner_, proto::PayloadKind::kAdaptorSequence, e);
-  }
-
-  // ---- accounting (party-side knowledge only) ---------------------------
-  const auto report = proto::logic::account_party(x_, y, adaptor_, id_, local_.rho,
-                                                  local_.bound, k_, opts_.sap, eng_);
-  exchange_done_ = true;
-  return report;
+  exchange_ = Exchange::kDone;
+  return provider_.report();
 }
 
 void PartyClient::await_serving() {
   if (serving_) return;
-  (void)expect({proto::PayloadKind::kServingStarted});
+  (void)take("the serving-started notice", {provider_.serving_started()});
   serving_ = true;
 }
 
 proto::SapSession::ContributionReceipt PartyClient::contribute(const data::Dataset& batch) {
-  SAP_REQUIRE(exchange_done_, "PartyClient::contribute: run the exchange first");
+  SAP_REQUIRE(exchange_ == Exchange::kDone, "PartyClient::contribute: run the exchange first");
   SAP_REQUIRE(batch.size() >= 1, "PartyClient::contribute: empty batch");
-  SAP_REQUIRE(batch.dims() == dims_, "PartyClient::contribute: dimension mismatch");
-  const linalg::Matrix y = local_.g.apply(batch.features_T(), eng_);
+  SAP_REQUIRE(batch.dims() == provider_.dims(), "PartyClient::contribute: dimension mismatch");
+  const linalg::Matrix y = provider_.perturb_batch(batch);
   await_serving();
   const auto receipt =
-      link_->contribute_wire(proto::encode_contribution(local_.nonce, y, batch.labels()));
+      link_->contribute_wire(proto::encode_contribution(nonce(), y, batch.labels()));
   return {receipt.pool_epoch, receipt.pool_records};
 }
 
 proto::WireMiningResponse PartyClient::mine_named(const std::string& job,
                                                   const proto::JobParams& params) {
-  SAP_REQUIRE(exchange_done_, "PartyClient::mine_named: run the exchange first");
+  SAP_REQUIRE(exchange_ == Exchange::kDone, "PartyClient::mine_named: run the exchange first");
   await_serving();
   return link_->mine_named(job, params);
 }

@@ -1,13 +1,9 @@
 // Cross-process deployment of the Space Adaptation Protocol: one miner
-// daemon + k party client processes.
-//
-// This is the first topology where the paper's parties are genuinely
-// distributed: each provider process holds only its own shard, the miner
-// process never sees anything but link-encrypted frames, adaptors, and
-// perturbed data — and the pooled result is bit-identical to the same
-// logical session run in-process, because both sides execute the shared
-// sap::proto::logic functions with engines derived from the same master
-// seed (protocol/party_logic.hpp).
+// daemon + k party client processes, the door drivers of the role steps in
+// protocol/party_logic.hpp (PartyClient runs a provider's, MinerDaemon the
+// miner's; both drop mail from a sender the step does not allow). The pool
+// is bit-identical to the in-process session's: the same steps run with
+// engines derived from the same master seed.
 //
 // Wiring convention (both sides must agree, normally via identical CLI
 // arguments): party ids are providers 0..k-1 (k-1 doubles as the
@@ -21,7 +17,7 @@
 //   * the exchange: parties claim their ids at the door, which routes
 //     their frames to each other by destination id; the forwarded shards
 //     and the adaptor sequence addressed to the miner go to an exchange
-//     mailbox that run() drains;
+//     mailbox that run() feeds to the miner's steps;
 //   * serving: contributions (adapted + appended, answered with a
 //     kContributionAck receipt), mining requests (served by the
 //     MiningEngine, cached/incremental exactly like in-process), cluster
@@ -202,7 +198,7 @@ class MinerDaemon {
     std::size_t requests_served = 0;
   };
 
-  /// Serve one full session: collect the exchange, install the pool, tell
+  /// Serve one full session: run the miner's steps, install the pool, tell
   /// the parties that serving started, then serve until every party link
   /// has closed. Throws sap::Error if the exchange cannot complete (missing
   /// party, malformed shard, deadline). The door serves from pool
@@ -251,6 +247,17 @@ class MinerDaemon {
   /// it); everything else is door_frame over serve_payload, refused until
   /// the pool is installed. Runs on reactor compute lanes.
   std::vector<Frame> serve_frame(const Frame& frame);
+
+  /// The mail a miner step `expects`, from the exchange mailbox. A frame
+  /// that does not open, comes from a sender the step does not allow, or
+  /// is surplus is noted and dropped; only `deadline` ends the wait.
+  std::vector<proto::logic::Mail> take_mail(proto::logic::Step step,
+                                            std::vector<proto::logic::Expect> expects,
+                                            std::chrono::steady_clock::time_point deadline);
+
+  /// A kData frame from the miner, sealed under the (miner -> to) key.
+  [[nodiscard]] Frame sealed(proto::PartyId to, proto::PayloadKind kind,
+                             std::span<const double> payload) const;
 
   MinerDaemonOptions opts_;
   proto::PartyId miner_id_ = 0;
@@ -459,9 +466,10 @@ class PartyClient {
   /// data (N x d rows, pre-normalized like every Dataset in the protocol).
   PartyClient(data::Dataset shard, PartyClientOptions opts);
 
-  /// Execute this party's side of the exchange (LocalOptimize through
-  /// AdaptorAlignment, plus the coordinator duties when index == k-1).
-  /// Returns this party's accounting report.
+  /// Run this provider's steps (and the coordinator's when index == k-1)
+  /// over the link; returns its accounting report. A failed exchange
+  /// poisons the client: a second call refuses at once, since the party's
+  /// stream and its peers have moved on — construct a new client.
   proto::PartyReport run_exchange();
 
   /// Post-exchange streaming: perturb `batch` (records in this party's
@@ -482,34 +490,28 @@ class PartyClient {
   void finish();
 
   /// This party's protocol nonce (valid after run_exchange()).
-  [[nodiscard]] std::uint64_t nonce() const noexcept { return local_.nonce; }
+  [[nodiscard]] std::uint64_t nonce() const noexcept { return provider_.local().nonce; }
 
  private:
-  /// Next delivery of one of `kinds`, stashing out-of-phase messages (a
-  /// fast peer's data can arrive before the coordinator's setup lines —
-  /// there are no global phase barriers across processes).
-  ServeClient::Delivery expect(std::initializer_list<proto::PayloadKind> kinds);
+  /// The mail `expects` names, for `what` (a step, in errors). Mail that
+  /// arrived before its step waits in the stash (there are no phase
+  /// barriers across processes); mail from a sender the step does not
+  /// allow, or from no party at all, is dropped. Each wait is bounded by
+  /// the options' timeout.
+  std::vector<proto::logic::Mail> take(const std::string& what,
+                                       std::vector<proto::logic::Expect> expects);
 
   /// Wait once for the daemon's serving-started notice: serving requests
   /// before it would be refused.
   void await_serving();
 
+  enum class Exchange : std::uint8_t { kNotRun, kDone, kFailed };
+
   PartyClientOptions opts_;
-  data::Dataset shard_;
-  linalg::Matrix x_;  // d x N
-  std::size_t dims_ = 0;
-  std::size_t k_ = 0;
-  proto::PartyId id_ = 0;
-  proto::PartyId coordinator_ = 0;
-  proto::PartyId miner_ = 0;
+  proto::logic::Provider provider_;
   std::optional<ServeClient> link_;
-  rng::Engine eng_{0};
-  rng::Engine coord_eng_{0};
-  proto::logic::LocalPerturbation local_;
-  perturb::GeometricPerturbation target_;
-  perturb::SpaceAdaptor adaptor_;
-  std::deque<ServeClient::Delivery> stash_;
-  bool exchange_done_ = false;
+  std::deque<proto::logic::Mail> stash_;
+  Exchange exchange_ = Exchange::kNotRun;
   bool serving_ = false;
 };
 

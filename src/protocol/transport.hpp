@@ -5,10 +5,9 @@
 // pending mail, receive-and-decrypt, and (for tests) drop injection plus a
 // metadata trace. Delivery is synchronous: send() enqueues at once and
 // receive() pops the oldest message or throws when the inbox is empty.
-// SapSession makes every send and receive from its own thread in
-// provider-index order, so a run's trace is a pure function of its data and
-// options; party concurrency lives in the session's compute-only phases
-// (session.hpp), not here.
+// SapSession makes every send and receive from its own thread in role-index
+// order, so a run's trace is a pure function of its data and options; party
+// concurrency lives in the session's step bodies (session.hpp), not here.
 //
 // Substitution note (DESIGN.md §2): the paper assumes encrypted channels
 // over a real network; here delivery is in-process, but the *information

@@ -6,10 +6,12 @@
 //   * the one client link: a timed-out request never answers the next,
 //     and a frame a peer routes to a party link is not a reply;
 //   * MinerDaemon + k PartyClient drivers in separate threads with real
-//     sockets: pooled results bit-identical to SapSession, door-served
-//     mining requests equal to in-process serving, the door refusing
-//     serving traffic until the exchange installs the pool, and parties
-//     rejecting routing notices no exchange plan can produce.
+//     sockets: pooled results bit-identical to SapSession at k = 3, 4, 5
+//     and 8, door-served mining requests equal to in-process serving, the
+//     door refusing serving traffic until the exchange installs the pool,
+//     the miner and the parties dropping exchange mail from a plain
+//     client, and parties rejecting routing notices no exchange plan can
+//     produce and refusing a second exchange after a failed one.
 // (tests/cli_test.cpp repeats the distributed topology with genuinely
 // separate OS processes through sap_cli.)
 #include <gtest/gtest.h>
@@ -472,6 +474,37 @@ TEST(TcpDistributed, ExchangeAndContributeBitIdenticalToSimulated) {
   }
 }
 
+TEST(TcpDistributed, ExchangeBitIdenticalToSimulatedAtMorePartyCounts) {
+  // The door exchange at more parties than the k = 3 above: more receivers,
+  // more inbound shards per receiver, more adaptors to shuffle.
+  for (const std::size_t k : {std::size_t{4}, std::size_t{5}, std::size_t{8}}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const std::uint64_t seed = 3100 + k;
+    const auto setup = stream_setup(k, seed);
+    proto::SapSession reference(setup.shards, fast_opts(seed));
+    const auto ref = reference.run();
+
+    ExchangedDaemon live(k, seed);
+    ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+    const auto summary = live.finish();
+    EXPECT_EQ(summary.pool_records, ref.unified.size());
+    EXPECT_EQ(summary.pool_digest, net::dataset_digest(ref.unified));
+    ASSERT_EQ(live.reports.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto& got = live.reports[i];
+      const auto& want = ref.parties[i];
+      EXPECT_EQ(got.id, want.id) << i;
+      EXPECT_EQ(got.local_rho, want.local_rho) << i;
+      EXPECT_EQ(got.bound, want.bound) << i;
+      EXPECT_EQ(got.unified_rho, want.unified_rho) << i;
+      EXPECT_EQ(got.satisfaction, want.satisfaction) << i;
+      EXPECT_EQ(got.identifiability, want.identifiability) << i;
+      EXPECT_EQ(got.risk_breach, want.risk_breach) << i;
+      EXPECT_EQ(got.risk_sap, want.risk_sap) << i;
+    }
+  }
+}
+
 TEST(TcpDistributed, DaemonSurvivesHostileClientsAndSendsNegativeReceipts) {
   const std::size_t k = 3;
   const std::uint64_t seed = 1919;
@@ -615,6 +648,105 @@ TEST(TcpDistributed, PartyRejectsARoutingNoticeThePlanCannotProduce) {
   net::ServeClient::Delivery out;
   EXPECT_FALSE(sink.receive(out, 300));
   EXPECT_FALSE(coordinator.receive(out, 0));
+}
+
+TEST(TcpDistributed, PlainClientCannotInjectIntoTheExchange) {
+  const std::size_t k = 3;
+  const std::uint64_t seed = 4545;
+  auto setup = stream_setup(k, seed);
+  proto::SapSession reference(setup.shards, fast_opts(seed));
+  reference.run_until(proto::SessionPhase::kMine);
+  const auto ref_pool = *reference.engine().pool_view().data;
+
+  // Before the parties start, a plain client sends the miner a matched
+  // shard/adaptor pair under a fresh nonce: valid codecs and link keys, a
+  // sender the protocol never names.
+  ExchangedDaemon live(k, seed);
+  {
+    net::ServeClient rogue(live.daemon->local_addr(), seed, k, link_opts());
+    const proto::PartyId miner = static_cast<proto::PartyId>(k);
+    const std::size_t dims = setup.shards[0].dims();
+    Engine eng(4545);
+    const auto g = sap::perturb::GeometricPerturbation::random(dims, 0.1, eng);
+    const auto target = sap::perturb::GeometricPerturbation::random(dims, 0.0, eng);
+    const Dataset fake = setup.stream.slice(0, 24);
+    const std::uint64_t nonce = 0xFEED;
+    rogue.send(miner, proto::PayloadKind::kForwardedData,
+               proto::logic::tagged_wire(
+                   nonce, proto::encode_dataset(g.apply(fake.features_T(), eng), fake.labels())));
+    rogue.send(miner, proto::PayloadKind::kAdaptorSequence,
+               proto::logic::tagged_wire(
+                   nonce, sap::perturb::SpaceAdaptor::between(g, target).serialize()));
+    rogue.bye();
+  }
+
+  // The miner drops both: its pool is the in-process session's, bit for bit.
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+  const auto summary = live.finish();
+  EXPECT_EQ(summary.pool_records, ref_pool.size());
+  EXPECT_EQ(summary.pool_digest, net::dataset_digest(ref_pool));
+}
+
+TEST(TcpDistributed, PlainClientJunkCannotAbortAPartysExchange) {
+  const std::size_t k = 3;
+  const std::uint64_t seed = 5151;
+  auto setup = stream_setup(k, seed);
+  proto::SapSession reference(setup.shards, fast_opts(seed));
+  reference.run_until(proto::SessionPhase::kMine);
+
+  // More frames of a kind no step takes than a party would ever hold for a
+  // later step: the party must drop them, not stash them until it aborts.
+  ExchangedDaemon live(k, seed);
+  {
+    net::ServeClient rogue(live.daemon->local_addr(), seed, k, link_opts());
+    for (int i = 0; i < 1100; ++i)
+      rogue.send(0, proto::PayloadKind::kModelReport, std::vector<double>{1.0});
+    rogue.bye();
+  }
+  ASSERT_TRUE(live.exchange(setup.shards, fast_opts(seed)));
+  EXPECT_EQ(live.finish().pool_digest,
+            net::dataset_digest(*reference.engine().pool_view().data));
+}
+
+TEST(TcpDistributed, FailedExchangeRefusesASecondRunAtOnce) {
+  const std::size_t k = 3;
+  const std::uint64_t seed = 2828;
+  auto setup = stream_setup(k, seed);
+
+  // As in PartyRejectsARoutingNoticeThePlanCannotProduce: a fake coordinator
+  // sends a valid target space and a notice no exchange plan produces.
+  net::MinerDaemonOptions opts;
+  opts.listen = {"127.0.0.1", 0};
+  opts.parties = k;
+  opts.seed = seed;
+  net::MinerDaemon daemon(opts);
+  net::PartyClientOptions popts;
+  popts.connect = daemon.local_addr();
+  popts.index = 0;
+  popts.parties = k;
+  popts.sap = fast_opts(seed);
+  popts.timeout_ms = 2000;
+  net::PartyClient party(setup.shards[0], popts);
+  net::ServeClient coordinator(daemon.local_addr(), seed, k, link_opts(),
+                               static_cast<std::uint32_t>(k - 1));
+  Engine coord_eng = proto::logic::derive_session_seeds(seed, k).coordinator_eng;
+  const auto target = proto::logic::make_target_space(setup.shards[0].dims(), coord_eng);
+  coordinator.send(0, proto::PayloadKind::kTargetSpace,
+                   proto::encode_target_space(target.rotation(), target.translation()));
+  coordinator.send(0, proto::PayloadKind::kRoutingNotice,
+                   proto::encode_routing(static_cast<proto::PartyId>(k + 3), 0));
+  EXPECT_THROW((void)party.run_exchange(), sap::Error);
+
+  // The party's stream has moved on and its peers with it: a second run
+  // must refuse at once, not re-run LocalOptimize and wait out the deadline.
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)party.run_exchange();
+    ADD_FAILURE() << "a second exchange after a failed one must be refused";
+  } catch (const sap::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("new client"), std::string::npos) << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
 }
 
 TEST(TcpDistributed, NonFiniteContributionGetsANegativeReceiptAtTheDoor) {
