@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,12 +89,7 @@ inline int miner_main(int argc, char** argv) {
   opts.reactor_compute_threads = 2;
   opts.shards = shards;
   opts.shard_layout = proto::ShardLayout::kHashMod;
-  if (shards > 1) {
-    std::set<std::size_t> owned;
-    for (std::size_t j = 0; j < replicas; ++j)
-      owned.insert((index + shards - j) % shards);
-    opts.owned_shards.assign(owned.begin(), owned.end());
-  }
+  if (shards > 1) opts.owned_shards = net::owned_shards(index, shards, replicas);
   if (argc >= 6) {
     for (const char* p = argv[5]; *p != '\0';) {
       char* end = nullptr;

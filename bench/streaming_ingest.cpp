@@ -1,10 +1,10 @@
 // Streaming-ingest bench: incremental refit vs full retrain per appended
 // batch, plus the live-pool determinism invariant.
 //
-// Part 1 (timing): one large pool, a stream of appended batches. Two
-// engines see the identical mutation sequence; the `incremental` engine
-// serves each post-append request by extending its cached model via
-// Classifier::partial_fit, the `retrain` engine (cache off) refits from
+// Part 1 (timing): one large pool, a stream of appended batches. The
+// `incremental` engine serves each post-append request by extending its
+// cached model via Classifier::partial_fit; the full retrain is a fresh
+// engine installed with the grown pool, whose first request fits from
 // scratch. Reports per batch and per job (NaiveBayes + Knn — the two
 // incremental-capable models) and asserts the acceptance bar:
 //
@@ -76,18 +76,8 @@ TimingOutcome run_timing(std::size_t rows, std::size_t batches,
       {"knn-train-accuracy", {{"k", 5.0}, {"eval-records", 64.0}}},
   };
 
-  proto::MiningEngine incremental({.threads = 0,
-                                   .cache_models = true,
-                                   .shards = 1,
-                                   .layout = proto::ShardLayout::kHashMod,
-                                   .owned = {}});
-  proto::MiningEngine retrain({.threads = 0,
-                               .cache_models = false,
-                               .shards = 1,
-                               .layout = proto::ShardLayout::kHashMod,
-                               .owned = {}});
+  proto::MiningEngine incremental{proto::MiningEngineOptions{}};
   incremental.set_pool(base);
-  retrain.set_pool(base);
   // Warm the incremental engine's cache: the first fit is necessarily full.
   for (const auto& job : jobs) (void)incremental.run(job);
 
@@ -96,7 +86,8 @@ TimingOutcome run_timing(std::size_t rows, std::size_t batches,
     const std::size_t begin = rows + b * batch_records;
     const Dataset batch = all.slice(begin, begin + batch_records);
     incremental.append_records(batch);
-    retrain.append_records(batch);
+    proto::MiningEngine retrain{proto::MiningEngineOptions{}};
+    retrain.set_pool(all.slice(0, begin + batch_records));
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const auto slow = retrain.run(jobs[j]);
       const auto fast = incremental.run(jobs[j]);

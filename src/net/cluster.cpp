@@ -12,6 +12,24 @@
 
 namespace sap::net {
 
+std::vector<std::size_t> shard_owners(std::size_t shard, std::size_t members,
+                                      std::size_t replicas) {
+  std::vector<std::size_t> out;
+  out.reserve(replicas);
+  for (std::size_t j = 0; j < replicas; ++j) out.push_back((shard + j) % members);
+  return out;
+}
+
+std::vector<std::size_t> owned_shards(std::size_t member, std::size_t members,
+                                      std::size_t replicas) {
+  std::vector<std::size_t> out;
+  for (std::size_t g = 0; g < members; ++g) {
+    const auto owners = shard_owners(g, members, replicas);
+    if (std::find(owners.begin(), owners.end(), member) != owners.end()) out.push_back(g);
+  }
+  return out;
+}
+
 // ---- ShardRouter ---------------------------------------------------------
 
 ShardRouter::ShardRouter(ShardRouterOptions opts)
@@ -48,11 +66,7 @@ void ShardRouter::set_trace(std::uint64_t id) {
 
 std::vector<std::size_t> ShardRouter::owners(std::size_t shard) const {
   SAP_REQUIRE(shard < opts_.shards, "ShardRouter: shard id out of range");
-  const std::size_t m = opts_.miners.size();
-  std::vector<std::size_t> out;
-  out.reserve(opts_.replicas);
-  for (std::size_t j = 0; j < opts_.replicas; ++j) out.push_back((shard + j) % m);
-  return out;
+  return shard_owners(shard, opts_.miners.size(), opts_.replicas);
 }
 
 ServeClient& ShardRouter::client_for(std::size_t miner) {

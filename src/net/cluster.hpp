@@ -61,13 +61,24 @@
 
 namespace sap::net {
 
+/// The cluster's ownership rule, its one home: owner j < `replicas` of
+/// shard g is member (g + j) mod `members`, primary first.
+[[nodiscard]] std::vector<std::size_t> shard_owners(std::size_t shard, std::size_t members,
+                                                    std::size_t replicas);
+
+/// The shards member `member` installs in a cluster of `members` members
+/// with one shard each: every g < members whose shard_owners name it,
+/// ascending (MinerDaemonOptions::owned_shards).
+[[nodiscard]] std::vector<std::size_t> owned_shards(std::size_t member, std::size_t members,
+                                                    std::size_t replicas);
+
 struct ShardRouterOptions {
   /// Miner doors, one per miner.
   std::vector<SocketAddr> miners;
   /// Total shards in the nonce-hash space; 0 = one per miner.
   std::size_t shards = 0;
-  /// Owners per shard: primary + (replicas - 1) read/write replicas.
-  /// Owner j of shard g is miners[(g + j) % M]. Must be <= miner count.
+  /// Owners per shard: primary + (replicas - 1) read/write replicas, by
+  /// shard_owners over the miners. Must be <= miner count.
   std::size_t replicas = 1;
   proto::ShardLayout layout = proto::ShardLayout::kHashMod;
   std::uint64_t seed = 0x5A9;   ///< must match the miners' session seed

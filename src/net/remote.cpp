@@ -116,8 +116,7 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
 
 MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
     : opts_(std::move(opts)),
-      engine_({.cache_models = opts_.cache_models,
-               .shards = opts_.shards,
+      engine_({.shards = opts_.shards,
                .layout = opts_.shard_layout,
                .owned = opts_.owned_shards}),
       minter_(opts_.seed) {

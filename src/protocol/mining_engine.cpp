@@ -23,7 +23,7 @@ MiningEngine::MiningEngine(MiningEngineOptions opts, JobRegistry registry)
   }
   slots_.reserve(owned_.size());
   for (std::size_t i = 0; i < owned_.size(); ++i)
-    slots_.push_back(std::make_unique<PoolShard>(opts_.cache_models));
+    slots_.push_back(std::make_unique<PoolShard>());
 }
 
 PoolShard& MiningEngine::slot_for(std::size_t global_shard) const {

@@ -67,10 +67,6 @@ struct MiningEngineOptions {
   /// Worker threads for run_batch(); 0 = execute batches inline on the
   /// calling thread (the serial reference execution).
   std::size_t threads = 0;
-  /// Cache fitted models per (job, params, shard) with epoch-aware
-  /// incremental refit. Disabling forces per-request retraining (the
-  /// throughput bench's comparison baseline).
-  bool cache_models = true;
   /// Total shards the pool is partitioned into (shard_of_nonce space).
   /// 1 = the classic unsharded engine.
   std::size_t shards = 1;

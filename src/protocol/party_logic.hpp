@@ -64,8 +64,6 @@ struct SapOptions {
   /// Worker threads for the session's MiningEngine (0 = serve batches
   /// inline; the engine's reports are thread-count-invariant either way).
   std::size_t mining_threads = 0;
-  /// Cache fitted models in the engine (per job, params and pool-epoch).
-  bool cache_models = true;
 
   /// Cheap preset for unit tests (few candidates, no refinement).
   static SapOptions fast();

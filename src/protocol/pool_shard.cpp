@@ -163,13 +163,6 @@ std::shared_ptr<const ml::Classifier> PoolShard::model_for(const JobSpec& spec,
   cached = false;
   incremental = false;
   const data::Dataset& rows = view.snap->rows;
-  if (!cache_models_) {
-    auto model = spec.make_model(resolved);
-    model->fit(rows);
-    fits_.fetch_add(1, std::memory_order_relaxed);
-    return model;
-  }
-
   std::string key = spec.name;
   key += '\0';
   key += spec.model_key_params(resolved);  // serve-only params share a model

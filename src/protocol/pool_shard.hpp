@@ -68,9 +68,7 @@ struct KeyedRows {
 
 class PoolShard {
  public:
-  /// cache_models mirrors MiningEngineOptions::cache_models.
-  explicit PoolShard(bool cache_models) : cache_models_(cache_models) {}
-
+  PoolShard() = default;
   PoolShard(const PoolShard&) = delete;
   PoolShard& operator=(const PoolShard&) = delete;
 
@@ -138,8 +136,6 @@ class PoolShard {
   /// Row count this shard had at `epoch`, if `epoch` belongs to the current
   /// install generation (false otherwise — lineage severed).
   [[nodiscard]] bool rows_at_epoch(std::uint64_t epoch, std::size_t& rows) const;
-
-  const bool cache_models_;
 
   mutable Mutex pool_mutex_;  ///< guards snap_, epoch_, epoch_rows_
   /// Serializes install/append; held around (never inside) pool_mutex_ so

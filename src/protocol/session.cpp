@@ -37,7 +37,6 @@ SapSession::SapSession(std::vector<data::Dataset> provider_data, SapOptions opts
     : opts_(opts),
       miner_(provider_data.size()),
       engine_({.threads = opts.mining_threads,
-               .cache_models = opts.cache_models,
                .shards = 1,
                .layout = proto::ShardLayout::kHashMod,
                .owned = {}}) {

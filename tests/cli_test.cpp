@@ -6,16 +6,25 @@
 //     and k `party --connect` processes over loopback TCP, all spawned as
 //     genuine OS processes, with the daemon's pooled result asserted
 //     bit-identical (digest + multiset digest) to the same logical session
-//     run in-process through SapSession.
+//     run in-process through SapSession;
+//   * every usage error of every command exits 2 before any work, with
+//     nothing on stdout and one `error:` line naming the argument;
+//   * the README build section's in-process invocations run, and the
+//     protocol run's phase log and wire cost hold at any LocalOptimize
+//     thread count.
 //
 // SAP_CLI_PATH is injected by CMake as the built binary's absolute path.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,6 +201,24 @@ int run_command(const std::string& command, std::string& output) {
   return status;
 }
 
+/// Run `sap_cli <args>` with stdout and stderr kept apart; returns the exit
+/// status, or -1 when the process did not exit normally.
+int run_cli(const std::string& args, std::string& out, std::string& err) {
+  const std::string err_path =
+      ::testing::TempDir() + "sap_cli_stderr_" + std::to_string(getpid()) + ".txt";
+  out.clear();
+  FILE* pipe = popen((std::string(SAP_CLI_PATH) + " " + args + " 2>" + err_path).c_str(), "r");
+  if (!pipe) return -1;
+  char buf[4096];
+  while (std::fgets(buf, sizeof buf, pipe)) out += buf;
+  const int status = pclose(pipe);
+  std::stringstream text;
+  text << std::ifstream(err_path).rdbuf();
+  err = text.str();
+  std::remove(err_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 // ---- jobs --json ---------------------------------------------------------
 
 TEST(CliJobsJson, SchemaParsesAndCoversBuiltins) {
@@ -351,6 +378,203 @@ TEST(CliCrossProcess, DaemonAndPartiesMatchInProcessSession) {
     EXPECT_TRUE(ref_job_at_epoch[job_epoch].count(value))
         << "party " << i << " at epoch " << job_epoch << " served " << value
         << ", not an in-process report at that epoch";
+  }
+}
+
+// ---- usage errors ----------------------------------------------------------
+
+TEST(CliUsage, EveryUsageErrorExitsTwoBeforeAnyWork) {
+  struct Row {
+    const char* args;
+    int status;
+    const char* names;  ///< what the first stderr line names (exit 0: a stdout line)
+  };
+  const Row rows[] = {
+      // Top level.
+      {"", 2, "command"},
+      {"nosuch", 2, "nosuch"},
+      // datasets / jobs.
+      {"datasets extra", 2, "extra"},
+      {"datasets --json", 2, "--json"},
+      {"jobs extra", 2, "extra"},
+      {"jobs --jsn", 2, "--jsn"},
+      // generate.
+      {"generate NoSuch out.csv", 2, "NoSuch"},
+      {"generate Iris", 2, "out.csv"},
+      {"generate Iris out.csv x", 2, "seed"},
+      {"generate Iris out.csv 1 extra", 2, "extra"},
+      {"generate Iris out.csv --seed 2", 2, "--seed"},
+      // perturb.
+      {"perturb -x in.csv out.csv", 2, "-x"},
+      {"perturb in.csv", 2, "out.csv"},
+      {"perturb in.csv out.csv abc", 2, "sigma"},
+      {"perturb in.csv out.csv -0.5", 2, "sigma"},
+      {"perturb in.csv out.csv 0.1 1 extra", 2, "extra"},
+      {"perturb in.csv out.csv --optimize-threads", 2, "--optimize-threads"},
+      {"perturb in.csv out.csv --optimize-threads 257", 2, "--optimize-threads"},
+      // attack.
+      {"attack a.csv", 2, "perturbed.csv"},
+      {"attack a.csv b.csv x", 2, "known_m"},
+      {"attack a.csv b.csv 4 extra", 2, "extra"},
+      {"attack a.csv b.csv --known 4", 2, "--known"},
+      // protocol.
+      {"protocol", 2, "dataset"},
+      {"protocol NoSuch", 2, "NoSuch"},
+      {"protocol Iris x", 2, "parties"},
+      {"protocol Iris 2", 2, "parties"},
+      {"protocol Iris 4 -0.1", 2, "sigma"},
+      {"protocol Iris 4 0.1 1 extra", 2, "extra"},
+      {"protocol Iris --bogus", 2, "--bogus"},
+      {"protocol Iris --job", 2, "--job"},
+      {"protocol Iris --job nosuch-job", 2, "nosuch-job"},
+      {"protocol Iris --job knn-train-accuracy:k=0", 2, "--job"},
+      {"protocol Iris --optimize-threads x", 2, "--optimize-threads"},
+      // serve, in process.
+      {"serve", 2, "dataset"},
+      {"serve NoSuch", 2, "NoSuch"},
+      {"serve Iris 4 0.1 1 extra", 2, "extra"},
+      {"serve Iris --no-cache", 2, "--no-cache"},
+      {"serve Iris --requests", 2, "--requests"},
+      {"serve Iris --requests 0", 2, "--requests"},
+      {"serve Iris --threads x", 2, "--threads"},
+      {"serve Iris --ingest-records 0", 2, "--ingest-records"},
+      {"serve Iris --job knn-train-accuracy:k", 2, "--job"},
+      {"serve Iris --job nosuch-job", 2, "nosuch-job"},
+      // serve --listen, the miner daemon.
+      {"serve --listen", 2, "--listen"},
+      {"serve --listen nohost", 2, "--listen"},
+      {"serve --listen 127.0.0.1:0", 2, "--parties"},
+      {"serve --listen 127.0.0.1:0 --parties 2", 2, "--parties"},
+      {"serve --listen 127.0.0.1:0 --parties 3 Iris", 2, "Iris"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --no-cache", 2, "--no-cache"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --seed x", 2, "--seed"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --reactor-loops 65", 2, "--reactor-loops"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --deadline-ms 0", 2, "--deadline-ms"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --shards 2", 2, "--shard-index"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --shards 2 --shard-index 2", 2,
+       "--shard-index"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --shards 2 --shard-index 0 --replicas 3", 2,
+       "--replicas"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --resync ,", 2, "--resync"},
+      {"serve --listen 127.0.0.1:0 --parties 3 --fault bogus=1", 2, "--fault"},
+      // router.
+      {"router --miners 127.0.0.1:1 --parties 3 --shards 3 --serve-ms 1", 2, "--shards"},
+      {"router --parties 3", 2, "--miners"},
+      {"router --miners nohost --parties 3", 2, "--miners"},
+      {"router --miners 127.0.0.1:1", 2, "--parties"},
+      {"router --miners 127.0.0.1:1 --parties 3 extra", 2, "extra"},
+      {"router --miners 127.0.0.1:1 --parties 3 --listen", 2, "--listen"},
+      {"router --miners 127.0.0.1:1 --parties 3 --replicas 2", 2, "--replicas"},
+      {"router --miners 127.0.0.1:1 --parties 3 --serve-ms 0", 2, "--serve-ms"},
+      {"router --miners 127.0.0.1:1 --parties 3 --fault bogus=1", 2, "--fault"},
+      // stats.
+      {"stats", 2, "endpoint"},
+      {"stats nohost", 2, "endpoint"},
+      {"stats 127.0.0.1:1 127.0.0.1:2", 2, "127.0.0.1:2"},
+      {"stats 127.0.0.1:1 --bogus", 2, "--bogus"},
+      {"stats 127.0.0.1:1 --parties 2", 2, "--parties"},
+      {"stats 127.0.0.1:1 --seed", 2, "--seed"},
+      // party.
+      {"party Iris 3 0.1 1 --index 0", 2, "--connect"},
+      {"party Iris 3 0.1 1 --connect nohost --index 0", 2, "--connect"},
+      {"party Iris 3 0.1 1 --connect 127.0.0.1:1", 2, "--index"},
+      {"party Iris 3 0.1 1 --connect 127.0.0.1:1 --index 3", 2, "--index"},
+      {"party NoSuch 3 0.1 1 --connect 127.0.0.1:1 --index 0", 2, "NoSuch"},
+      {"party Iris 2 0.1 1 --connect 127.0.0.1:1 --index 0", 2, "parties"},
+      {"party Iris 3 0.1 1 extra --connect 127.0.0.1:1 --index 0", 2, "extra"},
+      {"party Iris 3 0.1 1 --connect 127.0.0.1:1 --index 0 --bogus", 2, "--bogus"},
+      {"party Iris 3 0.1 1 --connect 127.0.0.1:1 --index 0 --deadline-ms", 2,
+       "--deadline-ms"},
+      {"party Iris 3 0.1 1 --connect 127.0.0.1:1 --index 0 --batch-records 0", 2,
+       "--batch-records"},
+      {"party Iris 3 0.1 1 --connect 127.0.0.1:1 --index 0 --job nosuch-job", 2,
+       "nosuch-job"},
+      // contribute.
+      {"contribute", 2, "dataset"},
+      {"contribute NoSuch", 2, "NoSuch"},
+      {"contribute Iris 3 0.1 1 extra", 2, "extra"},
+      {"contribute Iris 3 0.1 1 --bogus", 2, "--bogus"},
+      {"contribute Iris 3 0.1 1 --job", 2, "--job"},
+      {"contribute Iris 3 0.1 1 --job nosuch-job", 2, "nosuch-job"},
+      {"contribute Iris 3 0.1 1 --batches x", 2, "--batches"},
+      {"contribute Iris 3 0.1 1 --batches 100", 2, "--batches"},
+      {"contribute Iris 3 0.1 1 --batch-records 0", 2, "--batch-records"},
+      // minparties.
+      {"minparties 0.95", 2, "opt_rate"},
+      {"minparties x 0.9", 2, "s0"},
+      {"minparties 2 0.5", 2, "s0"},
+      {"minparties 0.95 0", 2, "opt_rate"},
+      {"minparties 0.95 0.9 1", 2, "'1'"},
+      {"minparties 0.95 0.9 --json", 2, "--json"},
+      // One grammar for --job everywhere, and a party that only mines has a
+      // contributing twin.
+      {"protocol Iris 4 0.1 1 --job knn-train-accuracy:k=3", 0, "job knn-train-accuracy"},
+      {"contribute Iris 3 0.1 1 --batches 0", 0, "fits: 1 full"},
+  };
+  for (const Row& row : rows) {
+    std::string out, err;
+    const int status = run_cli(row.args, out, err);
+    EXPECT_EQ(status, row.status) << "sap_cli " << row.args << "\n" << out << err;
+    if (row.status == 0) {
+      EXPECT_NE(out.find(row.names), std::string::npos) << "sap_cli " << row.args << "\n" << out;
+      continue;
+    }
+    EXPECT_EQ(out, "") << "sap_cli " << row.args;
+    const std::string first = err.substr(0, err.find('\n'));
+    EXPECT_EQ(first.rfind("error: ", 0), 0u) << "sap_cli " << row.args << "\n" << err;
+    EXPECT_NE(first.find(row.names), std::string::npos)
+        << "sap_cli " << row.args << ": '" << first << "' does not name " << row.names;
+  }
+}
+
+// ---- the README and the verify notes ----------------------------------------
+
+TEST(CliDocs, ReadmeInvocationsRunAndTheProtocolTraceHolds) {
+  // The in-process invocations of the README's build section.
+  for (const char* args : {
+           "--help",
+           "protocol Iris 5 0.1 1 --job svm-train-accuracy --phases",
+           "serve Diabetes 5 0.1 1 --requests 256 --threads 8 "
+           "--job knn-train-accuracy:k=3,eval-records=64",
+           "serve Iris 4 0.1 1 --requests 128 --ingest-every 32 --ingest-records 16",
+           "contribute Iris 4 0.1 1 --batches 4 --batch-records 16 --job nb-train-accuracy",
+           "jobs --json",
+       }) {
+    std::string out, err;
+    EXPECT_EQ(run_cli(args, out, err), 0) << "sap_cli " << args << "\n" << err;
+    EXPECT_FALSE(out.empty()) << "sap_cli " << args;
+  }
+
+  // The exchange's pinned trace: cumulative messages per phase and the total
+  // wire cost, the same at any LocalOptimize thread count. Only the phase
+  // timings may differ between the two runs.
+  std::string reference;
+  for (const char* threads : {"0", "4"}) {
+    const std::string args =
+        std::string("protocol Iris 4 0.1 1 --job record-count --phases --optimize-threads ") +
+        threads;
+    std::string out, err;
+    ASSERT_EQ(run_cli(args, out, err), 0) << "sap_cli " << args << "\n" << err;
+    std::vector<std::size_t> msgs;
+    std::string timeless;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+      char phase[64];
+      double ms = 0.0, kib = 0.0;
+      std::size_t count = 0;
+      if (std::sscanf(line.c_str(), " %63s %lf ms %zu msgs %lf KiB", phase, &ms, &count, &kib) ==
+          4) {
+        msgs.push_back(count);
+        line = phase + line.substr(line.find(" ms ") + 3);  // the timing dropped
+      }
+      timeless += line + '\n';
+    }
+    EXPECT_EQ(msgs, (std::vector<std::size_t>{0, 3, 6, 14, 21})) << out;
+    EXPECT_NE(out.find("\nmessages=21, ciphertext=10.1 KiB\n"), std::string::npos) << out;
+    if (reference.empty())
+      reference = timeless;
+    else
+      EXPECT_EQ(timeless, reference) << "--optimize-threads " << threads;
   }
 }
 

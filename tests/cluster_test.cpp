@@ -4,6 +4,8 @@
 //     {1, 2, 4} and both hash layouts — from a segment install and again
 //     after interleaved per-nonce appends (the exact-merge contract and the
 //     gather fallback both preserve the canonical (nonce, seq) order);
+//   * the ownership rule: the shards a member installs are the shards the
+//     router routes to it, pinned for 2 and 4 members at 1 and 2 replicas;
 //   * router layer: a two-miner cluster's scatter-gather responses equal a
 //     flat engine over the union of the shard snapshots, contributions
 //     hash-route to the owning miner (kNotOwner never reaches the client);
@@ -60,7 +62,6 @@ std::vector<proto::PoolSegment> make_segments(const Dataset& pool,
 
 proto::MiningEngine make_engine(std::size_t shards, proto::ShardLayout layout) {
   return proto::MiningEngine({.threads = 0,
-                              .cache_models = true,
                               .shards = shards,
                               .layout = layout,
                               .owned = {}});
@@ -227,6 +228,40 @@ Dataset union_pool(const std::vector<Member*>& members) {
     labels[i] = rows[i].snap->rows.label(rows[i].row);
   }
   return {"union", std::move(features), std::move(labels)};
+}
+
+TEST(ShardOwnership, MembersInstallTheShardsTheRouterRoutesToThem) {
+  struct Row {
+    std::size_t members, replicas;
+    std::vector<std::vector<std::size_t>> owned;  // per member
+  };
+  // (2, 2) member 0 is the README walkthrough's `owns{ 0 1 }`.
+  const Row rows[] = {
+      {2, 1, {{0}, {1}}},
+      {2, 2, {{0, 1}, {0, 1}}},
+      {4, 1, {{0}, {1}, {2}, {3}}},
+      {4, 2, {{0, 3}, {0, 1}, {1, 2}, {2, 3}}},
+  };
+  for (const Row& row : rows) {
+    net::ShardRouterOptions ropts;
+    ropts.miners.assign(row.members, net::SocketAddr{"127.0.0.1", 1});
+    ropts.replicas = row.replicas;
+    ropts.parties = 3;
+    const net::ShardRouter router(ropts);  // connects lazily: nothing dials
+    ASSERT_EQ(router.shards(), row.members);
+    for (std::size_t m = 0; m < row.members; ++m) {
+      const auto owned = net::owned_shards(m, row.members, row.replicas);
+      EXPECT_EQ(owned, row.owned[m]) << row.members << " members, " << row.replicas
+                                     << " replicas, member " << m;
+      for (std::size_t g = 0; g < row.members; ++g) {
+        const auto owners = router.owners(g);
+        EXPECT_EQ(owners, net::shard_owners(g, row.members, row.replicas));
+        EXPECT_EQ(std::count(owners.begin(), owners.end(), m),
+                  std::count(owned.begin(), owned.end(), g))
+            << "shard " << g << ", member " << m;
+      }
+    }
+  }
 }
 
 TEST(ShardRouter, TwoMinerClusterMatchesFlatEngineOverUnionPool) {

@@ -34,10 +34,9 @@ Dataset normalized_pool(const std::string& name, std::uint64_t seed) {
   return {raw.name(), norm.transform(raw.features()), raw.labels()};
 }
 
-std::unique_ptr<proto::MiningEngine> make_engine(std::size_t threads, bool cache = true) {
+std::unique_ptr<proto::MiningEngine> make_engine(std::size_t threads) {
   auto engine = std::make_unique<proto::MiningEngine>(
       proto::MiningEngineOptions{.threads = threads,
-                                 .cache_models = cache,
                                  .shards = 1,
                                  .layout = proto::ShardLayout::kHashMod,
                                  .owned = {}});
@@ -329,18 +328,6 @@ TEST(MiningEngineTest, SetPoolBumpsEpochAndInvalidatesModels) {
   EXPECT_NE(wine.values, iris.values);  // genuinely a different pool's model
 }
 
-TEST(MiningEngineTest, CacheDisabledRetrainsEveryRequest) {
-  auto engine_ptr = make_engine(4, /*cache=*/false);
-  auto& engine = *engine_ptr;
-  std::vector<proto::MiningRequest> reqs(6, {"nb-train-accuracy", {}});
-  const auto responses = engine.run_batch(reqs);
-  for (const auto& r : responses) EXPECT_FALSE(r.model_cached);
-  const auto stats = engine.cache_stats();
-  EXPECT_EQ(stats.fits, 6u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
 TEST(MiningEngineTest, EvalRecordsBoundsTheServingCost) {
   auto engine_ptr = make_engine(0);
   auto& engine = *engine_ptr;
@@ -499,7 +486,6 @@ TEST(LivePoolTest, BatchReportsBitIdenticalAcrossThreadCountsWithInterleavedAppe
   const auto requests = mixed_requests(40);
   const auto scenario = [&](std::size_t threads) {
     proto::MiningEngine engine({.threads = threads,
-                                .cache_models = true,
                                 .shards = 1,
                                 .layout = proto::ShardLayout::kHashMod,
                                 .owned = {}});

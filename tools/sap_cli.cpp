@@ -1,45 +1,28 @@
-// sap_cli — command-line driver for libsap.
+// sap_cli — command-line driver for libsap. `sap_cli --help` lists every
+// command and argument.
 //
-// Subcommands:
-//   datasets                                  list the built-in synthetic suite
-//   jobs                                      list the named miner jobs
-//   generate <name> <out.csv> [seed]          write a synthetic dataset as CSV
-//   perturb <in.csv> <out.csv> [sigma] [seed] normalize + optimized perturbation
-//   attack <orig.csv> <pert.csv> [known_m]    run the attack suite, print report
-//   protocol <name> [parties] [sigma] [seed]  full SAP run + KNN utility check
-//            [--job <name>] [--phases]
-//   serve <name> [parties] [sigma] [seed]     run the exchange, then serve a
-//            [--requests N] [--threads K]     mining request load from the
-//            [--job name[:k=v,...]]           session's MiningEngine and
-//            [--no-cache]                     report req/s + p50/p99 latency
-//            [--ingest-every N]               (optionally streaming new
-//            [--ingest-records M]             batches into the live pool
-//                                            between request chunks)
-//   contribute <name> [parties] [sigma] [seed] run the exchange, then stream
-//            [--batches N] [--batch-records M] held-back record batches into
-//            [--job name[:k=v,...]]            the live pool via the
-//                                             Contribute phase, re-serving
-//                                             the job after every append
-//   minparties <s0> <opt_rate>                Figure-4 calculator
-//
-// Every numeric argument is validated; bad flags or malformed values exit
-// with status 2 after printing usage to stderr. `--help` (or `-h`, or the
-// `help` subcommand) prints usage to stdout and exits 0.
-//
-// Examples:
-//   sap_cli generate Diabetes /tmp/diab.csv 7
-//   sap_cli perturb /tmp/diab.csv /tmp/diab_pert.csv 0.1
-//   sap_cli attack /tmp/diab_norm.csv /tmp/diab_pert.csv 4
-//   sap_cli protocol Diabetes 6 0.1 1 --job svm-train-accuracy --phases
-//   sap_cli minparties 0.95 0.9
+// Each argument is declared once below as an Arg (name, value type,
+// default, valid range, one help line); each command lists the Args it
+// takes, and one parser applies them before any work starts. Exit status:
+// 0 on success; 1 on a runtime sap::Error; 2 on a usage error — an unknown
+// flag, a missing, malformed or out-of-range value, an unknown dataset or
+// job, a wrong positional count or a broken cross-field rule — reported as
+// one `error:` line naming the argument. `stats` also exits 2 when its
+// endpoint is unreachable.
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
+#include <initializer_list>
+#include <limits>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sap.hpp"
@@ -48,145 +31,142 @@ namespace {
 
 using namespace sap;
 
-const char* kUsage =
-    "usage:\n"
-    "  sap_cli datasets\n"
-    "  sap_cli jobs [--json]\n"
-    "  sap_cli generate <name> <out.csv> [seed=1]\n"
-    "  sap_cli perturb <in.csv> <out.csv> [sigma=0.1] [seed=1]\n"
-    "          [--optimize-threads K=0]\n"
-    "  sap_cli attack <original.csv> <perturbed.csv> [known_m=4]\n"
-    "  sap_cli protocol <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
-    "          [--job <name>] [--phases]\n"
-    "          [--optimize-threads K=0]\n"
-    "  sap_cli serve <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
-    "          [--requests N=256] [--threads K=4] [--job name[:k=v,...]]\n"
-    "          [--no-cache] [--ingest-every N=0] [--ingest-records M=32]\n"
-    "          [--optimize-threads K=0]\n"
-    "  sap_cli serve --listen HOST:PORT --parties K [--seed S=1]\n"
-    "          [--no-cache] [--deadline-ms N=30000]\n"
-    "          [--reactor-loops N=1]\n"
-    "          [--shards N=1 --shard-index I] [--replicas R=1]\n"
-    "          [--resync HOST:PORT,...] [--fault SPEC]\n"
-    "          (miner daemon: port 0 = ephemeral, the bound port is printed;\n"
-    "           one epoll door on --listen with N sharded event loops\n"
-    "           carries everything: the parties claim their ids there and\n"
-    "           it routes their exchange, then it serves contributions and\n"
-    "           jobs, DESIGN.md \xc2\xa7""10; --deadline-ms bounds the\n"
-    "           exchange phase;\n"
-    "           --shards N > 1 makes this daemon cluster member I of N: it\n"
-    "           installs/serves only the nonce-hash shards it owns — shard I\n"
-    "           as primary plus the R-1 preceding shards as replicas,\n"
-    "           DESIGN.md \xc2\xa7""11;\n"
-    "           --resync names peer miner addresses: before serving, each owned\n"
-    "           shard is resynced from the first peer ahead of this miner's\n"
-    "           local epoch — how a restarted miner re-enters rotation,\n"
-    "           DESIGN.md \xc2\xa7""13)\n"
-    "  sap_cli router --miners HOST:PORT,HOST:PORT,... --parties K\n"
-    "          [--seed S=1] [--listen HOST:PORT] [--shards N=miners]\n"
-    "          [--replicas R=1] [--serve-ms N=60000] [--fault SPEC]\n"
-    "          (cluster front door: hash-routes contributions to owning\n"
-    "           miners, scatter-gathers mining requests, merges exactly,\n"
-    "           fails reads over to replicas — serves for --serve-ms then\n"
-    "           exits with stats)\n"
-    "  sap_cli stats HOST:PORT [--parties K=5] [--seed S=1] [--json]\n"
-    "          [--health]\n"
-    "          (fetch a serving endpoint's live metrics + recent request\n"
-    "           traces over one kStatsRequest round trip. Works against a\n"
-    "           miner's --listen address and a router front door — the router\n"
-    "           answers the cluster-wide aggregate: counters and latency\n"
-    "           histograms merged exactly across miners, per-miner gauges\n"
-    "           namespaced m<i>.*. --parties/--seed must match the cluster\n"
-    "           session, like every other client. --health prints a one-line\n"
-    "           liveness summary instead of the full dump. An unreachable\n"
-    "           endpoint exits 2 with a one-line diagnostic)\n"
-    "  sap_cli party <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
-    "          --connect HOST:PORT --index I [--batches N=4]\n"
-    "          [--batch-records M=16] [--job name[:k=v,...]]\n"
-    "          [--deadline-ms N=30000] [--optimize-threads K=0]\n"
-    "          (one party process: claims --index at the daemon's door and\n"
-    "           runs the exchange, its contributions and its jobs over that\n"
-    "           one connection; --deadline-ms bounds every wait it makes:\n"
-    "           connect + claim, each exchange wait, each write stall, each\n"
-    "           request)\n"
-    "  sap_cli contribute <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
-    "          [--batches N=4] [--batch-records M=16] [--job name[:k=v,...]]\n"
-    "          [--optimize-threads K=0]\n"
-    "  sap_cli minparties <s0> <opt_rate>\n"
-    "  sap_cli --help\n"
-    "\n"
-    "flags for `protocol`:\n"
-    "  --job <name>        run a named miner job on the unified pool\n"
-    "                      (see `sap_cli jobs`; repeatable)\n"
-    "  --phases            print per-phase timing and wire cost\n"
-    "\n"
-    "shared flag (perturb / protocol / serve / party / contribute):\n"
-    "  --optimize-threads <k>  worker threads for each party's LocalOptimize\n"
-    "                      candidate search (0 = serial). Pure speed knob:\n"
-    "                      results are bit-identical for any thread count.\n"
-    "                      In-process runs already optimize every party on\n"
-    "                      its own worker; this pool nests inside each.\n"
-    "\n"
-    "flags for `serve`:\n"
-    "  --requests <n>      total mining requests to serve (round-robin over\n"
-    "                      the --job list)\n"
-    "  --threads <k>       MiningEngine worker threads (0 = serve inline)\n"
-    "  --job <spec>        job name with optional params, e.g.\n"
-    "                      knn-train-accuracy:k=3,eval-records=64 (repeatable;\n"
-    "                      default: every built-in trainable job)\n"
-    "  --no-cache          retrain per request instead of serving cached models\n"
-    "  --ingest-every <n>  after every n requests, stream a held-back record\n"
-    "                      batch into the live pool through the Contribute\n"
-    "                      phase (0 = serve a frozen pool, the default)\n"
-    "  --ingest-records <m> records per streamed batch (with --ingest-every)\n"
-    "\n"
-    "flags for `contribute`:\n"
-    "  --batches <n>       number of held-back batches to stream\n"
-    "  --batch-records <m> records per streamed batch\n"
-    "  --job <spec>        job re-served after every append (default\n"
-    "                      nb-train-accuracy, which refits incrementally)\n"
-    "\n"
-    "environment:\n"
-    "  SAP_LOG_LEVEL       stderr verbosity: off|error|warn|info|debug (or\n"
-    "                      0-4); default warn. Daemon log lines carry a\n"
-    "                      role prefix ([sap INFO  miner 0/2] ...)\n"
-    "  SAP_FAULT           seeded socket-level fault injection for THIS\n"
-    "                      process (chaos testing, DESIGN.md \xc2\xa7""13), e.g.\n"
-    "                      'seed=7,drop=0.02,corrupt=0.02,reset=0.02' or\n"
-    "                      'seed=7,rate=0.06'. Same spec + same seed =>\n"
-    "                      the identical fault schedule. The --fault flag\n"
-    "                      (serve --listen / router) takes the same spec\n"
-    "                      and wins over the environment.\n"
-    "\n"
-    "cross-process mode (see README for the two-terminal walkthrough):\n"
-    "  `serve --listen` runs the miner daemon: it binds HOST:PORT, waits for\n"
-    "  --parties party processes, pools the exchange, then serves streamed\n"
-    "  contributions and mining requests on the same address until every\n"
-    "  party disconnects.\n"
-    "  `party` runs one provider: every party process must use the SAME\n"
-    "  dataset/parties/sigma/seed arguments (they define the logical\n"
-    "  session; the seed also stands in for the out-of-band key exchange)\n"
-    "  and a DISTINCT --index 0..K-1 (K-1 doubles as the coordinator).\n"
-    "  Each party streams the held-back batches b with b mod K == --index\n"
-    "  and re-serves --job (repeatable) over the wire after its last\n"
-    "  batch. The exchange pool is bit-identical to the in-process run's\n"
-    "  (`contribute` with the same arguments);\n"
-    "  concurrently streamed batches land in scheduling-dependent order, so\n"
-    "  compare the daemon's `multiset` digest (order-insensitive) — with a\n"
-    "  single contributing party the ordered digest matches too.\n";
+/// A usage error: exit 2 with one `error:` line.
+struct Usage : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-int usage_error(const char* message = nullptr) {
-  if (message) std::fprintf(stderr, "error: %s\n", message);
-  std::fputs(kUsage, stderr);
-  return 2;
+/// Throws Usage(`why`) unless `ok`.
+void require(bool ok, const std::string& why) {
+  if (!ok) throw Usage(why);
 }
 
-int usage_ok() {
-  std::fputs(kUsage, stdout);
-  return 0;
-}
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
 
-/// Strict double parse; exits via return false on garbage ("1x", "", "nan").
+enum class Type : std::uint8_t {
+  kSwitch, kCount, kReal, kText, kDataset, kAddr, kAddrs, kJob, kFault
+};
+
+/// Value placeholders in the help, by Type.
+constexpr const char* kPlaceholder[] = {
+    "", "N", "X", "PATH", "NAME", "HOST:PORT", "HOST:PORT,...", "NAME[:K=V,...]", "SPEC"};
+
+/// One argument: a flag ("--name") or a positional ("name"). A number must
+/// lie in [lo, hi], either end open when its flag says so. A command may
+/// take a shared declaration under its own default or require it; the
+/// range and help stay the declaration's.
+struct Arg {
+  const char* name;
+  Type type;
+  const char* def = nullptr;  ///< default value text; nullptr = none
+  double lo = 0.0;
+  double hi = kNoLimit;
+  bool lo_open = false;
+  bool hi_open = false;
+  bool required = false;
+  const char* help = "";
+
+  [[nodiscard]] bool flag() const { return name[0] == '-'; }
+  [[nodiscard]] constexpr Arg named(const char* flag_name) const {
+    Arg out = *this;
+    out.name = flag_name;
+    return out;
+  }
+  [[nodiscard]] constexpr Arg defaults_to(const char* value) const {
+    Arg out = *this;
+    out.def = value;
+    return out;
+  }
+  [[nodiscard]] constexpr Arg needed() const {
+    Arg out = *this;
+    out.def = nullptr;
+    out.required = true;
+    return out;
+  }
+};
+
+// ---- the declarations ----------------------------------------------------
+
+constexpr Arg kDataset{.name = "dataset", .type = Type::kDataset, .required = true,
+                       .help = "a built-in dataset (`sap_cli datasets`)"};
+constexpr Arg kParties{.name = "parties", .type = Type::kCount, .def = "5", .lo = 3,
+                       .help = "providers in the session, k"};
+constexpr Arg kSigma{.name = "sigma", .type = Type::kReal, .def = "0.1",
+                     .help = "perturbation noise sigma"};
+constexpr Arg kSeed{.name = "seed", .type = Type::kCount, .def = "1",
+                    .help = "master seed, shared by every process of a session"};
+constexpr Arg kInCsv{.name = "in.csv", .type = Type::kText, .required = true,
+                     .help = "labelled CSV to normalize and perturb"};
+constexpr Arg kOutCsv{.name = "out.csv", .type = Type::kText, .required = true,
+                      .help = "CSV file to write"};
+constexpr Arg kOriginal{.name = "original.csv", .type = Type::kText, .required = true,
+                        .help = "the normalized original records"};
+constexpr Arg kPerturbed{.name = "perturbed.csv", .type = Type::kText, .required = true,
+                         .help = "their perturbed release, same shape"};
+constexpr Arg kKnownM{.name = "known_m", .type = Type::kCount, .def = "4",
+                      .help = "records the known-input attack holds"};
+constexpr Arg kS0{.name = "s0", .type = Type::kReal, .hi = 1, .lo_open = true,
+                  .hi_open = true, .required = true, .help = "satisfaction level s0"};
+constexpr Arg kRate{.name = "opt_rate", .type = Type::kReal, .hi = 1, .lo_open = true,
+                    .required = true, .help = "LocalOptimize's optimality rate"};
+constexpr Arg kEndpoint{.name = "endpoint", .type = Type::kAddr, .required = true,
+                        .help = "HOST:PORT of a miner's or a router's door"};
+
+constexpr Arg kJson{.name = "--json", .type = Type::kSwitch,
+                    .help = "print JSON instead of a table"};
+constexpr Arg kPhases{.name = "--phases", .type = Type::kSwitch,
+                      .help = "print per-phase timing and wire cost"};
+constexpr Arg kHealth{.name = "--health", .type = Type::kSwitch,
+                      .help = "print one liveness line instead of the full dump"};
+constexpr Arg kOptimizeThreads{
+    .name = "--optimize-threads", .type = Type::kCount, .def = "0", .hi = 256,
+    .help = "LocalOptimize workers per party, 0 = serial; same result"};
+constexpr Arg kJob{.name = "--job", .type = Type::kJob,
+                   .help = "a miner job and its params (`sap_cli jobs`); repeatable"};
+constexpr Arg kRequests{.name = "--requests", .type = Type::kCount, .def = "256", .lo = 1,
+                        .help = "mining requests to serve, round-robin over the jobs"};
+constexpr Arg kThreads{.name = "--threads", .type = Type::kCount, .def = "4", .hi = 256,
+                       .help = "MiningEngine workers; 0 = serve inline"};
+constexpr Arg kIngestEvery{
+    .name = "--ingest-every", .type = Type::kCount, .def = "0",
+    .help = "stream a held-back batch every N requests; 0 = never"};
+constexpr Arg kIngestRecords{.name = "--ingest-records", .type = Type::kCount, .def = "32",
+                             .lo = 1, .help = "records per streamed batch"};
+constexpr Arg kListen{.name = "--listen", .type = Type::kAddr, .def = "127.0.0.1:0",
+                      .help = "the door to bind; port 0 picks one and prints it"};
+constexpr Arg kPartiesFlag = kParties.named("--parties");
+constexpr Arg kSeedFlag = kSeed.named("--seed");
+constexpr Arg kDeadline{.name = "--deadline-ms", .type = Type::kCount, .def = "30000",
+                        .lo = 1, .hi = 3600000,
+                        .help = "bound on the exchange and each wait at the door"};
+constexpr Arg kReactorLoops{.name = "--reactor-loops", .type = Type::kCount, .def = "1",
+                            .lo = 1, .hi = 64, .help = "the door's event loops"};
+constexpr Arg kShards{.name = "--shards", .type = Type::kCount, .def = "1", .lo = 1,
+                      .hi = 4096, .help = "cluster members, one shard each (DESIGN.md §11)"};
+constexpr Arg kShardIndex{.name = "--shard-index", .type = Type::kCount,
+                          .help = "this member's shard; needed when there are several"};
+constexpr Arg kReplicas{.name = "--replicas", .type = Type::kCount, .def = "1", .lo = 1,
+                        .help = "owners per shard: the primary and R - 1 replicas"};
+constexpr Arg kResync{.name = "--resync", .type = Type::kAddrs,
+                      .help = "peers to resync the owned shards from before serving"};
+constexpr Arg kFault{.name = "--fault", .type = Type::kFault,
+                     .help = "seeded socket fault plan, as SAP_FAULT, which it overrides"};
+constexpr Arg kMiners{.name = "--miners", .type = Type::kAddrs, .required = true,
+                      .help = "the members' doors, member 0 first"};
+constexpr Arg kServeMs{.name = "--serve-ms", .type = Type::kCount, .def = "60000", .lo = 1,
+                       .hi = 3600000, .help = "serve this long, then print stats and exit"};
+constexpr Arg kConnect{.name = "--connect", .type = Type::kAddr, .required = true,
+                       .help = "the miner daemon's door"};
+constexpr Arg kIndex{.name = "--index", .type = Type::kCount, .required = true,
+                     .help = "this party's id, < parties; parties - 1 coordinates"};
+constexpr Arg kBatches{.name = "--batches", .type = Type::kCount, .def = "4",
+                       .help = "held-back record batches to stream; 0 = none"};
+constexpr Arg kBatchRecords{.name = "--batch-records", .type = Type::kCount, .def = "16",
+                            .lo = 1, .help = "records per batch"};
+
+// ---- values --------------------------------------------------------------
+
+/// Strict double parse: false on garbage ("1x", "", "nan").
 bool parse_double(const char* text, double& out) {
   if (!text || !*text) return false;
   char* end = nullptr;
@@ -203,37 +183,217 @@ bool parse_u64(const char* text, std::uint64_t& out) {
   return errno == 0 && end && *end == '\0';
 }
 
-/// Comma-separated HOST:PORT list ("a:1,b:2"); false when empty or any
-/// element fails to parse.
-bool parse_addr_list(const std::string& text, std::vector<net::SocketAddr>& out) {
+std::string number_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, v == std::floor(v) ? "%.0f" : "%g", v);
+  return buf;
+}
+
+/// "in [1, 256]", ">= 3", "in (0, 1]"; empty when every value is valid.
+std::string range_text(const Arg& a) {
+  if (a.type != Type::kCount && a.type != Type::kReal) return "";
+  if (a.hi == kNoLimit) {
+    if (a.type == Type::kCount && a.lo == 0.0) return "";
+    return (a.lo_open ? "> " : ">= ") + number_text(a.lo);
+  }
+  return std::string("in ") + (a.lo_open ? "(" : "[") + number_text(a.lo) + ", " +
+         number_text(a.hi) + (a.hi_open ? ")" : "]");
+}
+
+[[noreturn]] void bad(const Arg& a, const std::string& why) {
+  throw Usage(std::string(a.name) + ": " + why);
+}
+
+void check_range(const Arg& a, double v, const std::string& text) {
+  const bool above = a.lo_open ? v > a.lo : v >= a.lo;
+  const bool below = a.hi_open ? v < a.hi : v <= a.hi;
+  if (!above || !below) bad(a, text + " is out of range, must be " + range_text(a));
+}
+
+// Each converter below both checks a value (the parser) and converts it
+// (the accessors of Args).
+
+std::uint64_t to_count(const Arg& a, const std::string& text) {
+  std::uint64_t v = 0;
+  if (!parse_u64(text.c_str(), v)) bad(a, "'" + text + "' is not a count");
+  check_range(a, static_cast<double>(v), text);
+  return v;
+}
+
+double to_real(const Arg& a, const std::string& text) {
+  double v = 0.0;
+  if (!parse_double(text.c_str(), v)) bad(a, "'" + text + "' is not a number");
+  check_range(a, v, text);
+  return v;
+}
+
+net::SocketAddr to_addr(const Arg& a, const std::string& text) {
   try {
-    std::size_t at = 0;
-    while (at <= text.size()) {
-      const auto comma = text.find(',', at);
-      const auto one = text.substr(
-          at, comma == std::string::npos ? std::string::npos : comma - at);
-      if (!one.empty()) out.push_back(net::SocketAddr::parse(one));
-      if (comma == std::string::npos) break;
-      at = comma + 1;
-    }
+    return net::SocketAddr::parse(text);
   } catch (const sap::Error&) {
-    return false;
+    bad(a, "'" + text + "' is not HOST:PORT (IPv4 or localhost)");
   }
-  return !out.empty();
 }
 
-/// Shared --fault SPEC handler: parse + install (flag wins over SAP_FAULT).
-bool install_fault_spec(const char* text, std::string& error) {
+/// Comma-separated HOST:PORT list; empty elements are skipped.
+std::vector<net::SocketAddr> to_addrs(const Arg& a, const std::string& text) {
+  std::vector<net::SocketAddr> out;
+  for (std::size_t at = 0; at <= text.size();) {
+    const auto comma = std::min(text.find(',', at), text.size());
+    if (comma > at) out.push_back(to_addr(a, text.substr(at, comma - at)));
+    at = comma + 1;
+  }
+  if (out.empty()) bad(a, "needs HOST:PORT,HOST:PORT,...");
+  return out;
+}
+
+/// "name[:k=v,...]", checked against the builtin registry (what the engine
+/// and the miner daemon serve).
+proto::MiningRequest to_job(const Arg& a, const std::string& text) {
+  proto::MiningRequest req;
+  const auto colon = text.find(':');
+  req.job = text.substr(0, colon);
+  for (std::size_t at = colon == std::string::npos ? text.size() : colon + 1;
+       at < text.size();) {
+    const auto comma = std::min(text.find(',', at), text.size());
+    const std::string pair = text.substr(at, comma - at);
+    const auto eq = pair.find('=');
+    double value = 0.0;
+    if (eq == std::string::npos || eq == 0 || !parse_double(pair.c_str() + eq + 1, value))
+      bad(a, "'" + text + "' is not NAME[:K=V,...]");
+    req.params[pair.substr(0, eq)] = value;
+    at = comma + 1;
+  }
+  const auto builtins = proto::JobRegistry::builtins();
+  if (!builtins.contains(req.job))
+    bad(a, "unknown miner job '" + req.job + "' (see `sap_cli jobs`)");
   try {
-    net::fault::install(net::fault::FaultPlan::parse(text ? text : ""));
+    (void)builtins.find(req.job).resolve_params(req.params);
   } catch (const sap::Error& e) {
-    error = e.what();
-    return false;
+    bad(a, e.what());
   }
-  return true;
+  return req;
 }
 
-int cmd_datasets() {
+net::fault::FaultPlan to_fault(const Arg& a, const std::string& text) {
+  try {
+    return net::fault::FaultPlan::parse(text);
+  } catch (const sap::Error& e) {
+    bad(a, e.what());
+  }
+}
+
+void check(const Arg& a, const std::string& text) {
+  switch (a.type) {
+    case Type::kCount: (void)to_count(a, text); break;
+    case Type::kReal: (void)to_real(a, text); break;
+    case Type::kAddr: (void)to_addr(a, text); break;
+    case Type::kAddrs: (void)to_addrs(a, text); break;
+    case Type::kJob: (void)to_job(a, text); break;
+    case Type::kFault: (void)to_fault(a, text); break;
+    case Type::kDataset: {
+      const auto& suite = data::uci_suite();
+      if (std::none_of(suite.begin(), suite.end(),
+                       [&](const data::SyntheticSpec& s) { return s.name == text; }))
+        bad(a, "unknown dataset '" + text + "' (see `sap_cli datasets`)");
+      break;
+    }
+    case Type::kSwitch:
+    case Type::kText: break;
+  }
+}
+
+/// What the parser filled: each declaration's given values in argv order,
+/// else its default.
+class Args {
+ public:
+  [[nodiscard]] bool has(const Arg& a) const { return values_.contains(a.name); }
+  [[nodiscard]] const std::string& text(const Arg& a) const {
+    return values_.at(a.name).back();
+  }
+  [[nodiscard]] std::uint64_t count(const Arg& a) const { return to_count(a, text(a)); }
+  [[nodiscard]] double real(const Arg& a) const { return to_real(a, text(a)); }
+  [[nodiscard]] net::SocketAddr addr(const Arg& a) const { return to_addr(a, text(a)); }
+  /// Every value's addresses, concatenated.
+  [[nodiscard]] std::vector<net::SocketAddr> addrs(const Arg& a) const {
+    std::vector<net::SocketAddr> out;
+    for (const auto& text : all(a)) {
+      const auto some = to_addrs(a, text);
+      out.insert(out.end(), some.begin(), some.end());
+    }
+    return out;
+  }
+  [[nodiscard]] std::vector<proto::MiningRequest> jobs(const Arg& a) const {
+    std::vector<proto::MiningRequest> out;
+    for (const auto& text : all(a)) out.push_back(to_job(a, text));
+    return out;
+  }
+
+  void add(const Arg& a, const std::string& text) { values_[a.name].push_back(text); }
+
+ private:
+  [[nodiscard]] std::vector<std::string> all(const Arg& a) const {
+    const auto it = values_.find(a.name);
+    return it == values_.end() ? std::vector<std::string>{} : it->second;
+  }
+
+  std::map<std::string, std::vector<std::string>> values_;
+};
+
+struct Command {
+  const char* name;
+  const char* mode;  ///< a flag whose presence picks this entry, or nullptr
+  const char* summary;
+  std::vector<Arg> args;
+  int (*run)(const Args&);
+};
+
+/// `-x` and `--x` are flags; `-1` and `-.5` are values.
+bool is_flag(const std::string& token) {
+  return token.size() > 1 && token[0] == '-' &&
+         !std::isdigit(static_cast<unsigned char>(token[1])) && token[1] != '.';
+}
+
+/// The one parser: fills `c`'s declarations from its arguments.
+Args parse(const Command& c, int argc, char** argv) {
+  std::vector<const Arg*> positionals;
+  for (const Arg& a : c.args)
+    if (!a.flag()) positionals.push_back(&a);
+  Args out;
+  std::size_t next = 0;
+  for (int i = 0; i < argc; ++i) {
+    const std::string token = argv[i];
+    const Arg* a = nullptr;
+    if (is_flag(token)) {
+      const auto it = std::find_if(c.args.begin(), c.args.end(),
+                                   [&](const Arg& d) { return d.flag() && token == d.name; });
+      require(it != c.args.end(), "unknown flag " + token + " for " + c.name);
+      a = &*it;
+      if (a->type == Type::kSwitch) {
+        out.add(*a, "");
+        continue;
+      }
+      require(i + 1 < argc, token + " needs a value");
+      ++i;
+    } else {
+      require(next < positionals.size(),
+              "unexpected argument '" + token + "' for " + c.name);
+      a = positionals[next++];
+    }
+    check(*a, argv[i]);
+    out.add(*a, argv[i]);
+  }
+  for (const Arg& a : c.args) {
+    if (out.has(a)) continue;
+    require(!a.required, std::string("missing ") + a.name);
+    if (a.def) out.add(a, a.def);
+  }
+  return out;
+}
+
+// ---- commands ------------------------------------------------------------
+
+int cmd_datasets(const Args&) {
   Table table({"name", "records", "dims", "classes", "binary frac"});
   for (const auto& spec : data::uci_suite())
     table.add_row({spec.name, std::to_string(spec.rows), std::to_string(spec.dims),
@@ -242,18 +402,9 @@ int cmd_datasets() {
   return 0;
 }
 
-int cmd_jobs(int argc, char** argv) {
+int cmd_jobs(const Args& a) {
   const auto registry = proto::JobRegistry::builtins();
-  bool json = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else {
-      return usage_error(("unknown flag " + arg + " for jobs").c_str());
-    }
-  }
-  if (json) {
+  if (a.has(kJson)) {
     std::fputs(proto::schema_json(registry).c_str(), stdout);
     return 0;
   }
@@ -272,51 +423,17 @@ int cmd_jobs(int argc, char** argv) {
   return 0;
 }
 
-int cmd_generate(int argc, char** argv) {
-  if (argc < 4 || argc > 5) return usage_error("generate takes 2-3 arguments");
-  std::uint64_t seed = 1;
-  if (argc == 5 && !parse_u64(argv[4], seed)) return usage_error("bad seed");
-  const auto ds = data::make_uci(argv[2], seed);
-  data::save_csv(ds, argv[3]);
-  std::printf("wrote %zu records x %zu dims to %s\n", ds.size(), ds.dims(), argv[3]);
+int cmd_generate(const Args& a) {
+  const auto ds = data::make_uci(a.text(kDataset), a.count(kSeed));
+  data::save_csv(ds, a.text(kOutCsv));
+  std::printf("wrote %zu records x %zu dims to %s\n", ds.size(), ds.dims(),
+              a.text(kOutCsv).c_str());
   return 0;
 }
 
-/// Shared `--optimize-threads K` handler: returns true when argv[i] was this
-/// flag (advancing i past the value), false otherwise; `err` is set on a
-/// malformed value.
-bool take_optimize_threads(int argc, char** argv, int& i, std::uint64_t& out, bool& err) {
-  if (std::string(argv[i]) != "--optimize-threads") return false;
-  err = (++i >= argc || !parse_u64(argv[i], out) || out > 256);
-  return true;
-}
-
-int cmd_perturb(int argc, char** argv) {
-  std::vector<const char*> positional;
-  std::uint64_t optimize_threads = 0;
-  for (int i = 2; i < argc; ++i) {
-    bool bad = false;
-    if (take_optimize_threads(argc, argv, i, optimize_threads, bad)) {
-      if (bad) return usage_error("--optimize-threads needs a count in [0, 256]");
-    } else if (argv[i][0] == '-' && argv[i][1] == '-') {
-      return usage_error(("unknown flag " + std::string(argv[i])).c_str());
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 2 || positional.size() > 4)
-    return usage_error("perturb takes 2-4 positional arguments");
-  double sigma = 0.1;
-  std::uint64_t seed = 1;
-  if (positional.size() > 2 && !parse_double(positional[2], sigma))
-    return usage_error("bad sigma");
-  if (positional.size() > 3 && !parse_u64(positional[3], seed))
-    return usage_error("bad seed");
-  if (sigma < 0.0) return usage_error("sigma must be non-negative");
-  const char* in_path = positional[0];
-  const char* out_path = positional[1];
-
-  const data::Dataset raw = data::load_csv(in_path, "input");
+int cmd_perturb(const Args& a) {
+  const double sigma = a.real(kSigma);
+  const data::Dataset raw = data::load_csv(a.text(kInCsv), "input");
   data::MinMaxNormalizer norm;
   norm.fit(raw.features());
   const data::Dataset ds(raw.name(), norm.transform(raw.features()), raw.labels());
@@ -325,80 +442,43 @@ int cmd_perturb(int argc, char** argv) {
   opts.candidates = 12;
   opts.refine_steps = 6;
   opts.noise_sigma = sigma;
-  opts.threads = optimize_threads;
+  opts.threads = a.count(kOptimizeThreads);
   opts.attacks = {.naive = true, .ica = true, .known_inputs = 4};
-  rng::Engine eng(seed);
+  rng::Engine eng(a.count(kSeed));
   const auto result = opt::optimize_perturbation(ds.features_T(), opts, eng);
 
   const data::Dataset out(ds.name(), result.best.apply(ds.features_T(), eng).transpose(),
                           ds.labels());
-  data::save_csv(out, out_path);
+  data::save_csv(out, a.text(kOutCsv));
   std::printf("optimized perturbation: rho = %.3f (sigma = %.2f, %zu evaluations)\n",
               result.best_rho, sigma, result.evaluations);
-  std::printf("wrote perturbed dataset to %s\n", out_path);
+  std::printf("wrote perturbed dataset to %s\n", a.text(kOutCsv).c_str());
   return 0;
 }
 
-int cmd_attack(int argc, char** argv) {
-  if (argc < 4 || argc > 5) return usage_error("attack takes 2-3 arguments");
-  std::uint64_t known = 4;
-  if (argc == 5 && !parse_u64(argv[4], known)) return usage_error("bad known_m");
-  const data::Dataset original = data::load_csv(argv[2], "original");
-  const data::Dataset perturbed = data::load_csv(argv[3], "perturbed");
+int cmd_attack(const Args& a) {
+  const data::Dataset original = data::load_csv(a.text(kOriginal), "original");
+  const data::Dataset perturbed = data::load_csv(a.text(kPerturbed), "perturbed");
   SAP_REQUIRE(original.size() == perturbed.size() && original.dims() == perturbed.dims(),
               "attack: datasets must have identical shape");
 
   privacy::AttackSuite suite({.naive = true, .ica = true, .spectral = true,
-                              .known_inputs = static_cast<std::size_t>(known)});
+                              .known_inputs = static_cast<std::size_t>(a.count(kKnownM))});
   rng::Engine eng(99);
   const auto report = suite.evaluate(original.features_T(), perturbed.features_T(), eng);
 
   Table table({"attack", "rho", "status"});
-  for (const auto& a : report.attacks)
-    table.add_row({a.attack, a.failed ? "-" : Table::num(a.rho),
-                   a.failed ? "failed" : "ok"});
+  for (const auto& r : report.attacks)
+    table.add_row({r.attack, r.failed ? "-" : Table::num(r.rho),
+                   r.failed ? "failed" : "ok"});
   std::fputs(table.str().c_str(), stdout);
   std::printf("minimum privacy guarantee rho = %.3f\n", report.rho);
   return 0;
 }
 
-int cmd_protocol(int argc, char** argv) {
-  // Positionals first, then flags (flags may also interleave).
-  std::vector<const char*> positional;
-  std::vector<std::string> job_names;
-  std::uint64_t optimize_threads = 0;
-  bool show_phases = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool bad = false;
-    if (take_optimize_threads(argc, argv, i, optimize_threads, bad)) {
-      if (bad) return usage_error("--optimize-threads needs a count in [0, 256]");
-    } else if (arg == "--job") {
-      if (++i >= argc) return usage_error("--job needs a value");
-      job_names.emplace_back(argv[i]);
-    } else if (arg == "--phases") {
-      show_phases = true;
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      return usage_error(("unknown flag " + arg).c_str());
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.empty() || positional.size() > 4)
-    return usage_error("protocol takes 1-4 positional arguments");
-
-  std::uint64_t parties = 5, seed = 1;
-  double sigma = 0.1;
-  if (positional.size() > 1 && !parse_u64(positional[1], parties))
-    return usage_error("bad party count");
-  if (positional.size() > 2 && !parse_double(positional[2], sigma))
-    return usage_error("bad sigma");
-  if (positional.size() > 3 && !parse_u64(positional[3], seed))
-    return usage_error("bad seed");
-  if (parties < 3) return usage_error("protocol needs at least 3 parties");
-  if (sigma < 0.0) return usage_error("sigma must be non-negative");
-
-  const data::Dataset raw = data::make_uci(positional[0], seed);
+int cmd_protocol(const Args& a) {
+  const std::uint64_t parties = a.count(kParties), seed = a.count(kSeed);
+  const data::Dataset raw = data::make_uci(a.text(kDataset), seed);
   data::MinMaxNormalizer norm;
   norm.fit(raw.features());
   const data::Dataset pool(raw.name(), norm.transform(raw.features()), raw.labels());
@@ -408,24 +488,13 @@ int cmd_protocol(int argc, char** argv) {
   auto shards = data::partition(split.train, parties, popts, eng);
 
   proto::SapOptions opts;
-  opts.noise_sigma = sigma;
+  opts.noise_sigma = a.real(kSigma);
   opts.seed = seed;
   opts.optimizer.candidates = 8;
   opts.optimizer.refine_steps = 4;
-  opts.optimizer.threads = optimize_threads;
+  opts.optimizer.threads = a.count(kOptimizeThreads);
   opts.optimizer.attacks = {.naive = true, .ica = true, .known_inputs = 4};
   proto::SapSession session(std::move(shards), opts);
-
-  // Validate job names against the registry BEFORE paying for the exchange.
-  for (const auto& name : job_names) {
-    const auto known = session.job_names();
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      std::fprintf(stderr, "error: unknown miner job '%s' (see `sap_cli jobs`)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-
   const auto result = session.run();
 
   Table table({"provider", "rho_i", "b_i", "s_i", "pi_i", "risk eq(1)", "risk eq(2)"});
@@ -435,7 +504,7 @@ int cmd_protocol(int argc, char** argv) {
                    Table::num(p.risk_breach), Table::num(p.risk_sap)});
   std::fputs(table.str().c_str(), stdout);
 
-  if (show_phases) {
+  if (a.has(kPhases)) {
     std::printf("\nphases:\n");
     for (const auto& stats : session.phase_log())
       std::printf("  %-20s %8.1f ms  %4zu msgs  %8.1f KiB\n",
@@ -444,10 +513,9 @@ int cmd_protocol(int argc, char** argv) {
   }
 
   // Named jobs re-mine the pooled unified space without redoing the exchange.
-  for (const auto& name : job_names) {
-    const auto job_result = session.mine_named(name);
-    (void)job_result;
-    std::printf("job %-22s report broadcast to %llu providers\n", name.c_str(),
+  for (const auto& req : a.jobs(kJob)) {
+    (void)session.mine_named(req.job, req.params);
+    std::printf("job %-22s report broadcast to %llu providers\n", req.job.c_str(),
                 static_cast<unsigned long long>(parties));
   }
 
@@ -467,127 +535,25 @@ int cmd_protocol(int argc, char** argv) {
   return 0;
 }
 
-/// Parse "name[:k=v[,k=v...]]" into a MiningRequest; false on malformed text.
-bool parse_job_spec(const std::string& text, proto::MiningRequest& out) {
-  const auto colon = text.find(':');
-  out.job = text.substr(0, colon);
-  out.params.clear();
-  if (out.job.empty()) return false;
-  if (colon == std::string::npos) return true;
-  std::string rest = text.substr(colon + 1);
-  while (!rest.empty()) {
-    const auto comma = rest.find(',');
-    const std::string pair = rest.substr(0, comma);
-    rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0) return false;
-    double value = 0.0;
-    if (!parse_double(pair.substr(eq + 1).c_str(), value)) return false;
-    out.params[pair.substr(0, eq)] = value;
-  }
-  return true;
-}
-
-/// Validate each request's job name AND params against the builtin registry
-/// (what the engine and the miner daemon serve) BEFORE paying for any
-/// exchange; prints the error and returns false on the first invalid one.
-bool validate_job_requests(const std::vector<proto::MiningRequest>& requests) {
-  const auto builtins = proto::JobRegistry::builtins();
-  for (const auto& req : requests) {
-    if (!builtins.contains(req.job)) {
-      std::fprintf(stderr, "error: unknown miner job '%s' (see `sap_cli jobs`)\n",
-                   req.job.c_str());
-      return false;
-    }
-    try {
-      (void)builtins.find(req.job).resolve_params(req.params);
-    } catch (const sap::Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Miner daemon: bind, pool the exchange from remote parties, serve
 /// contributions + mining requests until every party disconnects.
-int cmd_serve_daemon(int argc, char** argv) {
-  std::string listen_text;
-  std::uint64_t parties = 0, seed = 1, deadline_ms = 30000;
-  std::uint64_t reactor_loops = 1;
-  std::uint64_t shards = 1, shard_index = 0, replicas = 1;
-  bool have_shard_index = false;
-  bool cache = true;
-  std::vector<net::SocketAddr> resync_peers;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--listen") {
-      if (++i >= argc) return usage_error("--listen needs HOST:PORT");
-      listen_text = argv[i];
-    } else if (arg == "--resync") {
-      if (++i >= argc || !parse_addr_list(argv[i], resync_peers))
-        return usage_error("--resync needs HOST:PORT,HOST:PORT,...");
-    } else if (arg == "--fault") {
-      std::string fault_error;
-      if (++i >= argc || !install_fault_spec(argv[i], fault_error))
-        return usage_error(("--fault needs a valid spec: " + fault_error).c_str());
-    } else if (arg == "--shards") {
-      if (++i >= argc || !parse_u64(argv[i], shards) || shards == 0 || shards > 4096)
-        return usage_error("--shards needs a count in [1, 4096]");
-    } else if (arg == "--shard-index") {
-      if (++i >= argc || !parse_u64(argv[i], shard_index))
-        return usage_error("--shard-index needs an index");
-      have_shard_index = true;
-    } else if (arg == "--replicas") {
-      if (++i >= argc || !parse_u64(argv[i], replicas) || replicas == 0)
-        return usage_error("--replicas needs a count >= 1");
-    } else if (arg == "--reactor-loops") {
-      if (++i >= argc || !parse_u64(argv[i], reactor_loops) || reactor_loops == 0 ||
-          reactor_loops > 64)
-        return usage_error("--reactor-loops needs a count in [1, 64]");
-    } else if (arg == "--parties") {
-      if (++i >= argc || !parse_u64(argv[i], parties))
-        return usage_error("--parties needs a count");
-    } else if (arg == "--seed") {
-      if (++i >= argc || !parse_u64(argv[i], seed)) return usage_error("bad seed");
-    } else if (arg == "--deadline-ms") {
-      if (++i >= argc || !parse_u64(argv[i], deadline_ms) || deadline_ms == 0 ||
-          deadline_ms > 3600000)
-        return usage_error("--deadline-ms needs a timeout in (0, 3600000]");
-    } else if (arg == "--no-cache") {
-      cache = false;
-    } else {
-      return usage_error(("unknown argument " + arg + " in daemon mode").c_str());
-    }
-  }
-  if (parties < 3) return usage_error("daemon mode needs --parties >= 3");
-  if (shards > 1 && !have_shard_index)
-    return usage_error("--shards > 1 needs --shard-index (this miner's slot)");
-  if (shard_index >= shards) return usage_error("--shard-index must be < --shards");
-  if (replicas > shards) return usage_error("--replicas must be <= --shards");
+int cmd_serve_daemon(const Args& a) {
+  const std::uint64_t shards = a.count(kShards), replicas = a.count(kReplicas);
+  require(shards == 1 || a.has(kShardIndex),
+          std::string(kShards.name) + " > 1 needs " + kShardIndex.name);
+  const std::uint64_t shard_index = a.has(kShardIndex) ? a.count(kShardIndex) : 0;
+  require(shard_index < shards, std::string(kShardIndex.name) + " must be < " + kShards.name);
+  require(replicas <= shards, std::string(kReplicas.name) + " must be <= " + kShards.name);
 
   net::MinerDaemonOptions opts;
-  try {
-    opts.listen = net::SocketAddr::parse(listen_text);
-  } catch (const sap::Error&) {
-    return usage_error("--listen needs HOST:PORT (IPv4 or localhost)");
-  }
-  opts.parties = parties;
-  opts.seed = seed;
-  opts.cache_models = cache;
-  opts.exchange_timeout_ms = static_cast<int>(deadline_ms);
+  opts.listen = a.addr(kListen);
+  opts.parties = a.count(kPartiesFlag);
+  opts.seed = a.count(kSeedFlag);
+  opts.exchange_timeout_ms = static_cast<int>(a.count(kDeadline));
   opts.shards = shards;
-  if (shards > 1) {
-    // Miner I owns shard I (primary) plus replica copies of the preceding
-    // replicas-1 shards — matching ShardRouter's owner j of shard g being
-    // miner (g + j) % N in the one-miner-per-shard cluster.
-    std::set<std::size_t> owned;
-    for (std::uint64_t j = 0; j < replicas; ++j)
-      owned.insert(static_cast<std::size_t>((shard_index + shards - j) % shards));
-    opts.owned_shards.assign(owned.begin(), owned.end());
-  }
-  opts.reactor_loops = reactor_loops;
-  opts.resync_peers = std::move(resync_peers);
+  if (shards > 1) opts.owned_shards = net::owned_shards(shard_index, shards, replicas);
+  opts.reactor_loops = a.count(kReactorLoops);
+  opts.resync_peers = a.addrs(kResync);
   opts.log = [](const std::string& line) {
     std::printf("%s\n", line.c_str());
     std::fflush(stdout);
@@ -597,14 +563,15 @@ int cmd_serve_daemon(int argc, char** argv) {
                            : "miner");
   net::MinerDaemon daemon(opts);
   // Parties, serving clients and scripts parse this line for the bound port.
-  std::printf("listening on %s (%llu parties, seed %llu, %llu loops)\n",
-              daemon.local_addr().to_string().c_str(),
-              static_cast<unsigned long long>(parties),
-              static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(reactor_loops));
+  std::printf("listening on %s (%zu parties, seed %llu, %zu loops)\n",
+              daemon.local_addr().to_string().c_str(), opts.parties,
+              static_cast<unsigned long long>(opts.seed), opts.reactor_loops);
   if (shards > 1) {
     std::string owned;
-    for (const auto g : opts.owned_shards) owned += " " + std::to_string(g);
+    for (const auto g : opts.owned_shards) {
+      owned += ' ';
+      owned += std::to_string(g);
+    }
     std::printf("cluster member: shard %llu of %llu, owns{%s }\n",
                 static_cast<unsigned long long>(shard_index),
                 static_cast<unsigned long long>(shards), owned.c_str());
@@ -634,160 +601,60 @@ int cmd_serve_daemon(int argc, char** argv) {
 }
 
 /// The cluster front door: a ShardRouter behind a reactor, hash-routing
-/// contributions and scatter-gathering mining requests across miners.
-int cmd_router(int argc, char** argv) {
-  std::string miners_text, listen_text = "127.0.0.1:0";
-  std::uint64_t parties = 0, seed = 1, shards = 0, replicas = 1, serve_ms = 60000;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--miners") {
-      if (++i >= argc) return usage_error("--miners needs HOST:PORT,HOST:PORT,...");
-      miners_text = argv[i];
-    } else if (arg == "--listen") {
-      if (++i >= argc) return usage_error("--listen needs HOST:PORT");
-      listen_text = argv[i];
-    } else if (arg == "--parties") {
-      if (++i >= argc || !parse_u64(argv[i], parties))
-        return usage_error("--parties needs a count");
-    } else if (arg == "--seed") {
-      if (++i >= argc || !parse_u64(argv[i], seed)) return usage_error("bad seed");
-    } else if (arg == "--shards") {
-      if (++i >= argc || !parse_u64(argv[i], shards) || shards > 4096)
-        return usage_error("--shards needs a count in [0, 4096] (0 = one per miner)");
-    } else if (arg == "--replicas") {
-      if (++i >= argc || !parse_u64(argv[i], replicas) || replicas == 0)
-        return usage_error("--replicas needs a count >= 1");
-    } else if (arg == "--serve-ms") {
-      if (++i >= argc || !parse_u64(argv[i], serve_ms) || serve_ms == 0 ||
-          serve_ms > 3600000)
-        return usage_error("--serve-ms needs a duration in (0, 3600000]");
-    } else if (arg == "--fault") {
-      std::string fault_error;
-      if (++i >= argc || !install_fault_spec(argv[i], fault_error))
-        return usage_error(("--fault needs a valid spec: " + fault_error).c_str());
-    } else {
-      return usage_error(("unknown argument " + arg + " for router").c_str());
-    }
-  }
-  if (parties < 3) return usage_error("router needs --parties >= 3");
-  if (miners_text.empty()) return usage_error("router needs --miners");
-
+/// contributions and scatter-gathering mining requests across miners, one
+/// shard per miner.
+int cmd_router(const Args& a) {
   net::RouterDaemonOptions opts;
-  if (!parse_addr_list(miners_text, opts.router.miners))
-    return usage_error("--miners needs HOST:PORT,HOST:PORT,... (IPv4 or localhost)");
-  if (replicas > opts.router.miners.size())
-    return usage_error("--replicas must be <= miner count");
-  opts.router.shards = shards;
-  opts.router.replicas = replicas;
-  opts.router.seed = seed;
-  opts.router.parties = parties;
-  try {
-    opts.reactor.listen = net::SocketAddr::parse(listen_text);
-  } catch (const sap::Error&) {
-    return usage_error("--listen needs HOST:PORT (IPv4 or localhost)");
-  }
+  opts.router.miners = a.addrs(kMiners);
+  opts.router.replicas = a.count(kReplicas);
+  require(opts.router.replicas <= opts.router.miners.size(),
+          std::string(kReplicas.name) + " must be <= the miner count");
+  opts.router.seed = a.count(kSeedFlag);
+  opts.router.parties = a.count(kPartiesFlag);
+  opts.reactor.listen = a.addr(kListen);
 
   log::set_role("router");
   net::RouterDaemon daemon(opts);
   // Clients parse this line for the bound port (same convention as serve).
-  std::printf("router listening on %s (%zu miners, %zu shards, %llu replicas)\n",
+  std::printf("router listening on %s (%zu miners, %zu shards, %zu replicas)\n",
               daemon.local_addr().to_string().c_str(), opts.router.miners.size(),
-              daemon.router().shards(), static_cast<unsigned long long>(replicas));
+              daemon.router().shards(), opts.router.replicas);
   std::fflush(stdout);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(serve_ms));
+  std::this_thread::sleep_for(std::chrono::milliseconds(a.count(kServeMs)));
   daemon.stop();
   std::printf("router served %zu requests, %zu failovers\n", daemon.requests_served(),
               daemon.router().failovers());
   return 0;
 }
 
-/// One provider process: exchange + streamed contributions + wire jobs.
-int cmd_party(int argc, char** argv) {
-  std::vector<const char*> positional;
-  std::vector<proto::MiningRequest> job_requests;
-  std::string connect_text;
-  std::uint64_t index = 0, batches = 4, batch_records = 16, deadline_ms = 30000;
-  std::uint64_t optimize_threads = 0;
-  bool have_index = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool bad_ot = false;
-    if (take_optimize_threads(argc, argv, i, optimize_threads, bad_ot)) {
-      if (bad_ot) return usage_error("--optimize-threads needs a count in [0, 256]");
-      continue;
-    }
-    if (arg == "--connect") {
-      if (++i >= argc) return usage_error("--connect needs HOST:PORT");
-      connect_text = argv[i];
-    } else if (arg == "--index") {
-      if (++i >= argc || !parse_u64(argv[i], index)) return usage_error("bad --index");
-      have_index = true;
-    } else if (arg == "--batches") {
-      if (++i >= argc || !parse_u64(argv[i], batches))
-        return usage_error("--batches needs a count");
-    } else if (arg == "--batch-records") {
-      if (++i >= argc || !parse_u64(argv[i], batch_records) || batch_records == 0)
-        return usage_error("--batch-records needs a positive count");
-    } else if (arg == "--deadline-ms") {
-      if (++i >= argc || !parse_u64(argv[i], deadline_ms) || deadline_ms == 0 ||
-          deadline_ms > 3600000)
-        return usage_error("--deadline-ms needs a timeout in (0, 3600000]");
-    } else if (arg == "--job") {
-      if (++i >= argc) return usage_error("--job needs a value");
-      proto::MiningRequest req;
-      if (!parse_job_spec(argv[i], req))
-        return usage_error("bad job spec (use name[:k=v,...])");
-      job_requests.push_back(std::move(req));
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      return usage_error(("unknown flag " + arg).c_str());
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.empty() || positional.size() > 4)
-    return usage_error("party takes 1-4 positional arguments");
-  if (connect_text.empty()) return usage_error("party needs --connect HOST:PORT");
-  if (!have_index) return usage_error("party needs --index");
-
-  std::uint64_t parties = 5, seed = 1;
-  double sigma = 0.1;
-  if (positional.size() > 1 && !parse_u64(positional[1], parties))
-    return usage_error("bad party count");
-  if (positional.size() > 2 && !parse_double(positional[2], sigma))
-    return usage_error("bad sigma");
-  if (positional.size() > 3 && !parse_u64(positional[3], seed))
-    return usage_error("bad seed");
-  if (parties < 3) return usage_error("party needs at least 3 parties");
-  if (index >= parties) return usage_error("--index must be < parties");
-  if (sigma < 0.0) return usage_error("sigma must be non-negative");
-
-  // A typo must exit 2 up front, not "refused" after the protocol work.
-  if (!validate_job_requests(job_requests)) return 2;
-
-  // Data prep replicated by EVERY party process (and by `contribute`, which
-  // is the same logical session in one process): each derives the full
-  // partition deterministically and keeps only its own shard.
-  data::StreamWorkload workload;
+/// The held-back stream and the k shards that `party` and `contribute`
+/// both derive: one code path, so the in-process and cross-process pools
+/// are bit-identical. A dataset too small for the batches is a usage error.
+data::StreamWorkload stream_workload(const Args& a) {
   try {
-    workload = data::make_stream_workload(positional[0], parties, batches, batch_records,
-                                          seed);
+    return data::make_stream_workload(a.text(kDataset), a.count(kParties), a.count(kBatches),
+                                      a.count(kBatchRecords), a.count(kSeed));
   } catch (const sap::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+    throw Usage(std::string(kBatches.name) + ": " + e.what());
   }
-  const data::Dataset& stream = workload.stream;
+}
+
+/// One provider process: exchange + streamed contributions + wire jobs.
+int cmd_party(const Args& a) {
+  const std::uint64_t index = a.count(kIndex), parties = a.count(kParties);
+  require(index < parties, std::string(kIndex.name) + " must be < parties");
+  const auto job_requests = a.jobs(kJob);
+  const std::uint64_t batches = a.count(kBatches), batch_records = a.count(kBatchRecords);
+  const auto workload = stream_workload(a);
 
   net::PartyClientOptions opts;
-  try {
-    opts.connect = net::SocketAddr::parse(connect_text);
-  } catch (const sap::Error&) {
-    return usage_error("--connect needs HOST:PORT (IPv4 or localhost)");
-  }
+  opts.connect = a.addr(kConnect);
   opts.index = index;
   opts.parties = parties;
-  opts.sap = net::serving_session_options(sigma, seed, optimize_threads);
-  opts.timeout_ms = static_cast<int>(deadline_ms);
+  opts.sap = net::serving_session_options(a.real(kSigma), a.count(kSeed),
+                                          a.count(kOptimizeThreads));
+  opts.timeout_ms = static_cast<int>(a.count(kDeadline));
 
   log::set_role("party " + std::to_string(index));
   net::PartyClient party(workload.shards[index], opts);
@@ -803,7 +670,7 @@ int cmd_party(int argc, char** argv) {
   // Stream this party's share of the held-back batches, in global order.
   for (std::uint64_t b = 0; b < batches; ++b) {
     if (b % parties != index) continue;
-    const auto batch = stream.slice(b * batch_records, (b + 1) * batch_records);
+    const auto batch = workload.stream.slice(b * batch_records, (b + 1) * batch_records);
     const auto receipt = party.contribute(batch);
     std::printf("party %llu: batch %llu accepted: pool %zu records at epoch %llu\n",
                 static_cast<unsigned long long>(index), static_cast<unsigned long long>(b),
@@ -835,65 +702,20 @@ int cmd_party(int argc, char** argv) {
   return any_refused ? 1 : 0;
 }
 
-int cmd_serve(int argc, char** argv) {
-  // `--listen` switches serve into the cross-process miner daemon.
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--listen") return cmd_serve_daemon(argc, argv);
+int cmd_serve(const Args& a) {
+  const std::uint64_t parties = a.count(kParties), seed = a.count(kSeed);
+  const std::uint64_t requests = a.count(kRequests), threads = a.count(kThreads);
+  const std::uint64_t ingest_every = a.count(kIngestEvery);
+  const std::uint64_t ingest_records = a.count(kIngestRecords);
+  auto job_templates = a.jobs(kJob);
+  if (job_templates.empty()) {
+    // Default load: every built-in trainable job at its declared defaults.
+    const auto builtins = proto::JobRegistry::builtins();
+    for (const auto& name : builtins.names())
+      if (builtins.find(name).trainable()) job_templates.push_back({name, {}});
   }
-  std::vector<const char*> positional;
-  std::vector<proto::MiningRequest> job_templates;
-  std::uint64_t requests = 256, threads = 4;
-  std::uint64_t ingest_every = 0, ingest_records = 32;
-  std::uint64_t optimize_threads = 0;
-  bool cache = true;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool bad_ot = false;
-    if (take_optimize_threads(argc, argv, i, optimize_threads, bad_ot)) {
-      if (bad_ot) return usage_error("--optimize-threads needs a count in [0, 256]");
-      continue;
-    }
-    if (arg == "--job") {
-      if (++i >= argc) return usage_error("--job needs a value");
-      proto::MiningRequest req;
-      if (!parse_job_spec(argv[i], req))
-        return usage_error("bad job spec (use name[:k=v,...])");
-      job_templates.push_back(std::move(req));
-    } else if (arg == "--requests") {
-      if (++i >= argc || !parse_u64(argv[i], requests) || requests == 0)
-        return usage_error("--requests needs a positive count");
-    } else if (arg == "--threads") {
-      if (++i >= argc || !parse_u64(argv[i], threads) || threads > 256)
-        return usage_error("--threads needs a count in [0, 256]");
-    } else if (arg == "--ingest-every") {
-      if (++i >= argc || !parse_u64(argv[i], ingest_every))
-        return usage_error("--ingest-every needs a count");
-    } else if (arg == "--ingest-records") {
-      if (++i >= argc || !parse_u64(argv[i], ingest_records) || ingest_records == 0)
-        return usage_error("--ingest-records needs a positive count");
-    } else if (arg == "--no-cache") {
-      cache = false;
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      return usage_error(("unknown flag " + arg).c_str());
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.empty() || positional.size() > 4)
-    return usage_error("serve takes 1-4 positional arguments");
 
-  std::uint64_t parties = 5, seed = 1;
-  double sigma = 0.1;
-  if (positional.size() > 1 && !parse_u64(positional[1], parties))
-    return usage_error("bad party count");
-  if (positional.size() > 2 && !parse_double(positional[2], sigma))
-    return usage_error("bad sigma");
-  if (positional.size() > 3 && !parse_u64(positional[3], seed))
-    return usage_error("bad seed");
-  if (parties < 3) return usage_error("serve needs at least 3 parties");
-  if (sigma < 0.0) return usage_error("sigma must be non-negative");
-
-  const data::Dataset raw = data::make_uci(positional[0], seed);
+  const data::Dataset raw = data::make_uci(a.text(kDataset), seed);
   data::MinMaxNormalizer norm;
   norm.fit(raw.features());
   data::Dataset pool(raw.name(), norm.transform(raw.features()), raw.labels());
@@ -909,19 +731,9 @@ int cmd_serve(int argc, char** argv) {
   data::PartitionOptions popts;
   auto shards = data::partition(pool, parties, popts, eng);
 
-  auto opts = net::serving_session_options(sigma, seed, optimize_threads);
+  auto opts = net::serving_session_options(a.real(kSigma), seed, a.count(kOptimizeThreads));
   opts.mining_threads = threads;
-  opts.cache_models = cache;
   proto::SapSession session(std::move(shards), opts);
-
-  if (job_templates.empty()) {
-    // Default load: every built-in trainable job at its declared defaults.
-    const auto builtins = proto::JobRegistry::builtins();
-    for (const auto& name : builtins.names())
-      if (builtins.find(name).trainable()) job_templates.push_back({name, {}});
-  }
-  // Bad names/values exit 2, like every other argument error.
-  if (!validate_job_requests(job_templates)) return 2;
 
   Stopwatch exchange_sw;
   auto& engine = session.engine();  // runs the exchange
@@ -971,10 +783,9 @@ int cmd_serve(int argc, char** argv) {
 
   std::printf("exchange: %.1f ms (%llu parties)\n", exchange_ms,
               static_cast<unsigned long long>(parties));
-  Table table({"requests", "threads", "cache", "wall ms", "req/s", "p50 ms", "p99 ms",
-               "fits", "incr", "cache hits"});
-  table.add_row({std::to_string(requests), std::to_string(threads),
-                 cache ? "on" : "off", Table::num(serve_ms, 1),
+  Table table({"requests", "threads", "wall ms", "req/s", "p50 ms", "p99 ms", "fits", "incr",
+               "cache hits"});
+  table.add_row({std::to_string(requests), std::to_string(threads), Table::num(serve_ms, 1),
                  Table::num(1000.0 * static_cast<double>(requests) / serve_ms, 1),
                  Table::num(pct(0.50), 3), Table::num(pct(0.99), 3),
                  std::to_string(stats.fits), std::to_string(stats.incremental),
@@ -987,63 +798,14 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_contribute(int argc, char** argv) {
-  std::vector<const char*> positional;
-  proto::MiningRequest job{"nb-train-accuracy", {}};
-  std::uint64_t batches = 4, batch_records = 16;
-  std::uint64_t optimize_threads = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool bad_ot = false;
-    if (take_optimize_threads(argc, argv, i, optimize_threads, bad_ot)) {
-      if (bad_ot) return usage_error("--optimize-threads needs a count in [0, 256]");
-      continue;
-    }
-    if (arg == "--job") {
-      if (++i >= argc) return usage_error("--job needs a value");
-      if (!parse_job_spec(argv[i], job))
-        return usage_error("bad job spec (use name[:k=v,...])");
-    } else if (arg == "--batches") {
-      if (++i >= argc || !parse_u64(argv[i], batches) || batches == 0)
-        return usage_error("--batches needs a positive count");
-    } else if (arg == "--batch-records") {
-      if (++i >= argc || !parse_u64(argv[i], batch_records) || batch_records == 0)
-        return usage_error("--batch-records needs a positive count");
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      return usage_error(("unknown flag " + arg).c_str());
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.empty() || positional.size() > 4)
-    return usage_error("contribute takes 1-4 positional arguments");
+int cmd_contribute(const Args& a) {
+  const std::uint64_t parties = a.count(kParties);
+  const std::uint64_t batches = a.count(kBatches), batch_records = a.count(kBatchRecords);
+  const proto::MiningRequest job = a.jobs(kJob).back();  // the last one given
+  auto workload = stream_workload(a);
 
-  std::uint64_t parties = 5, seed = 1;
-  double sigma = 0.1;
-  if (positional.size() > 1 && !parse_u64(positional[1], parties))
-    return usage_error("bad party count");
-  if (positional.size() > 2 && !parse_double(positional[2], sigma))
-    return usage_error("bad sigma");
-  if (positional.size() > 3 && !parse_u64(positional[3], seed))
-    return usage_error("bad seed");
-  if (parties < 3) return usage_error("contribute needs at least 3 parties");
-  if (sigma < 0.0) return usage_error("sigma must be non-negative");
-
-  if (!validate_job_requests({job})) return 2;
-
-  // Same prep as `party`: bit-identity between the in-process and the
-  // cross-process topology rests on this being the SAME code path.
-  data::StreamWorkload workload;
-  try {
-    workload = data::make_stream_workload(positional[0], parties, batches, batch_records,
-                                          seed);
-  } catch (const sap::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  const data::Dataset& stream = workload.stream;
-
-  auto opts = net::serving_session_options(sigma, seed, optimize_threads);
+  auto opts =
+      net::serving_session_options(a.real(kSigma), a.count(kSeed), a.count(kOptimizeThreads));
   proto::SapSession session(std::move(workload.shards), opts);
 
   Stopwatch exchange_sw;
@@ -1061,8 +823,7 @@ int cmd_contribute(int argc, char** argv) {
                  Table::num(initial_response.millis, 3)});
   for (std::uint64_t b = 0; b < batches; ++b) {
     const std::size_t provider = b % parties;
-    const auto batch =
-        stream.slice(b * batch_records, (b + 1) * batch_records);
+    const auto batch = workload.stream.slice(b * batch_records, (b + 1) * batch_records);
     const auto receipt = session.contribute(provider, batch);
     const auto response = engine.run(job);
     table.add_row({std::to_string(b), std::to_string(provider),
@@ -1084,41 +845,11 @@ int cmd_contribute(int argc, char** argv) {
 /// Fetch and pretty-print a serving endpoint's live metrics + traces. One
 /// kStatsRequest round trip through the same dispatch door as serving
 /// traffic; a router endpoint answers the cluster-wide aggregate.
-int cmd_stats(int argc, char** argv) {
-  std::string addr_text;
-  std::uint64_t parties = 5, seed = 1;
-  bool json = false;
-  bool health = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--health") {
-      health = true;
-    } else if (arg == "--parties") {
-      if (++i >= argc || !parse_u64(argv[i], parties))
-        return usage_error("--parties needs a count");
-    } else if (arg == "--seed") {
-      if (++i >= argc || !parse_u64(argv[i], seed)) return usage_error("bad seed");
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      return usage_error(("unknown flag " + arg + " for stats").c_str());
-    } else if (addr_text.empty()) {
-      addr_text = arg;
-    } else {
-      return usage_error("stats takes one HOST:PORT");
-    }
-  }
-  if (addr_text.empty()) return usage_error("stats needs HOST:PORT");
-  if (parties < 3) return usage_error("stats needs --parties >= 3");
-  net::SocketAddr addr;
-  try {
-    addr = net::SocketAddr::parse(addr_text);
-  } catch (const sap::Error&) {
-    return usage_error("stats needs HOST:PORT (IPv4 or localhost)");
-  }
+int cmd_stats(const Args& a) {
+  const std::string& addr_text = a.text(kEndpoint);
   proto::DecodedStats decoded;
   try {
-    net::ServeClient client(addr, seed, parties);
+    net::ServeClient client(a.addr(kEndpoint), a.count(kSeedFlag), a.count(kPartiesFlag));
     decoded = client.stats();
     client.bye();
   } catch (const sap::Error& e) {
@@ -1127,7 +858,7 @@ int cmd_stats(int argc, char** argv) {
     std::fprintf(stderr, "stats: %s unreachable: %s\n", addr_text.c_str(), e.what());
     return 2;
   }
-  if (health) {
+  if (a.has(kHealth)) {
     // One line an operator (or a watchdog) can grep: request counters plus
     // the cluster health surface — failovers, retries, and how many miner
     // breakers are not closed right now (router endpoints only; a plain
@@ -1154,7 +885,7 @@ int cmd_stats(int argc, char** argv) {
                 static_cast<unsigned long long>(unreachable));
     return 0;
   }
-  if (json) {
+  if (a.has(kJson)) {
     std::printf("%s\n", decoded.snapshot.to_json().c_str());
     return 0;
   }
@@ -1174,11 +905,8 @@ int cmd_stats(int argc, char** argv) {
   return 0;
 }
 
-int cmd_minparties(int argc, char** argv) {
-  if (argc != 4) return usage_error("minparties takes exactly 2 arguments");
-  double s0 = 0.0, rate = 0.0;
-  if (!parse_double(argv[2], s0)) return usage_error("bad s0");
-  if (!parse_double(argv[3], rate)) return usage_error("bad opt_rate");
+int cmd_minparties(const Args& a) {
+  const double s0 = a.real(kS0), rate = a.real(kRate);
   const auto primary =
       proto::min_parties(s0, rate, proto::MinPartiesCriterion::kResidualTolerance, 10000);
   const auto alt = proto::min_parties(s0, rate, proto::MinPartiesCriterion::kNoExtraRisk, 10000);
@@ -1188,10 +916,125 @@ int cmd_minparties(int argc, char** argv) {
   return 0;
 }
 
+// ---- the command table ---------------------------------------------------
+
+std::vector<Arg> with(std::vector<Arg> head, std::initializer_list<Arg> tail) {
+  head.insert(head.end(), tail);
+  return head;
+}
+
+/// `<dataset> [parties=5] [sigma=0.1] [seed=1]`: the logical session.
+const std::vector<Arg> kSessionArgs = {kDataset, kParties, kSigma, kSeed};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"datasets", nullptr, "list the built-in synthetic suite", {}, cmd_datasets},
+      {"jobs", nullptr, "list the named miner jobs and their parameters", {kJson}, cmd_jobs},
+      {"generate", nullptr, "write a built-in dataset as CSV", {kDataset, kOutCsv, kSeed},
+       cmd_generate},
+      {"perturb", nullptr, "normalize a CSV and release it under an optimized perturbation",
+       {kInCsv, kOutCsv, kSigma, kSeed, kOptimizeThreads}, cmd_perturb},
+      {"attack", nullptr, "run the attack suite on an original/perturbed pair",
+       {kOriginal, kPerturbed, kKnownM}, cmd_attack},
+      {"protocol", nullptr, "run the exchange in one process, then a KNN utility check",
+       with(kSessionArgs, {kJob, kPhases, kOptimizeThreads}), cmd_protocol},
+      {"serve", nullptr,
+       "run the exchange, then serve a mining load (by default every trainable\n"
+       "  job) and report req/s and p50/p99 latency",
+       with(kSessionArgs, {kRequests, kThreads, kJob, kIngestEvery, kIngestRecords,
+                           kOptimizeThreads}),
+       cmd_serve},
+      {"serve", kListen.name,
+       "miner daemon: at its one door the parties claim their ids and run the\n"
+       "  exchange; it then serves contributions and jobs until the last party leaves",
+       {kListen.needed(), kPartiesFlag.needed(), kSeedFlag, kDeadline, kReactorLoops,
+        kShards, kShardIndex, kReplicas, kResync, kFault},
+       cmd_serve_daemon},
+      {"router", nullptr,
+       "cluster front door over one-shard members: routes contributions to their\n"
+       "  owners and merges scattered reads exactly; serves, then prints its stats",
+       {kMiners, kPartiesFlag.needed(), kSeedFlag, kListen, kReplicas, kServeMs, kFault},
+       cmd_router},
+      {"stats", nullptr, "fetch an endpoint's live metrics and recent request traces",
+       {kEndpoint, kPartiesFlag, kSeedFlag, kJson, kHealth}, cmd_stats},
+      {"party", nullptr,
+       "one provider process: the exchange at the daemon's door, then batch b\n"
+       "  when b mod parties is its index, then each job",
+       with(kSessionArgs, {kConnect, kIndex, kBatches, kBatchRecords, kJob, kDeadline,
+                           kOptimizeThreads}),
+       cmd_party},
+      {"contribute", nullptr,
+       "every party's part in one process: the exchange, then each batch,\n"
+       "  re-serving the job (the last one named) after each",
+       with(kSessionArgs, {kBatches, kBatchRecords, kJob.defaults_to("nb-train-accuracy"),
+                           kOptimizeThreads}),
+       cmd_contribute},
+      {"minparties", nullptr, "Figure 4: the fewest parties that satisfy s0",
+       {kS0, kRate}, cmd_minparties},
+  };
+  return table;
+}
+
+/// The entry `name` names; `serve --listen` picks the daemon.
+const Command* find_command(const std::string& name, int argc, char** argv) {
+  const Command* plain = nullptr;
+  for (const Command& c : commands()) {
+    if (name != c.name) continue;
+    if (c.mode == nullptr)
+      plain = &c;
+    else if (std::any_of(argv, argv + argc,
+                         [&](const char* arg) { return std::strcmp(arg, c.mode) == 0; }))
+      return &c;
+  }
+  return plain;
+}
+
+std::string synopsis(const Command& c) {
+  std::string out = std::string("sap_cli ") + c.name;
+  bool optional_flags = false;
+  for (const Arg& a : c.args) {
+    if (!a.flag())
+      out += a.def ? std::string(" [") + a.name + "=" + a.def + "]"
+                   : std::string(" <") + a.name + ">";
+    else if (a.required)
+      out += std::string(" ") + a.name + " " + kPlaceholder[static_cast<int>(a.type)];
+    else
+      optional_flags = true;
+  }
+  if (optional_flags) out += " [flags]";
+  return out;
+}
+
+void print_help(std::FILE* out) {
+  std::fputs("usage: sap_cli <command> [arguments]\n"
+             "exit status: 0 ok, 1 runtime error, 2 usage error\n",
+             out);
+  for (const Command& c : commands()) {
+    std::fprintf(out, "\n%s\n  %s\n", synopsis(c).c_str(), c.summary);
+    for (const Arg& a : c.args) {
+      std::string head = a.name;
+      if (a.flag() && a.type != Type::kSwitch)
+        head += std::string(" ") + kPlaceholder[static_cast<int>(a.type)];
+      std::string notes = a.required ? "required" : a.def ? std::string("default ") + a.def : "";
+      const std::string range = range_text(a);
+      if (!notes.empty() && !range.empty()) notes += ", ";
+      notes += range;
+      std::fprintf(out, "    %-26s %s%s%s%s\n", head.c_str(), a.help, notes.empty() ? "" : " (",
+                   notes.c_str(), notes.empty() ? "" : ")");
+    }
+  }
+  std::fputs("\nenvironment:\n"
+             "  SAP_LOG_LEVEL  stderr verbosity: off|error|warn|info|debug or 0-4 (default\n"
+             "                 warn); daemon lines carry a role prefix\n"
+             "  SAP_FAULT      seeded socket fault plan for this process (DESIGN.md §13),\n"
+             "                 e.g. 'seed=7,drop=0.02,corrupt=0.02,reset=0.02' or\n"
+             "                 'seed=7,rate=0.06'; the same spec replays the same faults\n",
+             out);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage_error();
   if (const char* env = std::getenv("SAP_LOG_LEVEL")) {
     log::Level lvl;
     if (log::parse_level(env, lvl))
@@ -1210,24 +1053,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: bad SAP_FAULT: %s\n", e.what());
     return 2;
   }
-  const std::string cmd = argv[1];
-  if (cmd == "--help" || cmd == "-h" || cmd == "help") return usage_ok();
+  const std::string name = argc > 1 ? argv[1] : "";
+  if (name == "--help" || name == "-h" || name == "help") {
+    print_help(stdout);
+    return 0;
+  }
+  const Command* command = name.empty() ? nullptr : find_command(name, argc - 2, argv + 2);
+  if (command == nullptr) {
+    std::fprintf(stderr, "error: %s\nsee `sap_cli --help`\n",
+                 name.empty() ? "missing command" : ("unknown command '" + name + "'").c_str());
+    return 2;
+  }
   try {
-    if (cmd == "stats") return cmd_stats(argc, argv);
-    if (cmd == "datasets") return cmd_datasets();
-    if (cmd == "jobs") return cmd_jobs(argc, argv);
-    if (cmd == "generate") return cmd_generate(argc, argv);
-    if (cmd == "perturb") return cmd_perturb(argc, argv);
-    if (cmd == "attack") return cmd_attack(argc, argv);
-    if (cmd == "protocol") return cmd_protocol(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "router") return cmd_router(argc, argv);
-    if (cmd == "party") return cmd_party(argc, argv);
-    if (cmd == "contribute") return cmd_contribute(argc, argv);
-    if (cmd == "minparties") return cmd_minparties(argc, argv);
+    const Args args = parse(*command, argc - 2, argv + 2);
+    // The flag wins over SAP_FAULT.
+    if (args.has(kFault)) net::fault::install(to_fault(kFault, args.text(kFault)));
+    return command->run(args);
+  } catch (const Usage& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s\n", e.what(), synopsis(*command).c_str());
+    return 2;
   } catch (const sap::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage_error(("unknown subcommand '" + cmd + "'").c_str());
 }
