@@ -10,7 +10,10 @@
 //     so the chain folds twice and every query scans the brute tail it
 //     leaves (32 of 1536 points, 512 of 11264);
 //   * BruteServe:  the brute backend at 200 records (kAuto's brute range);
-//   * ShardPartial: the exact-merge partial over one 372-row shard.
+//   * ShardPartial: the exact-merge partial over one 372-row shard;
+//   * ShardKernel: the lane kernel alone over that shard's rows and queries,
+//     with no selection, so ShardPartial / ShardKernel in one run is what
+//     the selection and the packing cost beside the distance chains.
 //
 // The data is the Shuttle shape (9 dims), min-max normalized and rotated,
 // like the unified space the miner serves. Every row's label names the lane
@@ -97,5 +100,21 @@ void BM_ShardPartial(benchmark::State& state) {
   state.SetLabel(sap::ml::lane_kernel().name);
 }
 BENCHMARK(BM_ShardPartial)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+void BM_ShardKernel(benchmark::State& state) {
+  const Dataset rows = pool(372);
+  const sap::ml::LaneBlocks blocks(rows.features());
+  const Dataset queries = rows.slice(0, kQueries);
+  const auto& kernel = sap::ml::lane_kernel();
+  std::vector<double> distances(blocks.groups() * sap::ml::LaneBlocks::kLanes);
+  for (auto _ : state) {
+    for (std::size_t q = 0; q < queries.size(); ++q)
+      kernel.score(blocks.group(0), blocks.groups(), queries.record(q), distances.data());
+    benchmark::DoNotOptimize(distances.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(kernel.name);
+}
+BENCHMARK(BM_ShardKernel)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "classify/kdtree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -126,8 +127,8 @@ int KdTree::build(const linalg::Matrix& rows, std::vector<std::size_t>& order,
   return self;
 }
 
-void KdTree::search(int node_index, std::span<const double> query, std::span<double> gaps,
-                    NearestK& best) const {
+void KdTree::descend(int node_index, std::span<const double> query, std::span<double> gaps,
+                     NearestK& best) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_index)];
 
   if (node.left < 0) {  // leaf: whole lane groups of tree_
@@ -138,29 +139,44 @@ void KdTree::search(int node_index, std::span<const double> query, std::span<dou
   const double delta = query[node.split_dim] - node.split_value;
   const int near = (delta < 0.0) ? node.left : node.right;
   const int far = (delta < 0.0) ? node.right : node.left;
-  search(near, query, gaps, best);  // the near cell keeps this cell's gaps
   // Prune the far cell only when its box is provably farther than the
   // current worst neighbor (bound() is +inf until k are held). `lower` is
   // the far cell's per-dimension gaps squared and summed in the kernel's
   // ascending chain from 0.0, so it never exceeds any of the cell's rows'
   // computed distances (DESIGN.md §8). An incremental update or a
-  // reordered sum can overshoot them.
+  // reordered sum can overshoot them. It is summed before the near cell's
+  // search, which leaves the gaps as it found them, so the chain's latency
+  // hides behind that search.
   const double saved = gaps[node.split_dim];
   gaps[node.split_dim] = delta;
   double lower = 0.0;
   for (const double gap : gaps) lower += gap * gap;
-  if (lower <= best.bound()) search(far, query, gaps, best);
+  gaps[node.split_dim] = saved;
+  descend(near, query, gaps, best);  // the near cell keeps this cell's gaps
+  if (lower > best.bound()) return;
+  gaps[node.split_dim] = delta;
+  descend(far, query, gaps, best);
   gaps[node.split_dim] = saved;
 }
 
 std::vector<Neighbor> KdTree::nearest(std::span<const double> query, std::size_t k) const {
-  SAP_REQUIRE(query.size() == dims(), "KdTree::nearest: dimension mismatch");
   SAP_REQUIRE(k >= 1, "KdTree::nearest: k must be >= 1");
   NearestK best(query, std::min(k, size()));
-  std::vector<double> gaps(dims(), 0.0);  // query to the current cell's box, per dimension
-  search(root_, query, gaps, best);
+  search(best);
+  const auto sorted = best.sorted();
+  return {sorted.begin(), sorted.end()};
+}
+
+void KdTree::search(NearestK& best) const {
+  const std::span<const double> query = best.query();
+  SAP_REQUIRE(query.size() == dims(), "KdTree::search: dimension mismatch");
+  // The query's offset from the current cell's box, per dimension.
+  std::array<double, kStackGaps> stack_gaps{};
+  std::vector<double> heap_gaps(dims() > kStackGaps ? dims() : 0, 0.0);
+  const std::span<double> gaps =
+      heap_gaps.empty() ? std::span(stack_gaps).first(dims()) : std::span(heap_gaps);
+  descend(root_, query, gaps, best);
   best.scan(tail_, tree_.rows());
-  return best.take();
 }
 
 }  // namespace sap::ml

@@ -52,6 +52,11 @@ class KdTree {
   /// clamped to size().
   [[nodiscard]] std::vector<Neighbor> nearest(std::span<const double> query,
                                               std::size_t k) const;
+  /// Offer `best` every point it could take, with insertion indices as
+  /// tie-ids: the tree's cells in a branch-and-bound walk that skips a cell
+  /// no point of which can enter, then the tail. best.query() must have
+  /// dims() values.
+  void search(NearestK& best) const;
 
   /// Append `more` (rows = points, dims must match) to the point set. The
   /// new rows receive indices size()..size()+more.rows()-1 and join the
@@ -82,13 +87,16 @@ class KdTree {
   void rebuild();
   void maybe_rebuild();
   /// `gaps` holds the query's signed offset from `node`'s cell box along
-  /// each axis (0.0 inside it); search() leaves it as it found it.
-  void search(int node, std::span<const double> query, std::span<double> gaps,
-              NearestK& best) const;
+  /// each axis (0.0 inside it); descend() leaves it as it found it.
+  void descend(int node, std::span<const double> query, std::span<double> gaps,
+               NearestK& best) const;
 
   /// Eight lane groups: with the lane kernel a leaf's rows cost less than
   /// the cell bounds a smaller leaf would add (bench/micro_knn).
   static constexpr std::size_t kLeafSize = 64;
+  /// Dimensions whose cell gaps a search keeps on the stack (every built-in
+  /// dataset has fewer); more go to the heap.
+  static constexpr std::size_t kStackGaps = 64;
 
   LaneBlocks tree_;               ///< the indexed rows, in tree order
   std::vector<std::size_t> ids_;  ///< insertion index of each row of tree_

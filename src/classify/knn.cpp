@@ -11,22 +11,43 @@ constexpr std::size_t kAutoTreeThreshold = 256;
 
 }  // namespace
 
+KnnVote::KnnVote(std::size_t k) : spill_(k > kInPlace) {
+  if (spill_) spilled_.reserve(k);
+}
+
+std::span<const KnnVote::Tally> KnnVote::tallies() const noexcept {
+  if (spill_) return spilled_;
+  return std::span(in_place_).first(in_place_count_);
+}
+
 void KnnVote::add(int label, double distance_sq) {
-  auto it = std::find_if(tallies_.begin(), tallies_.end(),
-                         [label](const Tally& t) { return t.label == label; });
-  if (it == tallies_.end()) it = tallies_.insert(it, Tally{label, 0, 0.0});
-  ++it->count;
-  it->distance_sum += distance_sq;
+  const auto held = tallies();
+  const auto at = static_cast<std::size_t>(
+      std::find_if(held.begin(), held.end(), [label](const Tally& t) { return t.label == label; }) -
+      held.begin());
+  if (at == held.size()) {
+    if (spill_) {
+      spilled_.push_back({label, 0, 0.0});
+    } else {
+      SAP_REQUIRE(at < kInPlace, "KnnVote: more labels than k");
+      in_place_[at] = {label, 0, 0.0};
+      ++in_place_count_;
+    }
+  }
+  Tally& tally = spill_ ? spilled_[at] : in_place_[at];
+  ++tally.count;
+  tally.distance_sum += distance_sq;
 }
 
 int KnnVote::winner() const {
-  SAP_REQUIRE(!tallies_.empty(), "KnnVote: no votes");
+  const auto held = tallies();
+  SAP_REQUIRE(!held.empty(), "KnnVote: no votes");
   const auto beats = [](const Tally& a, const Tally& b) {
     if (a.count != b.count) return a.count > b.count;
     if (a.distance_sum != b.distance_sum) return a.distance_sum < b.distance_sum;
     return a.label < b.label;
   };
-  return std::min_element(tallies_.begin(), tallies_.end(), beats)->label;
+  return std::min_element(held.begin(), held.end(), beats)->label;
 }
 
 Knn::Knn(std::size_t k, KnnBackend backend) : k_(k), backend_(backend) {
@@ -80,18 +101,15 @@ int Knn::predict(std::span<const double> record) const {
   SAP_REQUIRE(trained(), "Knn::predict before fit");
   SAP_REQUIRE(record.size() == dims(), "Knn::predict: dimension mismatch");
 
-  // The k nearest as (index, distance_sq), ascending with the
-  // (distance, index) tie-break — identical for both backends.
-  const std::size_t k = std::min(k_, labels_.size());
-  std::vector<Neighbor> nearest;
+  // The k nearest, ascending with the (distance, index) tie-break:
+  // identical for both backends.
+  NearestK best(record, std::min(k_, labels_.size()));
   if (tree_) {
-    nearest = tree_->nearest(record, k);
+    tree_->search(best);
   } else {
-    NearestK best(record, k);
     best.scan(features_, 0);
-    nearest = best.take();
   }
-
+  const auto nearest = best.sorted();
   KnnVote vote(nearest.size());
   for (const auto& nb : nearest) vote.add(labels_[nb.index], nb.distance_sq);
   return vote.winner();

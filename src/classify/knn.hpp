@@ -8,7 +8,9 @@
 // brute backend's, in training order, or the tree's.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "classify/classifier.hpp"
@@ -27,10 +29,11 @@ enum class KnnBackend {
 /// merge bit-identical to the flat engine. Feed the k nearest in ascending
 /// (distance_sq, tie-id) order, the order each label's summed distance
 /// accumulates in. Most votes wins; a tie goes to the smaller summed
-/// distance, then to the smaller label.
+/// distance, then to the smaller label. Up to k = kInPlace the tallies sit
+/// in place, so a vote at a small k allocates nothing.
 class KnnVote {
  public:
-  explicit KnnVote(std::size_t k) { tallies_.reserve(k); }
+  explicit KnnVote(std::size_t k);
 
   void add(int label, double distance_sq);
   /// The winning label; at least one add() must come first.
@@ -42,7 +45,15 @@ class KnnVote {
     std::size_t count;
     double distance_sum;
   };
-  std::vector<Tally> tallies_;  ///< one per label voted for, at most k
+  static constexpr std::size_t kInPlace = 8;
+
+  /// One per label voted for, in first-vote order.
+  [[nodiscard]] std::span<const Tally> tallies() const noexcept;
+
+  bool spill_;                              ///< k > kInPlace
+  std::size_t in_place_count_ = 0;          ///< tallies held in place
+  std::array<Tally, kInPlace> in_place_{};  ///< the tallies, k <= kInPlace
+  std::vector<Tally> spilled_;              ///< the tallies, k > kInPlace
 };
 
 class Knn final : public Classifier {

@@ -17,20 +17,29 @@ constexpr auto closer = [](const Neighbor& a, const Neighbor& b) {
   return a.index < b.index;
 };
 
+typedef double Vec16 __attribute__((vector_size(16)));
+typedef std::size_t Ids16 __attribute__((vector_size(16)));
+
 /// The one kernel body, over vectors V of 2 or 4 doubles: per group, each
 /// lane runs the scalar chain `diff = x[c] - q[c]; acc += diff * diff`
 /// ascending from 0.0 as IEEE vector sub, mul and add. Nothing fuses the mul
 /// into the add (-ffp-contract=off, and no variant enables FMA), so every
 /// lane's distance is the scalar loop's double. Lanes load through element
-/// initializers, which the compiler folds into one vector load each.
-template <typename V>
-[[gnu::always_inline]] inline void score_groups(const double* groups, std::size_t count,
-                                                std::span<const double> query, double* out) {
+/// initializers, which the compiler folds into one vector load each. The
+/// group's kLanes / kWidth vectors go to done(g, acc) in registers, one
+/// group late: done(g) runs after group g + 1's chains are issued, so a
+/// branch on group g's distances that goes the unpredicted way discards
+/// little work instead of the next group's chains (about 5% off a kd-tree
+/// read or a brute scan at k = 5).
+template <typename V, typename Done>
+[[gnu::always_inline]] inline void lane_chains(const double* groups, std::size_t count,
+                                              std::span<const double> query, Done&& done) {
   constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
   constexpr std::size_t kVectors = kLanes / kWidth;
   static_assert(kWidth == 2 || kWidth == 4);
   const std::size_t d = query.size();
-  for (std::size_t g = 0; g < count; ++g, groups += kLanes * d, out += kLanes) {
+  V last[kVectors] = {};
+  for (std::size_t g = 0; g < count; ++g, groups += kLanes * d) {
     V acc[kVectors] = {};
     for (std::size_t c = 0; c < d; ++c) {
       const double* x = groups + c * kLanes;
@@ -45,24 +54,171 @@ template <typename V>
         acc[v] += diff * diff;
       }
     }
-    for (std::size_t v = 0; v < kVectors; ++v)
-      for (std::size_t l = 0; l < kWidth; ++l) out[v * kWidth + l] = acc[v][l];
+    if (g > 0) done(g - 1, last);
+    for (std::size_t v = 0; v < kVectors; ++v) last[v] = acc[v];
+  }
+  if (count > 0) done(count - 1, last);
+}
+
+/// Vector `v` of a lane group moved up one lane into `out`: lane l takes
+/// lane l - 1, and lane 0 takes the top lane of `below`, the group's vector
+/// under v. (Vectors pass by reference: a 32-byte vector passed by value
+/// has a different ABI under AVX.)
+template <typename T>
+[[gnu::always_inline]] inline void up_one_lane(const T& below, const T& v, T& out) {
+  if constexpr (sizeof(T) == 16) {
+    out = __builtin_shufflevector(below, v, 1, 2);
+  } else {
+    out = __builtin_shufflevector(below, v, 3, 4, 5, 6);
   }
 }
 
-typedef double Vec16 __attribute__((vector_size(16)));
+/// The smallest of a group's kLanes distances: a vector min across the
+/// group's vectors, then across the lanes of one.
+template <typename V>
+[[gnu::always_inline]] inline double lane_min(const V* acc) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  V m = acc[0];
+  for (std::size_t v = 1; v < kLanes / kWidth; ++v) m = acc[v] < m ? acc[v] : m;
+  Vec16 pair;
+  if constexpr (kWidth == 4) {
+    const Vec16 lo{m[0], m[1]};
+    const Vec16 hi{m[2], m[3]};
+    pair = hi < lo ? hi : lo;
+  } else {
+    pair = m;
+  }
+  return pair[1] < pair[0] ? pair[1] : pair[0];
+}
 
-void score_vec16(const double* groups, std::size_t count, std::span<const double> query,
-                 double* out) {
+template <typename V>
+[[gnu::always_inline]] inline void score_groups(const double* groups, std::size_t count,
+                                                std::span<const double> query, double* out) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  lane_chains<V>(groups, count, query,
+                 [out](std::size_t g, const V* acc) {
+                   for (std::size_t l = 0; l < kLanes; ++l)
+                     out[g * kLanes + l] = acc[l / kWidth][l % kWidth];
+                 });
+}
+
+}  // namespace
+
+/// The selection's side of the kernel body, a friend of NearestK. Each ISA
+/// variant's select is built with all of it inlined ([[gnu::flatten]]), so
+/// no offer leaves the variant's code. Called out of line from the avx2
+/// variant, a scalar offer ran as legacy SSE code beside dirty upper vector
+/// halves (GCC emits no vzeroupper before a call to a local function that
+/// uses no 256-bit register), and the scan read about 3x the vec16
+/// variant's time.
+struct LaneSelection {
+  /// A group whose smallest lane exceeds the live bound costs one compare.
+  /// Otherwise the lanes of real rows that pass it become a bit mask, and
+  /// each set lane is offered, in place or to the heap.
+  template <typename V, typename U>
+  [[gnu::always_inline]] static void select(const double* groups, std::size_t rows,
+                                            TieIds ids, NearestK& best) {
+    constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+    const bool in_place = best.k_ <= NearestK::kInPlace;
+    lane_chains<V>(
+        groups, (rows + kLanes - 1) / kLanes, best.query_,
+        [&](std::size_t g, const V* acc) {
+          const double bound = best.bound_;
+          if (lane_min(acc) > bound) return;
+          unsigned pass = 0;
+          for (std::size_t l = 0; l < kLanes; ++l)
+            pass |= static_cast<unsigned>(acc[l / kWidth][l % kWidth] <= bound) << l;
+          // Lanes past `rows` are padding or rows outside the range.
+          pass &= (1u << std::min(kLanes, rows - g * kLanes)) - 1;
+          for (; pass != 0; pass &= pass - 1) {
+            const auto l = static_cast<std::size_t>(__builtin_ctz(pass));
+            const Neighbor candidate{ids.of(g * kLanes + l), acc[l / kWidth][l % kWidth]};
+            if (in_place) {
+              insert<V, U>(best, candidate);
+            } else if (candidate.distance_sq <= best.bound_) {
+              best.contest_heap(candidate);
+            }
+          }
+        });
+  }
+
+  /// Insert a candidate into the held lane group without a branch: every
+  /// held lane it is closer than moves up one lane, the lowest of them takes
+  /// the candidate, and the top lane drops out. A candidate no closer than
+  /// held lane k - 1 changes only the lanes above it, which sorted() never
+  /// reads, so a lane that stopped passing the bound after an earlier offer
+  /// in its group needs no second test.
+  template <typename V, typename U>
+  [[gnu::always_inline]] static void insert(NearestK& best, Neighbor candidate) {
+    constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+    constexpr std::size_t kVectors = kLanes / kWidth;
+    double* distances = best.near_distances_.data();
+    std::size_t* tie_ids = best.near_ids_.data();
+    V distance{};
+    U id{};
+    for (std::size_t l = 0; l < kWidth; ++l) {
+      distance[l] = candidate.distance_sq;
+      id[l] = candidate.index;
+    }
+    using Mask = decltype(distance < distance);
+    V held[kVectors] = {};
+    U held_ids[kVectors] = {};
+    Mask closer_than[kVectors] = {};
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      for (std::size_t l = 0; l < kWidth; ++l) {
+        held[v][l] = distances[v * kWidth + l];
+        held_ids[v][l] = tie_ids[v * kWidth + l];
+      }
+      closer_than[v] = (distance < held[v]) | ((distance == held[v]) & (id < held_ids[v]));
+    }
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      // Lane 0 of the lowest vector has nothing under it: it never moves.
+      const std::size_t below = v == 0 ? 0 : v - 1;
+      Mask moved{};
+      V moved_up{};
+      U moved_up_ids{};
+      up_one_lane(v == 0 ? Mask{} : closer_than[below], closer_than[v], moved);
+      up_one_lane(held[below], held[v], moved_up);
+      up_one_lane(held_ids[below], held_ids[v], moved_up_ids);
+      const V next = closer_than[v] ? (moved ? moved_up : distance) : held[v];
+      const U next_ids = closer_than[v] ? (moved ? moved_up_ids : id) : held_ids[v];
+      for (std::size_t l = 0; l < kWidth; ++l) {
+        distances[v * kWidth + l] = next[l];
+        tie_ids[v * kWidth + l] = next_ids[l];
+      }
+    }
+    best.bound_ = distances[best.k_ - 1];
+    ++best.offered_;
+  }
+};
+
+namespace {
+
+[[gnu::flatten]] void score_vec16(const double* groups, std::size_t count,
+                                  std::span<const double> query, double* out) {
   score_groups<Vec16>(groups, count, query, out);
+}
+
+[[gnu::flatten]] void select_vec16(const double* groups, std::size_t rows, TieIds ids,
+                                   NearestK& best) {
+  LaneSelection::select<Vec16, Ids16>(groups, rows, ids, best);
 }
 
 #if defined(__x86_64__)
 typedef double Vec32 __attribute__((vector_size(32)));
+typedef std::size_t Ids32 __attribute__((vector_size(32)));
 
-__attribute__((target("avx2"))) void score_avx2(const double* groups, std::size_t count,
-                                                std::span<const double> query, double* out) {
+__attribute__((target("avx2"), flatten)) void score_avx2(const double* groups,
+                                                         std::size_t count,
+                                                         std::span<const double> query,
+                                                         double* out) {
   score_groups<Vec32>(groups, count, query, out);
+}
+
+__attribute__((target("avx2"), flatten)) void select_avx2(const double* groups,
+                                                          std::size_t rows, TieIds ids,
+                                                          NearestK& best) {
+  LaneSelection::select<Vec32, Ids32>(groups, rows, ids, best);
 }
 #endif
 
@@ -101,10 +257,10 @@ linalg::Matrix LaneBlocks::unpack() const {
 }
 
 std::vector<LaneKernel> supported_lane_kernels() {
-  std::vector<LaneKernel> kernels{{"vec16", score_vec16}};
+  std::vector<LaneKernel> kernels{{"vec16", score_vec16, select_vec16}};
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) kernels.push_back({"avx2", score_avx2});
+  if (__builtin_cpu_supports("avx2")) kernels.push_back({"avx2", score_avx2, select_avx2});
 #endif
   return kernels;
 }
@@ -119,79 +275,70 @@ NearestK::NearestK(std::span<const double> query, std::size_t k)
       k_(k),
       bound_(k == 0 ? -std::numeric_limits<double>::infinity()
                     : std::numeric_limits<double>::infinity()),
-      score_(lane_kernel().score) {
-  best_.reserve(k);
+      select_(lane_kernel().select) {
+  // Lanes not yet filled: past every real candidate, ascending among
+  // themselves, so the held group is sorted from the start.
+  near_distances_.fill(std::numeric_limits<double>::infinity());
+  for (std::size_t l = 0; l < kInPlace; ++l)
+    near_ids_[l] = std::numeric_limits<std::size_t>::max() - kInPlace + 1 + l;
+  if (k > kInPlace) heap_.reserve(k);
 }
 
 void NearestK::scan(const LaneBlocks& rows, std::size_t first_id) {
-  scan_rows(rows, 0, rows.rows(), [first_id](std::size_t r) { return first_id + r; });
+  scan_range(rows, 0, rows.rows(), {nullptr, first_id});
 }
 
 void NearestK::scan(const LaneBlocks& rows, std::size_t begin, std::size_t end,
                     const std::size_t* ids) {
-  scan_rows(rows, begin, end, [ids](std::size_t r) { return ids[r]; });
+  scan_range(rows, begin, end, {ids, 0});
 }
 
-template <typename IdOf>
-void NearestK::scan_rows(const LaneBlocks& rows, std::size_t begin, std::size_t end,
-                         IdOf id_of) {
+void NearestK::scan_range(const LaneBlocks& rows, std::size_t begin, std::size_t end,
+                          TieIds ids) {
   SAP_REQUIRE(begin % kLanes == 0 && begin <= end && end <= rows.rows() &&
                   (begin == end || rows.dims() == query_.size()),
               "NearestK::scan: rows do not match the query or the range");
-  for (std::size_t at = begin; at < end; at += kChunk) {
-    const std::size_t count = std::min(kChunk, end - at);
-    const std::size_t groups = (count + kLanes - 1) / kLanes;
-    score_(rows.group(at / kLanes), groups, query_, distances_.data());
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* dist = distances_.data() + g * kLanes;
-      bool any = false;
-      for (std::size_t l = 0; l < kLanes; ++l) any |= dist[l] <= bound_;
-      if (!any) continue;
-      // Lanes past `count` are padding or rows outside the range: never offered.
-      const std::size_t lanes = std::min(kLanes, count - g * kLanes);
-      for (std::size_t l = 0; l < lanes; ++l)
-        if (dist[l] <= bound_) offer(dist[l], id_of(at - begin + g * kLanes + l));
-    }
-  }
+  if (begin < end) select_(rows.group(begin / kLanes), end - begin, ids, *this);
 }
 
-void NearestK::offer(double distance_sq, std::size_t index) {
-  const Neighbor candidate{index, distance_sq};
-  if (best_.size() < k_) {
-    best_.push_back(candidate);
+void NearestK::contest_heap(Neighbor candidate) {
+  if (heap_.size() < k_) {
+    heap_.push_back(candidate);
     return;
   }
   // The heap and the bound are set up by the first candidate past k, so a
   // selection that is never contested (k >= rows offered) is sorted
   // straight from scan order, which std::sort does faster than heap order.
-  if (!heap_) {
-    std::make_heap(best_.begin(), best_.end(), closer);
-    heap_ = true;
-    bound_ = best_.front().distance_sq;
+  if (!heaped_) {
+    std::make_heap(heap_.begin(), heap_.end(), closer);
+    heaped_ = true;
+    bound_ = heap_.front().distance_sq;
   }
-  if (closer(candidate, best_.front())) replace_worst(candidate);
-}
-
-void NearestK::replace_worst(Neighbor candidate) {
+  if (!closer(candidate, heap_.front())) return;
   // Sift the candidate down from the root in one pass (pop_heap followed by
   // push_heap would walk the heap twice).
-  const std::size_t n = best_.size();
+  const std::size_t n = heap_.size();
   std::size_t hole = 0;
   std::size_t child = 1;
   while (child < n) {
-    if (child + 1 < n && closer(best_[child], best_[child + 1])) ++child;
-    if (!closer(candidate, best_[child])) break;
-    best_[hole] = best_[child];
+    if (child + 1 < n && closer(heap_[child], heap_[child + 1])) ++child;
+    if (!closer(candidate, heap_[child])) break;
+    heap_[hole] = heap_[child];
     hole = child;
     child = 2 * hole + 1;
   }
-  best_[hole] = candidate;
-  bound_ = best_.front().distance_sq;
+  heap_[hole] = candidate;
+  bound_ = heap_.front().distance_sq;
 }
 
-std::vector<Neighbor> NearestK::take() {
-  std::sort(best_.begin(), best_.end(), closer);
-  return std::move(best_);
+std::span<const Neighbor> NearestK::sorted() {
+  if (k_ > kInPlace) {
+    std::sort(heap_.begin(), heap_.end(), closer);
+    return heap_;
+  }
+  const std::size_t held = std::min(k_, offered_);
+  for (std::size_t i = 0; i < held; ++i) near_sorted_[i] = {near_ids_[i], near_distances_[i]};
+  return {near_sorted_.data(), held};
 }
 
 }  // namespace sap::ml

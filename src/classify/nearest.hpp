@@ -14,10 +14,13 @@
 // -ffp-contract=off), so every distance is bit-identical to that loop on
 // every ISA variant. Candidates then enter one bounded selection under the
 // total order (distance_sq, index), where the index is the caller's tie-id
-// (unique per row); padding lanes are never offered. Given finite inputs,
-// the k smallest under that order are a pure function of the rows, the query
-// and the ids — not of scan order or block boundaries — which is what lets
-// the tree, the brute backend and the shard merge agree bit for bit.
+// (unique per row): each variant tests a group's lanes against the
+// selection's live bound in registers, and offers only the lanes of real
+// rows that pass it (a distance equal to the bound passes), so padding
+// lanes are never offered. Given finite inputs, the k smallest under that
+// order are a pure function of the rows, the query and the ids — not of
+// scan order or block boundaries — which is what lets the tree, the brute
+// backend and the shard merge agree bit for bit.
 #pragma once
 
 #include <array>
@@ -71,14 +74,33 @@ class LaneBlocks {
   std::vector<double> data_;  ///< groups() * kLanes * dims_ values
 };
 
-/// One instantiation of the lane kernel. score() writes the squared distance
-/// of every lane of `count` consecutive groups to out[0, count * kLanes), lane
-/// by lane; a padding lane's value is its 0.0 row's distance and means
-/// nothing.
+class NearestK;
+
+/// Tie-ids of a scanned range of rows: row r of the range has tie-id
+/// ids[r], or first + r when ids is null.
+struct TieIds {
+  const std::size_t* ids = nullptr;
+  std::size_t first = 0;
+
+  [[nodiscard]] std::size_t of(std::size_t r) const noexcept {
+    return ids != nullptr ? ids[r] : first + r;
+  }
+};
+
+/// One instantiation of the lane kernel; both entries run the same distance
+/// chains.
 struct LaneKernel {
   const char* name;  ///< "vec16" (16-byte vectors) or "avx2" (32-byte)
+  /// Writes the squared distance of every lane of `count` consecutive groups
+  /// to out[0, count * kLanes), lane by lane; a padding lane's value is its
+  /// 0.0 row's distance and means nothing.
   void (*score)(const double* groups, std::size_t count, std::span<const double> query,
                 double* out);
+  /// Scores the `rows` rows that start at `groups` against best.query() and
+  /// offers best every row whose distance is at most best.bound() as the
+  /// offers from earlier groups left it; row r has tie-id ids.of(r). Lanes
+  /// past `rows` are never offered.
+  void (*select)(const double* groups, std::size_t rows, TieIds ids, NearestK& best);
 };
 
 /// The variants this CPU can run: vec16 on every target, then avx2 on an
@@ -89,9 +111,11 @@ struct LaneKernel {
 [[nodiscard]] const LaneKernel& lane_kernel();
 
 /// Bounded selection of the k smallest (distance_sq, index) candidates for
-/// one query. Holds up to k candidates: filled unordered until it has k,
-/// then, once a candidate contests them, kept as a max-heap whose root is
-/// the one to evict.
+/// one query. Up to k = kInPlace it holds the kInPlace smallest offered so
+/// far, ascending, in one lane group of its own that the kernel updates in
+/// vector registers without a branch, and allocates nothing; a larger k
+/// fills a vector unordered and turns it into a max-heap, whose root is the
+/// one to evict, once a candidate contests k held ones.
 class NearestK {
  public:
   /// k = 0 selects nothing; k larger than the number of candidates offered
@@ -105,33 +129,38 @@ class NearestK {
   void scan(const LaneBlocks& rows, std::size_t begin, std::size_t end,
             const std::size_t* ids);
 
+  [[nodiscard]] std::span<const double> query() const noexcept { return query_; }
   /// Largest squared distance a new candidate can have and still enter:
-  /// +inf until a candidate contests k held ones, then the worst one's
-  /// distance.
+  /// +inf until k candidates are held (above kInPlace, until one contests
+  /// them), then the worst held one's distance.
   [[nodiscard]] double bound() const noexcept { return bound_; }
 
-  /// The selection, ascending by (distance_sq, index). Call once, after the
-  /// last scan().
-  [[nodiscard]] std::vector<Neighbor> take();
+  /// The selection, ascending by (distance_sq, index), valid while this
+  /// object lives. Call after the last scan().
+  [[nodiscard]] std::span<const Neighbor> sorted();
 
  private:
-  /// Rows scored per kernel call.
-  static constexpr std::size_t kChunk = 32 * LaneBlocks::kLanes;
+  friend struct LaneSelection;  ///< the kernel's side of the selection (nearest.cpp)
 
-  template <typename IdOf>
-  void scan_rows(const LaneBlocks& rows, std::size_t begin, std::size_t end, IdOf id_of);
-  void offer(double distance_sq, std::size_t index);
-  void replace_worst(Neighbor candidate);
+  /// The largest k held in place: one lane group.
+  static constexpr std::size_t kInPlace = LaneBlocks::kLanes;
+
+  void scan_range(const LaneBlocks& rows, std::size_t begin, std::size_t end, TieIds ids);
+  void contest_heap(Neighbor candidate);
 
   std::span<const double> query_;
   std::size_t k_;
-  std::vector<Neighbor> best_;
-  bool heap_ = false;
   double bound_;
-  decltype(LaneKernel::score) score_;
-  /// One kernel call's output. Left uninitialized: the kernel writes every
-  /// lane the selection reads.
-  std::array<double, kChunk> distances_;
+  decltype(LaneKernel::select) select_;
+  std::size_t offered_ = 0;  ///< candidates offered, k <= kInPlace
+  /// k <= kInPlace: the kInPlace smallest offered, ascending in (distance,
+  /// tie-id); a lane not yet filled holds +inf and one of the kInPlace
+  /// largest tie-ids, which no row has.
+  alignas(32) std::array<double, kInPlace> near_distances_;
+  alignas(32) std::array<std::size_t, kInPlace> near_ids_;
+  std::array<Neighbor, kInPlace> near_sorted_{};  ///< sorted()'s view, k <= kInPlace
+  std::vector<Neighbor> heap_;                    ///< k > kInPlace
+  bool heaped_ = false;
 };
 
 }  // namespace sap::ml

@@ -1,14 +1,9 @@
 #include "common/error.hpp"
 
-#include <sstream>
-
 namespace sap::detail {
 
 void raise(const std::string& message, std::source_location where) {
-  std::ostringstream os;
-  os << message << " [" << where.file_name() << ':' << where.line() << " in "
-     << where.function_name() << ']';
-  throw Error(os.str());
+  throw Error(message, where);
 }
 
 }  // namespace sap::detail

@@ -13,9 +13,19 @@ namespace sap {
 
 /// Exception type thrown by every libsap module on contract violation or
 /// unrecoverable runtime failure (singular matrix, malformed message, ...).
+/// what() is the message alone: it reaches operators and, in a serve-error
+/// reply, remote clients, so the throw site stays out of it.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what,
+                 std::source_location where = std::source_location::current())
+      : std::runtime_error(what), where_(where) {}
+
+  /// Where the error was raised, for logs.
+  [[nodiscard]] const std::source_location& where() const noexcept { return where_; }
+
+ private:
+  std::source_location where_;
 };
 
 namespace detail {

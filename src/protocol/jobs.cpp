@@ -218,7 +218,7 @@ std::vector<double> knn_partial(const data::Dataset& rows, std::span<const PoolK
   for (std::size_t q = 0; q < queries.size(); ++q) {
     ml::NearestK best(queries.record(q), std::min(k, n));
     best.scan(blocks, 0);
-    const auto nearest = best.take();
+    const auto nearest = best.sorted();
     w.count(nearest.size(), "candidates", k);
     for (const auto& nb : nearest) {
       const std::size_t row = order[nb.index];

@@ -225,13 +225,17 @@ TEST(LaneKernel, EveryVariantMatchesTheScalarLoopBitForBit) {
   }
 }
 
-TEST(LaneKernel, SelectionMatchesTheScalarLoopAndNeverOffersPadding) {
-  // NearestK over lane blocks returns the scalar loop's k smallest
-  // (distance, tie-id), distance bits included, for whole scans and for a
-  // range starting at the second group. Half the queries sit at the origin,
-  // where every padding lane (a 0.0 row) is at distance 0, as close as a
-  // row can be: a padding lane offered would show up as an extra or
-  // out-of-range tie-id.
+/// Checks a selection against the scalar loop's k smallest (distance,
+/// tie-id), distance bits included, for whole scans (tie-ids 40 + r) and for
+/// a range starting at the second group (descending tie-ids), over every
+/// data kind, d 1-12, counts 1-17 and k from 1 to past the count, so both
+/// the in-place group (k <= 8) and the heap run. Half the queries sit at the
+/// origin, where every padding lane (a 0.0 row) is at distance 0, as close
+/// as a row can be: a padding lane offered would show up as an extra or
+/// out-of-range tie-id. `select(best, blocks, begin, end, ids)` offers rows
+/// [begin, end) of `blocks` to `best`, row begin + r with tie-id ids.of(r).
+template <typename Select>
+void expect_scalar_selection(Select select) {
   constexpr std::size_t kLanes = sap::ml::LaneBlocks::kLanes;
   Engine eng(2502);
   for (int kind = 0; kind < 4; ++kind) {
@@ -255,7 +259,7 @@ TEST(LaneKernel, SelectionMatchesTheScalarLoopAndNeverOffersPadding) {
           }
           std::sort(whole.begin(), whole.end());
           std::sort(range.begin(), range.end());
-          const auto expect = [&](const std::vector<sap::ml::Neighbor>& got,
+          const auto expect = [&](std::span<const sap::ml::Neighbor> got,
                                   const std::vector<std::pair<double, std::size_t>>& want) {
             ASSERT_EQ(got.size(), std::min(k, want.size()))
                 << "kind " << kind << " d " << d << " count " << count << " k " << k;
@@ -266,14 +270,40 @@ TEST(LaneKernel, SelectionMatchesTheScalarLoopAndNeverOffersPadding) {
             }
           };
           sap::ml::NearestK all(q, k);
-          all.scan(blocks, 40);
-          expect(all.take(), whole);
+          select(all, blocks, 0, count, sap::ml::TieIds{nullptr, 40});
+          expect(all.sorted(), whole);
           sap::ml::NearestK part(q, k);
-          part.scan(blocks, first, count, ids.data());
-          expect(part.take(), range);
+          select(part, blocks, first, count, sap::ml::TieIds{ids.data(), 0});
+          expect(part.sorted(), range);
         }
       }
     }
+  }
+}
+
+TEST(LaneKernel, SelectionMatchesTheScalarLoopAndNeverOffersPadding) {
+  // Through NearestK::scan, which runs the variant lane_kernel() picked.
+  expect_scalar_selection([](sap::ml::NearestK& best, const sap::ml::LaneBlocks& blocks,
+                             std::size_t begin, std::size_t end, sap::ml::TieIds ids) {
+    if (ids.ids == nullptr) {
+      best.scan(blocks, ids.first);
+    } else {
+      best.scan(blocks, begin, end, ids.ids);
+    }
+  });
+}
+
+TEST(LaneKernel, EveryVariantSelectsLikeTheScalarLoop) {
+  // Each variant this CPU runs, through its own select: the bound test and
+  // the selection are compiled into every variant, not only the one
+  // lane_kernel() picked.
+  constexpr std::size_t kLanes = sap::ml::LaneBlocks::kLanes;
+  for (const auto& kernel : sap::ml::supported_lane_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    expect_scalar_selection([&kernel](sap::ml::NearestK& best, const sap::ml::LaneBlocks& blocks,
+                                      std::size_t begin, std::size_t end, sap::ml::TieIds ids) {
+      kernel.select(blocks.group(begin / kLanes), end - begin, ids, best);
+    });
   }
 }
 
@@ -381,17 +411,73 @@ TEST_P(KdTreeEquivalence, MatchesBruteForceExactly) {
   }
 }
 
+// (300, 70): more dimensions than a search keeps its cell gaps for on the
+// stack.
 INSTANTIATE_TEST_SUITE_P(SizesAndDims, KdTreeEquivalence,
                          ::testing::Values(std::pair{10, 2}, std::pair{50, 3},
                                            std::pair{200, 2}, std::pair{500, 5},
                                            std::pair{1000, 8}, std::pair{64, 1},
-                                           std::pair{300, 9}));
+                                           std::pair{300, 9}, std::pair{300, 70}));
 
 // Thousands of rows at low d: dozens of 64-row leaves, so the cell bound
 // prunes at every depth and half-integer ties land on split values.
 INSTANTIATE_TEST_SUITE_P(ManyLeaves, KdTreeEquivalence,
                          ::testing::Values(std::pair{2000, 2}, std::pair{3000, 3},
                                            std::pair{4000, 4}, std::pair{5000, 5}));
+
+TEST(KdTreeBound, AscendingChainKeepsATieThatOtherSumsPrune) {
+  // Data whose rounding separates the orders a far cell's gaps could be
+  // summed in (DESIGN.md §8). The query is the origin. On its path the tree
+  // splits dimension 0 at 1 and dimensions 1-3 at t = 2^-27, the query on
+  // the low side each time, so the last far cell's gaps are 1 and three of
+  // t: squared, 1 and three of 2^-54. Ascending from 0.0 they sum to
+  // exactly 1; descending, to 1 + 2^-52. That cell holds f = (1, t, t, t),
+  // at distance exactly 1, and the near half holds z = (-1, 0, 0, 0), also
+  // at distance 1 but with a larger tie-id, so the one nearest is f, found
+  // only if the cell is searched at a bound of exactly 1. With dimension 0
+  // split last, an incremental (Arya-Mount) bound adds the 1 after the
+  // three small terms and overshoots too. Every other row is farther; at
+  // each split the dimension has the largest spread of its cell, f is the
+  // median, and the rows below it go to the near side; f's 64 rows are one
+  // leaf (kd-tree leaves hold up to 64).
+  const double t = std::ldexp(1.0, -27);
+  for (const std::array<std::size_t, 4> split_dims :
+       {std::array<std::size_t, 4>{0, 1, 2, 3}, std::array<std::size_t, 4>{1, 2, 3, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "dimension 0 split at depth "
+                                      << (split_dims[0] == 0 ? 0 : 3));
+    // Rows off the path take 1.5 on dimension 0 and 0.5 elsewhere: above
+    // every split value.
+    const std::array<double, 4> beside{1.5, 0.5, 0.5, 0.5};
+    std::vector<std::array<double, 4>> rows{{1.0, t, t, t}};  // f, tie-id 0
+    rows.insert(rows.end(), 63, beside);                      // the rest of f's leaf
+    // Each split's near side, deepest first: far below the split value on
+    // the split dimension, by less at each depth.
+    const std::array<std::size_t, 4> near_rows{511, 256, 128, 64};
+    const std::array<double, 4> near_value{-1000.0, -500.0, -200.0, -100.0};
+    for (std::size_t depth = 4; depth-- > 0;) {
+      auto row = beside;
+      row[split_dims[depth]] = near_value[depth];
+      rows.insert(rows.end(), near_rows[depth], row);
+    }
+    rows.push_back({-1.0, 0.0, 0.0, 0.0});  // z, the last tie-id, on the root's near side
+    Matrix pts(rows.size(), 4);
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      for (std::size_t c = 0; c < 4; ++c) pts(r, c) = rows[r][c];
+    const sap::ml::KdTree tree(pts);
+    const std::vector<double> q(4, 0.0);
+    ASSERT_EQ(scalar_distance(pts.row(0), q), 1.0);
+    ASSERT_EQ(scalar_distance(pts.row(rows.size() - 1), q), 1.0);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+      const auto got = tree.nearest(q, k);
+      ASSERT_EQ(got.size(), k);
+      EXPECT_EQ(got[0].index, 0u) << "k " << k << ": the tie at the bound was pruned";
+      EXPECT_EQ(got[0].distance_sq, 1.0);
+      if (k > 1) {
+        EXPECT_EQ(got[1].index, rows.size() - 1) << "k " << k;
+      }
+    }
+  }
+}
 
 TEST(Knn, BackendsAgreeOnRealDataset) {
   const Dataset ds = sap::data::make_uci("Diabetes", 40);
@@ -426,6 +512,16 @@ TEST(Knn, VoteBreaksTiesBySummedDistanceThenLabel) {
   level.add(4, 1.0);
   EXPECT_EQ(level.winner(), 4);
   EXPECT_THROW((void)sap::ml::KnnVote(1).winner(), sap::Error);
+  // Past eight votes the tallies leave the vote's in-place storage, and the
+  // same rules hold: ten labels, one vote each, go to the smallest label...
+  sap::ml::KnnVote many(10);
+  for (int label = 10; label > 0; --label) many.add(label, 1.0);
+  EXPECT_EQ(many.winner(), 1);
+  // ...and a second vote wins among twelve.
+  sap::ml::KnnVote twice(12);
+  for (int label = 1; label <= 11; ++label) twice.add(label, 0.25);
+  twice.add(9, 4.0);
+  EXPECT_EQ(twice.winner(), 9);
 }
 
 TEST(Knn, AutoBackendSwitchesOnSize) {

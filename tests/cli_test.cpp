@@ -8,7 +8,8 @@
 //     bit-identical (digest + multiset digest) to the same logical session
 //     run in-process through SapSession;
 //   * every usage error of every command exits 2 before any work, with
-//     nothing on stdout and one `error:` line naming the argument;
+//     nothing on stdout and one `error:` line naming the argument and no
+//     source location;
 //   * the README build section's in-process invocations run, and the
 //     protocol run's phase log and wire cost hold at any LocalOptimize
 //     thread count.
@@ -510,6 +511,9 @@ TEST(CliUsage, EveryUsageErrorExitsTwoBeforeAnyWork) {
       // contributing twin.
       {"protocol Iris 4 0.1 1 --job knn-train-accuracy:k=3", 0, "job knn-train-accuracy"},
       {"contribute Iris 3 0.1 1 --batches 0", 0, "fits: 1 full"},
+      // A runtime error exits 1 with the same one line, and like every
+      // line above it names no source file: the throw site is for logs.
+      {"perturb no-such-input.csv out.csv", 1, "no-such-input.csv"},
   };
   for (const Row& row : rows) {
     std::string out, err;
@@ -524,6 +528,7 @@ TEST(CliUsage, EveryUsageErrorExitsTwoBeforeAnyWork) {
     EXPECT_EQ(first.rfind("error: ", 0), 0u) << "sap_cli " << row.args << "\n" << err;
     EXPECT_NE(first.find(row.names), std::string::npos)
         << "sap_cli " << row.args << ": '" << first << "' does not name " << row.names;
+    EXPECT_EQ(first.find(".cpp:"), std::string::npos) << "sap_cli " << row.args << ": " << first;
   }
 }
 

@@ -587,17 +587,22 @@ TEST(RouterDoor, AnswersLikeAMinerDoor) {
   expect_rejected(via_router, "router door");
   expect_rejected(at_rogue_owner, "miner door");
 
-  // 3. An unknown job: the definitive typed refusal.
-  const auto expect_bad_request = [&](net::ServeClient& door, const char* where) {
+  // 3. An unknown job: the definitive typed refusal, whose text names no
+  //    source file of the server's build.
+  const auto expect_bad_request = [&](net::ServeClient& door, const char* where,
+                                      const char* job, const proto::JobParams& params) {
     try {
-      (void)door.mine_named("no-such-job");
-      ADD_FAILURE() << where << ": expected ServeError for an unknown job";
+      (void)door.mine_named(job, params);
+      ADD_FAILURE() << where << ": expected ServeError for " << job;
     } catch (const net::ServeError& e) {
       EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << where;
+      EXPECT_EQ(std::string(e.what()).find(".cpp:"), std::string::npos) << where << ": " << e.what();
     }
   };
-  expect_bad_request(via_router, "router door");
-  expect_bad_request(at_owner, "miner door");
+  expect_bad_request(via_router, "router door", "no-such-job", {});
+  expect_bad_request(at_owner, "miner door", "no-such-job", {});
+  // A parameter the job does not take is refused the same way.
+  expect_bad_request(at_owner, "miner door", "record-count", {{"eval-records", 8.0}});
 
   // 4. A pool slice is a miner-only kind: the router door refuses it with a
   //    kError frame.

@@ -19,9 +19,10 @@ TEST(Error, RequireThrowsWithLocation) {
     SAP_REQUIRE(false, "boom");
     FAIL() << "SAP_REQUIRE(false) must throw";
   } catch (const sap::Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("boom"), std::string::npos);
-    EXPECT_NE(what.find("common_test.cpp"), std::string::npos);
+    // The message alone; the throw site is where(), for logs.
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_NE(std::string(e.where().file_name()).find("common_test.cpp"), std::string::npos);
+    EXPECT_GT(e.where().line(), 0u);
   }
 }
 

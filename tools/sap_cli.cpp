@@ -1074,6 +1074,8 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const sap::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    log::debug(std::string("raised at ") + e.where().file_name() + ':' +
+               std::to_string(e.where().line()));
     return 1;
   }
 }
