@@ -159,6 +159,19 @@ void KdTree::descend(int node_index, std::span<const double> query, std::span<do
   gaps[node.split_dim] = saved;
 }
 
+std::vector<std::pair<std::size_t, double>> KdTree::splits_above(std::size_t index) const {
+  const auto at = static_cast<std::size_t>(std::find(ids_.begin(), ids_.end(), index) -
+                                           ids_.begin());
+  SAP_REQUIRE(at < ids_.size(), "KdTree::splits_above: the point is not indexed");
+  std::vector<std::pair<std::size_t, double>> splits;
+  for (int n = root_; nodes_[static_cast<std::size_t>(n)].left >= 0;) {
+    const Node& node = nodes_[static_cast<std::size_t>(n)];
+    splits.emplace_back(node.split_dim, node.split_value);
+    n = at < nodes_[static_cast<std::size_t>(node.left)].end ? node.left : node.right;
+  }
+  return splits;
+}
+
 std::vector<Neighbor> KdTree::nearest(std::span<const double> query, std::size_t k) const {
   SAP_REQUIRE(k >= 1, "KdTree::nearest: k must be >= 1");
   NearestK best(query, std::min(k, size()));

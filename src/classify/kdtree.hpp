@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "classify/nearest.hpp"
@@ -68,6 +69,11 @@ class KdTree {
   /// Points currently answered by the brute-scanned tail (observability for
   /// tests and the rebuild heuristic).
   [[nodiscard]] std::size_t tail_size() const noexcept { return tail_.rows(); }
+  /// The splits between the root and the leaf that holds the indexed point
+  /// with insertion index `index`, root first, as (dimension, value): the
+  /// cell shape a test's data relies on (observability for tests).
+  [[nodiscard]] std::vector<std::pair<std::size_t, double>> splits_above(
+      std::size_t index) const;
 
  private:
   struct Node {

@@ -18,7 +18,6 @@ constexpr auto closer = [](const Neighbor& a, const Neighbor& b) {
 };
 
 typedef double Vec16 __attribute__((vector_size(16)));
-typedef std::size_t Ids16 __attribute__((vector_size(16)));
 
 /// The one kernel body, over vectors V of 2 or 4 doubles: per group, each
 /// lane runs the scalar chain `diff = x[c] - q[c]; acc += diff * diff`
@@ -58,19 +57,6 @@ template <typename V, typename Done>
     for (std::size_t v = 0; v < kVectors; ++v) last[v] = acc[v];
   }
   if (count > 0) done(count - 1, last);
-}
-
-/// Vector `v` of a lane group moved up one lane into `out`: lane l takes
-/// lane l - 1, and lane 0 takes the top lane of `below`, the group's vector
-/// under v. (Vectors pass by reference: a 32-byte vector passed by value
-/// has a different ABI under AVX.)
-template <typename T>
-[[gnu::always_inline]] inline void up_one_lane(const T& below, const T& v, T& out) {
-  if constexpr (sizeof(T) == 16) {
-    out = __builtin_shufflevector(below, v, 1, 2);
-  } else {
-    out = __builtin_shufflevector(below, v, 3, 4, 5, 6);
-  }
 }
 
 /// The smallest of a group's kLanes distances: a vector min across the
@@ -114,12 +100,11 @@ template <typename V>
 struct LaneSelection {
   /// A group whose smallest lane exceeds the live bound costs one compare.
   /// Otherwise the lanes of real rows that pass it become a bit mask, and
-  /// each set lane is offered, in place or to the heap.
-  template <typename V, typename U>
+  /// each set lane is offered.
+  template <typename V>
   [[gnu::always_inline]] static void select(const double* groups, std::size_t rows,
                                             TieIds ids, NearestK& best) {
     constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
-    const bool in_place = best.k_ <= NearestK::kInPlace;
     lane_chains<V>(
         groups, (rows + kLanes - 1) / kLanes, best.query_,
         [&](std::size_t g, const V* acc) {
@@ -132,63 +117,41 @@ struct LaneSelection {
           pass &= (1u << std::min(kLanes, rows - g * kLanes)) - 1;
           for (; pass != 0; pass &= pass - 1) {
             const auto l = static_cast<std::size_t>(__builtin_ctz(pass));
-            const Neighbor candidate{ids.of(g * kLanes + l), acc[l / kWidth][l % kWidth]};
-            if (in_place) {
-              insert<V, U>(best, candidate);
-            } else if (candidate.distance_sq <= best.bound_) {
-              best.contest_heap(candidate);
-            }
+            offer(best, {ids.of(g * kLanes + l), acc[l / kWidth][l % kWidth]});
           }
         });
   }
 
-  /// Insert a candidate into the held lane group without a branch: every
-  /// held lane it is closer than moves up one lane, the lowest of them takes
-  /// the candidate, and the top lane drops out. A candidate no closer than
-  /// held lane k - 1 changes only the lanes above it, which sorted() never
-  /// reads, so a lane that stopped passing the bound after an earlier offer
-  /// in its group needs no second test.
-  template <typename V, typename U>
-  [[gnu::always_inline]] static void insert(NearestK& best, Neighbor candidate) {
-    constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
-    constexpr std::size_t kVectors = kLanes / kWidth;
-    double* distances = best.near_distances_.data();
-    std::size_t* tie_ids = best.near_ids_.data();
-    V distance{};
-    U id{};
-    for (std::size_t l = 0; l < kWidth; ++l) {
-      distance[l] = candidate.distance_sq;
-      id[l] = candidate.index;
+  /// The first k candidates fill the slots unordered. The first one past
+  /// them turns the slots into a max-heap and sets the bound, so a
+  /// selection that is never contested (k >= rows offered) is sorted
+  /// straight from scan order, which std::sort does faster than heap order.
+  /// After that a candidate closer than the root replaces it and sifts down
+  /// in one pass (pop_heap followed by push_heap would walk the heap twice).
+  [[gnu::always_inline]] static void offer(NearestK& best, Neighbor candidate) {
+    Neighbor* heap = best.slots();
+    const std::size_t n = best.k_;
+    if (best.held_ < n) {
+      heap[best.held_++] = candidate;
+      return;
     }
-    using Mask = decltype(distance < distance);
-    V held[kVectors] = {};
-    U held_ids[kVectors] = {};
-    Mask closer_than[kVectors] = {};
-    for (std::size_t v = 0; v < kVectors; ++v) {
-      for (std::size_t l = 0; l < kWidth; ++l) {
-        held[v][l] = distances[v * kWidth + l];
-        held_ids[v][l] = tie_ids[v * kWidth + l];
-      }
-      closer_than[v] = (distance < held[v]) | ((distance == held[v]) & (id < held_ids[v]));
+    if (!best.heaped_) {
+      std::make_heap(heap, heap + n, closer);
+      best.heaped_ = true;
+      best.bound_ = heap[0].distance_sq;
     }
-    for (std::size_t v = 0; v < kVectors; ++v) {
-      // Lane 0 of the lowest vector has nothing under it: it never moves.
-      const std::size_t below = v == 0 ? 0 : v - 1;
-      Mask moved{};
-      V moved_up{};
-      U moved_up_ids{};
-      up_one_lane(v == 0 ? Mask{} : closer_than[below], closer_than[v], moved);
-      up_one_lane(held[below], held[v], moved_up);
-      up_one_lane(held_ids[below], held_ids[v], moved_up_ids);
-      const V next = closer_than[v] ? (moved ? moved_up : distance) : held[v];
-      const U next_ids = closer_than[v] ? (moved ? moved_up_ids : id) : held_ids[v];
-      for (std::size_t l = 0; l < kWidth; ++l) {
-        distances[v * kWidth + l] = next[l];
-        tie_ids[v * kWidth + l] = next_ids[l];
-      }
+    if (!closer(candidate, heap[0])) return;
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    while (child < n) {
+      if (child + 1 < n && closer(heap[child], heap[child + 1])) ++child;
+      if (!closer(candidate, heap[child])) break;
+      heap[hole] = heap[child];
+      hole = child;
+      child = 2 * hole + 1;
     }
-    best.bound_ = distances[best.k_ - 1];
-    ++best.offered_;
+    heap[hole] = candidate;
+    best.bound_ = heap[0].distance_sq;
   }
 };
 
@@ -201,12 +164,11 @@ namespace {
 
 [[gnu::flatten]] void select_vec16(const double* groups, std::size_t rows, TieIds ids,
                                    NearestK& best) {
-  LaneSelection::select<Vec16, Ids16>(groups, rows, ids, best);
+  LaneSelection::select<Vec16>(groups, rows, ids, best);
 }
 
 #if defined(__x86_64__)
 typedef double Vec32 __attribute__((vector_size(32)));
-typedef std::size_t Ids32 __attribute__((vector_size(32)));
 
 __attribute__((target("avx2"), flatten)) void score_avx2(const double* groups,
                                                          std::size_t count,
@@ -218,7 +180,7 @@ __attribute__((target("avx2"), flatten)) void score_avx2(const double* groups,
 __attribute__((target("avx2"), flatten)) void select_avx2(const double* groups,
                                                           std::size_t rows, TieIds ids,
                                                           NearestK& best) {
-  LaneSelection::select<Vec32, Ids32>(groups, rows, ids, best);
+  LaneSelection::select<Vec32>(groups, rows, ids, best);
 }
 #endif
 
@@ -275,14 +237,8 @@ NearestK::NearestK(std::span<const double> query, std::size_t k)
       k_(k),
       bound_(k == 0 ? -std::numeric_limits<double>::infinity()
                     : std::numeric_limits<double>::infinity()),
-      select_(lane_kernel().select) {
-  // Lanes not yet filled: past every real candidate, ascending among
-  // themselves, so the held group is sorted from the start.
-  near_distances_.fill(std::numeric_limits<double>::infinity());
-  for (std::size_t l = 0; l < kInPlace; ++l)
-    near_ids_[l] = std::numeric_limits<std::size_t>::max() - kInPlace + 1 + l;
-  if (k > kInPlace) heap_.reserve(k);
-}
+      select_(lane_kernel().select),
+      spilled_(k > kInPlace ? std::make_unique_for_overwrite<Neighbor[]>(k) : nullptr) {}
 
 void NearestK::scan(const LaneBlocks& rows, std::size_t first_id) {
   scan_range(rows, 0, rows.rows(), {nullptr, first_id});
@@ -301,44 +257,10 @@ void NearestK::scan_range(const LaneBlocks& rows, std::size_t begin, std::size_t
   if (begin < end) select_(rows.group(begin / kLanes), end - begin, ids, *this);
 }
 
-void NearestK::contest_heap(Neighbor candidate) {
-  if (heap_.size() < k_) {
-    heap_.push_back(candidate);
-    return;
-  }
-  // The heap and the bound are set up by the first candidate past k, so a
-  // selection that is never contested (k >= rows offered) is sorted
-  // straight from scan order, which std::sort does faster than heap order.
-  if (!heaped_) {
-    std::make_heap(heap_.begin(), heap_.end(), closer);
-    heaped_ = true;
-    bound_ = heap_.front().distance_sq;
-  }
-  if (!closer(candidate, heap_.front())) return;
-  // Sift the candidate down from the root in one pass (pop_heap followed by
-  // push_heap would walk the heap twice).
-  const std::size_t n = heap_.size();
-  std::size_t hole = 0;
-  std::size_t child = 1;
-  while (child < n) {
-    if (child + 1 < n && closer(heap_[child], heap_[child + 1])) ++child;
-    if (!closer(candidate, heap_[child])) break;
-    heap_[hole] = heap_[child];
-    hole = child;
-    child = 2 * hole + 1;
-  }
-  heap_[hole] = candidate;
-  bound_ = heap_.front().distance_sq;
-}
-
 std::span<const Neighbor> NearestK::sorted() {
-  if (k_ > kInPlace) {
-    std::sort(heap_.begin(), heap_.end(), closer);
-    return heap_;
-  }
-  const std::size_t held = std::min(k_, offered_);
-  for (std::size_t i = 0; i < held; ++i) near_sorted_[i] = {near_ids_[i], near_distances_[i]};
-  return {near_sorted_.data(), held};
+  Neighbor* held = slots();
+  std::sort(held, held + held_, closer);
+  return {held, held_};
 }
 
 }  // namespace sap::ml

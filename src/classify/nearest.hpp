@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -111,11 +112,10 @@ struct LaneKernel {
 [[nodiscard]] const LaneKernel& lane_kernel();
 
 /// Bounded selection of the k smallest (distance_sq, index) candidates for
-/// one query. Up to k = kInPlace it holds the kInPlace smallest offered so
-/// far, ascending, in one lane group of its own that the kernel updates in
-/// vector registers without a branch, and allocates nothing; a larger k
-/// fills a vector unordered and turns it into a max-heap, whose root is the
-/// one to evict, once a candidate contests k held ones.
+/// one query. It fills k slots unordered and turns them into a max-heap,
+/// whose root is the one to evict, once a candidate contests k held ones.
+/// Up to k = kInPlace the slots sit in the object itself, so a selection
+/// at the served k allocates nothing.
 class NearestK {
  public:
   /// k = 0 selects nothing; k larger than the number of candidates offered
@@ -131,8 +131,8 @@ class NearestK {
 
   [[nodiscard]] std::span<const double> query() const noexcept { return query_; }
   /// Largest squared distance a new candidate can have and still enter:
-  /// +inf until k candidates are held (above kInPlace, until one contests
-  /// them), then the worst held one's distance.
+  /// +inf until a candidate contests k held ones, then the worst held one's
+  /// distance.
   [[nodiscard]] double bound() const noexcept { return bound_; }
 
   /// The selection, ascending by (distance_sq, index), valid while this
@@ -142,25 +142,22 @@ class NearestK {
  private:
   friend struct LaneSelection;  ///< the kernel's side of the selection (nearest.cpp)
 
-  /// The largest k held in place: one lane group.
+  /// The largest k whose slots sit in the object.
   static constexpr std::size_t kInPlace = LaneBlocks::kLanes;
 
   void scan_range(const LaneBlocks& rows, std::size_t begin, std::size_t end, TieIds ids);
-  void contest_heap(Neighbor candidate);
+  [[nodiscard]] Neighbor* slots() noexcept {
+    return k_ <= kInPlace ? in_place_.data() : spilled_.get();
+  }
 
   std::span<const double> query_;
   std::size_t k_;
   double bound_;
   decltype(LaneKernel::select) select_;
-  std::size_t offered_ = 0;  ///< candidates offered, k <= kInPlace
-  /// k <= kInPlace: the kInPlace smallest offered, ascending in (distance,
-  /// tie-id); a lane not yet filled holds +inf and one of the kInPlace
-  /// largest tie-ids, which no row has.
-  alignas(32) std::array<double, kInPlace> near_distances_;
-  alignas(32) std::array<std::size_t, kInPlace> near_ids_;
-  std::array<Neighbor, kInPlace> near_sorted_{};  ///< sorted()'s view, k <= kInPlace
-  std::vector<Neighbor> heap_;                    ///< k > kInPlace
+  std::size_t held_ = 0;  ///< slots filled
   bool heaped_ = false;
+  std::array<Neighbor, kInPlace> in_place_;  ///< the slots, k <= kInPlace
+  std::unique_ptr<Neighbor[]> spilled_;      ///< the slots, k > kInPlace
 };
 
 }  // namespace sap::ml

@@ -28,6 +28,10 @@ class Error : public std::runtime_error {
   std::source_location where_;
 };
 
+/// `e`'s message and then its throw site, "<message> [<file>:<line>]": for
+/// log lines, never for a reply or an operator's error line.
+[[nodiscard]] std::string with_throw_site(const Error& e);
+
 namespace detail {
 [[noreturn]] void raise(const std::string& message,
                         std::source_location where = std::source_location::current());

@@ -101,7 +101,7 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
   } catch (const Error& e) {
     // Per-request containment — answer kError so the client fails fast
     // instead of timing out.
-    if (log) log(e.what());
+    if (log) log(with_throw_site(e));
     out.type = FrameType::kError;
     out.payload_kind = 0;
     out.body = text_body(e.what());
@@ -210,7 +210,7 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
       } catch (const Error& e) {
         // Negative receipt (epoch 0): the contributor learns of the
         // rejection immediately instead of stalling out its deadline.
-        note(std::string("rejected contribution: ") + e.what());
+        note("rejected contribution: " + with_throw_site(e));
         ctr_ingest_rejected_->increment();
         out_wire = proto::encode_receipt(/*pool_epoch=*/0, /*pool_records=*/0);
       }
@@ -467,7 +467,7 @@ std::vector<proto::logic::Mail> MinerDaemon::take_mail(
         note("dropped " + what + ": not a sender or count step " +
              proto::logic::to_string(step) + " takes");
     } catch (const Error& e) {
-      note("rejected " + what + " during the exchange: " + e.what());
+      note("rejected " + what + " during the exchange: " + with_throw_site(e));
     }
   }
   return bag.take();
@@ -607,7 +607,7 @@ void MinerDaemon::resync_owned_shards() {
         // Down peer, non-owner (typed kNotOwner), or mid-install: try the
         // next one. Resync is best effort — a cold start still serves.
         note("resync: peer " + peer.to_string() + " shard " + std::to_string(g) +
-             " unavailable: " + e.what());
+             " unavailable: " + with_throw_site(e));
       }
     }
     if (!adopted && opts_.log)

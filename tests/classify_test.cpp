@@ -228,8 +228,9 @@ TEST(LaneKernel, EveryVariantMatchesTheScalarLoopBitForBit) {
 /// Checks a selection against the scalar loop's k smallest (distance,
 /// tie-id), distance bits included, for whole scans (tie-ids 40 + r) and for
 /// a range starting at the second group (descending tie-ids), over every
-/// data kind, d 1-12, counts 1-17 and k from 1 to past the count, so both
-/// the in-place group (k <= 8) and the heap run. Half the queries sit at the
+/// data kind, d 1-12, counts 1-17 and k from 1 to past the count, so the
+/// heap runs in its in-place slots (k <= 8) and in allocated ones, full and
+/// not. Half the queries sit at the
 /// origin, where every padding lane (a 0.0 row) is at distance 0, as close
 /// as a row can be: a padding lane offered would show up as an extra or
 /// out-of-range tie-id. `select(best, blocks, begin, end, ids)` offers rows
@@ -439,7 +440,9 @@ TEST(KdTreeBound, AscendingChainKeepsATieThatOtherSumsPrune) {
   // three small terms and overshoots too. Every other row is farther; at
   // each split the dimension has the largest spread of its cell, f is the
   // median, and the rows below it go to the near side; f's 64 rows are one
-  // leaf (kd-tree leaves hold up to 64).
+  // leaf (kd-tree leaves hold up to 64). The test first checks that shape
+  // through splits_above(), so a change to the build rules fails it instead
+  // of leaving data that no longer separates the sums.
   const double t = std::ldexp(1.0, -27);
   for (const std::array<std::size_t, 4> split_dims :
        {std::array<std::size_t, 4>{0, 1, 2, 3}, std::array<std::size_t, 4>{1, 2, 3, 0}}) {
@@ -464,6 +467,9 @@ TEST(KdTreeBound, AscendingChainKeepsATieThatOtherSumsPrune) {
     for (std::size_t r = 0; r < rows.size(); ++r)
       for (std::size_t c = 0; c < 4; ++c) pts(r, c) = rows[r][c];
     const sap::ml::KdTree tree(pts);
+    std::vector<std::pair<std::size_t, double>> path;
+    for (const std::size_t dim : split_dims) path.emplace_back(dim, dim == 0 ? 1.0 : t);
+    ASSERT_EQ(tree.splits_above(0), path) << "f's cell is not the one the data is built for";
     const std::vector<double> q(4, 0.0);
     ASSERT_EQ(scalar_distance(pts.row(0), q), 1.0);
     ASSERT_EQ(scalar_distance(pts.row(rows.size() - 1), q), 1.0);

@@ -26,6 +26,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "cluster_fixture.hpp"
@@ -523,10 +525,17 @@ TEST(ShardRouter, EmptyShardsStayBitIdenticalToTheFlatEngine) {
 
 TEST(RouterDoor, AnswersLikeAMinerDoor) {
   Cluster cluster(5353);
+  // Both miners' log lines, which keep the throw site a reply leaves out.
+  std::mutex log_mutex;
+  std::vector<std::string> log_lines;
   Member a, b;
   net::MinerDaemonOptions da;
   da.shards = 2;
   da.owned_shards = {0};
+  da.log = [&](const std::string& line) {
+    const std::lock_guard lock(log_mutex);
+    log_lines.push_back(line);
+  };
   net::MinerDaemonOptions db = da;
   db.owned_shards = {1};
   a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
@@ -586,6 +595,12 @@ TEST(RouterDoor, AnswersLikeAMinerDoor) {
   };
   expect_rejected(via_router, "router door");
   expect_rejected(at_rogue_owner, "miner door");
+  {
+    const std::lock_guard lock(log_mutex);
+    EXPECT_TRUE(std::any_of(log_lines.begin(), log_lines.end(), [](const std::string& line) {
+      return line.rfind("rejected contribution: ", 0) == 0 && line.find(".cpp:") != std::string::npos;
+    })) << "no miner logged a rejected contribution with its throw site";
+  }
 
   // 3. An unknown job: the definitive typed refusal, whose text names no
   //    source file of the server's build.

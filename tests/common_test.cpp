@@ -26,6 +26,19 @@ TEST(Error, RequireThrowsWithLocation) {
   }
 }
 
+TEST(Error, LogLineCarriesTheThrowSite) {
+  try {
+    SAP_REQUIRE(false, "boom");
+    FAIL() << "SAP_REQUIRE(false) must throw";
+  } catch (const sap::Error& e) {
+    const std::string line = sap::with_throw_site(e);
+    EXPECT_EQ(line.rfind("boom [", 0), 0u) << line;
+    EXPECT_NE(line.find("common_test.cpp:" + std::to_string(e.where().line()) + "]"),
+              std::string::npos)
+        << line;
+  }
+}
+
 TEST(Error, RequirePassesOnTrue) {
   EXPECT_NO_THROW(SAP_REQUIRE(1 + 1 == 2, "never"));
 }

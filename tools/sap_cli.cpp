@@ -1074,8 +1074,7 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const sap::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    log::debug(std::string("raised at ") + e.where().file_name() + ':' +
-               std::to_string(e.where().line()));
+    log::debug(with_throw_site(e));
     return 1;
   }
 }
