@@ -10,10 +10,18 @@
 //     so the chain folds twice and every query scans the brute tail it
 //     leaves (32 of 1536 points, 512 of 11264);
 //   * BruteServe:  the brute backend at 200 records (kAuto's brute range);
-//   * ShardPartial: the exact-merge partial over one 372-row shard;
+//   * ShardPartial: the exact-merge partial over one 372-row shard, on a
+//     warm snapshot: its canonical view (the key order and the lane blocks)
+//     is built before the loop, as a miner's first partial on a snapshot
+//     builds it once for every later one;
 //   * ShardKernel: the lane kernel alone over that shard's rows and queries,
 //     with no selection, so ShardPartial / ShardKernel in one run is what
-//     the selection and the packing cost beside the distance chains.
+//     the selection and the blob cost beside the distance chains;
+//   * ShardLeg: ShardPartial's request and answer as one routed leg, with
+//     no socket: the router encodes, seals and frames the partial request;
+//     the miner parses, opens and decodes it, runs the partial, and
+//     encodes, seals and frames the response; the router parses, opens and
+//     decodes that. ShardLeg - ShardPartial is the leg's byte work.
 //
 // The data is the Shuttle shape (9 dims), min-max normalized and rotated,
 // like the unified space the miner serves. Every row's label names the lane
@@ -29,7 +37,10 @@
 #include "data/normalize.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/orthogonal.hpp"
+#include "net/frame.hpp"
 #include "protocol/jobs.hpp"
+#include "protocol/message.hpp"
+#include "protocol/pool_shard.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -83,28 +94,85 @@ void BM_BruteServe(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteServe)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 
-void BM_ShardPartial(benchmark::State& state) {
-  const Dataset rows = pool(372);
-  // Arrival order differs from canonical key order, as on a live shard.
+/// The shard partial's snapshot: 372 rows whose arrival order differs from
+/// canonical key order, as on a live shard.
+std::unique_ptr<const sap::proto::ShardSnapshot> shard_snapshot() {
+  Dataset rows = pool(372);
   std::vector<sap::proto::PoolKey> keys(rows.size());
   for (std::size_t i = 0; i < keys.size(); ++i)
     keys[i] = {static_cast<std::uint64_t>(1000 + i % 4), static_cast<std::uint32_t>(i / 4)};
-  const Dataset queries = rows.slice(0, kQueries);
+  auto shard = std::make_unique<const sap::proto::ShardSnapshot>(std::move(rows), std::move(keys));
+  (void)shard->canonical_blocks();  // warm: the view is built once per snapshot
+  return shard;
+}
+
+void BM_ShardPartial(benchmark::State& state) {
+  const auto shard = shard_snapshot();
+  const Dataset queries = shard->rows.slice(0, kQueries);
   const auto registry = sap::proto::JobRegistry::builtins();
   const auto& spec = registry.find("knn-train-accuracy");
   const auto params = spec.resolve_params({{"k", static_cast<double>(state.range(0))}});
   for (auto _ : state) {
-    auto blob = spec.partial(rows, keys, queries, params);
+    auto blob = spec.partial(*shard, queries, params);
     benchmark::DoNotOptimize(blob.data());
   }
   state.SetLabel(sap::ml::lane_kernel().name);
 }
 BENCHMARK(BM_ShardPartial)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 
+/// One routed kNN leg, byte for byte what the router and a miner door do
+/// around the partial, with the frames handed over in memory.
+void BM_ShardLeg(benchmark::State& state) {
+  namespace net = sap::net;
+  namespace proto = sap::proto;
+  const auto shard = shard_snapshot();
+  const Dataset queries = shard->rows.slice(0, kQueries);
+  const auto registry = proto::JobRegistry::builtins();
+  const std::string job = "knn-train-accuracy";
+  const auto& spec = registry.find(job);
+  const proto::JobParams request{{"k", static_cast<double>(state.range(0))},
+                                 {"eval-records", static_cast<double>(kQueries)}};
+  constexpr std::uint64_t kUpKey = 0x5EED0001;    // router -> miner link
+  constexpr std::uint64_t kDownKey = 0x5EED0002;  // miner -> router link
+  const auto frame_of = [](proto::PayloadKind kind, std::vector<std::uint8_t> body) {
+    net::Frame frame;
+    frame.payload_kind = static_cast<std::uint8_t>(kind);
+    frame.body = std::move(body);
+    std::vector<std::uint8_t> bytes;
+    net::encode_frame(frame, bytes);
+    return bytes;
+  };
+  const auto open_frame = [](net::FrameReader& reader, const std::vector<std::uint8_t>& bytes,
+                             std::uint64_t key) {
+    reader.feed(bytes.data(), bytes.size());
+    net::FrameView view;
+    if (!reader.next_view(view)) throw sap::Error("BM_ShardLeg: incomplete frame");
+    return net::open_body(view.body, key);
+  };
+  net::FrameReader miner_reader;
+  net::FrameReader router_reader;
+  std::size_t bytes_moved = 0;
+  for (auto _ : state) {
+    const auto up = frame_of(proto::PayloadKind::kPartialRequest,
+                             net::seal_body(proto::encode_partial_request(0, job, request, queries),
+                                            kUpKey));
+    const auto asked = proto::decode_partial_request(open_frame(miner_reader, up, kUpKey));
+    const auto blob = spec.partial(*shard, asked.queries, spec.resolve_params(asked.params));
+    const auto down = frame_of(proto::PayloadKind::kPartialResponse,
+                               net::seal_body(proto::encode_partial_response(1, blob), kDownKey));
+    const auto answer = proto::decode_partial_response(open_frame(router_reader, down, kDownKey));
+    benchmark::DoNotOptimize(answer.blob.data());
+    bytes_moved += up.size() + down.size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes_moved));
+  state.SetLabel(sap::ml::lane_kernel().name);
+}
+BENCHMARK(BM_ShardLeg)->Arg(5)->Unit(benchmark::kMicrosecond);
+
 void BM_ShardKernel(benchmark::State& state) {
-  const Dataset rows = pool(372);
-  const sap::ml::LaneBlocks blocks(rows.features());
-  const Dataset queries = rows.slice(0, kQueries);
+  const auto shard = shard_snapshot();
+  const sap::ml::LaneBlocks& blocks = shard->canonical_blocks();
+  const Dataset queries = shard->rows.slice(0, kQueries);
   const auto& kernel = sap::ml::lane_kernel();
   std::vector<double> distances(blocks.groups() * sap::ml::LaneBlocks::kLanes);
   for (auto _ : state) {

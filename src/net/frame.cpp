@@ -1,6 +1,7 @@
 #include "net/frame.hpp"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -38,16 +39,23 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-/// Little-endian store; the compiler merges the byte stores into one word.
+/// Little-endian word store and load: one move on a little-endian host.
 void store_u64(std::uint8_t* p, std::uint64_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-  p[4] = static_cast<std::uint8_t>(v >> 32);
-  p[5] = static_cast<std::uint8_t>(v >> 40);
-  p[6] = static_cast<std::uint8_t>(v >> 48);
-  p[7] = static_cast<std::uint8_t>(v >> 56);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -55,10 +63,10 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   store_u64(out.data() + out.size() - 8, v);
 }
 
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
+/// A kData body is the integrity word and then whole ciphertext words.
+void check_envelope_body(std::span<const std::uint8_t> body) {
+  SAP_REQUIRE(body.size() >= 8 && body.size() % 8 == 0,
+              "body_envelope: malformed envelope body");
 }
 
 bool known_type(std::uint8_t t) {
@@ -145,7 +153,7 @@ bool FrameReader::next_view(FrameView& out) {
   out.payload_kind = h[6];
   out.from = get_u32(h + 8);
   out.to = get_u32(h + 12);
-  out.trace = get_u64(h + 16);
+  out.trace = load_u64(h + 16);
   out.body = {body, body_len};
   pos_ += kFrameHeaderBytes + body_len;
   return true;
@@ -173,13 +181,28 @@ std::vector<std::uint8_t> envelope_body(const proto::EncryptedEnvelope& env) {
 }
 
 proto::EncryptedEnvelope body_envelope(std::span<const std::uint8_t> body) {
-  SAP_REQUIRE(body.size() >= 8 && body.size() % 8 == 0,
-              "body_envelope: malformed envelope body");
-  const std::uint64_t checksum = get_u64(body.data());
+  check_envelope_body(body);
   std::vector<std::uint64_t> cipher(body.size() / 8 - 1);
-  for (std::size_t i = 0; i < cipher.size(); ++i)
-    cipher[i] = get_u64(body.data() + 8 + 8 * i);
-  return proto::EncryptedEnvelope::from_raw(std::move(cipher), checksum);
+  for (std::size_t i = 0; i < cipher.size(); ++i) cipher[i] = load_u64(body.data() + 8 + 8 * i);
+  return proto::EncryptedEnvelope::from_raw(std::move(cipher), load_u64(body.data()));
+}
+
+std::vector<std::uint8_t> seal_body(std::span<const double> plain, std::uint64_t key) {
+  std::vector<std::uint8_t> body(8 + plain.size() * 8);
+  std::uint8_t* words = body.data() + 8;
+  const std::uint64_t checksum = proto::EncryptedEnvelope::seal_words(
+      plain, key, [words](std::size_t i, std::uint64_t word) { store_u64(words + 8 * i, word); });
+  store_u64(body.data(), checksum);
+  return body;
+}
+
+std::vector<double> open_body(std::span<const std::uint8_t> body, std::uint64_t key) {
+  check_envelope_body(body);
+  std::vector<double> plain(body.size() / 8 - 1);
+  const std::uint8_t* words = body.data() + 8;
+  proto::EncryptedEnvelope::open_words(plain, key, load_u64(body.data()),
+                                       [words](std::size_t i) { return load_u64(words + 8 * i); });
+  return plain;
 }
 
 std::vector<std::uint8_t> u32_body(std::uint32_t value) {

@@ -147,6 +147,18 @@ class FrameReader {
 /// FrameView body decodes without an intermediate copy.
 [[nodiscard]] proto::EncryptedEnvelope body_envelope(std::span<const std::uint8_t> body);
 
+/// One-pass seal: `plain` under `key` straight into kData body bytes, in
+/// one allocation and the envelope's own seal loop. Byte for byte
+/// envelope_body(EncryptedEnvelope(plain, key)).
+[[nodiscard]] std::vector<std::uint8_t> seal_body(std::span<const double> plain,
+                                                  std::uint64_t key);
+
+/// One-pass open: kData body bytes straight to the payload, with no
+/// envelope in between. Returns body_envelope(body).open(key) and throws
+/// the same sap::Error where that does.
+[[nodiscard]] std::vector<double> open_body(std::span<const std::uint8_t> body,
+                                            std::uint64_t key);
+
 /// u32 control bodies (Hello desired id / Welcome granted id).
 [[nodiscard]] std::vector<std::uint8_t> u32_body(std::uint32_t value);
 [[nodiscard]] std::uint32_t body_u32(std::span<const std::uint8_t> body);

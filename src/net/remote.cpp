@@ -83,8 +83,7 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
   out.trace = trace_id;
   try {
     const auto payload =
-        body_envelope(frame.body)
-            .open(proto::detail::derive_link_key(secret, frame.from, self));
+        open_body(frame.body, proto::detail::derive_link_key(secret, frame.from, self));
     const std::uint64_t t_decoded = steady_now_ns();
     stage(obs::Stage::kDecode) = ms_since(t_entry, t_decoded);
     const DoorReply reply = dispatch({kind, payload, trace_id});
@@ -95,8 +94,7 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
     stage(obs::Stage::kServe) = std::max(0.0, ms_since(t_decoded, t_served) - reply.merge_ms);
     out.type = FrameType::kData;
     out.payload_kind = static_cast<std::uint8_t>(reply.kind);
-    out.body = envelope_body(proto::EncryptedEnvelope(
-        reply.wire, proto::detail::derive_link_key(secret, self, frame.from)));
+    out.body = seal_body(reply.wire, proto::detail::derive_link_key(secret, self, frame.from));
     stage(obs::Stage::kWrite) = ms_since(t_served, steady_now_ns());
   } catch (const Error& e) {
     // Per-request containment — answer kError so the client fails fast
@@ -431,8 +429,7 @@ Frame MinerDaemon::sealed(proto::PartyId to, proto::PayloadKind kind,
   frame.payload_kind = static_cast<std::uint8_t>(kind);
   frame.from = miner_id_;
   frame.to = to;
-  frame.body = envelope_body(
-      proto::EncryptedEnvelope(payload, proto::detail::derive_link_key(secret_, miner_id_, to)));
+  frame.body = seal_body(payload, proto::detail::derive_link_key(secret_, miner_id_, to));
   return frame;
 }
 
@@ -461,8 +458,7 @@ std::vector<proto::logic::Mail> MinerDaemon::take_mail(
     try {
       proto::logic::Mail mail{
           frame.from, kind,
-          body_envelope(frame.body)
-              .open(proto::detail::derive_link_key(secret_, frame.from, miner_id_))};
+          open_body(frame.body, proto::detail::derive_link_key(secret_, frame.from, miner_id_))};
       if (bag.offer(mail) != proto::logic::Mailbag::Fit::kTaken)
         note("dropped " + what + ": not a sender or count step " +
              proto::logic::to_string(step) + " takes");
@@ -642,7 +638,7 @@ void ServeClient::handshake() {
   hello.body = u32_body(claim_);
   write_frame(hello);
 
-  Frame welcome;
+  FrameView welcome;
   SAP_REQUIRE(read_frame(welcome, deadline_after_ms(opts_.timeout_ms)),
               "ServeClient: timed out waiting for the Welcome");
   if (welcome.type == FrameType::kError)
@@ -674,8 +670,7 @@ Frame ServeClient::data_frame(proto::PartyId to, proto::PayloadKind kind,
   frame.payload_kind = static_cast<std::uint8_t>(kind);
   frame.from = id_;
   frame.to = to;
-  frame.body = envelope_body(
-      proto::EncryptedEnvelope(payload, proto::detail::derive_link_key(secret_, id_, to)));
+  frame.body = seal_body(payload, proto::detail::derive_link_key(secret_, id_, to));
   SAP_REQUIRE(frame.body.size() <= kDefaultMaxBody,
               "ServeClient: payload exceeds the frame size cap");
   return frame;
@@ -687,8 +682,8 @@ void ServeClient::write_frame(const Frame& frame) {
   sock_.write_all(bytes.data(), bytes.size(), opts_.timeout_ms);
 }
 
-bool ServeClient::read_frame(Frame& frame, std::chrono::steady_clock::time_point deadline) {
-  while (!reader_.next(frame)) {
+bool ServeClient::read_frame(FrameView& frame, std::chrono::steady_clock::time_point deadline) {
+  while (!reader_.next_view(frame)) {
     // Rounded up, so a wait never ends before its deadline.
     const auto left = std::chrono::ceil<std::chrono::milliseconds>(
                           deadline - std::chrono::steady_clock::now())
@@ -714,15 +709,14 @@ void ServeClient::send(proto::PartyId to, proto::PayloadKind kind,
 
 bool ServeClient::receive(Delivery& out, int timeout_ms) {
   const auto deadline = deadline_after_ms(timeout_ms);
-  Frame frame;
+  FrameView frame;
   do {
     if (!read_frame(frame, deadline)) return false;
     if (frame.type == FrameType::kError)
       SAP_FAIL("ServeClient::receive: door error: " + body_text(frame.body));
   } while (frame.type != FrameType::kData);  // skip stray control traffic
   out = {frame.from, static_cast<proto::PayloadKind>(frame.payload_kind),
-         body_envelope(frame.body)
-             .open(proto::detail::derive_link_key(secret_, frame.from, id_))};
+         open_body(frame.body, proto::detail::derive_link_key(secret_, frame.from, id_))};
   return true;
 }
 
@@ -737,7 +731,7 @@ std::vector<double> ServeClient::transact(proto::PayloadKind kind,
     if (sock_.read_some(&byte, 1, /*timeout_ms=*/0, closed) > 0) reader_.feed(&byte, 1);
     if (closed) drop();
   }
-  Frame resp;
+  FrameView resp;
   std::vector<double> plain;
   try {
     if (!sock_.valid()) reconnect();
@@ -757,8 +751,7 @@ std::vector<double> ServeClient::transact(proto::PayloadKind kind,
                       resp.payload_kind ==
                           static_cast<std::uint8_t>(proto::PayloadKind::kServeError),
                   "ServeClient: unexpected reply payload kind");
-      plain = body_envelope(resp.body)
-                  .open(proto::detail::derive_link_key(secret_, miner_, id_));
+      plain = open_body(resp.body, proto::detail::derive_link_key(secret_, miner_, id_));
     }
   } catch (const Error&) {
     // A reply may still be in flight, and it would answer the next

@@ -421,8 +421,9 @@ class ServeClient {
                                  std::span<const double> payload) const;
   void write_frame(const Frame& frame);
   /// The next frame, or false once `deadline` has passed with none
-  /// complete. Throws sap::Error when the connection closes.
-  bool read_frame(Frame& frame, std::chrono::steady_clock::time_point deadline);
+  /// complete. Throws sap::Error when the connection closes. The view's
+  /// body stays valid until the next read_frame() or drop().
+  bool read_frame(FrameView& frame, std::chrono::steady_clock::time_point deadline);
 
   TcpSocket sock_;
   FrameReader reader_;

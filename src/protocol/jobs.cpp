@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include "classify/knn.hpp"
 #include "classify/naive_bayes.hpp"
@@ -12,6 +11,7 @@
 #include "classify/svm.hpp"
 #include "common/error.hpp"
 #include "common/wire.hpp"
+#include "protocol/pool_shard.hpp"
 
 namespace sap::proto {
 namespace {
@@ -49,22 +49,12 @@ constexpr std::size_t kMaxBlobQueries = 1u << 26;
 constexpr std::size_t kMaxBlobClasses = 4096;
 constexpr std::size_t kMaxBlobSeq = 0xFFFFFFFF;
 
-/// Row indices of a shard's pool in canonical (nonce, seq) order.
-std::vector<std::size_t> canonical_order(std::span<const PoolKey> keys) {
-  std::vector<std::size_t> order(keys.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return keys[a] < keys[b];
-  });
-  return order;
-}
-
 // -- record-count: partials are per-shard counts; the merge is an exact
 //    integer sum (record counts are far below 2^53).
-std::vector<double> count_partial(const data::Dataset& rows, std::span<const PoolKey>,
-                                  const data::Dataset&, const JobParams&) {
+std::vector<double> count_partial(const ShardSnapshot& shard, const data::Dataset&,
+                                  const JobParams&) {
   wire::Writer w("record-count partial", 1);
-  w.count(rows.size(), "record count", kMaxBlobCount);
+  w.count(shard.rows.size(), "record count", kMaxBlobCount);
   return w.take();
 }
 
@@ -82,10 +72,10 @@ std::vector<double> count_merge(const std::vector<std::vector<double>>& partials
 // -- class-histogram: partials are (label, count) pairs; the merge sums per
 //    label and reports counts in ascending label order — exactly what
 //    Dataset::class_counts() yields on the concatenated pool.
-std::vector<double> hist_partial(const data::Dataset& rows, std::span<const PoolKey>,
-                                 const data::Dataset&, const JobParams&) {
-  const auto labels = rows.classes();
-  const auto counts = rows.class_counts();
+std::vector<double> hist_partial(const ShardSnapshot& shard, const data::Dataset&,
+                                 const JobParams&) {
+  const auto labels = shard.rows.classes();
+  const auto counts = shard.rows.class_counts();
   wire::Writer w("class-histogram partial", 1 + 2 * labels.size());
   w.count(labels.size(), "class count", kMaxBlobClasses);
   for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -119,22 +109,23 @@ std::vector<double> hist_merge(const std::vector<std::vector<double>>& partials,
 //    GaussianNaiveBayes::merge_stats and scores the queries. Blob layout:
 //    [dims, segments, {nonce, classes, {label, count, shift[d], sum[d],
 //    sumsq[d]}*}*].
-std::vector<double> nb_partial(const data::Dataset& rows, std::span<const PoolKey> keys,
-                               const data::Dataset&, const JobParams&) {
-  SAP_REQUIRE(keys.size() == rows.size(), "nb partial: keys/rows size mismatch");
-  const auto order = canonical_order(keys);
+std::vector<double> nb_partial(const ShardSnapshot& shard, const data::Dataset&,
+                               const JobParams&) {
+  const auto& keys = shard.keys;
+  const auto order = shard.canonical_order();
   std::size_t segments = 0;
   for (std::size_t at = 0; at < order.size(); ++at)
     segments += at == 0 || keys[order[at]].nonce != keys[order[at - 1]].nonce;
   wire::Writer w("nb partial");
-  w.count(rows.dims(), "dims", kMaxBlobDims);
+  w.count(shard.rows.dims(), "dims", kMaxBlobDims);
   w.count(segments, "segments", kMaxBlobDims);
   std::size_t at = 0;
   while (at < order.size()) {
     const std::uint64_t nonce = keys[order[at]].nonce;
-    std::vector<std::size_t> segment;
-    while (at < order.size() && keys[order[at]].nonce == nonce) segment.push_back(order[at++]);
-    const auto stats = ml::GaussianNaiveBayes::collect_stats(rows.subset(segment));
+    const std::size_t begin = at;
+    while (at < order.size() && keys[order[at]].nonce == nonce) ++at;
+    const auto stats = ml::GaussianNaiveBayes::collect_stats(
+        shard.rows.subset(order.subspan(begin, at - begin)));
     w.u64(nonce, "nonce");
     w.count(stats.size(), "classes", kMaxBlobClasses);
     for (const auto& cls : stats) {
@@ -194,24 +185,23 @@ std::vector<double> nb_merge(const std::vector<std::vector<double>>& partials,
 }
 
 // -- knn-train-accuracy: partials carry, per query, the shard's k nearest
-//    candidates as (dist², nonce, seq, label); the merge re-selects the
-//    global k by the same (distance, canonical index) tie-break Knn uses
+//    candidates as (dist², nonce, seq, label) in ascending (distance, key)
+//    order; the merge takes the global k from those lists with a k-way
+//    merge, under the same (distance, canonical index) tie-break Knn uses,
 //    and replays its majority vote. Blob layout: [k, queries, {cands,
 //    {dist, nonce, seq, label}*}*].
-std::vector<double> knn_partial(const data::Dataset& rows, std::span<const PoolKey> keys,
-                                const data::Dataset& queries, const JobParams& resolved) {
-  SAP_REQUIRE(keys.size() == rows.size(), "knn partial: keys/rows size mismatch");
+std::vector<double> knn_partial(const ShardSnapshot& shard, const data::Dataset& queries,
+                                const JobParams& resolved) {
   const auto k = static_cast<std::size_t>(param(resolved, "k"));
+  const data::Dataset& rows = shard.rows;
   const std::size_t n = rows.size();
   SAP_REQUIRE(n == 0 || queries.size() == 0 || queries.dims() == rows.dims(),
               "knn partial: query dimension mismatch");
-  // The rows as lane blocks in canonical PoolKey order, so each row's tie-id
-  // is its position and (distance, tie-id) order is (distance, key) order —
-  // the merge's.
-  const auto order = canonical_order(keys);
-  ml::LaneBlocks blocks(rows.dims());
-  blocks.reserve(n);
-  for (const std::size_t row : order) blocks.append(rows.record(row));
+  // The shard's rows as lane blocks in canonical PoolKey order, so each
+  // row's tie-id is its canonical rank and (distance, tie-id) order is
+  // (distance, key) order — the merge's.
+  const auto order = shard.canonical_order();
+  const ml::LaneBlocks& blocks = shard.canonical_blocks();
   wire::Writer w("knn partial", 2 + queries.size() * (1 + 4 * std::min(k, n)));
   w.count(k, "k", kMaxBlobDims);
   w.count(queries.size(), "queries", kMaxBlobQueries);
@@ -223,8 +213,8 @@ std::vector<double> knn_partial(const data::Dataset& rows, std::span<const PoolK
     for (const auto& nb : nearest) {
       const std::size_t row = order[nb.index];
       w.finite(nb.distance_sq, "distance");
-      w.u64(keys[row].nonce, "nonce");
-      w.count(keys[row].seq, "seq", kMaxBlobSeq);
+      w.u64(shard.keys[row].nonce, "nonce");
+      w.count(shard.keys[row].seq, "seq", kMaxBlobSeq);
       w.label(rows.label(row), "label");
     }
   }
@@ -240,43 +230,77 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
     double dist = 0.0;
     PoolKey key;
     int label = 0;
-  };
-  // Per query, the union of every shard's local candidates.
-  std::vector<std::vector<Cand>> merged(queries.size());
-  for (const auto& blob : partials) {
-    wire::Reader in(blob, "knn merge");
-    SAP_REQUIRE(in.count("k", kMaxBlobDims) == k, "knn merge: k mismatch across partials");
-    SAP_REQUIRE(in.count("queries", kMaxBlobQueries) == queries.size(),
-                "knn merge: query count mismatch");
-    for (auto& cands : merged) {
-      const std::size_t count = in.count("candidates", k);
-      for (std::size_t i = 0; i < count; ++i) {
-        Cand c;
-        c.dist = in.finite("distance");
-        SAP_REQUIRE(c.dist >= 0.0, "knn merge: negative distance");
-        c.key.nonce = in.u64("nonce");
-        c.key.seq = static_cast<std::uint32_t>(in.count("seq", kMaxBlobSeq));
-        c.label = in.label("label");
-        cands.push_back(c);
-      }
+    [[nodiscard]] bool before(const Cand& o) const {
+      return dist != o.dist ? dist < o.dist : key < o.key;
     }
-    in.finish();
+  };
+  // The partials are read in lockstep, one query's list from each at a
+  // time, into one flat buffer of k slots per partial. Each list must be
+  // strictly ascending in (distance, key), and a nonce may come from one
+  // partial only (each nonce lives on one shard), so no key reaches the
+  // merge twice.
+  const std::size_t parts = partials.size();
+  std::vector<wire::Reader> in;
+  in.reserve(parts);
+  for (const auto& blob : partials) {
+    in.emplace_back(blob, "knn merge");
+    SAP_REQUIRE(in.back().count("k", kMaxBlobDims) == k, "knn merge: k mismatch across partials");
+    SAP_REQUIRE(in.back().count("queries", kMaxBlobQueries) == queries.size(),
+                "knn merge: query count mismatch");
   }
+  std::vector<Cand> lists(parts * k);
+  std::vector<std::size_t> head(parts);
+  std::vector<std::size_t> end(parts);
+  // (nonce, partial) for every nonce read so far, by nonce, and each
+  // partial's last nonce read; all ones is none yet, since a wire nonce is
+  // double-exact and never all ones.
+  std::vector<std::pair<std::uint64_t, std::size_t>> owners;
+  std::vector<std::uint64_t> last_nonce(parts, ~std::uint64_t{0});
   std::size_t hits = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    auto& cands = merged[q];
-    SAP_REQUIRE(!cands.empty(), "knn merge: no candidates for a query");
-    std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-      if (a.dist != b.dist) return a.dist < b.dist;
-      return a.key < b.key;
-    });
-    // Knn::predict's vote over the k nearest in ascending (distance,
-    // canonical index) order.
-    const std::size_t kk = std::min(k, cands.size());
+    std::size_t total = 0;
+    for (std::size_t p = 0; p < parts; ++p) {
+      const std::size_t count = in[p].count("candidates", k);
+      head[p] = p * k;
+      end[p] = p * k + count;
+      total += count;
+      for (std::size_t at = head[p]; at < end[p]; ++at) {
+        Cand& c = lists[at];
+        c.dist = in[p].finite("distance");
+        SAP_REQUIRE(c.dist >= 0.0, "knn merge: negative distance");
+        c.key.nonce = in[p].u64("nonce");
+        c.key.seq = static_cast<std::uint32_t>(in[p].count("seq", kMaxBlobSeq));
+        c.label = in[p].label("label");
+        SAP_REQUIRE(at == head[p] || lists[at - 1].before(c),
+                    "knn merge: a candidate list is not in strict (distance, key) order");
+        if (c.key.nonce != last_nonce[p]) {
+          const auto owner = std::lower_bound(owners.begin(), owners.end(),
+                                              std::pair{c.key.nonce, std::size_t{0}});
+          if (owner == owners.end() || owner->first != c.key.nonce)
+            owners.insert(owner, {c.key.nonce, p});
+          else
+            SAP_REQUIRE(owner->second == p, "knn merge: a nonce sent by two partials");
+          last_nonce[p] = c.key.nonce;
+        }
+      }
+    }
+    SAP_REQUIRE(total > 0, "knn merge: no candidates for a query");
+    // The k-way merge of the query's lists gives the same first k a sort of
+    // their union would. Knn::predict's vote over the k nearest in ascending
+    // (distance, canonical index) order.
+    const std::size_t kk = std::min(k, total);
     ml::KnnVote vote(kk);
-    for (std::size_t i = 0; i < kk; ++i) vote.add(cands[i].label, cands[i].dist);
+    for (std::size_t taken = 0; taken < kk; ++taken) {
+      std::size_t best = 0;
+      while (head[best] == end[best]) ++best;  // kk <= total: some list is left
+      for (std::size_t p = best + 1; p < parts; ++p)
+        if (head[p] < end[p] && lists[head[p]].before(lists[head[best]])) best = p;
+      const Cand& c = lists[head[best]++];
+      vote.add(c.label, c.dist);
+    }
     hits += (vote.winner() == queries.label(q));
   }
+  for (const auto& reader : in) reader.finish();
   return {static_cast<double>(hits) / static_cast<double>(queries.size())};
 }
 

@@ -36,6 +36,8 @@
 
 namespace sap::proto {
 
+class ShardSnapshot;  // protocol/pool_shard.hpp
+
 /// Per-request job parameters, merged over the spec's declared defaults.
 using JobParams = std::map<std::string, double>;
 
@@ -60,8 +62,9 @@ struct ParamSpec {
 ///     thread-safe predict() path.
 ///
 /// A job may additionally declare an EXACT-MERGE contract for sharded pools
-/// (DESIGN.md §11): `partial` executes AT one shard over that shard's rows
-/// (plus their parallel canonical PoolKeys) and returns an opaque double
+/// (DESIGN.md §11): `partial` executes AT one shard over that shard's
+/// snapshot (its rows, their parallel canonical PoolKeys, and the canonical
+/// view derived from them once per snapshot) and returns an opaque double
 /// blob; `merge_partials` executes at the coordinator over one blob per
 /// shard — in ANY blob order, because exact merges reorder by canonical key
 /// internally — and produces the final report. `queries` is the eval prefix
@@ -89,8 +92,7 @@ struct JobSpec {
 
   /// Exact-merge contract (optional; both set or both unset). See the
   /// struct comment for semantics.
-  std::function<std::vector<double>(const data::Dataset& rows,
-                                    std::span<const PoolKey> keys,
+  std::function<std::vector<double>(const ShardSnapshot& shard,
                                     const data::Dataset& queries, const JobParams&)>
       partial;
   std::function<std::vector<double>(const std::vector<std::vector<double>>& partials,

@@ -1,12 +1,10 @@
 #include "protocol/message.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <string_view>
 
 #include "common/error.hpp"
 #include "common/wire.hpp"
-#include "rng/rng.hpp"
 
 namespace sap::proto {
 namespace {
@@ -59,30 +57,18 @@ EncryptedEnvelope EncryptedEnvelope::from_raw(std::vector<std::uint64_t> cipher,
   return env;
 }
 
-EncryptedEnvelope::EncryptedEnvelope(std::span<const double> plain, std::uint64_t key) {
-  rng::Engine keystream(key);
-  cipher_.resize(plain.size());
-  checksum_ = 0xC0FFEE ^ key;
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    const auto word = std::bit_cast<std::uint64_t>(plain[i]);
-    checksum_ = checksum_ * 1099511628211ULL ^ word;
-    cipher_[i] = word ^ keystream();
-  }
+EncryptedEnvelope::EncryptedEnvelope(std::span<const double> plain, std::uint64_t key)
+    : cipher_(plain.size()) {
+  checksum_ = seal_words(plain, key, [this](std::size_t i, std::uint64_t word) {
+    cipher_[i] = word;
+  });
 }
 
 std::vector<double> EncryptedEnvelope::open(std::uint64_t key) const {
-  rng::Engine keystream(key);
   std::vector<double> plain(cipher_.size());
-  std::uint64_t check = 0xC0FFEE ^ key;
-  for (std::size_t i = 0; i < cipher_.size(); ++i) {
-    const std::uint64_t word = cipher_[i] ^ keystream();
-    check = check * 1099511628211ULL ^ word;
-    plain[i] = std::bit_cast<double>(word);
-  }
-  SAP_REQUIRE(check == checksum_, "EncryptedEnvelope::open: checksum mismatch (wrong key?)");
+  open_words(plain, key, checksum_, [this](std::size_t i) { return cipher_[i]; });
   return plain;
 }
-
 
 std::vector<double> encode_dataset(const linalg::Matrix& features_dxn,
                                    std::span<const int> labels) {

@@ -10,16 +10,22 @@
 // observer of the wire sees plaintext.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "data/dataset.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocol/shard.hpp"
+#include "rng/rng.hpp"
 
 namespace sap::proto {
 
@@ -84,10 +90,66 @@ class EncryptedEnvelope {
   [[nodiscard]] static EncryptedEnvelope from_raw(std::vector<std::uint64_t> cipher,
                                                   std::uint64_t checksum);
 
+  /// The one seal loop; the constructor and net::seal_body both run it.
+  /// Ciphertext word i, plain[i]'s bits XOR keystream word i, goes to
+  /// `store(i, word)`. Returns the integrity word over the plaintext bits.
+  template <class Store>
+  static std::uint64_t seal_words(std::span<const double> plain, std::uint64_t key,
+                                  Store&& store);
+
+  /// The one open loop; open() and net::open_body both run it. plain[i] is
+  /// load(i) XOR keystream word i. Throws sap::Error unless the integrity
+  /// word over the recovered bits equals `checksum`.
+  template <class Load>
+  static void open_words(std::span<double> plain, std::uint64_t key, std::uint64_t checksum,
+                         Load&& load);
+
  private:
+  /// Keystream words drawn per rng::Engine::fill call.
+  static constexpr std::size_t kKeystreamBlock = 32;
+  /// The integrity word: an FNV-style fold over the plaintext words.
+  static constexpr std::uint64_t kIntegrityBasis = 0xC0FFEE;
+  static constexpr std::uint64_t kIntegrityPrime = 1099511628211ULL;
+
   std::vector<std::uint64_t> cipher_;
   std::uint64_t checksum_ = 0;
 };
+
+template <class Store>
+std::uint64_t EncryptedEnvelope::seal_words(std::span<const double> plain, std::uint64_t key,
+                                            Store&& store) {
+  rng::Engine keystream(key);
+  std::array<std::uint64_t, kKeystreamBlock> pad;
+  std::uint64_t check = kIntegrityBasis ^ key;
+  for (std::size_t at = 0; at < plain.size(); at += pad.size()) {
+    const std::size_t n = std::min(pad.size(), plain.size() - at);
+    keystream.fill({pad.data(), n});
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto word = std::bit_cast<std::uint64_t>(plain[at + j]);
+      check = check * kIntegrityPrime ^ word;
+      store(at + j, word ^ pad[j]);
+    }
+  }
+  return check;
+}
+
+template <class Load>
+void EncryptedEnvelope::open_words(std::span<double> plain, std::uint64_t key,
+                                   std::uint64_t checksum, Load&& load) {
+  rng::Engine keystream(key);
+  std::array<std::uint64_t, kKeystreamBlock> pad;
+  std::uint64_t check = kIntegrityBasis ^ key;
+  for (std::size_t at = 0; at < plain.size(); at += pad.size()) {
+    const std::size_t n = std::min(pad.size(), plain.size() - at);
+    keystream.fill({pad.data(), n});
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t word = load(at + j) ^ pad[j];
+      check = check * kIntegrityPrime ^ word;
+      plain[at + j] = std::bit_cast<double>(word);
+    }
+  }
+  SAP_REQUIRE(check == checksum, "EncryptedEnvelope::open: checksum mismatch (wrong key?)");
+}
 
 /// One wire message (as recorded by the simulated network).
 struct Message {

@@ -183,8 +183,7 @@ MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& r
     partials.reserve(views.size());
     for (const auto& view : views) {
       if (view.snap->rows.size() == 0) continue;  // empty shards contribute nothing
-      partials.push_back(
-          spec.partial(view.snap->rows, view.snap->keys, partial_queries, resolved));
+      partials.push_back(spec.partial(*view.snap, partial_queries, resolved));
     }
     SAP_REQUIRE(!partials.empty(), "MiningEngine: empty pool across shards");
     response.values = spec.merge_partials(partials, queries, resolved);
@@ -258,7 +257,7 @@ MiningResponse MiningEngine::run_partial(std::size_t global_shard,
               "MiningEngine::run_partial: shard not installed");
   MiningResponse response;
   response.pool_epoch = view.epoch;
-  response.values = spec.partial(view.snap->rows, view.snap->keys, queries, resolved);
+  response.values = spec.partial(*view.snap, queries, resolved);
   response.millis = sw.millis();
   return response;
 }
@@ -268,20 +267,15 @@ ShardSlice MiningEngine::shard_slice(std::size_t global_shard,
   const auto view = slot_for(global_shard).view();
   SAP_REQUIRE(view.snap != nullptr,
               "MiningEngine::shard_slice: shard not installed");
-  const auto& keys = view.snap->keys;
-  std::vector<std::size_t> order(keys.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return keys[a] < keys[b];
-  });
+  auto order = view.snap->canonical_order();
   // A shard contributes at most max_records rows to any global
   // max_records-prefix, so per-shard truncation loses nothing.
-  if (max_records != 0 && order.size() > max_records) order.resize(max_records);
+  if (max_records != 0 && order.size() > max_records) order = order.first(max_records);
   ShardSlice slice;
   slice.epoch = view.epoch;
   slice.rows = view.snap->rows.subset(order);
   slice.keys.reserve(order.size());
-  for (const auto i : order) slice.keys.push_back(keys[i]);
+  for (const auto i : order) slice.keys.push_back(view.snap->keys[i]);
   return slice;
 }
 

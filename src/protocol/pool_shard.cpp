@@ -1,10 +1,36 @@
 #include "protocol/pool_shard.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
 namespace sap::proto {
+
+ShardSnapshot::ShardSnapshot(data::Dataset rows_in, std::vector<PoolKey> keys_in)
+    : rows(std::move(rows_in)), keys(std::move(keys_in)) {
+  SAP_REQUIRE(rows.size() == keys.size(), "ShardSnapshot: rows/keys size mismatch");
+}
+
+std::span<const std::size_t> ShardSnapshot::canonical_order() const {
+  std::call_once(order_once_, [this] {
+    order_.resize(keys.size());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(),
+              [this](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+  });
+  return order_;
+}
+
+const ml::LaneBlocks& ShardSnapshot::canonical_blocks() const {
+  std::call_once(blocks_once_, [this] {
+    ml::LaneBlocks blocks(rows.dims());
+    blocks.reserve(rows.size());
+    for (const std::size_t row : canonical_order()) blocks.append(rows.record(row));
+    blocks_ = std::move(blocks);
+  });
+  return blocks_;
+}
 
 data::Dataset merge_canonical(std::span<const KeyedRows> parts, std::size_t limit) {
   struct Row {
@@ -50,9 +76,7 @@ void PoolShard::install(data::Dataset rows, std::vector<PoolKey> keys) {
     auto& next = next_seq_[key.nonce];
     if (key.seq >= next) next = key.seq + 1;
   }
-  auto snapshot = std::make_shared<ShardSnapshot>();
-  snapshot->rows = std::move(rows);
-  snapshot->keys = std::move(keys);
+  auto snapshot = std::make_shared<const ShardSnapshot>(std::move(rows), std::move(keys));
   {
     MutexLock lk(pool_mutex_);
     snap_ = std::move(snapshot);
@@ -80,9 +104,7 @@ void PoolShard::install_at(data::Dataset rows, std::vector<PoolKey> keys,
     auto& next = next_seq_[key.nonce];
     if (key.seq >= next) next = key.seq + 1;
   }
-  auto snapshot = std::make_shared<ShardSnapshot>();
-  snapshot->rows = std::move(rows);
-  snapshot->keys = std::move(keys);
+  auto snapshot = std::make_shared<const ShardSnapshot>(std::move(rows), std::move(keys));
   {
     MutexLock lk(pool_mutex_);
     SAP_REQUIRE(epoch >= epoch_,
@@ -109,16 +131,17 @@ std::uint64_t PoolShard::append(std::uint64_t nonce, const data::Dataset& batch)
   // Build the grown snapshot outside pool_mutex_ (appends are serialized by
   // ingest_mutex_, so `current` cannot go stale) — serving only blocks for
   // the pointer swap, not for the O(N) copy.
-  auto grown = std::make_shared<ShardSnapshot>();
+  data::Dataset rows;
   if (current.snap->rows.size() == 0) {
-    grown->rows = batch;  // an empty shard adopts the batch's dimensionality
+    rows = batch;  // an empty shard adopts the batch's dimensionality
   } else {
-    grown->rows = current.snap->rows;
-    grown->rows.append(batch);
+    rows = current.snap->rows;
+    rows.append(batch);
   }
-  grown->keys = current.snap->keys;
+  std::vector<PoolKey> keys = current.snap->keys;
   auto& next = next_seq_[nonce];
-  for (std::size_t i = 0; i < batch.size(); ++i) grown->keys.push_back({nonce, next++});
+  for (std::size_t i = 0; i < batch.size(); ++i) keys.push_back({nonce, next++});
+  auto grown = std::make_shared<const ShardSnapshot>(std::move(rows), std::move(keys));
   MutexLock lk(pool_mutex_);
   snap_ = std::move(grown);
   ++epoch_;

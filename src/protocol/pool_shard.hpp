@@ -25,10 +25,12 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "classify/nearest.hpp"
 #include "common/mutex.hpp"
 #include "data/dataset.hpp"
 #include "protocol/jobs.hpp"
@@ -38,9 +40,33 @@ namespace sap::proto {
 /// Immutable snapshot of one shard's pool: rows in arrival order plus each
 /// row's canonical (nonce, seq) coordinate, versioned TOGETHER so a reader
 /// never pairs rows from one epoch with keys from another.
-struct ShardSnapshot {
-  data::Dataset rows;
-  std::vector<PoolKey> keys;  ///< parallel to rows
+///
+/// Its canonical view (the row order by key, and the rows packed as lane
+/// blocks in that order) is derived from the immutable rows, each part at
+/// most once and on first use, so it can never go stale and is freed with
+/// the snapshot. The exact-merge partials and shard slices read it instead
+/// of sorting and packing per request; a flat engine runs neither and never
+/// builds it. Safe to read from any number of threads.
+class ShardSnapshot {
+ public:
+  ShardSnapshot(data::Dataset rows, std::vector<PoolKey> keys);
+  ShardSnapshot(const ShardSnapshot&) = delete;
+  ShardSnapshot& operator=(const ShardSnapshot&) = delete;
+
+  const data::Dataset rows;
+  const std::vector<PoolKey> keys;  ///< parallel to rows
+
+  /// Row indices in canonical (nonce, seq) order.
+  [[nodiscard]] std::span<const std::size_t> canonical_order() const;
+  /// The rows as lane blocks in canonical order: block row i is row
+  /// canonical_order()[i], so a row's position is its canonical rank.
+  [[nodiscard]] const ml::LaneBlocks& canonical_blocks() const;
+
+ private:
+  mutable std::once_flag order_once_;
+  mutable std::once_flag blocks_once_;
+  mutable std::vector<std::size_t> order_;
+  mutable ml::LaneBlocks blocks_;
 };
 
 /// One nonce's slice of a unified pool, in that nonce's record order — the

@@ -19,6 +19,20 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256++ step over the state words.
+inline std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
+                          std::uint64_t& s3) noexcept {
+  const std::uint64_t result = rotl(s0 + s3, 23) + s0;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
+  return result;
+}
+
 }  // namespace
 
 Engine::Engine(std::uint64_t seed) {
@@ -29,16 +43,16 @@ Engine::Engine(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9E3779B97F4A7C15ULL;
 }
 
-Engine::result_type Engine::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+Engine::result_type Engine::operator()() noexcept { return step(s_[0], s_[1], s_[2], s_[3]); }
+
+void Engine::fill(std::span<result_type> out) noexcept {
+  // The state lives in registers for the whole block.
+  std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+  for (auto& word : out) word = step(s0, s1, s2, s3);
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
 }
 
 double Engine::uniform() noexcept {

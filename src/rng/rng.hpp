@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace sap::rng {
@@ -29,6 +30,10 @@ class Engine {
 
   /// Next raw 64-bit output.
   result_type operator()() noexcept;
+
+  /// The next out.size() raw outputs, in order: the words that many
+  /// operator() calls return, drawn in one call (the envelope keystream).
+  void fill(std::span<result_type> out) noexcept;
 
   /// Uniform double in [0, 1).
   double uniform() noexcept;

@@ -26,8 +26,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster_fixture.hpp"
@@ -120,8 +123,8 @@ TEST(ShardedEngine, PartialsReceiveTheEvalPrefixOnlyWhenTheyReadIt) {
     proto::JobSpec probe = engine.registry().find("nb-train-accuracy");
     probe.name = "probe";
     probe.partial_reads_queries = reads;
-    probe.partial = [&](const Dataset&, std::span<const proto::PoolKey>,
-                        const Dataset& queries, const proto::JobParams&) {
+    probe.partial = [&](const proto::ShardSnapshot&, const Dataset& queries,
+                        const proto::JobParams&) {
       partial_queries.push_back(queries.size());
       return std::vector<double>{};
     };
@@ -196,6 +199,119 @@ TEST(ShardedEngine, ReportsBitIdenticalAfterInterleavedAppends) {
       EXPECT_EQ(got.values, want.values)
           << job << " diverged after appends at " << shards << " shards";
     }
+  }
+}
+
+/// What an engine's per-snapshot canonical views feed, for every owned
+/// shard: each mergeable job's partial over `queries`, then the whole
+/// canonical slice and a 7-row prefix, flattened as (row..., label, nonce,
+/// seq) per row.
+std::vector<std::vector<double>> view_reads(proto::MiningEngine& engine,
+                                            const Dataset& queries) {
+  std::vector<std::vector<double>> out;
+  for (const std::size_t g : engine.owned_shards()) {
+    for (const char* job :
+         {"record-count", "class-histogram", "nb-train-accuracy", "knn-train-accuracy"})
+      out.push_back(engine.run_partial(g, {job, {}}, queries).values);
+    for (const std::size_t limit : {0u, 7u}) {
+      const auto slice = engine.shard_slice(g, limit);
+      std::vector<double> flat;
+      for (std::size_t i = 0; i < slice.rows.size(); ++i) {
+        const auto rec = slice.rows.record(i);
+        flat.insert(flat.end(), rec.begin(), rec.end());
+        flat.push_back(slice.rows.label(i));
+        flat.push_back(static_cast<double>(slice.keys[i].nonce));
+        flat.push_back(slice.keys[i].seq);
+      }
+      out.push_back(std::move(flat));
+    }
+  }
+  return out;
+}
+
+TEST(ShardedEngine, CanonicalViewNeverGoesStale) {
+  // One engine is read after every kind of pool change, so each change
+  // replaces snapshots whose views earlier reads built. Its reads must
+  // equal those of an engine that made the same changes with no read in
+  // between, whose views are all built fresh.
+  const Dataset pool = normalized_pool("Iris", 7005);
+  const std::vector<std::uint64_t> nonces = {23, 40961, 7700003};
+  const auto segments = make_segments(pool.slice(0, 90), nonces);
+  const auto regrown = make_segments(pool.slice(30, 150), {23, 5021, 40961});
+  const Dataset queries = pool.slice(0, 16);
+  const std::vector<std::pair<std::uint64_t, Dataset>> appends = {
+      {nonces[0], pool.slice(90, 97)}, {nonces[2], pool.slice(97, 105)}};
+
+  auto live = make_engine(2, proto::ShardLayout::kHashMod);
+  live.set_pool_segments(segments);
+  auto previous = view_reads(live, queries);
+
+  // A fresh engine replays `changes` over `segments` and is read once.
+  using Change = std::function<void(proto::MiningEngine&)>;
+  std::vector<Change> changes;
+  const auto check = [&](const char* what, const Change& change) {
+    change(live);
+    changes.push_back(change);
+    auto fresh = make_engine(2, proto::ShardLayout::kHashMod);
+    fresh.set_pool_segments(segments);
+    for (const auto& c : changes) c(fresh);
+    const auto got = view_reads(live, queries);
+    EXPECT_EQ(got, view_reads(fresh, queries)) << what;
+    EXPECT_NE(got, previous) << what << " changed nothing the reads see";
+    previous = got;
+  };
+  for (const auto& [nonce, batch] : appends)
+    check("append_records", [nonce, batch](proto::MiningEngine& e) {
+      (void)e.append_records(nonce, batch);
+    });
+  check("set_pool_segments",
+        [&regrown](proto::MiningEngine& e) { e.set_pool_segments(regrown); });
+  // A resync install: shard 0 adopts a donor's arrival-order rows at the
+  // donor's later epoch.
+  auto donor = make_engine(2, proto::ShardLayout::kHashMod);
+  donor.set_pool_segments(segments);
+  for (const auto& [nonce, batch] : appends) (void)donor.append_records(nonce, batch);
+  const auto donated = donor.shard_view(0);
+  ASSERT_GT(donated.snap->rows.size(), 0u);
+  check("install_shard", [donated](proto::MiningEngine& e) {
+    e.install_shard(0, donated.snap->rows, donated.snap->keys,
+                    std::max(donated.epoch, e.shard_epoch(0)) + 1);
+  });
+}
+
+TEST(ShardedEngine, ConcurrentFirstPartialsShareOneView) {
+  // Eight threads ask for the first partial of a new snapshot at once; the
+  // view is built once and every thread gets the same blob (the TSAN job
+  // runs this).
+  const Dataset pool = normalized_pool("Iris", 7006);
+  const auto segments = make_segments(pool.slice(0, 120), {23, 40961, 7700003});
+  const Dataset queries = pool.slice(0, 24);
+  auto engine = make_engine(2, proto::ShardLayout::kHashMod);
+  engine.set_pool_segments(segments);
+  constexpr std::size_t kThreads = 8;
+  const std::size_t shard = proto::shard_of_nonce(23, 2, proto::ShardLayout::kHashMod);
+  const char* const jobs[] = {"knn-train-accuracy", "nb-train-accuracy"};
+  for (std::size_t round = 0; round < 4; ++round) {
+    // Each round's append makes the snapshot the threads read first.
+    const auto batch = [&pool](std::size_t r) { return pool.slice(120 + 5 * r, 125 + 5 * r); };
+    (void)engine.append_records(23, batch(round));
+    const char* job = jobs[round % 2];
+    SCOPED_TRACE(job);
+    std::vector<std::vector<double>> blobs(kThreads);
+    std::atomic<std::size_t> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() != 0) std::this_thread::yield();
+        blobs[t] = engine.run_partial(shard, {job, {}}, queries).values;
+      });
+    for (auto& thread : threads) thread.join();
+    auto fresh = make_engine(2, proto::ShardLayout::kHashMod);
+    fresh.set_pool_segments(segments);
+    for (std::size_t r = 0; r <= round; ++r) (void)fresh.append_records(23, batch(r));
+    const auto want = fresh.run_partial(shard, {job, {}}, queries).values;
+    for (const auto& blob : blobs) EXPECT_EQ(blob, want);
   }
 }
 

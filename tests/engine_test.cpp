@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -248,7 +249,7 @@ TEST(JobRegistryTest, KnnPartialBreaksTiesByCanonicalKeyNotArrival) {
   const auto by_arrival = [](std::size_t a, std::size_t b) { return a < b; };
   for (const std::size_t k : {1, 2, 5, 64, 256}) {
     const auto resolved = spec.resolve_params({{"k", static_cast<double>(k)}});
-    const auto blob = spec.partial(rows, keys, queries, resolved);
+    const auto blob = spec.partial(proto::ShardSnapshot(rows, keys), queries, resolved);
     const auto reference = knn_blob_reference(rows, keys, queries, k, by_key);
     EXPECT_EQ(blob, reference) << "k " << k;
     // The case discriminates: an arrival-index tie-break gives another blob.
@@ -256,7 +257,51 @@ TEST(JobRegistryTest, KnnPartialBreaksTiesByCanonicalKeyNotArrival) {
   }
   // Queries of the wrong width are refused, not read past the rows.
   const Dataset wide("wide", sap::linalg::Matrix(1, d + 1, 0.5), std::vector<int>{0});
-  EXPECT_THROW((void)spec.partial(rows, keys, wide, spec.resolve_params({})), sap::Error);
+  EXPECT_THROW(
+      (void)spec.partial(proto::ShardSnapshot(rows, keys), wide, spec.resolve_params({})),
+      sap::Error);
+}
+
+TEST(JobRegistryTest, KnnMergeRefusesUnorderedListsAndRepeatedKeys) {
+  // Hand-built kNN partials over one query ([k, queries, {cands, {dist,
+  // nonce, seq, label}*}*]): each shard's list must arrive in strict
+  // (distance, key) order, and no key may reach the merge twice. The merge
+  // takes the first k from the lists as they stand, so it refuses what a
+  // re-sort would have hidden and what a vote would have counted twice.
+  const auto registry = proto::JobRegistry::builtins();
+  const auto& spec = registry.find("knn-train-accuracy");
+  const auto resolved = spec.resolve_params({{"k", 3.0}});
+  const Dataset queries("q", sap::linalg::Matrix(1, 2, 0.0), std::vector<int>{1});
+  using Cand = std::array<double, 4>;  // dist, nonce, seq, label
+  const auto blob = [](const std::vector<Cand>& cands) {
+    std::vector<double> out{3.0, 1.0, static_cast<double>(cands.size())};
+    for (const auto& c : cands) out.insert(out.end(), c.begin(), c.end());
+    return out;
+  };
+  const auto merge = [&](const std::vector<std::vector<double>>& partials) {
+    return spec.merge_partials(partials, queries, resolved);
+  };
+  // Shard A holds nonce 5, shard B nonce 7. The vote over the global three
+  // nearest, (1.0, 5:0, label 0), (1.5, 7:0, 1), (2.0, 7:1, 1), says 1.
+  const auto a = blob({{1.0, 5, 0, 0}, {2.5, 5, 1, 0}, {3.0, 5, 2, 0}});
+  const auto b = blob({{1.5, 7, 0, 1}, {2.0, 7, 1, 1}});
+  EXPECT_EQ(merge({a, b}), std::vector<double>{1.0});
+  EXPECT_EQ(merge({b, a}), std::vector<double>{1.0});
+  // Two candidates of the query swapped: a re-sort would hide it.
+  const auto swapped = blob({{2.5, 5, 1, 0}, {1.0, 5, 0, 0}, {3.0, 5, 2, 0}});
+  EXPECT_THROW((void)merge({swapped, b}), sap::Error);
+  // Equal distances are ordered by key, so a key tie out of order is refused too.
+  const auto tie_swapped = blob({{1.0, 5, 1, 0}, {1.0, 5, 0, 0}});
+  EXPECT_THROW((void)merge({tie_swapped, b}), sap::Error);
+  // One key listed twice in a shard's list: the vote would count it twice.
+  const auto repeated = blob({{1.0, 5, 0, 0}, {1.0, 5, 0, 0}, {3.0, 5, 2, 0}});
+  EXPECT_THROW((void)merge({repeated, b}), sap::Error);
+  // One key sent by two shards (a nonce lives on one shard only), whether
+  // it would be taken or not.
+  const auto stolen = blob({{1.5, 7, 0, 1}, {4.0, 5, 0, 0}});
+  EXPECT_THROW((void)merge({a, stolen}), sap::Error);
+  const auto twice = blob({{1.0, 5, 0, 0}});
+  EXPECT_THROW((void)merge({a, b, twice}), sap::Error);
 }
 
 // ------------------------------------------------------------ engine serving

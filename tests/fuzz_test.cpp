@@ -20,6 +20,7 @@
 #include "perturb/space_adaptor.hpp"
 #include "protocol/jobs.hpp"
 #include "protocol/message.hpp"
+#include "protocol/pool_shard.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -527,6 +528,42 @@ TEST(Fuzz, FrameRejectsWrongVersionAndOversizedLength) {
   EXPECT_THROW((void)small_cap.next(out), sap::Error);
 }
 
+TEST(Fuzz, SealedBodyMutationsNeverCrashTheOnePassOpen) {
+  // The one-pass open reads the body bytes in place: a mutated body either
+  // opens to what the two-step path opens, or both refuse it.
+  Engine eng(53);
+  std::vector<double> payload(75);
+  for (auto& v : payload) v = eng.normal();
+  const std::uint64_t key = 0x5EED;
+  const auto valid = sap::net::seal_body(payload, key);
+  for (int round = 0; round < 1000; ++round) {
+    auto body = valid;
+    const auto mutations = 1 + eng.uniform_index(3);
+    for (std::size_t m = 0; m < mutations; ++m) body = mutate_bytes(std::move(body), eng);
+    std::vector<double> one_pass;
+    std::vector<double> two_step;
+    bool one_pass_threw = false;
+    bool two_step_threw = false;
+    try {
+      one_pass = sap::net::open_body(body, key);
+    } catch (const sap::Error&) {
+      one_pass_threw = true;
+    }
+    try {
+      two_step = sap::net::body_envelope(body).open(key);
+    } catch (const sap::Error&) {
+      two_step_threw = true;
+    }
+    ASSERT_EQ(one_pass_threw, two_step_threw) << "round " << round;
+    if (!one_pass_threw) {
+      ASSERT_EQ(one_pass.size(), two_step.size());
+      for (std::size_t i = 0; i < one_pass.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(one_pass[i]),
+                  std::bit_cast<std::uint64_t>(two_step[i]));
+    }
+  }
+}
+
 // ---- exact-merge partial blobs (protocol/jobs.cpp) -----------------------
 
 /// A valid partial blob of one built-in mergeable job over a small
@@ -547,7 +584,7 @@ std::vector<BlobCase> blob_cases() {
        {"record-count", "class-histogram", "nb-train-accuracy", "knn-train-accuracy"}) {
     const proto::JobSpec& spec = registry.find(job);
     const auto resolved = spec.resolve_params({});
-    cases.push_back({job, spec.partial(rows, keys, queries, resolved),
+    cases.push_back({job, spec.partial(proto::ShardSnapshot(rows, keys), queries, resolved),
                      [&spec, resolved, queries](std::span<const double> blob) {
                        (void)spec.merge_partials({{blob.begin(), blob.end()}}, queries,
                                                  resolved);
