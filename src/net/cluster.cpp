@@ -362,6 +362,29 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
 }
 
 obs::Snapshot ShardRouter::cluster_stats() {
+  // The member fan-out runs first: its record_success/record_failure move
+  // the breakers, so the router's own snapshot, taken after it, reports
+  // the breaker states this poll left behind.
+  std::vector<obs::Snapshot> members;
+  std::size_t unreachable = 0;
+  for (std::size_t m = 0; m < opts_.miners.size(); ++m) {
+    try {
+      auto decoded = client_for(m).stats();
+      // An operator stats poll doubles as the half-open probe: a miner
+      // that answers its stats door has its breaker closed again.
+      record_success(m);
+      std::string prefix = "m";
+      prefix += std::to_string(m);
+      prefix += '.';
+      for (auto& g : decoded.snapshot.gauges) g.first = prefix + g.first;
+      decoded.snapshot.normalize();
+      members.push_back(std::move(decoded.snapshot));
+    } catch (const Error&) {
+      record_failure(m);
+      ++unreachable;
+    }
+  }
+
   obs::Snapshot total = obs_.snapshot();
   total.set_counter("router.failovers", failovers_);
   total.set_counter("router.retries", client_retries());
@@ -382,24 +405,7 @@ obs::Snapshot ShardRouter::cluster_stats() {
     total.set_gauge("router.shard_skew",
                     static_cast<double>(peak) * static_cast<double>(opts_.shards) /
                         static_cast<double>(sum));
-  std::size_t unreachable = 0;
-  for (std::size_t m = 0; m < opts_.miners.size(); ++m) {
-    try {
-      auto decoded = client_for(m).stats();
-      // An operator stats poll doubles as the half-open probe: a miner
-      // that answers its stats door has its breaker closed again.
-      record_success(m);
-      std::string prefix = "m";
-      prefix += std::to_string(m);
-      prefix += '.';
-      for (auto& g : decoded.snapshot.gauges) g.first = prefix + g.first;
-      decoded.snapshot.normalize();
-      total.merge(decoded.snapshot);
-    } catch (const Error&) {
-      record_failure(m);
-      ++unreachable;
-    }
-  }
+  for (const auto& member : members) total.merge(member);
   total.set_gauge("router.stats_unreachable", static_cast<double>(unreachable));
   total.normalize();
   return total;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
+#include "common/mutex.hpp"
 #include "linalg/orthogonal.hpp"
 
 namespace sap::opt {
@@ -18,9 +21,9 @@ linalg::Matrix subsample_records(const linalg::Matrix& x, std::size_t max_record
   return linalg::gather_cols(x, idx);
 }
 
-/// One candidate evaluation. Everything mutable (`scratch`, `y_buf`, `eng`)
-/// is slot-private in the parallel phases, so the score depends only on the
-/// slot's own engine stream.
+/// Apply `g` (fresh noise from `eng`) and score it. Everything mutable
+/// (`scratch`, `y_buf`, `eng`) is slot-private in the parallel phases, so
+/// the score depends only on the slot's own engine stream.
 privacy::PrivacyReport score(const linalg::Matrix& x_eval,
                              const perturb::GeometricPerturbation& g,
                              const privacy::AttackSuite& suite,
@@ -29,6 +32,12 @@ privacy::PrivacyReport score(const linalg::Matrix& x_eval,
                              double floor = -std::numeric_limits<double>::infinity()) {
   g.apply_into(x_eval, y_buf, eng);
   return suite.evaluate(x_eval, y_buf, eng, scratch, floor);
+}
+
+/// True when the evaluation's floor bounded ICA out (AttackSuite::evaluate).
+bool skipped_ica(const privacy::PrivacyReport& report) {
+  return std::any_of(report.attacks.begin(), report.attacks.end(),
+                     [](const privacy::AttackOutcome& a) { return a.skipped; });
 }
 
 }  // namespace
@@ -74,24 +83,82 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
   slot_eng.reserve(nc);
   for (std::size_t c = 0; c < nc; ++c) slot_eng.push_back(eng.spawn());
 
+  // First pass: sample, apply, and score the cheap attacks only (a +inf
+  // floor defers ICA). slot_eng[c] keeps its state from just after the
+  // apply, so a deferred ICA run later starts from the draws it would have
+  // taken in a full evaluation. rhos[c] is the cheap bound until then.
   const privacy::AttackSuite::Scratch proto_scratch = suite.make_scratch(x_eval);
   std::vector<privacy::AttackSuite::Scratch> scratch(nc, proto_scratch);
   std::vector<linalg::Matrix> y_buf(nc);
   std::vector<perturb::GeometricPerturbation> cand(nc);
-  result.candidate_rhos.assign(nc, 0.0);
+  linalg::Vector& rhos = result.candidate_rhos;
+  rhos.assign(nc, 0.0);
+  std::vector<std::uint8_t> deferred(nc, 0);  // ICA not run yet: rhos[c] is a bound
   pool.run_indexed(nc, [&](std::size_t c) {
     cand[c] = perturb::GeometricPerturbation::random(d, opts.noise_sigma, slot_eng[c]);
-    result.candidate_rhos[c] =
-        score(x_eval, cand[c], suite, scratch[c], y_buf[c], slot_eng[c]).rho;
+    cand[c].apply_into(x_eval, y_buf[c], slot_eng[c]);
+    rng::Engine cheap_eng = slot_eng[c];
+    const privacy::PrivacyReport report =
+        suite.evaluate(x_eval, y_buf[c], cheap_eng, scratch[c],
+                       std::numeric_limits<double>::infinity());
+    rhos[c] = report.rho;
+    deferred[c] = static_cast<std::uint8_t>(skipped_ica(report));
   });
   result.evaluations += nc;
 
-  // Serial reduction; ties keep the earliest candidate.
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < nc; ++c)
-    if (result.candidate_rhos[c] > result.candidate_rhos[best]) best = c;
-  result.best = std::move(cand[best]);
-  result.best_rho = result.candidate_rhos[best];
+  // Second pass, in descending bound order (ties: lower index first),
+  // against the leader: the best fully scored candidate so far under the
+  // phase's order (higher rho, then lower index). A deferred candidate runs
+  // FastICA only if its bound beats the leader; otherwise its rho, which is
+  // at most its bound, cannot win either, and it keeps the bound.
+  //
+  // Each pool worker runs a lane that folds finished runs in bound order
+  // under that serial rule, then starts the next candidate the folded
+  // leader does not exclude. That leader is never ahead of the serial
+  // loop's, so every candidate the serial loop runs is started; a run the
+  // serial loop would have skipped is dropped at its fold. Every result and
+  // count is therefore the one a single lane gives (DESIGN.md §8); only the
+  // dropped runs depend on the thread count and the timing.
+  std::vector<std::size_t> order(nc);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return rhos[a] > rhos[b]; });
+  std::size_t leader = nc;  // none yet
+  const auto beats_leader = [&](std::size_t c) {
+    return leader == nc || rhos[c] > rhos[leader] || (rhos[c] == rhos[leader] && c < leader);
+  };
+  std::vector<std::uint8_t> running(nc, 0);
+  std::vector<double> full_rho(nc, 0.0);
+  std::size_t started = 0;  // positions in `order` a lane has taken
+  std::size_t folded = 0;   // positions in `order` the rule has decided
+  const auto fold = [&] {
+    for (; folded < started && running[order[folded]] == 0; ++folded) {
+      const std::size_t c = order[folded];
+      if (deferred[c] != 0) {
+        if (!beats_leader(c)) {  // never started, or a dropped run
+          ++result.ica_skipped;
+          continue;
+        }
+        rhos[c] = full_rho[c];
+      }
+      if (beats_leader(c)) leader = c;
+    }
+  };
+  Mutex lanes;
+  pool.run_indexed(std::max<std::size_t>(1, pool.thread_count()), [&](std::size_t) {
+    MutexLock lk(lanes);
+    for (fold(); started < nc; fold()) {
+      const std::size_t c = order[started++];
+      if (deferred[c] == 0 || !beats_leader(c)) continue;
+      running[c] = 1;
+      lk.unlock();
+      full_rho[c] = suite.evaluate(x_eval, y_buf[c], slot_eng[c], scratch[c]).rho;
+      lk.lock();
+      running[c] = 0;
+    }
+  });
+  result.best = std::move(cand[leader]);
+  result.best_rho = rhos[leader];
 
   // --- Givens hill climbing on the winner: each step probes the +theta and
   // -theta rotations of one random plane as a parallel pair (engines again
@@ -125,8 +192,7 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
       const privacy::PrivacyReport report =
           score(x_eval, probe[s], suite, probe_scratch[s], probe_y[s], probe_eng[s], floor);
       probe_rho[s] = report.rho;
-      probe_skipped[s] = std::any_of(report.attacks.begin(), report.attacks.end(),
-                                     [](const privacy::AttackOutcome& a) { return a.skipped; });
+      probe_skipped[s] = skipped_ica(report);
     });
     result.evaluations += 2;
     result.ica_skipped += static_cast<std::size_t>(probe_skipped[0]) +

@@ -21,13 +21,18 @@
 // or 8 optimizer threads, and therefore identical across every transport
 // backend that runs LocalOptimize.
 //
-// Refinement probes are scored against a floor, the step's incoming
+// FastICA runs only where it can change a decision (DESIGN.md §8). rho is
+// a minimum over the attack suite, so the cheap attacks bound it from
+// above. Every random candidate scores those first; FastICA then runs in
+// descending bound order, and a candidate whose bound cannot beat the best
+// fully scored one (higher rho, then lower index) skips it and keeps the
+// bound. Refinement probes are scored against a floor, the step's incoming
 // best_rho, fixed before the pair is scheduled: a probe whose cheap attacks
-// already score at or below it skips FastICA (AttackSuite::evaluate). That
-// probe could not have been accepted, nor displaced the probe that was, so
-// the result stays the full search's bit for bit; which probes skip depends
-// only on (data, options, engine), never on the thread count. Random
-// candidates are scored in full: candidate_rhos is Figure 2's distribution.
+// already score at or below it skips FastICA (AttackSuite::evaluate). A
+// skipped candidate or probe could not have won, and a deferred FastICA run
+// starts from the engine state a full evaluation gives it, so the result
+// stays the full search's bit for bit. Which evaluations skip depends only
+// on (data, options, engine), never on the thread count.
 #pragma once
 
 #include "common/thread_pool.hpp"
@@ -61,13 +66,16 @@ struct OptimizerOptions {
 struct OptimizationResult {
   perturb::GeometricPerturbation best;
   double best_rho = 0.0;
-  /// rho of every *random* candidate (before refinement) — the "random
-  /// perturbations" distribution of Figure 2.
+  /// Score of every random candidate (before refinement): rho where its
+  /// FastICA ran, and the cheap attacks' upper bound on rho where it was
+  /// skipped. Not a sample of random rho with ICA on; Figure 2 scores its
+  /// random draws with evaluate_perturbation.
   linalg::Vector candidate_rhos;
   /// Evaluations spent (candidates + 2 refinement probes per step).
   std::size_t evaluations = 0;
-  /// Refinement probes whose ICA attack was skipped because the cheap
-  /// attacks already held them at or below best_rho (counted in evaluations).
+  /// Evaluations whose ICA attack was skipped (counted in evaluations):
+  /// candidates whose cheap-attack bound could not beat the leader, and
+  /// probes the cheap attacks already held at or below best_rho.
   std::size_t ica_skipped = 0;
 };
 

@@ -26,6 +26,8 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "net/fault.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "protocol/mining_engine.hpp"
 
 namespace {
@@ -383,6 +386,48 @@ TEST(CircuitBreaker, TripsFailsFastProbesHalfOpenAndCloses) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   const auto healed = router.mine_named("record-count");
   EXPECT_EQ(healed.values, want.values);
+  EXPECT_EQ(router.breaker(0), net::ShardRouter::BreakerState::kClosed);
+  a.stop();
+}
+
+TEST(CircuitBreaker, StatsPollReportsTheBreakersItsFanOutClosed) {
+  // A stats poll closes the breaker of every member that answers it, so
+  // the router's own gauges in that same snapshot must read closed, beside
+  // stats_unreachable 0.
+  Cluster cluster(9104);
+  Member a;
+  net::MinerDaemonOptions opts;
+  opts.shards = 1;
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr()};
+  ropts.shards = 1;
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  ropts.breaker_cooldown_ms = 60'000;  // only the stats poll can close it
+  ropts.negative_cache_ms = 0;
+  net::ShardRouter router(ropts);
+  (void)router.mine_named("record-count");
+
+  FaultGuard guard;
+  fault::install(fault::FaultPlan::parse("seed=5,reset=1"));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW((void)router.mine_named("record-count"), net::ServeError);
+  }
+  ASSERT_EQ(router.breaker(0), net::ShardRouter::BreakerState::kOpen);
+  fault::uninstall();
+
+  const sap::obs::Snapshot stats = router.cluster_stats();
+  const auto gauge = [&](const std::string& name) -> std::optional<double> {
+    for (const auto& [n, v] : stats.gauges)
+      if (n == name) return v;
+    return std::nullopt;
+  };
+  EXPECT_EQ(gauge("router.m0.breaker"),
+            static_cast<double>(net::ShardRouter::BreakerState::kClosed));
+  EXPECT_EQ(gauge("router.stats_unreachable"), 0.0);
   EXPECT_EQ(router.breaker(0), net::ShardRouter::BreakerState::kClosed);
   a.stop();
 }

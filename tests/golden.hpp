@@ -12,9 +12,13 @@
 // PR) whenever the derivation scheme deliberately changes.
 //
 // Within one binary the suite asserts exact equality (thread-count
-// invariance). Across compilers the low bits can legitimately
-// differ (FMA contraction, vectorizer choices), so the pins use
-// kGoldenTolerance instead of exact comparison.
+// invariance). The pins use kGoldenTolerance, which absorbs last-bit
+// differences in how a compiler lowers the same arithmetic. It cannot
+// absorb a change of libm or CPU: FastICA's tanh comes from the host libm
+// (glibc 2.36's tanh calls an expm1 that an IFUNC resolves to an FMA build
+// on FMA CPUs), and a tanh that differs by an ulp on a few inputs can make
+// the optimizer pick another G, moving an ICA-scored rho by hundredths
+// (ROADMAP item 15(d)).
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,12 +43,22 @@ sap::opt::OptimizerOptions cheap_options() {
   return o;
 }
 
-// optimize_perturbation as it was before refinement probes took a floor:
-// every probe fully scored. Kept as the skip's exactness reference, the way
-// the textbook loop anchors fast_ica. Never timed.
-sap::opt::OptimizationResult full_scoring_optimize(const Matrix& x,
-                                                   const sap::opt::OptimizerOptions& opts,
-                                                   Engine& eng) {
+// optimize_perturbation as it was before either phase bounded ICA out:
+// every candidate and every probe fully scored. Kept as the skips'
+// exactness reference, the way the textbook loop anchors fast_ica. Never
+// timed. Beside the result it records each candidate's cheap-attack bound
+// (ICA floored out, scored from a copy of the candidate's engine) and
+// replays the candidate rule serially over the full scores, so a test
+// knows which candidates the search under test must score in full.
+struct FullScoring {
+  sap::opt::OptimizationResult result;
+  std::vector<double> bounds;  ///< cheap attacks only, >= the full score
+  std::vector<bool> scored;    ///< its FastICA runs (or ICA is off): a full score
+  std::size_t winner = 0;      ///< the candidate phase's argmax
+};
+
+FullScoring full_scoring_optimize(const Matrix& x, const sap::opt::OptimizerOptions& opts,
+                                  Engine& eng) {
   using sap::perturb::GeometricPerturbation;
   using sap::privacy::AttackSuite;
   sap::ThreadPool pool(opts.threads);
@@ -65,7 +76,9 @@ sap::opt::OptimizationResult full_scoring_optimize(const Matrix& x,
     return suite.evaluate(x_eval, y_buf, e, scratch).rho;
   };
 
-  sap::opt::OptimizationResult result;
+  FullScoring full;
+  full.bounds.assign(nc, 0.0);
+  sap::opt::OptimizationResult& result = full.result;
   std::vector<Engine> slot_eng;
   for (std::size_t c = 0; c < nc; ++c) slot_eng.push_back(eng.spawn());
   const AttackSuite::Scratch proto_scratch = suite.make_scratch(x_eval);
@@ -75,14 +88,42 @@ sap::opt::OptimizationResult full_scoring_optimize(const Matrix& x,
   result.candidate_rhos.assign(nc, 0.0);
   pool.run_indexed(nc, [&](std::size_t c) {
     cand[c] = GeometricPerturbation::random(d, opts.noise_sigma, slot_eng[c]);
-    result.candidate_rhos[c] = score(cand[c], scratch[c], y_buf[c], slot_eng[c]);
+    cand[c].apply_into(x_eval, y_buf[c], slot_eng[c]);
+    Engine bound_eng = slot_eng[c];  // the full score's known-input draws
+    full.bounds[c] = suite
+                         .evaluate(x_eval, y_buf[c], bound_eng, scratch[c],
+                                   std::numeric_limits<double>::infinity())
+                         .rho;
+    result.candidate_rhos[c] = suite.evaluate(x_eval, y_buf[c], slot_eng[c], scratch[c]).rho;
   });
   result.evaluations += nc;
   std::size_t best = 0;
   for (std::size_t c = 1; c < nc; ++c)
     if (result.candidate_rhos[c] > result.candidate_rhos[best]) best = c;
+  full.winner = best;
   result.best = std::move(cand[best]);
   result.best_rho = result.candidate_rhos[best];
+
+  // The candidate rule, serially: in descending bound order (ties: lower
+  // index first), a candidate runs FastICA only if its bound beats the
+  // leader, the best fully scored candidate so far under (rho desc, index
+  // asc). With ICA off every bound is a full score, and nothing is skipped.
+  std::vector<std::size_t> order(nc);
+  for (std::size_t c = 0; c < nc; ++c) order[c] = c;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return full.bounds[a] > full.bounds[b];
+  });
+  full.scored.assign(nc, !opts.attacks.ica);
+  std::optional<std::size_t> leader;
+  const auto beats_leader = [&](double rho, std::size_t c) {
+    const double lead = leader ? result.candidate_rhos[*leader] : 0.0;
+    return !leader || rho > lead || (rho == lead && c < *leader);
+  };
+  for (const std::size_t c : order) {
+    if (full.scored[c] || !beats_leader(full.bounds[c], c)) continue;
+    full.scored[c] = true;
+    if (beats_leader(result.candidate_rhos[c], c)) leader = c;
+  }
 
   double angle = opts.refine_angle;
   std::array<AttackSuite::Scratch, 2> probe_scratch{proto_scratch, proto_scratch};
@@ -111,7 +152,7 @@ sap::opt::OptimizationResult full_scoring_optimize(const Matrix& x,
       angle *= 0.7;
     }
   }
-  return result;
+  return full;
 }
 
 TEST(Optimizer, BestIsAtLeastEveryCandidate) {
@@ -233,40 +274,69 @@ TEST(Optimizer, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Optimizer, RefineSkipMatchesTextbookLoopBitForBit) {
-  // Refinement probes skip ICA when the cheap attacks already hold them at
-  // or below best_rho; the search must still be the fully scored one, bit
-  // for bit, at every thread count. Three inputs: the serving optimizer on
-  // Shuttle (pinned skip count), the same with the spectral attack, and
-  // Votes, where ICA binds on every probe and nothing is skipped.
+  // Random candidates run FastICA only where their cheap-attack bound can
+  // beat the leader, and refinement probes skip it when the cheap attacks
+  // already hold them at or below best_rho; the search must still be the
+  // fully scored one, bit for bit, at every thread count. Five inputs: the
+  // serving optimizer on Shuttle (pinned skip count); the same with the
+  // spectral attack; Votes, where ICA binds everywhere and nothing is
+  // skipped; a Shuttle input whose top-bound candidate loses, so ranking by
+  // bound alone picks the wrong winner; and an ICA-off suite, which has no
+  // FastICA to skip.
   const auto serving = sap::net::serving_session_options(0.1, 1).optimizer;
   auto spectral = serving;
   spectral.attacks.spectral = true;
+  auto ica_off = serving;
+  ica_off.attacks.ica = false;
   struct Input {
     std::string name;
     Matrix x;
     sap::opt::OptimizerOptions opts;
     std::optional<std::size_t> ica_skipped;  ///< pinned where the input is about it
+    bool top_bound_loses = false;
   };
   const Input inputs[] = {
-      {"serving, Shuttle", normalized_paper_layout("Shuttle", 1), serving, 5},
+      {"serving, Shuttle", normalized_paper_layout("Shuttle", 1), serving, 10},
       {"serving + spectral, Shuttle", normalized_paper_layout("Shuttle", 1), spectral, {}},
-      {"serving, Votes", normalized_paper_layout("Votes", 1), serving, 0}};
-  for (auto [name, x, opts, ica_skipped] : inputs) {
+      {"serving, Votes", normalized_paper_layout("Votes", 1), serving, 0},
+      {"serving, Shuttle 2", normalized_paper_layout("Shuttle", 2), serving, 5, true},
+      {"ICA off, Shuttle", normalized_paper_layout("Shuttle", 1), ica_off, 0}};
+  for (auto [name, x, opts, ica_skipped, top_bound_loses] : inputs) {
     SCOPED_TRACE(name);
     Engine ref_eng(777);
     const auto ref = full_scoring_optimize(x, opts, ref_eng);
+    const std::size_t nc = ref.bounds.size();
+    const double winner_rho = ref.result.candidate_rhos[ref.winner];
+    if (top_bound_loses) {
+      const auto top = std::max_element(ref.bounds.begin(), ref.bounds.end());
+      EXPECT_NE(static_cast<std::size_t>(top - ref.bounds.begin()), ref.winner);
+    }
     for (const std::size_t threads : {0, 2, 8}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       opts.threads = threads;
       Engine eng(777);
       const auto res = sap::opt::optimize_perturbation(x, opts, eng);
-      EXPECT_TRUE(res.best.rotation() == ref.best.rotation());
-      EXPECT_TRUE(res.best.translation() == ref.best.translation());
-      EXPECT_EQ(res.best_rho, ref.best_rho);
-      EXPECT_EQ(res.candidate_rhos, ref.candidate_rhos);
-      EXPECT_EQ(res.evaluations, ref.evaluations);
+      EXPECT_TRUE(res.best.rotation() == ref.result.best.rotation());
+      EXPECT_TRUE(res.best.translation() == ref.result.best.translation());
+      EXPECT_EQ(res.best_rho, ref.result.best_rho);
+      EXPECT_EQ(res.evaluations, ref.result.evaluations);
       Engine next(ref_eng);
       EXPECT_EQ(eng(), next());
+      // A candidate whose FastICA ran reports its full score; a skipped one
+      // reports its bound, which is at least its full score and cannot beat
+      // the winner under (rho desc, index asc).
+      ASSERT_EQ(res.candidate_rhos.size(), nc);
+      for (std::size_t c = 0; c < nc; ++c) {
+        SCOPED_TRACE("candidate " + std::to_string(c));
+        const double got = res.candidate_rhos[c];
+        if (ref.scored[c]) {
+          EXPECT_EQ(got, ref.result.candidate_rhos[c]);
+          continue;
+        }
+        EXPECT_EQ(got, ref.bounds[c]);
+        EXPECT_GE(got, ref.result.candidate_rhos[c]);
+        EXPECT_TRUE(got < winner_rho || (got == winner_rho && c > ref.winner));
+      }
       if (ica_skipped) {
         EXPECT_EQ(res.ica_skipped, *ica_skipped);
       }
