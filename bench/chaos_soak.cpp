@@ -128,6 +128,8 @@ struct SoakResult {
   std::size_t failovers = 0;
   std::size_t retries = 0;
   std::uint64_t injected = 0;
+  std::uint64_t bounded = 0;       ///< kNN reads served from bounded partials
+  std::uint64_t short_rounds = 0;  ///< bounded rounds rerun without radii
 };
 
 /// Phase B — the chaos soak: `requests` merge jobs through the faulted
@@ -161,6 +163,8 @@ SoakResult run_soak(net::ShardRouter& router, std::vector<Miner>& fleet,
   fault::uninstall();
   r.failovers = router.failovers();
   r.retries = router.client_retries();
+  r.bounded = router.metrics().counter("router.bounded_rounds").value();
+  r.short_rounds = router.metrics().counter("router.short_rounds").value();
   return r;
 }
 
@@ -209,10 +213,13 @@ int main(int argc, char** argv) {
   const double availability =
       static_cast<double>(soak.served) / static_cast<double>(soak_requests);
   std::printf("-- soak: served %zu, typed %zu, wrong %zu, availability %.2f%%, "
-              "failovers %zu, retries %zu, injected %llu\n",
+              "failovers %zu, retries %zu, injected %llu, bounded rounds %llu, "
+              "short rounds %llu\n",
               soak.served, soak.typed, soak.wrong, availability * 100.0,
               soak.failovers, soak.retries,
-              static_cast<unsigned long long>(soak.injected));
+              static_cast<unsigned long long>(soak.injected),
+              static_cast<unsigned long long>(soak.bounded),
+              static_cast<unsigned long long>(soak.short_rounds));
 
   // ---- phase C: the killed miner rejoins via --resync --------------------
   std::string peers;
@@ -238,7 +245,8 @@ int main(int argc, char** argv) {
   if (rejoined) std::printf("-- rejoin: miner 0 resynced and serves bit-identical\n");
 
   sap::Table table({"phase", "requests", "served", "typed", "wrong",
-                    "availability_pct", "failovers", "retries", "injected"});
+                    "availability_pct", "failovers", "retries", "injected",
+                    "bounded_rounds", "short_rounds"});
   table.add_row({"soak", sap::Table::num(static_cast<double>(soak_requests), 0),
                  sap::Table::num(static_cast<double>(soak.served), 0),
                  sap::Table::num(static_cast<double>(soak.typed), 0),
@@ -246,11 +254,13 @@ int main(int argc, char** argv) {
                  sap::Table::num(availability * 100.0, 2),
                  sap::Table::num(static_cast<double>(soak.failovers), 0),
                  sap::Table::num(static_cast<double>(soak.retries), 0),
-                 sap::Table::num(static_cast<double>(soak.injected), 0)});
+                 sap::Table::num(static_cast<double>(soak.injected), 0),
+                 sap::Table::num(static_cast<double>(soak.bounded), 0),
+                 sap::Table::num(static_cast<double>(soak.short_rounds), 0)});
   table.add_row({"rejoin", sap::Table::num(static_cast<double>(std::size(kMergeJobs)), 0),
                  sap::Table::num(static_cast<double>(std::size(kMergeJobs)), 0),
                  sap::Table::num(0, 0), sap::Table::num(rejoined ? 0 : 1, 0), "-",
-                 "-", "-", "-"});
+                 "-", "-", "-", "-", "-"});
   sap::bench::BenchMeta meta;
   meta.transport = "cluster-tcp-chaos";
   meta.shards = kMiners;

@@ -7,6 +7,11 @@
 //     and M = 4 miners are BIT-IDENTICAL to the single-miner reference —
 //     before and after a routed ingest burst (record-count, class-histogram,
 //     nb and knn train accuracy);
+//   * bounded kNN partials (always enforced): after each identity check the
+//     same router reads knn-train-accuracy again, a round whose partials
+//     are bounded by the first read's k-th distances (DESIGN.md §11). It
+//     must equal the single-miner reference too, and a series whose router
+//     counted no bounded round fails;
 //   * near-linear scaling (enforced on >= 8 hardware threads): routed
 //     ingest and request throughput at 4 miners >= 2.5x the single miner;
 //   * failover (always enforced): with 4 miners x 2 replicas, SIGKILL one
@@ -18,8 +23,10 @@
 //
 //   cluster_scaling [--quick]        driver (the default)
 //   cluster_scaling --miner S I R    internal: miner process (cluster_harness.hpp)
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -45,11 +52,33 @@ void require_identical(const std::vector<std::vector<double>>& reference,
   }
 }
 
+/// kMergeJobs' kNN entry: the job whose partials a router bounds after its
+/// first read.
+constexpr std::size_t kKnn = 3;
+static_assert(std::string_view(kMergeJobs[kKnn]) == "knn-train-accuracy");
+
+/// The router's second kNN read after an identity check must equal the
+/// single-miner reference as the first did.
+void require_identical_again(const std::vector<std::vector<double>>& reference,
+                             const std::vector<double>& again, std::size_t miners,
+                             const char* when) {
+  if (again != reference[kKnn]) {
+    std::fprintf(stderr,
+                 "FAIL: %s second %s read at %zu miners (bounded partials) is not "
+                 "bit-identical to the single-miner reference\n",
+                 when, kMergeJobs[kKnn], miners);
+    std::exit(1);
+  }
+}
+
 struct SeriesResult {
   double ingest_per_s = 0.0;
   double requests_per_s = 0.0;
   std::vector<std::vector<double>> pre_reports;
   std::vector<std::vector<double>> post_reports;
+  std::vector<double> pre_again;   ///< the second kNN read after pre_reports
+  std::vector<double> post_again;  ///< the second kNN read after post_reports
+  std::uint64_t bounded_rounds = 0;  ///< the reporting router's router.bounded_rounds
 };
 
 /// One scaling series: M miners, replicas = 1. Reports, timed requests,
@@ -67,6 +96,7 @@ SeriesResult run_series(const char* self, const Session& s,
   SeriesResult result;
   net::ShardRouter router(ropts);
   result.pre_reports = merged_reports(router);
+  result.pre_again = router.mine_named(kMergeJobs[kKnn], job_params(kMergeJobs[kKnn])).values;
 
   // Request throughput: 4 driver threads, each with its OWN router (the
   // router is not internally synchronized), all issuing knn partials.
@@ -107,6 +137,8 @@ SeriesResult run_series(const char* self, const Session& s,
   }
 
   result.post_reports = merged_reports(router);
+  result.post_again = router.mine_named(kMergeJobs[kKnn], job_params(kMergeJobs[kKnn])).values;
+  result.bounded_rounds = router.metrics().counter("router.bounded_rounds").value();
   const std::size_t expected =
       s.pool.size() + kParties * batches_per_party * kBatchRows;
   if (result.post_reports[0].empty() ||
@@ -171,8 +203,8 @@ int main(int argc, char** argv) {
   const auto wires = make_contribution_wires(session);
 
   sap::Table table({"miners", "shards", "replicas", "ingest_batches_s",
-                    "requests_s", "req_speedup", "identical", "failed",
-                    "failovers"});
+                    "requests_s", "req_speedup", "identical", "bounded_rounds",
+                    "failed", "failovers"});
   const std::size_t fleet_sizes[] = {1, 2, 4};
   std::vector<SeriesResult> results;
   for (const std::size_t m : fleet_sizes) {
@@ -184,19 +216,29 @@ int main(int argc, char** argv) {
     require_identical(results[0].pre_reports, results.back().pre_reports, m, "pre-ingest");
     require_identical(results[0].post_reports, results.back().post_reports, m,
                       "post-ingest");
+    require_identical_again(results[0].pre_reports, results.back().pre_again, m, "pre-ingest");
+    require_identical_again(results[0].post_reports, results.back().post_again, m,
+                            "post-ingest");
+    if (results.back().bounded_rounds == 0) {
+      std::fprintf(stderr, "FAIL: no %s read at %zu miners ran bounded partials\n",
+                   kMergeJobs[kKnn], m);
+      return 1;
+    }
     table.add_row({sap::Table::num(static_cast<double>(m), 0),
                    sap::Table::num(static_cast<double>(m), 0), sap::Table::num(1, 0),
                    sap::Table::num(results.back().ingest_per_s, 1),
                    sap::Table::num(results.back().requests_per_s, 1),
                    sap::Table::num(results.back().requests_per_s /
                                          results[0].requests_per_s, 2),
-                   "yes", sap::Table::num(0, 0), sap::Table::num(0, 0)});
+                   "yes",
+                   sap::Table::num(static_cast<double>(results.back().bounded_rounds), 0),
+                   sap::Table::num(0, 0), sap::Table::num(0, 0)});
   }
 
   std::printf("-- failover series: 4 miners x 2 replicas, SIGKILL mid-stream\n");
   const auto [failed, failovers] = run_failover(argv[0], failover_requests);
   table.add_row({sap::Table::num(4, 0), sap::Table::num(4, 0), sap::Table::num(2, 0),
-                 "-", "-", "-", "-", sap::Table::num(static_cast<double>(failed), 0),
+                 "-", "-", "-", "-", "-", sap::Table::num(static_cast<double>(failed), 0),
                  sap::Table::num(static_cast<double>(failovers), 0)});
 
   sap::bench::BenchMeta meta;

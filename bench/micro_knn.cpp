@@ -21,7 +21,13 @@
 //     no socket: the router encodes, seals and frames the partial request;
 //     the miner parses, opens and decodes it, runs the partial, and
 //     encodes, seals and frames the response; the router parses, opens and
-//     decodes that. ShardLeg - ShardPartial is the leg's byte work.
+//     decodes that. ShardLeg - ShardPartial is the leg's byte work;
+//   * ShardPartialBounded, ShardLegBounded: the same at k = 5 as a router
+//     runs them on a read after the first, each query bounded by its k-th
+//     distance from an unbounded merge over four shards of the same shape
+//     (DESIGN.md §11, "Bounded kNN partials").
+//
+// The shard partials report `candidates`, the candidates listed per query.
 //
 // The data is the Shuttle shape (9 dims), min-max normalized and rotated,
 // like the unified space the miner serves. Every row's label names the lane
@@ -94,35 +100,63 @@ void BM_BruteServe(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteServe)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 
-/// The shard partial's snapshot: 372 rows whose arrival order differs from
-/// canonical key order, as on a live shard.
-std::unique_ptr<const sap::proto::ShardSnapshot> shard_snapshot() {
-  Dataset rows = pool(372);
+constexpr std::size_t kShardRows = 372;
+
+/// Shard j of four 372-row shard snapshots cut from one pool; each one's
+/// arrival order differs from its canonical key order, as on a live shard.
+std::unique_ptr<const sap::proto::ShardSnapshot> shard_snapshot(std::size_t j = 0) {
+  Dataset rows = pool(4 * kShardRows).slice(j * kShardRows, (j + 1) * kShardRows);
   std::vector<sap::proto::PoolKey> keys(rows.size());
   for (std::size_t i = 0; i < keys.size(); ++i)
-    keys[i] = {static_cast<std::uint64_t>(1000 + i % 4), static_cast<std::uint32_t>(i / 4)};
+    keys[i] = {static_cast<std::uint64_t>(1000 + 4 * j + i % 4),
+               static_cast<std::uint32_t>(i / 4)};
   auto shard = std::make_unique<const sap::proto::ShardSnapshot>(std::move(rows), std::move(keys));
   (void)shard->canonical_blocks();  // warm: the view is built once per snapshot
   return shard;
 }
 
-void BM_ShardPartial(benchmark::State& state) {
+/// The radii a router sends on a read after the first: each query's k-th
+/// distance from an unbounded merge over the four shards.
+std::vector<double> router_radii(const sap::proto::JobSpec& spec, const Dataset& queries,
+                                 const sap::proto::JobParams& params) {
+  std::vector<std::vector<double>> partials;
+  for (std::size_t j = 0; j < 4; ++j)
+    partials.push_back(spec.partial(*shard_snapshot(j), queries, {}, params));
+  return spec.merge_bounded(partials, queries, {}, params).radii;
+}
+
+/// Candidates listed per query in a kNN partial blob ([k, queries,
+/// {cands, {dist, nonce, seq, label}*}*]).
+double candidates_per_query(const std::vector<double>& blob) {
+  const auto queries = static_cast<std::size_t>(blob[1]);
+  return static_cast<double>(blob.size() - 2 - queries) / 4.0 / static_cast<double>(queries);
+}
+
+void shard_partial(benchmark::State& state, bool bounded) {
   const auto shard = shard_snapshot();
   const Dataset queries = shard->rows.slice(0, kQueries);
   const auto registry = sap::proto::JobRegistry::builtins();
   const auto& spec = registry.find("knn-train-accuracy");
   const auto params = spec.resolve_params({{"k", static_cast<double>(state.range(0))}});
+  const auto radii = bounded ? router_radii(spec, queries, params) : std::vector<double>{};
+  std::vector<double> blob;
   for (auto _ : state) {
-    auto blob = spec.partial(*shard, queries, params);
+    blob = spec.partial(*shard, queries, radii, params);
     benchmark::DoNotOptimize(blob.data());
   }
+  state.counters["candidates"] = candidates_per_query(blob);
   state.SetLabel(sap::ml::lane_kernel().name);
 }
+
+void BM_ShardPartial(benchmark::State& state) { shard_partial(state, false); }
 BENCHMARK(BM_ShardPartial)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+void BM_ShardPartialBounded(benchmark::State& state) { shard_partial(state, true); }
+BENCHMARK(BM_ShardPartialBounded)->Arg(5)->Unit(benchmark::kMicrosecond);
 
 /// One routed kNN leg, byte for byte what the router and a miner door do
 /// around the partial, with the frames handed over in memory.
-void BM_ShardLeg(benchmark::State& state) {
+void shard_leg(benchmark::State& state, bool bounded) {
   namespace net = sap::net;
   namespace proto = sap::proto;
   const auto shard = shard_snapshot();
@@ -132,6 +166,8 @@ void BM_ShardLeg(benchmark::State& state) {
   const auto& spec = registry.find(job);
   const proto::JobParams request{{"k", static_cast<double>(state.range(0))},
                                  {"eval-records", static_cast<double>(kQueries)}};
+  const auto radii =
+      bounded ? router_radii(spec, queries, spec.resolve_params(request)) : std::vector<double>{};
   constexpr std::uint64_t kUpKey = 0x5EED0001;    // router -> miner link
   constexpr std::uint64_t kDownKey = 0x5EED0002;  // miner -> router link
   const auto frame_of = [](proto::PayloadKind kind, std::vector<std::uint8_t> body) {
@@ -152,12 +188,13 @@ void BM_ShardLeg(benchmark::State& state) {
   net::FrameReader miner_reader;
   net::FrameReader router_reader;
   std::size_t bytes_moved = 0;
+  std::vector<double> blob;
   for (auto _ : state) {
-    const auto up = frame_of(proto::PayloadKind::kPartialRequest,
-                             net::seal_body(proto::encode_partial_request(0, job, request, queries),
-                                            kUpKey));
+    const auto up = frame_of(
+        proto::PayloadKind::kPartialRequest,
+        net::seal_body(proto::encode_partial_request(0, job, request, queries, radii), kUpKey));
     const auto asked = proto::decode_partial_request(open_frame(miner_reader, up, kUpKey));
-    const auto blob = spec.partial(*shard, asked.queries, spec.resolve_params(asked.params));
+    blob = spec.partial(*shard, asked.queries, asked.radii, spec.resolve_params(asked.params));
     const auto down = frame_of(proto::PayloadKind::kPartialResponse,
                                net::seal_body(proto::encode_partial_response(1, blob), kDownKey));
     const auto answer = proto::decode_partial_response(open_frame(router_reader, down, kDownKey));
@@ -165,9 +202,15 @@ void BM_ShardLeg(benchmark::State& state) {
     bytes_moved += up.size() + down.size();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes_moved));
+  state.counters["candidates"] = candidates_per_query(blob);
   state.SetLabel(sap::ml::lane_kernel().name);
 }
+
+void BM_ShardLeg(benchmark::State& state) { shard_leg(state, false); }
 BENCHMARK(BM_ShardLeg)->Arg(5)->Unit(benchmark::kMicrosecond);
+
+void BM_ShardLegBounded(benchmark::State& state) { shard_leg(state, true); }
+BENCHMARK(BM_ShardLegBounded)->Arg(5)->Unit(benchmark::kMicrosecond);
 
 void BM_ShardKernel(benchmark::State& state) {
   const auto shard = shard_snapshot();

@@ -232,11 +232,10 @@ const LaneKernel& lane_kernel() {
   return picked;
 }
 
-NearestK::NearestK(std::span<const double> query, std::size_t k)
+NearestK::NearestK(std::span<const double> query, std::size_t k, double radius)
     : query_(query),
       k_(k),
-      bound_(k == 0 ? -std::numeric_limits<double>::infinity()
-                    : std::numeric_limits<double>::infinity()),
+      bound_(k == 0 ? -std::numeric_limits<double>::infinity() : radius),
       select_(lane_kernel().select),
       spilled_(k > kInPlace ? std::make_unique_for_overwrite<Neighbor[]>(k) : nullptr) {}
 

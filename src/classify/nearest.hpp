@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -119,8 +120,11 @@ struct LaneKernel {
 class NearestK {
  public:
   /// k = 0 selects nothing; k larger than the number of candidates offered
-  /// keeps them all. `query` must outlive this object.
-  NearestK(std::span<const double> query, std::size_t k);
+  /// keeps them all. Only candidates within `radius` are selected: the bound
+  /// starts at the radius instead of +inf, and a distance equal to it still
+  /// passes. `query` must outlive this object.
+  NearestK(std::span<const double> query, std::size_t k,
+           double radius = std::numeric_limits<double>::infinity());
 
   /// Offer every row of `rows`; row r has tie-id first_id + r.
   void scan(const LaneBlocks& rows, std::size_t first_id);
@@ -131,8 +135,8 @@ class NearestK {
 
   [[nodiscard]] std::span<const double> query() const noexcept { return query_; }
   /// Largest squared distance a new candidate can have and still enter:
-  /// +inf until a candidate contests k held ones, then the worst held one's
-  /// distance.
+  /// the radius until a candidate contests k held ones, then the worst held
+  /// one's distance.
   [[nodiscard]] double bound() const noexcept { return bound_; }
 
   /// The selection, ascending by (distance_sq, index), valid while this

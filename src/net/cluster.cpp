@@ -47,6 +47,9 @@ ShardRouter::ShardRouter(ShardRouterOptions opts)
   ctr_mine_ = &obs_.counter("router.mine_requests");
   ctr_prefix_gathers_ = &obs_.counter("router.prefix_gathers");
   ctr_prefix_stale_ = &obs_.counter("router.prefix_stale");
+  ctr_bounded_ = &obs_.counter("router.bounded_rounds");
+  ctr_short_ = &obs_.counter("router.short_rounds");
+  ctr_partial_bytes_ = &obs_.counter("router.partial_bytes");
   ctr_breaker_opens_ = &obs_.counter("router.breaker_opens");
   breaker_gauges_.reserve(opts_.miners.size());
   for (std::size_t m = 0; m < opts_.miners.size(); ++m)
@@ -234,12 +237,13 @@ proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wi
 
 proto::DecodedPartialResponse ShardRouter::scatter_partial(
     std::size_t shard, const std::string& job, const proto::JobParams& params,
-    const data::Dataset& queries) {
+    const data::Dataset& queries, std::span<const double> radii) {
   proto::DecodedPartialResponse resp;
   serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client) {
-    resp = client.mine_partial(shard, job, params, queries);
+    resp = client.mine_partial(shard, job, params, queries, radii);
     return resp.shard_epoch;
   });
+  ctr_partial_bytes_->add(sizeof(double) * resp.blob.size());
   return resp;
 }
 
@@ -305,47 +309,64 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
     // Exact merge: identical to MiningEngine::run_sharded, with the shard
     // views replaced by live miners — queries are the canonical eval
     // prefix, partials one blob per shard, the merge router-side.
-    std::vector<std::vector<double>> partials(opts_.shards);
-    const auto scatter = [&](const data::Dataset& queries) {
+    const auto scatter = [&](const data::Dataset& queries, std::span<const double> radii) {
+      std::vector<std::vector<double>> partials(opts_.shards);
       response.pool_epoch = std::numeric_limits<std::uint64_t>::max();
       for (std::size_t g = 0; g < opts_.shards; ++g) {
-        auto partial = scatter_partial(g, job, params, queries);
+        auto partial = scatter_partial(g, job, params, queries, radii);
         response.pool_epoch = std::min(response.pool_epoch, partial.shard_epoch);
         partials[g] = std::move(partial.blob);
       }
+      return partials;
     };
     const data::Dataset no_queries;
-    const data::Dataset* queries = &no_queries;
+    proto::MergedRound round;
     if (spec.trainable()) {
       std::size_t limit = 0;
       const auto it = resolved.find("eval-records");
       if (it != resolved.end()) limit = static_cast<std::size_t>(it->second);
-      // A partial that reads no queries gets an empty block: the prefix
-      // stays here for the merge.
-      const auto scatter_prefix = [&] {
-        scatter(spec.partial_reads_queries ? prefix_->gathered.pool : no_queries);
+      // One round over the prefix. A partial that reads no queries gets an
+      // empty block: the prefix stays here for the merge.
+      const auto serve_prefix = [&](std::span<const double> radii) {
+        const data::Dataset& pool = prefix_->gathered.pool;
+        auto served = proto::merge_round(
+            spec, pool, resolved, radii, [&](std::span<const double> sent) {
+              return scatter(spec.partial_reads_queries ? pool : no_queries, sent);
+            });
+        if (served.rerun) ctr_short_->increment();
+        return served;
       };
       const bool reused = prefix_current(limit);
       if (!reused) gather_prefix(limit);
-      scatter_prefix();
+      // Radii kept from the last merge of this job and params over these
+      // rows bound the partials; any radii are exact (DESIGN.md §11).
+      const bool kept = prefix_->radii_job == job && prefix_->radii_params == resolved;
+      round = serve_prefix(kept ? std::span<const double>(prefix_->radii)
+                                : std::span<const double>{});
       // The partials confirm a reused prefix: every floor must still sit at
       // its slice's epoch and no route may have changed. If not (an append
       // that bypassed this router, or another owner answered), gather and
-      // run the partials again; that pair is accepted as any fresh one is.
+      // run the partials again, unbounded; that pair is accepted as any
+      // fresh one is.
       if (reused && !prefix_current(limit)) {
         ctr_prefix_stale_->increment();
         gather_prefix(limit);
-        scatter_prefix();
+        round = serve_prefix({});
       }
-      queries = &prefix_->gathered.pool;
+      if (spec.bounded()) {
+        prefix_->radii_job = job;
+        prefix_->radii_params = resolved;
+        prefix_->radii = std::move(round.radii);
+      }
     } else {
-      scatter(no_queries);
+      round = proto::merge_round(spec, no_queries, resolved, {},
+                                 [&](std::span<const double> sent) {
+                                   return scatter(no_queries, sent);
+                                 });
     }
-    {
-      Stopwatch merge_sw;  // the kMerge trace stage: router-side reassembly
-      response.values = spec.merge_partials(partials, *queries, resolved);
-      last_merge_ms_ = merge_sw.millis();
-    }
+    if (round.bounded) ctr_bounded_->increment();
+    last_merge_ms_ = round.merge_ms;  // the kMerge trace stage: router-side reassembly
+    response.values = std::move(round.values);
     return response;
   }
 

@@ -30,7 +30,12 @@
 // and no owner changed; the partials, which run on every read, confirm the
 // reuse (DESIGN.md §11, "Eval-prefix reuse"). The prefix crosses to the
 // shards only for a partial that reads it (kNN's); NB's partials get an
-// empty block, and its merge scores the prefix here.
+// empty block, and its merge scores the prefix here. Beside the prefix the
+// router keeps each query's k-th merged distance from the last kNN merge
+// over it, and sends those radii with the next kNN read's partials at the
+// same k, so each shard lists only rows within them; a round that leaves a
+// query short of k is rerun without radii (DESIGN.md §11, "Bounded kNN
+// partials").
 //
 // Consistency: the router tracks a per-shard EPOCH FLOOR — the highest
 // shard epoch any owner acknowledged (contribution receipts, served
@@ -47,6 +52,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -213,7 +219,8 @@ class ShardRouter {
   proto::DecodedPartialResponse scatter_partial(std::size_t shard,
                                                 const std::string& job,
                                                 const proto::JobParams& params,
-                                                const data::Dataset& queries);
+                                                const data::Dataset& queries,
+                                                std::span<const double> radii);
 
   /// One shard's canonical slice (serve_owners over pool_slice).
   proto::DecodedPoolSlice scatter_slice(std::size_t shard, std::size_t max_records);
@@ -240,6 +247,11 @@ class ShardRouter {
     std::size_t limit = 0;
     std::size_t route_changes = 0;  ///< route_changes() when the gather began
     Gathered gathered;
+    /// The last bounded merge over these rows: its job, its resolved params
+    /// and each query's k-th merged squared distance (empty: none kept).
+    std::string radii_job;
+    proto::JobParams radii_params;
+    std::vector<double> radii;
   };
   /// prefix_ holds the `limit` prefix, every shard's floor still equals the
   /// epoch its slice was cut at, and no route changed since the gather began.
@@ -262,6 +274,9 @@ class ShardRouter {
   obs::Counter* ctr_mine_ = nullptr;           ///< router.mine_requests
   obs::Counter* ctr_prefix_gathers_ = nullptr; ///< router.prefix_gathers
   obs::Counter* ctr_prefix_stale_ = nullptr;   ///< router.prefix_stale
+  obs::Counter* ctr_bounded_ = nullptr;        ///< router.bounded_rounds
+  obs::Counter* ctr_short_ = nullptr;          ///< router.short_rounds
+  obs::Counter* ctr_partial_bytes_ = nullptr;  ///< router.partial_bytes
   obs::Counter* ctr_breaker_opens_ = nullptr;  ///< router.breaker_opens
   std::vector<obs::Gauge*> breaker_gauges_;    ///< router.m<i>.breaker
   std::vector<obs::Counter*> shard_requests_;  ///< router.shard<g>.requests

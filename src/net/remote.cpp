@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "common/error.hpp"
@@ -270,9 +271,36 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
                     out_wire);
         return true;
       }
+      // Every other owner would refuse the same request alike, so these
+      // refusals are definitive too: a router spends no failover on them.
+      const auto& spec = engine_.registry().find(request.job);
+      try {
+        (void)spec.resolve_params(request.params);
+      } catch (const Error& e) {
+        serve_error(proto::ServeErrorCode::kBadRequest, e.what(), out_kind, out_wire);
+        return true;
+      }
+      if (request.queries.size() > 0 && request.queries.dims() != dims_) {
+        serve_error(proto::ServeErrorCode::kBadRequest,
+                    "query width " + std::to_string(request.queries.dims()) +
+                        " does not match the pool's " + std::to_string(dims_),
+                    out_kind, out_wire);
+        return true;
+      }
+      const auto& radii = request.radii;
+      if (!radii.empty() &&
+          (!spec.bounded() || radii.size() != request.queries.size() ||
+           !std::all_of(radii.begin(), radii.end(),
+                        [](double r) { return std::isfinite(r) && r >= 0.0; }))) {
+        serve_error(proto::ServeErrorCode::kBadRequest,
+                    "radii must be one finite, non-negative radius per query of a "
+                    "bounded job",
+                    out_kind, out_wire);
+        return true;
+      }
       try {
         const auto partial = engine_.run_partial(
-            request.shard, {request.job, request.params}, request.queries);
+            request.shard, {request.job, request.params}, request.queries, radii);
         out_kind = proto::PayloadKind::kPartialResponse;
         out_wire = proto::encode_partial_response(partial.pool_epoch, partial.values);
       } catch (const Error& e) {
@@ -815,10 +843,11 @@ proto::WireMiningResponse ServeClient::mine_named(const std::string& job,
 proto::DecodedPartialResponse ServeClient::mine_partial(std::size_t shard,
                                                         const std::string& job,
                                                         const proto::JobParams& params,
-                                                        const data::Dataset& queries) {
+                                                        const data::Dataset& queries,
+                                                        std::span<const double> radii) {
   const auto wire = transact_idempotent(
       proto::PayloadKind::kPartialRequest,
-      proto::encode_partial_request(shard, job, params, queries),
+      proto::encode_partial_request(shard, job, params, queries, radii),
       proto::PayloadKind::kPartialResponse);
   return proto::decode_partial_response(wire);
 }

@@ -39,6 +39,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -360,10 +361,13 @@ class ServeClient {
   proto::DecodedReceipt contribute_wire(const std::vector<double>& wire);
 
   /// One shard's exact-merge partial for a named job (cluster scatter
-  /// phase). `queries` is the canonical eval prefix the merge will score.
+  /// phase). `queries` is the canonical eval prefix the merge will score;
+  /// `radii` bounds a bounded job's partial, one radius per query (empty:
+  /// unbounded).
   proto::DecodedPartialResponse mine_partial(std::size_t shard, const std::string& job,
                                              const proto::JobParams& params,
-                                             const data::Dataset& queries);
+                                             const data::Dataset& queries,
+                                             std::span<const double> radii = {});
 
   /// One shard's rows in canonical (nonce, seq) order (cluster gather
   /// phase); max_records 0 = all.

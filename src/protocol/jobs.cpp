@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "classify/knn.hpp"
 #include "classify/naive_bayes.hpp"
@@ -10,6 +11,7 @@
 #include "classify/perceptron.hpp"
 #include "classify/svm.hpp"
 #include "common/error.hpp"
+#include "common/stopwatch.hpp"
 #include "common/wire.hpp"
 #include "protocol/pool_shard.hpp"
 
@@ -52,7 +54,7 @@ constexpr std::size_t kMaxBlobSeq = 0xFFFFFFFF;
 // -- record-count: partials are per-shard counts; the merge is an exact
 //    integer sum (record counts are far below 2^53).
 std::vector<double> count_partial(const ShardSnapshot& shard, const data::Dataset&,
-                                  const JobParams&) {
+                                  std::span<const double>, const JobParams&) {
   wire::Writer w("record-count partial", 1);
   w.count(shard.rows.size(), "record count", kMaxBlobCount);
   return w.take();
@@ -73,7 +75,7 @@ std::vector<double> count_merge(const std::vector<std::vector<double>>& partials
 //    label and reports counts in ascending label order — exactly what
 //    Dataset::class_counts() yields on the concatenated pool.
 std::vector<double> hist_partial(const ShardSnapshot& shard, const data::Dataset&,
-                                 const JobParams&) {
+                                 std::span<const double>, const JobParams&) {
   const auto labels = shard.rows.classes();
   const auto counts = shard.rows.class_counts();
   wire::Writer w("class-histogram partial", 1 + 2 * labels.size());
@@ -110,7 +112,7 @@ std::vector<double> hist_merge(const std::vector<std::vector<double>>& partials,
 //    [dims, segments, {nonce, classes, {label, count, shift[d], sum[d],
 //    sumsq[d]}*}*].
 std::vector<double> nb_partial(const ShardSnapshot& shard, const data::Dataset&,
-                               const JobParams&) {
+                               std::span<const double>, const JobParams&) {
   const auto& keys = shard.keys;
   const auto order = shard.canonical_order();
   std::size_t segments = 0;
@@ -189,14 +191,17 @@ std::vector<double> nb_merge(const std::vector<std::vector<double>>& partials,
 //    order; the merge takes the global k from those lists with a k-way
 //    merge, under the same (distance, canonical index) tie-break Knn uses,
 //    and replays its majority vote. Blob layout: [k, queries, {cands,
-//    {dist, nonce, seq, label}*}*].
+//    {dist, nonce, seq, label}*}*]. A bounded partial lists only candidates
+//    within its query's radius, so a list may be shorter than k.
 std::vector<double> knn_partial(const ShardSnapshot& shard, const data::Dataset& queries,
-                                const JobParams& resolved) {
+                                std::span<const double> radii, const JobParams& resolved) {
   const auto k = static_cast<std::size_t>(param(resolved, "k"));
   const data::Dataset& rows = shard.rows;
   const std::size_t n = rows.size();
   SAP_REQUIRE(n == 0 || queries.size() == 0 || queries.dims() == rows.dims(),
               "knn partial: query dimension mismatch");
+  SAP_REQUIRE(radii.empty() || radii.size() == queries.size(),
+              "knn partial: one radius per query");
   // The shard's rows as lane blocks in canonical PoolKey order, so each
   // row's tie-id is its canonical rank and (distance, tie-id) order is
   // (distance, key) order — the merge's.
@@ -206,7 +211,8 @@ std::vector<double> knn_partial(const ShardSnapshot& shard, const data::Dataset&
   w.count(k, "k", kMaxBlobDims);
   w.count(queries.size(), "queries", kMaxBlobQueries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    ml::NearestK best(queries.record(q), std::min(k, n));
+    ml::NearestK best(queries.record(q), std::min(k, n),
+                      radii.empty() ? std::numeric_limits<double>::infinity() : radii[q]);
     best.scan(blocks, 0);
     const auto nearest = best.sorted();
     w.count(nearest.size(), "candidates", k);
@@ -221,10 +227,16 @@ std::vector<double> knn_partial(const ShardSnapshot& shard, const data::Dataset&
   return w.take();
 }
 
-std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
-                              const data::Dataset& queries, const JobParams& resolved) {
+/// Merges kNN partials that ran with `radii` (empty: unbounded). A query
+/// with fewer than k candidates makes a bounded round short; unbounded, it
+/// means a pool smaller than k, whose report is the vote over every row.
+BoundedMerge knn_merge(const std::vector<std::vector<double>>& partials,
+                       const data::Dataset& queries, std::span<const double> radii,
+                       const JobParams& resolved) {
   SAP_REQUIRE(!partials.empty(), "knn merge: no partials");
   SAP_REQUIRE(queries.size() > 0, "knn merge: empty query prefix");
+  SAP_REQUIRE(radii.empty() || radii.size() == queries.size(),
+              "knn merge: one radius per query");
   const auto k = static_cast<std::size_t>(param(resolved, "k"));
   struct Cand {
     double dist = 0.0;
@@ -256,6 +268,8 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
   // double-exact and never all ones.
   std::vector<std::pair<std::uint64_t, std::size_t>> owners;
   std::vector<std::uint64_t> last_nonce(parts, ~std::uint64_t{0});
+  BoundedMerge out;
+  out.radii.reserve(queries.size());
   std::size_t hits = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     std::size_t total = 0;
@@ -284,12 +298,19 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
         }
       }
     }
+    if (total < k && !radii.empty()) {
+      // Rows past a radius may be among this query's k nearest.
+      out.short_round = true;
+      out.radii.clear();
+      return out;
+    }
     SAP_REQUIRE(total > 0, "knn merge: no candidates for a query");
     // The k-way merge of the query's lists gives the same first k a sort of
     // their union would. Knn::predict's vote over the k nearest in ascending
     // (distance, canonical index) order.
     const std::size_t kk = std::min(k, total);
     ml::KnnVote vote(kk);
+    double last = 0.0;
     for (std::size_t taken = 0; taken < kk; ++taken) {
       std::size_t best = 0;
       while (head[best] == end[best]) ++best;  // kk <= total: some list is left
@@ -297,11 +318,15 @@ std::vector<double> knn_merge(const std::vector<std::vector<double>>& partials,
         if (head[p] < end[p] && lists[head[p]].before(lists[head[best]])) best = p;
       const Cand& c = lists[head[best]++];
       vote.add(c.label, c.dist);
+      last = c.dist;
     }
+    if (kk == k) out.radii.push_back(last);
     hits += (vote.winner() == queries.label(q));
   }
   for (const auto& reader : in) reader.finish();
-  return {static_cast<double>(hits) / static_cast<double>(queries.size())};
+  if (out.radii.size() < queries.size()) out.radii.clear();  // a pool smaller than k
+  out.values = {static_cast<double>(hits) / static_cast<double>(queries.size())};
+  return out;
 }
 
 }  // namespace
@@ -319,6 +344,33 @@ JobParams JobSpec::resolve_params(const JobParams& request) const {
     resolved[name] = value;
   }
   return resolved;
+}
+
+MergedRound merge_round(const JobSpec& spec, const data::Dataset& queries,
+                        const JobParams& resolved, std::span<const double> radii,
+                        const ScatterPartials& scatter) {
+  MergedRound out;
+  const auto scatter_and_merge = [&](std::span<const double> sent) {
+    const auto partials = scatter(sent);
+    Stopwatch sw;
+    BoundedMerge merged;
+    if (spec.bounded())
+      merged = spec.merge_bounded(partials, queries, sent, resolved);
+    else
+      merged.values = spec.merge_partials(partials, queries, resolved);
+    out.merge_ms += sw.millis();
+    return merged;
+  };
+  out.bounded = spec.bounded() && !radii.empty();
+  auto merged = scatter_and_merge(out.bounded ? radii : std::span<const double>{});
+  if (merged.short_round) {
+    out.bounded = false;
+    out.rerun = true;
+    merged = scatter_and_merge({});
+  }
+  out.values = std::move(merged.values);
+  out.radii = std::move(merged.radii);
+  return out;
 }
 
 std::string JobSpec::canonical_params(const JobParams& resolved) {
@@ -354,6 +406,9 @@ void JobRegistry::register_job(JobSpec spec) {
   SAP_REQUIRE(static_cast<bool>(spec.partial) == static_cast<bool>(spec.merge_partials),
               "JobRegistry '" + spec.name +
                   "': partial and merge_partials must be set together");
+  SAP_REQUIRE(!spec.bounded() || (spec.mergeable() && spec.partial_reads_queries),
+              "JobRegistry '" + spec.name +
+                  "': bounded partials need an exact merge whose partial reads its queries");
   for (std::size_t i = 0; i < spec.params.size(); ++i) {
     const auto& p = spec.params[i];
     SAP_REQUIRE(!p.name.empty(), "JobRegistry '" + spec.name + "': empty parameter name");
@@ -425,8 +480,12 @@ JobRegistry JobRegistry::builtins() {
     };
     spec.serve = serve_accuracy;
     spec.partial = knn_partial;
-    spec.merge_partials = knn_merge;
+    spec.merge_partials = [](const std::vector<std::vector<double>>& partials,
+                             const data::Dataset& queries, const JobParams& resolved) {
+      return knn_merge(partials, queries, {}, resolved).values;
+    };
     spec.partial_reads_queries = true;
+    spec.merge_bounded = knn_merge;
     reg.register_job(std::move(spec));
   }
 

@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,18 @@ class ShardSnapshot;  // protocol/pool_shard.hpp
 
 /// Per-request job parameters, merged over the spec's declared defaults.
 using JobParams = std::map<std::string, double>;
+
+/// A bounded merge's outcome (JobSpec::merge_bounded).
+struct BoundedMerge {
+  /// The partials ran with radii and left some query with fewer than k
+  /// candidates: the round proves nothing, and `values` and `radii` are
+  /// empty.
+  bool short_round = false;
+  std::vector<double> values;  ///< the report
+  /// Each query's k-th merged squared distance, or empty when a query got
+  /// fewer than k candidates (a pool smaller than k).
+  std::vector<double> radii;
+};
 
 /// One declared parameter: its default and the closed range of valid values.
 /// serve_only marks parameters that shape the *report* but not the fitted
@@ -76,6 +89,15 @@ struct ParamSpec {
 /// whatever the shard count or hash-route layout. A job without the contract is served over a
 /// sharded pool by gathering the canonical pool and executing flat — exact,
 /// but it ships rows to the merging side (the SVM and perceptron fits).
+///
+/// A job whose partial reads its queries may also declare BOUNDED partials
+/// (`merge_bounded`; kNN's — DESIGN.md §11 "Bounded kNN partials"): its
+/// partial then takes one squared-distance radius per query and offers only
+/// rows within it, and the bounded merge returns each query's k-th merged
+/// squared distance, the radii a later round over the same queries may send.
+/// Every other partial is handed an empty radius block. A bounded round that
+/// leaves a query short of k proves nothing, and merge_round reruns it
+/// without radii.
 struct JobSpec {
   std::string name;
   std::string summary;
@@ -91,9 +113,11 @@ struct JobSpec {
       serve;
 
   /// Exact-merge contract (optional; both set or both unset). See the
-  /// struct comment for semantics.
+  /// struct comment for semantics. `radii` is empty (unbounded) or holds
+  /// one radius per query, and only for a bounded job.
   std::function<std::vector<double>(const ShardSnapshot& shard,
-                                    const data::Dataset& queries, const JobParams&)>
+                                    const data::Dataset& queries,
+                                    std::span<const double> radii, const JobParams&)>
       partial;
   std::function<std::vector<double>(const std::vector<std::vector<double>>& partials,
                                     const data::Dataset& queries, const JobParams&)>
@@ -101,9 +125,18 @@ struct JobSpec {
   /// Whether `partial` reads its queries (kNN's does; NB's scores them at
   /// the merge), so the prefix crosses to each shard only when it is read.
   bool partial_reads_queries = false;
+  /// Bounded partials (optional): merge_partials over partials that ran
+  /// with `radii` (empty: unbounded), reporting a short round instead of
+  /// throwing for it.
+  std::function<BoundedMerge(const std::vector<std::vector<double>>& partials,
+                             const data::Dataset& queries, std::span<const double> radii,
+                             const JobParams&)>
+      merge_bounded;
 
   [[nodiscard]] bool trainable() const noexcept { return static_cast<bool>(make_model); }
   [[nodiscard]] bool mergeable() const noexcept { return static_cast<bool>(merge_partials); }
+  /// Whether `partial` takes radii.
+  [[nodiscard]] bool bounded() const noexcept { return static_cast<bool>(merge_bounded); }
 
   /// Merge `request` over the declared defaults; throws sap::Error on an
   /// undeclared name or an out-of-range value.
@@ -155,6 +188,31 @@ class JobRegistry {
  private:
   std::map<std::string, JobSpec> specs_;
 };
+
+/// One exact-merge round of a mergeable job, as a coordinator serves it.
+struct MergedRound {
+  std::vector<double> values;  ///< the report
+  /// The next round's radii over the same queries (a bounded job's); empty
+  /// keeps none.
+  std::vector<double> radii;
+  bool bounded = false;   ///< the served partials ran with radii
+  bool rerun = false;     ///< a bounded round came up short and ran again unbounded
+  double merge_ms = 0.0;  ///< time spent in the merges
+};
+
+/// Runs one blob per shard, each partial bounded by `radii` (empty:
+/// unbounded).
+using ScatterPartials =
+    std::function<std::vector<std::vector<double>>(std::span<const double> radii)>;
+
+/// One exact-merge round of `spec` over `queries`: scatter, then merge. A
+/// bounded job's partials run with `radii` when some are given, and a round
+/// its merge reports short is not served: it is scattered again without
+/// radii. Other jobs ignore `radii`. (DESIGN.md §11 "Bounded kNN partials".)
+[[nodiscard]] MergedRound merge_round(const JobSpec& spec, const data::Dataset& queries,
+                                      const JobParams& resolved,
+                                      std::span<const double> radii,
+                                      const ScatterPartials& scatter);
 
 /// Machine-readable job/param schema (sap_cli `jobs --json`, orchestration
 /// over the miner daemon):

@@ -279,13 +279,16 @@ data::Dataset read_rows(wire::Reader& in, const char* what) {
 
 std::vector<double> encode_partial_request(std::size_t shard, const std::string& job,
                                            const std::map<std::string, double>& params,
-                                           const data::Dataset& queries) {
+                                           const data::Dataset& queries,
+                                           std::span<const double> radii) {
   const auto request = encode_mining_request(job, params);
-  wire::Writer w("encode_partial_request",
-                 4 + request.size() + queries.features().size() + queries.size());
+  wire::Writer w("encode_partial_request", 5 + request.size() + radii.size() +
+                                               queries.features().size() + queries.size());
   w.count(shard, "shard id");
   w.count(request.size(), "request length");
   w.block(request);
+  w.count(radii.size(), "radius count");
+  w.block(radii);
   write_rows(w, queries);
   return w.take();
 }
@@ -298,6 +301,9 @@ DecodedPartialRequest decode_partial_request(std::span<const double> wire) {
   auto request = decode_mining_request(in.block(request_length, "mining request"));
   out.job = std::move(request.job);
   out.params = std::move(request.params);
+  const std::size_t radius_count = in.count("radius count");
+  const auto radii = in.block(radius_count, "radii");
+  out.radii.assign(radii.begin(), radii.end());
   out.queries = read_rows(in, "query block");
   in.finish();
   return out;

@@ -272,18 +272,24 @@ struct DecodedServeError {
 };
 DecodedServeError decode_serve_error(std::span<const double> wire);
 
-/// Partial request: [shard, req_len, mining_request..., qd, qm, queries
-/// row-major qm x qd, labels...] — run `job` with `params` over one shard
-/// and return the exact-merge partial blob. `queries` is the canonical eval
-/// prefix the merge scores against (qm == 0 => no queries; structural
-/// merges).
+/// Partial request: [shard, req_len, mining_request..., radius_count,
+/// radii..., qd, qm, queries row-major qm x qd, labels...] — run `job` with
+/// `params` over one shard and return the exact-merge partial blob.
+/// `queries` is the canonical eval prefix the merge scores against (qm == 0
+/// => no queries; structural merges). `radii` bounds a bounded partial
+/// (JobSpec::merge_bounded), one squared-distance radius per query; empty
+/// asks for the unbounded partial. The decoder reads the radii raw: the
+/// miner door refuses a block that is neither empty nor one finite,
+/// non-negative radius per query of a bounded job.
 std::vector<double> encode_partial_request(std::size_t shard, const std::string& job,
                                            const std::map<std::string, double>& params,
-                                           const data::Dataset& queries);
+                                           const data::Dataset& queries,
+                                           std::span<const double> radii = {});
 struct DecodedPartialRequest {
   std::size_t shard = 0;
   std::string job;
   std::map<std::string, double> params;
+  std::vector<double> radii;
   data::Dataset queries;
 };
 DecodedPartialRequest decode_partial_request(std::span<const double> wire);

@@ -183,7 +183,7 @@ MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& r
     partials.reserve(views.size());
     for (const auto& view : views) {
       if (view.snap->rows.size() == 0) continue;  // empty shards contribute nothing
-      partials.push_back(spec.partial(*view.snap, partial_queries, resolved));
+      partials.push_back(spec.partial(*view.snap, partial_queries, {}, resolved));
     }
     SAP_REQUIRE(!partials.empty(), "MiningEngine: empty pool across shards");
     response.values = spec.merge_partials(partials, queries, resolved);
@@ -245,7 +245,8 @@ std::vector<MiningResponse> MiningEngine::run_batch(
 
 MiningResponse MiningEngine::run_partial(std::size_t global_shard,
                                          const MiningRequest& request,
-                                         const data::Dataset& queries) {
+                                         const data::Dataset& queries,
+                                         std::span<const double> radii) {
   Stopwatch sw;
   const JobSpec& spec = registry_.find(request.job);
   const JobParams resolved = spec.resolve_params(request.params);
@@ -257,7 +258,7 @@ MiningResponse MiningEngine::run_partial(std::size_t global_shard,
               "MiningEngine::run_partial: shard not installed");
   MiningResponse response;
   response.pool_epoch = view.epoch;
-  response.values = spec.partial(*view.snap, queries, resolved);
+  response.values = spec.partial(*view.snap, queries, radii, resolved);
   response.millis = sw.millis();
   return response;
 }

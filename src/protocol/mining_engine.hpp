@@ -52,6 +52,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -226,11 +227,13 @@ class MiningEngine {
 
   /// One shard's partial blob for `request` (coordinator-side exact
   /// merges): executes spec.partial over the shard's snapshot with the
-  /// coordinator-supplied canonical query prefix. values = the opaque
-  /// blob; pool_epoch = the shard epoch served. Throws for non-mergeable
-  /// jobs or unowned shards.
+  /// coordinator-supplied canonical query prefix and, for a bounded job,
+  /// its per-query radii (empty: unbounded). values = the opaque blob;
+  /// pool_epoch = the shard epoch served. Throws for non-mergeable jobs or
+  /// unowned shards.
   MiningResponse run_partial(std::size_t global_shard, const MiningRequest& request,
-                             const data::Dataset& queries);
+                             const data::Dataset& queries,
+                             std::span<const double> radii = {});
 
   /// One shard's rows in canonical (nonce, seq) order, truncated to
   /// max_records (0 = all) — the coordinator-side gather primitive.

@@ -18,17 +18,27 @@
 //   * the kNN/NB eval prefix is gathered once per shard epoch: reads reuse
 //     it until a routed append moves a floor, and an append that bypassed
 //     the router is caught by the partials and re-gathered;
+//   * bounded kNN partials: whatever the radii, a bounded round comes up
+//     short or merges bit for bit to the unbounded one; a short round is
+//     rerun without radii; a router's second kNN read is bounded, ships
+//     smaller partials and still equals the flat engine;
 //   * empty shards (more shards than nonces) keep every job bit-identical
 //     to the flat engine, before and after routed contributions.
 //   * the router door answers like a miner door: the owner's receipt, the
 //     negative receipt for a rejected batch, kBadRequest for an unknown
-//     job — and a kError refusal for a kind only miners serve.
+//     job — and a kError refusal for a kind only miners serve;
+//   * the miner door refuses a partial request with bad params, a query
+//     block of the wrong width or a malformed radius block with
+//     kBadRequest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,7 +134,7 @@ TEST(ShardedEngine, PartialsReceiveTheEvalPrefixOnlyWhenTheyReadIt) {
     probe.name = "probe";
     probe.partial_reads_queries = reads;
     probe.partial = [&](const proto::ShardSnapshot&, const Dataset& queries,
-                        const proto::JobParams&) {
+                        std::span<const double>, const proto::JobParams&) {
       partial_queries.push_back(queries.size());
       return std::vector<double>{};
     };
@@ -313,6 +323,182 @@ TEST(ShardedEngine, ConcurrentFirstPartialsShareOneView) {
     const auto want = fresh.run_partial(shard, {job, {}}, queries).values;
     for (const auto& blob : blobs) EXPECT_EQ(blob, want);
   }
+}
+
+// ---- bounded kNN partials ------------------------------------------------
+
+/// Iris rounded to quarter steps, then every row again under another nonce
+/// with the next label: exact distance ties everywhere, across shards too,
+/// and a tie taken wrongly moves a vote.
+std::vector<proto::PoolSegment> tied_segments(std::size_t rows) {
+  const Dataset iris = normalized_pool("Iris", 7004).slice(0, rows / 2);
+  const std::size_t n = iris.size();
+  sap::linalg::Matrix f(2 * n, iris.dims());
+  std::vector<int> labels(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < iris.dims(); ++c)
+      f(i, c) = f(n + i, c) = std::round(iris.record(i)[c] * 4.0) / 4.0;
+    labels[i] = iris.label(i);
+    labels[n + i] = (iris.label(i) + 1) % 3;
+  }
+  return make_segments(Dataset("tied", std::move(f), std::move(labels)),
+                       {11, 5021, 90210, 777001, 31337001, 900000017});
+}
+
+/// An engine's non-empty shard snapshots and their canonical eval prefix,
+/// as a coordinator scatters to them.
+struct ShardCut {
+  std::vector<proto::PoolShard::View> views;
+  Dataset queries;
+
+  ShardCut(const proto::MiningEngine& engine, std::size_t limit) {
+    std::vector<proto::KeyedRows> parts;
+    for (const std::size_t g : engine.owned_shards()) {
+      auto view = engine.shard_view(g);
+      if (view.snap->rows.size() > 0) views.push_back(std::move(view));
+    }
+    for (const auto& view : views) parts.push_back({&view.snap->rows, view.snap->keys});
+    queries = proto::merge_canonical(parts, limit);
+  }
+
+  /// Every shard's partial of `spec`, bounded by `radii`.
+  std::vector<std::vector<double>> partials(const proto::JobSpec& spec,
+                                            const proto::JobParams& resolved,
+                                            std::span<const double> radii) const {
+    const Dataset none;
+    std::vector<std::vector<double>> out;
+    for (const auto& view : views)
+      out.push_back(spec.partial(*view.snap, spec.partial_reads_queries ? queries : none,
+                                 radii, resolved));
+    return out;
+  }
+};
+
+TEST(BoundedPartials, ARoundComesUpShortOrMergesBitForBit) {
+  // Whatever the radii, a bounded round either reports itself short or
+  // merges to the unbounded report and radii bit for bit. Each query's
+  // radius is drawn from 0, its exact k-th distance, the double below it
+  // and a large one; the ties sit at the radius.
+  const auto segments = tied_segments(300);
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool_segments(segments);
+  const auto registry = proto::JobRegistry::builtins();
+  const auto& spec = registry.find("knn-train-accuracy");
+  Engine eng(7007);
+  for (const std::size_t shards : {2u, 4u}) {
+    auto engine = make_engine(shards, proto::ShardLayout::kHashMod);
+    engine.set_pool_segments(segments);
+    const ShardCut cut(engine, 64);
+    for (const std::size_t k : {1u, 5u, 8u}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", k " + std::to_string(k));
+      const proto::JobParams request{{"k", static_cast<double>(k)}, {"eval-records", 64.0}};
+      const auto resolved = spec.resolve_params(request);
+      const auto exact = spec.merge_bounded(cut.partials(spec, resolved, {}), cut.queries, {},
+                                            resolved);
+      ASSERT_FALSE(exact.short_round);
+      ASSERT_EQ(exact.radii.size(), cut.queries.size());
+      ASSERT_EQ(exact.values, flat.run({"knn-train-accuracy", request}).values);
+      std::size_t served = 0;
+      std::size_t short_rounds = 0;
+      for (std::size_t trial = 0; trial < 48; ++trial) {
+        // Trials 0-3 give every query the same kind of radius; then each
+        // query draws one of the four, then one of the two that never
+        // leave it short.
+        std::vector<double> radii(cut.queries.size());
+        for (std::size_t q = 0; q < radii.size(); ++q) {
+          const double kth = exact.radii[q];
+          const double draws[] = {kth, 1e9, std::nextafter(kth, 0.0), 0.0};
+          const std::size_t pick = trial < 4    ? trial
+                                   : trial < 26 ? eng.uniform_index(4)
+                                                : eng.uniform_index(2);
+          radii[q] = draws[pick];
+        }
+        const auto got = spec.merge_bounded(cut.partials(spec, resolved, radii), cut.queries,
+                                            radii, resolved);
+        if (got.short_round) {
+          EXPECT_TRUE(got.values.empty() && got.radii.empty()) << "trial " << trial;
+          EXPECT_TRUE(trial >= 2 && trial < 26) << "trial " << trial;
+          ++short_rounds;
+          continue;
+        }
+        ++served;
+        EXPECT_EQ(got.values, exact.values) << "trial " << trial;
+        EXPECT_EQ(got.radii, exact.radii) << "trial " << trial;
+      }
+      EXPECT_GE(served, 24u);
+      if (k > 1) {
+        EXPECT_GE(short_rounds, 1u) << "no draw came up short";
+      }
+    }
+  }
+}
+
+TEST(BoundedPartials, MergeRoundRerunsAShortRoundWithoutRadii) {
+  const auto registry = proto::JobRegistry::builtins();
+  const auto& knn = registry.find("knn-train-accuracy");
+  auto engine = make_engine(2, proto::ShardLayout::kHashMod);
+  engine.set_pool_segments(tied_segments(300));
+  const ShardCut cut(engine, 48);
+  // What each scatter was asked to bound its partials by.
+  std::vector<std::vector<double>> sent;
+  const auto scatter_for = [&](const proto::JobSpec& spec, const proto::JobParams& resolved) {
+    return [&, resolved](std::span<const double> radii) {
+      sent.emplace_back(radii.begin(), radii.end());
+      return cut.partials(spec, resolved, radii);
+    };
+  };
+  const auto resolved = knn.resolve_params({{"k", 5.0}, {"eval-records", 48.0}});
+  const auto scatter = scatter_for(knn, resolved);
+
+  const auto unbounded = proto::merge_round(knn, cut.queries, resolved, {}, scatter);
+  EXPECT_FALSE(unbounded.bounded || unbounded.rerun);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_TRUE(sent[0].empty());
+  ASSERT_EQ(unbounded.radii.size(), cut.queries.size());
+
+  sent.clear();
+  const auto bounded = proto::merge_round(knn, cut.queries, resolved, unbounded.radii, scatter);
+  EXPECT_TRUE(bounded.bounded);
+  EXPECT_FALSE(bounded.rerun);
+  EXPECT_EQ(sent, std::vector<std::vector<double>>{unbounded.radii});
+  EXPECT_EQ(bounded.values, unbounded.values);
+  EXPECT_EQ(bounded.radii, unbounded.radii);
+
+  // Radius 0 leaves most queries short of k: the round is not served but
+  // scattered again without radii.
+  sent.clear();
+  const std::vector<double> zeros(cut.queries.size(), 0.0);
+  const auto rerun = proto::merge_round(knn, cut.queries, resolved, zeros, scatter);
+  EXPECT_TRUE(rerun.rerun);
+  EXPECT_FALSE(rerun.bounded);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0], zeros);
+  EXPECT_TRUE(sent[1].empty());
+  EXPECT_EQ(rerun.values, unbounded.values);
+  EXPECT_EQ(rerun.radii, unbounded.radii);
+
+  // A job without bounded partials never sends radii.
+  const auto& nb = registry.find("nb-train-accuracy");
+  sent.clear();
+  const auto nb_round = proto::merge_round(nb, cut.queries, nb.resolve_params({}), zeros,
+                                           scatter_for(nb, nb.resolve_params({})));
+  EXPECT_FALSE(nb_round.bounded || nb_round.rerun);
+  EXPECT_TRUE(nb_round.radii.empty());
+  EXPECT_EQ(sent, std::vector<std::vector<double>>{{}});
+
+  // No radii are kept for a pool smaller than k.
+  auto small = make_engine(2, proto::ShardLayout::kHashMod);
+  small.set_pool_segments(tied_segments(60));
+  const ShardCut small_cut(small, 0);
+  const auto wide_k = knn.resolve_params({{"k", 64.0}});
+  const auto whole = proto::merge_round(knn, small_cut.queries, wide_k, {},
+                                        [&](std::span<const double> radii) {
+                                          return small_cut.partials(knn, wide_k, radii);
+                                        });
+  EXPECT_TRUE(whole.radii.empty());
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool_segments(tied_segments(60));
+  EXPECT_EQ(whole.values, flat.run({"knn-train-accuracy", {{"k", 64.0}}}).values);
 }
 
 // ---- router layer --------------------------------------------------------
@@ -513,6 +699,55 @@ TEST(ShardRouter, EvalPrefixGatheredOncePerShardEpoch) {
   const auto stats = router.cluster_stats();
   EXPECT_EQ(counter_value(stats, "router.prefix_gathers"), 3u);
   EXPECT_EQ(counter_value(stats, "router.prefix_stale"), 1u);
+  EXPECT_EQ(router.failovers(), 0u);
+
+  a.stop();
+  b.stop();
+}
+
+TEST(ShardRouter, SecondKnnReadIsABoundedRound) {
+  // A read-only cluster: the first kNN read gathers the prefix and keeps
+  // each query's k-th merged distance; the second sends them as radii, so
+  // each shard lists fewer candidates, and still equals the flat engine.
+  Cluster cluster(5757);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  // A shard lists at most k per query, so only a second non-empty shard
+  // has candidates to drop.
+  for (const Member* m : {&a, &b})
+    for (const std::size_t g : m->daemon->engine().owned_shards())
+      ASSERT_GT(m->daemon->engine().shard_view(g).snap->rows.size(), 0u)
+          << "shard " << g << " is empty: the case under test is gone";
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&a, &b}));
+  const auto params = job_params("knn-train-accuracy");
+  const auto want = flat.run({"knn-train-accuracy", params}).values;
+
+  const auto counter = [&](const char* name) {
+    return counter_value(router.metrics().snapshot(), name);
+  };
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  const auto first_bytes = counter("router.partial_bytes");
+  EXPECT_EQ(counter("router.bounded_rounds"), 0u);
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  const auto second_bytes = counter("router.partial_bytes") - first_bytes;
+  EXPECT_EQ(counter("router.bounded_rounds"), 1u);
+  EXPECT_EQ(counter("router.short_rounds"), 0u);
+  EXPECT_GT(second_bytes, 0u);
+  EXPECT_LT(second_bytes, first_bytes);
   EXPECT_EQ(router.failovers(), 0u);
 
   a.stop();
@@ -754,6 +989,64 @@ TEST(RouterDoor, AnswersLikeAMinerDoor) {
   router.reset();
   a.stop();
   b.stop();
+}
+
+// ---- miner door ----------------------------------------------------------
+
+TEST(MinerDoor, RefusesMalformedPartialRequestsDefinitively) {
+  // Every owner would refuse these alike, so each is kBadRequest, which a
+  // router spends no failover on, not kUnavailable.
+  Cluster cluster(5959);
+  Member a;
+  net::MinerDaemonOptions opts;
+  opts.shards = 1;
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  net::ServeClient client(a.daemon->reactor_addr(), cluster.seed, cluster.k);
+  const Dataset queries = cluster.pool.slice(0, 6);
+  const Dataset narrow("narrow", sap::linalg::Matrix(6, queries.dims() - 1, 0.25),
+                       queries.labels());
+  const auto radii = [&](double value) { return std::vector<double>(queries.size(), value); };
+  auto with = [](std::vector<double> radii, std::size_t at, double value) {
+    radii[at] = value;
+    return radii;
+  };
+  struct Case {
+    const char* what;
+    const char* job;
+    proto::JobParams params;
+    const Dataset* queries;
+    std::vector<double> radii;
+  };
+  const Case cases[] = {
+      {"k = 0", "knn-train-accuracy", {{"k", 0.0}}, &queries, {}},
+      {"k = 1e6", "knn-train-accuracy", {{"k", 1e6}}, &queries, {}},
+      {"an unknown parameter", "knn-train-accuracy", {{"no-such-param", 1.0}}, &queries, {}},
+      {"a query block one column short", "knn-train-accuracy", {}, &narrow, {}},
+      {"one radius too few", "knn-train-accuracy", {}, &queries,
+       std::vector<double>(queries.size() - 1, 1.0)},
+      {"a negative radius", "knn-train-accuracy", {}, &queries, with(radii(1.0), 2, -0.5)},
+      {"a NaN radius", "knn-train-accuracy", {}, &queries,
+       with(radii(1.0), 0, std::numeric_limits<double>::quiet_NaN())},
+      {"an infinite radius", "knn-train-accuracy", {}, &queries,
+       with(radii(1.0), 5, std::numeric_limits<double>::infinity())},
+      {"radii for a job whose partial takes none", "nb-train-accuracy", {}, &queries,
+       radii(1.0)},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)client.mine_partial(0, c.job, c.params, *c.queries, c.radii);
+      ADD_FAILURE() << c.what << ": served";
+    } catch (const net::ServeError& e) {
+      EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << c.what << ": " << e.what();
+    }
+  }
+  // A well-formed bounded partial is served.
+  EXPECT_FALSE(client.mine_partial(0, "knn-train-accuracy", {}, queries, radii(0.5)).blob.empty());
+  const auto stats = a.daemon->stats_snapshot();
+  EXPECT_EQ(counter_value(stats, "serve.refused.bad_request"), std::size(cases));
+  EXPECT_EQ(counter_value(stats, "serve.refused.unavailable"), 0u);
+  client.bye();
+  a.stop();
 }
 
 }  // namespace

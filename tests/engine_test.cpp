@@ -249,7 +249,7 @@ TEST(JobRegistryTest, KnnPartialBreaksTiesByCanonicalKeyNotArrival) {
   const auto by_arrival = [](std::size_t a, std::size_t b) { return a < b; };
   for (const std::size_t k : {1, 2, 5, 64, 256}) {
     const auto resolved = spec.resolve_params({{"k", static_cast<double>(k)}});
-    const auto blob = spec.partial(proto::ShardSnapshot(rows, keys), queries, resolved);
+    const auto blob = spec.partial(proto::ShardSnapshot(rows, keys), queries, {}, resolved);
     const auto reference = knn_blob_reference(rows, keys, queries, k, by_key);
     EXPECT_EQ(blob, reference) << "k " << k;
     // The case discriminates: an arrival-index tie-break gives another blob.
@@ -258,7 +258,7 @@ TEST(JobRegistryTest, KnnPartialBreaksTiesByCanonicalKeyNotArrival) {
   // Queries of the wrong width are refused, not read past the rows.
   const Dataset wide("wide", sap::linalg::Matrix(1, d + 1, 0.5), std::vector<int>{0});
   EXPECT_THROW(
-      (void)spec.partial(proto::ShardSnapshot(rows, keys), wide, spec.resolve_params({})),
+      (void)spec.partial(proto::ShardSnapshot(rows, keys), wide, {}, spec.resolve_params({})),
       sap::Error);
 }
 

@@ -370,8 +370,16 @@ TEST(Fuzz, PartialRequestCodecNeverCrashes) {
   const auto back = proto::decode_partial_request(wire);
   EXPECT_EQ(back.shard, 2u);
   EXPECT_EQ(back.job, "knn-train-accuracy");
+  EXPECT_TRUE(back.radii.empty());
   EXPECT_EQ(back.queries.features(), queries.features());
   EXPECT_EQ(back.queries.labels(), queries.labels());
+  const std::vector<double> radii{0.5, 0.0, 2.25, 1.0, 0.75};
+  const auto bounded = proto::encode_partial_request(
+      2, "knn-train-accuracy", {{"k", 5.0}, {"eval-records", 64.0}}, queries, radii);
+  fuzz_decoder(bounded,
+               [](const std::vector<double>& w) { (void)proto::decode_partial_request(w); },
+               600, 54);
+  EXPECT_EQ(proto::decode_partial_request(bounded).radii, radii);
 }
 
 TEST(Fuzz, PartialResponseCodecNeverCrashes) {
@@ -584,7 +592,7 @@ std::vector<BlobCase> blob_cases() {
        {"record-count", "class-histogram", "nb-train-accuracy", "knn-train-accuracy"}) {
     const proto::JobSpec& spec = registry.find(job);
     const auto resolved = spec.resolve_params({});
-    cases.push_back({job, spec.partial(proto::ShardSnapshot(rows, keys), queries, resolved),
+    cases.push_back({job, spec.partial(proto::ShardSnapshot(rows, keys), queries, {}, resolved),
                      [&spec, resolved, queries](std::span<const double> blob) {
                        (void)spec.merge_partials({{blob.begin(), blob.end()}}, queries,
                                                  resolved);
@@ -715,6 +723,10 @@ TEST(Fuzz, DecoderAcceptsOnlyExactSizes) {
       {"serve error", proto::encode_serve_error(proto::ServeErrorCode::kNotOwner, "shard 1"),
        [](auto w) { (void)proto::decode_serve_error(w); }},
       {"partial request", proto::encode_partial_request(1, "knn-train-accuracy", params, rows),
+       [](auto w) { (void)proto::decode_partial_request(w); }},
+      {"bounded partial request",
+       proto::encode_partial_request(1, "knn-train-accuracy", params, rows,
+                                     std::vector<double>{0.5, 0.0, 2.25, 1.0, 0.75}),
        [](auto w) { (void)proto::decode_partial_request(w); }},
       {"partial response", proto::encode_partial_response(5, std::vector<double>{1.0, 2.0}),
        [](auto w) { (void)proto::decode_partial_response(w); }},
