@@ -1,12 +1,17 @@
 // Micro-benchmarks for the perturbation / privacy / protocol hot paths
 // (google-benchmark): perturbation application, adaptor application,
-// FastICA, full attack-suite evaluation, one LocalOptimize run, SMO
-// training, and one complete SAP protocol round.
+// FastICA and its tanh pass, full attack-suite evaluation, one LocalOptimize
+// run, SMO training, and one complete SAP protocol round.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "bench_util.hpp"
 #include "classify/svm.hpp"
+#include "common/owned_math.hpp"
 #include "linalg/orthogonal.hpp"
+#include "linalg/stats.hpp"
 #include "net/remote.hpp"
 #include "optimize/optimizer.hpp"
 #include "perturb/geometric.hpp"
@@ -66,29 +71,70 @@ BENCHMARK(BM_FastIca)->Arg(160)->Arg(500)->Arg(2000);
 
 // The shape LocalOptimize's ICA attack runs in the serving suite
 // (net::serving_session_options): a perturbed 160-record subsample of a
-// 9-dimensional Shuttle shard, {100 iterations, 1e-5}. Most such calls run
-// to the iteration cap, so this is the cost that sets perfbench's setup_s.
-void BM_FastIcaServingShape(benchmark::State& state) {
+// 9-dimensional Shuttle shard.
+Matrix serving_shape_records() {
   Engine eng(8);
   const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
   const Matrix shard = workload.shards[0].features_T();
   const Matrix x =
       sap::linalg::gather_cols(shard, eng.sample_without_replacement(shard.cols(), 160));
-  const Matrix y = sap::perturb::GeometricPerturbation::random(9, 0.1, eng).apply(x, eng);
+  return sap::perturb::GeometricPerturbation::random(9, 0.1, eng).apply(x, eng);
+}
+
+// FastICA at the serving shape, {100 iterations, 1e-5}. Most such calls run
+// to the iteration cap (`iterations` reports this one's), so this is the
+// cost that sets perfbench's setup_s.
+void BM_FastIcaServingShape(benchmark::State& state) {
+  const Matrix y = serving_shape_records();
+  std::size_t iterations = 0;
   for (auto _ : state) {
     Engine ica_eng(9);
     auto res = sap::privacy::fast_ica(y, {.max_iterations = 100, .tolerance = 1e-5}, ica_eng);
+    iterations = res.iterations;
     benchmark::DoNotOptimize(res.sources.data().data());
   }
+  state.counters["iterations"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_FastIcaServingShape)->Unit(benchmark::kMillisecond);
+
+// One g(W Z) pass of a serving-shape FastICA iteration: tanh over a 9 x 160
+// projection, by libm's std::tanh or by the owned span form, row by row as
+// fast_ica applies it. W Z is a random rotation of the row-standardized
+// serving records, the spread FastICA's projections have. Each call copies
+// the projection back first, the same cost on both rows.
+void BM_TanhRow(benchmark::State& state, bool owned) {
+  Matrix z = serving_shape_records();
+  const sap::linalg::Vector mean = sap::linalg::row_means(z);
+  const sap::linalg::Vector sd = sap::linalg::row_stddev(z);
+  for (std::size_t i = 0; i < z.rows(); ++i)
+    for (double& v : z.row(i)) v = (v - mean[i]) / sd[i];
+  Engine eng(10);
+  const Matrix wz = sap::linalg::random_orthogonal(z.rows(), eng) * z;
+  Matrix g = wz;
+  for (auto _ : state) {
+    std::copy(wz.data().begin(), wz.data().end(), g.data().begin());
+    for (std::size_t i = 0; i < g.rows(); ++i) {
+      if (owned) {
+        sap::math::tanh_in_place(g.row(i));
+      } else {
+        for (double& v : g.row(i)) v = std::tanh(v);
+      }
+    }
+    benchmark::DoNotOptimize(g.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(wz.size()));
+}
+BENCHMARK_CAPTURE(BM_TanhRow, libm, false);
+BENCHMARK_CAPTURE(BM_TanhRow, owned, true);
 
 // One of LocalOptimize's two runs on the serving shape: party 0 of the
 // Shuttle stream workload, net::serving_session_options' optimizer, party
 // 0's session engine for seed 1. Random candidates whose cheap-attack bound
 // cannot beat the best fully scored one, and refinement probes the cheap
 // attacks hold at or below best_rho, skip FastICA: `ica_skipped` counts
-// them and `ica_runs` the FastICA runs left (of 12 evaluations).
+// them, `ica_runs` the evaluations left that ran FastICA (of 12), and
+// `ica_failed` the FastICA runs that threw (each is retried once).
 void BM_OptimizeLocalServingShape(benchmark::State& state) {
   const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
   const Matrix x = workload.shards[0].features_T();
@@ -105,6 +151,7 @@ void BM_OptimizeLocalServingShape(benchmark::State& state) {
   }
   state.counters["ica_skipped"] = static_cast<double>(res.ica_skipped);
   state.counters["ica_runs"] = static_cast<double>(res.evaluations - res.ica_skipped);
+  state.counters["ica_failed"] = static_cast<double>(res.ica_failed);
 }
 BENCHMARK(BM_OptimizeLocalServingShape)->Unit(benchmark::kMillisecond);
 

@@ -34,10 +34,29 @@ privacy::PrivacyReport score(const linalg::Matrix& x_eval,
   return suite.evaluate(x_eval, y_buf, eng, scratch, floor);
 }
 
-/// True when the evaluation's floor bounded ICA out (AttackSuite::evaluate).
-bool skipped_ica(const privacy::PrivacyReport& report) {
-  return std::any_of(report.attacks.begin(), report.attacks.end(),
-                     [](const privacy::AttackOutcome& a) { return a.skipped; });
+/// What one evaluation's ICA attack did, for the search's rules and counts.
+struct IcaTally {
+  bool skipped = false;   ///< the floor bounded it out (AttackSuite::evaluate)
+  bool eligible = true;   ///< false when every FastICA run threw
+  std::size_t failed = 0;  ///< FastICA runs that threw
+  bool converged = false;
+};
+
+IcaTally ica_tally(const privacy::AttackSuite& suite, const privacy::PrivacyReport& report) {
+  IcaTally t;
+  if (const privacy::AttackOutcome* ica = suite.ica_outcome(report)) {
+    t.skipped = ica->skipped;
+    t.eligible = !ica->failed;
+    t.failed = ica->failed_runs;
+    t.converged = ica->converged;
+  }
+  return t;
+}
+
+/// Adds the FastICA runs of an evaluation the search kept.
+void count_runs(OptimizationResult& result, const IcaTally& t) {
+  result.ica_failed += t.failed;
+  result.ica_converged += static_cast<std::size_t>(t.converged);
 }
 
 }  // namespace
@@ -94,6 +113,7 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
   linalg::Vector& rhos = result.candidate_rhos;
   rhos.assign(nc, 0.0);
   std::vector<std::uint8_t> deferred(nc, 0);  // ICA not run yet: rhos[c] is a bound
+  std::vector<IcaTally> tally(nc);
   pool.run_indexed(nc, [&](std::size_t c) {
     cand[c] = perturb::GeometricPerturbation::random(d, opts.noise_sigma, slot_eng[c]);
     cand[c].apply_into(x_eval, y_buf[c], slot_eng[c]);
@@ -102,7 +122,8 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
         suite.evaluate(x_eval, y_buf[c], cheap_eng, scratch[c],
                        std::numeric_limits<double>::infinity());
     rhos[c] = report.rho;
-    deferred[c] = static_cast<std::uint8_t>(skipped_ica(report));
+    tally[c] = ica_tally(suite, report);
+    deferred[c] = static_cast<std::uint8_t>(tally[c].skipped);
   });
   result.evaluations += nc;
 
@@ -110,7 +131,8 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
   // against the leader: the best fully scored candidate so far under the
   // phase's order (higher rho, then lower index). A deferred candidate runs
   // FastICA only if its bound beats the leader; otherwise its rho, which is
-  // at most its bound, cannot win either, and it keeps the bound.
+  // at most its bound, cannot win either, and it keeps the bound. An
+  // ineligible candidate keeps its score but never becomes the leader.
   //
   // Each pool worker runs a lane that folds finished runs in bound order
   // under that serial rule, then starts the next candidate the folded
@@ -141,7 +163,8 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
         }
         rhos[c] = full_rho[c];
       }
-      if (beats_leader(c)) leader = c;
+      count_runs(result, tally[c]);
+      if (tally[c].eligible && beats_leader(c)) leader = c;
     }
   };
   Mutex lanes;
@@ -152,11 +175,16 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
       if (deferred[c] == 0 || !beats_leader(c)) continue;
       running[c] = 1;
       lk.unlock();
-      full_rho[c] = suite.evaluate(x_eval, y_buf[c], slot_eng[c], scratch[c]).rho;
+      const privacy::PrivacyReport report =
+          suite.evaluate(x_eval, y_buf[c], slot_eng[c], scratch[c]);
       lk.lock();
+      full_rho[c] = report.rho;
+      tally[c] = ica_tally(suite, report);
       running[c] = 0;
     }
   });
+  SAP_REQUIRE(leader != nc,
+              "optimize_perturbation: the ICA attack failed on every candidate, retry included");
   result.best = std::move(cand[leader]);
   result.best_rho = rhos[leader];
 
@@ -168,14 +196,15 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
   // Both probes score against the step's incoming best_rho as their floor:
   // a probe the cheap attacks already hold at or below it could not be
   // accepted, so it skips ICA without changing any decision (see the
-  // header's determinism contract and DESIGN.md §8).
+  // header's determinism contract and DESIGN.md §8). An ineligible probe
+  // competes as -inf, so it neither wins the step nor is accepted.
   double angle = opts.refine_angle;
   std::array<privacy::AttackSuite::Scratch, 2> probe_scratch{proto_scratch, proto_scratch};
   std::array<linalg::Matrix, 2> probe_y;
   std::array<perturb::GeometricPerturbation, 2> probe;
   std::array<rng::Engine, 2> probe_eng{rng::Engine{0}, rng::Engine{0}};
   std::array<double, 2> probe_rho{};
-  std::array<bool, 2> probe_skipped{};
+  std::array<IcaTally, 2> probe_ica{};
   for (std::size_t step = 0; step < opts.refine_steps; ++step) {
     if (d < 2) break;
     const std::size_t p = eng.uniform_index(d);
@@ -192,11 +221,14 @@ OptimizationResult optimize_perturbation(const linalg::Matrix& x,
       const privacy::PrivacyReport report =
           score(x_eval, probe[s], suite, probe_scratch[s], probe_y[s], probe_eng[s], floor);
       probe_rho[s] = report.rho;
-      probe_skipped[s] = skipped_ica(report);
+      probe_ica[s] = ica_tally(suite, report);
     });
     result.evaluations += 2;
-    result.ica_skipped += static_cast<std::size_t>(probe_skipped[0]) +
-                          static_cast<std::size_t>(probe_skipped[1]);
+    for (std::size_t s = 0; s < 2; ++s) {
+      result.ica_skipped += static_cast<std::size_t>(probe_ica[s].skipped);
+      count_runs(result, probe_ica[s]);
+      if (!probe_ica[s].eligible) probe_rho[s] = -std::numeric_limits<double>::infinity();
+    }
 
     const std::size_t win = (probe_rho[0] >= probe_rho[1]) ? 0 : 1;
     if (probe_rho[win] > result.best_rho) {

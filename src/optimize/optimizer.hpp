@@ -33,6 +33,12 @@
 // starts from the engine state a full evaluation gives it, so the result
 // stays the full search's bit for bit. Which evaluations skip depends only
 // on (data, options, engine), never on the thread count.
+//
+// A FastICA run that throws is retried once from a separately spawned
+// stream (AttackSuite::evaluate). An evaluation whose retry throws too has
+// no ICA score, and its cheap-attack minimum can only overstate rho, so
+// that candidate or probe is ineligible: it cannot lead the random phase or
+// win a refinement step. When no candidate is eligible the run throws.
 #pragma once
 
 #include "common/thread_pool.hpp"
@@ -68,8 +74,8 @@ struct OptimizationResult {
   double best_rho = 0.0;
   /// Score of every random candidate (before refinement): rho where its
   /// FastICA ran, and the cheap attacks' upper bound on rho where it was
-  /// skipped. Not a sample of random rho with ICA on; Figure 2 scores its
-  /// random draws with evaluate_perturbation.
+  /// skipped or failed. Not a sample of random rho with ICA on; Figure 2
+  /// scores its random draws with evaluate_perturbation.
   linalg::Vector candidate_rhos;
   /// Evaluations spent (candidates + 2 refinement probes per step).
   std::size_t evaluations = 0;
@@ -77,6 +83,11 @@ struct OptimizationResult {
   /// candidates whose cheap-attack bound could not beat the leader, and
   /// probes the cheap attacks already held at or below best_rho.
   std::size_t ica_skipped = 0;
+  /// FastICA runs that threw, retries included: an evaluation counts 0, 1
+  /// or 2, and one that counts 2 was ineligible (see the header comment).
+  std::size_t ica_failed = 0;
+  /// FastICA runs whose scored sources met the tolerance before the cap.
+  std::size_t ica_converged = 0;
 };
 
 /// One optimization run on a d x N dataset (paper layout, column = record).

@@ -26,7 +26,9 @@ Reconstruction IcaReconstructionAttack::reconstruct(const AttackContext& ctx,
                                                     rng::Engine& eng) const {
   SAP_REQUIRE(ctx.perturbed != nullptr, "ica attack: missing perturbed data");
   FastIcaResult ica = fast_ica(*ctx.perturbed, opts_, eng);
-  return {Reconstruction::Kind::kCandidatePool, std::move(ica.sources)};
+  Reconstruction rec{Reconstruction::Kind::kCandidatePool, std::move(ica.sources)};
+  rec.converged = ica.converged;
+  return rec;
 }
 
 Reconstruction KnownInputAttack::reconstruct(const AttackContext& ctx,

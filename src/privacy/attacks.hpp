@@ -54,6 +54,7 @@ struct Reconstruction {
   Kind kind = Kind::kCandidatePool;
   linalg::Matrix estimate;                   ///< owned storage (empty when viewed)
   const linalg::Matrix* view = nullptr;      ///< non-owning alternative
+  bool converged = false;                    ///< ICA: FastICA met its tolerance
   [[nodiscard]] const linalg::Matrix& get() const noexcept {
     return view != nullptr ? *view : estimate;
   }

@@ -161,30 +161,38 @@ PrivacyReport AttackSuite::evaluate(const linalg::Matrix& original,
   PrivacyReport report;
   report.attacks.resize(attacks_.size());
   report.rho = std::numeric_limits<double>::infinity();
-  const auto run = [&](std::size_t a) {
+  // One run of attack `a` drawing from `stream`; false when it threw.
+  const auto run = [&](std::size_t a, rng::Engine& stream) {
     AttackOutcome& outcome = report.attacks[a];
     try {
-      const Reconstruction rec = attacks_[a]->reconstruct(ctx, eng);
+      const Reconstruction rec = attacks_[a]->reconstruct(ctx, stream);
       outcome.per_column = (rec.kind == Reconstruction::Kind::kAligned)
                                ? column_privacy(original, rec.get(), scratch.stddevs)
                                : candidate_pool_privacy_fast(scratch, rec.get());
       outcome.rho = *std::min_element(outcome.per_column.begin(), outcome.per_column.end());
+      outcome.converged = rec.converged;
+      outcome.failed = false;
       report.rho = std::min(report.rho, outcome.rho);
+      return true;
     } catch (const Error& e) {
       outcome.failed = true;
+      ++outcome.failed_runs;
       log::debug(std::string("attack '") + outcome.attack + "' failed: " + e.what());
+      return false;
     }
   };
   for (std::size_t a = 0; a < attacks_.size(); ++a) {
     report.attacks[a].attack = attacks_[a]->name();
-    if (!opts_.ica || a != ica_slot_) run(a);
+    if (!opts_.ica || a != ica_slot_) run(a, eng);
   }
-  // ICA last (see the header): skipped once the cheap attacks have met the floor.
+  // ICA last (see the header): skipped once the cheap attacks have met the
+  // floor, and retried once from a spawned stream when its run throws.
   if (opts_.ica) {
     if (std::isfinite(report.rho) && report.rho <= floor) {
       report.attacks[ica_slot_].skipped = true;
-    } else {
-      run(ica_slot_);
+    } else if (!run(ica_slot_, eng)) {
+      rng::Engine retry = eng.spawn();
+      run(ica_slot_, retry);
     }
   }
   SAP_REQUIRE(std::isfinite(report.rho),

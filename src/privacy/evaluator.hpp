@@ -27,7 +27,16 @@ struct AttackOutcome {
   std::string attack;
   linalg::Vector per_column;  ///< p_j for every original dimension
   double rho = 0.0;           ///< min_j p_j under this attack
-  bool failed = false;        ///< attack threw (e.g. ICA on degenerate data)
+  /// Every run of the attack threw (e.g. FastICA's decorrelation
+  /// degenerated twice): the attack scored nothing, and `rho` is not a
+  /// bound on what it would have found.
+  bool failed = false;
+  /// Runs that threw. ICA, the one attack that is retried, counts 0, 1 or 2
+  /// (see AttackSuite::evaluate); the others 0 or 1.
+  std::size_t failed_runs = 0;
+  /// ICA only: the FastICA run whose sources were scored met its tolerance
+  /// before the iteration cap.
+  bool converged = false;
   /// Not run: the other attacks already scored at or below the evaluation's
   /// floor (see AttackSuite::evaluate). Only ICA is ever skipped.
   bool skipped = false;
@@ -79,8 +88,10 @@ class AttackSuite {
 
   /// Evaluate rho for the pair (original, perturbed), both d x N.
   /// Known-input pairs are drawn uniformly from the records with `eng`.
-  /// ICA failures are recorded (failed=true) and excluded from rho; if every
-  /// attack fails, throws sap::Error.
+  /// A FastICA run that throws is retried once, from a stream spawned from
+  /// `eng` after the failed run; a degenerate start says nothing about the
+  /// data. An attack whose every run threw is recorded (failed=true) and
+  /// excluded from rho; if every attack fails, throws sap::Error.
   [[nodiscard]] PrivacyReport evaluate(const linalg::Matrix& original,
                                        const linalg::Matrix& perturbed,
                                        rng::Engine& eng) const;
@@ -100,6 +111,12 @@ class AttackSuite {
   [[nodiscard]] PrivacyReport evaluate(
       const linalg::Matrix& original, const linalg::Matrix& perturbed, rng::Engine& eng,
       Scratch& scratch, double floor = -std::numeric_limits<double>::infinity()) const;
+
+  /// The ICA attack's outcome in a report this suite produced, or null when
+  /// the suite runs no ICA attack.
+  [[nodiscard]] const AttackOutcome* ica_outcome(const PrivacyReport& report) const noexcept {
+    return opts_.ica ? &report.attacks[ica_slot_] : nullptr;
+  }
 
   [[nodiscard]] const AttackSuiteOptions& options() const noexcept { return opts_; }
 

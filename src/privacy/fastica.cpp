@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/owned_math.hpp"
 #include "linalg/decompose.hpp"
 #include "linalg/stats.hpp"
 
@@ -79,14 +80,14 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
   FastIcaResult result;
   const double inv_n = 1.0 / static_cast<double>(n);
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
-    // g(W Z) in place, and E[g'(W Z)] per row.
+    // g(W Z) in place, one row at a time through the owned tanh's span
+    // form, then E[g'(W Z)] per row in its own ascending chain.
     linalg::gemm(1.0, w, z, 0.0, g);
     for (std::size_t i = 0; i < k; ++i) {
+      const auto row = g.row(i);
+      math::tanh_in_place(row);
       double acc = 0.0;
-      for (auto& v : g.row(i)) {
-        v = std::tanh(v);
-        acc += 1.0 - v * v;
-      }
+      for (const double v : row) acc += 1.0 - v * v;
       gprime[i] = acc;
     }
     // E[g(W Z) Z^T] - E[g'(W Z)] W

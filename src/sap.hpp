@@ -3,7 +3,8 @@
 //   #include "sap.hpp"
 //
 // Module map (see README.md for the architecture overview):
-//   sap::common   — error handling, logging, stopwatch, text tables
+//   sap::common   — error handling, logging, stopwatch, text tables;
+//                   sap::math, the owned elementary functions
 //   sap::rng      — deterministic xoshiro256++ engine + distributions
 //   sap::linalg   — Matrix, decompositions, random orthogonal, Procrustes
 //   sap::data     — Dataset, normalizers, partitioners, synthetic UCI suite
@@ -19,6 +20,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/owned_math.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 

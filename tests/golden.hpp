@@ -14,11 +14,12 @@
 // Within one binary the suite asserts exact equality (thread-count
 // invariance). The pins use kGoldenTolerance, which absorbs last-bit
 // differences in how a compiler lowers the same arithmetic. It cannot
-// absorb a change of libm or CPU: FastICA's tanh comes from the host libm
-// (glibc 2.36's tanh calls an expm1 that an IFUNC resolves to an FMA build
-// on FMA CPUs), and a tanh that differs by an ulp on a few inputs can make
-// the optimizer pick another G, moving an ICA-scored rho by hundredths
-// (ROADMAP item 15(d)).
+// absorb a change of libm or CPU in what the exchange still takes from the
+// host libm: rng::Engine::normal's Box-Muller log, sin and cos (glibc 2.36
+// resolves them to FMA builds by IFUNC on FMA CPUs). One ulp on a few draws
+// can make the optimizer pick another G, moving an ICA-scored rho by
+// hundredths (ROADMAP item 16(a)). FastICA's tanh is owned
+// (common/owned_math.hpp), so it no longer depends on the host.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,11 @@ inline constexpr double kGoldenIrisBestRho = 0.63135623673444197;
 
 /// optimize_perturbation on normalized Shuttle (data seed 1), Engine(777),
 /// net::serving_session_options(0.1, 1).optimizer: the serving suite, whose
-/// ICA attack runs FastICA inside every evaluation.
-inline constexpr double kGoldenServingShuttleBestRho = 0.77638611137794078;
+/// ICA attack runs FastICA inside every evaluation. Re-pinned from
+/// 0.77638611137794078 when FastICA's tanh moved from libm to the owned
+/// tanh: its capped runs do not converge, so an ulp-level change in tanh
+/// changes their sources and here the G the optimizer picks.
+inline constexpr double kGoldenServingShuttleBestRho = 0.76693210394165834;
 
 /// SapSession over provider_split("Iris", 3, 4242) shards with
 /// SapOptions::fast() + seed 4242: party 0's locally optimized rho_i.

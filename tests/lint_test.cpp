@@ -3,7 +3,7 @@
 // Runs the built linter (SAP_LINT_PATH, injected by CMake like SAP_CLI_PATH)
 // against the in-repo fixture corpus (SAP_LINT_FIXTURES =
 // tests/lint_fixtures): one violating and one conforming input per rule
-// R1–R8, plus suppression handling. Assertions are on EXACT file:line and
+// R1–R9, plus suppression handling. Assertions are on EXACT file:line and
 // rule tags, so the diagnostics the tree relies on can never silently drift.
 //
 // The repo itself is linted by the separate `sap_lint` CTest entry (the tool
@@ -82,7 +82,8 @@ TEST(SapLint, ViolatingTreeFailsWithEveryRuleRepresented) {
   EXPECT_EQ(run.exit, 1) << run.output;
   for (const char* tag : {"R1/rng-discipline", "R2/determinism", "R3/codec-safety",
                           "R4/raii-locking", "R5/bench-hygiene", "R6/obs-purity",
-                          "R7/bounded-retry", "R8/isa-confinement", "suppression"}) {
+                          "R7/bounded-retry", "R8/isa-confinement", "R9/owned-math",
+                          "suppression"}) {
     bool seen = false;
     for (const std::string& d : run.diagnostics)
       if (d.find(std::string("[") + tag + "]") != std::string::npos) seen = true;
@@ -271,6 +272,28 @@ TEST(SapLint, R8FlagsIsaCodeOutsideTheLaneKernel) {
 TEST(SapLint, R8PermitsTheLaneKernel) {
   const LintRun run = lint("conforming", "src/classify/nearest.cpp");
   EXPECT_EQ(run.exit, 0) << run.output;
+}
+
+// ---- R9: owned math ------------------------------------------------------
+
+TEST(SapLint, R9FlagsLibmTranscendentalsInTheExchangeKernels) {
+  const std::string file = "src/privacy/libm_calls.cpp";
+  const LintRun run = lint("violating", file);
+  EXPECT_EQ(run.exit, 1) << run.output;
+  EXPECT_EQ(run.diagnostics.size(), 6u) << run.output;
+  EXPECT_TRUE(has_diag(run, file, 5, "R9/owned-math")) << run.output;  // std::tanh
+  EXPECT_TRUE(has_diag(run, file, 6, "R9/owned-math")) << run.output;  // ::exp, log1p
+  EXPECT_TRUE(has_diag(run, file, 7, "R9/owned-math")) << run.output;  // std::pow
+  EXPECT_TRUE(has_diag(run, file, 8, "R9/owned-math")) << run.output;  // std::atan2 (
+  EXPECT_TRUE(has_diag(run, file, 9, "R9/owned-math")) << run.output;  // lgammaf
+}
+
+TEST(SapLint, R9PermitsOwnedMathExactCallsAndOtherDirectories) {
+  const LintRun run = lint("conforming", "src/privacy/owned_math_calls.cpp");
+  EXPECT_EQ(run.exit, 0) << run.output;
+  // std::exp in src/classify: serving-side code is outside the rule.
+  const LintRun serving = lint("conforming", "src/classify/pure_kernel.cpp");
+  EXPECT_EQ(serving.exit, 0) << serving.output;
 }
 
 // ---- suppressions --------------------------------------------------------

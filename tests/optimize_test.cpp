@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -49,12 +50,15 @@ sap::opt::OptimizerOptions cheap_options() {
 // timed. Beside the result it records each candidate's cheap-attack bound
 // (ICA floored out, scored from a copy of the candidate's engine) and
 // replays the candidate rule serially over the full scores, so a test
-// knows which candidates the search under test must score in full.
+// knows which candidates the search under test must score in full. A
+// candidate or probe whose FastICA threw on its retry too is ineligible,
+// as in the search: it never leads and never wins a step.
 struct FullScoring {
   sap::opt::OptimizationResult result;
   std::vector<double> bounds;  ///< cheap attacks only, >= the full score
   std::vector<bool> scored;    ///< its FastICA runs (or ICA is off): a full score
-  std::size_t winner = 0;      ///< the candidate phase's argmax
+  std::vector<std::size_t> failed_runs;  ///< FastICA runs that threw, per candidate
+  std::size_t winner = 0;      ///< the candidate phase's argmax over eligible ones
 };
 
 FullScoring full_scoring_optimize(const Matrix& x, const sap::opt::OptimizerOptions& opts,
@@ -70,14 +74,22 @@ FullScoring full_scoring_optimize(const Matrix& x, const sap::opt::OptimizerOpti
                 x, eng.sample_without_replacement(x.cols(), opts.max_eval_records));
   const std::size_t d = x.rows();
   const std::size_t nc = opts.candidates;
+  const auto ineligible = [&](const sap::privacy::PrivacyReport& report) {
+    const sap::privacy::AttackOutcome* ica = suite.ica_outcome(report);
+    return ica != nullptr && ica->failed;
+  };
+  // A probe's full score, or -inf where every FastICA run threw.
   const auto score = [&](const GeometricPerturbation& g, AttackSuite::Scratch& scratch,
                          Matrix& y_buf, Engine& e) {
     g.apply_into(x_eval, y_buf, e);
-    return suite.evaluate(x_eval, y_buf, e, scratch).rho;
+    const auto report = suite.evaluate(x_eval, y_buf, e, scratch);
+    return ineligible(report) ? -std::numeric_limits<double>::infinity() : report.rho;
   };
 
   FullScoring full;
   full.bounds.assign(nc, 0.0);
+  full.failed_runs.assign(nc, 0);
+  std::vector<std::uint8_t> excluded(nc, 0);  ///< ineligible: every FastICA run threw
   sap::opt::OptimizationResult& result = full.result;
   std::vector<Engine> slot_eng;
   for (std::size_t c = 0; c < nc; ++c) slot_eng.push_back(eng.spawn());
@@ -94,15 +106,20 @@ FullScoring full_scoring_optimize(const Matrix& x, const sap::opt::OptimizerOpti
                          .evaluate(x_eval, y_buf[c], bound_eng, scratch[c],
                                    std::numeric_limits<double>::infinity())
                          .rho;
-    result.candidate_rhos[c] = suite.evaluate(x_eval, y_buf[c], slot_eng[c], scratch[c]).rho;
+    const auto report = suite.evaluate(x_eval, y_buf[c], slot_eng[c], scratch[c]);
+    result.candidate_rhos[c] = report.rho;
+    excluded[c] = static_cast<std::uint8_t>(ineligible(report));
+    if (const auto* ica = suite.ica_outcome(report)) full.failed_runs[c] = ica->failed_runs;
   });
   result.evaluations += nc;
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < nc; ++c)
-    if (result.candidate_rhos[c] > result.candidate_rhos[best]) best = c;
-  full.winner = best;
-  result.best = std::move(cand[best]);
-  result.best_rho = result.candidate_rhos[best];
+  std::optional<std::size_t> best;
+  for (std::size_t c = 0; c < nc; ++c)
+    if (excluded[c] == 0 && (!best || result.candidate_rhos[c] > result.candidate_rhos[*best]))
+      best = c;
+  SAP_REQUIRE(best.has_value(), "full_scoring_optimize: no eligible candidate");
+  full.winner = *best;
+  result.best = std::move(cand[full.winner]);
+  result.best_rho = result.candidate_rhos[full.winner];
 
   // The candidate rule, serially: in descending bound order (ties: lower
   // index first), a candidate runs FastICA only if its bound beats the
@@ -122,7 +139,7 @@ FullScoring full_scoring_optimize(const Matrix& x, const sap::opt::OptimizerOpti
   for (const std::size_t c : order) {
     if (full.scored[c] || !beats_leader(full.bounds[c], c)) continue;
     full.scored[c] = true;
-    if (beats_leader(result.candidate_rhos[c], c)) leader = c;
+    if (excluded[c] == 0 && beats_leader(result.candidate_rhos[c], c)) leader = c;
   }
 
   double angle = opts.refine_angle;
@@ -277,12 +294,13 @@ TEST(Optimizer, RefineSkipMatchesTextbookLoopBitForBit) {
   // Random candidates run FastICA only where their cheap-attack bound can
   // beat the leader, and refinement probes skip it when the cheap attacks
   // already hold them at or below best_rho; the search must still be the
-  // fully scored one, bit for bit, at every thread count. Five inputs: the
+  // fully scored one, bit for bit, at every thread count. Six inputs: the
   // serving optimizer on Shuttle (pinned skip count); the same with the
   // spectral attack; Votes, where ICA binds everywhere and nothing is
   // skipped; a Shuttle input whose top-bound candidate loses, so ranking by
-  // bound alone picks the wrong winner; and an ICA-off suite, which has no
-  // FastICA to skip.
+  // bound alone picks the wrong winner; a Diabetes input whose top-bound
+  // candidate's first FastICA run throws; and an ICA-off suite, which has
+  // no FastICA to skip.
   const auto serving = sap::net::serving_session_options(0.1, 1).optimizer;
   auto spectral = serving;
   spectral.attacks.spectral = true;
@@ -294,22 +312,33 @@ TEST(Optimizer, RefineSkipMatchesTextbookLoopBitForBit) {
     sap::opt::OptimizerOptions opts;
     std::optional<std::size_t> ica_skipped;  ///< pinned where the input is about it
     bool top_bound_loses = false;
+    std::size_t ica_failed = 0;  ///< FastICA runs that threw, retries included
   };
   const Input inputs[] = {
-      {"serving, Shuttle", normalized_paper_layout("Shuttle", 1), serving, 10},
+      {"serving, Shuttle", normalized_paper_layout("Shuttle", 1), serving, 7},
       {"serving + spectral, Shuttle", normalized_paper_layout("Shuttle", 1), spectral, {}},
       {"serving, Votes", normalized_paper_layout("Votes", 1), serving, 0},
-      {"serving, Shuttle 2", normalized_paper_layout("Shuttle", 2), serving, 5, true},
+      {"serving, Shuttle 2", normalized_paper_layout("Shuttle", 2), serving, 4, true},
+      {"serving, Diabetes 139", normalized_paper_layout("Diabetes", 139), serving, {}, true, 1},
       {"ICA off, Shuttle", normalized_paper_layout("Shuttle", 1), ica_off, 0}};
-  for (auto [name, x, opts, ica_skipped, top_bound_loses] : inputs) {
+  for (auto [name, x, opts, ica_skipped, top_bound_loses, ica_failed] : inputs) {
     SCOPED_TRACE(name);
     Engine ref_eng(777);
     const auto ref = full_scoring_optimize(x, opts, ref_eng);
     const std::size_t nc = ref.bounds.size();
     const double winner_rho = ref.result.candidate_rhos[ref.winner];
+    const auto top = static_cast<std::size_t>(
+        std::max_element(ref.bounds.begin(), ref.bounds.end()) - ref.bounds.begin());
     if (top_bound_loses) {
-      const auto top = std::max_element(ref.bounds.begin(), ref.bounds.end());
-      EXPECT_NE(static_cast<std::size_t>(top - ref.bounds.begin()), ref.winner);
+      EXPECT_NE(top, ref.winner);
+    }
+    if (ica_failed > 0) {
+      // The top-bound candidate's first FastICA run throws and its retry
+      // scores it below the winner. Scored at its cheap attacks' minimum, as
+      // a failed ICA attack once was, it would have won.
+      EXPECT_EQ(ref.failed_runs[top], ica_failed);
+      EXPECT_GT(ref.bounds[top], winner_rho);
+      EXPECT_LT(ref.result.candidate_rhos[top], winner_rho);
     }
     for (const std::size_t threads : {0, 2, 8}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -340,7 +369,24 @@ TEST(Optimizer, RefineSkipMatchesTextbookLoopBitForBit) {
       if (ica_skipped) {
         EXPECT_EQ(res.ica_skipped, *ica_skipped);
       }
+      EXPECT_EQ(res.ica_failed, ica_failed);
     }
+  }
+}
+
+TEST(Optimizer, IcaFailingOnEveryCandidateThrows) {
+  // Nine dimensions over eight records: the covariance has rank 7, so every
+  // FastICA run, retry included, throws while whitening. No candidate has
+  // an ICA score, and the cheap attacks' minimum is no bound on rho.
+  const Matrix shuttle = normalized_paper_layout("Shuttle", 1);
+  const std::vector<std::size_t> first_eight = {0, 1, 2, 3, 4, 5, 6, 7};
+  const Matrix x = sap::linalg::gather_cols(shuttle, first_eight);
+  ASSERT_EQ(x.rows(), 9u);
+  for (const std::size_t threads : {0, 2}) {
+    auto opts = sap::net::serving_session_options(0.1, 1).optimizer;
+    opts.threads = threads;
+    Engine eng(777);
+    EXPECT_THROW((void)sap::opt::optimize_perturbation(x, opts, eng), sap::Error) << threads;
   }
 }
 

@@ -9,9 +9,11 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/owned_math.hpp"
 #include "data/normalize.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/decompose.hpp"
@@ -219,7 +221,7 @@ sap::privacy::FastIcaResult textbook_fast_ica(const Matrix& observations,
     for (std::size_t i = 0; i < k; ++i) {
       auto prow = proj.row(i);
       for (std::size_t t = 0; t < n; ++t) {
-        const double g = std::tanh(prow[t]);
+        const double g = sap::math::tanh(prow[t]);
         gprime[i] += 1.0 - g * g;
         for (std::size_t j = 0; j < k; ++j) gz(i, j) += g * z(j, t);
       }
@@ -247,6 +249,18 @@ sap::privacy::FastIcaResult textbook_fast_ica(const Matrix& observations,
   return result;
 }
 
+/// The serving shape: the optimizer scores every candidate on a perturbed
+/// 160-record subsample of one party's Shuttle shard (d = 9). Returns the
+/// subsample and its perturbed image.
+std::pair<Matrix, Matrix> serving_shape(Engine& prep) {
+  const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
+  const Matrix shard = workload.shards[0].features_T();
+  Matrix x_eval =
+      sap::linalg::gather_cols(shard, prep.sample_without_replacement(shard.cols(), 160));
+  Matrix served = GeometricPerturbation::random(x_eval.rows(), 0.1, prep).apply(x_eval, prep);
+  return {std::move(x_eval), std::move(served)};
+}
+
 bool same_bits(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
@@ -262,15 +276,8 @@ TEST(FastIca, MatchesTextbookLoopBitForBit) {
   };
   std::vector<Case> cases;
 
-  // The serving shape: the optimizer scores every candidate on a perturbed
-  // 160-record subsample of one party's Shuttle shard (d = 9).
   Engine prep(18);
-  const auto workload = sap::data::make_stream_workload("Shuttle", 4, 16, 32, 1);
-  const Matrix shard = workload.shards[0].features_T();
-  const Matrix x_eval =
-      sap::linalg::gather_cols(shard, prep.sample_without_replacement(shard.cols(), 160));
-  const Matrix served =
-      GeometricPerturbation::random(x_eval.rows(), 0.1, prep).apply(x_eval, prep);
+  const Matrix served = serving_shape(prep).second;
   const FastIcaOptions serving{.max_iterations = 100, .tolerance = 1e-5};
   // Like most serving-shape calls, this one runs to the iteration cap.
   cases.push_back({"shuttle serving shape", served, serving, false});
@@ -719,6 +726,49 @@ TEST(AttackSuite, FloorSkipsOnlyIca) {
     expect_same_report(cheap.evaluate(x, y, eng_b, cheap_scratch, kInf), plain);
     EXPECT_EQ(eng_a(), eng_b());
   }
+}
+
+TEST(AttackSuite, FailedIcaRunIsRetriedOnceFromASpawnedStream) {
+  const sap::privacy::AttackSuite suite({.naive = true, .ica = true, .known_inputs = 4});
+  Engine prep(18);
+  const auto [x, y] = serving_shape(prep);
+  {
+    SCOPED_TRACE("engine 119: the first FastICA start degenerates, the retry scores");
+    Engine eng(119);
+    const auto report = suite.evaluate(x, y, eng);
+    const sap::privacy::AttackOutcome* ica = suite.ica_outcome(report);
+    ASSERT_NE(ica, nullptr);
+    EXPECT_EQ(ica->attack, "ica");
+    EXPECT_EQ(ica->failed_runs, 1u);
+    EXPECT_FALSE(ica->failed);
+    // The retry is the run from a stream spawned after the failed one.
+    Engine manual(119);
+    (void)manual.sample_without_replacement(x.cols(), 4);
+    EXPECT_THROW((void)sap::privacy::fast_ica(y, suite.options().ica_options, manual),
+                 sap::Error);
+    Engine retry = manual.spawn();
+    const auto rerun = sap::privacy::fast_ica(y, suite.options().ica_options, retry);
+    EXPECT_EQ(ica->per_column, sap::privacy::candidate_pool_privacy(x, rerun.sources));
+    EXPECT_EQ(ica->converged, rerun.converged);
+    EXPECT_EQ(report.rho, std::min({report.attacks[0].rho, ica->rho, report.attacks[2].rho}));
+    EXPECT_EQ(eng(), manual());
+  }
+  {
+    SCOPED_TRACE("nine dimensions over eight records: both runs throw while whitening");
+    const Matrix x8 = uniform_sources(9, 8, prep);
+    const Matrix y8 = GeometricPerturbation::random(9, 0.1, prep).apply(x8, prep);
+    Engine eng(5);
+    const auto report = suite.evaluate(x8, y8, eng);
+    const sap::privacy::AttackOutcome* ica = suite.ica_outcome(report);
+    ASSERT_NE(ica, nullptr);
+    EXPECT_EQ(ica->failed_runs, 2u);
+    EXPECT_TRUE(ica->failed);
+    EXPECT_TRUE(ica->per_column.empty());
+    EXPECT_EQ(report.rho, std::min(report.attacks[0].rho, report.attacks[2].rho));
+  }
+  const sap::privacy::AttackSuite no_ica({.naive = true, .ica = false, .known_inputs = 4});
+  Engine eng(119);
+  EXPECT_EQ(no_ica.ica_outcome(no_ica.evaluate(x, y, eng)), nullptr);
 }
 
 TEST(AttackSuite, MismatchedScratchThrows) {

@@ -52,6 +52,14 @@
 //                       kernel's AVX2 variant and its runtime dispatch are
 //                       the one ISA-specific code, and the per-ISA
 //                       exactness argument (DESIGN.md §8) covers only them.
+//   R9/owned-math       no <cmath> transcendental calls (exp, expm1, log*,
+//                       pow, the trigonometric and hyperbolic functions and
+//                       their inverses, erf*, *gamma, cbrt, hypot) in
+//                       src/privacy, src/optimize or src/perturb — a libm
+//                       may round them differently per build, CPU or
+//                       version, and the exchange's privacy scores must not
+//                       move with the host; call sap::math (common/
+//                       owned_math.hpp) instead. sqrt and fabs are exact.
 //
 // Suppressions: a finding is waived by a comment on the same line (or a
 // comment-only line directly above the offending statement):
@@ -61,7 +69,7 @@
 //
 // The reason after `--` is mandatory; an allow() without one is itself a
 // diagnostic ("suppression"), so every waiver in the tree carries a written
-// justification. Rules are named by id (R1..R8) or slug.
+// justification. Rules are named by id (R1..R9) or slug.
 //
 // Usage:  sap_lint [path]...
 //   * a directory containing src/tools/bench scans those subtrees (the
@@ -88,14 +96,14 @@ namespace fs = std::filesystem;
 // ---- rules ---------------------------------------------------------------
 
 struct RuleInfo {
-  const char* id;    ///< R1..R8
+  const char* id;    ///< R1..R9
   const char* slug;  ///< human-readable name, accepted in allow() too
 };
 
 constexpr RuleInfo kRules[] = {
     {"R1", "rng-discipline"}, {"R2", "determinism"},   {"R3", "codec-safety"},
     {"R4", "raii-locking"},   {"R5", "bench-hygiene"}, {"R6", "obs-purity"},
-    {"R7", "bounded-retry"},  {"R8", "isa-confinement"},
+    {"R7", "bounded-retry"},  {"R8", "isa-confinement"}, {"R9", "owned-math"},
 };
 
 /// Canonical id for an allow() argument ("R3" or "codec-safety"); empty when
@@ -115,7 +123,7 @@ const char* rule_slug(const std::string& id) {
 struct Diagnostic {
   std::string file;
   std::size_t line = 0;
-  std::string rule;  ///< "R1".."R8" or "suppression"
+  std::string rule;  ///< "R1".."R9" or "suppression"
   std::string message;
 };
 
@@ -410,6 +418,7 @@ class Linter {
       rule_bench(f, line, code);
       rule_obs(f, line, code);
       rule_isa(f, line, code);
+      rule_owned_math(f, line, code);
     }
     rule_retry(f);  // loop-shaped, so it scans the whole file itself
   }
@@ -674,6 +683,60 @@ class Linter {
       report(f, line, "R8",
              "<immintrin.h> outside src/classify/nearest.cpp — vector code is the "
              "lane kernel's, written with generic vectors");
+  }
+
+  /// The <cmath> transcendentals R9 keeps out of the exchange's kernels,
+  /// by their double names; the f/l-suffixed forms count too.
+  static bool libm_transcendental(const std::string& name) {
+    static const std::set<std::string> kNames = {
+        "exp",  "exp2", "expm1", "log",   "log2",  "log10",  "log1p",  "logb",
+        "pow",  "sin",  "cos",   "tan",   "asin",  "acos",   "atan",   "atan2",
+        "sinh", "cosh", "tanh",  "asinh", "acosh", "atanh",  "erf",    "erfc",
+        "cbrt", "hypot", "tgamma", "lgamma"};
+    if (kNames.contains(name)) return true;
+    const char last = name.empty() ? '\0' : name.back();
+    return (last == 'f' || last == 'l') && kNames.contains(name.substr(0, name.size() - 1));
+  }
+
+  // R9 — the exchange's attack, optimizer and perturbation code computes the
+  // same bits on every host: no libm transcendental there (DESIGN.md §8).
+  // A call is flagged when it is std::-qualified, ::-qualified or bare; a
+  // member call or one qualified by another namespace (math::tanh) is not.
+  void rule_owned_math(const ScannedFile& f, std::size_t line, const std::string& code) {
+    if (!in_dir(f.path, "src/privacy") && !in_dir(f.path, "src/optimize") &&
+        !in_dir(f.path, "src/perturb"))
+      return;
+    for (std::size_t pos = 0; pos < code.size();) {
+      if (!ident_char(code[pos])) {
+        ++pos;
+        continue;
+      }
+      std::size_t end = pos;
+      while (end < code.size() && ident_char(code[end])) ++end;
+      const std::string name = code.substr(pos, end - pos);
+      std::size_t after = end;
+      while (after < code.size() && std::isspace(static_cast<unsigned char>(code[after])))
+        ++after;
+      if (after < code.size() && code[after] == '(' && libm_transcendental(name)) {
+        std::size_t before = pos;
+        while (before > 0 && std::isspace(static_cast<unsigned char>(code[before - 1])))
+          --before;
+        const bool member =
+            (before >= 1 && code[before - 1] == '.') ||
+            (before >= 2 && code.compare(before - 2, 2, "->") == 0);
+        bool other_namespace = false;
+        if (before >= 2 && code.compare(before - 2, 2, "::") == 0) {
+          const std::string qualifier = ident_before(code, before - 2);
+          other_namespace = !qualifier.empty() && qualifier != "std";
+        }
+        if (!member && !other_namespace)
+          report(f, line, "R9",
+                 "libm " + name + "() in the exchange's numeric code — its last bits "
+                 "depend on the host's libm; call the owned sap::math function "
+                 "(common/owned_math.hpp)");
+      }
+      pos = end;
+    }
   }
 
   // ---- R7 helpers --------------------------------------------------------
