@@ -13,14 +13,20 @@
 //     SIGKILL of one miner, >= 99% of soaked requests are served;
 //   * schedule determinism (always enforced): the same fault seed replays
 //     the IDENTICAL injection schedule (index, kind) trace;
-//   * self-healing rejoin (always enforced): the SIGKILL'd miner restarts,
-//     resyncs its owned shards from live peers through the shard-snapshot
-//     door (--resync), and holds and serves them BIT-IDENTICAL to its
-//     pre-kill self (each shard's snapshot and exact-merge partials) — and
-//     a fresh router over the healed fleet matches the reference.
+//   * self-healing rejoin (always enforced): the SIGKILL'd miner restarts
+//     at its old address, resyncs its owned shards from live peers through
+//     the shard-snapshot door (--resync), and holds and serves them
+//     BIT-IDENTICAL to its pre-kill self (each shard's snapshot and
+//     exact-merge partials) — and a fresh router over the healed fleet
+//     matches the reference;
+//   * eval prefix by handle (always enforced): a router that read the
+//     fleet before the kill holds a handle the restarted process never
+//     issued, so its next kNN read must resend the rows at least once
+//     (router.prefix_resends) and still match the reference.
 //
 //   chaos_soak [--quick]                 driver (the default)
-//   chaos_soak --miner S I R [P1,P2..]   internal: miner process
+//   chaos_soak --miner S I R [P1,P2.. [L]]
+//                                        internal: miner process
 //                                        (cluster_harness.hpp)
 //
 // Faults are injected in the DRIVER process only: miners stay healthy, so
@@ -128,8 +134,9 @@ struct SoakResult {
   std::size_t failovers = 0;
   std::size_t retries = 0;
   std::uint64_t injected = 0;
-  std::uint64_t bounded = 0;       ///< kNN reads served from bounded partials
-  std::uint64_t short_rounds = 0;  ///< bounded rounds rerun without radii
+  std::uint64_t bounded = 0;         ///< kNN reads served from bounded partials
+  std::uint64_t short_rounds = 0;    ///< bounded rounds rerun without radii
+  std::uint64_t prefix_resends = 0;  ///< kNN legs resent with the eval prefix's rows
 };
 
 /// Phase B — the chaos soak: `requests` merge jobs through the faulted
@@ -165,6 +172,7 @@ SoakResult run_soak(net::ShardRouter& router, std::vector<Miner>& fleet,
   r.retries = router.client_retries();
   r.bounded = router.metrics().counter("router.bounded_rounds").value();
   r.short_rounds = router.metrics().counter("router.short_rounds").value();
+  r.prefix_resends = router.metrics().counter("router.prefix_resends").value();
   return r;
 }
 
@@ -202,6 +210,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < kParties; ++i)
       (void)router.contribute_wire(wires[i]);
   const auto reference = merged_reports(router);
+  // A second router reads the healthy fleet once, so each member keeps its
+  // eval prefix; it sits out the soak and reads again after the rejoin.
+  net::ShardRouter prefix_router(soak_router_options(fleet));
+  bool prefix_resent = merged_reports(prefix_router) == reference;
+  if (!prefix_resent)
+    std::fprintf(stderr, "FAIL: a second router's reports diverge from the reference\n");
   const auto queries = session.pool.slice(0, kQueryRows);
   const auto fingerprint = shard_fingerprint(fleet[0].door, queries);  // pre-kill miner 0
   std::printf("-- reference: %zu jobs, pool %zu records\n", std::size(kMergeJobs),
@@ -214,12 +228,13 @@ int main(int argc, char** argv) {
       static_cast<double>(soak.served) / static_cast<double>(soak_requests);
   std::printf("-- soak: served %zu, typed %zu, wrong %zu, availability %.2f%%, "
               "failovers %zu, retries %zu, injected %llu, bounded rounds %llu, "
-              "short rounds %llu\n",
+              "short rounds %llu, prefix resends %llu\n",
               soak.served, soak.typed, soak.wrong, availability * 100.0,
               soak.failovers, soak.retries,
               static_cast<unsigned long long>(soak.injected),
               static_cast<unsigned long long>(soak.bounded),
-              static_cast<unsigned long long>(soak.short_rounds));
+              static_cast<unsigned long long>(soak.short_rounds),
+              static_cast<unsigned long long>(soak.prefix_resends));
 
   // ---- phase C: the killed miner rejoins via --resync --------------------
   std::string peers;
@@ -227,8 +242,9 @@ int main(int argc, char** argv) {
     if (!peers.empty()) peers += ',';
     peers += std::to_string(static_cast<unsigned>(fleet[i].door.port));
   }
-  std::printf("-- rejoin: restarting miner 0 with --resync %s\n", peers.c_str());
-  fleet[0] = spawn_miner(argv[0], kMiners, 0, kReplicas, peers);
+  std::printf("-- rejoin: restarting miner 0 on port %u with --resync %s\n",
+              static_cast<unsigned>(fleet[0].door.port), peers.c_str());
+  fleet[0] = spawn_miner(argv[0], kMiners, 0, kReplicas, peers, fleet[0].door.port);
   await_ready(fleet[0]);
   const auto healed_fingerprint = shard_fingerprint(fleet[0].door, queries);
   bool rejoined = healed_fingerprint == fingerprint;
@@ -243,10 +259,23 @@ int main(int argc, char** argv) {
     rejoined = false;
   }
   if (rejoined) std::printf("-- rejoin: miner 0 resynced and serves bit-identical\n");
+  // The pre-kill router's handle for miner 0 names rows its new process
+  // never kept: the kNN leg is resent with the rows, and still exact.
+  const bool prefix_reports = merged_reports(prefix_router) == reference;
+  const std::uint64_t prefix_resends =
+      prefix_router.metrics().counter("router.prefix_resends").value();
+  if (!prefix_reports)
+    std::fprintf(stderr, "FAIL: the pre-kill router's reports diverge from the reference "
+                         "after the rejoin\n");
+  if (prefix_resends == 0)
+    std::fprintf(stderr, "FAIL: the restarted miner was never resent an eval prefix\n");
+  prefix_resent = prefix_resent && prefix_reports && prefix_resends > 0;
+  std::printf("-- prefix: the pre-kill router resent %llu eval prefix%s after the rejoin\n",
+              static_cast<unsigned long long>(prefix_resends), prefix_resends == 1 ? "" : "es");
 
   sap::Table table({"phase", "requests", "served", "typed", "wrong",
                     "availability_pct", "failovers", "retries", "injected",
-                    "bounded_rounds", "short_rounds"});
+                    "bounded_rounds", "short_rounds", "prefix_resends"});
   table.add_row({"soak", sap::Table::num(static_cast<double>(soak_requests), 0),
                  sap::Table::num(static_cast<double>(soak.served), 0),
                  sap::Table::num(static_cast<double>(soak.typed), 0),
@@ -256,11 +285,13 @@ int main(int argc, char** argv) {
                  sap::Table::num(static_cast<double>(soak.retries), 0),
                  sap::Table::num(static_cast<double>(soak.injected), 0),
                  sap::Table::num(static_cast<double>(soak.bounded), 0),
-                 sap::Table::num(static_cast<double>(soak.short_rounds), 0)});
+                 sap::Table::num(static_cast<double>(soak.short_rounds), 0),
+                 sap::Table::num(static_cast<double>(soak.prefix_resends), 0)});
   table.add_row({"rejoin", sap::Table::num(static_cast<double>(std::size(kMergeJobs)), 0),
                  sap::Table::num(static_cast<double>(std::size(kMergeJobs)), 0),
                  sap::Table::num(0, 0), sap::Table::num(rejoined ? 0 : 1, 0), "-",
-                 "-", "-", "-", "-", "-"});
+                 "-", "-", "-", "-", "-",
+                 sap::Table::num(static_cast<double>(prefix_resends), 0)});
   sap::bench::BenchMeta meta;
   meta.transport = "cluster-tcp-chaos";
   meta.shards = kMiners;
@@ -289,7 +320,7 @@ int main(int argc, char** argv) {
                          "tested a healthy network\n");
     ok = false;
   }
-  if (!rejoined) ok = false;
+  if (!rejoined || !prefix_resent) ok = false;
   if (ok) std::printf("chaos_soak: all enforced floors passed\n");
   return ok ? 0 : 1;
 }

@@ -1,9 +1,10 @@
 // The miner-process harness shared by the cluster benches (cluster_scaling,
 // chaos_soak). Each bench binary re-execs itself to spawn cluster members:
 //
-//   <bench> --miner S I R [P1,P2..]   miner process: S shards, owning index
-//                                     I with R replicas, optional resync
-//                                     peer ports
+//   <bench> --miner S I R [P1,P2.. [L]]  miner process: S shards, owning
+//                                        index I with R replicas, optional
+//                                        resync peer ports and the port L
+//                                        to listen on (0 or none: any)
 //
 // Determinism: every miner process runs the SAME 8-party exchange (same
 // seed => bit-identical unified segments) and installs only its owned
@@ -69,12 +70,13 @@ inline proto::JobParams job_params(const char* job) {
 
 // ---- miner process -------------------------------------------------------
 
-/// Child mode (`argv` = self --miner S I R [P1,P2..]): one cluster member.
-/// Runs the daemon plus all 8 parties in-process (the exchange is
+/// Child mode (`argv` = self --miner S I R [P1,P2.. [L]]): one cluster
+/// member. Runs the daemon plus all 8 parties in-process (the exchange is
 /// deterministic, so every member unifies the same segments), prints
 /// "DOOR <port>" then "READY", and serves until the driver SIGKILLs it.
 /// With resync peer ports the daemon first pulls its owned shards from the
-/// first live owner that is AHEAD — the rejoin path.
+/// first live owner that is AHEAD — the rejoin path; with a listen port it
+/// takes a killed member's old address, as a restarted process would.
 inline int miner_main(int argc, char** argv) {
   const auto shards = static_cast<std::size_t>(std::atoi(argv[2]));
   const auto index = static_cast<std::size_t>(std::atoi(argv[3]));
@@ -83,6 +85,14 @@ inline int miner_main(int argc, char** argv) {
 
   net::MinerDaemonOptions opts;
   opts.listen = {"127.0.0.1", 0};
+  if (argc >= 7) {
+    const long port = std::strtol(argv[6], nullptr, 10);
+    if (port < 0 || port > 65535) {
+      std::fprintf(stderr, "miner: bad listen port '%s'\n", argv[6]);
+      return 2;
+    }
+    opts.listen.port = static_cast<std::uint16_t>(port);
+  }
   opts.parties = kParties;
   opts.seed = kSeed;
   opts.reactor_loops = 2;
@@ -157,9 +167,11 @@ struct Miner {
 };
 
 /// Fork + exec `self --miner ...` and read the door port it announces.
-/// A non-empty `resync` (comma-separated peer ports) starts the rejoin path.
+/// A non-empty `resync` (comma-separated peer ports) starts the rejoin path;
+/// a non-zero `listen_port` (which needs `resync`) is the port to bind.
 inline Miner spawn_miner(const char* self, std::size_t shards, std::size_t index,
-                         std::size_t replicas, const std::string& resync = {}) {
+                         std::size_t replicas, const std::string& resync = {},
+                         std::uint16_t listen_port = 0) {
   int fds[2];
   if (::pipe(fds) != 0) {
     std::perror("pipe");
@@ -174,14 +186,16 @@ inline Miner spawn_miner(const char* self, std::size_t shards, std::size_t index
     ::dup2(fds[1], 1);
     ::close(fds[0]);
     ::close(fds[1]);
-    char s_arg[16], i_arg[16], r_arg[16];
+    char s_arg[16], i_arg[16], r_arg[16], l_arg[16];
     std::snprintf(s_arg, sizeof s_arg, "%zu", shards);
     std::snprintf(i_arg, sizeof i_arg, "%zu", index);
     std::snprintf(r_arg, sizeof r_arg, "%zu", replicas);
+    std::snprintf(l_arg, sizeof l_arg, "%u", static_cast<unsigned>(listen_port));
     if (resync.empty())
       ::execl(self, self, "--miner", s_arg, i_arg, r_arg, (char*)nullptr);
     else
-      ::execl(self, self, "--miner", s_arg, i_arg, r_arg, resync.c_str(), (char*)nullptr);
+      ::execl(self, self, "--miner", s_arg, i_arg, r_arg, resync.c_str(), l_arg,
+              (char*)nullptr);
     std::perror("execl");
     ::_exit(127);
   }

@@ -12,6 +12,11 @@
 //     are bounded by the first read's k-th distances (DESIGN.md §11). It
 //     must equal the single-miner reference too, and a series whose router
 //     counted no bounded round fails;
+//   * eval prefix by handle (always enforced): that second kNN read names
+//     the eval prefix by the handles the members kept it under instead of
+//     sending its rows; a series whose second read sent no partial by
+//     handle fails. Each series prints the partial-request bytes of its
+//     report reads and of the second kNN read;
 //   * near-linear scaling (enforced on >= 8 hardware threads): routed
 //     ingest and request throughput at 4 miners >= 2.5x the single miner;
 //   * failover (always enforced): with 4 miners x 2 replicas, SIGKILL one
@@ -79,6 +84,14 @@ struct SeriesResult {
   std::vector<double> pre_again;   ///< the second kNN read after pre_reports
   std::vector<double> post_again;  ///< the second kNN read after post_reports
   std::uint64_t bounded_rounds = 0;  ///< the reporting router's router.bounded_rounds
+  /// Partials the second kNN reads sent by handle (router.prefix_refs),
+  /// each read's at least one or the series fails.
+  std::uint64_t pre_again_refs = 0;
+  std::uint64_t post_again_refs = 0;
+  /// router.partial_request_bytes over the pre-ingest report reads, and
+  /// over the second kNN read after them.
+  std::uint64_t report_request_bytes = 0;
+  std::uint64_t again_request_bytes = 0;
 };
 
 /// One scaling series: M miners, replicas = 1. Reports, timed requests,
@@ -95,8 +108,16 @@ SeriesResult run_series(const char* self, const Session& s,
 
   SeriesResult result;
   net::ShardRouter router(ropts);
+  const auto counter = [&router](const char* name) {
+    return router.metrics().counter(name).value();
+  };
   result.pre_reports = merged_reports(router);
+  result.report_request_bytes = counter("router.partial_request_bytes");
+  std::uint64_t refs = counter("router.prefix_refs");
   result.pre_again = router.mine_named(kMergeJobs[kKnn], job_params(kMergeJobs[kKnn])).values;
+  result.pre_again_refs = counter("router.prefix_refs") - refs;
+  result.again_request_bytes =
+      counter("router.partial_request_bytes") - result.report_request_bytes;
 
   // Request throughput: 4 driver threads, each with its OWN router (the
   // router is not internally synchronized), all issuing knn partials.
@@ -137,8 +158,10 @@ SeriesResult run_series(const char* self, const Session& s,
   }
 
   result.post_reports = merged_reports(router);
+  refs = counter("router.prefix_refs");
   result.post_again = router.mine_named(kMergeJobs[kKnn], job_params(kMergeJobs[kKnn])).values;
-  result.bounded_rounds = router.metrics().counter("router.bounded_rounds").value();
+  result.post_again_refs = counter("router.prefix_refs") - refs;
+  result.bounded_rounds = counter("router.bounded_rounds");
   const std::size_t expected =
       s.pool.size() + kParties * batches_per_party * kBatchRows;
   if (result.post_reports[0].empty() ||
@@ -204,7 +227,7 @@ int main(int argc, char** argv) {
 
   sap::Table table({"miners", "shards", "replicas", "ingest_batches_s",
                     "requests_s", "req_speedup", "identical", "bounded_rounds",
-                    "failed", "failovers"});
+                    "report_request_bytes", "again_request_bytes", "failed", "failovers"});
   const std::size_t fleet_sizes[] = {1, 2, 4};
   std::vector<SeriesResult> results;
   for (const std::size_t m : fleet_sizes) {
@@ -224,6 +247,18 @@ int main(int argc, char** argv) {
                    kMergeJobs[kKnn], m);
       return 1;
     }
+    std::printf("-- %zu miner%s: partial-request bytes %llu over the %zu report reads, "
+                "%llu on the second %s read\n",
+                m, m == 1 ? "" : "s",
+                static_cast<unsigned long long>(results.back().report_request_bytes),
+                std::size(kMergeJobs),
+                static_cast<unsigned long long>(results.back().again_request_bytes),
+                kMergeJobs[kKnn]);
+    if (results.back().pre_again_refs == 0 || results.back().post_again_refs == 0) {
+      std::fprintf(stderr, "FAIL: a second %s read at %zu miners sent no partial by handle\n",
+                   kMergeJobs[kKnn], m);
+      return 1;
+    }
     table.add_row({sap::Table::num(static_cast<double>(m), 0),
                    sap::Table::num(static_cast<double>(m), 0), sap::Table::num(1, 0),
                    sap::Table::num(results.back().ingest_per_s, 1),
@@ -232,13 +267,16 @@ int main(int argc, char** argv) {
                                          results[0].requests_per_s, 2),
                    "yes",
                    sap::Table::num(static_cast<double>(results.back().bounded_rounds), 0),
+                   sap::Table::num(static_cast<double>(results.back().report_request_bytes), 0),
+                   sap::Table::num(static_cast<double>(results.back().again_request_bytes), 0),
                    sap::Table::num(0, 0), sap::Table::num(0, 0)});
   }
 
   std::printf("-- failover series: 4 miners x 2 replicas, SIGKILL mid-stream\n");
   const auto [failed, failovers] = run_failover(argv[0], failover_requests);
   table.add_row({sap::Table::num(4, 0), sap::Table::num(4, 0), sap::Table::num(2, 0),
-                 "-", "-", "-", "-", "-", sap::Table::num(static_cast<double>(failed), 0),
+                 "-", "-", "-", "-", "-", "-", "-",
+                 sap::Table::num(static_cast<double>(failed), 0),
                  sap::Table::num(static_cast<double>(failovers), 0)});
 
   sap::bench::BenchMeta meta;

@@ -25,7 +25,11 @@
 //   * ShardPartialBounded, ShardLegBounded: the same at k = 5 as a router
 //     runs them on a read after the first, each query bounded by its k-th
 //     distance from an unbounded merge over four shards of the same shape
-//     (DESIGN.md §11, "Bounded kNN partials").
+//     (DESIGN.md §11, "Bounded kNN partials");
+//   * ShardLegByHandle: ShardLegBounded with the eval prefix sent by handle,
+//     as a router sends it once a member keeps the rows: the request
+//     carries the handle and an empty row block, and the miner finds the
+//     rows in its PrefixTable (DESIGN.md §11, "Eval prefix by handle").
 //
 // The shard partials report `candidates`, the candidates listed per query.
 //
@@ -44,6 +48,7 @@
 #include "data/synthetic.hpp"
 #include "linalg/orthogonal.hpp"
 #include "net/frame.hpp"
+#include "net/remote.hpp"
 #include "protocol/jobs.hpp"
 #include "protocol/message.hpp"
 #include "protocol/pool_shard.hpp"
@@ -155,8 +160,9 @@ void BM_ShardPartialBounded(benchmark::State& state) { shard_partial(state, true
 BENCHMARK(BM_ShardPartialBounded)->Arg(5)->Unit(benchmark::kMicrosecond);
 
 /// One routed kNN leg, byte for byte what the router and a miner door do
-/// around the partial, with the frames handed over in memory.
-void shard_leg(benchmark::State& state, bool bounded) {
+/// around the partial, with the frames handed over in memory. `by_handle`
+/// sends the queries as the handle a PrefixTable kept them under.
+void shard_leg(benchmark::State& state, bool bounded, bool by_handle = false) {
   namespace net = sap::net;
   namespace proto = sap::proto;
   const auto shard = shard_snapshot();
@@ -185,6 +191,9 @@ void shard_leg(benchmark::State& state, bool bounded) {
     if (!reader.next_view(view)) throw sap::Error("BM_ShardLeg: incomplete frame");
     return net::open_body(view.body, key);
   };
+  net::PrefixTable kept;
+  const std::uint64_t prefix = by_handle ? kept.keep(queries) : proto::kPrefixInline;
+  const Dataset sent = by_handle ? Dataset{} : queries;
   net::FrameReader miner_reader;
   net::FrameReader router_reader;
   std::size_t bytes_moved = 0;
@@ -192,9 +201,12 @@ void shard_leg(benchmark::State& state, bool bounded) {
   for (auto _ : state) {
     const auto up = frame_of(
         proto::PayloadKind::kPartialRequest,
-        net::seal_body(proto::encode_partial_request(0, job, request, queries, radii), kUpKey));
+        net::seal_body(proto::encode_partial_request(0, job, request, sent, radii, prefix),
+                       kUpKey));
     const auto asked = proto::decode_partial_request(open_frame(miner_reader, up, kUpKey));
-    blob = spec.partial(*shard, asked.queries, asked.radii, spec.resolve_params(asked.params));
+    const auto rows = by_handle ? kept.find(asked.prefix) : nullptr;
+    blob = spec.partial(*shard, rows ? *rows : asked.queries, asked.radii,
+                        spec.resolve_params(asked.params));
     const auto down = frame_of(proto::PayloadKind::kPartialResponse,
                                net::seal_body(proto::encode_partial_response(1, blob), kDownKey));
     const auto answer = proto::decode_partial_response(open_frame(router_reader, down, kDownKey));
@@ -211,6 +223,9 @@ BENCHMARK(BM_ShardLeg)->Arg(5)->Unit(benchmark::kMicrosecond);
 
 void BM_ShardLegBounded(benchmark::State& state) { shard_leg(state, true); }
 BENCHMARK(BM_ShardLegBounded)->Arg(5)->Unit(benchmark::kMicrosecond);
+
+void BM_ShardLegByHandle(benchmark::State& state) { shard_leg(state, true, true); }
+BENCHMARK(BM_ShardLegByHandle)->Arg(5)->Unit(benchmark::kMicrosecond);
 
 void BM_ShardKernel(benchmark::State& state) {
   const auto shard = shard_snapshot();

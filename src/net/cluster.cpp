@@ -50,6 +50,9 @@ ShardRouter::ShardRouter(ShardRouterOptions opts)
   ctr_bounded_ = &obs_.counter("router.bounded_rounds");
   ctr_short_ = &obs_.counter("router.short_rounds");
   ctr_partial_bytes_ = &obs_.counter("router.partial_bytes");
+  ctr_request_bytes_ = &obs_.counter("router.partial_request_bytes");
+  ctr_prefix_refs_ = &obs_.counter("router.prefix_refs");
+  ctr_prefix_resends_ = &obs_.counter("router.prefix_resends");
   ctr_breaker_opens_ = &obs_.counter("router.breaker_opens");
   breaker_gauges_.reserve(opts_.miners.size());
   for (std::size_t m = 0; m < opts_.miners.size(); ++m)
@@ -102,6 +105,7 @@ void ShardRouter::drop_client(std::size_t miner) {
     clients_[miner].reset();
     ++drops_;
   }
+  if (prefix_) prefix_->handles[miner] = 0;
 }
 
 std::size_t ShardRouter::client_retries() const {
@@ -178,7 +182,7 @@ void ShardRouter::serve_owners(std::size_t shard, bool every_owner, Leg&& leg) {
     }
     try {
       Stopwatch sw;
-      const std::uint64_t epoch = leg(client_for(m));
+      const std::uint64_t epoch = leg(client_for(m), m);
       hist_fanout_->record(sw.millis());
       record_success(m);
       if (every_owner) {
@@ -227,7 +231,7 @@ proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wi
   // rises to the HIGHEST acked epoch so a stale replica can never serve a
   // pre-append view later.
   proto::DecodedReceipt receipt;
-  serve_owners(shard, /*every_owner=*/true, [&](ServeClient& client) {
+  serve_owners(shard, /*every_owner=*/true, [&](ServeClient& client, std::size_t) {
     const auto ack = client.contribute_wire(wire);
     if (receipt.pool_epoch == 0) receipt = ack;
     return ack.pool_epoch;
@@ -237,10 +241,36 @@ proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wi
 
 proto::DecodedPartialResponse ShardRouter::scatter_partial(
     std::size_t shard, const std::string& job, const proto::JobParams& params,
-    const data::Dataset& queries, std::span<const double> radii) {
+    const data::Dataset& queries, std::span<const double> radii, bool over_prefix) {
   proto::DecodedPartialResponse resp;
-  serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client) {
-    resp = client.mine_partial(shard, job, params, queries, radii);
+  const auto send = [&](ServeClient& client, const data::Dataset& rows, std::uint64_t prefix) {
+    const auto request = proto::encode_partial_request(shard, job, params, rows, radii, prefix);
+    ctr_request_bytes_->add(sizeof(double) * request.size());
+    resp = client.mine_partial_wire(request);
+  };
+  const std::size_t primary = owners(shard).front();
+  serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client, std::size_t m) {
+    if (!over_prefix) {
+      send(client, queries, proto::kPrefixInline);
+      return resp.shard_epoch;
+    }
+    std::uint64_t& handle = prefix_->handles[m];
+    if (m != primary) handle = 0;  // a failover starts the replica with no handle
+    if (handle != 0) {
+      ctr_prefix_refs_->increment();
+      try {
+        send(client, data::Dataset{}, handle);
+        return resp.shard_epoch;
+      } catch (const ServeError& e) {
+        // The member no longer holds the rows (evicted, or restarted at
+        // the same address): resend them here, no failover counted.
+        if (e.code() != proto::ServeErrorCode::kUnknownPrefix) throw;
+        ctr_prefix_resends_->increment();
+        handle = 0;
+      }
+    }
+    send(client, queries, proto::kPrefixKeep);
+    handle = resp.kept;
     return resp.shard_epoch;
   });
   ctr_partial_bytes_->add(sizeof(double) * resp.blob.size());
@@ -250,7 +280,7 @@ proto::DecodedPartialResponse ShardRouter::scatter_partial(
 proto::DecodedPoolSlice ShardRouter::scatter_slice(std::size_t shard,
                                                    std::size_t max_records) {
   proto::DecodedPoolSlice resp;
-  serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client) {
+  serve_owners(shard, /*every_owner=*/false, [&](ServeClient& client, std::size_t) {
     resp = client.pool_slice(shard, max_records);
     return resp.shard_epoch;
   });
@@ -282,6 +312,7 @@ void ShardRouter::gather_prefix(std::size_t limit) {
   ctr_prefix_gathers_->increment();
   EvalPrefix next;
   next.limit = limit;
+  next.handles.assign(opts_.miners.size(), 0);
   // Counted before the legs: a gather that failed over may hold a slice
   // from a replica while the next partial reaches the recovered primary.
   next.route_changes = route_changes();
@@ -309,11 +340,12 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
     // Exact merge: identical to MiningEngine::run_sharded, with the shard
     // views replaced by live miners — queries are the canonical eval
     // prefix, partials one blob per shard, the merge router-side.
-    const auto scatter = [&](const data::Dataset& queries, std::span<const double> radii) {
+    const auto scatter = [&](const data::Dataset& queries, std::span<const double> radii,
+                             bool over_prefix) {
       std::vector<std::vector<double>> partials(opts_.shards);
       response.pool_epoch = std::numeric_limits<std::uint64_t>::max();
       for (std::size_t g = 0; g < opts_.shards; ++g) {
-        auto partial = scatter_partial(g, job, params, queries, radii);
+        auto partial = scatter_partial(g, job, params, queries, radii, over_prefix);
         response.pool_epoch = std::min(response.pool_epoch, partial.shard_epoch);
         partials[g] = std::move(partial.blob);
       }
@@ -326,12 +358,14 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
       const auto it = resolved.find("eval-records");
       if (it != resolved.end()) limit = static_cast<std::size_t>(it->second);
       // One round over the prefix. A partial that reads no queries gets an
-      // empty block: the prefix stays here for the merge.
+      // empty block: the prefix stays here for the merge. One that reads
+      // them gets each member's handle for them, or the rows to keep.
       const auto serve_prefix = [&](std::span<const double> radii) {
         const data::Dataset& pool = prefix_->gathered.pool;
         auto served = proto::merge_round(
             spec, pool, resolved, radii, [&](std::span<const double> sent) {
-              return scatter(spec.partial_reads_queries ? pool : no_queries, sent);
+              return spec.partial_reads_queries ? scatter(pool, sent, true)
+                                                : scatter(no_queries, sent, false);
             });
         if (served.rerun) ctr_short_->increment();
         return served;
@@ -361,7 +395,7 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
     } else {
       round = proto::merge_round(spec, no_queries, resolved, {},
                                  [&](std::span<const double> sent) {
-                                   return scatter(no_queries, sent);
+                                   return scatter(no_queries, sent, false);
                                  });
     }
     if (round.bounded) ctr_bounded_->increment();

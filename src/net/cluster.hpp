@@ -30,7 +30,11 @@
 // and no owner changed; the partials, which run on every read, confirm the
 // reuse (DESIGN.md §11, "Eval-prefix reuse"). The prefix crosses to the
 // shards only for a partial that reads it (kNN's); NB's partials get an
-// empty block, and its merge scores the prefix here. Beside the prefix the
+// empty block, and its merge scores the prefix here. It crosses to each
+// member once: the member keeps the rows and answers with a handle, which
+// the router's later partials send instead (DESIGN.md §11, "Eval prefix by
+// handle"); a member that no longer holds them is sent the rows again
+// within the same leg. Beside the prefix the
 // router keeps each query's k-th merged distance from the last kNN merge
 // over it, and sends those radii with the next kNN read's partials at the
 // same k, so each shard lists only rows within them; a round that leaves a
@@ -199,12 +203,15 @@ class ShardRouter {
   /// Transport failure: drop the connection, bump the streak, trip the
   /// breaker at the threshold.
   void record_failure(std::size_t miner);
-  /// Reset clients_[miner], folding its retry count into the lifetime sum.
+  /// Reset clients_[miner], folding its retry count into the lifetime sum,
+  /// and forget the prefix handle the miner issued: the next connection
+  /// may reach another process.
   void drop_client(std::size_t miner);
 
   /// The one owner-failover loop. Visits the owners of `shard` in order:
   /// breaker admission, then `leg` (one round trip over the owner's client,
-  /// returning the shard epoch its answer was cut at), then record_success
+  /// given the owner's miner index, returning the shard epoch its answer
+  /// was cut at), then record_success
   /// or record_failure, counting a failover for every owner that did not
   /// serve. With `every_owner` (a contribution) all owners are visited and
   /// the floor rises to the highest ack; otherwise the first answer at or
@@ -215,12 +222,17 @@ class ShardRouter {
   template <class Leg>
   void serve_owners(std::size_t shard, bool every_owner, Leg&& leg);
 
-  /// One shard's partial (serve_owners over mine_partial).
+  /// One shard's partial (serve_owners over mine_partial). With
+  /// `over_prefix`, `queries` are prefix_'s rows: the owner is sent the
+  /// handle it kept them under, or the rows to keep when it has none (a
+  /// failover to a replica starts it with none), and a kUnknownPrefix
+  /// answer is resent with the rows to the same owner.
   proto::DecodedPartialResponse scatter_partial(std::size_t shard,
                                                 const std::string& job,
                                                 const proto::JobParams& params,
                                                 const data::Dataset& queries,
-                                                std::span<const double> radii);
+                                                std::span<const double> radii,
+                                                bool over_prefix);
 
   /// One shard's canonical slice (serve_owners over pool_slice).
   proto::DecodedPoolSlice scatter_slice(std::size_t shard, std::size_t max_records);
@@ -252,6 +264,8 @@ class ShardRouter {
     std::string radii_job;
     proto::JobParams radii_params;
     std::vector<double> radii;
+    /// Per miner: the handle it kept these rows under (0: none yet).
+    std::vector<std::uint64_t> handles;
   };
   /// prefix_ holds the `limit` prefix, every shard's floor still equals the
   /// epoch its slice was cut at, and no route changed since the gather began.
@@ -277,6 +291,9 @@ class ShardRouter {
   obs::Counter* ctr_bounded_ = nullptr;        ///< router.bounded_rounds
   obs::Counter* ctr_short_ = nullptr;          ///< router.short_rounds
   obs::Counter* ctr_partial_bytes_ = nullptr;  ///< router.partial_bytes
+  obs::Counter* ctr_request_bytes_ = nullptr;  ///< router.partial_request_bytes
+  obs::Counter* ctr_prefix_refs_ = nullptr;    ///< router.prefix_refs
+  obs::Counter* ctr_prefix_resends_ = nullptr; ///< router.prefix_resends
   obs::Counter* ctr_breaker_opens_ = nullptr;  ///< router.breaker_opens
   std::vector<obs::Gauge*> breaker_gauges_;    ///< router.m<i>.breaker
   std::vector<obs::Counter*> shard_requests_;  ///< router.shard<g>.requests

@@ -8,7 +8,9 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "common/wire.hpp"
 #include "net/fault.hpp"
+#include "rng/rng.hpp"
 
 namespace sap::net {
 
@@ -111,6 +113,45 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
   return frames;
 }
 
+// ---- PrefixTable ---------------------------------------------------------
+
+namespace {
+
+/// The next eval-prefix handle of this process: its instance nonce plus a
+/// process-wide counter, folded into [kFirstPrefixHandle, 2^53) so it rides
+/// the wire exactly. Every daemon in the process draws from one counter, so
+/// no two of them issue the same handle either.
+std::uint64_t next_prefix_handle() {
+  static const std::uint64_t instance = rng::entropy_word();
+  static std::atomic<std::uint64_t> issued{0};
+  constexpr std::uint64_t span = wire::kDoubleExactLimit - proto::kFirstPrefixHandle;
+  return proto::kFirstPrefixHandle +
+         (instance % span + issued.fetch_add(1, std::memory_order_relaxed)) % span;
+}
+
+}  // namespace
+
+std::uint64_t PrefixTable::keep(data::Dataset rows) {
+  auto kept = std::make_shared<const data::Dataset>(std::move(rows));
+  const std::uint64_t handle = next_prefix_handle();
+  MutexLock lock(mutex_);
+  kept_.emplace_back(handle, std::move(kept));
+  if (kept_.size() > kCapacity) kept_.pop_front();
+  return handle;
+}
+
+std::shared_ptr<const data::Dataset> PrefixTable::find(std::uint64_t handle) const {
+  MutexLock lock(mutex_);
+  for (const auto& [h, rows] : kept_)
+    if (h == handle) return rows;
+  return nullptr;
+}
+
+std::size_t PrefixTable::size() const {
+  MutexLock lock(mutex_);
+  return kept_.size();
+}
+
 // ---- MinerDaemon ---------------------------------------------------------
 
 MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
@@ -133,6 +174,9 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
   ctr_refused_bad_ = &obs_.counter("serve.refused.bad_request");
   ctr_refused_owner_ = &obs_.counter("serve.refused.not_owner");
   ctr_refused_unavail_ = &obs_.counter("serve.refused.unavailable");
+  ctr_prefix_kept_ = &obs_.counter("serve.prefix.kept");
+  ctr_prefix_hits_ = &obs_.counter("serve.prefix.hits");
+  ctr_prefix_misses_ = &obs_.counter("serve.prefix.misses");
   g_ingest_epoch_ = &obs_.gauge("ingest.epoch");
   ReactorOptions ropts;
   ropts.listen = opts_.listen;
@@ -161,6 +205,7 @@ void MinerDaemon::serve_error(proto::ServeErrorCode code, const std::string& mes
     case proto::ServeErrorCode::kBadRequest: ctr_refused_bad_->increment(); break;
     case proto::ServeErrorCode::kNotOwner: ctr_refused_owner_->increment(); break;
     case proto::ServeErrorCode::kUnavailable: ctr_refused_unavail_->increment(); break;
+    case proto::ServeErrorCode::kUnknownPrefix: ctr_prefix_misses_->increment(); break;
   }
   note("refused (" + proto::to_string(code) + "): " + message);
   out_kind = proto::PayloadKind::kServeError;
@@ -257,7 +302,7 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
     }
     case proto::PayloadKind::kPartialRequest: {
       requests_served_.fetch_add(1, std::memory_order_relaxed);
-      const auto request = proto::decode_partial_request(payload);
+      auto request = proto::decode_partial_request(payload);
       if (request.shard >= engine_.total_shards() || !engine_.owns(request.shard)) {
         serve_error(proto::ServeErrorCode::kNotOwner,
                     "shard " + std::to_string(request.shard) + " is not owned here",
@@ -280,16 +325,48 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
         serve_error(proto::ServeErrorCode::kBadRequest, e.what(), out_kind, out_wire);
         return true;
       }
-      if (request.queries.size() > 0 && request.queries.dims() != dims_) {
+      // The prefix word (DESIGN.md §11, "Eval prefix by handle"): keeping
+      // rows, or naming kept ones, only fits a partial that reads them, and
+      // a handle replaces the row block rather than riding beside it. Kept
+      // rows were checked when they were kept.
+      const bool keep = request.prefix == proto::kPrefixKeep;
+      const bool by_handle = request.prefix >= proto::kFirstPrefixHandle;
+      if ((keep || by_handle) && !spec.partial_reads_queries) {
+        serve_error(proto::ServeErrorCode::kBadRequest,
+                    "job " + request.job + " reads no queries to keep or name by handle",
+                    out_kind, out_wire);
+        return true;
+      }
+      if (keep && request.queries.size() == 0) {
+        serve_error(proto::ServeErrorCode::kBadRequest,
+                    "nothing to keep: the query block is empty", out_kind, out_wire);
+        return true;
+      }
+      if (by_handle && request.queries.size() > 0) {
+        serve_error(proto::ServeErrorCode::kBadRequest,
+                    "a prefix handle with a non-empty query block", out_kind, out_wire);
+        return true;
+      }
+      std::shared_ptr<const data::Dataset> kept;
+      if (by_handle) {
+        kept = prefixes_.find(request.prefix);
+        if (kept == nullptr) {
+          serve_error(proto::ServeErrorCode::kUnknownPrefix,
+                      "no kept prefix " + std::to_string(request.prefix), out_kind, out_wire);
+          return true;
+        }
+        ctr_prefix_hits_->increment();
+      } else if (request.queries.size() > 0 && request.queries.dims() != dims_) {
         serve_error(proto::ServeErrorCode::kBadRequest,
                     "query width " + std::to_string(request.queries.dims()) +
                         " does not match the pool's " + std::to_string(dims_),
                     out_kind, out_wire);
         return true;
       }
+      const data::Dataset& queries = by_handle ? *kept : request.queries;
       const auto& radii = request.radii;
       if (!radii.empty() &&
-          (!spec.bounded() || radii.size() != request.queries.size() ||
+          (!spec.bounded() || radii.size() != queries.size() ||
            !std::all_of(radii.begin(), radii.end(),
                         [](double r) { return std::isfinite(r) && r >= 0.0; }))) {
         serve_error(proto::ServeErrorCode::kBadRequest,
@@ -299,10 +376,15 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
         return true;
       }
       try {
-        const auto partial = engine_.run_partial(
-            request.shard, {request.job, request.params}, request.queries, radii);
+        const auto partial =
+            engine_.run_partial(request.shard, {request.job, request.params}, queries, radii);
+        std::uint64_t handle = 0;
+        if (keep) {
+          handle = prefixes_.keep(std::move(request.queries));
+          ctr_prefix_kept_->increment();
+        }
         out_kind = proto::PayloadKind::kPartialResponse;
-        out_wire = proto::encode_partial_response(partial.pool_epoch, partial.values);
+        out_wire = proto::encode_partial_response(partial.pool_epoch, partial.values, handle);
       } catch (const Error& e) {
         serve_error(proto::ServeErrorCode::kUnavailable, e.what(), out_kind, out_wire);
       }
@@ -374,6 +456,7 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
   snap.set_counter("engine.cache.incremental", cache.incremental);
   snap.set_counter("engine.cache.hits", cache.hits);
   snap.set_gauge("engine.cache.entries", static_cast<double>(cache.entries));
+  snap.set_gauge("serve.prefix.held", static_cast<double>(prefixes_.size()));
   if (serving_.load(std::memory_order_acquire)) {
     // Pool shape: records + live snapshot refcounts over owned shards, the
     // epoch watermark, and how far the hottest shard runs ahead of it.
@@ -844,11 +927,15 @@ proto::DecodedPartialResponse ServeClient::mine_partial(std::size_t shard,
                                                         const std::string& job,
                                                         const proto::JobParams& params,
                                                         const data::Dataset& queries,
-                                                        std::span<const double> radii) {
-  const auto wire = transact_idempotent(
-      proto::PayloadKind::kPartialRequest,
-      proto::encode_partial_request(shard, job, params, queries, radii),
-      proto::PayloadKind::kPartialResponse);
+                                                        std::span<const double> radii,
+                                                        std::uint64_t prefix) {
+  return mine_partial_wire(proto::encode_partial_request(shard, job, params, queries, radii,
+                                                         prefix));
+}
+
+proto::DecodedPartialResponse ServeClient::mine_partial_wire(std::span<const double> request) {
+  const auto wire = transact_idempotent(proto::PayloadKind::kPartialRequest, request,
+                                        proto::PayloadKind::kPartialResponse);
   return proto::decode_partial_response(wire);
 }
 

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -130,6 +131,43 @@ std::vector<Frame> door_frame(const Frame& frame, proto::PartyId self, std::uint
                                                         std::uint64_t seed,
                                                         std::size_t optimize_threads = 0);
 
+// ---- kept eval prefixes --------------------------------------------------
+
+/// The eval prefixes a member keeps for the routers that read it (DESIGN.md
+/// §11, "Eval prefix by handle"). A router sends a kNN partial's query rows
+/// once, asking the member to keep them; the member answers with a handle,
+/// and the router's later partials over the same rows name the handle
+/// instead of carrying them. A handle names one row set for the life of
+/// the process: it is the process's instance nonce (rng::entropy_word,
+/// drawn once) plus a process-wide counter, at least kFirstPrefixHandle and
+/// below 2^53, so a restarted member at the same address never resolves a
+/// handle its predecessor issued. At most kCapacity row sets are held, the
+/// oldest evicted first. Thread-safe: a door's compute lanes share it.
+class PrefixTable {
+ public:
+  /// Row sets held at once: enough for every router a member serves in a
+  /// deployment here (perfbench's router and its rebuild routers, a
+  /// cluster bench's reading routers) to keep one prefix each.
+  static constexpr std::size_t kCapacity = 8;
+
+  /// Keep `rows`, evicting the oldest set beyond kCapacity; returns their
+  /// handle.
+  std::uint64_t keep(data::Dataset rows);
+
+  /// The rows kept under `handle`, or null when none are (evicted, or a
+  /// handle this process never issued).
+  [[nodiscard]] std::shared_ptr<const data::Dataset> find(std::uint64_t handle) const;
+
+  /// Row sets held now.
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  mutable Mutex mutex_;
+  /// Oldest first.
+  std::deque<std::pair<std::uint64_t, std::shared_ptr<const data::Dataset>>> kept_
+      SAP_GUARDED_BY(mutex_);
+};
+
 // ---- miner daemon --------------------------------------------------------
 
 struct MinerDaemonOptions {
@@ -218,7 +256,8 @@ class MinerDaemon {
   /// Everything a kStatsRequest is answered with: the registry snapshot
   /// plus collect-time injections (engine cache stats + pool epoch/records
   /// + snapshot refcounts, reactor and compute-pool totals, the daemon's
-  /// serving counters) — normalized, ready to merge at a router. Pure
+  /// serving counters, the kept prefixes) — normalized, ready to merge at
+  /// a router. Pure
   /// measurement: collecting takes only read views.
   [[nodiscard]] obs::Snapshot stats_snapshot();
 
@@ -288,7 +327,13 @@ class MinerDaemon {
   obs::Counter* ctr_refused_bad_ = nullptr;      ///< serve.refused.bad_request
   obs::Counter* ctr_refused_owner_ = nullptr;    ///< serve.refused.not_owner
   obs::Counter* ctr_refused_unavail_ = nullptr;  ///< serve.refused.unavailable
+  obs::Counter* ctr_prefix_kept_ = nullptr;      ///< serve.prefix.kept
+  obs::Counter* ctr_prefix_hits_ = nullptr;      ///< serve.prefix.hits
+  obs::Counter* ctr_prefix_misses_ = nullptr;    ///< serve.prefix.misses (kUnknownPrefix)
   obs::Gauge* g_ingest_epoch_ = nullptr;         ///< ingest.epoch (last receipt)
+  /// Query rows routers asked this member to keep (serve_payload's
+  /// kPartialRequest branch).
+  PrefixTable prefixes_;
   /// Last member: destroyed (and its threads joined) before anything the
   /// serve_frame handler touches.
   std::unique_ptr<Reactor> reactor_;
@@ -363,11 +408,17 @@ class ServeClient {
   /// One shard's exact-merge partial for a named job (cluster scatter
   /// phase). `queries` is the canonical eval prefix the merge will score;
   /// `radii` bounds a bounded job's partial, one radius per query (empty:
-  /// unbounded).
+  /// unbounded); `prefix` is the request's prefix word (proto::kPrefixKeep,
+  /// or a handle the door issued, with empty `queries`).
   proto::DecodedPartialResponse mine_partial(std::size_t shard, const std::string& job,
                                              const proto::JobParams& params,
                                              const data::Dataset& queries,
-                                             std::span<const double> radii = {});
+                                             std::span<const double> radii = {},
+                                             std::uint64_t prefix = proto::kPrefixInline);
+
+  /// mine_partial over a pre-encoded kPartialRequest payload
+  /// (proto::encode_partial_request), for a caller that counts its bytes.
+  proto::DecodedPartialResponse mine_partial_wire(std::span<const double> request);
 
   /// One shard's rows in canonical (nonce, seq) order (cluster gather
   /// phase); max_records 0 = all.

@@ -113,21 +113,12 @@ std::vector<double> hist_merge(const std::vector<std::vector<double>>& partials,
 //    sumsq[d]}*}*].
 std::vector<double> nb_partial(const ShardSnapshot& shard, const data::Dataset&,
                                std::span<const double>, const JobParams&) {
-  const auto& keys = shard.keys;
-  const auto order = shard.canonical_order();
-  std::size_t segments = 0;
-  for (std::size_t at = 0; at < order.size(); ++at)
-    segments += at == 0 || keys[order[at]].nonce != keys[order[at - 1]].nonce;
+  // The statistics are the snapshot's: summed once, on its first NB read.
+  const auto segments = shard.nonce_stats();
   wire::Writer w("nb partial");
   w.count(shard.rows.dims(), "dims", kMaxBlobDims);
-  w.count(segments, "segments", kMaxBlobDims);
-  std::size_t at = 0;
-  while (at < order.size()) {
-    const std::uint64_t nonce = keys[order[at]].nonce;
-    const std::size_t begin = at;
-    while (at < order.size() && keys[order[at]].nonce == nonce) ++at;
-    const auto stats = ml::GaussianNaiveBayes::collect_stats(
-        shard.rows.subset(order.subspan(begin, at - begin)));
+  w.count(segments.size(), "segments", kMaxBlobDims);
+  for (const auto& [nonce, stats] : segments) {
     w.u64(nonce, "nonce");
     w.count(stats.size(), "classes", kMaxBlobClasses);
     for (const auto& cls : stats) {

@@ -45,6 +45,7 @@ std::string to_string(ServeErrorCode code) {
     case ServeErrorCode::kBadRequest: return "bad-request";
     case ServeErrorCode::kNotOwner: return "not-owner";
     case ServeErrorCode::kUnavailable: return "unavailable";
+    case ServeErrorCode::kUnknownPrefix: return "unknown-prefix";
   }
   return "unknown";
 }
@@ -240,7 +241,8 @@ std::vector<double> encode_serve_error(ServeErrorCode code, const std::string& m
 
 DecodedServeError decode_serve_error(std::span<const double> wire) {
   wire::Reader in(wire, "decode_serve_error");
-  const std::size_t code = in.count("error code", 3);
+  const std::size_t code =
+      in.count("error code", static_cast<std::size_t>(ServeErrorCode::kUnknownPrefix));
   SAP_REQUIRE(code >= 1, "decode_serve_error: unknown error code");
   DecodedServeError out;
   out.code = static_cast<ServeErrorCode>(code);
@@ -280,15 +282,17 @@ data::Dataset read_rows(wire::Reader& in, const char* what) {
 std::vector<double> encode_partial_request(std::size_t shard, const std::string& job,
                                            const std::map<std::string, double>& params,
                                            const data::Dataset& queries,
-                                           std::span<const double> radii) {
+                                           std::span<const double> radii,
+                                           std::uint64_t prefix) {
   const auto request = encode_mining_request(job, params);
-  wire::Writer w("encode_partial_request", 5 + request.size() + radii.size() +
+  wire::Writer w("encode_partial_request", 6 + request.size() + radii.size() +
                                                queries.features().size() + queries.size());
   w.count(shard, "shard id");
   w.count(request.size(), "request length");
   w.block(request);
   w.count(radii.size(), "radius count");
   w.block(radii);
+  w.u64(prefix, "prefix");
   write_rows(w, queries);
   return w.take();
 }
@@ -304,17 +308,20 @@ DecodedPartialRequest decode_partial_request(std::span<const double> wire) {
   const std::size_t radius_count = in.count("radius count");
   const auto radii = in.block(radius_count, "radii");
   out.radii.assign(radii.begin(), radii.end());
+  out.prefix = in.u64("prefix");
   out.queries = read_rows(in, "query block");
   in.finish();
   return out;
 }
 
 std::vector<double> encode_partial_response(std::uint64_t shard_epoch,
-                                            std::span<const double> blob) {
-  wire::Writer w("encode_partial_response", 2 + blob.size());
+                                            std::span<const double> blob,
+                                            std::uint64_t kept) {
+  wire::Writer w("encode_partial_response", 3 + blob.size());
   w.count(shard_epoch, "shard epoch");
   w.count(blob.size(), "blob length");
   w.block(blob);
+  w.u64(kept, "kept prefix");
   return w.take();
 }
 
@@ -325,6 +332,9 @@ DecodedPartialResponse decode_partial_response(std::span<const double> wire) {
   const std::size_t count = in.count("blob length");
   const auto blob = in.block(count, "blob");
   out.blob.assign(blob.begin(), blob.end());
+  out.kept = in.u64("kept prefix");
+  SAP_REQUIRE(out.kept == 0 || out.kept >= kFirstPrefixHandle,
+              "decode_partial_response: malformed kept prefix");
   in.finish();
   return out;
 }

@@ -260,6 +260,9 @@ enum class ServeErrorCode : std::uint8_t {
   kBadRequest = 1,   ///< unknown job / bad params — definitive, do not retry
   kNotOwner = 2,     ///< this miner does not own the addressed shard
   kUnavailable = 3,  ///< transient (exchange pending, shard not installed)
+  /// The partial request named an eval-prefix handle this member does not
+  /// hold (evicted, or issued by an earlier process): resend the rows.
+  kUnknownPrefix = 4,
 };
 std::string to_string(ServeErrorCode code);
 
@@ -272,36 +275,51 @@ struct DecodedServeError {
 };
 DecodedServeError decode_serve_error(std::span<const double> wire);
 
+/// A partial request's prefix word (DESIGN.md §11, "Eval prefix by
+/// handle"): the query rows ride inline, ride inline for the member to keep,
+/// or stay at the member under a handle it issued (>= kFirstPrefixHandle,
+/// below 2^53) and the row block is empty.
+inline constexpr std::uint64_t kPrefixInline = 0;
+inline constexpr std::uint64_t kPrefixKeep = 1;
+inline constexpr std::uint64_t kFirstPrefixHandle = 2;
+
 /// Partial request: [shard, req_len, mining_request..., radius_count,
-/// radii..., qd, qm, queries row-major qm x qd, labels...] — run `job` with
-/// `params` over one shard and return the exact-merge partial blob.
-/// `queries` is the canonical eval prefix the merge scores against (qm == 0
-/// => no queries; structural merges). `radii` bounds a bounded partial
-/// (JobSpec::merge_bounded), one squared-distance radius per query; empty
-/// asks for the unbounded partial. The decoder reads the radii raw: the
-/// miner door refuses a block that is neither empty nor one finite,
-/// non-negative radius per query of a bounded job.
+/// radii..., prefix, qd, qm, queries row-major qm x qd, labels...] — run
+/// `job` with `params` over one shard and return the exact-merge partial
+/// blob. `queries` is the canonical eval prefix the merge scores against
+/// (qm == 0 => no queries; structural merges, or rows named by a handle in
+/// `prefix`). `radii` bounds a bounded partial (JobSpec::merge_bounded),
+/// one squared-distance radius per query; empty asks for the unbounded
+/// partial. The decoder reads the radii and the prefix word raw: the miner
+/// door refuses a radius block that is neither empty nor one finite,
+/// non-negative radius per query of a bounded job, and a prefix word that
+/// does not fit the row block or the job.
 std::vector<double> encode_partial_request(std::size_t shard, const std::string& job,
                                            const std::map<std::string, double>& params,
                                            const data::Dataset& queries,
-                                           std::span<const double> radii = {});
+                                           std::span<const double> radii = {},
+                                           std::uint64_t prefix = kPrefixInline);
 struct DecodedPartialRequest {
   std::size_t shard = 0;
   std::string job;
   std::map<std::string, double> params;
   std::vector<double> radii;
+  std::uint64_t prefix = kPrefixInline;
   data::Dataset queries;
 };
 DecodedPartialRequest decode_partial_request(std::span<const double> wire);
 
-/// Partial response: [shard_epoch, value_count, blob...]. The blob is the
-/// job's opaque partial; the epoch is the shard epoch it was computed at
-/// (the router's per-shard watermark input).
+/// Partial response: [shard_epoch, value_count, blob..., kept]. The blob is
+/// the job's opaque partial; the epoch is the shard epoch it was computed
+/// at (the router's per-shard watermark input); `kept` is the handle the
+/// member kept the request's rows under (0: none kept).
 std::vector<double> encode_partial_response(std::uint64_t shard_epoch,
-                                            std::span<const double> blob);
+                                            std::span<const double> blob,
+                                            std::uint64_t kept = 0);
 struct DecodedPartialResponse {
   std::uint64_t shard_epoch = 0;
   std::vector<double> blob;
+  std::uint64_t kept = 0;
 };
 DecodedPartialResponse decode_partial_response(std::span<const double> wire);
 

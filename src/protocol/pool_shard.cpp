@@ -32,6 +32,21 @@ const ml::LaneBlocks& ShardSnapshot::canonical_blocks() const {
   return blocks_;
 }
 
+std::span<const NonceStats> ShardSnapshot::nonce_stats() const {
+  std::call_once(stats_once_, [this] {
+    const auto order = canonical_order();
+    std::size_t at = 0;
+    while (at < order.size()) {
+      const std::uint64_t nonce = keys[order[at]].nonce;
+      const std::size_t begin = at;
+      while (at < order.size() && keys[order[at]].nonce == nonce) ++at;
+      stats_.push_back({nonce, ml::GaussianNaiveBayes::collect_stats(
+                                   rows.subset(order.subspan(begin, at - begin)))});
+    }
+  });
+  return stats_;
+}
+
 data::Dataset merge_canonical(std::span<const KeyedRows> parts, std::size_t limit) {
   struct Row {
     PoolKey key;

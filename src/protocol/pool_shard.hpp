@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "classify/naive_bayes.hpp"
 #include "classify/nearest.hpp"
 #include "common/mutex.hpp"
 #include "data/dataset.hpp"
@@ -37,16 +38,24 @@
 
 namespace sap::proto {
 
+/// One nonce's Gaussian naive Bayes class statistics over its rows in
+/// canonical order (ml::GaussianNaiveBayes::collect_stats).
+struct NonceStats {
+  std::uint64_t nonce = 0;
+  std::vector<ml::NbClassStats> classes;
+};
+
 /// Immutable snapshot of one shard's pool: rows in arrival order plus each
 /// row's canonical (nonce, seq) coordinate, versioned TOGETHER so a reader
 /// never pairs rows from one epoch with keys from another.
 ///
-/// Its canonical view (the row order by key, and the rows packed as lane
-/// blocks in that order) is derived from the immutable rows, each part at
-/// most once and on first use, so it can never go stale and is freed with
-/// the snapshot. The exact-merge partials and shard slices read it instead
-/// of sorting and packing per request; a flat engine runs neither and never
-/// builds it. Safe to read from any number of threads.
+/// Its canonical view (the row order by key, the rows packed as lane
+/// blocks in that order, and each nonce's NB class statistics) is derived
+/// from the immutable rows, each part at most once and on first use, so it
+/// can never go stale and is freed with the snapshot. The exact-merge
+/// partials and shard slices read it instead of sorting, packing and
+/// summing per request; a flat engine runs neither and never builds it.
+/// Safe to read from any number of threads.
 class ShardSnapshot {
  public:
   ShardSnapshot(data::Dataset rows, std::vector<PoolKey> keys);
@@ -61,12 +70,17 @@ class ShardSnapshot {
   /// The rows as lane blocks in canonical order: block row i is row
   /// canonical_order()[i], so a row's position is its canonical rank.
   [[nodiscard]] const ml::LaneBlocks& canonical_blocks() const;
+  /// Each nonce's NB class statistics, nonces ascending: what the NB
+  /// partial ships, since it depends on neither queries nor parameters.
+  [[nodiscard]] std::span<const NonceStats> nonce_stats() const;
 
  private:
   mutable std::once_flag order_once_;
   mutable std::once_flag blocks_once_;
+  mutable std::once_flag stats_once_;
   mutable std::vector<std::size_t> order_;
   mutable ml::LaneBlocks blocks_;
+  mutable std::vector<NonceStats> stats_;
 };
 
 /// One nonce's slice of a unified pool, in that nonce's record order — the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <random>
 
 #include "common/error.hpp"
 
@@ -162,6 +163,13 @@ std::vector<double> Engine::dirichlet(std::size_t n, double alpha) {
 Engine Engine::spawn() {
   std::uint64_t child_seed = (*this)() ^ 0xA5A5A5A55A5A5A5AULL;
   return Engine(child_seed);
+}
+
+std::uint64_t entropy_word() {
+  std::random_device source;
+  std::uint64_t word = 0;
+  for (int half = 0; half < 2; ++half) word = word << 32 | source();
+  return word;
 }
 
 }  // namespace sap::rng

@@ -76,4 +76,11 @@ class Engine {
   bool has_cached_normal_ = false;
 };
 
+/// One unpredictable word from the operating system's entropy source. Not
+/// for any draw a run must reproduce: it names a process instance, so that
+/// identifiers one process hands out (a member's eval-prefix handles,
+/// DESIGN.md §11) differ from those an earlier process at the same address
+/// handed out. The one nondeterministic source in the tree (sap_lint R1).
+[[nodiscard]] std::uint64_t entropy_word();
+
 }  // namespace sap::rng

@@ -43,8 +43,10 @@
 #include <thread>
 #include <vector>
 
+#include "classify/naive_bayes.hpp"
 #include "cluster_fixture.hpp"
 #include "common/error.hpp"
+#include "common/wire.hpp"
 #include "net/cluster.hpp"
 #include "net/remote.hpp"
 #include "obs/metrics.hpp"
@@ -322,6 +324,71 @@ TEST(ShardedEngine, ConcurrentFirstPartialsShareOneView) {
     for (std::size_t r = 0; r <= round; ++r) (void)fresh.append_records(23, batch(r));
     const auto want = fresh.run_partial(shard, {job, {}}, queries).values;
     for (const auto& blob : blobs) EXPECT_EQ(blob, want);
+  }
+}
+
+/// The NB partial blob folded from scratch: each nonce's rows, in (nonce,
+/// seq) order, through collect_stats, in the layout nb_partial writes.
+std::vector<double> fresh_nb_blob(const proto::ShardSnapshot& snap) {
+  std::vector<std::size_t> order(snap.keys.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return snap.keys[a] < snap.keys[b]; });
+  std::vector<double> segments;
+  std::size_t count = 0;
+  for (std::size_t at = 0; at < order.size();) {
+    const std::uint64_t nonce = snap.keys[order[at]].nonce;
+    std::vector<std::size_t> rows;
+    for (; at < order.size() && snap.keys[order[at]].nonce == nonce; ++at)
+      rows.push_back(order[at]);
+    const auto stats = sap::ml::GaussianNaiveBayes::collect_stats(snap.rows.subset(rows));
+    segments.push_back(static_cast<double>(nonce));
+    segments.push_back(static_cast<double>(stats.size()));
+    for (const auto& cls : stats) {
+      segments.push_back(cls.label);
+      segments.push_back(static_cast<double>(cls.count));
+      for (const auto* moments : {&cls.shift, &cls.sum, &cls.sumsq})
+        segments.insert(segments.end(), moments->begin(), moments->end());
+    }
+    ++count;
+  }
+  std::vector<double> blob{static_cast<double>(snap.rows.dims()), static_cast<double>(count)};
+  blob.insert(blob.end(), segments.begin(), segments.end());
+  return blob;
+}
+
+TEST(ShardedEngine, NbStatisticsAreSummedOncePerSnapshot) {
+  // An NB partial depends on neither its queries nor its params, so each
+  // snapshot sums its nonces' statistics once, on its first NB read, and
+  // every later read serializes the same view. Every blob equals a fold
+  // from scratch, byte for byte, whatever the shard count.
+  const Dataset pool = normalized_pool("Iris", 7008);
+  const auto segments = make_segments(pool, {11, 5021, 90210, 777001, 900000017});
+  const Dataset queries = pool.slice(0, 16);
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto engine = make_engine(shards, proto::ShardLayout::kHashMod);
+    engine.set_pool_segments(segments);
+    for (const std::size_t g : engine.owned_shards()) {
+      const auto view = engine.shard_view(g);
+      const auto want = fresh_nb_blob(*view.snap);
+      EXPECT_EQ(engine.run_partial(g, {"nb-train-accuracy", {}}, {}).values, want);
+      const auto built = view.snap->nonce_stats();
+      // Other params and queries read the same view.
+      EXPECT_EQ(engine.run_partial(g, {"nb-train-accuracy", {{"var-smoothing", 1e-3}}}, queries)
+                    .values,
+                want);
+      EXPECT_EQ(view.snap->nonce_stats().data(), built.data());
+      if (!built.empty()) {
+        EXPECT_EQ(view.snap->nonce_stats().front().classes.data(),
+                  built.front().classes.data());
+      }
+    }
+    // An append makes a new snapshot, whose view is summed afresh.
+    const std::size_t g = proto::shard_of_nonce(11, shards, proto::ShardLayout::kHashMod);
+    (void)engine.append_records(11, pool.slice(0, 9));
+    EXPECT_EQ(engine.run_partial(g, {"nb-train-accuracy", {}}, {}).values,
+              fresh_nb_blob(*engine.shard_view(g).snap));
   }
 }
 
@@ -872,6 +939,253 @@ TEST(ShardRouter, EmptyShardsStayBitIdenticalToTheFlatEngine) {
   b.stop();
 }
 
+// ---- eval prefix by handle ----------------------------------------------
+
+double gauge_value(const sap::obs::Snapshot& s, const std::string& name) {
+  for (const auto& [n, v] : s.gauges)
+    if (n == name) return v;
+  return -1.0;
+}
+
+std::uint64_t member_counter(const Member& m, const std::string& name) {
+  return counter_value(m.daemon->stats_snapshot(), name);
+}
+
+TEST(PrefixTable, KeepsTheNewestRowSetsUnderHandlesNoProcessReuses) {
+  net::PrefixTable table;
+  const Dataset rows = normalized_pool("Iris", 7009).slice(0, 6);
+  std::vector<std::uint64_t> handles;
+  for (std::size_t i = 0; i < net::PrefixTable::kCapacity + 3; ++i) {
+    const Dataset kept = rows.slice(0, 1 + i % 5);
+    const std::uint64_t handle = table.keep(kept);
+    EXPECT_GE(handle, proto::kFirstPrefixHandle);
+    EXPECT_LT(handle, sap::wire::kDoubleExactLimit);
+    ASSERT_NE(table.find(handle), nullptr);
+    EXPECT_EQ(table.find(handle)->features(), kept.features());
+    handles.push_back(handle);
+    EXPECT_EQ(table.size(), std::min(i + 1, net::PrefixTable::kCapacity));
+  }
+  // Oldest evicted first; every handle distinct, within a table and across
+  // tables in one process.
+  for (std::size_t i = 0; i < handles.size(); ++i)
+    EXPECT_EQ(table.find(handles[i]) != nullptr, i >= 3) << "keep " << i;
+  net::PrefixTable other;
+  handles.push_back(other.keep(rows));
+  std::sort(handles.begin(), handles.end());
+  EXPECT_EQ(std::adjacent_find(handles.begin(), handles.end()), handles.end());
+  EXPECT_EQ(table.find(handles.back() + 1), nullptr);
+  EXPECT_EQ(table.find(proto::kPrefixInline), nullptr);
+}
+
+TEST(PrefixHandles, SecondKnnReadGoesByHandleAndTheStatsDoorShowsIt) {
+  // Through a router door: the first kNN read sends each member the eval
+  // prefix's rows to keep, the second only the handles they answered with.
+  // Both equal the flat engine; the stats door shows the handles, the
+  // kept rows and the smaller requests.
+  Cluster cluster(5858);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  net::RouterDaemonOptions ropts;
+  ropts.router.miners = {a.daemon->local_addr(), b.daemon->local_addr()};
+  ropts.router.replicas = 1;
+  ropts.router.seed = cluster.seed;
+  ropts.router.parties = cluster.k;
+  ropts.reactor.listen = {"127.0.0.1", 0};
+  auto router = std::make_unique<net::RouterDaemon>(ropts);
+  net::ServeClient client(router->local_addr(), cluster.seed, cluster.k);
+
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&a, &b}));
+  const auto knn = job_params("knn-train-accuracy");
+  const auto want = flat.run({"knn-train-accuracy", knn}).values;
+
+  EXPECT_EQ(client.mine_named("knn-train-accuracy", knn).values, want);
+  const auto first = client.stats().snapshot;
+  EXPECT_EQ(client.mine_named("knn-train-accuracy", knn).values, want);
+  const auto second = client.stats().snapshot;
+  // An NB read sends no rows and names no handle.
+  EXPECT_EQ(client.mine_named("nb-train-accuracy", job_params("nb-train-accuracy")).values,
+            flat.run({"nb-train-accuracy", job_params("nb-train-accuracy")}).values);
+  const auto third = client.stats().snapshot;
+
+  EXPECT_EQ(counter_value(first, "router.prefix_refs"), 0u);
+  EXPECT_EQ(counter_value(first, "serve.prefix.kept"), 2u);  // one per member
+  EXPECT_EQ(counter_value(second, "router.prefix_refs"), 2u);
+  EXPECT_EQ(counter_value(second, "serve.prefix.hits"), 2u);
+  EXPECT_EQ(counter_value(second, "serve.prefix.kept"), 2u);
+  for (const auto* snap : {&first, &second, &third}) {
+    EXPECT_EQ(counter_value(*snap, "router.prefix_resends"), 0u);
+    EXPECT_EQ(counter_value(*snap, "serve.prefix.misses"), 0u);
+    EXPECT_EQ(gauge_value(*snap, "m0.serve.prefix.held"), 1.0);
+    EXPECT_EQ(gauge_value(*snap, "m1.serve.prefix.held"), 1.0);
+  }
+  EXPECT_EQ(counter_value(third, "router.prefix_refs"), 2u);
+  EXPECT_EQ(counter_value(third, "serve.prefix.kept"), 2u);
+  const auto first_bytes = counter_value(first, "router.partial_request_bytes");
+  const auto second_bytes = counter_value(second, "router.partial_request_bytes") - first_bytes;
+  EXPECT_GT(second_bytes, 0u);
+  EXPECT_LT(second_bytes, first_bytes);
+
+  client.bye();
+  router->stop();
+  router.reset();
+  a.stop();
+  b.stop();
+}
+
+TEST(PrefixHandles, ARestartedMemberIsResentTheRowsOnce) {
+  // A member restarts at its old address between two reads. Its new
+  // process holds no kept rows and knows none of its predecessor's
+  // handles, so its leg is answered kUnknownPrefix and resent with the rows
+  // inside the leg: no failover, and the read still equals the flat engine.
+  Cluster cluster(6060);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->local_addr(), b.daemon->local_addr()};
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&a, &b}));
+  const auto params = job_params("knn-train-accuracy");
+  const auto want = flat.run({"knn-train-accuracy", params}).values;
+  const auto counter = [&](const char* name) {
+    return counter_value(router.metrics().snapshot(), name);
+  };
+
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_EQ(counter("router.prefix_refs"), 2u);
+
+  // The same exchange installs the same shard at the same epoch.
+  da.listen = a.daemon->local_addr();
+  a.stop();
+  Member restarted;
+  restarted.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  // Past the client's idle probe, so the old connection is found closed and
+  // redialed before the request is written.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_EQ(counter("router.prefix_resends"), 1u);
+  EXPECT_EQ(member_counter(restarted, "serve.prefix.misses"), 1u);
+  EXPECT_EQ(member_counter(restarted, "serve.prefix.kept"), 1u);
+  EXPECT_EQ(member_counter(b, "serve.prefix.misses"), 0u);
+
+  // The next read goes by handle to both members again.
+  const auto refs = counter("router.prefix_refs");
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_EQ(counter("router.prefix_refs") - refs, 2u);
+  EXPECT_EQ(counter("router.prefix_resends"), 1u);
+  EXPECT_EQ(router.failovers(), 0u);
+  EXPECT_EQ(counter("router.prefix_stale"), 0u);
+
+  restarted.stop();
+  b.stop();
+}
+
+TEST(PrefixHandles, RowsKeptPastTheCapAreResent) {
+  // One member serves two routers over prefixes of different lengths.
+  // While both prefixes are kept each router's handle names its own rows;
+  // once the second router has kept more prefixes than the cap, the first
+  // one's handle is evicted, and its next read is resent with the rows.
+  Cluster cluster(6161);
+  Member a;
+  net::MinerDaemonOptions opts;
+  opts.shards = 1;
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->local_addr()};
+  ropts.shards = 1;
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter first(ropts);
+  net::ShardRouter churn(ropts);
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&a}));
+  const auto read = [&](net::ShardRouter& router, double eval_records) {
+    const proto::JobParams params{{"eval-records", eval_records}};
+    EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values,
+              flat.run({"knn-train-accuracy", params}).values)
+        << eval_records << " eval records";
+  };
+  const auto resends = [&] {
+    return counter_value(first.metrics().snapshot(), "router.prefix_resends");
+  };
+
+  read(first, 20);
+  read(churn, 21);
+  read(first, 20);  // by handle, beside the churn router's kept rows
+  EXPECT_EQ(counter_value(first.metrics().snapshot(), "router.prefix_refs"), 1u);
+  for (std::size_t i = 0; i < net::PrefixTable::kCapacity; ++i)
+    read(churn, 22.0 + static_cast<double>(i));
+  EXPECT_EQ(resends(), 0u);
+  read(first, 20);
+  EXPECT_EQ(resends(), 1u);
+  EXPECT_EQ(member_counter(a, "serve.prefix.misses"), 1u);
+  EXPECT_EQ(gauge_value(a.daemon->stats_snapshot(), "serve.prefix.held"),
+            static_cast<double>(net::PrefixTable::kCapacity));
+  read(first, 20);  // by handle again
+  EXPECT_EQ(resends(), 1u);
+  EXPECT_EQ(counter_value(churn.metrics().snapshot(), "router.prefix_resends"), 0u);
+  EXPECT_EQ(first.failovers() + churn.failovers(), 0u);
+
+  a.stop();
+}
+
+TEST(PrefixHandles, AFailoverSendsTheRowsToTheReplica) {
+  // Two members own both shards; each is the primary of one. Both keep the
+  // prefix on the first read. When member 0 dies, shard 0's legs fail over
+  // to member 1, which holds a handle for the same rows, yet every leg
+  // that failed over carries the rows: once in the read's bounded round,
+  // once after the re-gather the failover forces.
+  Cluster cluster(6262);
+  Member a, b;
+  net::MinerDaemonOptions opts;
+  opts.shards = 2;
+  opts.owned_shards = {0, 1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->local_addr(), b.daemon->local_addr()};
+  ropts.replicas = 2;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&b}));
+  const auto params = job_params("knn-train-accuracy");
+  const auto want = flat.run({"knn-train-accuracy", params}).values;
+
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_EQ(member_counter(b, "serve.prefix.kept"), 1u);
+  EXPECT_EQ(member_counter(b, "serve.prefix.hits"), 1u);
+
+  a.stop();
+  EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want);
+  EXPECT_GE(router.failovers(), 1u);
+  EXPECT_EQ(member_counter(b, "serve.prefix.kept"), 3u);
+  EXPECT_EQ(member_counter(b, "serve.prefix.misses"), 0u);
+  EXPECT_EQ(counter_value(router.metrics().snapshot(), "router.prefix_resends"), 0u);
+
+  b.stop();
+}
+
 // ---- router door ---------------------------------------------------------
 
 TEST(RouterDoor, AnswersLikeAMinerDoor) {
@@ -1010,12 +1324,18 @@ TEST(MinerDoor, RefusesMalformedPartialRequestsDefinitively) {
     radii[at] = value;
     return radii;
   };
+  // Rows kept for the handle rows below.
+  const Dataset none;
+  const auto kept = client.mine_partial(0, "knn-train-accuracy", {}, queries, {},
+                                        proto::kPrefixKeep);
+  ASSERT_GE(kept.kept, proto::kFirstPrefixHandle);
   struct Case {
     const char* what;
     const char* job;
     proto::JobParams params;
     const Dataset* queries;
     std::vector<double> radii;
+    std::uint64_t prefix = proto::kPrefixInline;
   };
   const Case cases[] = {
       {"k = 0", "knn-train-accuracy", {{"k", 0.0}}, &queries, {}},
@@ -1031,20 +1351,44 @@ TEST(MinerDoor, RefusesMalformedPartialRequestsDefinitively) {
        with(radii(1.0), 5, std::numeric_limits<double>::infinity())},
       {"radii for a job whose partial takes none", "nb-train-accuracy", {}, &queries,
        radii(1.0)},
+      {"a prefix handle beside a non-empty row block", "knn-train-accuracy", {}, &queries, {},
+       kept.kept},
+      {"rows to keep for a job whose partial reads none", "nb-train-accuracy", {}, &queries, {},
+       proto::kPrefixKeep},
+      {"a prefix handle for a job whose partial reads none", "class-histogram", {}, &none, {},
+       kept.kept},
+      {"a radius count that does not match the kept rows", "knn-train-accuracy", {}, &none,
+       std::vector<double>(queries.size() + 1, 1.0), kept.kept},
   };
   for (const auto& c : cases) {
     try {
-      (void)client.mine_partial(0, c.job, c.params, *c.queries, c.radii);
+      (void)client.mine_partial(0, c.job, c.params, *c.queries, c.radii, c.prefix);
       ADD_FAILURE() << c.what << ": served";
     } catch (const net::ServeError& e) {
       EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << c.what << ": " << e.what();
     }
   }
-  // A well-formed bounded partial is served.
-  EXPECT_FALSE(client.mine_partial(0, "knn-train-accuracy", {}, queries, radii(0.5)).blob.empty());
+  // A handle this member never issued is a typed miss, which a router
+  // answers by resending the rows, not a bad request.
+  try {
+    (void)client.mine_partial(0, "knn-train-accuracy", {}, none, radii(0.5), kept.kept + 1);
+    ADD_FAILURE() << "an unknown handle was served";
+  } catch (const net::ServeError& e) {
+    EXPECT_EQ(e.code(), proto::ServeErrorCode::kUnknownPrefix) << e.what();
+  }
+  // Well-formed bounded partials are served, by handle as with the rows.
+  const auto inline_rows = client.mine_partial(0, "knn-train-accuracy", {}, queries, radii(0.5));
+  EXPECT_FALSE(inline_rows.blob.empty());
+  EXPECT_EQ(inline_rows.kept, 0u);
+  const auto by_handle =
+      client.mine_partial(0, "knn-train-accuracy", {}, none, radii(0.5), kept.kept);
+  EXPECT_EQ(by_handle.blob, inline_rows.blob);
+  EXPECT_EQ(by_handle.kept, 0u);
   const auto stats = a.daemon->stats_snapshot();
   EXPECT_EQ(counter_value(stats, "serve.refused.bad_request"), std::size(cases));
   EXPECT_EQ(counter_value(stats, "serve.refused.unavailable"), 0u);
+  EXPECT_EQ(counter_value(stats, "serve.prefix.misses"), 1u);
+  EXPECT_EQ(counter_value(stats, "serve.prefix.kept"), 1u);
   client.bye();
   a.stop();
 }

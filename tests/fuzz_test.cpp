@@ -380,6 +380,26 @@ TEST(Fuzz, PartialRequestCodecNeverCrashes) {
                [](const std::vector<double>& w) { (void)proto::decode_partial_request(w); },
                600, 54);
   EXPECT_EQ(proto::decode_partial_request(bounded).radii, radii);
+  EXPECT_EQ(proto::decode_partial_request(bounded).prefix, proto::kPrefixInline);
+  // Rows to keep, and rows named by a handle: the prefix word rides between
+  // the radius block and the row block.
+  const auto keep = proto::encode_partial_request(
+      2, "knn-train-accuracy", {{"k", 5.0}}, queries, radii, proto::kPrefixKeep);
+  EXPECT_EQ(proto::decode_partial_request(keep).prefix, proto::kPrefixKeep);
+  EXPECT_EQ(proto::decode_partial_request(keep).queries.features(), queries.features());
+  const std::uint64_t handle = sap::wire::kDoubleExactLimit - 1;
+  const auto by_handle = proto::encode_partial_request(
+      2, "knn-train-accuracy", {{"k", 5.0}}, sap::data::Dataset{}, radii, handle);
+  fuzz_decoder(by_handle,
+               [](const std::vector<double>& w) { (void)proto::decode_partial_request(w); },
+               600, 56);
+  const auto named = proto::decode_partial_request(by_handle);
+  EXPECT_EQ(named.prefix, handle);
+  EXPECT_EQ(named.radii, radii);
+  EXPECT_EQ(named.queries.size(), 0u);
+  EXPECT_THROW((void)proto::encode_partial_request(2, "knn-train-accuracy", {},
+                                                   sap::data::Dataset{}, radii, handle + 1),
+               sap::Error);
 }
 
 TEST(Fuzz, PartialResponseCodecNeverCrashes) {
@@ -391,6 +411,16 @@ TEST(Fuzz, PartialResponseCodecNeverCrashes) {
   const auto back = proto::decode_partial_response(wire);
   EXPECT_EQ(back.shard_epoch, 4u);
   EXPECT_EQ(back.blob, blob);
+  EXPECT_EQ(back.kept, 0u);
+  const auto kept = proto::encode_partial_response(4, blob, proto::kFirstPrefixHandle + 40);
+  fuzz_decoder(kept,
+               [](const std::vector<double>& w) { (void)proto::decode_partial_response(w); },
+               400, 58);
+  EXPECT_EQ(proto::decode_partial_response(kept).kept, proto::kFirstPrefixHandle + 40);
+  // 1 asks a member to keep rows; no member answers that it kept them under it.
+  EXPECT_THROW((void)proto::decode_partial_response(
+                   proto::encode_partial_response(4, blob, proto::kPrefixKeep)),
+               sap::Error);
 }
 
 TEST(Fuzz, PoolSliceCodecNeverCrashes) {
@@ -722,13 +752,23 @@ TEST(Fuzz, DecoderAcceptsOnlyExactSizes) {
       {"receipt", proto::encode_receipt(3, 120), [](auto w) { (void)proto::decode_receipt(w); }},
       {"serve error", proto::encode_serve_error(proto::ServeErrorCode::kNotOwner, "shard 1"),
        [](auto w) { (void)proto::decode_serve_error(w); }},
+      {"unknown-prefix serve error",
+       proto::encode_serve_error(proto::ServeErrorCode::kUnknownPrefix, "no kept prefix 77"),
+       [](auto w) { (void)proto::decode_serve_error(w); }},
       {"partial request", proto::encode_partial_request(1, "knn-train-accuracy", params, rows),
        [](auto w) { (void)proto::decode_partial_request(w); }},
       {"bounded partial request",
        proto::encode_partial_request(1, "knn-train-accuracy", params, rows,
                                      std::vector<double>{0.5, 0.0, 2.25, 1.0, 0.75}),
        [](auto w) { (void)proto::decode_partial_request(w); }},
+      {"partial request by handle",
+       proto::encode_partial_request(1, "knn-train-accuracy", params, sap::data::Dataset{},
+                                     std::vector<double>{0.5, 0.0, 2.25, 1.0, 0.75}, 77),
+       [](auto w) { (void)proto::decode_partial_request(w); }},
       {"partial response", proto::encode_partial_response(5, std::vector<double>{1.0, 2.0}),
+       [](auto w) { (void)proto::decode_partial_response(w); }},
+      {"partial response with a kept prefix",
+       proto::encode_partial_response(5, std::vector<double>{1.0, 2.0}, 77),
        [](auto w) { (void)proto::decode_partial_response(w); }},
       {"pool slice request", proto::encode_pool_slice_request(2, 64),
        [](auto w) { (void)proto::decode_pool_slice_request(w); }},
