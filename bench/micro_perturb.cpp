@@ -1,15 +1,17 @@
 // Micro-benchmarks for the perturbation / privacy / protocol hot paths
 // (google-benchmark): perturbation application, adaptor application,
-// FastICA and its tanh pass, full attack-suite evaluation, one LocalOptimize
-// run, SMO training, and one complete SAP protocol round.
+// FastICA, its fixed-point step and tanh pass per step-kernel variant, its
+// Jacobi eigen-decomposition, full attack-suite evaluation, one
+// LocalOptimize run, SMO training, and one complete SAP protocol round.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "bench_util.hpp"
 #include "classify/svm.hpp"
-#include "common/owned_math.hpp"
+#include "linalg/decompose.hpp"
 #include "linalg/orthogonal.hpp"
 #include "linalg/stats.hpp"
 #include "net/remote.hpp"
@@ -18,6 +20,7 @@
 #include "perturb/space_adaptor.hpp"
 #include "privacy/evaluator.hpp"
 #include "privacy/fastica.hpp"
+#include "privacy/fastica_step.hpp"
 #include "protocol/party_logic.hpp"
 
 namespace {
@@ -83,7 +86,8 @@ Matrix serving_shape_records() {
 
 // FastICA at the serving shape, {100 iterations, 1e-5}. Most such calls run
 // to the iteration cap (`iterations` reports this one's), so this is the
-// cost that sets perfbench's setup_s.
+// cost that sets perfbench's setup_s. The label names the step-kernel
+// variant the CPU dispatched to.
 void BM_FastIcaServingShape(benchmark::State& state) {
   const Matrix y = serving_shape_records();
   std::size_t iterations = 0;
@@ -94,39 +98,92 @@ void BM_FastIcaServingShape(benchmark::State& state) {
     benchmark::DoNotOptimize(res.sources.data().data());
   }
   state.counters["iterations"] = static_cast<double>(iterations);
+  state.SetLabel(sap::privacy::step_kernel().name);
 }
 BENCHMARK(BM_FastIcaServingShape)->Unit(benchmark::kMillisecond);
 
-// One g(W Z) pass of a serving-shape FastICA iteration: tanh over a 9 x 160
-// projection, by libm's std::tanh or by the owned span form, row by row as
-// fast_ica applies it. W Z is a random rotation of the row-standardized
-// serving records, the spread FastICA's projections have. Each call copies
-// the projection back first, the same cost on both rows.
-void BM_TanhRow(benchmark::State& state, bool owned) {
+// The serving records, row-standardized: the spread of the whitened records
+// FastICA steps over, and, rotated, of its projections W Z.
+Matrix standardized_serving_records() {
   Matrix z = serving_shape_records();
   const sap::linalg::Vector mean = sap::linalg::row_means(z);
   const sap::linalg::Vector sd = sap::linalg::row_stddev(z);
   for (std::size_t i = 0; i < z.rows(); ++i)
     for (double& v : z.row(i)) v = (v - mean[i]) / sd[i];
+  return z;
+}
+
+// One fixed-point step at the serving shape (k = 9, n = 160) on one
+// step-kernel variant: g = tanh(W Z), the g' sums and g Z^T, for a random
+// rotation W. Every variant the CPU runs has a row, in one process.
+void BM_FastIcaStep(benchmark::State& state, sap::privacy::StepKernel kernel) {
+  sap::privacy::StepBuffers buf(standardized_serving_records());
+  Engine eng(10);
+  const Matrix w = sap::linalg::random_orthogonal(buf.z().rows(), eng);
+  for (auto _ : state) {
+    kernel.step(w, buf);
+    benchmark::DoNotOptimize(buf.gz.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(buf.g.size()));
+}
+
+// The Jacobi eigen-decomposition one serving-shape decorrelation runs: of
+// S S^T for the step matrix S = E[g Z^T] - E[g'] W of one fixed-point step.
+void BM_SymEigenServingShape(benchmark::State& state) {
+  sap::privacy::StepBuffers buf(standardized_serving_records());
+  Engine eng(10);
+  const Matrix w = sap::linalg::random_orthogonal(buf.z().rows(), eng);
+  sap::privacy::step_kernel().step(w, buf);
+  const double inv_n = 1.0 / static_cast<double>(buf.z().cols());
+  Matrix step(w.rows(), w.cols());
+  for (std::size_t i = 0; i < w.rows(); ++i)
+    for (std::size_t j = 0; j < w.cols(); ++j)
+      step(i, j) = buf.gz(i, j) * inv_n - buf.gprime[i] * inv_n * w(i, j);
+  const Matrix gram = sap::linalg::matmul_abt(step, step);
+  for (auto _ : state) {
+    auto eig = sap::linalg::sym_eigen(gram);
+    benchmark::DoNotOptimize(eig.values.data());
+  }
+}
+BENCHMARK(BM_SymEigenServingShape);
+
+// One g(W Z) pass of a serving-shape FastICA iteration: tanh over a 9 x 160
+// projection, by libm's std::tanh or by a step-kernel variant's tanh pass.
+// W Z is a random rotation of the row-standardized serving records, the
+// spread FastICA's projections have. Each call copies the projection back
+// first, the same cost on every row.
+void BM_TanhRow(benchmark::State& state, const sap::privacy::StepKernel* kernel) {
+  const Matrix z = standardized_serving_records();
   Engine eng(10);
   const Matrix wz = sap::linalg::random_orthogonal(z.rows(), eng) * z;
   Matrix g = wz;
   for (auto _ : state) {
     std::copy(wz.data().begin(), wz.data().end(), g.data().begin());
-    for (std::size_t i = 0; i < g.rows(); ++i) {
-      if (owned) {
-        sap::math::tanh_in_place(g.row(i));
-      } else {
-        for (double& v : g.row(i)) v = std::tanh(v);
-      }
+    if (kernel != nullptr) {
+      kernel->tanh_pass(g.data());
+    } else {
+      for (double& v : g.data()) v = std::tanh(v);
     }
     benchmark::DoNotOptimize(g.data().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(wz.size()));
 }
-BENCHMARK_CAPTURE(BM_TanhRow, libm, false);
-BENCHMARK_CAPTURE(BM_TanhRow, owned, true);
+BENCHMARK_CAPTURE(BM_TanhRow, libm, nullptr);
+
+// BM_FastIcaStep/<variant> and BM_TanhRow/<variant> for every step-kernel
+// variant this CPU runs, registered in one process: across processes the
+// VM's drift hides a ratio between variants.
+[[maybe_unused]] const bool kStepKernelRowsRegistered = [] {
+  static const auto kernels = sap::privacy::supported_step_kernels();
+  for (const auto& kernel : kernels) {
+    const std::string name = kernel.name;
+    benchmark::RegisterBenchmark(("BM_FastIcaStep/" + name).c_str(), BM_FastIcaStep, kernel);
+    benchmark::RegisterBenchmark(("BM_TanhRow/" + name).c_str(), BM_TanhRow, &kernel);
+  }
+  return true;
+}();
 
 // One of LocalOptimize's two runs on the serving shape: party 0 of the
 // Shuttle stream workload, net::serving_session_options' optimizer, party

@@ -11,18 +11,14 @@
 // optimizer and perturbation code.
 #pragma once
 
-#include <span>
-
 namespace sap::math {
 
 /// Hyperbolic tangent. Odd by construction (computed on |x|, the sign bit
 /// copied back), so tanh(-0) is -0; exactly ±1 for |x| >= 22 and at ±∞;
 /// NaN for NaN. Within a few ulp of glibc's tanh (tests/owned_math_test.cpp
-/// pins the gap over its sweep).
+/// pins the gap over its sweep). Its span form is each FastICA step-kernel
+/// variant's tanh pass (privacy/fastica_step.hpp), bit for bit this one on
+/// every element.
 [[nodiscard]] double tanh(double x) noexcept;
-
-/// tanh of every element, in place: bit for bit the scalar form on each
-/// element, with no branch on the values, so the compiler vectorizes it.
-void tanh_in_place(std::span<double> values) noexcept;
 
 }  // namespace sap::math

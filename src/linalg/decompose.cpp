@@ -1,6 +1,7 @@
 #include "linalg/decompose.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -174,73 +175,107 @@ Matrix cholesky(const Matrix& a) {
 
 // ---------------------------------------------------------------- Jacobi eigen
 
+namespace {
+
+/// x <- c x - s y and y <- s x + c y, element by element: one plane
+/// rotation applied to two contiguous rows.
+void rotate_rows(double* x, double* y, std::size_t n, double c, double s) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k];
+    const double yk = y[k];
+    x[k] = c * xk - s * yk;
+    y[k] = s * xk + c * yk;
+  }
+}
+
+}  // namespace
+
 SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
   SAP_REQUIRE(a.rows() == a.cols(), "sym_eigen: matrix must be square");
   // A NaN passes the symmetry check below and breaks the eigenvalue sort's
   // strict weak order; an inf comes back as finite eigenvalues.
   SAP_REQUIRE(all_finite(a.data()), "sym_eigen: non-finite input");
   const std::size_t n = a.rows();
-  SAP_REQUIRE(a.approx_equal(a.transpose(), 1e-8 * (1.0 + a.max_abs())),
-              "sym_eigen: matrix must be symmetric");
+  const double* in = a.data().data();
+  // Symmetric within the tolerance, one test per pair in place:
+  // a(i, j) - a(j, i) is exactly -(a(j, i) - a(i, j)).
+  const double sym_tol = 1e-8 * (1.0 + a.max_abs());
+  bool symmetric = true;
+  for (std::size_t i = 0; i < n && symmetric; ++i)
+    for (std::size_t j = i + 1; j < n && symmetric; ++j)
+      symmetric = std::abs(in[i * n + j] - in[j * n + i]) <= sym_tol;
+  SAP_REQUIRE(symmetric, "sym_eigen: matrix must be symmetric");
 
-  Matrix d = a;
-  Matrix v = Matrix::identity(n);
+  // The working copy D and the rotations' product V, held transposed (row p
+  // of vt is column p of V), on the stack up to kStackDim, which covers
+  // FastICA's decorrelations and whitening at the serving shape.
+  constexpr std::size_t kStackDim = 16;
+  std::array<double, kStackDim * kStackDim> d_stack{};
+  std::array<double, kStackDim * kStackDim> vt_stack{};
+  std::array<std::size_t, kStackDim> order_stack{};
+  std::vector<double> heap;
+  std::vector<std::size_t> order_heap;
+  double* d = d_stack.data();
+  double* vt = vt_stack.data();
+  std::size_t* order = order_stack.data();
+  if (n > kStackDim) {
+    heap.resize(2 * n * n);
+    d = heap.data();
+    vt = heap.data() + n * n;
+    order_heap.resize(n);
+    order = order_heap.data();
+  }
+  std::copy(in, in + n * n, d);
+  std::fill(vt, vt + n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) vt[i * n + i] = 1.0;
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
     for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = p + 1; q < n; ++q) off = std::max(off, std::abs(d(p, q)));
-    if (off <= tol * (1.0 + d.max_abs())) break;
+      for (std::size_t q = p + 1; q < n; ++q) off = std::max(off, std::abs(d[p * n + q]));
+    double max_abs = 0.0;
+    for (std::size_t i = 0; i < n * n; ++i) max_abs = std::max(max_abs, std::abs(d[i]));
+    if (off <= tol * (1.0 + max_abs)) break;
 
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = d(p, q);
+        const double apq = d[p * n + q];
         if (std::abs(apq) <= 1e-300) continue;
-        const double app = d(p, p);
-        const double aqq = d(q, q);
+        const double app = d[p * n + p];
+        const double aqq = d[q * n + q];
         const double theta = (aqq - app) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
                          (std::abs(theta) + std::sqrt(theta * theta + 1.0));
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
 
+        // D J: columns p and q of D.
         for (std::size_t k = 0; k < n; ++k) {
-          const double dkp = d(k, p);
-          const double dkq = d(k, q);
-          d(k, p) = c * dkp - s * dkq;
-          d(k, q) = s * dkp + c * dkq;
+          const double dkp = d[k * n + p];
+          const double dkq = d[k * n + q];
+          d[k * n + p] = c * dkp - s * dkq;
+          d[k * n + q] = s * dkp + c * dkq;
         }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double dpk = d(p, k);
-          const double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+        // J^T (D J): rows p and q of D. V J: rows p and q of vt.
+        rotate_rows(d + p * n, d + q * n, n, c, s);
+        rotate_rows(vt + p * n, vt + q * n, n, c, s);
       }
     }
   }
 
   // Sort eigenpairs descending by eigenvalue.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  Vector diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = d(i, i);
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t x, std::size_t y) { return diag[x] > diag[y]; });
+  std::iota(order, order + n, std::size_t{0});
+  std::sort(order, order + n,
+            [&](std::size_t x, std::size_t y) { return d[x * n + x] > d[y * n + y]; });
 
   SymEigen out;
   out.values.resize(n);
   out.vectors = Matrix(n, n);
+  double* vectors = out.vectors.data().data();
   for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = diag[order[j]];
-    const Vector column = v.col(order[j]);
-    out.vectors.set_col(j, column);
+    out.values[j] = d[order[j] * n + order[j]];
+    const double* column = vt + order[j] * n;
+    for (std::size_t i = 0; i < n; ++i) vectors[i * n + j] = column[i];
   }
   return out;
 }

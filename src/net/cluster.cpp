@@ -1,7 +1,9 @@
 #include "net/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -307,17 +309,43 @@ bool ShardRouter::prefix_current(std::size_t limit) const {
          prefix_->route_changes == route_changes();
 }
 
+namespace {
+
+/// The same rows, bit for bit, and the same labels.
+bool same_rows(const data::Dataset& a, const data::Dataset& b) {
+  const auto& x = a.features().data();
+  const auto& y = b.features().data();
+  return a.dims() == b.dims() && a.labels() == b.labels() &&
+         std::equal(x.begin(), x.end(), y.begin(), y.end(), [](double u, double v) {
+           return std::bit_cast<std::uint64_t>(u) == std::bit_cast<std::uint64_t>(v);
+         });
+}
+
+}  // namespace
+
 void ShardRouter::gather_prefix(std::size_t limit) {
-  prefix_.reset();
   ctr_prefix_gathers_->increment();
   EvalPrefix next;
   next.limit = limit;
-  next.handles.assign(opts_.miners.size(), 0);
   // Counted before the legs: a gather that failed over may hold a slice
   // from a replica while the next partial reaches the recovered primary.
   next.route_changes = route_changes();
-  next.gathered = gather(limit);
-  SAP_REQUIRE(next.gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
+  // The old prefix stays in place through the gather's legs, so a member
+  // dropped meanwhile loses its handle (drop_client).
+  try {
+    next.gathered = gather(limit);
+    SAP_REQUIRE(next.gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
+  } catch (...) {
+    prefix_.reset();
+    throw;
+  }
+  // The same rows as before (a re-gather forced by a route change alone):
+  // every member still keeps them under the handle it answered with.
+  if (prefix_ && same_rows(prefix_->gathered.pool, next.gathered.pool)) {
+    next.handles = std::move(prefix_->handles);
+  } else {
+    next.handles.assign(opts_.miners.size(), 0);
+  }
   prefix_ = std::move(next);
 }
 

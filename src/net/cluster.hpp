@@ -270,7 +270,9 @@ class ShardRouter {
   /// prefix_ holds the `limit` prefix, every shard's floor still equals the
   /// epoch its slice was cut at, and no route changed since the gather began.
   [[nodiscard]] bool prefix_current(std::size_t limit) const;
-  /// Drop prefix_, gather the `limit` prefix afresh and keep it.
+  /// Gather the `limit` prefix afresh and keep it. Each member's handle
+  /// carries over when the rows and labels equal the old prefix's; a
+  /// failed gather drops prefix_.
   void gather_prefix(std::size_t limit);
 
   ShardRouterOptions opts_;

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/owned_math.hpp"
 #include "linalg/decompose.hpp"
 #include "linalg/stats.hpp"
+#include "privacy/fastica_step.hpp"
 
 namespace sap::privacy {
 namespace {
@@ -65,36 +65,28 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
     const double scale = 1.0 / std::sqrt(eig.values[i]);
     for (std::size_t j = 0; j < d; ++j) whitener(i, j) = scale * eig.vectors(j, i);
   }
-  const linalg::Matrix z = whitener * x;  // k x N, identity covariance
+  // Z = whitener X (k x N, identity covariance), with the copy of Z^T the
+  // step kernel reads, made once.
+  StepBuffers steps(whitener * x);
+  const StepKernel& kernel = step_kernel();
 
   // ---- symmetric fixed-point iteration with g = tanh, on buffers held for
   // the whole call
   DecorrelationBuffers buf{linalg::Matrix(k, k), linalg::Matrix(k, k), linalg::Matrix(k, k)};
   linalg::Matrix w(k, k);
   symmetric_decorrelate(linalg::Matrix::generate(k, k, [&] { return eng.normal(); }), buf, w);
-  linalg::Matrix g(k, n);  // g(W Z), k x N
   linalg::Matrix step(k, k);
   linalg::Matrix w_new(k, k);
-  linalg::Vector gprime(k);
 
   FastIcaResult result;
   const double inv_n = 1.0 / static_cast<double>(n);
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
-    // g(W Z) in place, one row at a time through the owned tanh's span
-    // form, then E[g'(W Z)] per row in its own ascending chain.
-    linalg::gemm(1.0, w, z, 0.0, g);
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto row = g.row(i);
-      math::tanh_in_place(row);
-      double acc = 0.0;
-      for (const double v : row) acc += 1.0 - v * v;
-      gprime[i] = acc;
-    }
-    // E[g(W Z) Z^T] - E[g'(W Z)] W
-    linalg::matmul_abt_into(g, z, step);
+    // g(W Z), E[g'(W Z)] and E[g(W Z) Z^T] at the CPU's vector width, then
+    // E[g(W Z) Z^T] - E[g'(W Z)] W.
+    kernel.step(w, steps);
     for (std::size_t i = 0; i < k; ++i)
       for (std::size_t j = 0; j < k; ++j)
-        step(i, j) = step(i, j) * inv_n - gprime[i] * inv_n * w(i, j);
+        step(i, j) = steps.gz(i, j) * inv_n - steps.gprime[i] * inv_n * w(i, j);
     symmetric_decorrelate(step, buf, w_new);
 
     // Convergence: rows should align with previous rows up to sign.
@@ -111,7 +103,7 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
     }
   }
 
-  result.sources = w * z;           // k x N
+  result.sources = w * steps.z();   // k x N
   result.unmixing = w * whitener;   // k x d acting on centered data
   return result;
 }

@@ -1186,6 +1186,55 @@ TEST(PrefixHandles, AFailoverSendsTheRowsToTheReplica) {
   b.stop();
 }
 
+TEST(PrefixHandles, AReGatherOfTheSameRowsKeepsTheHandles) {
+  // While a member is down every read fails over, the route-change count
+  // moves, and each read gathers the prefix again. The rows come back the
+  // same, so every member keeps its handle: a member that answers only as a
+  // primary keeps the rows on the first read and is sent its handle after
+  // that. A failover leg still sends its replica the rows.
+  Cluster cluster(6363);
+  Member a, b, c, whole;
+  net::MinerDaemonOptions opts;
+  opts.shards = 3;
+  opts.owned_shards = {0, 2};  // shard g's owners are members g and g + 1 (mod 3)
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  opts.owned_shards = {0, 1};
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  opts.owned_shards = {1, 2};
+  c.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  opts.owned_shards = {0, 1, 2};  // outside the router: the flat engine's pool
+  whole.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->local_addr(), b.daemon->local_addr(), c.daemon->local_addr()};
+  ropts.replicas = 2;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&whole}));
+  const auto params = job_params("knn-train-accuracy");
+  const auto want = flat.run({"knn-train-accuracy", params}).values;
+
+  // Shard 0 fails over to member 1, which is shard 1's primary too;
+  // member 2 answers shard 2 as its primary and nothing else.
+  a.stop();
+  for (int read = 0; read < 3; ++read) {
+    EXPECT_EQ(router.mine_named("knn-train-accuracy", params).values, want) << "read " << read;
+    EXPECT_EQ(member_counter(c, "serve.prefix.kept"), 1u) << "read " << read;
+  }
+  EXPECT_EQ(member_counter(c, "serve.prefix.hits"), 2u);
+  EXPECT_EQ(member_counter(c, "serve.prefix.misses"), 0u);
+  EXPECT_EQ(member_counter(b, "serve.prefix.kept"), 3u);  // one failover leg per read
+  const auto snap = router.metrics().snapshot();
+  EXPECT_EQ(counter_value(snap, "router.prefix_gathers"), 3u);
+  EXPECT_EQ(counter_value(snap, "router.prefix_resends"), 0u);
+  EXPECT_GE(router.failovers(), 3u);
+
+  b.stop();
+  c.stop();
+  whole.stop();
+}
+
 // ---- router door ---------------------------------------------------------
 
 TEST(RouterDoor, AnswersLikeAMinerDoor) {

@@ -2,12 +2,17 @@
 // random orthogonal sampling, Procrustes, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/owned_math.hpp"
 #include "linalg/decompose.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/orthogonal.hpp"
@@ -363,6 +368,133 @@ TEST(SymEigen, RejectsNonFiniteInput) {
     EXPECT_THROW((void)sap::linalg::sym_eigen(Matrix{{1, bad}, {bad, 1}}), sap::Error) << bad;
     EXPECT_THROW((void)sap::linalg::sym_eigen(Matrix{{bad, 0}, {0, 1}}), sap::Error) << bad;
   }
+}
+
+// The Matrix-based Jacobi solver, kept as sym_eigen's exactness reference
+// the way matmul_naive is gemm's: the same rotations in the same order on a
+// full Matrix copy of D, V updated by columns, the eigenpairs sorted through
+// a diagonal copy and copied out column by column. Never timed.
+sap::linalg::SymEigen textbook_sym_eigen(const Matrix& a, double tol = 1e-12,
+                                         int max_sweeps = 64) {
+  const std::size_t n = a.rows();
+  Matrix d = a;
+  Matrix v = Matrix::identity(n);
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    double off = 0.0;
+    for (std::size_t p = 0; p < n; ++p)
+      for (std::size_t q = p + 1; q < n; ++q) off = std::max(off, std::abs(d(p, q)));
+    if (off <= tol * (1.0 + d.max_abs())) break;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = d(p, q);
+        if (std::abs(apq) <= 1e-300) continue;
+        const double app = d(p, p);
+        const double aqq = d(q, q);
+        const double theta = (aqq - app) / (2.0 * apq);
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double dkp = d(k, p);
+          const double dkq = d(k, q);
+          d(k, p) = c * dkp - s * dkq;
+          d(k, q) = s * dkp + c * dkq;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const double dpk = d(p, k);
+          const double dqk = d(q, k);
+          d(p, k) = c * dpk - s * dqk;
+          d(q, k) = s * dpk + c * dqk;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const double vkp = v(k, p);
+          const double vkq = v(k, q);
+          v(k, p) = c * vkp - s * vkq;
+          v(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  Vector diag(n);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = d(i, i);
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t x, std::size_t y) { return diag[x] > diag[y]; });
+  sap::linalg::SymEigen out;
+  out.values.resize(n);
+  out.vectors = Matrix(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    out.values[j] = diag[order[j]];
+    out.vectors.set_col(j, v.col(order[j]));
+  }
+  return out;
+}
+
+/// S S^T for S the step matrix E[g Z^T] - E[g'] W of one FastICA fixed-point
+/// step, as plain loops: the Gram matrix fast_ica's decorrelation hands to
+/// sym_eigen. Z is n uniform records in k dimensions, W a random rotation.
+Matrix fastica_step_gram(std::size_t k, Engine& eng) {
+  const std::size_t n = 48;
+  const Matrix z = Matrix::generate(k, n, [&] { return eng.uniform(-1.7, 1.7); });
+  const Matrix w = sap::linalg::random_orthogonal(k, eng);
+  Matrix s(k, k);
+  for (std::size_t i = 0; i < k; ++i) {
+    double gprime = 0.0;
+    Vector gz(k, 0.0);
+    for (std::size_t t = 0; t < n; ++t) {
+      double wz = 0.0;
+      for (std::size_t l = 0; l < k; ++l) wz += w(i, l) * z(l, t);
+      const double g = sap::math::tanh(wz);
+      gprime += 1.0 - g * g;
+      for (std::size_t j = 0; j < k; ++j) gz[j] += g * z(j, t);
+    }
+    for (std::size_t j = 0; j < k; ++j) s(i, j) = gz[j] / n - gprime / n * w(i, j);
+  }
+  return sap::linalg::matmul_abt(s, s);
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SymEigen, MatchesTextbookJacobiBitForBit) {
+  // n = 1-20, both sides of the solver's stack storage (n <= 16). Inputs:
+  // Gram matrices B B^T; the same with the diagonal zeroed, so eigenvalues
+  // come out negative too and first rotations meet app = aqq = 0; the Gram
+  // matrices FastICA decorrelates (W W^T of its normal start, S S^T of a
+  // step); and a Gram matrix with one entry an ulp off symmetric, inside the
+  // symmetry tolerance, since the solver rotates both triangles of its copy.
+  Engine eng(3101);
+  std::size_t checked = 0;
+  for (std::size_t n = 1; n <= 20; ++n) {
+    for (int kind = 0; kind < 4; ++kind) {
+      for (int rep = 0; rep < 3; ++rep) {
+        Matrix a;
+        if (kind == 2 && rep == 0) {
+          const Matrix w = random_matrix(n, n, eng);
+          a = sap::linalg::matmul_abt(w, w);
+        } else if (kind == 2) {
+          a = fastica_step_gram(n, eng);
+        } else {
+          const Matrix b = random_matrix(n, n + 2, eng);
+          a = sap::linalg::matmul_abt(b, b);
+          if (kind == 1)
+            for (std::size_t i = 0; i < n; ++i) a(i, i) = 0.0;
+          if (kind == 3 && n > 1) a(n - 1, 0) = std::nextafter(a(n - 1, 0), INFINITY);
+        }
+        SCOPED_TRACE("n " + std::to_string(n) + ", kind " + std::to_string(kind) + ", rep " +
+                     std::to_string(rep));
+        const auto want = textbook_sym_eigen(a);
+        const auto got = sap::linalg::sym_eigen(a);
+        ASSERT_TRUE(same_bits(got.values, want.values));
+        ASSERT_TRUE(same_bits(got.vectors.data(), want.vectors.data()));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 240u);
 }
 
 // ------------------------------------------------------------ SVD

@@ -260,18 +260,24 @@ TEST(SapLint, R7PermitsBudgetAndDeadlineBoundedLoops) {
 // ---- R8: ISA confinement -------------------------------------------------
 
 TEST(SapLint, R8FlagsIsaCodeOutsideTheLaneKernel) {
-  const std::string file = "src/linalg/stray_isa.cpp";
-  const LintRun run = lint("violating", file);
-  EXPECT_EQ(run.exit, 1) << run.output;
-  EXPECT_EQ(run.diagnostics.size(), 3u) << run.output;
-  EXPECT_TRUE(has_diag(run, file, 2, "R8/isa-confinement")) << run.output;  // <immintrin.h>
-  EXPECT_TRUE(has_diag(run, file, 4, "R8/isa-confinement")) << run.output;  // target attribute
-  EXPECT_TRUE(has_diag(run, file, 8, "R8/isa-confinement")) << run.output;  // cpu dispatch
+  // The same code in another directory, and in the step kernel's neighbour:
+  // the rule allows two files, not their directories.
+  for (const std::string file : {"src/linalg/stray_isa.cpp", "src/privacy/fastica.cpp"}) {
+    const LintRun run = lint("violating", file);
+    EXPECT_EQ(run.exit, 1) << run.output;
+    EXPECT_EQ(run.diagnostics.size(), 3u) << run.output;
+    EXPECT_TRUE(has_diag(run, file, 2, "R8/isa-confinement")) << run.output;  // <immintrin.h>
+    EXPECT_TRUE(has_diag(run, file, 4, "R8/isa-confinement")) << run.output;  // target attribute
+    EXPECT_TRUE(has_diag(run, file, 8, "R8/isa-confinement")) << run.output;  // cpu dispatch
+  }
 }
 
 TEST(SapLint, R8PermitsTheLaneKernel) {
-  const LintRun run = lint("conforming", "src/classify/nearest.cpp");
-  EXPECT_EQ(run.exit, 0) << run.output;
+  // The kNN lane kernel and the FastICA step kernel, each in its one file.
+  for (const char* file : {"src/classify/nearest.cpp", "src/privacy/fastica_step.cpp"}) {
+    const LintRun run = lint("conforming", file);
+    EXPECT_EQ(run.exit, 0) << run.output;
+  }
 }
 
 // ---- R9: owned math ------------------------------------------------------

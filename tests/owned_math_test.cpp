@@ -1,7 +1,7 @@
 // Tests for sap::math, the elementary functions the library owns instead of
 // calling libm (common/owned_math.hpp): accuracy against the host libm over
-// a fixed sweep, the properties the exchange relies on, and the span form's
-// bit-for-bit agreement with the scalar form.
+// a fixed sweep, the properties the exchange relies on, and every FastICA
+// step-kernel variant's tanh pass against the scalar form, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/owned_math.hpp"
@@ -16,6 +17,7 @@
 #include "linalg/orthogonal.hpp"
 #include "linalg/stats.hpp"
 #include "perturb/geometric.hpp"
+#include "privacy/fastica_step.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -112,21 +114,29 @@ TEST(OwnedTanh, SignedZerosSaturationInfinitiesAndNaN) {
     EXPECT_TRUE(std::isnan(sap::math::tanh(nan)));
 }
 
-/// True when tanh_in_place over values[offset, offset + len) leaves every
-/// element the scalar form's bits, and the elements around it untouched.
-void expect_span_matches_scalar(const std::vector<double>& values, std::size_t offset,
+/// True when a step-kernel variant's tanh pass over values[offset, offset +
+/// len) leaves every element the scalar form's bits, and the elements
+/// around it untouched.
+void expect_span_matches_scalar(const sap::privacy::StepKernel& kernel,
+                                const std::vector<double>& values, std::size_t offset,
                                 std::size_t len) {
   std::vector<double> buf = values;
-  sap::math::tanh_in_place(std::span<double>(buf.data() + offset, len));
+  kernel.tanh_pass(std::span<double>(buf.data() + offset, len));
   for (std::size_t i = 0; i < buf.size(); ++i) {
     const bool inside = i >= offset && i < offset + len;
     const double want = inside ? sap::math::tanh(values[i]) : values[i];
-    EXPECT_EQ(bits(buf[i]), bits(want)) << "offset " << offset << ", length " << len
-                                        << ", element " << i;
+    EXPECT_EQ(bits(buf[i]), bits(want)) << kernel.name << ", offset " << offset << ", length "
+                                        << len << ", element " << i;
   }
 }
 
 TEST(OwnedTanh, SpanFormMatchesScalarBitForBit) {
+  // Every variant's tanh pass this CPU runs (vec16 always, avx2 where the CPU
+  // has it), so CI checks vec16 on an AVX2 host too.
+  const auto kernels = sap::privacy::supported_step_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "vec16");
+
   // Every length from 0 to 17, at four start offsets, over values that mix
   // both sides of the switch, saturation, signed zeros, infinities and NaN.
   std::vector<double> values;
@@ -136,8 +146,10 @@ TEST(OwnedTanh, SpanFormMatchesScalarBitForBit) {
   sap::rng::Engine eng(41);
   for (std::size_t i = 0; i < 24; ++i)
     values.push_back(i < std::size(specials) ? specials[i] : eng.normal(0.0, 2.0));
-  for (std::size_t offset = 0; offset < 4; ++offset)
-    for (std::size_t len = 0; len <= 17; ++len) expect_span_matches_scalar(values, offset, len);
+  for (const auto& kernel : kernels)
+    for (std::size_t offset = 0; offset < 4; ++offset)
+      for (std::size_t len = 0; len <= 17; ++len)
+        expect_span_matches_scalar(kernel, values, offset, len);
 
   // The serving shape's projections: W Z for a 9 x 9 orthogonal W and the
   // row-standardized, perturbed 160-record Shuttle subsample FastICA runs
@@ -156,10 +168,11 @@ TEST(OwnedTanh, SpanFormMatchesScalarBitForBit) {
   const Matrix projection = sap::linalg::random_orthogonal(9, prep) * z;
   ASSERT_EQ(projection.rows(), 9u);
   ASSERT_EQ(projection.cols(), 160u);
-  for (std::size_t i = 0; i < projection.rows(); ++i) {
-    const auto row = projection.row(i);
-    expect_span_matches_scalar({row.begin(), row.end()}, 0, row.size());
-  }
+  for (const auto& kernel : kernels)
+    for (std::size_t i = 0; i < projection.rows(); ++i) {
+      const auto row = projection.row(i);
+      expect_span_matches_scalar(kernel, {row.begin(), row.end()}, 0, row.size());
+    }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "privacy/attacks.hpp"
 #include "privacy/evaluator.hpp"
 #include "privacy/fastica.hpp"
+#include "privacy/fastica_step.hpp"
 #include "privacy/metric.hpp"
 #include "rng/rng.hpp"
 
@@ -306,6 +307,110 @@ TEST(FastIca, MatchesTextbookLoopBitForBit) {
     // The same draws were taken: both engines continue identically.
     EXPECT_EQ(eng.normal(), eng_ref.normal());
     EXPECT_EQ(eng(), eng_ref());
+  }
+}
+
+// ------------------------------------------------------------ step kernel
+
+/// The plain loops the step kernel's exactness is stated against: each
+/// element of W Z and of g Z^T one ascending chain from +0.0, the owned
+/// scalar tanh, and each g' sum one ascending chain from 0.0.
+struct PlainStep {
+  Matrix g, gz;
+  Vector gprime;
+};
+
+PlainStep plain_step(const Matrix& w, const Matrix& z) {
+  const std::size_t k = z.rows();
+  const std::size_t n = z.cols();
+  PlainStep out{Matrix(k, n), Matrix(k, k), Vector(k)};
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t t = 0; t < n; ++t) {
+      double acc = 0.0;
+      for (std::size_t l = 0; l < k; ++l) acc += w(i, l) * z(l, t);
+      out.g(i, t) = sap::math::tanh(acc);
+    }
+  for (std::size_t i = 0; i < k; ++i) {
+    double acc = 0.0;
+    for (std::size_t t = 0; t < n; ++t) acc += 1.0 - out.g(i, t) * out.g(i, t);
+    out.gprime[i] = acc;
+  }
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      double acc = 0.0;
+      for (std::size_t t = 0; t < n; ++t) acc += out.g(i, t) * z(j, t);
+      out.gz(i, j) = acc;
+    }
+  return out;
+}
+
+/// A step's inputs of one kind: 0, normal W and Z; 1, the same with W's
+/// first row +0.0 and its second -0.0, Z's first row and first column
+/// negative and its second column positive, so whole chains of W Z and of
+/// g Z^T add only signed zeros and only the +0.0 start makes them +0.0;
+/// 2, Z whitened from d = k + 3 dimensions onto k components, the records
+/// fast_ica steps over when components < d, and a random rotation W.
+std::pair<Matrix, Matrix> step_inputs(int kind, std::size_t k, std::size_t n, Engine& eng) {
+  if (kind == 2) {
+    const std::size_t d = k + 3;
+    Matrix x = Matrix::generate(d, n, [&] { return eng.uniform(); });
+    const Vector mean = sap::linalg::row_means(x);
+    for (std::size_t i = 0; i < d; ++i)
+      for (auto& v : x.row(i)) v -= mean[i];
+    const auto eig = sap::linalg::sym_eigen(sap::linalg::covariance_cols(x));
+    Matrix whitener(k, d);
+    for (std::size_t i = 0; i < k; ++i)
+      for (std::size_t j = 0; j < d; ++j)
+        whitener(i, j) = eig.vectors(j, i) / std::sqrt(eig.values[i]);
+    return {sap::linalg::random_orthogonal(k, eng), whitener * x};
+  }
+  Matrix w = Matrix::generate(k, k, [&] { return eng.normal(0.0, 1.5); });
+  Matrix z = Matrix::generate(k, n, [&] { return eng.normal(); });
+  if (kind == 1) {
+    for (std::size_t l = 0; l < k; ++l) {
+      w(0, l) = 0.0;
+      w(1, l) = -0.0;
+      z(l, 0) = -std::abs(z(l, 0)) - 0.5;
+      z(l, 1) = std::abs(z(l, 1)) + 0.5;
+    }
+    for (auto& v : z.row(0)) v = -std::abs(v) - 0.5;
+  }
+  return {std::move(w), std::move(z)};
+}
+
+TEST(FastIcaStep, EveryVariantMatchesThePlainChainsBitForBit) {
+  // Each variant this CPU runs (vec16 always; avx2 only where the CPU has
+  // it) must give g, every g' sum and g Z^T the plain loops' bits: k 2-16
+  // and 34 cover every row-tile and vector remainder, n values that are not
+  // multiples of 8 every column tail. Each variant runs twice on the same
+  // buffers, so a second step must overwrite all of the first one's output.
+  const auto kernels = sap::privacy::supported_step_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "vec16");
+  EXPECT_STREQ(sap::privacy::step_kernel().name, kernels.back().name);
+  Engine eng(3301);
+  std::vector<std::size_t> ks;
+  for (std::size_t k = 2; k <= 16; ++k) ks.push_back(k);
+  ks.push_back(34);
+  for (const std::size_t k : ks) {
+    for (const std::size_t n : {std::size_t{9}, std::size_t{13}, std::size_t{35},
+                                std::size_t{161}}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        const auto [w0, z] = step_inputs(kind, k, n, eng);
+        const Matrix w1 = step_inputs(kind, k, n, eng).first;
+        const PlainStep want = plain_step(w1, z);
+        for (const auto& kernel : kernels) {
+          SCOPED_TRACE(std::string(kernel.name) + ", k " + std::to_string(k) + ", n " +
+                       std::to_string(n) + ", kind " + std::to_string(kind));
+          sap::privacy::StepBuffers buf(z);
+          kernel.step(w0, buf);
+          kernel.step(w1, buf);
+          ASSERT_TRUE(same_bits(buf.g, want.g));
+          ASSERT_TRUE(same_bits(buf.gz, want.gz));
+          ASSERT_EQ(std::memcmp(buf.gprime.data(), want.gprime.data(), k * sizeof(double)), 0);
+        }
+      }
+    }
   }
 }
 

@@ -48,10 +48,12 @@
 //                       scope: the rule keys on the client-facing ops.
 //   R8/isa-confinement  `__attribute__((target ...))` (and `gnu::target`),
 //                       `__builtin_cpu_supports` and <immintrin.h> appear
-//                       only in src/classify/nearest.cpp — the kNN lane
-//                       kernel's AVX2 variant and its runtime dispatch are
-//                       the one ISA-specific code, and the per-ISA
-//                       exactness argument (DESIGN.md §8) covers only them.
+//                       only in src/classify/nearest.cpp and
+//                       src/privacy/fastica_step.cpp — the kNN lane kernel's
+//                       and the FastICA step kernel's AVX2 variants and
+//                       runtime dispatch are the one ISA-specific code, and
+//                       the per-ISA exactness argument (DESIGN.md §8) covers
+//                       only them.
 //   R9/owned-math       no <cmath> transcendental calls (exp, expm1, log*,
 //                       pow, the trigonometric and hyperbolic functions and
 //                       their inverses, erf*, *gamma, cbrt, hypot) in
@@ -666,23 +668,32 @@ class Linter {
     return code.find("gnu::target") != std::string::npos;
   }
 
-  // R8 — the kNN lane kernel is the one ISA-specific code (DESIGN.md §8).
+  /// The two vector kernels whose variants and dispatch the per-ISA
+  /// exactness argument (DESIGN.md §8) covers, each in one file.
+  static bool isa_kernel_file(const std::string& path) {
+    return path_has_prefix(path, "src/classify/nearest.cpp") ||
+           path_has_prefix(path, "src/privacy/fastica_step.cpp");
+  }
+
+  // R8 — the kNN lane kernel and the FastICA step kernel are the only
+  // ISA-specific code (DESIGN.md §8).
   void rule_isa(const ScannedFile& f, std::size_t line, const std::string& code) {
-    if (path_has_prefix(f.path, "src/classify/nearest.cpp")) return;
+    if (isa_kernel_file(f.path)) return;
     if (isa_target_attribute(code))
       report(f, line, "R8",
-             "ISA target attribute outside src/classify/nearest.cpp — the lane "
-             "kernel's variants are the only ISA-specific code, each with its own "
-             "bit-identity argument");
+             "ISA target attribute outside the vector kernels (src/classify/nearest.cpp, "
+             "src/privacy/fastica_step.cpp) — their variants are the only ISA-specific "
+             "code, each with its own bit-identity argument");
     if (has_word(code, "__builtin_cpu_supports"))
       report(f, line, "R8",
-             "CPU feature dispatch outside src/classify/nearest.cpp — the lane "
-             "kernel picks its variant once, there");
+             "CPU feature dispatch outside the vector kernels (src/classify/nearest.cpp, "
+             "src/privacy/fastica_step.cpp) — each kernel picks its variant once, there");
     if (code.find("#include") != std::string::npos &&
         code.find("immintrin.h") != std::string::npos)
       report(f, line, "R8",
-             "<immintrin.h> outside src/classify/nearest.cpp — vector code is the "
-             "lane kernel's, written with generic vectors");
+             "<immintrin.h> outside the vector kernels (src/classify/nearest.cpp, "
+             "src/privacy/fastica_step.cpp) — vector code is theirs, written with "
+             "generic vectors");
   }
 
   /// The <cmath> transcendentals R9 keeps out of the exchange's kernels,
